@@ -545,17 +545,6 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         Ok(())
     }
 
-    /// One-line load summary for the `GP_PARALLEL_TRACE` diagnostics.
-    pub(crate) fn trace_summary(&self) -> String {
-        format!(
-            "ticks {} processed {} generated {} now {}",
-            self.ticks,
-            self.events_processed,
-            self.events_generated,
-            self.now.get()
-        )
-    }
-
     /// Whether the shard has run dry (no resident events, all units idle).
     pub(crate) fn parked(&self) -> bool {
         matches!(self.phase, Phase::Done)

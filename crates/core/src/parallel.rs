@@ -252,12 +252,6 @@ impl GraphPulse {
         let mut epochs = 0u64;
         let mut barrier = 0u64;
 
-        let trace = std::env::var("GP_PARALLEL_TRACE").is_ok();
-        let mut t_run = std::time::Duration::ZERO;
-        let mut t_gather = std::time::Duration::ZERO;
-        let mut t_deliver = std::time::Duration::ZERO;
-        let mut total_exchanged = 0usize;
-
         // Chaos plan state: the stalled shard's diverted events (with
         // their original canonical tags) and the barriers left to hold.
         let stall_shard = chaos.stall.map(|(s, _)| s % shard_count);
@@ -273,7 +267,6 @@ impl GraphPulse {
                 }
             }
             let epoch_end = Cycle::new(barrier);
-            let t0 = std::time::Instant::now();
 
             // Run every shard up to the barrier; workers step disjoint
             // chunks, so no shard state is shared between threads.
@@ -295,8 +288,6 @@ impl GraphPulse {
             if let Some(e) = first_err.into_inner().expect("error slot poisoned") {
                 return Err(e);
             }
-            t_run += t0.elapsed();
-            let t0 = std::time::Instant::now();
 
             // Sharded counters merge into the thread-safe registry at the
             // barrier (order-independent: counter addition commutes).
@@ -331,12 +322,9 @@ impl GraphPulse {
                 }
             }
             let exchanged: usize = inboxes.iter().map(Vec::len).sum();
-            t_gather += t0.elapsed();
-            total_exchanged += exchanged;
             if exchanged == 0 && carry.is_empty() && machines.iter().all(Machine::parked) {
                 break;
             }
-            let t0 = std::time::Instant::now();
 
             // Deliver in the canonical order so insertion (and therefore
             // coalescing) is identical for every worker count. Destinations
@@ -356,19 +344,6 @@ impl GraphPulse {
                     });
                 }
             });
-            t_deliver += t0.elapsed();
-        }
-        if trace {
-            eprintln!(
-                "[parallel trace] run {:.0}ms gather {:.0}ms deliver {:.0}ms exchanged {}",
-                t_run.as_secs_f64() * 1e3,
-                t_gather.as_secs_f64() * 1e3,
-                t_deliver.as_secs_f64() * 1e3,
-                total_exchanged
-            );
-            for (s, m) in machines.iter().enumerate() {
-                eprintln!("[parallel trace] shard {s}: {}", m.trace_summary());
-            }
         }
         for m in &mut machines {
             registry.absorb(m.drain_epoch_stats());

@@ -12,9 +12,6 @@
 //!   (used e.g. for the 4-stage floating-point coalescer of the paper),
 //! * [`EventWheel`] — a timestamp-ordered scheduler for deferred actions
 //!   (used by the DRAM model for request completions),
-//! * [`HierarchicalWheel`] — a hierarchical timing wheel with batch drains
-//!   and an explicit overflow handoff (used by the `gp-turbo` throughput
-//!   backend as a bucketed priority queue),
 //! * [`stats`] — counters and histograms that back every figure of the
 //!   paper's evaluation section.
 //!
@@ -47,7 +44,7 @@ mod wheel;
 pub use cycle::Cycle;
 pub use fifo::{Fifo, FifoFullError};
 pub use pipeline::Pipeline;
-pub use wheel::{EventWheel, HierarchicalWheel, WheelOverflow};
+pub use wheel::EventWheel;
 
 /// A component that advances one clock cycle at a time.
 ///

@@ -1,14 +1,8 @@
-//! Key-ordered deferred-action schedulers.
+//! Timestamp-ordered deferred-action scheduler.
 //!
-//! Two structures with the same contract — payloads drain in nondecreasing
-//! key order, FIFO within a key — at different cost profiles:
-//!
-//! * [`EventWheel`] — an exact binary min-heap keyed by [`Cycle`], used by
-//!   the timing models (`O(log n)` per operation, unbounded horizon).
-//! * [`HierarchicalWheel`] — a hierarchical timing wheel keyed by plain
-//!   `u64` ticks, used by the throughput backend (`gp-turbo`) as a bucketed
-//!   priority queue over quantized delta magnitudes (`O(1)` insert, batch
-//!   drains, bounded horizon with an explicit overflow handoff).
+//! [`EventWheel`] is an exact binary min-heap keyed by [`Cycle`], used by
+//! the timing models (`O(log n)` per operation, unbounded horizon): payloads
+//! pop in nondecreasing due-cycle order, FIFO within a cycle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -117,232 +111,6 @@ impl<T> Default for EventWheel<T> {
     }
 }
 
-/// A payload rejected by [`HierarchicalWheel::insert`] because its key lies
-/// at or beyond the wheel's horizon.
-///
-/// The wheel hands the payload back instead of silently dropping or
-/// mis-filing it; callers decide the overflow policy (park it in a side
-/// list, clamp it to [`HierarchicalWheel::max_key`], grow the wheel, ...).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WheelOverflow<T> {
-    /// The key the payload was scheduled for.
-    pub key: u64,
-    /// The rejected payload.
-    pub payload: T,
-}
-
-/// A hierarchical timing wheel: `levels` wheels of `slots` buckets each,
-/// where a level-`k` bucket spans `slots^k` consecutive keys.
-///
-/// Keys near [`HierarchicalWheel::now`] resolve to the fine level-0 wheel
-/// (one key per bucket); farther keys land in coarser levels and *cascade*
-/// down as `now` reaches their bucket's window. Inserting and draining are
-/// therefore `O(1)` amortized per payload regardless of how many payloads
-/// are resident — the property the throughput backend needs when it
-/// schedules millions of events by quantized delta magnitude.
-///
-/// Semantics:
-///
-/// * Payloads drain in nondecreasing key order, FIFO within a key.
-/// * A key in the past (`key < now`) is **clamped to `now`** — "overdue"
-///   means "drain as soon as possible". [`HierarchicalWheel::insert`]
-///   returns the effective key.
-/// * A key at or beyond `now + horizon` does not fit any bucket; insert
-///   hands the payload back as a [`WheelOverflow`] ("too far in the
-///   future").
-///
-/// # Examples
-///
-/// ```
-/// use gp_sim::HierarchicalWheel;
-///
-/// let mut w: HierarchicalWheel<&str> = HierarchicalWheel::new(4, 2); // horizon 16
-/// w.insert(9, "far").unwrap();
-/// w.insert(1, "near").unwrap();
-/// w.insert(1, "near-too").unwrap();
-/// assert!(w.insert(16, "beyond").is_err());
-/// assert_eq!(w.drain_next(), Some((1, vec!["near", "near-too"])));
-/// assert_eq!(w.drain_next(), Some((9, vec!["far"])));
-/// assert_eq!(w.drain_next(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HierarchicalWheel<T> {
-    /// `levels[k][slot]` holds `(key, payload)` pairs; level-`k` buckets
-    /// span `slots^k` keys.
-    levels: Vec<Vec<Vec<(u64, T)>>>,
-    slots: u64,
-    /// `spans[k] = slots^k`, the key span of one level-`k` bucket.
-    spans: Vec<u64>,
-    horizon: u64,
-    now: u64,
-    len: usize,
-}
-
-impl<T> HierarchicalWheel<T> {
-    /// Creates a wheel of `levels` levels with `slots` buckets each,
-    /// covering keys `[now, now + slots^levels)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots < 2`, `levels == 0`, or `slots^levels` overflows
-    /// `u64`.
-    pub fn new(slots: u64, levels: usize) -> Self {
-        assert!(slots >= 2, "a wheel needs at least 2 slots per level");
-        assert!(levels >= 1, "a wheel needs at least 1 level");
-        let mut spans = Vec::with_capacity(levels);
-        let mut span = 1u64;
-        for _ in 0..levels {
-            spans.push(span);
-            span = span
-                .checked_mul(slots)
-                .expect("wheel horizon overflows u64");
-        }
-        HierarchicalWheel {
-            levels: (0..levels)
-                .map(|_| (0..slots).map(|_| Vec::new()).collect())
-                .collect(),
-            slots,
-            spans,
-            horizon: span,
-            now: 0,
-            len: 0,
-        }
-    }
-
-    /// The next key the wheel will drain (keys below this clamp up to it).
-    #[inline]
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Number of keys the wheel spans: `slots^levels`.
-    #[inline]
-    pub fn horizon(&self) -> u64 {
-        self.horizon
-    }
-
-    /// The largest key currently insertable: `now + horizon - 1`.
-    #[inline]
-    pub fn max_key(&self) -> u64 {
-        self.now + self.horizon - 1
-    }
-
-    /// Number of resident payloads.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no payloads are resident.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules `payload` at `key`, clamping past keys to
-    /// [`HierarchicalWheel::now`]. Returns the effective key, or the payload
-    /// back as a [`WheelOverflow`] when `key >= now + horizon`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WheelOverflow`] for keys at or beyond the horizon; the
-    /// wheel is unchanged.
-    pub fn insert(&mut self, key: u64, payload: T) -> Result<u64, WheelOverflow<T>> {
-        let key = key.max(self.now);
-        let delta = key - self.now;
-        if delta >= self.horizon {
-            return Err(WheelOverflow { key, payload });
-        }
-        for (k, &span) in self.spans.iter().enumerate() {
-            if delta < span * self.slots {
-                let slot = ((key / span) % self.slots) as usize;
-                self.levels[k][slot].push((key, payload));
-                self.len += 1;
-                return Ok(key);
-            }
-        }
-        unreachable!("delta < horizon always fits the last level");
-    }
-
-    /// Drains the next non-empty bucket: all payloads with the smallest
-    /// resident key, in insertion order. Advances `now` to that key.
-    pub fn drain_next(&mut self) -> Option<(u64, Vec<T>)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let slot = (self.now % self.slots) as usize;
-            if !self.levels[0][slot].is_empty() {
-                let bucket = std::mem::take(&mut self.levels[0][slot]);
-                self.len -= bucket.len();
-                let key = self.now;
-                debug_assert!(bucket.iter().all(|(k, _)| *k == key));
-                return Some((key, bucket.into_iter().map(|(_, p)| p).collect()));
-            }
-            self.advance_one();
-        }
-    }
-
-    /// Pops the single next payload in key order (FIFO within a key).
-    ///
-    /// Convenience for tests and low-rate callers; batch consumers should
-    /// prefer [`HierarchicalWheel::drain_next`].
-    pub fn pop(&mut self) -> Option<(u64, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let slot = (self.now % self.slots) as usize;
-            if !self.levels[0][slot].is_empty() {
-                let (key, payload) = self.levels[0][slot].remove(0);
-                self.len -= 1;
-                return Some((key, payload));
-            }
-            self.advance_one();
-        }
-    }
-
-    /// Advances `now` to `key` without draining anything, cascading coarser
-    /// buckets down as their windows open.
-    ///
-    /// This exists for shard-synchronized draining (the sharded turbo
-    /// engine): every shard's wheel is advanced to the global round key so
-    /// that clamping and the insertable window `[now, max_key()]` are
-    /// identical on every shard, whichever shard the round's bucket lives
-    /// on. Keys at or before `now` are a no-op.
-    ///
-    /// Caller contract: no resident payload may have a key below `key`
-    /// (such payloads would be skipped over and only surface later, clamped
-    /// — the same "overdue" semantics as [`HierarchicalWheel::insert`], but
-    /// almost certainly not what a key-ordered consumer wants).
-    pub fn advance_to(&mut self, key: u64) {
-        while self.now < key {
-            self.advance_one();
-        }
-    }
-
-    /// Steps `now` forward one key, cascading coarser buckets whose window
-    /// opens at the new position down into finer levels.
-    fn advance_one(&mut self) {
-        self.now += 1;
-        // Highest level first: its payloads may re-file into the very
-        // level-1 bucket that cascades right after it at the same boundary.
-        for k in (1..self.spans.len()).rev() {
-            let span = self.spans[k];
-            if self.now.is_multiple_of(span) {
-                let slot = ((self.now / span) % self.slots) as usize;
-                let bucket = std::mem::take(&mut self.levels[k][slot]);
-                self.len -= bucket.len();
-                for (key, payload) in bucket {
-                    debug_assert!(key >= self.now && key - self.now < span);
-                    self.insert(key, payload)
-                        .unwrap_or_else(|_| unreachable!("cascade stays within the horizon"));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,110 +146,5 @@ mod tests {
         assert_eq!(w.pop_due(Cycle::new(6)), None);
         assert_eq!(w.len(), 1);
         assert!(!w.is_empty());
-    }
-
-    #[test]
-    fn hierarchical_drains_in_key_order_across_levels() {
-        let mut w: HierarchicalWheel<u32> = HierarchicalWheel::new(4, 3); // horizon 64
-        for (key, v) in [(40u64, 0u32), (3, 1), (17, 2), (0, 3), (63, 4), (17, 5)] {
-            assert_eq!(w.insert(key, v), Ok(key));
-        }
-        assert_eq!(w.len(), 6);
-        let mut drained = Vec::new();
-        while let Some((key, batch)) = w.drain_next() {
-            drained.push((key, batch));
-        }
-        assert_eq!(
-            drained,
-            vec![
-                (0, vec![3]),
-                (3, vec![1]),
-                (17, vec![2, 5]),
-                (40, vec![0]),
-                (63, vec![4]),
-            ]
-        );
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn hierarchical_clamps_past_keys_to_now() {
-        let mut w: HierarchicalWheel<&str> = HierarchicalWheel::new(4, 2);
-        w.insert(5, "first").unwrap();
-        assert_eq!(w.drain_next(), Some((5, vec!["first"])));
-        assert_eq!(w.now(), 5);
-        // A key in the past becomes due immediately at `now`.
-        assert_eq!(w.insert(2, "late"), Ok(5));
-        assert_eq!(w.drain_next(), Some((5, vec!["late"])));
-    }
-
-    #[test]
-    fn hierarchical_hands_back_overflow() {
-        let mut w: HierarchicalWheel<u8> = HierarchicalWheel::new(4, 2); // horizon 16
-        assert_eq!(w.max_key(), 15);
-        let err = w.insert(16, 9).unwrap_err();
-        assert_eq!(
-            err,
-            WheelOverflow {
-                key: 16,
-                payload: 9
-            }
-        );
-        assert!(w.is_empty());
-        // The handed-back payload can be clamped to the horizon by the caller.
-        assert_eq!(w.insert(w.max_key(), err.payload), Ok(15));
-        assert_eq!(w.pop(), Some((15, 9)));
-    }
-
-    #[test]
-    fn hierarchical_advance_to_matches_drain_position() {
-        // Advancing an empty wheel to key K and then inserting at K must
-        // behave exactly like draining a sibling wheel up to K: same now,
-        // same insertable window, same drain order afterwards.
-        let mut advanced: HierarchicalWheel<u32> = HierarchicalWheel::new(4, 3); // horizon 64
-        let mut drained: HierarchicalWheel<u32> = HierarchicalWheel::new(4, 3);
-        drained.insert(37, 0).unwrap();
-        assert_eq!(drained.drain_next(), Some((37, vec![0])));
-        advanced.advance_to(37);
-        assert_eq!(advanced.now(), drained.now());
-        assert_eq!(advanced.max_key(), drained.max_key());
-        for w in [&mut advanced, &mut drained] {
-            assert_eq!(w.insert(37, 1), Ok(37));
-            assert_eq!(w.insert(63, 2), Ok(63));
-            assert!(w.insert(37 + 64, 3).is_err());
-        }
-        assert_eq!(advanced.drain_next(), drained.drain_next());
-        assert_eq!(advanced.drain_next(), drained.drain_next());
-        assert_eq!(advanced.drain_next(), None);
-    }
-
-    #[test]
-    fn hierarchical_advance_to_cascades_future_payloads() {
-        // Payloads at or beyond the target key must survive the advance and
-        // still drain at their own keys (cascading from coarse levels).
-        let mut w: HierarchicalWheel<u32> = HierarchicalWheel::new(4, 3); // horizon 64
-        w.insert(20, 1).unwrap();
-        w.insert(45, 2).unwrap();
-        w.advance_to(20);
-        assert_eq!(w.now(), 20);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.drain_next(), Some((20, vec![1])));
-        w.advance_to(45);
-        assert_eq!(w.drain_next(), Some((45, vec![2])));
-        // Advancing backwards (or to the current position) is a no-op.
-        w.advance_to(3);
-        assert_eq!(w.now(), 45);
-    }
-
-    #[test]
-    fn hierarchical_pop_is_fifo_within_a_key() {
-        let mut w: HierarchicalWheel<u32> = HierarchicalWheel::new(8, 1);
-        for i in 0..5 {
-            w.insert(3, i).unwrap();
-        }
-        for i in 0..5 {
-            assert_eq!(w.pop(), Some((3, i)));
-        }
-        assert_eq!(w.pop(), None);
     }
 }

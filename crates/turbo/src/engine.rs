@@ -2,14 +2,24 @@
 //! optionally sharded across worker threads with a deterministic
 //! cross-shard merge.
 //!
+//! # Scheduling
+//!
+//! [`key_of`] quantizes an urgency to one of [`KEY_SPACE`] keys, so the
+//! priority queue is an array of that many buckets indexed by the key —
+//! the software shape of the paper's direct-mapped event queue (§IV): a
+//! vertex's entry has one place to go and buckets are swept in ascending
+//! key order, with no search structure on the path. An occupancy bitmap
+//! finds the next non-empty bucket; a re-scheduled vertex leaves its old
+//! entry behind, to be skipped when that bucket drains (lazy deletion).
+//!
 //! # Sharded execution
 //!
-//! With [`TurboConfig::shards`] > 1 the dense event pool and the
-//! hierarchical wheel are partitioned by contiguous vertex range: shard
-//! `i` owns vertices `[i*B, (i+1)*B)` for block size `B = ceil(n /
-//! shards)`. Execution proceeds in global *rounds*: each round drains the
-//! smallest key resident on **any** shard (all shard wheels are advanced
-//! to that key first, so clamping and the overflow window are identical
+//! With [`TurboConfig::shards`] > 1 the dense event pool and the bucket
+//! array are partitioned by contiguous vertex range: shard `i` owns
+//! vertices `[i*B, (i+1)*B)` for block size `B = ceil(n / shards)`.
+//! Execution proceeds in global *rounds*: each round drains the smallest
+//! key occupied on **any** shard (every shard's cursor moves to that key
+//! first, so a deposit asking for an earlier key lands in the same bucket
 //! everywhere), and every delta propagated during the round is buffered
 //! in a per-target-shard outbox instead of being deposited immediately.
 //! At the end of the round the outboxes are merged in canonical `(bucket,
@@ -19,8 +29,8 @@
 //! discipline (and the same argument) as the shard-parallel cycle
 //! engine's inbox merge.
 //!
-//! Because the round schedule, the deposit order, and the clamp window
-//! are all functions of the global key sequence alone, the outcome —
+//! Because the round schedule, the deposit order, and the cursor are all
+//! functions of the global key sequence alone, the outcome —
 //! values, every counter, the round log — is bit-identical for any shard
 //! count, including 1. A sequential driver and a scoped-thread driver
 //! execute the identical per-round steps; the threaded driver is used
@@ -31,30 +41,13 @@ use std::sync::{Barrier, RwLock};
 
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::{GraphView, VertexId};
-use gp_sim::HierarchicalWheel;
 
-use crate::priority::key_of;
+use crate::priority::{key_of, KEY_SPACE};
 
-/// Tuning knobs for [`run_turbo`].
-///
-/// The defaults give a wheel horizon of `16^3 = 4096` buckets — exactly the
-/// quantized key space of [`priority::key_of`](crate::priority::key_of) —
-/// so from a cold start no insertion ever overflows the horizon.
+/// Run options for [`run_turbo`]; none of them changes the values or the
+/// counters of a clean run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TurboConfig {
-    /// Slots per wheel level (≥ 2).
-    pub wheel_slots: u64,
-    /// Number of wheel levels (≥ 1); the horizon is `slots^levels` keys.
-    pub wheel_levels: usize,
-    /// Schedule by quantized delta urgency (§V). When `false`, every
-    /// activation lands in the current bucket and the drain degenerates to
-    /// round-based sweeps — useful for isolating the prioritization win.
-    pub prioritized: bool,
-    /// Sort each drained bucket by vertex id so the kernel walks monotone,
-    /// cache-blocked CSR ranges. Also what makes the cross-shard merge
-    /// order canonical; the bit-identical-across-shard-counts guarantee
-    /// assumes it stays on (the default).
-    pub sort_buckets: bool,
     /// Vertex shards (0 and 1 both mean single-shard). Shards drain on
     /// worker threads; the outcome is bit-identical for any value.
     pub shards: usize,
@@ -72,11 +65,11 @@ pub struct TurboConfig {
 /// the `after_rounds`-th drained bucket, one active vertex's `enq_key`
 /// tag (chosen by `pick` among the vertices active at that moment, in
 /// index order) gets its top bit flipped — an SRAM upset in the
-/// enqueue-key column. The vertex's wheel entry then always looks stale
+/// enqueue-key column. The vertex's bucket entry then always looks stale
 /// and is lazily skipped, so its pending delta is silently dropped unless
 /// a later deposit to the same vertex re-schedules it (which heals the
 /// tag and loses nothing). A dropped delta leaves the pool entry active
-/// after wheel exhaustion, which [`TurboOutcome::check_lost_events`]
+/// after the last bucket drained, which [`TurboOutcome::check_lost_events`]
 /// detects — the fault can therefore delay work or be caught, but never
 /// corrupt a result silently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +83,6 @@ pub struct StaleFault {
 impl Default for TurboConfig {
     fn default() -> Self {
         TurboConfig {
-            wheel_slots: 16,
-            wheel_levels: 3,
-            prioritized: true,
-            sort_buckets: true,
             shards: 1,
             record_rounds: false,
             fault: None,
@@ -107,7 +96,7 @@ impl Default for TurboConfig {
 /// `processed` sum over every shard that had the round's key resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundStat {
-    /// Wheel key (quantized urgency class) of the bucket.
+    /// Key (quantized urgency class) of the bucket.
     pub key: u64,
     /// Entries drained from the bucket, including stale ones.
     pub drained: u64,
@@ -128,23 +117,19 @@ pub struct TurboOutcome {
     pub events_generated: u64,
     /// Events absorbed in place into an already-pending delta.
     pub events_coalesced: u64,
-    /// Wheel entries skipped because their vertex was re-scheduled into a
+    /// Bucket entries skipped because their vertex was re-scheduled into a
     /// more urgent bucket (lazy deletion) or already drained.
     pub stale_entries: u64,
     /// Times a pending vertex moved to a more urgent bucket after a
     /// coalesce made its delta bigger.
     pub reschedules: u64,
-    /// Insertions whose quantized key lay beyond the wheel horizon and
-    /// were handed off to the outermost bucket. Always zero with the
-    /// default geometry (horizon = key space).
-    pub overflow_handoffs: u64,
     /// Global rounds (distinct key visits; a bucket drained on several
     /// shards in the same round counts once).
     pub rounds: u64,
-    /// Vertices whose pending delta was still active when the wheel ran
-    /// dry — events the scheduler lost. Always empty on a clean run; the
-    /// in-engine lost-event check ([`TurboOutcome::check_lost_events`])
-    /// fires on any entry.
+    /// Vertices whose pending delta was still active when the last bucket
+    /// had drained — events the scheduler lost. Always empty on a clean
+    /// run; the in-engine lost-event check
+    /// ([`TurboOutcome::check_lost_events`]) fires on any entry.
     pub orphaned: Vec<u32>,
     /// Per-round stats; empty unless [`TurboConfig::record_rounds`].
     pub round_log: Vec<RoundStat>,
@@ -161,10 +146,10 @@ impl TurboOutcome {
         }
     }
 
-    /// In-engine lost-event check: after wheel exhaustion every generated
-    /// event must have been coalesced away or processed — an event-pool
-    /// entry still active means the scheduler dropped a delta (stale-tag
-    /// corruption is the canonical cause).
+    /// In-engine lost-event check: once every bucket is empty, every
+    /// generated event must have been coalesced away or processed — an
+    /// event-pool entry still active means the scheduler dropped a delta
+    /// (stale-tag corruption is the canonical cause).
     ///
     /// # Errors
     ///
@@ -201,14 +186,13 @@ impl TurboOutcome {
         use std::fmt::Write as _;
         let mut s = format!(
             "turbo: rounds={} processed={} generated={} coalesced={} \
-             stale={} resched={} overflow={} orphaned={}\n",
+             stale={} resched={} orphaned={}\n",
             self.rounds,
             self.events_processed,
             self.events_generated,
             self.events_coalesced,
             self.stale_entries,
             self.reschedules,
-            self.overflow_handoffs,
             self.orphaned.len(),
         );
         for r in &self.round_log {
@@ -227,8 +211,8 @@ impl TurboOutcome {
 ///
 /// At most one pending delta per vertex ever exists (the accelerator's
 /// in-place coalescing invariant); `active` marks occupancy and `enq_key`
-/// remembers which wheel bucket owns the vertex so later, staler wheel
-/// entries can be skipped lazily.
+/// remembers which bucket owns the vertex so later, staler bucket entries
+/// can be skipped lazily.
 struct Pool<A: DeltaAlgorithm> {
     pending: Vec<A::Delta>,
     active: Vec<bool>,
@@ -242,7 +226,6 @@ struct Counters {
     coalesced: u64,
     stale: u64,
     reschedules: u64,
-    overflows: u64,
 }
 
 impl Counters {
@@ -252,17 +235,21 @@ impl Counters {
         self.coalesced += o.coalesced;
         self.stale += o.stale;
         self.reschedules += o.reschedules;
-        self.overflows += o.overflows;
     }
 }
 
-/// One vertex shard: its slice of the event pool, its own wheel, and a
-/// sorted index of resident keys (so the global round key — the minimum
-/// across shards — is O(1) to read).
 /// Per-target-shard delta buffers: `outbox[s]` holds the `(vertex,
 /// delta)` pairs a drain produced for shard `s`, in propagation order.
 type Outbox<D> = Vec<Vec<(u32, D)>>;
 
+/// Words in a shard's bucket-occupancy bitmap, one bit per key.
+const KEY_WORDS: usize = (KEY_SPACE / 64) as usize;
+
+/// One vertex shard: its slice of the event pool and its priority queue —
+/// one bucket of vertex ids per quantized key, a bitmap of the non-empty
+/// buckets, and the cursor `now` at the current global round key. No bit
+/// below `now` is ever set: rounds visit keys in ascending order and a
+/// deposit never files below the cursor.
 struct Shard<A: DeltaAlgorithm> {
     /// First global vertex id this shard owns.
     start: u32,
@@ -272,16 +259,20 @@ struct Shard<A: DeltaAlgorithm> {
     /// `v / B`. Identical on every shard.
     block: usize,
     pool: Pool<A>,
-    wheel: HierarchicalWheel<u32>,
-    /// Keys with at least one wheel entry (stale ones included); the
-    /// minimum is the shard's candidate for the next global round.
-    keys: std::collections::BTreeSet<u64>,
+    /// `buckets[k]`: owned vertices scheduled at key `k`, in deposit order,
+    /// stale entries included.
+    buckets: Vec<Vec<u32>>,
+    /// Bit `k` is set iff `buckets[k]` is non-empty.
+    occupied: [u64; KEY_WORDS],
+    /// Key of the round in progress; deposits asking for an earlier key
+    /// land here and drain in the next round.
+    now: u64,
     identity: A::Delta,
     stats: Counters,
 }
 
 impl<A: DeltaAlgorithm> Shard<A> {
-    fn new(algo: &A, cfg: &TurboConfig, start: u32, len: usize, block: usize) -> Self {
+    fn new(algo: &A, start: u32, len: usize, block: usize) -> Self {
         let identity = algo.identity_delta();
         Shard {
             start,
@@ -292,24 +283,32 @@ impl<A: DeltaAlgorithm> Shard<A> {
                 active: vec![false; len],
                 enq_key: vec![0; len],
             },
-            wheel: HierarchicalWheel::new(cfg.wheel_slots, cfg.wheel_levels),
-            keys: std::collections::BTreeSet::new(),
+            buckets: vec![Vec::new(); KEY_SPACE as usize],
+            occupied: [0; KEY_WORDS],
+            now: 0,
             identity,
             stats: Counters::default(),
         }
     }
 
-    /// Smallest key resident on this shard, if any.
+    /// Smallest occupied key on this shard, if any: the shard's candidate
+    /// for the next global round.
     fn next_key(&self) -> Option<u64> {
-        self.keys.iter().next().copied()
+        let mut word = (self.now / 64) as usize;
+        let mut bits = self.occupied[word] & (u64::MAX << (self.now % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.occupied.get(word)?;
+        }
+        Some(word as u64 * 64 + u64::from(bits.trailing_zeros()))
     }
 
     /// Deposits `delta` for the owned vertex `target`: coalesces into the
-    /// pending slot and (re-)schedules the vertex in this shard's wheel
-    /// keyed by its quantized urgency. The wheel has already been advanced
-    /// to the current global round key, so the clamp window `[now,
-    /// max_key]` is the same on every shard.
-    fn deposit(&mut self, algo: &A, cfg: &TurboConfig, target: u32, delta: A::Delta) {
+    /// pending slot and (re-)schedules the vertex in the bucket of its
+    /// quantized urgency, or in the current round's bucket if that key has
+    /// already been passed. The cursor sits at the global round key on
+    /// every shard, so the choice does not depend on the partition.
+    fn deposit(&mut self, algo: &A, target: u32, delta: A::Delta) {
         self.stats.generated += 1;
         let t = (target - self.start) as usize;
         let merged = if self.pool.active[t] {
@@ -320,19 +319,7 @@ impl<A: DeltaAlgorithm> Shard<A> {
             self.pool.pending[t] = delta;
             delta
         };
-        let raw = if cfg.prioritized {
-            key_of(algo.urgency(merged))
-        } else {
-            0
-        };
-        // Clamp into the live window: keys in the past run now, keys beyond
-        // the horizon are handed off to the outermost bucket (exact order
-        // within the horizon, approximate beyond it — any order converges
-        // per §II-B).
-        if raw > self.wheel.max_key() {
-            self.stats.overflows += 1;
-        }
-        let key = raw.clamp(self.wheel.now(), self.wheel.max_key());
+        let key = key_of(algo.urgency(merged)).max(self.now);
         if !self.pool.active[t] {
             self.pool.active[t] = true;
         } else if key >= self.pool.enq_key[t] {
@@ -345,37 +332,31 @@ impl<A: DeltaAlgorithm> Shard<A> {
             self.stats.reschedules += 1;
         }
         self.pool.enq_key[t] = key;
-        let inserted = self.wheel.insert(key, target);
-        debug_assert_eq!(inserted, Ok(key), "clamped key must fit the horizon");
-        self.keys.insert(key);
+        self.buckets[key as usize].push(target);
+        self.occupied[(key / 64) as usize] |= 1 << (key % 64);
     }
 
-    /// Drains this shard's bucket for the global round key `key` (a no-op
-    /// returning zeros if the shard has nothing resident at that key),
-    /// applying deltas to the shard's `values` slice and buffering every
-    /// propagated delta into `outbox[target_shard]` instead of depositing.
-    /// Returns `(drained, processed)`.
+    /// Opens the global round `key` on this shard: moves the cursor there
+    /// and drains the key's bucket (a no-op returning zeros if it is empty
+    /// here), applying deltas to the shard's `values` slice and buffering
+    /// every propagated delta into `outbox[target_shard]` instead of
+    /// depositing. The bucket is walked in vertex-id order: that keeps the
+    /// CSR walk monotone, and it is what makes a round's propagation order
+    /// — hence the merge order, hence every later coalesce — the same for
+    /// any shard count. Returns `(drained, processed)`.
     fn drain_round<G: GraphView>(
         &mut self,
         algo: &A,
         graph: &G,
-        cfg: &TurboConfig,
         key: u64,
         values: &mut [A::Value],
         outbox: &mut [Vec<(u32, A::Delta)>],
     ) -> (u64, u64) {
-        if self.next_key() != Some(key) {
-            return (0, 0);
-        }
-        self.keys.remove(&key);
-        let (drained_key, mut batch) = self
-            .wheel
-            .drain_next()
-            .expect("key index said a bucket is resident");
-        debug_assert_eq!(drained_key, key, "key index out of sync with wheel");
-        if cfg.sort_buckets {
-            batch.sort_unstable();
-        }
+        debug_assert!(self.next_key().is_none_or(|k| k >= key));
+        self.now = key;
+        self.occupied[(key / 64) as usize] &= !(1 << (key % 64));
+        let mut batch = std::mem::take(&mut self.buckets[key as usize]);
+        batch.sort_unstable();
         let drained = batch.len() as u64;
         let mut applied = 0u64;
         for raw_v in batch {
@@ -408,9 +389,9 @@ impl<A: DeltaAlgorithm> Shard<A> {
     /// Applies one source shard's buffered deltas to this shard, in buffer
     /// order. Callers iterate source shards in ascending order, which makes
     /// the overall merge ascending in global source vertex.
-    fn absorb(&mut self, algo: &A, cfg: &TurboConfig, entries: &[(u32, A::Delta)]) {
+    fn absorb(&mut self, algo: &A, entries: &[(u32, A::Delta)]) {
         for &(target, delta) in entries {
-            self.deposit(algo, cfg, target, delta);
+            self.deposit(algo, target, delta);
         }
     }
 }
@@ -464,11 +445,10 @@ fn drive_sequential<A: DeltaAlgorithm, G: GraphView>(
             .zip(slices.iter_mut())
             .zip(outboxes.iter_mut())
         {
-            shard.wheel.advance_to(k);
             for lane in outbox.iter_mut() {
                 lane.clear();
             }
-            let (d, p) = shard.drain_round(algo, graph, cfg, k, slice, outbox);
+            let (d, p) = shard.drain_round(algo, graph, k, slice, outbox);
             drained += d;
             processed += p;
         }
@@ -476,7 +456,7 @@ fn drive_sequential<A: DeltaAlgorithm, G: GraphView>(
         // i.e. ascending global source vertex.
         for outbox in &outboxes {
             for (dst, entries) in outbox.iter().enumerate() {
-                shards[dst].absorb(algo, cfg, entries);
+                shards[dst].absorb(algo, entries);
             }
         }
         if cfg.record_rounds {
@@ -492,7 +472,7 @@ fn drive_sequential<A: DeltaAlgorithm, G: GraphView>(
                 fault_armed = false;
                 // SRAM upset in the enqueue-key column: flip the top bit
                 // of one active vertex's tag. Real keys never have it set,
-                // so the vertex's wheel entry now always reads as stale.
+                // so the vertex's bucket entry now always reads as stale.
                 inject_stale_fault(shards, f.pick);
             }
         }
@@ -507,7 +487,7 @@ fn drive_sequential<A: DeltaAlgorithm, G: GraphView>(
 ///
 /// 1. publish own next key, barrier, read the global minimum `k` (every
 ///    worker computes the same minimum from the same published values);
-/// 2. advance own wheel to `k`, drain own bucket into per-target-shard
+/// 2. move own cursor to `k`, drain own bucket into per-target-shard
 ///    outboxes (write lock on own outbox only), barrier;
 /// 3. absorb lane `i` of every outbox in ascending source-shard order
 ///    (read locks), barrier, repeat.
@@ -550,18 +530,17 @@ fn drive_threaded<A: DeltaAlgorithm, G: GraphView + Sync>(
                         break;
                     }
                     rounds += 1;
-                    shard.wheel.advance_to(k);
                     let (drained, processed) = {
                         let mut outbox = outboxes[i].write().expect("turbo outbox lock poisoned");
                         for lane in outbox.iter_mut() {
                             lane.clear();
                         }
-                        shard.drain_round(algo, graph, cfg, k, slice, &mut outbox)
+                        shard.drain_round(algo, graph, k, slice, &mut outbox)
                     };
                     barrier.wait();
                     for src in outboxes {
                         let src = src.read().expect("turbo outbox lock poisoned");
-                        shard.absorb(algo, cfg, &src[i]);
+                        shard.absorb(algo, &src[i]);
                     }
                     if cfg.record_rounds {
                         log.push(RoundStat {
@@ -600,16 +579,11 @@ fn drive_threaded<A: DeltaAlgorithm, G: GraphView + Sync>(
 /// Semantically equivalent to
 /// [`run_sequential`](gp_algorithms::engine::run_sequential) — same
 /// coalescing invariant, same local-termination rule — but processes
-/// events in delta-magnitude priority order (§V) from a hierarchical
-/// timing wheel, and walks each drained bucket in vertex-id order for
+/// events in delta-magnitude priority order (§V), one quantized-urgency
+/// bucket per round, and walks each drained bucket in vertex-id order for
 /// cache-friendly CSR access. Deterministic: identical inputs give
 /// bit-identical values, counters, and round logs, for **any**
 /// [`TurboConfig::shards`] count (see the module docs for the argument).
-///
-/// # Panics
-///
-/// Panics if `cfg.wheel_slots < 2`, `cfg.wheel_levels == 0`, or the
-/// horizon `slots^levels` overflows `u64`.
 pub fn run_turbo<A: DeltaAlgorithm, G: GraphView + Sync>(
     algo: &A,
     graph: &G,
@@ -635,9 +609,8 @@ pub fn run_turbo<A: DeltaAlgorithm, G: GraphView + Sync>(
 ///
 /// # Panics
 ///
-/// Panics if `values.len() != graph.num_vertices()`, a seed vertex is out
-/// of range, `cfg.wheel_slots < 2`, `cfg.wheel_levels == 0`, or the
-/// horizon `slots^levels` overflows `u64`.
+/// Panics if `values.len() != graph.num_vertices()` or a seed vertex is
+/// out of range.
 pub fn run_turbo_seeded<A: DeltaAlgorithm, G: GraphView + Sync>(
     algo: &A,
     graph: &G,
@@ -657,14 +630,14 @@ pub fn run_turbo_seeded<A: DeltaAlgorithm, G: GraphView + Sync>(
         .map(|i| {
             let start = i * block;
             let end = ((i + 1) * block).min(n);
-            Shard::new(algo, cfg, start as u32, end.saturating_sub(start), block)
+            Shard::new(algo, start as u32, end.saturating_sub(start), block)
         })
         .collect();
 
     // Seed deposits in seed order, exactly as the single-shard engine
-    // would: every wheel still sits at key 0, the global floor.
+    // would: every cursor still sits at key 0, the global floor.
     for &(v, d) in seeds {
-        shards[v.index() / block].deposit(algo, cfg, v.get(), d);
+        shards[v.index() / block].deposit(algo, v.get(), d);
     }
 
     let (rounds, round_log) = {
@@ -705,7 +678,6 @@ pub fn run_turbo_seeded<A: DeltaAlgorithm, G: GraphView + Sync>(
         events_coalesced: stats.coalesced,
         stale_entries: stats.stale,
         reschedules: stats.reschedules,
-        overflow_handoffs: stats.overflows,
         rounds,
         orphaned,
         round_log,
@@ -720,7 +692,7 @@ mod tests {
         Adsorption, AdsorptionParams, Bfs, ConnectedComponents, PageRankDelta, Sssp, Sswp,
     };
     use gp_graph::generators::{erdos_renyi, rmat, RmatConfig, WeightMode};
-    use gp_graph::GraphBuilder;
+    use gp_graph::{EdgeRef, GraphBuilder};
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         gp_algorithms::max_abs_diff(a, b)
@@ -843,46 +815,128 @@ mod tests {
         assert_eq!(out.values, base.values);
     }
 
-    #[test]
-    fn prioritization_and_sorting_can_be_disabled() {
-        let g = erdos_renyi(128, 1_024, WeightMode::Unweighted, 9);
-        let pr = PageRankDelta::new(0.85, 1e-8);
-        let golden = run_sequential(&pr, &g);
-        for cfg in [
-            TurboConfig {
-                prioritized: false,
-                ..TurboConfig::default()
-            },
-            TurboConfig {
-                sort_buckets: false,
-                ..TurboConfig::default()
-            },
-            TurboConfig {
-                wheel_slots: 8,
-                wheel_levels: 2, // horizon 64 < key space: exercises handoff
-                ..TurboConfig::default()
-            },
-        ] {
-            let t = run_turbo(&pr, &g, &cfg);
-            assert!(
-                max_abs_diff(&t.values, &golden.values) < 1e-4,
-                "config {cfg:?} diverged"
-            );
+    /// Sum algorithm whose urgency is the pending delta itself, so a test
+    /// chooses the bucket of every deposit; propagates `Δ · weight`.
+    struct Probe;
+
+    impl DeltaAlgorithm for Probe {
+        type Value = f64;
+        type Delta = f64;
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn init_value(&self, _: VertexId) -> f64 {
+            0.0
+        }
+        fn identity_delta(&self) -> f64 {
+            0.0
+        }
+        fn initial_delta(&self, _: VertexId, _: &dyn GraphView) -> Option<f64> {
+            None
+        }
+        fn reduce(&self, value: f64, delta: f64) -> f64 {
+            value + delta
+        }
+        fn coalesce(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+        fn propagation_basis(&self, old: f64, new: f64) -> Option<f64> {
+            Some(new - old)
+        }
+        fn propagate(&self, basis: f64, _: VertexId, _: u32, edge: EdgeRef) -> Option<f64> {
+            Some(basis * f64::from(edge.weight))
+        }
+        fn urgency(&self, delta: f64) -> f64 {
+            delta
+        }
+        fn value_to_f64(&self, v: f64) -> f64 {
+            v
         }
     }
 
+    /// A single shard over `n` isolated vertices.
+    fn probe_shard(n: usize) -> (Shard<Probe>, gp_graph::CsrGraph) {
+        (Shard::new(&Probe, 0, n, n), GraphBuilder::new(n).build())
+    }
+
+    /// One round at `key` on a shard of isolated vertices.
+    fn drain(shard: &mut Shard<Probe>, g: &gp_graph::CsrGraph, key: u64) -> (u64, u64) {
+        let mut values = vec![0.0; shard.len];
+        shard.drain_round(&Probe, g, key, &mut values, &mut [Vec::new()])
+    }
+
     #[test]
-    fn small_horizon_counts_overflow_handoffs() {
-        let g = erdos_renyi(64, 512, WeightMode::Uniform(1.0, 4.0), 2);
-        let cfg = TurboConfig {
-            wheel_slots: 2,
-            wheel_levels: 2, // horizon 4: nearly every key class overflows
-            ..TurboConfig::default()
-        };
-        let t = run_turbo(&Sssp::new(VertexId::new(0)), &g, &cfg);
-        let s = run_sequential(&Sssp::new(VertexId::new(0)), &g);
-        assert_eq!(t.values, s.values);
-        assert!(t.overflow_handoffs > 0);
+    fn next_key_scans_across_words_and_to_both_ends_of_the_key_space() {
+        let (mut shard, g) = probe_shard(4);
+        assert_eq!(shard.next_key(), None);
+        shard.deposit(&Probe, 0, 2f64.powi(960));
+        assert_eq!(shard.next_key(), Some(64));
+        shard.deposit(&Probe, 1, 2f64.powi(961));
+        assert_eq!(shard.next_key(), Some(63));
+        shard.deposit(&Probe, 2, f64::NEG_INFINITY);
+        assert_eq!(drain(&mut shard, &g, 63), (1, 1));
+        // Last bit of word 0 cleared with the cursor on it: the scan moves
+        // on to the first bit of word 1, then to the last bit of the map.
+        assert_eq!(shard.next_key(), Some(64));
+        assert_eq!(drain(&mut shard, &g, 64), (1, 1));
+        assert_eq!(shard.next_key(), Some(KEY_SPACE - 1));
+        assert_eq!(drain(&mut shard, &g, KEY_SPACE - 1), (1, 1));
+        assert_eq!(shard.next_key(), None);
+
+        let (mut shard, g) = probe_shard(1);
+        shard.deposit(&Probe, 0, f64::INFINITY);
+        assert_eq!(shard.next_key(), Some(0));
+        assert_eq!(drain(&mut shard, &g, 0), (1, 1));
+        assert_eq!(shard.next_key(), None);
+    }
+
+    #[test]
+    fn all_stale_bucket_still_clears_its_bit() {
+        let (mut shard, g) = probe_shard(1);
+        shard.deposit(&Probe, 0, 1.0); // key 1024
+        shard.deposit(&Probe, 0, 4.0); // coalesced 5.0 -> key 1022
+        assert_eq!(shard.stats.reschedules, 1);
+        assert_eq!(shard.next_key(), Some(1022));
+        assert_eq!(drain(&mut shard, &g, 1022), (1, 1));
+        assert_eq!(shard.next_key(), Some(1024));
+        assert_eq!(drain(&mut shard, &g, 1024), (1, 0));
+        assert_eq!(shard.stats.stale, 1);
+        assert_eq!(shard.next_key(), None);
+    }
+
+    #[test]
+    fn deposit_below_the_round_key_drains_in_a_second_round_at_that_key() {
+        // 0 -> 1 with weight 4: vertex 0 drains at key_of(1.0) = 1024 and
+        // sends 4.0, which asks for key 1022. That key has been passed, so
+        // the entry files at 1024 — on whichever shard owns vertex 1 — and
+        // gets a round of its own.
+        let mut b = GraphBuilder::new(2);
+        b.weighted(true)
+            .add_edge(VertexId::new(0), VertexId::new(1), 4.0);
+        let g = b.build();
+        for shards in [1, 2] {
+            let mut values = [0.0; 2];
+            let out = run_turbo_seeded(
+                &Probe,
+                &g,
+                &mut values,
+                &[(VertexId::new(0), 1.0)],
+                &TurboConfig {
+                    shards,
+                    record_rounds: true,
+                    ..TurboConfig::default()
+                },
+            );
+            let round = RoundStat {
+                key: 1024,
+                drained: 1,
+                processed: 1,
+            };
+            assert_eq!(out.rounds, 2, "{shards} shard(s)");
+            assert_eq!(out.round_log, [round, round], "{shards} shard(s)");
+            assert_eq!(out.values, [1.0, 4.0]);
+            assert_eq!((out.stale_entries, out.reschedules), (0, 0));
+        }
     }
 
     #[test]

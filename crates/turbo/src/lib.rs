@@ -16,16 +16,22 @@
 //!   accelerator's in-place coalescing queue but without the bin/row/slot
 //!   geometry.
 //! * **Delta-magnitude-prioritized draining** — active vertices are
-//!   scheduled into a [`HierarchicalWheel`](gp_sim::HierarchicalWheel)
-//!   keyed by the quantized [`urgency`](gp_algorithms::DeltaAlgorithm::urgency)
-//!   of their pending delta, so big deltas drain first (§V of the paper:
-//!   large deltas compound more work per event and converge faster). The
-//!   §II-B reordering property guarantees any drain order reaches the same
-//!   fixed point, which is what licenses the approximation.
+//!   filed in a plain array of [`KEY_SPACE`](priority::KEY_SPACE) buckets
+//!   indexed by the quantized [`urgency`](gp_algorithms::DeltaAlgorithm::urgency)
+//!   of their pending delta ([`priority::key_of`]) and the buckets drain in
+//!   ascending key order, so big deltas drain first (§V of the paper:
+//!   large deltas compound more work per event and converge faster). Like
+//!   the paper's direct-mapped event queue (§IV) there is no search
+//!   structure on the path: a key names its bucket, and an occupancy
+//!   bitmap names the next bucket to sweep. The §II-B reordering property
+//!   guarantees any drain order reaches the same fixed point, which is
+//!   what licenses the approximation.
 //! * **Cache-blocked kernels** — each drained priority bucket is sorted by
 //!   vertex id before processing, so the kernel walks monotone CSR ranges
 //!   (row pointers, edge lists, and the value/pending arrays stream
-//!   forward) instead of hopping with the priority order.
+//!   forward) instead of hopping with the priority order. The sort is also
+//!   what makes a vertex-sharded run reproduce the single-shard one bit
+//!   for bit, so it is not optional.
 //!
 //! The backend is bit-deterministic: two runs on the same graph produce
 //! identical values, counters, and (optional) round logs. It is registered

@@ -1,11 +1,13 @@
-//! Urgency → wheel-key quantization.
+//! Urgency → bucket-key quantization.
 //!
-//! The turbo engine schedules active vertices into a
-//! [`HierarchicalWheel`](gp_sim::HierarchicalWheel) whose keys drain in
-//! ascending order, while [`urgency`](gp_algorithms::DeltaAlgorithm::urgency)
-//! says *larger is more urgent*. This module maps an `f64` urgency onto a
-//! small integer key space, **monotonically decreasing**: the most urgent
-//! deltas land in the lowest buckets and drain first.
+//! The turbo engine files each active vertex in one of [`KEY_SPACE`]
+//! buckets and drains the buckets in ascending key order, while
+//! [`urgency`](gp_algorithms::DeltaAlgorithm::urgency) says *larger is more
+//! urgent*. This module maps an `f64` urgency onto that small integer key
+//! space, **monotonically decreasing**: the most urgent deltas land in the
+//! lowest buckets and drain first. The key *is* the bucket index — the
+//! engine keeps exactly one bucket per key, so no key is ever out of range
+//! of the queue.
 //!
 //! The mapping uses the IEEE-754 total-order trick: flipping all bits of
 //! negative floats and setting the sign bit of non-negative ones turns the
@@ -20,10 +22,11 @@
 /// full 11-bit exponent).
 pub const KEY_BITS: u32 = 12;
 
-/// Size of the quantized key space: keys are in `0..KEY_SPACE`.
+/// Size of the quantized key space, and so the engine's bucket count: keys
+/// are in `0..KEY_SPACE`.
 pub const KEY_SPACE: u64 = 1 << KEY_BITS;
 
-/// Quantizes an urgency into a wheel key in `0..KEY_SPACE`.
+/// Quantizes an urgency into a bucket key in `0..KEY_SPACE`.
 ///
 /// Strictly monotone *decreasing* over the IEEE total order: a larger
 /// urgency never maps to a larger key. `urgency` must not be NaN (the

@@ -1,18 +1,15 @@
 //! Sharded-engine property tests: the vertex-sharded turbo engine must be
 //! indistinguishable from the single-shard one at the bit level.
 //!
-//! Three properties, each swept over graph families × algorithms:
+//! Two properties, each swept over graph families × algorithms:
 //!
 //! 1. **Drain order**: the global round schedule (key sequence, per-round
 //!    drained/processed totals) at 2 and 4 shards equals the single-shard
 //!    order — pinned through `render_log`, which serializes the counters
 //!    and the full round log.
-//! 2. **Stale-entry lazy deletion**: reschedules leave stale wheel entries
+//! 2. **Stale-entry lazy deletion**: reschedules leave stale bucket entries
 //!    behind on whichever shard owns the vertex; the stale and reschedule
 //!    counters must not depend on the partition.
-//! 3. **Horizon-overflow clamp**: with a tiny wheel horizon, the clamp to
-//!    the outermost bucket happens against the *global* round key on every
-//!    shard, so overflow counts and values stay partition-invariant.
 //!
 //! Plus a driver-equivalence check: the scoped-thread driver (used for
 //! clean multi-shard runs) must be bit-identical to the sequential driver
@@ -131,55 +128,6 @@ fn stale_lazy_deletion_is_shard_count_invariant() {
 }
 
 #[test]
-fn overflow_clamp_is_shard_count_invariant() {
-    // Horizon 4 (2 slots × 2 levels): nearly every quantized key lies past
-    // the horizon and is clamped to the outermost bucket. The clamp window
-    // is anchored at the global round key on every shard, so the overflow
-    // accounting and the resulting schedule are partition-invariant.
-    let tiny = TurboConfig {
-        wheel_slots: 2,
-        wheel_levels: 2,
-        ..TurboConfig::default()
-    };
-    for seed in [2u64, 19] {
-        for g in &graphs(seed) {
-            let algo = Sssp::new(VertexId::new(0));
-            let base = run_turbo(&algo, g, &tiny);
-            assert!(
-                base.overflow_handoffs > 0,
-                "test premise: the tiny horizon must overflow"
-            );
-            for shards in SHARD_COUNTS {
-                let out = run_turbo(&algo, g, &TurboConfig { shards, ..tiny });
-                assert_eq!(
-                    out.overflow_handoffs, base.overflow_handoffs,
-                    "seed {seed}, {shards} shards: overflow counts diverged"
-                );
-            }
-            assert_partition_invariant("sssp-tiny-horizon", &algo, g, &tiny);
-        }
-    }
-}
-
-#[test]
-fn unprioritized_mode_is_shard_count_invariant() {
-    // With prioritization off every deposit lands in the current bucket
-    // and the engine degenerates to synchronous sweeps — the degenerate
-    // schedule must shard identically too.
-    let cfg = TurboConfig {
-        prioritized: false,
-        ..TurboConfig::default()
-    };
-    let g = rmat(&RmatConfig::graph500(256, 2_048), 7);
-    assert_partition_invariant(
-        "pagerank-unprioritized",
-        &PageRankDelta::new(0.85, 1e-7),
-        &g,
-        &cfg,
-    );
-}
-
-#[test]
 fn threaded_driver_matches_sequential_driver() {
     // A fault that never fires (after_rounds = u64::MAX) forces the
     // sequential round driver while leaving the run semantically clean;
@@ -207,7 +155,6 @@ fn threaded_driver_matches_sequential_driver() {
                     after_rounds: u64::MAX,
                     pick: 0,
                 }),
-                ..TurboConfig::default()
             },
         );
         assert_eq!(
@@ -246,7 +193,6 @@ fn stale_fault_is_shard_count_invariant() {
                         shards,
                         record_rounds: true,
                         fault: Some(StaleFault { after_rounds, pick }),
-                        ..TurboConfig::default()
                     },
                 );
                 assert_eq!(out.orphaned, base.orphaned);

@@ -278,7 +278,6 @@ where
             || ts.events_coalesced != t1.events_coalesced
             || ts.stale_entries != t1.stale_entries
             || ts.reschedules != t1.reschedules
-            || ts.overflow_handoffs != t1.overflow_handoffs
             || ts.rounds != t1.rounds
         {
             return Err(fail(

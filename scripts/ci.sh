@@ -56,6 +56,10 @@ diff <(grep -v '^wrote ' /tmp/gp-chaos-a.log) \
   || { echo "chaos campaign log not deterministic"; exit 1; }
 diff /tmp/gp-chaos-a.json /tmp/gp-chaos-b.json \
   || { echo "chaos campaign JSON not deterministic"; exit 1; }
+# The committed record is this same seed-42 campaign, so it must match the
+# fresh one byte for byte: a behaviour change regenerates it or fails here.
+diff BENCH_chaos.json /tmp/gp-chaos-a.json \
+  || { echo "BENCH_chaos.json is stale: regenerate with chaos --seed 42 --out BENCH_chaos.json"; exit 1; }
 # Both the fresh campaign output and the committed record must satisfy the
 # gp-bench/chaos/v1 schema (every scenario detected + recovered bit-exact).
 cargo run --release -q -p gp-bench --bin bench_check -- \
@@ -118,5 +122,11 @@ cargo run --release -q -p gp-bench --bin container -- \
   --out /tmp/gp-ooc-smoke.json
 cargo run --release -q -p gp-bench --bin bench_check -- \
   /tmp/gp-ooc-smoke.json BENCH_outofcore.json
+
+echo "== repo benchmark smoke (BENCHMARK.json plumbing, every graph at 2^10) =="
+# Builds the benchmark package against this checkout and runs all five
+# workloads small; exits non-zero on a failed operation or a results file
+# that does not carry exactly the declared workloads and metrics.
+bash benchmark/run.sh --smoke
 
 echo "CI gate passed."
