@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use gp_graph::rng::{Rng, StdRng};
 
-use gp_graph::{CsrGraph, EdgeRef, GraphBuilder, GraphView, VertexId};
+use gp_graph::{CsrGraph, EdgeRef, GraphBuilder, VertexId};
 
 use crate::DeltaAlgorithm;
 
@@ -163,7 +163,7 @@ impl DeltaAlgorithm for Adsorption {
         0.0
     }
 
-    fn initial_delta(&self, v: VertexId, _graph: &dyn GraphView) -> Option<f64> {
+    fn initial_delta(&self, v: VertexId) -> Option<f64> {
         Some(f64::from(self.params.beta(v)) * f64::from(self.params.injection(v)))
     }
 
@@ -243,8 +243,7 @@ mod tests {
     fn initial_delta_is_beta_times_injection() {
         let params = AdsorptionParams::new(vec![0.5], vec![0.4], vec![0.5]);
         let ads = Adsorption::new(params, 0.0);
-        let g = gp_graph::GraphBuilder::new(1).build();
-        let d = ads.initial_delta(VertexId::new(0), &g).unwrap();
+        let d = ads.initial_delta(VertexId::new(0)).unwrap();
         assert!((d - 0.2).abs() < 1e-6);
     }
 

@@ -1,6 +1,6 @@
 //! Breadth-First Search (level computation) in delta form.
 
-use gp_graph::{EdgeRef, GraphView, VertexId};
+use gp_graph::{EdgeRef, VertexId};
 
 use crate::DeltaAlgorithm;
 
@@ -61,7 +61,7 @@ impl DeltaAlgorithm for Bfs {
         UNREACHED
     }
 
-    fn initial_delta(&self, v: VertexId, _graph: &dyn GraphView) -> Option<u32> {
+    fn initial_delta(&self, v: VertexId) -> Option<u32> {
         (v == self.root).then_some(0)
     }
 

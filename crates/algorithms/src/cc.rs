@@ -1,6 +1,6 @@
 //! Connected Components via max-label propagation, in delta form.
 
-use gp_graph::{EdgeRef, GraphView, VertexId};
+use gp_graph::{EdgeRef, VertexId};
 
 use crate::DeltaAlgorithm;
 
@@ -51,7 +51,7 @@ impl DeltaAlgorithm for ConnectedComponents {
         -1
     }
 
-    fn initial_delta(&self, v: VertexId, _graph: &dyn GraphView) -> Option<i64> {
+    fn initial_delta(&self, v: VertexId) -> Option<i64> {
         Some(i64::from(v.get()))
     }
 
@@ -112,13 +112,12 @@ impl crate::IncrementalAlgorithm for ConnectedComponents {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_graph::CsrGraph;
 
     #[test]
     fn table_ii_semantics() {
         let cc = ConnectedComponents::new();
         assert_eq!(cc.init_value(VertexId::new(9)), -1);
-        assert_eq!(cc.initial_delta(VertexId::new(9), &tiny()), Some(9));
+        assert_eq!(cc.initial_delta(VertexId::new(9)), Some(9));
         assert_eq!(cc.reduce(3, 7), 7);
         assert_eq!(cc.coalesce(5, 2), 5);
         let e = EdgeRef {
@@ -126,12 +125,6 @@ mod tests {
             weight: 1.0,
         };
         assert_eq!(cc.propagate(6, VertexId::new(0), 2, e), Some(6));
-    }
-
-    fn tiny() -> CsrGraph {
-        let mut b = gp_graph::GraphBuilder::new(10);
-        b.add_edge(VertexId::new(0), VertexId::new(1), 1.0);
-        b.build()
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use gp_graph::{EdgeRef, GraphView, VertexId};
+use gp_graph::{EdgeRef, VertexId};
 
 /// A graph algorithm in delta-accumulative form.
 ///
@@ -55,10 +55,7 @@ pub trait DeltaAlgorithm: Send + Sync {
 
     /// The initial event seeded into the queue for `v`, or `None` when the
     /// vertex starts inactive.
-    ///
-    /// Takes a [`GraphView`] trait object so the hook stays dispatchable
-    /// from both the static CSR and the streaming overlay.
-    fn initial_delta(&self, v: VertexId, graph: &dyn GraphView) -> Option<Self::Delta>;
+    fn initial_delta(&self, v: VertexId) -> Option<Self::Delta>;
 
     /// Applies a delta to a vertex state (`state ⊕ delta`).
     fn reduce(&self, value: Self::Value, delta: Self::Delta) -> Self::Value;

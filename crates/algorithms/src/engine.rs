@@ -67,7 +67,7 @@ pub fn initial_state<A: DeltaAlgorithm, G: GraphView>(
         .collect();
     let seeds = graph
         .vertex_ids()
-        .filter_map(|v| algo.initial_delta(v, graph).map(|d| (v, d)))
+        .filter_map(|v| algo.initial_delta(v).map(|d| (v, d)))
         .collect();
     (values, seeds)
 }
@@ -121,9 +121,9 @@ pub fn run_sequential_seeded<A: DeltaAlgorithm, G: GraphView>(
         let new = algo.reduce(old, delta);
         values[u.index()] = new;
         if let Some(basis) = algo.propagation_basis(old, new) {
-            let degree = graph.out_degree(u);
-            for i in 0..degree {
-                let edge = graph.out_edge(u, i);
+            let row = graph.out_edges(u);
+            let degree = row.len() as u32;
+            for edge in row {
                 if let Some(d) = algo.propagate(basis, u, degree, edge) {
                     events_generated += 1;
                     let slot = &mut pending[edge.other.index()];
@@ -178,7 +178,7 @@ pub fn run_bsp<A: DeltaAlgorithm, G: GraphView>(
     let mut rounds_log = Vec::new();
 
     for v in graph.vertex_ids() {
-        if let Some(d) = algo.initial_delta(v, graph) {
+        if let Some(d) = algo.initial_delta(v) {
             current[v.index()] = Some(d);
             events_generated += 1;
         }
@@ -202,9 +202,9 @@ pub fn run_bsp<A: DeltaAlgorithm, G: GraphView>(
             let new = algo.reduce(old, delta);
             values[u] = new;
             if let Some(basis) = algo.propagation_basis(old, new) {
-                let degree = graph.out_degree(uid);
-                for i in 0..degree {
-                    let edge = graph.out_edge(uid, i);
+                let row = graph.out_edges(uid);
+                let degree = row.len() as u32;
+                for edge in row {
                     if let Some(d) = algo.propagate(basis, uid, degree, edge) {
                         produced += 1;
                         events_generated += 1;

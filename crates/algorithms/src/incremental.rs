@@ -201,9 +201,9 @@ fn delta_correction_seeds<A: IncrementalAlgorithm, G: GraphView>(
         }
         // ...and grant what it sends under the new ones. Unchanged targets
         // still shift when the degree changes (the share is `α·v/deg`).
-        let new_deg = graph.out_degree(*u);
-        for i in 0..new_deg {
-            let e = graph.out_edge(*u, i);
+        let new_row = graph.out_edges(*u);
+        let new_deg = new_row.len() as u32;
+        for e in new_row {
             if let Some(share) = algo.propagate(basis, *u, new_deg, e) {
                 coalesce_into(algo, &mut seeds, e.other, share);
             }
@@ -264,11 +264,10 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
     let mut seeds: BTreeMap<u32, A::Delta> = BTreeMap::new();
     for &t in &invalid {
         let t = VertexId::new(t);
-        if let Some(d) = algo.initial_delta(t, graph) {
+        if let Some(d) = algo.initial_delta(t) {
             coalesce_into(algo, &mut seeds, t, d);
         }
-        for i in 0..graph.in_degree(t) {
-            let e = graph.in_edge(t, i);
+        for e in graph.in_edges(t) {
             let s = e.other;
             if invalid.contains(&s.get()) {
                 continue;
@@ -321,13 +320,12 @@ fn is_supported<A: IncrementalAlgorithm, G: GraphView>(
     t: VertexId,
 ) -> bool {
     let init = algo.init_value(t);
-    if let Some(d) = algo.initial_delta(t, graph) {
+    if let Some(d) = algo.initial_delta(t) {
         if algo.reduce(init, d) == values[t.index()] {
             return true;
         }
     }
-    for i in 0..graph.in_degree(t) {
-        let e = graph.in_edge(t, i);
+    for e in graph.in_edges(t) {
         let s = e.other;
         if invalid.contains(&s.get()) {
             continue;
@@ -370,10 +368,10 @@ fn support_test_closure<A: IncrementalAlgorithm, G: GraphView>(
         // it (a vertex cleared earlier can be re-suspected — each
         // invalidation re-examines its dependents, so the loop reaches the
         // greatest fixpoint of "supported").
-        let deg = graph.out_degree(tid);
+        let row = graph.out_edges(tid);
+        let deg = row.len() as u32;
         let basis = algo.basis_of(values[tid.index()]);
-        for i in 0..deg {
-            let e = graph.out_edge(tid, i);
+        for e in row {
             let w = e.other;
             if invalid.contains(&w.get()) || values[w.index()] == algo.init_value(w) {
                 continue;
@@ -399,10 +397,10 @@ fn reachability_closure<A: IncrementalAlgorithm, G: GraphView>(
     let mut queue: VecDeque<u32> = suspects.iter().copied().collect();
     while let Some(t) = queue.pop_front() {
         let tid = VertexId::new(t);
-        let deg = graph.out_degree(tid);
+        let row = graph.out_edges(tid);
+        let deg = row.len() as u32;
         let basis = algo.basis_of(values[tid.index()]);
-        for i in 0..deg {
-            let e = graph.out_edge(tid, i);
+        for e in row {
             let w = e.other;
             if invalid.contains(&w.get()) || values[w.index()] == algo.init_value(w) {
                 continue;

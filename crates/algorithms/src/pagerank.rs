@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use gp_graph::{EdgeRef, GraphView, VertexId};
+use gp_graph::{EdgeRef, VertexId};
 
 use crate::DeltaAlgorithm;
 
@@ -107,7 +107,7 @@ impl DeltaAlgorithm for PageRankDelta {
         0.0
     }
 
-    fn initial_delta(&self, v: VertexId, _graph: &dyn GraphView) -> Option<f64> {
+    fn initial_delta(&self, v: VertexId) -> Option<f64> {
         match &self.sources {
             Some(mask) if !mask[v.index()] => None,
             _ => Some(1.0 - self.alpha),
@@ -191,14 +191,13 @@ impl crate::IncrementalAlgorithm for PageRankDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_graph::CsrGraph;
 
     #[test]
     fn table_ii_semantics() {
         let pr = PageRankDelta::new(0.85, 1e-4);
         assert_eq!(pr.init_value(VertexId::new(0)), 0.0);
         assert_eq!(
-            pr.initial_delta(VertexId::new(0), &tiny()),
+            pr.initial_delta(VertexId::new(0)),
             Some(0.15000000000000002)
         );
         assert_eq!(pr.reduce(1.0, 0.5), 1.5);
@@ -208,12 +207,6 @@ mod tests {
             weight: 1.0,
         };
         assert_eq!(pr.propagate(1.0, VertexId::new(0), 4, e), Some(0.85 / 4.0));
-    }
-
-    fn tiny() -> CsrGraph {
-        let mut b = gp_graph::GraphBuilder::new(2);
-        b.add_edge(VertexId::new(0), VertexId::new(1), 1.0);
-        b.build()
     }
 
     #[test]
@@ -242,9 +235,8 @@ mod tests {
     #[test]
     fn personalized_injects_only_at_sources() {
         let pr = PageRankDelta::personalized(0.85, 1e-6, 4, &[VertexId::new(2)]);
-        let g = tiny();
-        assert_eq!(pr.initial_delta(VertexId::new(0), &g), None);
-        assert!(pr.initial_delta(VertexId::new(2), &g).is_some());
+        assert_eq!(pr.initial_delta(VertexId::new(0)), None);
+        assert!(pr.initial_delta(VertexId::new(2)).is_some());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use gp_graph::{CsrGraph, EdgeRef, GraphBuilder, GraphView, VertexId};
+use gp_graph::{CsrGraph, EdgeRef, GraphBuilder, VertexId};
 
 use crate::DeltaAlgorithm;
 
@@ -79,7 +79,7 @@ impl DeltaAlgorithm for LinearSolver {
         0.0
     }
 
-    fn initial_delta(&self, v: VertexId, _graph: &dyn GraphView) -> Option<f64> {
+    fn initial_delta(&self, v: VertexId) -> Option<f64> {
         let b = self.rhs.get(v.index()).copied().unwrap_or(0.0);
         (b != 0.0).then_some(b)
     }

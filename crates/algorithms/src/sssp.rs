@@ -1,6 +1,6 @@
 //! Single-Source Shortest Paths in delta form.
 
-use gp_graph::{EdgeRef, GraphView, VertexId};
+use gp_graph::{EdgeRef, VertexId};
 
 use crate::DeltaAlgorithm;
 
@@ -61,7 +61,7 @@ impl DeltaAlgorithm for Sssp {
         f64::INFINITY
     }
 
-    fn initial_delta(&self, v: VertexId, _graph: &dyn GraphView) -> Option<f64> {
+    fn initial_delta(&self, v: VertexId) -> Option<f64> {
         (v == self.root).then_some(0.0)
     }
 
@@ -121,14 +121,13 @@ impl crate::IncrementalAlgorithm for Sssp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_graph::CsrGraph;
 
     #[test]
     fn table_ii_semantics() {
         let s = Sssp::new(VertexId::new(3));
         assert_eq!(s.init_value(VertexId::new(0)), f64::INFINITY);
-        assert_eq!(s.initial_delta(VertexId::new(3), &tiny()), Some(0.0));
-        assert_eq!(s.initial_delta(VertexId::new(0), &tiny()), None);
+        assert_eq!(s.initial_delta(VertexId::new(3)), Some(0.0));
+        assert_eq!(s.initial_delta(VertexId::new(0)), None);
         assert_eq!(s.reduce(5.0, 3.0), 3.0);
         assert_eq!(s.coalesce(7.0, 2.0), 2.0);
         let e = EdgeRef {
@@ -136,12 +135,6 @@ mod tests {
             weight: 1.5,
         };
         assert_eq!(s.propagate(2.0, VertexId::new(0), 9, e), Some(3.5));
-    }
-
-    fn tiny() -> CsrGraph {
-        let mut b = gp_graph::GraphBuilder::new(4);
-        b.add_edge(VertexId::new(0), VertexId::new(1), 1.0);
-        b.build()
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Single-Source Widest Path (maximum bottleneck capacity) in delta form.
 
-use gp_graph::{EdgeRef, GraphView, VertexId};
+use gp_graph::{EdgeRef, VertexId};
 
 use crate::DeltaAlgorithm;
 
@@ -63,7 +63,7 @@ impl DeltaAlgorithm for Sswp {
         0.0
     }
 
-    fn initial_delta(&self, v: VertexId, _graph: &dyn GraphView) -> Option<f64> {
+    fn initial_delta(&self, v: VertexId) -> Option<f64> {
         (v == self.root).then_some(f64::INFINITY)
     }
 

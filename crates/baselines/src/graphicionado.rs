@@ -110,7 +110,7 @@ pub fn run<A: DeltaAlgorithm>(
         .collect();
     let mut current: Vec<Option<A::Delta>> = vec![None; n];
     for v in graph.vertices() {
-        if let Some(d) = algo.initial_delta(v, graph) {
+        if let Some(d) = algo.initial_delta(v) {
             current[v.index()] = Some(d);
         }
     }

@@ -474,9 +474,9 @@ where
             st.values[u as usize] = new;
             st.shadow.record_write(u as usize, old, new);
             if let Some(basis) = algo.propagation_basis(old, new) {
-                let degree = graph.out_degree(uid);
-                for i in 0..degree {
-                    let edge = graph.out_edge(uid, i);
+                let row = graph.out_edges(uid);
+                let degree = row.len() as u32;
+                for edge in row {
                     if let Some(d) = algo.propagate(basis, uid, degree, edge) {
                         deposit(
                             &mut st,

@@ -408,7 +408,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             return;
         }
         for v in self.graph.vertex_ids() {
-            let Some(delta) = self.algo.initial_delta(v, self.graph) else {
+            let Some(delta) = self.algo.initial_delta(v) else {
                 continue;
             };
             let ev = Event::new(v, delta, 0);
@@ -473,7 +473,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         let slice = self.partition.slices()[self.active_slice];
         for vi in slice.start.get()..slice.end.get() {
             let v = VertexId::new(vi);
-            let Some(delta) = self.algo.initial_delta(v, self.graph) else {
+            let Some(delta) = self.algo.initial_delta(v) else {
                 continue;
             };
             self.events_generated += 1;
@@ -1117,7 +1117,11 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         let state;
         if self.units[u].cache.contains(line) {
             self.units[u].cache.probe(line); // counts the hit, updates LRU
-            let edge = self.graph.out_edge(vertex, next_edge);
+            let edge = self
+                .graph
+                .out_edges(vertex)
+                .get(next_edge as usize)
+                .expect("next_edge < degree");
             let active = self.units[u].streams[s].active.as_mut().expect("active");
             active.next_edge += 1;
             active.gen_cycles += 1;

@@ -9,17 +9,21 @@ use super::{
     SEG_IN_ROWPTR, SEG_IN_WEIGHTS, SEG_NAMES, SEG_OUT_NEIGHBORS, SEG_OUT_ROWPTR, SEG_OUT_WEIGHTS,
     SEG_SLICE_INDEX, SLICE_ENTRY_BYTES,
 };
+use crate::csr::u32_at;
 use crate::io::ReadGraphError;
-use crate::{CsrGraph, EdgeRef, GraphView, VertexId};
+use crate::{CsrGraph, GraphView, OutEdges, VertexId};
 
 /// A disk-resident CSR graph opened from a container file.
 ///
 /// Implements [`GraphView`] by decoding little-endian words straight out of
 /// the mapped segments — no resident arrays, no alignment requirement on
 /// the mapping (every access goes through `from_le_bytes` on a 4-byte
-/// window). The resident footprint of an open graph is the struct itself
-/// plus whatever pages the OS keeps warm; the golden engines, the
-/// slice-swapping machinery, and turbo all run against it unmodified.
+/// window). A row is two row-pointer decodes that bound a byte window of
+/// the neighbor (and weight) segment; the [`OutEdges`] over that window
+/// decodes one word per edge (two if weighted) as it is walked. The
+/// resident footprint of an open graph is the struct itself plus whatever
+/// pages the OS keeps warm; the golden engines, the slice-swapping
+/// machinery, and turbo all run against it unmodified.
 ///
 /// [`MappedCsr::open`] performs *structural* validation: magic, version,
 /// header digest, segment alignment and extents, row-pointer monotonicity
@@ -36,13 +40,6 @@ pub struct MappedCsr {
     seg_bounds: [(usize, usize); SEG_COUNT],
     seg_digests: [u64; SEG_COUNT],
     slices: Vec<SliceExtent>,
-}
-
-/// Little-endian `u32` at element `index` of a 4-byte-record segment.
-#[inline]
-fn u32_at(seg: &[u8], index: usize) -> u32 {
-    let at = index * 4;
-    u32::from_le_bytes(seg[at..at + 4].try_into().expect("validated extent"))
 }
 
 impl MappedCsr {
@@ -292,22 +289,27 @@ impl MappedCsr {
     }
 
     #[inline]
-    fn edge_at(&self, neigh_seg: usize, weight_seg: usize, idx: usize) -> EdgeRef {
-        let other = VertexId::new(u32_at(self.seg(neigh_seg), idx));
-        let weight = if self.weighted {
-            f32::from_bits(u32_at(self.seg(weight_seg), idx))
-        } else {
-            1.0
-        };
-        EdgeRef { other, weight }
-    }
-
-    #[inline]
     fn rowptr_pair(&self, rowptr_seg: usize, v: VertexId) -> (usize, usize) {
         let seg = self.seg(rowptr_seg);
         let lo = u32_at(seg, v.index()) as usize;
         let hi = u32_at(seg, v.index() + 1) as usize;
         (lo, hi)
+    }
+
+    /// One row: the `lo..hi` window of a neighbor segment and, on a
+    /// weighted container, of the matching weight segment.
+    #[inline]
+    fn row(
+        &self,
+        rowptr_seg: usize,
+        neigh_seg: usize,
+        weight_seg: usize,
+        v: VertexId,
+    ) -> OutEdges<'_> {
+        let (lo, hi) = self.rowptr_pair(rowptr_seg, v);
+        let window = lo * 4..hi * 4;
+        let weights = self.weighted.then(|| &self.seg(weight_seg)[window.clone()]);
+        OutEdges::mapped(&self.seg(neigh_seg)[window], weights)
     }
 }
 
@@ -329,11 +331,8 @@ impl GraphView for MappedCsr {
         (hi - lo) as u32
     }
 
-    fn out_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        let (lo, hi) = self.rowptr_pair(SEG_OUT_ROWPTR, v);
-        let idx = lo + i as usize;
-        assert!(idx < hi, "edge index {i} out of range for {v}");
-        self.edge_at(SEG_OUT_NEIGHBORS, SEG_OUT_WEIGHTS, idx)
+    fn out_edges(&self, v: VertexId) -> OutEdges<'_> {
+        self.row(SEG_OUT_ROWPTR, SEG_OUT_NEIGHBORS, SEG_OUT_WEIGHTS, v)
     }
 
     fn out_edge_base(&self, v: VertexId) -> usize {
@@ -345,10 +344,7 @@ impl GraphView for MappedCsr {
         (hi - lo) as u32
     }
 
-    fn in_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        let (lo, hi) = self.rowptr_pair(SEG_IN_ROWPTR, v);
-        let idx = lo + i as usize;
-        assert!(idx < hi, "edge index {i} out of range for {v}");
-        self.edge_at(SEG_IN_NEIGHBORS, SEG_IN_WEIGHTS, idx)
+    fn in_edges(&self, v: VertexId) -> OutEdges<'_> {
+        self.row(SEG_IN_ROWPTR, SEG_IN_NEIGHBORS, SEG_IN_WEIGHTS, v)
     }
 }

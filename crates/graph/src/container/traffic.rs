@@ -1,7 +1,7 @@
 //! Byte-traffic metering for out-of-core runs.
 //!
 //! [`MeteredView`] wraps any [`GraphView`] and counts the container bytes
-//! each accessor touches, split into row-pointer traffic and edge-list
+//! each accessor moves, split into row-pointer traffic and edge-list
 //! traffic — the two access classes whose request-size mix the Dann et al.
 //! memory-access-pattern studies identify as the determinant of graph
 //! accelerator bandwidth efficiency. Dividing by the number of edges read
@@ -9,12 +9,12 @@
 //! `BENCH_outofcore.json`.
 //!
 //! Counters are relaxed atomics so the wrapper satisfies the `Sync` bound
-//! the shard-parallel and turbo engines require; metering costs two
-//! uncontended atomic adds per accessor call.
+//! the shard-parallel and turbo engines require; metering costs three
+//! uncontended atomic adds per row handed out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{EdgeRef, GraphView, VertexId};
+use crate::{GraphView, OutEdges, VertexId};
 
 /// Accumulated traffic snapshot from a [`MeteredView`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,8 +45,11 @@ impl Traffic {
 ///
 /// Accounting is at accessor granularity against the container layout:
 /// a degree lookup reads two adjacent `u32` row pointers (8 bytes), an
-/// edge-base lookup one (4 bytes), and an edge read one `u32` neighbor
-/// plus, on weighted graphs, one `f32` weight (4 or 8 bytes).
+/// edge-base lookup one (4 bytes), and a row is charged whole when it is
+/// handed out — its two row pointers plus, per edge, one `u32` neighbor
+/// and, on weighted graphs, one `f32` weight (4 or 8 bytes). A caller
+/// that walks whole rows, as the golden engine does, is charged exactly
+/// the bytes it reads.
 #[derive(Debug)]
 pub struct MeteredView<'a, G: GraphView + ?Sized> {
     inner: &'a G,
@@ -85,10 +88,13 @@ impl<'a, G: GraphView + ?Sized> MeteredView<'a, G> {
     }
 
     #[inline]
-    fn meter_edge(&self) {
+    fn meter_row<'r>(&self, row: OutEdges<'r>) -> OutEdges<'r> {
+        let edges = row.len() as u64;
         let bytes = if self.weighted { 8 } else { 4 };
-        self.edge_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.edges_read.fetch_add(1, Ordering::Relaxed);
+        self.rowptr_bytes.fetch_add(8, Ordering::Relaxed);
+        self.edge_bytes.fetch_add(edges * bytes, Ordering::Relaxed);
+        self.edges_read.fetch_add(edges, Ordering::Relaxed);
+        row
     }
 }
 
@@ -114,9 +120,8 @@ impl<G: GraphView + ?Sized> GraphView for MeteredView<'_, G> {
         self.inner.out_degree(v)
     }
 
-    fn out_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        self.meter_edge();
-        self.inner.out_edge(v, i)
+    fn out_edges(&self, v: VertexId) -> OutEdges<'_> {
+        self.meter_row(self.inner.out_edges(v))
     }
 
     fn out_edge_base(&self, v: VertexId) -> usize {
@@ -129,9 +134,8 @@ impl<G: GraphView + ?Sized> GraphView for MeteredView<'_, G> {
         self.inner.in_degree(v)
     }
 
-    fn in_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        self.meter_edge();
-        self.inner.in_edge(v, i)
+    fn in_edges(&self, v: VertexId) -> OutEdges<'_> {
+        self.meter_row(self.inner.in_edges(v))
     }
 }
 
@@ -149,10 +153,8 @@ mod tests {
         let g = b.build();
         let metered = MeteredView::new(&g);
         let v0 = VertexId::new(0);
-        let deg = metered.out_degree(v0); // 8 rowptr bytes
-        for i in 0..deg {
-            metered.out_edge(v0, i); // 8 edge bytes each (weighted)
-        }
+        // 8 rowptr bytes + 8 edge bytes per (weighted) edge
+        assert_eq!(metered.out_edges(v0).count(), 2);
         metered.out_edge_base(v0); // 4 rowptr bytes
         let t = metered.snapshot();
         assert_eq!(t.rowptr_bytes, 12);
@@ -170,8 +172,7 @@ mod tests {
         b.add_edge(VertexId::new(0), VertexId::new(1), 1.0);
         let g = b.build();
         let metered = MeteredView::new(&g);
-        metered.in_degree(VertexId::new(1));
-        metered.in_edge(VertexId::new(1), 0);
+        assert_eq!(metered.in_edges(VertexId::new(1)).len(), 1);
         let t = metered.snapshot();
         assert_eq!((t.rowptr_bytes, t.edge_bytes, t.edges_read), (8, 4, 1));
     }

@@ -160,11 +160,7 @@ impl CsrGraph {
     pub fn out_edges(&self, v: VertexId) -> OutEdges<'_> {
         let lo = self.out_offsets[v.index()] as usize;
         let hi = self.out_offsets[v.index() + 1] as usize;
-        OutEdges {
-            neighbors: &self.out_neighbors[lo..hi],
-            weights: &self.out_weights[lo..hi],
-            pos: 0,
-        }
+        OutEdges::csr(&self.out_neighbors[lo..hi], &self.out_weights[lo..hi])
     }
 
     /// In-edges of `v` with weights.
@@ -172,46 +168,7 @@ impl CsrGraph {
     pub fn in_edges(&self, v: VertexId) -> OutEdges<'_> {
         let lo = self.in_offsets[v.index()] as usize;
         let hi = self.in_offsets[v.index() + 1] as usize;
-        OutEdges {
-            neighbors: &self.in_neighbors[lo..hi],
-            weights: &self.in_weights[lo..hi],
-            pos: 0,
-        }
-    }
-
-    /// The `i`-th out-edge of `v` (CSR order). Constant time; used by the
-    /// accelerator's generation streams, which walk edge lists by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= out_degree(v)`.
-    #[inline]
-    pub fn out_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        let lo = self.out_offsets[v.index()] as usize;
-        let hi = self.out_offsets[v.index() + 1] as usize;
-        let idx = lo + i as usize;
-        assert!(idx < hi, "edge index {i} out of range for {v}");
-        EdgeRef {
-            other: self.out_neighbors[idx],
-            weight: self.out_weights[idx],
-        }
-    }
-
-    /// The `i`-th in-edge of `v` (CSR order). Constant time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= in_degree(v)`.
-    #[inline]
-    pub fn in_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        let lo = self.in_offsets[v.index()] as usize;
-        let hi = self.in_offsets[v.index() + 1] as usize;
-        let idx = lo + i as usize;
-        assert!(idx < hi, "in-edge index {i} out of range for {v}");
-        EdgeRef {
-            other: self.in_neighbors[idx],
-            weight: self.in_weights[idx],
-        }
+        OutEdges::csr(&self.in_neighbors[lo..hi], &self.in_weights[lo..hi])
     }
 
     /// Global flat index of the first out-edge of `v`.
@@ -339,34 +296,112 @@ impl fmt::Display for CsrGraph {
     }
 }
 
-/// Iterator over the (out- or in-) edges of one vertex.
+/// One vertex's (out- or in-) edge list: the unit in which every
+/// [`GraphView`](crate::GraphView) hands out adjacency.
 ///
-/// Produced by [`CsrGraph::out_edges`] and [`CsrGraph::in_edges`].
+/// A row is resolved once — row pointers decoded, patch table consulted —
+/// and then streamed, which is how the accelerator's generation units walk
+/// an edge list. It iterates in adjacency order and [`OutEdges::get`]
+/// reaches any remaining edge in constant time, over each storage a view
+/// can sit on: resident CSR slices, an overlay's patched list, or a window
+/// of a mapped container's little-endian segments.
 #[derive(Debug, Clone)]
 pub struct OutEdges<'a> {
-    neighbors: &'a [VertexId],
-    weights: &'a [f32],
+    row: Row<'a>,
     pos: usize,
+    len: usize,
+}
+
+#[derive(Debug, Clone)]
+enum Row<'a> {
+    Csr {
+        neighbors: &'a [VertexId],
+        weights: &'a [f32],
+    },
+    Patch(&'a [(u32, f32)]),
+    /// Four bytes per edge in each window; no weight window on an
+    /// unweighted container (every weight reads `1.0`).
+    Mapped {
+        neighbors: &'a [u8],
+        weights: Option<&'a [u8]>,
+    },
+}
+
+/// Little-endian `u32` at element `index` of a 4-byte-record byte window.
+#[inline]
+pub(crate) fn u32_at(seg: &[u8], index: usize) -> u32 {
+    let at = index * 4;
+    u32::from_le_bytes(seg[at..at + 4].try_into().expect("4-byte window"))
+}
+
+impl<'a> OutEdges<'a> {
+    fn csr(neighbors: &'a [VertexId], weights: &'a [f32]) -> Self {
+        debug_assert_eq!(neighbors.len(), weights.len());
+        OutEdges {
+            row: Row::Csr { neighbors, weights },
+            pos: 0,
+            len: neighbors.len(),
+        }
+    }
+
+    /// A row over an overlay's patched `(neighbor, weight)` list.
+    pub(crate) fn patch(edges: &'a [(u32, f32)]) -> Self {
+        OutEdges {
+            row: Row::Patch(edges),
+            pos: 0,
+            len: edges.len(),
+        }
+    }
+
+    /// A row over windows of a mapped container's neighbor and weight
+    /// segments (little-endian, four bytes per edge).
+    pub(crate) fn mapped(neighbors: &'a [u8], weights: Option<&'a [u8]>) -> Self {
+        debug_assert!(weights.is_none_or(|w| w.len() == neighbors.len()));
+        OutEdges {
+            row: Row::Mapped { neighbors, weights },
+            pos: 0,
+            len: neighbors.len() / 4,
+        }
+    }
+
+    /// The `i`-th remaining edge, without advancing; `None` past the end.
+    /// Constant time — the cycle model's generation streams read one edge
+    /// of a row per simulated cycle through this.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<EdgeRef> {
+        let at = self.pos + i;
+        if at >= self.len {
+            return None;
+        }
+        Some(match self.row {
+            Row::Csr { neighbors, weights } => EdgeRef {
+                other: neighbors[at],
+                weight: weights[at],
+            },
+            Row::Patch(edges) => EdgeRef {
+                other: VertexId::new(edges[at].0),
+                weight: edges[at].1,
+            },
+            Row::Mapped { neighbors, weights } => EdgeRef {
+                other: VertexId::new(u32_at(neighbors, at)),
+                weight: weights.map_or(1.0, |w| f32::from_bits(u32_at(w, at))),
+            },
+        })
+    }
 }
 
 impl Iterator for OutEdges<'_> {
     type Item = EdgeRef;
 
+    #[inline]
     fn next(&mut self) -> Option<EdgeRef> {
-        if self.pos < self.neighbors.len() {
-            let e = EdgeRef {
-                other: self.neighbors[self.pos],
-                weight: self.weights[self.pos],
-            };
-            self.pos += 1;
-            Some(e)
-        } else {
-            None
-        }
+        let e = self.get(0)?;
+        self.pos += 1;
+        Some(e)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.neighbors.len() - self.pos;
+        let rem = self.len - self.pos;
         (rem, Some(rem))
     }
 }

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::view::GraphView;
-use crate::{CsrGraph, EdgeRef, GraphBuilder, VertexId};
+use crate::{CsrGraph, EdgeRef, GraphBuilder, OutEdges, VertexId};
 
 /// One edge mutation in an update stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,20 +91,15 @@ struct PatchList {
 
 /// A mutable graph: static CSR base + adjacency patches for updated
 /// vertices. See the module-level docs above for the layout.
+///
+/// The adjacency is held *as* a [`GraphSnapshot`], written copy-on-write:
+/// a mutator clones a patch table only if a frozen snapshot still shares
+/// it, so [`OverlayGraph::freeze`] (and `clone`) is two reference-count
+/// bumps and every read goes through the snapshot's one patch-aware
+/// [`GraphView`] implementation.
 #[derive(Debug, Clone)]
 pub struct OverlayGraph {
-    /// Shared with every [`GraphSnapshot`] frozen from this overlay:
-    /// compaction *replaces* the `Arc` rather than mutating through it, so
-    /// pinned snapshots keep reading the base they were frozen against.
-    base: Arc<CsrGraph>,
-    out_patch: BTreeMap<u32, PatchList>,
-    /// In-lists of vertices whose in-adjacency changed; `(src, weight)`
-    /// sorted by src. In-lists need no pool addresses (only the forward
-    /// edge array is walked by the generation streams).
-    in_patch: BTreeMap<u32, Vec<(u32, f32)>>,
-    /// Bump-allocator high-water mark of the patch pool, in edge slots.
-    pool_len: usize,
-    live_edges: usize,
+    snap: GraphSnapshot,
 }
 
 impl OverlayGraph {
@@ -112,51 +107,48 @@ impl OverlayGraph {
     pub fn new(base: CsrGraph) -> Self {
         let live_edges = base.num_edges();
         OverlayGraph {
-            base: Arc::new(base),
-            out_patch: BTreeMap::new(),
-            in_patch: BTreeMap::new(),
-            pool_len: 0,
-            live_edges,
+            snap: GraphSnapshot {
+                base: Arc::new(base),
+                out_patch: Arc::default(),
+                in_patch: Arc::default(),
+                pool_len: 0,
+                live_edges,
+            },
         }
     }
 
     /// The underlying static CSR (stale for patched vertices).
     pub fn base(&self) -> &CsrGraph {
-        &self.base
+        &self.snap.base
     }
 
     /// Freezes the current adjacency into an immutable [`GraphSnapshot`].
     ///
-    /// Cost is O(patched vertices), not O(V + E): the base CSR is shared
-    /// by `Arc` and only the patch tables are cloned. Later mutations *and
-    /// compactions* of this overlay leave the snapshot untouched —
-    /// [`OverlayGraph::compact`] swaps the base `Arc` instead of rebuilding
-    /// in place — which is what lets a serving layer pin epoch N while a
-    /// writer publishes N+1.
+    /// Constant time: the base CSR and both patch tables are shared by
+    /// `Arc`. Later mutations copy the table they touch before writing
+    /// (O(patched vertices), paid once per freeze, and only if the
+    /// snapshot is still alive), and [`OverlayGraph::compact`] swaps the
+    /// base `Arc` instead of rebuilding in place — so the snapshot is
+    /// untouched by both, which is what lets a serving layer pin epoch N
+    /// while a writer publishes N+1.
     pub fn freeze(&self) -> GraphSnapshot {
-        GraphSnapshot {
-            base: Arc::clone(&self.base),
-            out_patch: Arc::new(self.out_patch.clone()),
-            in_patch: Arc::new(self.in_patch.clone()),
-            pool_len: self.pool_len,
-            live_edges: self.live_edges,
-        }
+        self.snap.clone()
     }
 
     /// Number of vertices with a patched out-list.
     pub fn patched_vertices(&self) -> usize {
-        self.out_patch.len()
+        self.snap.patched_vertices()
     }
 
     /// Edge slots consumed by the patch pool since the last compaction.
     pub fn pool_edge_slots(&self) -> usize {
-        self.pool_len
+        self.snap.pool_len
     }
 
     /// Pool pressure: pool slots as a fraction of the base edge count.
     /// Drives threshold-triggered compaction.
     pub fn pool_fraction(&self) -> f64 {
-        self.pool_len as f64 / self.base.num_edges().max(1) as f64
+        self.snap.pool_len as f64 / self.snap.base.num_edges().max(1) as f64
     }
 
     /// Whether edge `src -> dst` currently exists.
@@ -164,36 +156,22 @@ impl OverlayGraph {
         self.weight_of(src, dst).is_some()
     }
 
-    /// Weight of edge `src -> dst`, or `None` if absent.
+    /// Weight of edge `src -> dst`, or `None` if absent. A binary search:
+    /// patched lists and the builder's CSR rows are both neighbor-sorted.
     pub fn weight_of(&self, src: VertexId, dst: VertexId) -> Option<f32> {
-        match self.out_patch.get(&src.get()) {
+        match self.snap.out_patch.get(&src.get()) {
             Some(patch) => patch
                 .edges
                 .binary_search_by_key(&dst.get(), |&(n, _)| n)
                 .ok()
                 .map(|i| patch.edges[i].1),
             None => {
-                let deg = self.base.out_degree(src);
-                (0..deg)
-                    .map(|i| self.base.out_edge(src, i))
-                    .find(|e| e.other == dst)
-                    .map(|e| e.weight)
+                let base = &self.snap.base;
+                let row = base.out_neighbors(src);
+                let i = row.partition_point(|&n| n < dst);
+                let hit = row.get(i) == Some(&dst);
+                hit.then(|| base.out_edges(src).get(i).expect("same row").weight)
             }
-        }
-    }
-
-    /// Current out-edges of `v`, in neighbor-sorted order.
-    pub fn out_edges_vec(&self, v: VertexId) -> Vec<EdgeRef> {
-        match self.out_patch.get(&v.get()) {
-            Some(patch) => patch
-                .edges
-                .iter()
-                .map(|&(n, w)| EdgeRef {
-                    other: VertexId::new(n),
-                    weight: w,
-                })
-                .collect(),
-            None => self.base.out_edges(v).collect(),
         }
     }
 
@@ -209,18 +187,25 @@ impl OverlayGraph {
         if src == dst {
             return false;
         }
-        let patch = self.ensure_out_patch(src);
+        let snap = &mut self.snap;
+        let patch = ensure_out_patch(&snap.base, &mut snap.out_patch, &mut snap.pool_len, src);
         match patch.edges.binary_search_by_key(&dst.get(), |&(n, _)| n) {
             Ok(_) => return false,
             Err(at) => patch.edges.insert(at, (dst.get(), weight)),
         }
-        self.realloc_if_grown(src);
-        let in_list = Self::ensure_in_patch(&self.base, &mut self.in_patch, dst);
+        // Log-structured append: a list that outgrew its reservation moves
+        // to a fresh pool region, and the old one leaks until compaction.
+        if patch.edges.len() > patch.cap {
+            patch.cap = pool_region(patch.edges.len());
+            patch.base_addr = snap.pool_len;
+            snap.pool_len += patch.cap;
+        }
+        let in_list = ensure_in_patch(&snap.base, &mut snap.in_patch, dst);
         let at = in_list
             .binary_search_by_key(&src.get(), |&(n, _)| n)
             .expect_err("out-list said the edge was absent");
         in_list.insert(at, (src.get(), weight));
-        self.live_edges += 1;
+        snap.live_edges += 1;
         true
     }
 
@@ -232,18 +217,19 @@ impl OverlayGraph {
     /// Panics if either endpoint is out of range.
     pub fn delete_edge(&mut self, src: VertexId, dst: VertexId) -> Option<f32> {
         self.check_endpoints(src, dst);
-        let patch = self.ensure_out_patch(src);
+        let snap = &mut self.snap;
+        let patch = ensure_out_patch(&snap.base, &mut snap.out_patch, &mut snap.pool_len, src);
         let at = patch
             .edges
             .binary_search_by_key(&dst.get(), |&(n, _)| n)
             .ok()?;
         let (_, weight) = patch.edges.remove(at);
-        let in_list = Self::ensure_in_patch(&self.base, &mut self.in_patch, dst);
+        let in_list = ensure_in_patch(&snap.base, &mut snap.in_patch, dst);
         let at = in_list
             .binary_search_by_key(&src.get(), |&(n, _)| n)
             .expect("in-list out of sync with out-list");
         in_list.remove(at);
-        self.live_edges -= 1;
+        snap.live_edges -= 1;
         Some(weight)
     }
 
@@ -264,7 +250,7 @@ impl OverlayGraph {
                     }
                     captured
                         .entry(src.get())
-                        .or_insert_with(|| self.out_edges_vec(src));
+                        .or_insert_with(|| self.snap.out_edges(src).collect());
                     let inserted = self.insert_edge(src, dst, weight);
                     debug_assert!(inserted);
                 }
@@ -274,7 +260,7 @@ impl OverlayGraph {
                     }
                     captured
                         .entry(src.get())
-                        .or_insert_with(|| self.out_edges_vec(src));
+                        .or_insert_with(|| self.snap.out_edges(src).collect());
                     self.delete_edge(src, dst);
                 }
             }
@@ -285,7 +271,7 @@ impl OverlayGraph {
         let mut batch = AppliedBatch::default();
         for (u, old) in captured {
             let u = VertexId::new(u);
-            let new = self.out_edges_vec(u);
+            let new = self.snap.out_edges(u);
             let mut changed = false;
             let (mut i, mut j) = (0, 0);
             while i < old.len() || j < new.len() {
@@ -333,21 +319,17 @@ impl OverlayGraph {
     /// pool. Values computed on the overlay remain valid: compaction only
     /// changes the representation, never the edge set.
     pub fn compact(&mut self) {
-        if self.out_patch.is_empty() {
-            self.pool_len = 0;
-            return;
+        // No patches means an empty pool: slots are only ever reserved
+        // for a patched list.
+        if !self.snap.out_patch.is_empty() {
+            *self = OverlayGraph::new(self.to_csr());
         }
-        self.base = Arc::new(self.to_csr());
-        self.out_patch.clear();
-        self.in_patch.clear();
-        self.pool_len = 0;
-        self.live_edges = self.base.num_edges();
     }
 
     /// Compacts when pool pressure reaches `max_pool_fraction` of the base
     /// edge count; returns whether compaction ran.
     pub fn maybe_compact(&mut self, max_pool_fraction: f64) -> bool {
-        if self.pool_fraction() >= max_pool_fraction && !self.out_patch.is_empty() {
+        if self.pool_fraction() >= max_pool_fraction && !self.snap.out_patch.is_empty() {
             self.compact();
             true
         } else {
@@ -359,79 +341,60 @@ impl OverlayGraph {
     /// without clearing the overlay — the "from scratch on the mutated
     /// graph" side of differential tests.
     pub fn to_csr(&self) -> CsrGraph {
-        let mut b = GraphBuilder::new(self.base.num_vertices());
-        b.weighted(self.base.is_weighted());
-        for v in self.base.vertices() {
-            match self.out_patch.get(&v.get()) {
-                Some(patch) => {
-                    for &(n, w) in &patch.edges {
-                        b.add_edge(v, VertexId::new(n), w);
-                    }
-                }
-                None => {
-                    for e in self.base.out_edges(v) {
-                        b.add_edge(v, e.other, e.weight);
-                    }
-                }
+        let mut b = GraphBuilder::new(self.snap.num_vertices());
+        b.weighted(self.snap.is_weighted());
+        for v in self.snap.vertex_ids() {
+            for e in self.snap.out_edges(v) {
+                b.add_edge(v, e.other, e.weight);
             }
         }
         b.build()
     }
 
     fn check_endpoints(&self, src: VertexId, dst: VertexId) {
-        let n = self.base.num_vertices();
+        let n = self.snap.num_vertices();
         assert!(
             src.index() < n && dst.index() < n,
             "edge ({src}, {dst}) out of range for {n} vertices"
         );
     }
+}
 
-    fn ensure_out_patch(&mut self, v: VertexId) -> &mut PatchList {
-        if !self.out_patch.contains_key(&v.get()) {
-            let edges: Vec<(u32, f32)> = self
-                .base
-                .out_edges(v)
-                .map(|e| (e.other.get(), e.weight))
-                .collect();
-            let cap = pool_region(edges.len());
-            let base_addr = self.pool_len;
-            self.pool_len += cap;
-            self.out_patch.insert(
-                v.get(),
-                PatchList {
-                    edges,
-                    base_addr,
-                    cap,
-                },
-            );
+/// `v`'s patched out-list, created from its base row (with a fresh pool
+/// region) on first touch. Copies the table first if a snapshot shares it.
+fn ensure_out_patch<'a>(
+    base: &CsrGraph,
+    out_patch: &'a mut Arc<BTreeMap<u32, PatchList>>,
+    pool_len: &mut usize,
+    v: VertexId,
+) -> &'a mut PatchList {
+    Arc::make_mut(out_patch).entry(v.get()).or_insert_with(|| {
+        let edges: Vec<(u32, f32)> = base
+            .out_edges(v)
+            .map(|e| (e.other.get(), e.weight))
+            .collect();
+        let cap = pool_region(edges.len());
+        let base_addr = *pool_len;
+        *pool_len += cap;
+        PatchList {
+            edges,
+            base_addr,
+            cap,
         }
-        self.out_patch.get_mut(&v.get()).expect("just inserted")
-    }
+    })
+}
 
-    /// Relocates `v`'s patched list to a fresh pool region if an insert
-    /// outgrew its reservation (log-structured append, old region leaks
-    /// until compaction).
-    fn realloc_if_grown(&mut self, v: VertexId) {
-        let pool_len = &mut self.pool_len;
-        let patch = self.out_patch.get_mut(&v.get()).expect("patched");
-        if patch.edges.len() > patch.cap {
-            patch.cap = pool_region(patch.edges.len());
-            patch.base_addr = *pool_len;
-            *pool_len += patch.cap;
-        }
-    }
-
-    fn ensure_in_patch<'a>(
-        base: &CsrGraph,
-        in_patch: &'a mut BTreeMap<u32, Vec<(u32, f32)>>,
-        v: VertexId,
-    ) -> &'a mut Vec<(u32, f32)> {
-        in_patch.entry(v.get()).or_insert_with(|| {
-            base.in_edges(v)
-                .map(|e| (e.other.get(), e.weight))
-                .collect()
-        })
-    }
+/// The in-list mirror of [`ensure_out_patch`].
+fn ensure_in_patch<'a>(
+    base: &CsrGraph,
+    in_patch: &'a mut Arc<BTreeMap<u32, Vec<(u32, f32)>>>,
+    v: VertexId,
+) -> &'a mut Vec<(u32, f32)> {
+    Arc::make_mut(in_patch).entry(v.get()).or_insert_with(|| {
+        base.in_edges(v)
+            .map(|e| (e.other.get(), e.weight))
+            .collect()
+    })
 }
 
 /// Pool reservation for a list of `len` edges: next power of two, min 2,
@@ -444,17 +407,21 @@ fn pool_region(len: usize) -> usize {
 /// [`OverlayGraph`], produced by [`OverlayGraph::freeze`].
 ///
 /// The base CSR and the patch tables are shared behind `Arc`s, so cloning
-/// a snapshot (one reader pinning an epoch) is two reference-count bumps.
+/// a snapshot (one reader pinning an epoch) is reference-count bumps.
 /// Nothing can mutate a snapshot after it is frozen: the overlay's
-/// mutators copy-on-write their own patch maps and compaction replaces the
+/// mutators copy-on-write the patch tables and compaction replaces the
 /// base `Arc`, never the CSR behind it. Reads see exactly the adjacency
-/// the overlay had at freeze time, via the same patch-indirection as
-/// [`OverlayGraph`] itself.
+/// the overlay had at freeze time — this type's [`GraphView`]
+/// implementation *is* the overlay's read path.
 #[derive(Debug, Clone)]
 pub struct GraphSnapshot {
     base: Arc<CsrGraph>,
     out_patch: Arc<BTreeMap<u32, PatchList>>,
+    /// In-lists of vertices whose in-adjacency changed; `(src, weight)`
+    /// sorted by src. In-lists need no pool addresses (only the forward
+    /// edge array is walked by the generation streams).
     in_patch: Arc<BTreeMap<u32, Vec<(u32, f32)>>>,
+    /// Bump-allocator high-water mark of the patch pool, in edge slots.
     pool_len: usize,
     live_edges: usize,
 }
@@ -469,21 +436,6 @@ impl GraphSnapshot {
     /// Number of vertices with a patched out-list at freeze time.
     pub fn patched_vertices(&self) -> usize {
         self.out_patch.len()
-    }
-
-    /// Current out-edges of `v`, in neighbor-sorted order.
-    pub fn out_edges_vec(&self, v: VertexId) -> Vec<EdgeRef> {
-        match self.out_patch.get(&v.get()) {
-            Some(patch) => patch
-                .edges
-                .iter()
-                .map(|&(n, w)| EdgeRef {
-                    other: VertexId::new(n),
-                    weight: w,
-                })
-                .collect(),
-            None => self.base.out_edges(v).collect(),
-        }
     }
 }
 
@@ -511,16 +463,10 @@ impl GraphView for GraphSnapshot {
         }
     }
 
-    fn out_edge(&self, v: VertexId, i: u32) -> EdgeRef {
+    fn out_edges(&self, v: VertexId) -> OutEdges<'_> {
         match self.out_patch.get(&v.get()) {
-            Some(patch) => {
-                let (n, w) = patch.edges[i as usize];
-                EdgeRef {
-                    other: VertexId::new(n),
-                    weight: w,
-                }
-            }
-            None => self.base.out_edge(v, i),
+            Some(patch) => OutEdges::patch(&patch.edges),
+            None => self.base.out_edges(v),
         }
     }
 
@@ -538,82 +484,49 @@ impl GraphView for GraphSnapshot {
         }
     }
 
-    fn in_edge(&self, v: VertexId, i: u32) -> EdgeRef {
+    fn in_edges(&self, v: VertexId) -> OutEdges<'_> {
         match self.in_patch.get(&v.get()) {
-            Some(list) => {
-                let (n, w) = list[i as usize];
-                EdgeRef {
-                    other: VertexId::new(n),
-                    weight: w,
-                }
-            }
-            None => self.base.in_edge(v, i),
+            Some(list) => OutEdges::patch(list),
+            None => self.base.in_edges(v),
         }
     }
 }
 
 impl GraphView for OverlayGraph {
     fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
+        self.snap.num_vertices()
     }
 
     fn num_edges(&self) -> usize {
-        self.live_edges
+        self.snap.num_edges()
     }
 
     fn edge_span(&self) -> usize {
-        self.base.num_edges() + self.pool_len
+        self.snap.edge_span()
     }
 
     fn is_weighted(&self) -> bool {
-        self.base.is_weighted()
+        self.snap.is_weighted()
     }
 
     fn out_degree(&self, v: VertexId) -> u32 {
-        match self.out_patch.get(&v.get()) {
-            Some(patch) => patch.edges.len() as u32,
-            None => self.base.out_degree(v),
-        }
+        self.snap.out_degree(v)
     }
 
-    fn out_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        match self.out_patch.get(&v.get()) {
-            Some(patch) => {
-                let (n, w) = patch.edges[i as usize];
-                EdgeRef {
-                    other: VertexId::new(n),
-                    weight: w,
-                }
-            }
-            None => self.base.out_edge(v, i),
-        }
+    fn out_edges(&self, v: VertexId) -> OutEdges<'_> {
+        self.snap.out_edges(v)
     }
 
     fn out_edge_base(&self, v: VertexId) -> usize {
-        match self.out_patch.get(&v.get()) {
-            Some(patch) => self.base.num_edges() + patch.base_addr,
-            None => self.base.out_edge_base(v),
-        }
+        self.snap.out_edge_base(v)
     }
 
     fn in_degree(&self, v: VertexId) -> u32 {
-        match self.in_patch.get(&v.get()) {
-            Some(list) => list.len() as u32,
-            None => self.base.in_degree(v),
-        }
+        self.snap.in_degree(v)
     }
 
-    fn in_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        match self.in_patch.get(&v.get()) {
-            Some(list) => {
-                let (n, w) = list[i as usize];
-                EdgeRef {
-                    other: VertexId::new(n),
-                    weight: w,
-                }
-            }
-            None => self.base.in_edge(v, i),
-        }
+    fn in_edges(&self, v: VertexId) -> OutEdges<'_> {
+        self.snap.in_edges(v)
     }
 }
 
@@ -635,8 +548,7 @@ mod tests {
     fn edge_set(g: &dyn GraphView) -> Vec<(u32, u32, u32)> {
         let mut out = Vec::new();
         for s in 0..g.num_vertices() as u32 {
-            for i in 0..g.out_degree(v(s)) {
-                let e = g.out_edge(v(s), i);
+            for e in g.out_edges(v(s)) {
                 out.push((s, e.other.get(), e.weight.to_bits()));
             }
         }
@@ -699,11 +611,8 @@ mod tests {
         assert_eq!(GraphView::num_edges(&o), snap.num_edges());
         // In-adjacency stays in sync with out-adjacency.
         for d in 0..40u32 {
-            let mut via_in: Vec<(u32, u32)> = (0..GraphView::in_degree(&o, v(d)))
-                .map(|i| {
-                    let e = GraphView::in_edge(&o, v(d), i);
-                    (e.other.get(), e.weight.to_bits())
-                })
+            let mut via_in: Vec<(u32, u32)> = GraphView::in_edges(&o, v(d))
+                .map(|e| (e.other.get(), e.weight.to_bits()))
                 .collect();
             let mut via_out: Vec<(u32, u32)> = snap
                 .in_edges(v(d))
@@ -757,7 +666,8 @@ mod tests {
     fn freeze_mirrors_overlay_and_survives_mutation() {
         let mut o = OverlayGraph::new(base());
         o.insert_edge(v(1), v(30), 5.0);
-        o.delete_edge(v(2), o.out_edges_vec(v(2))[0].other);
+        let first = o.out_edges(v(2)).next().expect("vertex 2 has edges");
+        o.delete_edge(v(2), first.other);
         let snap = o.freeze();
         let frozen = edge_set(&snap);
         assert_eq!(frozen, edge_set(&o), "snapshot mirrors overlay");
@@ -796,9 +706,7 @@ mod tests {
         assert_eq!(snap.base().num_edges(), base().num_edges());
         // In-adjacency is frozen too.
         let d = v(13);
-        let in_list: Vec<u32> = (0..GraphView::in_degree(&snap, d))
-            .map(|i| GraphView::in_edge(&snap, d, i).other.get())
-            .collect();
+        let in_list: Vec<u32> = snap.in_edges(d).map(|e| e.other.get()).collect();
         assert!(in_list.contains(&0), "inserted in-edge 0->13 missing");
     }
 

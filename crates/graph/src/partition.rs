@@ -145,14 +145,13 @@ impl Partition {
     /// Number of edges crossing slice boundaries (inter-slice event traffic).
     pub fn cut_edges<G: GraphView + ?Sized>(&self, graph: &G) -> usize {
         let mut cut = 0;
-        for (i, slice) in self.slices.iter().enumerate() {
+        for slice in &self.slices {
             for v in slice.start.get()..slice.end.get() {
                 let v = VertexId::new(v);
-                for e in 0..graph.out_degree(v) {
-                    if !self.slices[i].contains(graph.out_edge(v, e).other) {
-                        cut += 1;
-                    }
-                }
+                cut += graph
+                    .out_edges(v)
+                    .filter(|e| !slice.contains(e.other))
+                    .count();
             }
         }
         cut

@@ -1,22 +1,24 @@
-//! Read-only adjacency abstraction shared by the static CSR and the
-//! mutable streaming overlay.
+//! Read-only adjacency abstraction shared by every graph storage: the
+//! resident CSR, the mutable streaming overlay and its frozen snapshots,
+//! the memory-mapped container, and the byte-metering wrapper.
 //!
 //! Every execution backend (the golden engines, the cycle-accurate
-//! accelerator, and the shard-parallel engine) iterates adjacency through
-//! this trait, so the same machinery runs on a frozen [`CsrGraph`] and on
-//! an [`OverlayGraph`](crate::OverlayGraph) carrying uncompacted edge
-//! updates. The trait is object-safe: algorithm hooks such as
-//! `DeltaAlgorithm::initial_delta` take `&dyn GraphView` so they stay
-//! dispatchable from any backend without growing a type parameter.
+//! accelerator, the shard-parallel engine, turbo) reads adjacency through
+//! this trait, so the same machinery runs on a frozen [`CsrGraph`], on an
+//! [`OverlayGraph`](crate::OverlayGraph) carrying uncompacted edge
+//! updates, and on a [`MappedCsr`](crate::MappedCsr) straight from disk.
+//!
+//! The unit of access is the **row**: [`GraphView::out_edges`] resolves a
+//! vertex's edge list once (two row pointers, or one patch-table lookup)
+//! and returns it as an [`OutEdges`] to stream — the way the accelerator's
+//! generation units fetch a row pointer and then walk the edge list
+//! (§IV). There is no per-edge accessor; a caller that wants one edge of a
+//! row takes the row and calls [`OutEdges::get`].
 
-use crate::{CsrGraph, EdgeRef, VertexId};
+use crate::{CsrGraph, OutEdges, VertexId};
 
 /// Read-only view of a directed graph with out- and in-adjacency and
 /// optional `f32` edge weights.
-///
-/// Indexed access (`out_edge(v, i)`) mirrors how the accelerator's
-/// generation streams walk edge lists; iterator convenience comes from
-/// [`GraphView::vertex_ids`] plus per-edge index loops.
 pub trait GraphView {
     /// Number of vertices.
     fn num_vertices(&self) -> usize;
@@ -40,12 +42,9 @@ pub trait GraphView {
     /// Out-degree of `v`.
     fn out_degree(&self, v: VertexId) -> u32;
 
-    /// The `i`-th out-edge of `v` (adjacency order). Constant time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= out_degree(v)`.
-    fn out_edge(&self, v: VertexId, i: u32) -> EdgeRef;
+    /// The out-edges of `v`, in adjacency order; its `len()` is
+    /// [`GraphView::out_degree`].
+    fn out_edges(&self, v: VertexId) -> OutEdges<'_>;
 
     /// Global flat index of the first out-edge of `v`, within
     /// [`GraphView::edge_span`]; used to compute DRAM addresses of edge
@@ -55,12 +54,9 @@ pub trait GraphView {
     /// In-degree of `v`.
     fn in_degree(&self, v: VertexId) -> u32;
 
-    /// The `i`-th in-edge of `v` (adjacency order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= in_degree(v)`.
-    fn in_edge(&self, v: VertexId, i: u32) -> EdgeRef;
+    /// The in-edges of `v`, in adjacency order; its `len()` is
+    /// [`GraphView::in_degree`].
+    fn in_edges(&self, v: VertexId) -> OutEdges<'_>;
 
     /// Iterator over all vertex ids.
     fn vertex_ids(&self) -> VertexIds {
@@ -116,8 +112,8 @@ impl GraphView for CsrGraph {
         CsrGraph::out_degree(self, v)
     }
 
-    fn out_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        CsrGraph::out_edge(self, v, i)
+    fn out_edges(&self, v: VertexId) -> OutEdges<'_> {
+        CsrGraph::out_edges(self, v)
     }
 
     fn out_edge_base(&self, v: VertexId) -> usize {
@@ -128,8 +124,8 @@ impl GraphView for CsrGraph {
         CsrGraph::in_degree(self, v)
     }
 
-    fn in_edge(&self, v: VertexId, i: u32) -> EdgeRef {
-        CsrGraph::in_edge(self, v, i)
+    fn in_edges(&self, v: VertexId) -> OutEdges<'_> {
+        CsrGraph::in_edges(self, v)
     }
 }
 
@@ -146,27 +142,6 @@ mod tests {
         b.add_edge(VertexId::new(2), VertexId::new(3), 4.0);
         b.weighted(true);
         b.build()
-    }
-
-    #[test]
-    fn csr_view_matches_inherent_accessors() {
-        let g = diamond();
-        let view: &dyn GraphView = &g;
-        assert_eq!(view.num_vertices(), 4);
-        assert_eq!(view.num_edges(), 4);
-        assert_eq!(view.edge_span(), 4);
-        assert!(view.is_weighted());
-        for v in g.vertices() {
-            assert_eq!(view.out_degree(v), g.out_degree(v));
-            for i in 0..view.out_degree(v) {
-                assert_eq!(view.out_edge(v, i), g.out_edge(v, i));
-            }
-            assert_eq!(view.out_edge_base(v), g.out_edge_base(v));
-            assert_eq!(view.in_degree(v), g.in_degree(v));
-            for (i, e) in g.in_edges(v).enumerate() {
-                assert_eq!(view.in_edge(v, i as u32), e);
-            }
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use gp_graph::generators::{
 use gp_graph::io::ReadGraphError;
 use gp_graph::partition::Partition;
 use gp_graph::rng::{Rng, StdRng};
-use gp_graph::{CsrGraph, GraphBuilder, GraphView, MappedCsr, VertexId};
+use gp_graph::{CsrGraph, EdgeRef, GraphBuilder, GraphView, MappedCsr, OutEdges, VertexId};
 
 /// Fresh per-test scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -40,9 +40,16 @@ impl Drop for Scratch {
     }
 }
 
+/// Whether two rows hold the same edges, weights compared as bits.
+fn same_row(a: OutEdges<'_>, b: OutEdges<'_>) -> bool {
+    let bits = |e: EdgeRef| (e.other, e.weight.to_bits());
+    a.len() == b.len() && a.map(bits).eq(b.map(bits))
+}
+
 /// Asserts that `mapped` serves bit-identical adjacency to `resident`
 /// through every `GraphView` accessor, and that re-materializing equals
-/// the original.
+/// the original. (`storage_equivalence.rs` holds the row contract itself —
+/// `get`, `nth`, metering — over every storage.)
 fn assert_bit_identical(resident: &CsrGraph, mapped: &MappedCsr) {
     assert_eq!(mapped.num_vertices(), resident.num_vertices());
     assert_eq!(GraphView::num_edges(mapped), resident.num_edges());
@@ -50,17 +57,15 @@ fn assert_bit_identical(resident: &CsrGraph, mapped: &MappedCsr) {
     for v in resident.vertices() {
         assert_eq!(mapped.out_degree(v), resident.out_degree(v), "{v} out deg");
         assert_eq!(mapped.out_edge_base(v), resident.out_edge_base(v));
-        for i in 0..resident.out_degree(v) {
-            let (a, b) = (mapped.out_edge(v, i), resident.out_edge(v, i));
-            assert_eq!(a.other, b.other, "{v} out edge {i}");
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{v} out w {i}");
-        }
+        assert!(
+            same_row(mapped.out_edges(v), resident.out_edges(v)),
+            "{v} out row"
+        );
         assert_eq!(mapped.in_degree(v), resident.in_degree(v), "{v} in deg");
-        for i in 0..resident.in_degree(v) {
-            let (a, b) = (mapped.in_edge(v, i), GraphView::in_edge(resident, v, i));
-            assert_eq!(a.other, b.other, "{v} in edge {i}");
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{v} in w {i}");
-        }
+        assert!(
+            same_row(mapped.in_edges(v), resident.in_edges(v)),
+            "{v} in row"
+        );
     }
     assert_eq!(&mapped.to_csr(), resident);
 }

@@ -52,19 +52,6 @@ fn generators_always_satisfy_csr_invariants() {
 }
 
 #[test]
-fn out_edge_indexing_matches_iteration() {
-    let mut rng = StdRng::seed_from_u64(0xC2);
-    for _ in 0..64 {
-        let g = random_generated(&mut rng);
-        for v in g.vertices() {
-            for (i, e) in g.out_edges(v).enumerate() {
-                assert_eq!(g.out_edge(v, i as u32), e);
-            }
-        }
-    }
-}
-
-#[test]
 fn partitions_tile_exactly() {
     let mut rng = StdRng::seed_from_u64(0xC3);
     for _ in 0..64 {

@@ -3,7 +3,7 @@
 //! representation-invariance of the edge set across compaction.
 
 use gp_graph::generators::{erdos_renyi, WeightMode};
-use gp_graph::{CsrGraph, EdgeUpdate, OverlayGraph, VertexId};
+use gp_graph::{CsrGraph, EdgeUpdate, GraphView, OverlayGraph, VertexId};
 
 fn v(i: u32) -> VertexId {
     VertexId::new(i)
@@ -17,7 +17,7 @@ fn base() -> CsrGraph {
 fn edge_set(o: &OverlayGraph) -> Vec<(u32, u32, u32)> {
     let mut edges = Vec::new();
     for s in 0..o.base().num_vertices() as u32 {
-        for e in o.out_edges_vec(v(s)) {
+        for e in o.out_edges(v(s)) {
             edges.push((s, e.other.get(), e.weight.to_bits()));
         }
     }
@@ -67,7 +67,7 @@ fn delete_only_batch_compacts_correctly() {
     // Delete every edge leaving vertices 0..5 — a batch with no inserts.
     let mut batch = Vec::new();
     for s in 0..5u32 {
-        for e in o.out_edges_vec(v(s)) {
+        for e in o.out_edges(v(s)) {
             batch.push(EdgeUpdate::Delete {
                 src: v(s),
                 dst: e.other,
@@ -84,7 +84,7 @@ fn delete_only_batch_compacts_correctly() {
     assert_eq!(edge_set(&o), before);
     assert_eq!(o.pool_edge_slots(), 0);
     for s in 0..5u32 {
-        assert!(o.out_edges_vec(v(s)).is_empty());
+        assert_eq!(o.out_edges(v(s)).len(), 0);
         assert_eq!(o.base().out_degree(v(s)), 0);
     }
     o.base().check_invariants().expect("compacted CSR is sound");
@@ -95,7 +95,7 @@ fn deleting_every_edge_then_compacting_yields_an_empty_base() {
     let mut o = OverlayGraph::new(base());
     let mut batch = Vec::new();
     for s in 0..o.base().num_vertices() as u32 {
-        for e in o.out_edges_vec(v(s)) {
+        for e in o.out_edges(v(s)) {
             batch.push(EdgeUpdate::Delete {
                 src: v(s),
                 dst: e.other,

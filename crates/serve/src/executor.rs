@@ -72,7 +72,6 @@ const MAX_WARM_CHAIN: u64 = 8;
 pub(crate) fn run(shared: &Shared, lane: usize) {
     let mut exec = Executor {
         shared,
-        lane,
         path_cache: HashMap::new(),
     };
     loop {
@@ -148,7 +147,7 @@ impl<A: IncrementalAlgorithm> ClassCache<A> {
                     &epoch.graph,
                     &mut self.values,
                     &plan.seeds,
-                    &shared.config.turbo,
+                    &shared.turbo,
                 );
                 true
             }
@@ -159,13 +158,7 @@ impl<A: IncrementalAlgorithm> ClassCache<A> {
             ServeStats::count(&shared.stats.warm_starts);
         } else {
             let (mut values, seeds) = initial_state(&self.algo, &epoch.graph);
-            run_turbo_seeded(
-                &self.algo,
-                &epoch.graph,
-                &mut values,
-                &seeds,
-                &shared.config.turbo,
-            );
+            run_turbo_seeded(&self.algo, &epoch.graph, &mut values, &seeds, &shared.turbo);
             self.values = values;
             self.warm_streak = 0;
             ServeStats::count(&shared.stats.cold_runs);
@@ -225,8 +218,6 @@ fn warm_step<A: IncrementalAlgorithm, G: GraphView + Sync>(
 
 struct Executor<'a> {
     shared: &'a Shared,
-    #[allow(dead_code)]
-    lane: usize,
     /// `(kind, source) -> (epoch, per-destination results)` — thread-local
     /// to this lane; the client's lane routing guarantees no other lane
     /// sees these sources.
@@ -336,7 +327,7 @@ impl Executor<'_> {
             return None;
         }
         let mut column: Vec<f64> = col.to_vec();
-        let turbo = &self.shared.config.turbo;
+        let turbo = &self.shared.turbo;
         let root = VertexId::new(src);
         for e in at + 1..=epoch.number {
             let step: &Epoch = if e == epoch.number {
@@ -425,7 +416,7 @@ impl Executor<'_> {
                 &epoch.graph,
                 &mut values,
                 &seeds,
-                &self.shared.config.turbo,
+                &self.shared.turbo,
             );
             ServeStats::count(&self.shared.stats.fused_runs);
             for (lane, &src) in chunk.iter().enumerate() {

@@ -21,7 +21,7 @@
 //! add no events beyond the shared traversal itself.
 
 use gp_algorithms::DeltaAlgorithm;
-use gp_graph::{EdgeRef, GraphView, VertexId};
+use gp_graph::{EdgeRef, VertexId};
 
 /// Lane count of a fused run: how many same-class sources share one
 /// traversal. Eight keeps the per-vertex state at one cache line.
@@ -158,7 +158,7 @@ impl DeltaAlgorithm for FusedPaths {
         self.identity_lanes()
     }
 
-    fn initial_delta(&self, v: VertexId, _graph: &dyn GraphView) -> Option<[f64; LANES]> {
+    fn initial_delta(&self, v: VertexId) -> Option<[f64; LANES]> {
         let mut lanes = self.identity_lanes();
         let mut any = false;
         for (l, &s) in self.sources.iter().enumerate() {

@@ -226,10 +226,6 @@ pub struct QueryResponse {
 pub struct ServeConfig {
     /// Registered tenant names; queries carry a tenant id (index).
     pub tenants: Vec<String>,
-    /// Turbo executor geometry for all recomputation runs.
-    /// `turbo.shards` is overwritten from [`ServeConfig::turbo_shards`]
-    /// at startup.
-    pub turbo: TurboConfig,
     /// Executor threads (= admission lanes). Queries route to lanes by
     /// `(class, source)` hash so per-source path caches stay
     /// thread-local. Minimum 1.
@@ -288,7 +284,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             tenants: vec!["default".to_string()],
-            turbo: TurboConfig::default(),
             executors: 1,
             turbo_shards: 1,
             queue_capacity: 1_024,
@@ -416,6 +411,9 @@ pub(crate) struct Shared {
     pub(crate) shutting_down: AtomicBool,
     pub(crate) num_vertices: usize,
     pub(crate) config: ServeConfig,
+    /// Geometry of every turbo run the service performs:
+    /// [`ServeConfig::turbo_shards`] shards, defaults otherwise.
+    pub(crate) turbo: TurboConfig,
 }
 
 /// The in-process service: owns the executor and writer threads.
@@ -433,7 +431,6 @@ impl Server {
         let mut config = config;
         config.executors = config.executors.max(1);
         config.turbo_shards = config.turbo_shards.max(1);
-        config.turbo.shards = config.turbo_shards;
         config.refresh_lag = config.refresh_lag.max(1);
         let num_vertices = base.num_vertices();
         let mut overlay = OverlayGraph::new(base);
@@ -451,6 +448,10 @@ impl Server {
             update_lag: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             num_vertices,
+            turbo: TurboConfig {
+                shards: config.turbo_shards,
+                ..TurboConfig::default()
+            },
             config: config.clone(),
         });
 

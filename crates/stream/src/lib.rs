@@ -385,9 +385,11 @@ impl UpdateStream {
     fn existing_edge(&mut self, graph: &OverlayGraph) -> Option<(VertexId, VertexId)> {
         for _ in 0..32 {
             let v = VertexId::new(self.rng.gen_range(0..self.vertices as u32));
-            let degree = graph.out_degree(v);
-            if degree > 0 {
-                let e = graph.out_edge(v, self.rng.gen_range(0..degree));
+            let row = graph.out_edges(v);
+            if row.len() > 0 {
+                // Drawn as `u32`: the sample depends on the range's type.
+                let pick = self.rng.gen_range(0..row.len() as u32);
+                let e = row.get(pick as usize).expect("pick < len");
                 return Some((v, e.other));
             }
         }

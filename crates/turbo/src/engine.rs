@@ -374,9 +374,9 @@ impl<A: DeltaAlgorithm> Shard<A> {
             let new = algo.reduce(old, delta);
             values[vi] = new;
             if let Some(basis) = algo.propagation_basis(old, new) {
-                let degree = graph.out_degree(u);
-                for i in 0..degree {
-                    let edge = graph.out_edge(u, i);
+                let row = graph.out_edges(u);
+                let degree = row.len() as u32;
+                for edge in row {
                     if let Some(d) = algo.propagate(basis, u, degree, edge) {
                         outbox[edge.other.index() / self.block].push((edge.other.get(), d));
                     }
@@ -831,7 +831,7 @@ mod tests {
         fn identity_delta(&self) -> f64 {
             0.0
         }
-        fn initial_delta(&self, _: VertexId, _: &dyn GraphView) -> Option<f64> {
+        fn initial_delta(&self, _: VertexId) -> Option<f64> {
             None
         }
         fn reduce(&self, value: f64, delta: f64) -> f64 {

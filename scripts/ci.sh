@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== one way to read adjacency (no per-edge accessor) =="
+# GraphView hands out rows (out_edges / in_edges); a per-edge accessor
+# re-resolves the row for every edge, so none may come back.
+if grep -rnE 'fn (out|in)_edge\(' crates/*/src; then
+  echo "per-edge accessor reintroduced: read the row with out_edges(v) / in_edges(v)"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
