@@ -88,3 +88,20 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         })
         .fold(0.0, f64::max)
 }
+
+/// Whether two value vectors are the same length and bit-identical, element
+/// for element — the comparison for runs that must reproduce each other
+/// exactly (`==` on `f64` would let `0.0` pass for `-0.0` and fail a NaN
+/// against itself).
+///
+/// # Examples
+///
+/// ```
+/// assert!(gp_algorithms::same_bits(&[1.0, f64::NAN], &[1.0, f64::NAN]));
+/// assert!(!gp_algorithms::same_bits(&[0.0], &[-0.0]));
+/// ```
+pub fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter()
+        .map(|v| v.to_bits())
+        .eq(b.iter().map(|v| v.to_bits()))
+}

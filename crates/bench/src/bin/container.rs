@@ -41,7 +41,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{max_abs_diff, DeltaAlgorithm};
+use gp_algorithms::{max_abs_diff, same_bits, DeltaAlgorithm};
 use gp_algorithms::{Bfs, ConnectedComponents, PageRankDelta, Sssp, Sswp};
 use gp_bench::cli::{finish, Flags};
 use gp_bench::json::{Json, OUTOFCORE_SCHEMA};
@@ -242,10 +242,9 @@ fn check_resident<A: DeltaAlgorithm>(
     resident: &gp_graph::CsrGraph,
     mapped: &MappedCsr,
 ) -> Result<(), String> {
-    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let g_ram = run_sequential(algo, resident);
     let g_map = run_sequential(algo, mapped);
-    if bits(&g_map.values) != bits(&g_ram.values)
+    if !same_bits(&g_map.values, &g_ram.values)
         || g_map.events_processed != g_ram.events_processed
         || g_map.events_generated != g_ram.events_generated
     {
@@ -256,7 +255,7 @@ fn check_resident<A: DeltaAlgorithm>(
     let tcfg = TurboConfig::default();
     let t_ram = run_turbo(algo, resident, &tcfg);
     let t_map = run_turbo(algo, mapped, &tcfg);
-    if bits(&t_map.values) != bits(&t_ram.values)
+    if !same_bits(&t_map.values, &t_ram.values)
         || t_map.events_processed != t_ram.events_processed
         || t_map.events_generated != t_ram.events_generated
         || t_map.rounds != t_ram.rounds

@@ -323,73 +323,6 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Validates a `BENCH_end_to_end.json` document: schema tag, non-empty
-/// entry list, required keys, and positive throughput on every backend.
-/// This is the check `bench_check` (and CI) runs — it fails loudly if the
-/// bench binary ever stops emitting complete, sane numbers.
-///
-/// # Errors
-///
-/// Returns a readable description of the first violated rule.
-pub fn validate_end_to_end(doc: &Json) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string key \"schema\"")?;
-    if schema != END_TO_END_SCHEMA {
-        return Err(format!(
-            "schema is {schema:?}, expected {END_TO_END_SCHEMA:?}"
-        ));
-    }
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("missing array key \"entries\"")?;
-    if entries.is_empty() {
-        return Err("\"entries\" is empty — the bench emitted no measurements".into());
-    }
-    for (i, entry) in entries.iter().enumerate() {
-        let ctx = |msg: String| format!("entry {i}: {msg}");
-        entry
-            .get("app")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string key \"app\"".into()))?;
-        for key in ["log2_vertices", "vertices", "edges"] {
-            let v = entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ctx(format!("missing numeric key {key:?}")))?;
-            if v <= 0.0 {
-                return Err(ctx(format!("{key} must be positive, got {v}")));
-            }
-        }
-        for backend in ["cycle", "turbo"] {
-            let leg = entry
-                .get(backend)
-                .ok_or_else(|| ctx(format!("missing object key {backend:?}")))?;
-            for key in ["wall_secs", "events_processed", "events_per_sec"] {
-                let v = leg
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| ctx(format!("{backend}: missing numeric key {key:?}")))?;
-                if key == "events_per_sec" && v <= 0.0 {
-                    return Err(ctx(format!(
-                        "{backend}.events_per_sec must be > 0, got {v}"
-                    )));
-                }
-            }
-        }
-        let speedup = entry
-            .get("speedup_events_per_sec")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| ctx("missing numeric key \"speedup_events_per_sec\"".into()))?;
-        if speedup <= 0.0 {
-            return Err(ctx(format!("speedup must be > 0, got {speedup}")));
-        }
-    }
-    Ok(())
-}
-
 /// Schema tag `validate_end_to_end` requires.
 pub const END_TO_END_SCHEMA: &str = "gp-bench/end_to_end/v1";
 
@@ -401,6 +334,121 @@ pub const SERVE_SCHEMA: &str = "gp-bench/serve/v2";
 
 /// Schema tag `validate_outofcore` requires.
 pub const OUTOFCORE_SCHEMA: &str = "gp-bench/outofcore/v1";
+
+/// Sign rule a numeric field is held to.
+#[derive(Clone, Copy)]
+enum Bound {
+    Positive,
+    NonNegative,
+    Any,
+}
+
+/// The number at `key`, held to `bound`.
+fn num(obj: &Json, key: &str, bound: Bound) -> Result<f64, String> {
+    let v = obj
+        .get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("missing numeric key {key:?}"))?;
+    match bound {
+        Bound::Positive if v <= 0.0 => Err(format!("{key} must be positive, got {v}")),
+        Bound::NonNegative if v < 0.0 => Err(format!("{key} must be >= 0, got {v}")),
+        _ => Ok(v),
+    }
+}
+
+/// Holds every one of `keys` to `bound`, in order.
+fn nums(obj: &Json, keys: &[&str], bound: Bound) -> Result<(), String> {
+    keys.iter()
+        .try_for_each(|key| num(obj, key, bound).map(drop))
+}
+
+/// The string at `key`.
+fn text<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
+    obj.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("missing string key {key:?}"))
+}
+
+/// The boolean at `key`.
+fn flag(obj: &Json, key: &str) -> Result<bool, String> {
+    match obj.get(key) {
+        Some(Json::Bool(b)) => Ok(*b),
+        _ => Err(format!("missing boolean key {key:?}")),
+    }
+}
+
+/// The array at `key`, which must have rows; `what` says what an empty one
+/// means for the document.
+fn rows<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a [Json], String> {
+    let items = obj
+        .get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing array key {key:?}"))?;
+    if items.is_empty() {
+        return Err(format!("{key:?} is empty — {what}"));
+    }
+    Ok(items)
+}
+
+/// Runs `check` over `items` in order; an error is prefixed with the row it
+/// came from (`<label> <index>: `).
+fn each(
+    items: &[Json],
+    label: &str,
+    mut check: impl FnMut(&Json) -> Result<(), String>,
+) -> Result<(), String> {
+    items
+        .iter()
+        .enumerate()
+        .try_for_each(|(i, item)| check(item).map_err(|e| format!("{label} {i}: {e}")))
+}
+
+/// Holds the document's `schema` tag to `want`.
+fn schema_is(doc: &Json, want: &str) -> Result<(), String> {
+    let schema = text(doc, "schema")?;
+    if schema != want {
+        return Err(format!("schema is {schema:?}, expected {want:?}"));
+    }
+    Ok(())
+}
+
+/// Validates a `BENCH_end_to_end.json` document: schema tag, non-empty
+/// entry list, required keys, and positive throughput on every backend.
+/// This is the check `bench_check` (and CI) runs — it fails loudly if the
+/// bench binary ever stops emitting complete, sane numbers.
+///
+/// # Errors
+///
+/// Returns a readable description of the first violated rule.
+pub fn validate_end_to_end(doc: &Json) -> Result<(), String> {
+    schema_is(doc, END_TO_END_SCHEMA)?;
+    let entries = rows(doc, "entries", "the bench emitted no measurements")?;
+    each(entries, "entry", |entry| {
+        text(entry, "app")?;
+        nums(
+            entry,
+            &["log2_vertices", "vertices", "edges"],
+            Bound::Positive,
+        )?;
+        for backend in ["cycle", "turbo"] {
+            let leg = entry
+                .get(backend)
+                .ok_or_else(|| format!("missing object key {backend:?}"))?;
+            nums(leg, &["wall_secs", "events_processed"], Bound::Any)
+                .map_err(|e| format!("{backend}: {e}"))?;
+            let rate =
+                num(leg, "events_per_sec", Bound::Any).map_err(|e| format!("{backend}: {e}"))?;
+            if rate <= 0.0 {
+                return Err(format!("{backend}.events_per_sec must be > 0, got {rate}"));
+            }
+        }
+        let speedup = num(entry, "speedup_events_per_sec", Bound::Any)?;
+        if speedup <= 0.0 {
+            return Err(format!("speedup must be > 0, got {speedup}"));
+        }
+        Ok(())
+    })
+}
 
 /// Validates a `BENCH_serve.json` document: schema tag, positive graph,
 /// traffic, and `turbo_shards` fields, and a non-empty `runs` sweep (one
@@ -415,131 +463,69 @@ pub const OUTOFCORE_SCHEMA: &str = "gp-bench/outofcore/v1";
 ///
 /// Returns a readable description of the first violated rule.
 pub fn validate_serve(doc: &Json) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string key \"schema\"")?;
-    if schema != SERVE_SCHEMA {
-        return Err(format!("schema is {schema:?}, expected {SERVE_SCHEMA:?}"));
-    }
-    doc.get("seed")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric key \"seed\"")?;
-    for key in ["vertices", "edges", "tenants", "clients", "turbo_shards"] {
-        let v = doc
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing numeric key {key:?}"))?;
-        if v <= 0.0 {
-            return Err(format!("{key} must be positive, got {v}"));
-        }
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("missing array key \"runs\"")?;
-    if runs.is_empty() {
-        return Err("\"runs\" is empty — the sweep ran no executor configuration".into());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        validate_serve_run(run).map_err(|e| format!("run {i}: {e}"))?;
-    }
-    Ok(())
+    schema_is(doc, SERVE_SCHEMA)?;
+    num(doc, "seed", Bound::Any)?;
+    nums(
+        doc,
+        &["vertices", "edges", "tenants", "clients", "turbo_shards"],
+        Bound::Positive,
+    )?;
+    let runs = rows(doc, "runs", "the sweep ran no executor configuration")?;
+    each(runs, "run", validate_serve_run)
 }
 
 /// Validates one executor-sweep entry of a serve document.
 fn validate_serve_run(run: &Json) -> Result<(), String> {
-    for key in ["executors", "queries_total", "wall_secs", "throughput_qps"] {
-        let v = run
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing numeric key {key:?}"))?;
-        if v <= 0.0 {
-            return Err(format!("{key} must be positive, got {v}"));
-        }
-    }
-    for key in [
-        "rejected",
-        "degraded",
-        "epochs_published",
-        "update_batches",
-        "warm_starts",
-        "cold_runs",
-        "fused_runs",
-        "path_cache_hits",
-        "path_warm_starts",
-        "verified_samples",
-        "verify_failures",
-    ] {
-        let v = run
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing numeric key {key:?}"))?;
-        if v < 0.0 {
-            return Err(format!("{key} must be >= 0, got {v}"));
-        }
-    }
-    let verified = run
-        .get("verified_samples")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    if verified < 1.0 {
+    nums(
+        run,
+        &["executors", "queries_total", "wall_secs", "throughput_qps"],
+        Bound::Positive,
+    )?;
+    nums(
+        run,
+        &[
+            "rejected",
+            "degraded",
+            "epochs_published",
+            "update_batches",
+            "warm_starts",
+            "cold_runs",
+            "fused_runs",
+            "path_cache_hits",
+            "path_warm_starts",
+            "verified_samples",
+            "verify_failures",
+        ],
+        Bound::NonNegative,
+    )?;
+    if num(run, "verified_samples", Bound::Any)? < 1.0 {
         return Err("verified_samples is 0 — no golden cross-checks ran".into());
     }
-    let failures = run
-        .get("verify_failures")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
+    let failures = num(run, "verify_failures", Bound::Any)?;
     if failures != 0.0 {
         return Err(format!(
             "verify_failures is {failures} — sampled answers diverged from the golden recompute"
         ));
     }
 
-    let classes = run
-        .get("classes")
-        .and_then(Json::as_arr)
-        .ok_or("missing array key \"classes\"")?;
-    if classes.is_empty() {
-        return Err("\"classes\" is empty — the bench served no query class".into());
-    }
+    let classes = rows(run, "classes", "the bench served no query class")?;
     let mut served_sum = 0.0;
-    for (i, class) in classes.iter().enumerate() {
-        let ctx = |msg: String| format!("class {i}: {msg}");
-        class
-            .get("class")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string key \"class\"".into()))?;
-        let mut quantiles = [0.0f64; 3];
-        for (slot, key) in ["served", "mean_us", "p50_us", "p99_us", "p999_us", "max_us"]
-            .iter()
-            .enumerate()
-        {
-            let v = class
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ctx(format!("missing numeric key {key:?}")))?;
-            if v < 0.0 {
-                return Err(ctx(format!("{key} must be >= 0, got {v}")));
-            }
-            if *key == "served" {
-                served_sum += v;
-            }
-            if (2..=4).contains(&slot) {
-                quantiles[slot - 2] = v;
-            }
+    each(classes, "class", |class| {
+        text(class, "class")?;
+        served_sum += num(class, "served", Bound::NonNegative)?;
+        num(class, "mean_us", Bound::NonNegative)?;
+        let p50 = num(class, "p50_us", Bound::NonNegative)?;
+        let p99 = num(class, "p99_us", Bound::NonNegative)?;
+        let p999 = num(class, "p999_us", Bound::NonNegative)?;
+        num(class, "max_us", Bound::NonNegative)?;
+        if p50 > p99 || p99 > p999 {
+            return Err(format!(
+                "quantiles out of order: p50 {p50} p99 {p99} p999 {p999}"
+            ));
         }
-        if quantiles[0] > quantiles[1] || quantiles[1] > quantiles[2] {
-            return Err(ctx(format!(
-                "quantiles out of order: p50 {} p99 {} p999 {}",
-                quantiles[0], quantiles[1], quantiles[2]
-            )));
-        }
-    }
-    let total = run
-        .get("queries_total")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
+        Ok(())
+    })?;
+    let total = num(run, "queries_total", Bound::Any)?;
     if served_sum != total {
         return Err(format!(
             "per-class served totals sum to {served_sum} but queries_total is {total}"
@@ -558,117 +544,70 @@ fn validate_serve_run(run: &Json) -> Result<(), String> {
 ///
 /// Returns a readable description of the first violated rule.
 pub fn validate_chaos(doc: &Json) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string key \"schema\"")?;
-    if schema != CHAOS_SCHEMA {
-        return Err(format!("schema is {schema:?}, expected {CHAOS_SCHEMA:?}"));
-    }
-    doc.get("seed")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric key \"seed\"")?;
+    schema_is(doc, CHAOS_SCHEMA)?;
+    num(doc, "seed", Bound::Any)?;
 
-    let scenarios = doc
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("missing array key \"scenarios\"")?;
-    if scenarios.is_empty() {
-        return Err("\"scenarios\" is empty — the campaign ran nothing".into());
-    }
-    for (i, s) in scenarios.iter().enumerate() {
-        let ctx = |msg: String| format!("scenario {i}: {msg}");
+    let scenarios = rows(doc, "scenarios", "the campaign ran nothing")?;
+    each(scenarios, "scenario", |s| {
         for key in ["fault", "algo", "mode", "backend", "detector", "recovery"] {
-            s.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| ctx(format!("missing string key {key:?}")))?;
+            text(s, key)?;
         }
-        for key in [
-            "detected",
-            "detection_latency_epochs",
-            "rollbacks",
-            "wasted_events",
-            "checkpoint_bytes",
-            "max_abs_diff",
-        ] {
-            let v = s
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ctx(format!("missing numeric key {key:?}")))?;
-            if v < 0.0 {
-                return Err(ctx(format!("{key} must be >= 0, got {v}")));
-            }
+        nums(
+            s,
+            &[
+                "detected",
+                "detection_latency_epochs",
+                "rollbacks",
+                "wasted_events",
+                "checkpoint_bytes",
+                "max_abs_diff",
+            ],
+            Bound::NonNegative,
+        )?;
+        if num(s, "detected", Bound::Any)? < 1.0 {
+            return Err("fault was never detected (detected < 1)".into());
         }
-        let detected = s.get("detected").and_then(Json::as_f64).unwrap_or(0.0);
-        if detected < 1.0 {
-            return Err(ctx("fault was never detected (detected < 1)".into()));
+        if !flag(s, "result_ok")? {
+            return Err("result_ok is false — the recovered result diverged".into());
         }
-        match s.get("result_ok") {
-            Some(Json::Bool(true)) => {}
-            Some(Json::Bool(false)) => {
-                return Err(ctx(
-                    "result_ok is false — the recovered result diverged".into()
-                ))
-            }
-            _ => return Err(ctx("missing boolean key \"result_ok\"".into())),
-        }
-    }
+        Ok(())
+    })?;
 
-    let overhead = doc
-        .get("overhead")
-        .and_then(Json::as_arr)
-        .ok_or("missing array key \"overhead\"")?;
-    if overhead.is_empty() {
-        return Err("\"overhead\" is empty — no fault-free baseline was measured".into());
-    }
-    for (i, o) in overhead.iter().enumerate() {
-        let ctx = |msg: String| format!("overhead {i}: {msg}");
-        o.get("algo")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string key \"algo\"".into()))?;
-        for key in [
-            "events_processed",
-            "epochs",
-            "checkpoints",
-            "checkpoint_words",
-            "checkpoint_bytes",
-        ] {
-            let v = o
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ctx(format!("missing numeric key {key:?}")))?;
-            if v <= 0.0 {
-                return Err(ctx(format!("{key} must be positive, got {v}")));
-            }
-        }
+    let overhead = rows(doc, "overhead", "no fault-free baseline was measured")?;
+    each(overhead, "overhead", |o| {
+        text(o, "algo")?;
+        nums(
+            o,
+            &[
+                "events_processed",
+                "epochs",
+                "checkpoints",
+                "checkpoint_words",
+                "checkpoint_bytes",
+            ],
+            Bound::Positive,
+        )?;
         if o.get("bitexact") != Some(&Json::Bool(true)) {
-            return Err(ctx(
-                "bitexact is not true — the fault-free chaos run diverged".into(),
-            ));
+            return Err("bitexact is not true — the fault-free chaos run diverged".into());
         }
-    }
+        Ok(())
+    })?;
 
     let summary = doc.get("summary").ok_or("missing object key \"summary\"")?;
-    for key in [
-        "scenarios",
-        "detections",
-        "mean_detection_latency_epochs",
-        "mean_rollbacks_per_recovery",
-        "wasted_events_total",
-        "checkpoint_bytes_total",
-    ] {
-        let v = summary
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("summary: missing numeric key {key:?}"))?;
-        if v < 0.0 {
-            return Err(format!("summary: {key} must be >= 0, got {v}"));
-        }
-    }
-    let n = summary
-        .get("scenarios")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
+    nums(
+        summary,
+        &[
+            "scenarios",
+            "detections",
+            "mean_detection_latency_epochs",
+            "mean_rollbacks_per_recovery",
+            "wasted_events_total",
+            "checkpoint_bytes_total",
+        ],
+        Bound::NonNegative,
+    )
+    .map_err(|e| format!("summary: {e}"))?;
+    let n = num(summary, "scenarios", Bound::Any)?;
     if n != scenarios.len() as f64 {
         return Err(format!(
             "summary.scenarios is {n} but {} scenarios are listed",
@@ -697,105 +636,45 @@ pub fn validate_chaos(doc: &Json) -> Result<(), String> {
 ///
 /// Returns a readable description of the first violated rule.
 pub fn validate_outofcore(doc: &Json) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string key \"schema\"")?;
-    if schema != OUTOFCORE_SCHEMA {
-        return Err(format!(
-            "schema is {schema:?}, expected {OUTOFCORE_SCHEMA:?}"
-        ));
-    }
-    doc.get("seed")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric key \"seed\"")?;
-    for key in ["edge_factor", "slice_vertices"] {
-        let v = doc
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing numeric key {key:?}"))?;
-        if v <= 0.0 {
-            return Err(format!("{key} must be positive, got {v}"));
-        }
-    }
-    let budget_mb = doc
-        .get("budget_mb")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric key \"budget_mb\"")?;
-    if budget_mb < 0.0 {
-        return Err(format!("budget_mb must be >= 0, got {budget_mb}"));
-    }
+    schema_is(doc, OUTOFCORE_SCHEMA)?;
+    num(doc, "seed", Bound::Any)?;
+    nums(doc, &["edge_factor", "slice_vertices"], Bound::Positive)?;
+    let budget_mb = num(doc, "budget_mb", Bound::NonNegative)?;
     let budget_bytes = budget_mb * (1u64 << 20) as f64;
 
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("missing array key \"entries\"")?;
-    if entries.is_empty() {
-        return Err("\"entries\" is empty — the bench measured no scale".into());
-    }
+    let entries = rows(doc, "entries", "the bench measured no scale")?;
     let mut resident_over_budget = false;
-    for (i, entry) in entries.iter().enumerate() {
-        let ctx = |msg: String| format!("entry {i}: {msg}");
-        for key in [
-            "log2_vertices",
-            "vertices",
-            "edges",
-            "container_bytes",
-            "resident_graph_bytes",
-            "mapped_state_bytes",
-        ] {
-            let v = entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ctx(format!("missing numeric key {key:?}")))?;
-            if v <= 0.0 {
-                return Err(ctx(format!("{key} must be positive, got {v}")));
-            }
-        }
-        let build = entry
-            .get("build_secs")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| ctx("missing numeric key \"build_secs\"".into()))?;
-        if build < 0.0 {
-            return Err(ctx(format!("build_secs must be >= 0, got {build}")));
-        }
-        for key in ["weighted", "kernel_mapped"] {
-            match entry.get(key) {
-                Some(Json::Bool(_)) => {}
-                _ => return Err(ctx(format!("missing boolean key {key:?}"))),
-            }
-        }
-        let resident = entry
-            .get("resident_graph_bytes")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let mapped_state = entry
-            .get("mapped_state_bytes")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
+    each(entries, "entry", |entry| {
+        nums(
+            entry,
+            &[
+                "log2_vertices",
+                "vertices",
+                "edges",
+                "container_bytes",
+                "resident_graph_bytes",
+                "mapped_state_bytes",
+            ],
+            Bound::Positive,
+        )?;
+        num(entry, "build_secs", Bound::NonNegative)?;
+        flag(entry, "weighted")?;
+        flag(entry, "kernel_mapped")?;
         if budget_mb > 0.0 {
+            let mapped_state = num(entry, "mapped_state_bytes", Bound::Any)?;
             if mapped_state > budget_bytes {
-                return Err(ctx(format!(
+                return Err(format!(
                     "mapped_state_bytes {mapped_state} exceeds the {budget_mb} MiB budget \
                      — the out-of-core path did not fit"
-                )));
+                ));
             }
-            if resident > budget_bytes {
+            if num(entry, "resident_graph_bytes", Bound::Any)? > budget_bytes {
                 resident_over_budget = true;
             }
         }
-        let algos = entry
-            .get("algos")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ctx("missing array key \"algos\"".into()))?;
-        if algos.is_empty() {
-            return Err(ctx("\"algos\" is empty — no algorithm was measured".into()));
-        }
-        for (j, a) in algos.iter().enumerate() {
-            validate_outofcore_algo(a).map_err(|e| ctx(format!("algo {j}: {e}")))?;
-        }
-    }
+        let algos = rows(entry, "algos", "no algorithm was measured")?;
+        each(algos, "algo", validate_outofcore_algo)
+    })?;
     if budget_mb > 0.0 && !resident_over_budget {
         return Err(format!(
             "budget_mb is {budget_mb} but no entry's resident_graph_bytes exceeds it \
@@ -807,63 +686,51 @@ pub fn validate_outofcore(doc: &Json) -> Result<(), String> {
 
 /// Validates one per-algorithm row of an out-of-core entry.
 fn validate_outofcore_algo(a: &Json) -> Result<(), String> {
-    a.get("algo")
-        .and_then(Json::as_str)
-        .ok_or("missing string key \"algo\"")?;
-    for key in [
-        "events_processed",
-        "events_per_sec",
-        "edges_read",
-        "bytes_moved",
-        "bytes_per_edge",
-        "turbo_events_per_sec",
-    ] {
-        let v = a
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing numeric key {key:?}"))?;
-        if v <= 0.0 {
-            return Err(format!("{key} must be positive, got {v}"));
-        }
-    }
-    for key in [
-        "wall_secs",
-        "rowptr_bytes",
-        "edge_bytes",
-        "turbo_wall_secs",
-        "turbo_max_abs_diff",
-    ] {
-        let v = a
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing numeric key {key:?}"))?;
-        if v < 0.0 {
-            return Err(format!("{key} must be >= 0, got {v}"));
-        }
-    }
-    let num = |key: &str| a.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    let moved = num("bytes_moved");
-    let parts = num("rowptr_bytes") + num("edge_bytes");
+    text(a, "algo")?;
+    nums(
+        a,
+        &[
+            "events_processed",
+            "events_per_sec",
+            "edges_read",
+            "bytes_moved",
+            "bytes_per_edge",
+            "turbo_events_per_sec",
+        ],
+        Bound::Positive,
+    )?;
+    nums(
+        a,
+        &[
+            "wall_secs",
+            "rowptr_bytes",
+            "edge_bytes",
+            "turbo_wall_secs",
+            "turbo_max_abs_diff",
+        ],
+        Bound::NonNegative,
+    )?;
+    let moved = num(a, "bytes_moved", Bound::Any)?;
+    let parts = num(a, "rowptr_bytes", Bound::Any)? + num(a, "edge_bytes", Bound::Any)?;
     if moved != parts {
         return Err(format!(
             "bytes_moved is {moved} but rowptr_bytes + edge_bytes is {parts}"
         ));
     }
-    let per_edge = num("bytes_per_edge");
-    let expect = moved / num("edges_read");
+    let per_edge = num(a, "bytes_per_edge", Bound::Any)?;
+    let expect = moved / num(a, "edges_read", Bound::Any)?;
     if (per_edge - expect).abs() > 1e-9 * expect.max(1.0) {
         return Err(format!(
             "bytes_per_edge is {per_edge} but bytes_moved / edges_read is {expect}"
         ));
     }
-    match a.get("turbo_ok") {
-        Some(Json::Bool(true)) => Ok(()),
-        Some(Json::Bool(false)) => Err(
+    if !flag(a, "turbo_ok")? {
+        return Err(
             "turbo_ok is false — turbo over the mapping diverged from golden beyond tolerance"
                 .into(),
-        ),
-        _ => Err("missing boolean key \"turbo_ok\"".into()),
+        );
     }
+    Ok(())
 }
 
 #[cfg(test)]

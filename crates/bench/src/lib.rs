@@ -246,11 +246,7 @@ Common flags (every gp-bench binary):
                 if let Some(e) = self.epoch_cycles {
                     cfg.parallel.epoch_cycles = e;
                 }
-                let out = run_graphpulse_parallel(app, prepared, &cfg);
-                Outcome {
-                    values: out.values,
-                    report: out.report,
-                }
+                run_graphpulse_parallel(app, prepared, &cfg).into()
             }
         }
     }

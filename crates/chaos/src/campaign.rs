@@ -17,8 +17,8 @@ use gp_mem::integrity::{mix64, Storable};
 use gp_turbo::{run_turbo, StaleFault, TurboConfig};
 use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelChaos, ParallelConfig};
 
-use crate::engine::{run_chaos, ChaosConfig};
-use crate::guard::{run_parallel_guarded, run_turbo_guarded};
+use crate::engine::{run_chaos, ChaosConfig, ChaosOutcome};
+use crate::guard::{run_parallel_guarded, run_turbo_guarded, GuardedOutcome};
 use crate::plan::{FaultKind, FaultPlan};
 
 /// One campaign scenario's outcome.
@@ -52,6 +52,94 @@ pub struct CampaignRecord {
     /// Whether the recovered result matched the fault-free reference
     /// within the algorithm's comparison tolerance.
     pub result_ok: bool,
+}
+
+impl CampaignRecord {
+    /// A scenario with nothing observed yet: no detection, no recovery
+    /// and none of the chaos executor's telemetry. Scenarios decided
+    /// outside the executor fill in what they saw.
+    fn blank(
+        fault: FaultKind,
+        algo: &'static str,
+        persistent: bool,
+        backend: &'static str,
+    ) -> CampaignRecord {
+        CampaignRecord {
+            fault,
+            algo,
+            mode: if persistent {
+                "persistent"
+            } else {
+                "transient"
+            },
+            backend,
+            detected: 0,
+            detector: String::new(),
+            latency_epochs: 0,
+            recovery: "none",
+            rollbacks: 0,
+            wasted_events: 0,
+            checkpoint_bytes: 0,
+            max_diff: 0.0,
+            result_ok: false,
+        }
+    }
+
+    /// A fault the chaos executor ran under `plan`, judged against the
+    /// fault-free `reference` within `tol`.
+    fn from_chaos(
+        plan: FaultPlan,
+        algo: &'static str,
+        out: &ChaosOutcome,
+        reference: &[f64],
+        tol: f64,
+    ) -> CampaignRecord {
+        let first = out.detections.first();
+        let diff = max_abs_diff(&out.values, reference);
+        CampaignRecord {
+            detected: out.detections.len() as u32,
+            detector: first.map_or(String::new(), |d| d.detector.label().to_string()),
+            latency_epochs: first.map_or(0, |d| d.latency_epochs),
+            recovery: if out.degraded {
+                "degrade"
+            } else if out.quarantined.is_empty() {
+                "rollback"
+            } else {
+                "quarantine"
+            },
+            rollbacks: out.rollbacks,
+            wasted_events: out.wasted_events,
+            checkpoint_bytes: out.checkpoint_bytes,
+            max_diff: diff,
+            result_ok: out.unrecovered.is_none() && diff <= tol,
+            ..Self::blank(plan.kind, algo, plan.repeats == u32::MAX, "chaos-exec")
+        }
+    }
+
+    /// A guarded backend run whose watchdog is `detector`, judged against
+    /// the fault-free `reference` within `tol`. A persistent fault fires
+    /// on every attempt, so the only right way out of it is degradation.
+    fn from_guarded(
+        blank: CampaignRecord,
+        detector: &str,
+        out: &GuardedOutcome,
+        reference: &[f64],
+        tol: f64,
+    ) -> CampaignRecord {
+        let diff = max_abs_diff(&out.values, reference);
+        CampaignRecord {
+            detected: out.detections.len() as u32,
+            detector: if out.detections.is_empty() {
+                String::new()
+            } else {
+                detector.to_string()
+            },
+            recovery: if out.degraded { "degrade" } else { "retry" },
+            max_diff: diff,
+            result_ok: (out.degraded || blank.mode == "transient") && diff <= tol,
+            ..blank
+        }
+    }
 }
 
 /// Fault-free checkpointing overhead for one algorithm: the chaos
@@ -187,18 +275,13 @@ fn campaign_machine() -> GraphPulse {
 }
 
 /// Runs the event/memory-layer scenarios plus the backend-specific ones
-/// for a single algorithm, appending records.
-fn algo_scenarios<A>(
-    algo: &A,
-    name: &'static str,
-    graph: &CsrGraph,
-    seed: u64,
-    records: &mut Vec<CampaignRecord>,
-    overhead: &mut Vec<OverheadRecord>,
-) where
+/// for a single algorithm, appending to `report`.
+fn algo_scenarios<A>(report: &mut CampaignReport, algo: &A, name: &'static str, graph: &CsrGraph)
+where
     A: DeltaAlgorithm,
     A::Value: Storable,
 {
+    let seed = report.seed;
     let tol = algo.comparison_tolerance();
     let reference = run_sequential(algo, graph);
 
@@ -208,7 +291,7 @@ fn algo_scenarios<A>(
         ..ChaosConfig::default()
     };
     let clean = run_chaos(algo, graph, None, &clean_cfg);
-    overhead.push(OverheadRecord {
+    report.overhead.push(OverheadRecord {
         algo: name,
         events_processed: clean.events_processed,
         epochs: clean.epochs,
@@ -226,25 +309,13 @@ fn algo_scenarios<A>(
     ] {
         let plan = FaultPlan::transient(kind, seed ^ mix64(kind.label().len() as u64));
         let out = run_chaos(algo, graph, Some(plan), &clean_cfg);
-        let diff = max_abs_diff(&out.values, &reference.values);
-        records.push(CampaignRecord {
-            fault: kind,
-            algo: name,
-            mode: "transient",
-            backend: "chaos-exec",
-            detected: out.detections.len() as u32,
-            detector: out
-                .detections
-                .first()
-                .map_or(String::new(), |d| d.detector.label().to_string()),
-            latency_epochs: out.detections.first().map_or(0, |d| d.latency_epochs),
-            recovery: if out.degraded { "degrade" } else { "rollback" },
-            rollbacks: out.rollbacks,
-            wasted_events: out.wasted_events,
-            checkpoint_bytes: out.checkpoint_bytes,
-            max_diff: diff,
-            result_ok: out.unrecovered.is_none() && diff <= tol,
-        });
+        report.records.push(CampaignRecord::from_chaos(
+            plan,
+            name,
+            &out,
+            &reference.values,
+            tol,
+        ));
     }
 
     // Memory-layer fault, persistent (stuck-at): detected by the scrub,
@@ -256,31 +327,13 @@ fn algo_scenarios<A>(
         ..ChaosConfig::default()
     };
     let out = run_chaos(algo, graph, Some(flip_plan), &flip_cfg);
-    let diff = max_abs_diff(&out.values, &reference.values);
-    records.push(CampaignRecord {
-        fault: FaultKind::BitFlip,
-        algo: name,
-        mode: "persistent",
-        backend: "chaos-exec",
-        detected: out.detections.len() as u32,
-        detector: out
-            .detections
-            .first()
-            .map_or(String::new(), |d| d.detector.label().to_string()),
-        latency_epochs: out.detections.first().map_or(0, |d| d.latency_epochs),
-        recovery: if out.degraded {
-            "degrade"
-        } else if out.quarantined.is_empty() {
-            "rollback"
-        } else {
-            "quarantine"
-        },
-        rollbacks: out.rollbacks,
-        wasted_events: out.wasted_events,
-        checkpoint_bytes: out.checkpoint_bytes,
-        max_diff: diff,
-        result_ok: out.unrecovered.is_none() && diff <= tol,
-    });
+    report.records.push(CampaignRecord::from_chaos(
+        flip_plan,
+        name,
+        &out,
+        &reference.values,
+        tol,
+    ));
 
     // Shard stall, transient: caught by the epoch-budget watchdog,
     // recovered by retry.
@@ -293,31 +346,15 @@ fn algo_scenarios<A>(
         stall: Some((0, budget + 32)),
         epoch_budget: Some(budget),
     };
-    match run_parallel_guarded(&gp, algo, graph, chaos, 1, 3) {
-        Ok(out) => {
-            let diff = max_abs_diff(&out.values, &reference.values);
-            records.push(CampaignRecord {
-                fault: FaultKind::ShardStall,
-                algo: name,
-                mode: "transient",
-                backend: "parallel",
-                detected: out.detections.len() as u32,
-                detector: if out.detections.is_empty() {
-                    String::new()
-                } else {
-                    "epoch-budget".to_string()
-                },
-                latency_epochs: 0,
-                recovery: if out.degraded { "degrade" } else { "retry" },
-                rollbacks: 0,
-                wasted_events: 0,
-                checkpoint_bytes: 0,
-                max_diff: diff,
-                result_ok: diff <= tol,
-            });
-        }
-        Err(e) => panic!("parallel scenario failed to run: {e}"),
-    }
+    let out = run_parallel_guarded(&gp, algo, graph, chaos, 1, 3)
+        .unwrap_or_else(|e| panic!("parallel scenario failed to run: {e}"));
+    report.records.push(CampaignRecord::from_guarded(
+        CampaignRecord::blank(FaultKind::ShardStall, name, false, "parallel"),
+        "epoch-budget",
+        &out,
+        &reference.values,
+        tol,
+    ));
 
     // Wheel stale-tag corruption, transient: caught by the turbo engine's
     // lost-event check, recovered by retry. The victim (round, pick) is
@@ -325,47 +362,15 @@ fn algo_scenarios<A>(
     // delta (early-run upsets tend to self-heal — that is part of the
     // model; the search sweeps late-to-early).
     let tcfg = TurboConfig::default();
-    let fault = find_orphaning_fault(algo, graph, &tcfg);
-    match fault {
+    let blank = CampaignRecord::blank(FaultKind::WheelStale, name, false, "turbo");
+    let record = match find_orphaning_fault(algo, graph, &tcfg) {
         Some(fault) => {
             let out = run_turbo_guarded(algo, graph, &tcfg, Some(fault), 1, 3);
-            let diff = max_abs_diff(&out.values, &reference.values);
-            records.push(CampaignRecord {
-                fault: FaultKind::WheelStale,
-                algo: name,
-                mode: "transient",
-                backend: "turbo",
-                detected: out.detections.len() as u32,
-                detector: if out.detections.is_empty() {
-                    String::new()
-                } else {
-                    "lost-event".to_string()
-                },
-                latency_epochs: 0,
-                recovery: if out.degraded { "degrade" } else { "retry" },
-                rollbacks: 0,
-                wasted_events: 0,
-                checkpoint_bytes: 0,
-                max_diff: diff,
-                result_ok: diff <= tol,
-            });
+            CampaignRecord::from_guarded(blank, "lost-event", &out, &reference.values, tol)
         }
-        None => records.push(CampaignRecord {
-            fault: FaultKind::WheelStale,
-            algo: name,
-            mode: "transient",
-            backend: "turbo",
-            detected: 0,
-            detector: String::new(),
-            latency_epochs: 0,
-            recovery: "none",
-            rollbacks: 0,
-            wasted_events: 0,
-            checkpoint_bytes: 0,
-            max_diff: 0.0,
-            result_ok: false,
-        }),
-    }
+        None => blank,
+    };
+    report.records.push(record);
 
     // Merge-order skew: the legacy fault. It corrupts a backend's output
     // value, which no single-engine watchdog can see — detection is
@@ -387,20 +392,13 @@ fn algo_scenarios<A>(
     let detected = skew_diff > tol;
     let recomputed = run_sequential(algo, graph);
     let diff = max_abs_diff(&recomputed.values, &reference.values);
-    records.push(CampaignRecord {
-        fault: FaultKind::MergeSkew,
-        algo: name,
-        mode: "transient",
-        backend: "parallel",
+    report.records.push(CampaignRecord {
         detected: u32::from(detected),
         detector: "differential".to_string(),
-        latency_epochs: 0,
         recovery: "recompute",
-        rollbacks: 0,
-        wasted_events: 0,
-        checkpoint_bytes: 0,
         max_diff: diff,
         result_ok: detected && diff <= tol,
+        ..CampaignRecord::blank(FaultKind::MergeSkew, name, false, "parallel")
     });
 }
 
@@ -438,7 +436,8 @@ where
 
 /// Persistent-fault degradation scenarios, run once (on SSSP) to pin the
 /// exhausted-retries path for every backend family.
-fn degradation_scenarios(graph: &CsrGraph, seed: u64, records: &mut Vec<CampaignRecord>) {
+fn degradation_scenarios(report: &mut CampaignReport, graph: &CsrGraph) {
+    let seed = report.seed;
     let algo = Sssp::new(VertexId::new(0));
     let reference = run_sequential(&algo, graph);
     let cfg = ChaosConfig {
@@ -451,25 +450,13 @@ fn degradation_scenarios(graph: &CsrGraph, seed: u64, records: &mut Vec<Campaign
     // budget, degrades to the golden engine from the last checkpoint.
     let plan = FaultPlan::persistent(FaultKind::DropEvent, seed ^ 0xD0D);
     let out = run_chaos(&algo, graph, Some(plan), &cfg);
-    let diff = max_abs_diff(&out.values, &reference.values);
-    records.push(CampaignRecord {
-        fault: FaultKind::DropEvent,
-        algo: "sssp",
-        mode: "persistent",
-        backend: "chaos-exec",
-        detected: out.detections.len() as u32,
-        detector: out
-            .detections
-            .first()
-            .map_or(String::new(), |d| d.detector.label().to_string()),
-        latency_epochs: out.detections.first().map_or(0, |d| d.latency_epochs),
-        recovery: if out.degraded { "degrade" } else { "rollback" },
-        rollbacks: out.rollbacks,
-        wasted_events: out.wasted_events,
-        checkpoint_bytes: out.checkpoint_bytes,
-        max_diff: diff,
-        result_ok: out.unrecovered.is_none() && diff <= 0.0,
-    });
+    report.records.push(CampaignRecord::from_chaos(
+        plan,
+        "sssp",
+        &out,
+        &reference.values,
+        0.0,
+    ));
 
     // Persistent shard stall: every retry trips the watchdog, the guard
     // degrades to the golden engine.
@@ -484,22 +471,13 @@ fn degradation_scenarios(graph: &CsrGraph, seed: u64, records: &mut Vec<Campaign
     };
     let out = run_parallel_guarded(&gp, &algo, graph, chaos, u32::MAX, 2)
         .expect("guarded parallel must not hit config errors");
-    let diff = max_abs_diff(&out.values, &reference.values);
-    records.push(CampaignRecord {
-        fault: FaultKind::ShardStall,
-        algo: "sssp",
-        mode: "persistent",
-        backend: "parallel",
-        detected: out.detections.len() as u32,
-        detector: "epoch-budget".to_string(),
-        latency_epochs: 0,
-        recovery: if out.degraded { "degrade" } else { "retry" },
-        rollbacks: 0,
-        wasted_events: 0,
-        checkpoint_bytes: 0,
-        max_diff: diff,
-        result_ok: out.degraded && diff <= 0.0,
-    });
+    report.records.push(CampaignRecord::from_guarded(
+        CampaignRecord::blank(FaultKind::ShardStall, "sssp", true, "parallel"),
+        "epoch-budget",
+        &out,
+        &reference.values,
+        0.0,
+    ));
 
     // Persistent wheel corruption: every turbo attempt loses a delta,
     // the guard degrades to the golden engine.
@@ -507,22 +485,13 @@ fn degradation_scenarios(graph: &CsrGraph, seed: u64, records: &mut Vec<Campaign
     let fault = find_orphaning_fault(&algo, graph, &tcfg);
     if let Some(fault) = fault {
         let out = run_turbo_guarded(&algo, graph, &tcfg, Some(fault), u32::MAX, 2);
-        let diff = max_abs_diff(&out.values, &reference.values);
-        records.push(CampaignRecord {
-            fault: FaultKind::WheelStale,
-            algo: "sssp",
-            mode: "persistent",
-            backend: "turbo",
-            detected: out.detections.len() as u32,
-            detector: "lost-event".to_string(),
-            latency_epochs: 0,
-            recovery: if out.degraded { "degrade" } else { "retry" },
-            rollbacks: 0,
-            wasted_events: 0,
-            checkpoint_bytes: 0,
-            max_diff: diff,
-            result_ok: out.degraded && diff <= 0.0,
-        });
+        report.records.push(CampaignRecord::from_guarded(
+            CampaignRecord::blank(FaultKind::WheelStale, "sssp", true, "turbo"),
+            "lost-event",
+            &out,
+            &reference.values,
+            0.0,
+        ));
     }
 }
 
@@ -536,61 +505,18 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
     let ads_graph = gp_algorithms::normalize_inbound(&graph);
     let root = VertexId::new(0);
 
-    let mut records = Vec::new();
-    let mut overhead = Vec::new();
-    algo_scenarios(
-        &PageRankDelta::new(0.85, 1e-9),
-        "pr",
-        &graph,
+    let mut report = CampaignReport {
         seed,
-        &mut records,
-        &mut overhead,
-    );
-    algo_scenarios(
-        &Adsorption::new(AdsorptionParams::random(n, mix64(seed ^ 0xAD5)), 1e-9),
-        "ads",
-        &ads_graph,
-        seed,
-        &mut records,
-        &mut overhead,
-    );
-    algo_scenarios(
-        &Sssp::new(root),
-        "sssp",
-        &graph,
-        seed,
-        &mut records,
-        &mut overhead,
-    );
-    algo_scenarios(
-        &Bfs::new(root),
-        "bfs",
-        &graph,
-        seed,
-        &mut records,
-        &mut overhead,
-    );
-    algo_scenarios(
-        &ConnectedComponents::new(),
-        "cc",
-        &graph,
-        seed,
-        &mut records,
-        &mut overhead,
-    );
-    algo_scenarios(
-        &Sswp::new(root),
-        "sswp",
-        &graph,
-        seed,
-        &mut records,
-        &mut overhead,
-    );
-    degradation_scenarios(&graph, seed, &mut records);
-
-    CampaignReport {
-        seed,
-        records,
-        overhead,
-    }
+        records: Vec::new(),
+        overhead: Vec::new(),
+    };
+    algo_scenarios(&mut report, &PageRankDelta::new(0.85, 1e-9), "pr", &graph);
+    let ads = Adsorption::new(AdsorptionParams::random(n, mix64(seed ^ 0xAD5)), 1e-9);
+    algo_scenarios(&mut report, &ads, "ads", &ads_graph);
+    algo_scenarios(&mut report, &Sssp::new(root), "sssp", &graph);
+    algo_scenarios(&mut report, &Bfs::new(root), "bfs", &graph);
+    algo_scenarios(&mut report, &ConnectedComponents::new(), "cc", &graph);
+    algo_scenarios(&mut report, &Sswp::new(root), "sswp", &graph);
+    degradation_scenarios(&mut report, &graph);
+    report
 }

@@ -36,12 +36,49 @@ pub struct GuardedOutcome {
     pub degraded: bool,
 }
 
+/// The retry-then-degrade loop both guards run. `attempt(armed)` executes
+/// the backend once — with the injected fault armed for the first
+/// `repeats` attempts — and answers with the values of an attempt whose
+/// watchdog came back clean, the watchdog's diagnosis (the attempt is
+/// discarded and retried), or a [`RunError`] that is not a detection and
+/// ends the run. After `max_retries` failed attempts the run degrades to
+/// [`run_sequential`].
+fn guard<A: DeltaAlgorithm, G: GraphView>(
+    algo: &A,
+    graph: &G,
+    repeats: u32,
+    max_retries: u32,
+    mut attempt: impl FnMut(bool) -> Result<Result<Vec<f64>, String>, RunError>,
+) -> Result<GuardedOutcome, RunError> {
+    let mut detections = Vec::new();
+    let attempts = max_retries.max(1);
+    for n in 1..=attempts {
+        match attempt(n <= repeats)? {
+            Ok(values) => {
+                return Ok(GuardedOutcome {
+                    values,
+                    detections,
+                    attempts: n,
+                    degraded: false,
+                })
+            }
+            Err(diagnosis) => detections.push(diagnosis),
+        }
+    }
+    Ok(GuardedOutcome {
+        values: run_sequential(algo, graph).values,
+        detections,
+        attempts,
+        degraded: true,
+    })
+}
+
 /// Runs the turbo backend under the lost-event watchdog, injecting
-/// `fault` for the first `repeats` attempts. Each faulted attempt is
-/// checked with [`gp_turbo::TurboOutcome::check_lost_events`]; a failed
-/// check discards the attempt and retries (the fault re-fires while it
-/// has firings left). After `max_retries` failed attempts the run
-/// degrades to [`run_sequential`].
+/// `fault` for the first `repeats` attempts. Each attempt is checked with
+/// [`gp_turbo::TurboOutcome::check_lost_events`]; a failed check discards
+/// the attempt and retries (the fault re-fires while it has firings
+/// left). After `max_retries` failed attempts the run degrades to
+/// [`run_sequential`].
 pub fn run_turbo_guarded<A: DeltaAlgorithm, G: GraphView + Sync>(
     algo: &A,
     graph: &G,
@@ -50,36 +87,15 @@ pub fn run_turbo_guarded<A: DeltaAlgorithm, G: GraphView + Sync>(
     repeats: u32,
     max_retries: u32,
 ) -> GuardedOutcome {
-    let mut detections = Vec::new();
-    let mut fired = 0u32;
-    for attempt in 1..=max_retries.max(1) {
+    guard(algo, graph, repeats, max_retries, |armed| {
         let tcfg = TurboConfig {
-            fault: fault.filter(|_| fired < repeats),
+            fault: fault.filter(|_| armed),
             ..*cfg
         };
-        if tcfg.fault.is_some() {
-            fired += 1;
-        }
         let out = run_turbo(algo, graph, &tcfg);
-        match out.check_lost_events() {
-            Ok(()) => {
-                return GuardedOutcome {
-                    values: out.values,
-                    detections,
-                    attempts: attempt,
-                    degraded: false,
-                }
-            }
-            Err(msg) => detections.push(msg),
-        }
-    }
-    let golden = run_sequential(algo, graph);
-    GuardedOutcome {
-        values: golden.values,
-        detections,
-        attempts: max_retries.max(1),
-        degraded: true,
-    }
+        Ok(out.check_lost_events().map(|()| out.values))
+    })
+    .expect("a turbo attempt raises no RunError")
 }
 
 /// Runs the shard-parallel backend under the epoch-budget convergence
@@ -105,36 +121,15 @@ where
     A: DeltaAlgorithm,
     G: GraphView + Sync,
 {
-    let mut detections = Vec::new();
-    let mut fired = 0u32;
-    for attempt in 1..=max_retries.max(1) {
-        let attempt_chaos = ParallelChaos {
-            stall: chaos.stall.filter(|_| fired < repeats),
-            epoch_budget: chaos.epoch_budget,
+    guard(algo, graph, repeats, max_retries, |armed| {
+        let plan = ParallelChaos {
+            stall: chaos.stall.filter(|_| armed),
+            ..chaos
         };
-        if attempt_chaos.stall.is_some() {
-            fired += 1;
+        match gp.run_parallel_chaos(graph, algo, plan) {
+            Ok(out) => Ok(Ok(out.values)),
+            Err(watchdog @ RunError::EpochBudget(_)) => Ok(Err(watchdog.to_string())),
+            Err(other) => Err(other),
         }
-        match gp.run_parallel_chaos(graph, algo, attempt_chaos) {
-            Ok(out) => {
-                return Ok(GuardedOutcome {
-                    values: out.values,
-                    detections,
-                    attempts: attempt,
-                    degraded: false,
-                })
-            }
-            Err(RunError::EpochBudget(budget)) => {
-                detections.push(RunError::EpochBudget(budget).to_string());
-            }
-            Err(other) => return Err(other),
-        }
-    }
-    let golden = run_sequential(algo, graph);
-    Ok(GuardedOutcome {
-        values: golden.values,
-        detections,
-        attempts: max_retries.max(1),
-        degraded: true,
     })
 }

@@ -8,6 +8,8 @@
 //! PageRank-on-LiveJournal activity levels land near Table V's dynamic
 //! numbers; they are documented constants, not measurements.
 
+use crate::AcceleratorConfig;
+
 /// Per-access energies (nanojoules) and static power (milliwatts) for each
 /// accelerator component.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,6 +85,18 @@ pub struct ActivityCounters {
     pub proc_ops: u64,
 }
 
+impl ActivityCounters {
+    /// Accumulates another machine's activity (parallel-run merge).
+    pub fn merge(&mut self, other: &ActivityCounters) {
+        self.queue_reads += other.queue_reads;
+        self.queue_writes += other.queue_writes;
+        self.coalesce_ops += other.coalesce_ops;
+        self.scratchpad_accesses += other.scratchpad_accesses;
+        self.network_flits += other.network_flits;
+        self.proc_ops += other.proc_ops;
+    }
+}
+
 /// Per-component power/area rows, Table V style.
 #[derive(Debug, Clone)]
 pub struct EnergyReport {
@@ -96,6 +110,9 @@ pub struct EnergyReport {
     pub total_area_mm2: f64,
     /// Run duration in seconds the averages refer to.
     pub seconds: f64,
+    /// The activity the dynamic figures were integrated from, kept so
+    /// per-shard reports merge exactly (sum the counters, integrate again).
+    pub activity: ActivityCounters,
 }
 
 /// One row of the Table V style breakdown.
@@ -121,6 +138,22 @@ impl ComponentPower {
 }
 
 impl EnergyReport {
+    /// The paper-model report of a run of `cycles` on the machine `cfg`
+    /// describes.
+    pub(crate) fn for_run(
+        cfg: &AcceleratorConfig,
+        activity: ActivityCounters,
+        cycles: u64,
+    ) -> Self {
+        Self::from_activity(
+            &EnergyModel::paper(),
+            &activity,
+            cfg.cycles_to_seconds(cycles.max(1)),
+            cfg.queue.bins,
+            cfg.processors,
+        )
+    }
+
     /// Builds the report from activity counters over `seconds` of simulated
     /// time on a machine with `bins` queue bins and `processors` cores.
     ///
@@ -184,6 +217,7 @@ impl EnergyReport {
             total_mj: total_mw * seconds, // mW × s = mJ
             total_area_mm2,
             seconds,
+            activity: *activity,
         }
     }
 }

@@ -52,8 +52,8 @@ mod processor;
 mod queue;
 
 pub use config::{AcceleratorConfig, ParallelConfig, QueueConfig, SchedulingPolicy};
-pub use energy::{EnergyModel, EnergyReport};
+pub use energy::{ActivityCounters, EnergyModel, EnergyReport};
 pub use event::{Event, EventMeta};
-pub use machine::{GraphPulse, Outcome, RunError, SeededOutcome};
+pub use machine::{GraphPulse, Outcome, RunError};
 pub use metrics::{ExecutionReport, LookaheadBuckets, RoundMetrics, StageAverages};
-pub use parallel::{ParallelChaos, ParallelOutcome, ParallelSeededOutcome};
+pub use parallel::{ParallelChaos, ParallelOutcome};

@@ -5,14 +5,15 @@ use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
+use gp_algorithms::engine::initial_state;
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::partition::Partition;
 use gp_graph::{GraphView, VertexId};
-use gp_mem::{line_base, MemRequest, MemStats, MemorySystem, TrafficClass, LINE_BYTES};
+use gp_mem::{line_base, MemRequest, MemorySystem, TrafficClass, LINE_BYTES};
 use gp_sim::stats::{ShardStats, StateTimeline};
 use gp_sim::Cycle;
 
-use crate::energy::{ActivityCounters, EnergyModel, EnergyReport};
+use crate::energy::{ActivityCounters, EnergyReport};
 use crate::generation::{
     ActiveGen, GenTask, GenUnit, GT_EDGE_READ, GT_GENERATE, GT_IDLE, GT_STALL,
 };
@@ -26,10 +27,14 @@ use crate::{AcceleratorConfig, Event, SchedulingPolicy};
 
 /// Result of an accelerator run: final vertex values plus the full
 /// measurement report.
+///
+/// [`GraphPulse::run`] projects the values to `f64` (the default `V`);
+/// [`GraphPulse::run_seeded`] keeps them in the algorithm's typed
+/// representation so they can seed the next run without a lossy round-trip.
 #[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Final vertex values projected to `f64`.
-    pub values: Vec<f64>,
+pub struct Outcome<V = f64> {
+    /// Final vertex values.
+    pub values: Vec<V>,
     /// Everything measured during the run.
     pub report: ExecutionReport,
 }
@@ -84,42 +89,43 @@ impl GraphPulse {
         &self.config
     }
 
-    /// Runs `algo` on `graph` to completion.
-    ///
-    /// Graphs with more vertices than the event queue's capacity are
-    /// automatically partitioned into slices (§IV-F).
+    /// Runs `algo` on `graph` to completion from a cold start: the
+    /// [`initial_state`] values and seed set through
+    /// [`GraphPulse::run_seeded`], with the values projected to `f64`.
     ///
     /// # Errors
     ///
-    /// [`RunError::InvalidConfig`] if the configuration is inconsistent,
-    /// [`RunError::CycleLimit`] if the simulation exceeds
-    /// `config.max_cycles`.
+    /// Same as [`GraphPulse::run_seeded`].
     pub fn run<A: DeltaAlgorithm, G: GraphView>(
         &self,
         graph: &G,
         algo: &A,
     ) -> Result<Outcome, RunError> {
-        self.config.validate().map_err(RunError::InvalidConfig)?;
-        let mut machine = Machine::new(&self.config, graph, algo);
-        machine.seed_initial_events();
-        machine.run_to_completion()?;
-        Ok(machine.into_outcome())
+        let (values, seeds) = initial_state(algo, graph);
+        let out = self.run_seeded(graph, algo, values, &seeds)?;
+        Ok(Outcome {
+            values: out.values.iter().map(|&v| algo.value_to_f64(v)).collect(),
+            report: out.report,
+        })
     }
 
-    /// Runs `algo` from explicit warm-start state: `values` holds the
-    /// per-vertex states to resume from and `seeds` the events injected
-    /// into the queue instead of the cold-start
-    /// [`initial_delta`](gp_algorithms::DeltaAlgorithm::initial_delta)
-    /// sweep. This is the accelerator-model backend for incremental
-    /// recomputation over streaming graph updates: a full run is the
-    /// special case of init values plus the initial-delta seed set.
+    /// Runs `algo` from explicit state: `values` holds the per-vertex
+    /// states to start from and `seeds` the events the host loads into the
+    /// queue before the first round. A cold start passes
+    /// [`initial_state`]; incremental recomputation over streaming graph
+    /// updates passes converged values and a computed seed plan.
+    ///
+    /// Graphs with more vertices than the event queue's capacity are
+    /// automatically partitioned into slices (§IV-F).
     ///
     /// Returns typed values (not the `f64` projection) so a stream of
     /// update batches can be re-fed without lossy round-trips.
     ///
     /// # Errors
     ///
-    /// Same as [`GraphPulse::run`].
+    /// [`RunError::InvalidConfig`] if the configuration is inconsistent,
+    /// [`RunError::CycleLimit`] if the simulation exceeds
+    /// `config.max_cycles`.
     ///
     /// # Panics
     ///
@@ -131,25 +137,13 @@ impl GraphPulse {
         algo: &A,
         values: Vec<A::Value>,
         seeds: &[(VertexId, A::Delta)],
-    ) -> Result<SeededOutcome<A::Value>, RunError> {
+    ) -> Result<Outcome<A::Value>, RunError> {
         self.config.validate().map_err(RunError::InvalidConfig)?;
-        let mut machine = Machine::new(&self.config, graph, algo);
-        machine.set_values(values);
+        let mut machine = Machine::new(&self.config, graph, algo, values);
         machine.seed_events(seeds);
         machine.run_to_completion()?;
-        let (values, report) = machine.into_typed();
-        Ok(SeededOutcome { values, report })
+        Ok(machine.finish())
     }
-}
-
-/// Result of a warm-start ([`GraphPulse::run_seeded`]) run: typed vertex
-/// values plus the full measurement report.
-#[derive(Debug, Clone)]
-pub struct SeededOutcome<V> {
-    /// Final typed vertex values.
-    pub values: Vec<V>,
-    /// Everything measured during the run.
-    pub report: ExecutionReport,
 }
 
 /// Where a memory completion must be routed.
@@ -170,28 +164,6 @@ pub(crate) struct OutEvent<D> {
     pub(crate) seq: u64,
     /// The event itself.
     pub(crate) event: Event<D>,
-}
-
-/// Everything a shard contributes to the merged parallel report.
-pub(crate) struct ShardPartial<V> {
-    pub(crate) start: usize,
-    pub(crate) values: Vec<V>,
-    pub(crate) cycles: u64,
-    pub(crate) rounds: u64,
-    pub(crate) activations: u64,
-    pub(crate) events_processed: u64,
-    pub(crate) events_generated: u64,
-    pub(crate) events_coalesced: u64,
-    pub(crate) events_exchanged: u64,
-    pub(crate) ticks: u64,
-    pub(crate) rounds_log: Vec<RoundMetrics>,
-    pub(crate) stages: StageAverages,
-    pub(crate) proc_timeline: StateTimeline,
-    pub(crate) gen_timeline: StateTimeline,
-    pub(crate) memory: MemStats,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
-    pub(crate) activity: ActivityCounters,
 }
 
 enum Phase<D> {
@@ -267,9 +239,9 @@ pub(crate) struct Machine<'a, A: DeltaAlgorithm, G: GraphView> {
 }
 
 impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
-    fn new(cfg: &'a AcceleratorConfig, graph: &'a G, algo: &'a A) -> Self {
+    fn new(cfg: &'a AcceleratorConfig, graph: &'a G, algo: &'a A, values: Vec<A::Value>) -> Self {
         let partition = Partition::contiguous(graph, cfg.queue.capacity().max(1));
-        Self::with_partition(cfg, graph, algo, partition, 0, false)
+        Self::with_partition(cfg, graph, algo, values, partition, 0, false)
     }
 
     /// Builds the shard-parallel variant: slice `shard` of `partition` is
@@ -279,21 +251,28 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         cfg: &'a AcceleratorConfig,
         graph: &'a G,
         algo: &'a A,
+        values: Vec<A::Value>,
         partition: Partition,
         shard: usize,
     ) -> Self {
-        Self::with_partition(cfg, graph, algo, partition, shard, true)
+        Self::with_partition(cfg, graph, algo, values, partition, shard, true)
     }
 
     fn with_partition(
         cfg: &'a AcceleratorConfig,
         graph: &'a G,
         algo: &'a A,
+        values: Vec<A::Value>,
         partition: Partition,
         active_slice: usize,
         shard_mode: bool,
     ) -> Self {
         let n = graph.num_vertices();
+        assert_eq!(
+            values.len(),
+            n,
+            "warm-start state length must match the vertex count"
+        );
         let edge_bytes = if graph.is_weighted() {
             cfg.edge_bytes * 2
         } else {
@@ -339,9 +318,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             spill_bump: 0,
             partition,
             active_slice,
-            values: (0..n)
-                .map(|v| algo.init_value(VertexId::from_index(v)))
-                .collect(),
+            values,
             mem: MemorySystem::new(cfg.dram),
             pending_mem: HashMap::new(),
             bins,
@@ -402,49 +379,10 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
 
     // ---- setup ----
 
-    fn seed_initial_events(&mut self) {
-        if self.partition.is_empty() {
-            self.phase = Phase::Done;
-            return;
-        }
-        for v in self.graph.vertex_ids() {
-            let Some(delta) = self.algo.initial_delta(v) else {
-                continue;
-            };
-            let ev = Event::new(v, delta, 0);
-            self.events_generated += 1;
-            let slice = self.partition.slice_of(v);
-            if slice == self.active_slice {
-                self.install_resident(ev);
-            } else {
-                self.spill[slice].push_back(ev);
-            }
-        }
-        if self.total_occupancy() == 0 {
-            // Active slice got nothing: behave like an empty first round.
-            self.phase = Phase::Quiesce;
-        }
-    }
-
-    /// Installs warm-start vertex state, replacing the init values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length does not match the vertex count.
-    pub(crate) fn set_values(&mut self, values: Vec<A::Value>) {
-        assert_eq!(
-            values.len(),
-            self.graph.num_vertices(),
-            "warm-start state length must match the vertex count"
-        );
-        self.values = values;
-    }
-
-    /// Injects explicit warm-start events instead of the cold-start
-    /// initial-delta sweep. In shard mode each shard receives the full
-    /// seed list and installs only the events targeting its resident
-    /// slice, so the union across shards covers the seed set exactly
-    /// once; in sliced single-machine mode, events for swapped-out
+    /// Loads the run's initial events. In shard mode each shard receives
+    /// the full seed list and installs only the events targeting its
+    /// resident slice, so the union across shards covers the seed set
+    /// exactly once; in sliced single-machine mode, events for swapped-out
     /// slices go to their spill queues like any cross-slice event.
     pub(crate) fn seed_events(&mut self, seeds: &[(VertexId, A::Delta)]) {
         if self.partition.is_empty() {
@@ -462,24 +400,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             }
         }
         if self.total_occupancy() == 0 {
-            self.phase = Phase::Quiesce;
-        }
-    }
-
-    /// Seeds the initial deltas of this shard's own slice (every shard
-    /// seeds exactly its resident vertices, so the union covers the graph).
-    pub(crate) fn seed_shard_events(&mut self) {
-        debug_assert!(self.shard_mode);
-        let slice = self.partition.slices()[self.active_slice];
-        for vi in slice.start.get()..slice.end.get() {
-            let v = VertexId::new(vi);
-            let Some(delta) = self.algo.initial_delta(v) else {
-                continue;
-            };
-            self.events_generated += 1;
-            self.install_resident(Event::new(v, delta, 0));
-        }
-        if self.total_occupancy() == 0 {
+            // Active slice got nothing: behave like an empty first round.
             self.phase = Phase::Quiesce;
         }
     }
@@ -604,44 +525,9 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         s
     }
 
-    /// Tears the shard down into its contribution to the merged report.
-    pub(crate) fn into_shard_partial(self) -> ShardPartial<A::Value> {
-        let slice = self.partition.slices()[self.active_slice];
-        let (start, end) = (slice.start.get() as usize, slice.end.get() as usize);
-        let mut proc_timeline = StateTimeline::new(&PROC_STATES);
-        for p in &self.procs {
-            proc_timeline.merge(&p.timeline);
-        }
-        let mut gen_timeline = StateTimeline::new(&GEN_STATES);
-        let mut cache_hits = 0;
-        let mut cache_misses = 0;
-        for u in &self.units {
-            cache_hits += u.cache.hits();
-            cache_misses += u.cache.misses();
-            for s in &u.streams {
-                gen_timeline.merge(&s.timeline);
-            }
-        }
-        ShardPartial {
-            start,
-            values: self.values[start..end].to_vec(),
-            cycles: self.now.get(),
-            rounds: self.round,
-            activations: self.slice_activations,
-            events_processed: self.events_processed,
-            events_generated: self.events_generated,
-            events_coalesced: self.events_coalesced,
-            events_exchanged: self.events_spilled,
-            ticks: self.ticks,
-            rounds_log: self.rounds_log,
-            stages: self.stages,
-            proc_timeline,
-            gen_timeline,
-            memory: self.mem.stats().clone(),
-            cache_hits,
-            cache_misses,
-            activity: self.activity,
-        }
+    /// Ticks actually executed (the shard's share of the parallel work).
+    pub(crate) fn ticks(&self) -> u64 {
+        self.ticks
     }
 
     fn tick(&mut self) {
@@ -1264,21 +1150,10 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
 
     // ---- teardown ----
 
-    fn into_outcome(self) -> Outcome {
-        let algo = self.algo;
-        let (values, report) = self.into_typed();
-        Outcome {
-            values: values.iter().map(|v| algo.value_to_f64(*v)).collect(),
-            report,
-        }
-    }
-
-    /// Tears the machine down into its typed vertex values plus the
-    /// execution report — the warm-start path keeps values typed so they
-    /// can seed the next incremental batch without an `f64` round-trip.
-    fn into_typed(self) -> (Vec<A::Value>, ExecutionReport) {
+    /// Tears the machine down into its typed vertex values (all of them,
+    /// in shard mode too) plus the execution report.
+    pub(crate) fn finish(self) -> Outcome<A::Value> {
         let cycles = self.now.get();
-        let seconds = self.cfg.cycles_to_seconds(cycles.max(1));
         let mut proc_timeline = StateTimeline::new(&PROC_STATES);
         for p in &self.procs {
             proc_timeline.merge(&p.timeline);
@@ -1293,16 +1168,10 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                 gen_timeline.merge(&s.timeline);
             }
         }
-        let energy = EnergyReport::from_activity(
-            &EnergyModel::paper(),
-            &self.activity,
-            seconds,
-            self.cfg.queue.bins,
-            self.cfg.processors,
-        );
+        let energy = EnergyReport::for_run(self.cfg, self.activity, cycles);
         let report = ExecutionReport {
             cycles,
-            seconds,
+            seconds: energy.seconds,
             rounds: self.round,
             slices: self.partition.len().max(1) as u64,
             slice_activations: self.slice_activations,
@@ -1319,7 +1188,10 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             edge_cache_misses: cache_misses,
             energy,
         };
-        (self.values, report)
+        Outcome {
+            values: self.values,
+            report,
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 use gp_mem::MemStats;
 use gp_sim::stats::{Average, StateTimeline};
 
-use crate::EnergyReport;
+use crate::{AcceleratorConfig, EnergyReport};
 
 /// Lookahead-degree buckets exactly as Fig. 8 of the paper:
 /// `0, <100, <200, <300, <400, >400`.
@@ -34,6 +34,16 @@ impl LookaheadBuckets {
             300..=399 => self.lt400 += 1,
             _ => self.ge400 += 1,
         }
+    }
+
+    /// Accumulates another distribution's counts.
+    pub fn merge(&mut self, other: &LookaheadBuckets) {
+        self.zero += other.zero;
+        self.lt100 += other.lt100;
+        self.lt200 += other.lt200;
+        self.lt300 += other.lt300;
+        self.lt400 += other.lt400;
+        self.ge400 += other.ge400;
     }
 
     /// Total events recorded.
@@ -154,6 +164,45 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
+    /// Folds another shard's report into this one (shard-parallel merge):
+    /// the clock is the slowest shard's and the round count the deepest
+    /// shard's, counters and samples add, the per-round logs add by round
+    /// index so aggregate invariants (e.g. lookahead totals) keep holding,
+    /// and `seconds` and `energy` are derived again from the merged clock
+    /// and activity. `slices` is already the shard count in every shard's
+    /// report.
+    pub(crate) fn merge(&mut self, other: ExecutionReport, cfg: &AcceleratorConfig) {
+        self.cycles = self.cycles.max(other.cycles);
+        self.rounds = self.rounds.max(other.rounds);
+        self.slice_activations += other.slice_activations;
+        self.events_processed += other.events_processed;
+        self.events_generated += other.events_generated;
+        self.events_coalesced += other.events_coalesced;
+        self.events_spilled += other.events_spilled;
+        if self.rounds_log.len() < other.rounds_log.len() {
+            self.rounds_log
+                .resize_with(other.rounds_log.len(), RoundMetrics::default);
+        }
+        for (i, (dst, r)) in self.rounds_log.iter_mut().zip(other.rounds_log).enumerate() {
+            dst.round = i as u64;
+            dst.produced += r.produced;
+            dst.coalesced_away += r.coalesced_away;
+            dst.drained += r.drained;
+            dst.remaining += r.remaining;
+            dst.lookahead.merge(&r.lookahead);
+        }
+        self.stages.merge(&other.stages);
+        self.proc_timeline.merge(&other.proc_timeline);
+        self.gen_timeline.merge(&other.gen_timeline);
+        self.memory.merge(&other.memory);
+        self.edge_cache_hits += other.edge_cache_hits;
+        self.edge_cache_misses += other.edge_cache_misses;
+        let mut activity = self.energy.activity;
+        activity.merge(&other.energy.activity);
+        self.energy = EnergyReport::for_run(cfg, activity, self.cycles);
+        self.seconds = self.energy.seconds;
+    }
+
     /// A zeroed report carrying only the four event counters — for
     /// synthesizing [`ExecutionReport::check_event_conservation`] checks
     /// over externally-maintained counters (the chaos plane's per-epoch
@@ -248,12 +297,7 @@ impl ExecutionReport {
     pub fn total_lookahead(&self) -> LookaheadBuckets {
         let mut total = LookaheadBuckets::default();
         for r in &self.rounds_log {
-            total.zero += r.lookahead.zero;
-            total.lt100 += r.lookahead.lt100;
-            total.lt200 += r.lookahead.lt200;
-            total.lt300 += r.lookahead.lt300;
-            total.lt400 += r.lookahead.lt400;
-            total.ge400 += r.lookahead.ge400;
+            total.merge(&r.lookahead);
         }
         total
     }

@@ -31,18 +31,16 @@
 
 use std::sync::Mutex;
 
+use gp_algorithms::engine::initial_state;
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::partition::Partition;
 use gp_graph::{GraphView, VertexId};
 use gp_sim::stats::StatsRegistry;
 use gp_sim::Cycle;
 
-use crate::energy::{ActivityCounters, EnergyModel, EnergyReport};
 use crate::machine::Machine;
-use crate::metrics::{ExecutionReport, RoundMetrics, StageAverages};
-use crate::metrics::{GEN_STATES, PROC_STATES};
-use crate::{GraphPulse, RunError};
-use gp_sim::stats::StateTimeline;
+use crate::metrics::ExecutionReport;
+use crate::{GraphPulse, Outcome, RunError};
 
 /// Deterministic disturbance-and-watchdog plan for the shard-parallel
 /// engine, used by the chaos plane (`gp-chaos`).
@@ -67,36 +65,17 @@ pub struct ParallelChaos {
     pub epoch_budget: Option<u64>,
 }
 
-/// Result of a parallel run: the merged [`Outcome`](crate::Outcome) fields
-/// plus the barrier-merged counter registry.
+/// Result of a parallel run: the merged [`Outcome`] fields plus the
+/// barrier-merged counter registry. Every field is bit-identical for any
+/// worker count.
+///
+/// [`GraphPulse::run_parallel`] projects the values to `f64` (the default
+/// `V`); [`GraphPulse::run_parallel_seeded`] keeps them in the algorithm's
+/// typed representation so a stream of update batches can be re-fed without
+/// lossy round-trips.
 #[derive(Debug, Clone)]
-pub struct ParallelOutcome {
-    /// Final vertex values projected to `f64` (bit-identical across worker
-    /// counts).
-    pub values: Vec<f64>,
-    /// Merged measurement report; `cycles` is the slowest shard's clock.
-    pub report: ExecutionReport,
-    /// Snapshot of the epoch-merged [`StatsRegistry`] in name order.
-    pub stats: Vec<(&'static str, u64)>,
-    /// Number of epoch barriers executed.
-    pub epochs: u64,
-    /// Number of shards the graph was split into.
-    pub shards: usize,
-    /// Simulation ticks each shard actually executed (its share of the
-    /// parallel work). Like every other field this is identical for any
-    /// worker count, so `sum / max-per-worker-chunk` is a host-independent
-    /// measure of the speedup a sufficiently parallel machine realizes.
-    pub shard_ticks: Vec<u64>,
-}
-
-/// Result of a warm-start parallel run
-/// ([`GraphPulse::run_parallel_seeded`]): the [`ParallelOutcome`] fields
-/// with vertex values kept in the algorithm's typed representation so a
-/// stream of update batches can be re-fed without lossy `f64` round-trips.
-/// Carries the same bit-determinism guarantee across worker counts.
-#[derive(Debug, Clone)]
-pub struct ParallelSeededOutcome<V> {
-    /// Final typed vertex values (bit-identical across worker counts).
+pub struct ParallelOutcome<V = f64> {
+    /// Final vertex values.
     pub values: Vec<V>,
     /// Merged measurement report; `cycles` is the slowest shard's clock.
     pub report: ExecutionReport,
@@ -106,8 +85,21 @@ pub struct ParallelSeededOutcome<V> {
     pub epochs: u64,
     /// Number of shards the graph was split into.
     pub shards: usize,
-    /// Simulation ticks each shard executed.
+    /// Simulation ticks each shard actually executed (its share of the
+    /// parallel work), so `sum / max-per-worker-chunk` is a
+    /// host-independent measure of the speedup a sufficiently parallel
+    /// machine realizes.
     pub shard_ticks: Vec<u64>,
+}
+
+/// Drops the barrier diagnostics: a parallel run is a run.
+impl<V> From<ParallelOutcome<V>> for Outcome<V> {
+    fn from(out: ParallelOutcome<V>) -> Self {
+        Outcome {
+            values: out.values,
+            report: out.report,
+        }
+    }
 }
 
 impl GraphPulse {
@@ -130,10 +122,11 @@ impl GraphPulse {
         self.run_parallel_chaos(graph, algo, ParallelChaos::default())
     }
 
-    /// Runs `algo` on `graph` with the shard-parallel engine under a
-    /// [`ParallelChaos`] plan (stall injection and/or epoch-budget
-    /// watchdog). [`GraphPulse::run_parallel`] is this with the default
-    /// (empty) plan.
+    /// Runs `algo` on `graph` from a cold start — the [`initial_state`]
+    /// values and seed set, values projected to `f64` — with the
+    /// shard-parallel engine under a [`ParallelChaos`] plan (stall
+    /// injection and/or epoch-budget watchdog).
+    /// [`GraphPulse::run_parallel`] is this with the default (empty) plan.
     ///
     /// # Errors
     ///
@@ -145,7 +138,8 @@ impl GraphPulse {
         algo: &A,
         chaos: ParallelChaos,
     ) -> Result<ParallelOutcome, RunError> {
-        let out = self.run_parallel_inner(graph, algo, None, chaos)?;
+        let (values, seeds) = initial_state(algo, graph);
+        let out = self.run_parallel_inner(graph, algo, values, &seeds, chaos)?;
         Ok(ParallelOutcome {
             values: out.values.iter().map(|&v| algo.value_to_f64(v)).collect(),
             report: out.report,
@@ -156,14 +150,13 @@ impl GraphPulse {
         })
     }
 
-    /// Runs `algo` from explicit warm-start state with the shard-parallel
-    /// engine: `values` holds the per-vertex states to resume from and
-    /// `seeds` the events injected instead of the cold-start initial-delta
-    /// sweep. Every shard receives the full seed list and installs only
-    /// its resident vertices' events, so the seeding — like the epoch
-    /// exchange — is independent of the worker count and the determinism
-    /// guarantee of [`crate::parallel`] carries over unchanged to
-    /// incremental recomputation.
+    /// Runs `algo` from explicit state with the shard-parallel engine:
+    /// `values` holds the per-vertex states to start from and `seeds` the
+    /// events loaded before the first epoch. Every shard receives the full
+    /// seed list and installs only its resident vertices' events, so the
+    /// seeding — like the epoch exchange — is independent of the worker
+    /// count and the determinism guarantee of [`crate::parallel`] carries
+    /// over unchanged to incremental recomputation.
     ///
     /// # Errors
     ///
@@ -179,21 +172,19 @@ impl GraphPulse {
         algo: &A,
         values: Vec<A::Value>,
         seeds: &[(VertexId, A::Delta)],
-    ) -> Result<ParallelSeededOutcome<A::Value>, RunError> {
-        self.run_parallel_inner(graph, algo, Some((values, seeds)), ParallelChaos::default())
+    ) -> Result<ParallelOutcome<A::Value>, RunError> {
+        self.run_parallel_inner(graph, algo, values, seeds, ParallelChaos::default())
     }
 
-    /// Shared driver behind the cold-start and warm-start parallel paths;
-    /// `seed` selects between the per-shard initial-delta sweep (`None`)
-    /// and explicit warm-start state.
-    #[allow(clippy::type_complexity)]
+    /// The epoch-barrier driver every parallel entry point runs.
     fn run_parallel_inner<A: DeltaAlgorithm, G: GraphView + Sync>(
         &self,
         graph: &G,
         algo: &A,
-        seed: Option<(Vec<A::Value>, &[(VertexId, A::Delta)])>,
+        values: Vec<A::Value>,
+        seeds: &[(VertexId, A::Delta)],
         chaos: ParallelChaos,
-    ) -> Result<ParallelSeededOutcome<A::Value>, RunError> {
+    ) -> Result<ParallelOutcome<A::Value>, RunError> {
         let cfg = self.config();
         cfg.validate().map_err(RunError::InvalidConfig)?;
         let pc = cfg.parallel;
@@ -216,11 +207,10 @@ impl GraphPulse {
         let shard_count = partition.len();
         if shard_count == 0 {
             // Empty graph (zero vertices): the sequential path already
-            // handles it, and there are no typed values to carry.
-            let out = self.run(graph, algo)?;
-            debug_assert!(out.values.is_empty());
-            return Ok(ParallelSeededOutcome {
-                values: Vec::new(),
+            // handles it.
+            let out = self.run_seeded(graph, algo, values, seeds)?;
+            return Ok(ParallelOutcome {
+                values: out.values,
                 report: out.report,
                 stats: Vec::new(),
                 epochs: 0,
@@ -230,21 +220,13 @@ impl GraphPulse {
         }
 
         let mut machines: Vec<Machine<'_, A, G>> = (0..shard_count)
-            .map(|s| Machine::new_shard(cfg, graph, algo, partition.clone(), s))
+            .map(|s| {
+                let mut m =
+                    Machine::new_shard(cfg, graph, algo, values.clone(), partition.clone(), s);
+                m.seed_events(seeds);
+                m
+            })
             .collect();
-        match &seed {
-            None => {
-                for m in &mut machines {
-                    m.seed_shard_events();
-                }
-            }
-            Some((values, seeds)) => {
-                for m in &mut machines {
-                    m.set_values(values.clone());
-                    m.seed_events(seeds);
-                }
-            }
-        }
 
         let registry = StatsRegistry::new();
         let workers = pc.workers.clamp(1, shard_count);
@@ -349,113 +331,35 @@ impl GraphPulse {
             registry.absorb(m.drain_epoch_stats());
         }
 
-        Ok(self.merge_outcome(graph, machines, registry, epochs, shard_count))
+        Ok(self.merge_outcome(&partition, machines, registry, epochs))
     }
 
     fn merge_outcome<A: DeltaAlgorithm, G: GraphView>(
         &self,
-        graph: &G,
+        partition: &Partition,
         machines: Vec<Machine<'_, A, G>>,
         registry: StatsRegistry,
         epochs: u64,
-        shards: usize,
-    ) -> ParallelSeededOutcome<A::Value> {
-        let cfg = self.config();
-        let mut values: Vec<A::Value> = Vec::with_capacity(graph.num_vertices());
-        let mut cycles = 0u64;
-        let mut rounds = 0u64;
-        let mut activations = 0u64;
-        let mut processed = 0u64;
-        let mut generated = 0u64;
-        let mut coalesced = 0u64;
-        let mut exchanged = 0u64;
-        let mut rounds_log: Vec<RoundMetrics> = Vec::new();
-        let mut stages = StageAverages::default();
-        let mut proc_timeline = StateTimeline::new(&PROC_STATES);
-        let mut gen_timeline = StateTimeline::new(&GEN_STATES);
-        let mut memory = gp_mem::MemStats::default();
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut activity = ActivityCounters::default();
+    ) -> ParallelOutcome<A::Value> {
+        let shards = machines.len();
+        let mut values: Vec<A::Value> = Vec::new();
+        let mut report: Option<ExecutionReport> = None;
         let mut shard_ticks = Vec::with_capacity(shards);
-
-        for machine in machines {
-            let part = machine.into_shard_partial();
-            shard_ticks.push(part.ticks);
-            // Shards are contiguous and visited in order, so their value
-            // slices concatenate to the full typed vector.
-            debug_assert_eq!(part.start, values.len());
-            values.extend(part.values);
-            cycles = cycles.max(part.cycles);
-            rounds = rounds.max(part.rounds);
-            activations += part.activations;
-            processed += part.events_processed;
-            generated += part.events_generated;
-            coalesced += part.events_coalesced;
-            exchanged += part.events_exchanged;
-            // Align per-shard round logs by round index so aggregate
-            // invariants (e.g. lookahead totals) keep holding.
-            if rounds_log.len() < part.rounds_log.len() {
-                rounds_log.resize_with(part.rounds_log.len(), RoundMetrics::default);
+        for (machine, slice) in machines.into_iter().zip(partition.slices()) {
+            shard_ticks.push(machine.ticks());
+            let out = machine.finish();
+            // Shards are contiguous and visited in order, so the slices
+            // they own concatenate to the full typed vector.
+            debug_assert_eq!(slice.start.index(), values.len());
+            values.extend_from_slice(&out.values[slice.start.index()..slice.end.index()]);
+            match &mut report {
+                None => report = Some(out.report),
+                Some(merged) => merged.merge(out.report, self.config()),
             }
-            for (i, r) in part.rounds_log.into_iter().enumerate() {
-                let dst = &mut rounds_log[i];
-                dst.round = i as u64;
-                dst.produced += r.produced;
-                dst.coalesced_away += r.coalesced_away;
-                dst.drained += r.drained;
-                dst.remaining += r.remaining;
-                dst.lookahead.zero += r.lookahead.zero;
-                dst.lookahead.lt100 += r.lookahead.lt100;
-                dst.lookahead.lt200 += r.lookahead.lt200;
-                dst.lookahead.lt300 += r.lookahead.lt300;
-                dst.lookahead.lt400 += r.lookahead.lt400;
-                dst.lookahead.ge400 += r.lookahead.ge400;
-            }
-            stages.merge(&part.stages);
-            proc_timeline.merge(&part.proc_timeline);
-            gen_timeline.merge(&part.gen_timeline);
-            memory.merge(&part.memory);
-            cache_hits += part.cache_hits;
-            cache_misses += part.cache_misses;
-            activity.queue_reads += part.activity.queue_reads;
-            activity.queue_writes += part.activity.queue_writes;
-            activity.coalesce_ops += part.activity.coalesce_ops;
-            activity.scratchpad_accesses += part.activity.scratchpad_accesses;
-            activity.network_flits += part.activity.network_flits;
-            activity.proc_ops += part.activity.proc_ops;
         }
-
-        let seconds = cfg.cycles_to_seconds(cycles.max(1));
-        let energy = EnergyReport::from_activity(
-            &EnergyModel::paper(),
-            &activity,
-            seconds,
-            cfg.queue.bins,
-            cfg.processors,
-        );
-        let report = ExecutionReport {
-            cycles,
-            seconds,
-            rounds,
-            slices: shards as u64,
-            slice_activations: activations,
-            events_processed: processed,
-            events_generated: generated,
-            events_coalesced: coalesced,
-            events_spilled: exchanged,
-            rounds_log,
-            stages,
-            proc_timeline,
-            gen_timeline,
-            memory,
-            edge_cache_hits: cache_hits,
-            edge_cache_misses: cache_misses,
-            energy,
-        };
-        ParallelSeededOutcome {
+        ParallelOutcome {
             values,
-            report,
+            report: report.expect("at least one shard"),
             stats: registry.snapshot(),
             epochs,
             shards,

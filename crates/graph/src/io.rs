@@ -1,4 +1,5 @@
-//! Graph serialization: text edge lists and a compact binary format.
+//! Graph serialization: text edge lists, and the error type every graph
+//! reader (these and the binary [`container`](crate::container)) returns.
 
 use std::error::Error;
 use std::fmt;
@@ -6,52 +7,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 
 use crate::{CsrGraph, GraphBuilder, VertexId};
 
-/// Little-endian cursor over a byte slice for the binary decoder.
-struct Cursor<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Cursor { data }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len()
-    }
-
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], ReadGraphError> {
-        if self.data.len() < N {
-            return Err(ReadGraphError::Truncated);
-        }
-        let (head, rest) = self.data.split_at(N);
-        self.data = rest;
-        Ok(head.try_into().expect("split_at guarantees length"))
-    }
-
-    fn get_u8(&mut self) -> Result<u8, ReadGraphError> {
-        Ok(self.take::<1>()?[0])
-    }
-
-    fn get_u16_le(&mut self) -> Result<u16, ReadGraphError> {
-        Ok(u16::from_le_bytes(self.take()?))
-    }
-
-    fn get_u32_le(&mut self) -> Result<u32, ReadGraphError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    fn get_u64_le(&mut self) -> Result<u64, ReadGraphError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    fn get_f32_le(&mut self) -> Result<f32, ReadGraphError> {
-        Ok(f32::from_le_bytes(self.take()?))
-    }
-}
-
-/// Errors produced while reading graph files (the text/binary codecs here
-/// and the mmap-able [`container`](crate::container) format).
+/// Errors produced while reading graph files (the text codec here and the
+/// mmap-able [`container`](crate::container) format).
 #[derive(Debug)]
 pub enum ReadGraphError {
     /// Underlying I/O failure.
@@ -201,96 +158,6 @@ pub fn write_edge_list<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Re
     Ok(())
 }
 
-const MAGIC: u32 = 0x4750_4C53; // "GPLS"
-
-/// Encodes a graph into the compact binary format.
-///
-/// Layout: magic, version, vertex count, edge count, weighted flag, then
-/// `(src, dst[, weight])` triples in CSR order, little-endian.
-pub fn encode_binary(graph: &CsrGraph) -> Vec<u8> {
-    let weighted = graph.is_weighted();
-    let mut buf = Vec::with_capacity(20 + graph.num_edges() * if weighted { 12 } else { 8 });
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&1u16.to_le_bytes()); // version
-    buf.push(u8::from(weighted));
-    buf.push(0); // reserved
-    buf.extend_from_slice(&(graph.num_vertices() as u32).to_le_bytes());
-    buf.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
-    for v in graph.vertices() {
-        for e in graph.out_edges(v) {
-            buf.extend_from_slice(&v.get().to_le_bytes());
-            buf.extend_from_slice(&e.other.get().to_le_bytes());
-            if weighted {
-                buf.extend_from_slice(&e.weight.to_le_bytes());
-            }
-        }
-    }
-    buf
-}
-
-/// Decodes a graph from the binary format produced by [`encode_binary`].
-///
-/// The payload is fully validated *before* any graph is constructed:
-/// unknown versions are rejected, every endpoint must be in range (the
-/// edge-index bounds a CSR decode would otherwise trust), and sources must
-/// arrive in non-decreasing CSR order (the flat-triple analog of
-/// row-pointer monotonicity). Malformed payloads therefore return a typed
-/// error instead of panicking inside the builder.
-///
-/// # Errors
-///
-/// [`ReadGraphError::BadMagic`], [`ReadGraphError::BadVersion`],
-/// [`ReadGraphError::Truncated`], or [`ReadGraphError::Corrupt`].
-pub fn decode_binary(data: &[u8]) -> Result<CsrGraph, ReadGraphError> {
-    let mut data = Cursor::new(data);
-    if data.remaining() < 20 {
-        return Err(ReadGraphError::Truncated);
-    }
-    if data.get_u32_le()? != MAGIC {
-        return Err(ReadGraphError::BadMagic);
-    }
-    let version = data.get_u16_le()?;
-    if version != 1 {
-        return Err(ReadGraphError::BadVersion(version));
-    }
-    let weighted = data.get_u8()? != 0;
-    let _reserved = data.get_u8()?;
-    let n = data.get_u32_le()? as usize;
-    let m = data.get_u64_le()? as usize;
-    let record = if weighted { 12 } else { 8 };
-    if data.remaining() < m * record {
-        return Err(ReadGraphError::Truncated);
-    }
-    let mut edges = Vec::with_capacity(m);
-    let mut prev_src = 0u32;
-    for i in 0..m {
-        let src = data.get_u32_le()?;
-        let dst = data.get_u32_le()?;
-        let w = if weighted { data.get_f32_le()? } else { 1.0 };
-        if (src as usize) >= n || (dst as usize) >= n {
-            return Err(ReadGraphError::Corrupt(format!(
-                "edge {i} ({src} -> {dst}) references a vertex >= {n}"
-            )));
-        }
-        if src < prev_src {
-            return Err(ReadGraphError::Corrupt(format!(
-                "edge {i}: source {src} after {prev_src} breaks CSR order \
-                 (row pointers would not be monotone)"
-            )));
-        }
-        prev_src = src;
-        edges.push((src, dst, w));
-    }
-    let mut b = GraphBuilder::new(n);
-    b.weighted(weighted);
-    // Encoded graphs are already deduplicated CSR dumps.
-    b.dedup(false).drop_self_loops(false);
-    for (src, dst, w) in edges {
-        b.add_edge(VertexId::new(src), VertexId::new(dst), w);
-    }
-    Ok(b.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,71 +187,6 @@ mod tests {
                 assert_eq!(x.other, y.other);
                 assert!((x.weight - y.weight).abs() < 1e-4);
             }
-        }
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let g = erdos_renyi(50, 200, WeightMode::Uniform(0.5, 2.0), 9);
-        let bytes = encode_binary(&g);
-        let g2 = decode_binary(&bytes).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(matches!(
-            decode_binary(&[0u8; 4]),
-            Err(ReadGraphError::Truncated)
-        ));
-        let mut bad = encode_binary(&erdos_renyi(4, 4, WeightMode::Unweighted, 0)).to_vec();
-        bad[0] ^= 0xFF;
-        assert!(matches!(decode_binary(&bad), Err(ReadGraphError::BadMagic)));
-    }
-
-    #[test]
-    fn binary_detects_truncation() {
-        let bytes = encode_binary(&erdos_renyi(10, 30, WeightMode::Unweighted, 1));
-        let cut = &bytes[..bytes.len() - 3];
-        assert!(matches!(decode_binary(cut), Err(ReadGraphError::Truncated)));
-    }
-
-    /// 3 vertices, edges `0 -> 1`, `1 -> 2`; records start at byte 20,
-    /// 8 bytes each (`src` then `dst`).
-    fn small_encoded() -> Vec<u8> {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(VertexId::new(0), VertexId::new(1), 1.0);
-        b.add_edge(VertexId::new(1), VertexId::new(2), 1.0);
-        encode_binary(&b.build())
-    }
-
-    #[test]
-    fn binary_rejects_unknown_version() {
-        let mut bytes = small_encoded();
-        bytes[4..6].copy_from_slice(&9u16.to_le_bytes());
-        assert!(matches!(
-            decode_binary(&bytes),
-            Err(ReadGraphError::BadVersion(9))
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_out_of_range_edges() {
-        let mut bytes = small_encoded();
-        bytes[24..28].copy_from_slice(&7u32.to_le_bytes()); // dst of edge 0
-        match decode_binary(&bytes) {
-            Err(ReadGraphError::Corrupt(msg)) => assert!(msg.contains("vertex >= 3"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn binary_rejects_non_monotone_sources() {
-        let mut bytes = small_encoded();
-        bytes[20..24].copy_from_slice(&2u32.to_le_bytes()); // src of edge 0
-        match decode_binary(&bytes) {
-            Err(ReadGraphError::Corrupt(msg)) => assert!(msg.contains("monotone"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

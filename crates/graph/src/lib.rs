@@ -18,7 +18,7 @@
 //!   backends iterate through,
 //! * [`OverlayGraph`] — a mutable delta-overlay over the CSR for streaming
 //!   edge updates, with threshold-triggered compaction,
-//! * [`io`] — text and binary edge-list formats,
+//! * [`io`] — the text edge-list format,
 //! * [`container`] — the on-disk, mmap-able CSR container and
 //!   [`MappedCsr`], the out-of-core [`GraphView`] for graphs beyond
 //!   resident memory.

@@ -76,17 +76,6 @@ fn partitions_tile_exactly() {
 }
 
 #[test]
-fn binary_io_round_trips() {
-    let mut rng = StdRng::seed_from_u64(0xC4);
-    for _ in 0..64 {
-        let g = random_generated(&mut rng);
-        let bytes = io::encode_binary(&g);
-        let back = io::decode_binary(&bytes).unwrap();
-        assert_eq!(g, back);
-    }
-}
-
-#[test]
 fn text_io_round_trips_topology() {
     let mut rng = StdRng::seed_from_u64(0xC5);
     for _ in 0..64 {

@@ -16,10 +16,11 @@
 //! EPOCH                          -> OK <current epoch>
 //! ```
 //!
-//! Any rejection or parse failure answers `ERR <reason>` and keeps the
-//! connection open; an empty line closes it. One thread per connection
-//! (std-only, no async runtime), which is plenty for a management-plane
-//! protocol — bulk traffic uses the in-process API.
+//! `<weight>` must be finite and `> 0`. Any rejection or parse failure
+//! answers `ERR <reason>` and keeps the connection open; an empty line
+//! closes it. One thread per connection (std-only, no async runtime),
+//! which is plenty for a management-plane protocol — bulk traffic uses the
+//! in-process API.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -142,11 +143,7 @@ fn dispatch(line: &str, client: &ServeClient, updater: &Updater) -> Result<Strin
                 Some("insert") => EdgeUpdate::Insert {
                     src: parse_vertex(words.next(), client)?,
                     dst: parse_vertex(words.next(), client)?,
-                    weight: words
-                        .next()
-                        .ok_or("usage: U insert <src> <dst> <weight>")?
-                        .parse::<f32>()
-                        .map_err(|e| format!("bad weight: {e}"))?,
+                    weight: parse_weight(words.next())?,
                 },
                 Some("delete") => EdgeUpdate::Delete {
                     src: parse_vertex(words.next(), client)?,
@@ -211,6 +208,20 @@ fn parse_vertex(word: Option<&str>, client: &ServeClient) -> Result<VertexId, St
     }
 }
 
+/// Edge weights must be finite and positive — the precondition the path
+/// classes' incremental re-convergence documents (`Sssp`'s
+/// `IncrementalAlgorithm` impl). A negative cycle would keep every later
+/// SSSP run on the epoch from terminating and wedge its executor lane.
+fn parse_weight(word: Option<&str>) -> Result<f32, String> {
+    let w = word.ok_or("usage: U insert <src> <dst> <weight>")?;
+    let weight: f32 = w.parse().map_err(|e| format!("bad weight: {e}"))?;
+    if weight.is_finite() && weight > 0.0 {
+        Ok(weight)
+    } else {
+        Err(format!("bad weight: {w} is not finite and > 0"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,10 +266,18 @@ mod tests {
         assert_eq!(ask("U insert 0 99 2.5"), "OK update queued");
         let r = ask("U teleport 1 2");
         assert!(r.starts_with("ERR usage"), "unexpected reply {r:?}");
+        // A weight the path algorithms cannot take never reaches the
+        // overlay, and the lane keeps answering.
+        for weight in ["nan", "-1", "0", "inf"] {
+            let r = ask(&format!("U insert 0 1 {weight}"));
+            assert!(r.starts_with("ERR bad weight"), "{weight}: reply {r:?}");
+            let r = ask("Q default sssp 0 17");
+            assert!(r.starts_with("OK "), "{weight}: reply {r:?}");
+        }
 
         drop(front);
         let stats = handle.shutdown();
-        assert_eq!(stats.served, 2);
+        assert_eq!(stats.served, 6);
         assert!(stats.update_batches >= 1);
     }
 }

@@ -52,7 +52,7 @@ use gp_algorithms::{incremental_seeds, IncrementalAlgorithm};
 use gp_graph::generators::WeightMode;
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, EdgeUpdate, GraphView, OverlayGraph, VertexId};
-use graphpulse_core::{AcceleratorConfig, GraphPulse, RunError};
+use graphpulse_core::{AcceleratorConfig, GraphPulse, Outcome, RunError};
 
 /// Which execution engine re-converges the dirty frontier after a batch.
 #[derive(Debug, Clone)]
@@ -217,10 +217,7 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
             Backend::Accelerator(cfg) => {
                 let accel = GraphPulse::new(cfg.as_ref().clone());
                 let out = accel.run_seeded(&self.graph, &self.algo, self.values.clone(), seeds)?;
-                self.values = out.values;
-                report.events_processed = out.report.events_processed;
-                report.events_generated = out.report.events_generated;
-                report.cycles = out.report.cycles;
+                report = self.adopt(out);
             }
             Backend::Parallel(cfg) => {
                 let accel = GraphPulse::new(cfg.as_ref().clone());
@@ -230,10 +227,7 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
                     self.values.clone(),
                     seeds,
                 )?;
-                self.values = out.values;
-                report.events_processed = out.report.events_processed;
-                report.events_generated = out.report.events_generated;
-                report.cycles = out.report.cycles;
+                report = self.adopt(out.into());
             }
             Backend::Turbo(cfg) => {
                 let out = gp_turbo::run_turbo_seeded(
@@ -248,6 +242,18 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
             }
         }
         Ok(report)
+    }
+
+    /// Takes over a cycle-model run's re-converged values; the returned
+    /// report carries its event counts and clock.
+    fn adopt(&mut self, out: Outcome<A::Value>) -> BatchReport {
+        self.values = out.values;
+        BatchReport {
+            events_processed: out.report.events_processed,
+            events_generated: out.report.events_generated,
+            cycles: out.report.cycles,
+            ..BatchReport::default()
+        }
     }
 
     /// The algorithm.
@@ -451,9 +457,10 @@ mod tests {
                 let batch = stream.next_batch(via_turbo.graph(), 24);
                 via_turbo.apply_batch(&batch).expect("turbo");
                 via_golden.apply_batch(&batch).expect("golden");
-                let t: Vec<u64> = via_turbo.values().iter().map(|v| v.to_bits()).collect();
-                let g: Vec<u64> = via_golden.values().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(t, g, "turbo incremental diverged from golden");
+                assert!(
+                    gp_algorithms::same_bits(&via_turbo.values(), &via_golden.values()),
+                    "turbo incremental diverged from golden"
+                );
             }
         }
         run_pair(Sssp::new(VertexId::new(0)), 31);

@@ -689,7 +689,8 @@ mod tests {
     use super::*;
     use gp_algorithms::engine::run_sequential;
     use gp_algorithms::{
-        Adsorption, AdsorptionParams, Bfs, ConnectedComponents, PageRankDelta, Sssp, Sswp,
+        same_bits, Adsorption, AdsorptionParams, Bfs, ConnectedComponents, PageRankDelta, Sssp,
+        Sswp,
     };
     use gp_graph::generators::{erdos_renyi, rmat, RmatConfig, WeightMode};
     use gp_graph::{EdgeRef, GraphBuilder};
@@ -766,8 +767,7 @@ mod tests {
         };
         let a = run_turbo(&pr, &g, &cfg);
         let b = run_turbo(&pr, &g, &cfg);
-        let bits = |o: &TurboOutcome| o.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
+        assert!(same_bits(&a.values, &b.values));
         assert_eq!(a.render_log(), b.render_log());
     }
 
@@ -798,8 +798,10 @@ mod tests {
                 base.render_log(),
                 "{shards} shards: log diverged"
             );
-            let bits = |o: &TurboOutcome| o.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out), bits(&base), "{shards} shards: values diverged");
+            assert!(
+                same_bits(&out.values, &base.values),
+                "{shards} shards: values diverged"
+            );
         }
     }
 

@@ -23,8 +23,8 @@
 
 use gp_algorithms::engine::run_sequential;
 use gp_algorithms::{
-    max_abs_diff, Adsorption, AdsorptionParams, Bfs, ConnectedComponents, DeltaAlgorithm,
-    IncrementalAlgorithm, PageRankDelta, Sssp, Sswp,
+    max_abs_diff, same_bits, Adsorption, AdsorptionParams, Bfs, ConnectedComponents,
+    DeltaAlgorithm, IncrementalAlgorithm, PageRankDelta, Sssp, Sswp,
 };
 use gp_chaos::{run_chaos, ChaosConfig, FaultPlan};
 use gp_graph::container::write_container;
@@ -230,11 +230,7 @@ where
         &golden.values,
         tol,
     )?;
-    if t1
-        .values
-        .iter()
-        .map(|v| v.to_bits())
-        .ne(t2.values.iter().map(|v| v.to_bits()))
+    if !same_bits(&t1.values, &t2.values)
         || t1.events_processed != t2.events_processed
         || t1.events_generated != t2.events_generated
         || t1.rounds != t2.rounds
@@ -268,11 +264,7 @@ where
                 ..turbo_cfg
             },
         );
-        if ts
-            .values
-            .iter()
-            .map(|v| v.to_bits())
-            .ne(t1.values.iter().map(|v| v.to_bits()))
+        if !same_bits(&ts.values, &t1.values)
             || ts.events_processed != t1.events_processed
             || ts.events_generated != t1.events_generated
             || ts.events_coalesced != t1.events_coalesced
@@ -316,11 +308,7 @@ where
         &golden.values,
         tol,
     )?;
-    if first
-        .values
-        .iter()
-        .map(|v| v.to_bits())
-        .ne(second.values.iter().map(|v| v.to_bits()))
+    if !same_bits(&first.values, &second.values)
         || first.report.cycles != second.report.cycles
         || first.report.edge_cache_hits != second.report.edge_cache_hits
         || first.report.edge_cache_misses != second.report.edge_cache_misses
@@ -382,11 +370,7 @@ where
     }
     let (_, base) = &outcomes[0];
     for (workers, out) in &outcomes[1..] {
-        let same_values = base
-            .values
-            .iter()
-            .map(|v| v.to_bits())
-            .eq(out.values.iter().map(|v| v.to_bits()));
+        let same_values = same_bits(&base.values, &out.values);
         if !same_values
             || base.report.cycles != out.report.cycles
             || base.report.events_processed != out.report.events_processed
@@ -482,11 +466,7 @@ where
 
     let golden = run_sequential(algo, g);
     let ooc = run_sequential(algo, &mapped);
-    if ooc
-        .values
-        .iter()
-        .map(|v| v.to_bits())
-        .ne(golden.values.iter().map(|v| v.to_bits()))
+    if !same_bits(&ooc.values, &golden.values)
         || ooc.events_processed != golden.events_processed
         || ooc.events_generated != golden.events_generated
     {
@@ -507,11 +487,7 @@ where
     let tcfg = TurboConfig::default();
     let t_resident = run_turbo(algo, g, &tcfg);
     let t_mapped = run_turbo(algo, &mapped, &tcfg);
-    if t_mapped
-        .values
-        .iter()
-        .map(|v| v.to_bits())
-        .ne(t_resident.values.iter().map(|v| v.to_bits()))
+    if !same_bits(&t_mapped.values, &t_resident.values)
         || t_mapped.events_processed != t_resident.events_processed
         || t_mapped.events_generated != t_resident.events_generated
         || t_mapped.rounds != t_resident.rounds
@@ -572,11 +548,7 @@ where
             ),
         ));
     }
-    if clean
-        .values
-        .iter()
-        .map(|v| v.to_bits())
-        .ne(golden.values.iter().map(|v| v.to_bits()))
+    if !same_bits(&clean.values, &golden.values)
         || clean.events_processed != golden.events_processed
         || clean.events_generated != golden.events_generated
     {

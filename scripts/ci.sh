@@ -14,6 +14,13 @@ if grep -rnE 'fn (out|in)_edge\(' crates/*/src; then
   echo "per-edge accessor reintroduced: read the row with out_edges(v) / in_edges(v)"; exit 1
 fi
 
+echo "== one way to start and tear down a run (no cold/typed twins, no second codec) =="
+# A cold start is the seeded run from initial_state, a parallel report is
+# the shards' reports merged, and GPC1 is the only binary graph format.
+if grep -rnE 'fn seed_(initial|shard)_events|struct (Parallel)?SeededOutcome|struct ShardPartial|fn (en|de)code_binary' crates/*/src; then
+  echo "deleted twin reintroduced: seed through seed_events, return Outcome<V> / ParallelOutcome<V>, merge through ExecutionReport::merge"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
