@@ -194,11 +194,6 @@ impl DeltaAlgorithm for Adsorption {
         (new - old).abs()
     }
 
-    /// Big label-mass deltas first, like PageRank-Delta (§V).
-    fn urgency(&self, delta: f64) -> f64 {
-        delta.abs()
-    }
-
     fn value_to_f64(&self, v: f64) -> f64 {
         v
     }

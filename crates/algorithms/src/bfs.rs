@@ -95,12 +95,6 @@ impl DeltaAlgorithm for Bfs {
         }
     }
 
-    /// Shallower frontiers first: breadth order, which settles each level
-    /// before deeper tentative depths can circulate.
-    fn urgency(&self, delta: u32) -> f64 {
-        -f64::from(delta)
-    }
-
     fn value_to_f64(&self, v: u32) -> f64 {
         if v == UNREACHED {
             f64::INFINITY

@@ -85,12 +85,6 @@ impl DeltaAlgorithm for ConnectedComponents {
         }
     }
 
-    /// Larger labels first: only the component's eventual maximum survives,
-    /// so spreading big labels early kills smaller waves before they spread.
-    fn urgency(&self, delta: i64) -> f64 {
-        delta as f64
-    }
-
     fn value_to_f64(&self, v: i64) -> f64 {
         v as f64
     }

@@ -11,8 +11,11 @@ use gp_graph::{EdgeRef, VertexId};
 /// a *propagate* function producing per-edge contributions, initialization
 /// values, and a local termination condition. Every execution backend in
 /// this workspace — the sequential golden engine, the BSP engine, the
-/// Ligra-style baseline, the Graphicionado model, and the GraphPulse
-/// accelerator itself — runs any type implementing this trait.
+/// Ligra-style baseline, the Graphicionado model, the turbo sweep engine
+/// and the GraphPulse accelerator itself — runs any type implementing this
+/// trait. No method is a scheduling hint: the order events drain in is
+/// each backend's own business, and the reordering property below is what
+/// lets them differ.
 ///
 /// # Contract (the two properties of §II-B)
 ///
@@ -91,20 +94,6 @@ pub trait DeltaAlgorithm: Send + Sync {
     /// terminates only when the event queue empties.
     fn global_threshold(&self) -> Option<f64> {
         None
-    }
-
-    /// Scheduling urgency of a pending (already-coalesced) delta: larger
-    /// values ask to be drained sooner.
-    ///
-    /// Purely a performance hint for throughput backends that drain events
-    /// in priority buckets (the paper's §V observation: processing large
-    /// deltas first compounds more work per event and converges faster).
-    /// The reordering property of §II-B guarantees any drain order reaches
-    /// the same fixed point, so implementations are free to return a crude
-    /// estimate — or keep the default constant, which degrades scheduling
-    /// to arrival order. Must never return NaN.
-    fn urgency(&self, _delta: Self::Delta) -> f64 {
-        0.0
     }
 
     /// Projects a final vertex state to `f64` for reporting and comparison.

@@ -150,12 +150,6 @@ impl DeltaAlgorithm for PageRankDelta {
         None
     }
 
-    /// Big residual-mass deltas first (§V): each carries more not-yet-spread
-    /// rank, so draining them early compounds more work per event.
-    fn urgency(&self, delta: f64) -> f64 {
-        delta.abs()
-    }
-
     fn value_to_f64(&self, v: f64) -> f64 {
         v
     }

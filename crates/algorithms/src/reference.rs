@@ -327,7 +327,7 @@ mod tests {
         let g = gp_graph::generators::watts_strogatz(150, 2, 0.3, WeightMode::Unweighted, 3);
         let labels = cc_labels(&g);
         let mut distinct: Vec<u64> = labels.iter().map(|l| *l as u64).collect();
-        distinct.sort_unstable();
+        distinct.sort();
         distinct.dedup();
         assert_eq!(distinct.len(), count_components_union_find(&g));
     }

@@ -95,12 +95,6 @@ impl DeltaAlgorithm for Sssp {
         }
     }
 
-    /// Smaller tentative distances first — Dijkstra's order, which settles
-    /// vertices near the root before their longer alternatives arrive.
-    fn urgency(&self, delta: f64) -> f64 {
-        -delta
-    }
-
     fn value_to_f64(&self, v: f64) -> f64 {
         v
     }

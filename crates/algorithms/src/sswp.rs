@@ -93,12 +93,6 @@ impl DeltaAlgorithm for Sswp {
         (new - old).max(0.0)
     }
 
-    /// Wider tentative paths first — the max-propagation mirror of
-    /// Dijkstra's order: narrower alternatives die before spreading.
-    fn urgency(&self, delta: f64) -> f64 {
-        delta
-    }
-
     fn value_to_f64(&self, v: f64) -> f64 {
         v
     }

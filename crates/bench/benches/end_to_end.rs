@@ -7,41 +7,26 @@
 //!
 //! The sweep section runs PageRank-Delta on a 2^18-vertex R-MAT through
 //! the shard-parallel engine at 1/2/4/8 workers. The engine guarantees
-//! bit-identical vertex values, cycle counts, and stat registries for
-//! every worker count, so the only thing that changes is how the shard
+//! bit-identical vertex values, cycle counts, and reports for every
+//! worker count, so the only thing that changes is how the shard
 //! work is spread over threads. The table reports two self-relative
 //! speedups over the 1-worker run: wall-clock (capped by this host's
 //! core count) and work-distribution (total shard ticks divided by the
 //! critical-path worker's share — the deterministic speedup a host with
 //! enough cores realizes).
 //!
-//! The turbo-trajectory section races the speed-first `gp-turbo` backend
-//! against the cycle-level model on scatter-permuted R-MAT graphs
-//! (PageRank-Delta and SSSP at every size, BFS and CC at the largest) and
-//! writes the measurements to a machine-readable `BENCH_end_to_end.json`
-//! (schema `gp-bench/end_to_end/v1`, validated by the `bench_check`
-//! binary). Each turbo run is cross-checked against the sequential golden
-//! engine, so the trajectory doubles as a turbo-vs-golden smoke test.
-//!
-//! Flags: `--sweep-only` runs just the worker sweep, `--turbo-only` just
-//! the turbo trajectory, `--json PATH` redirects the JSON output (default
-//! `BENCH_end_to_end.json`). The sweep's shape can be overridden for
-//! quick runs via environment variables: `SWEEP_LOG2_N` (default 18),
-//! `SWEEP_DEGREE` (default 4), `SWEEP_SHARDS` (default 16), `SWEEP_EPS`
-//! (default 1e-3); the trajectory sizes via `TURBO_LOG2` (comma list of
-//! log2 vertex counts, default `14,16,18`).
+//! Flags: `--sweep-only` runs just the worker sweep. The sweep's shape
+//! can be overridden for quick runs via environment variables:
+//! `SWEEP_LOG2_N` (default 18), `SWEEP_DEGREE` (default 4), `SWEEP_SHARDS`
+//! (default 16), `SWEEP_EPS` (default 1e-3).
 
 use std::time::Instant;
 
-use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{max_abs_diff, Bfs, ConnectedComponents, DeltaAlgorithm, PageRankDelta, Sssp};
-use gp_bench::json::{Json, END_TO_END_SCHEMA};
-use gp_bench::{gp_config, microbench, prepare, print_table, run_graphpulse, write_output, App};
-use gp_graph::generators::{rmat, RmatConfig, WeightMode};
+use gp_algorithms::PageRankDelta;
+use gp_bench::{gp_config, microbench, prepare, print_table, run_graphpulse, App};
+use gp_graph::generators::{rmat, RmatConfig};
 use gp_graph::partition::{permute, scatter_permutation};
 use gp_graph::workloads::Workload;
-use gp_graph::{CsrGraph, VertexId};
-use gp_turbo::{run_turbo, TurboConfig};
 use graphpulse_core::{AcceleratorConfig, GraphPulse, QueueConfig};
 
 fn per_app_runs() {
@@ -180,232 +165,32 @@ fn worker_sweep() {
     println!("\n4-worker work-distribution speedup: {speedup4:.2}x (>= 2x required)");
 }
 
-/// One backend leg of a trajectory entry, ready for JSON.
-fn leg_json(wall_secs: f64, events_processed: u64, extra: &[(&'static str, Json)]) -> Json {
-    let mut pairs = vec![
-        ("wall_secs", Json::Num(wall_secs)),
-        ("events_processed", Json::Num(events_processed as f64)),
-        (
-            "events_per_sec",
-            Json::Num(events_processed as f64 / wall_secs.max(1e-12)),
-        ),
-    ];
-    pairs.extend(extra.iter().cloned());
-    Json::obj(pairs)
-}
-
-/// Races turbo against the cycle-level model on one (app, graph) point;
-/// cross-checks turbo against the sequential golden engine.
-fn measure_point<A: DeltaAlgorithm>(
-    app: &'static str,
-    log2_n: u32,
-    graph: &CsrGraph,
-    algo: &A,
-) -> (Json, Vec<String>) {
-    let n = graph.num_vertices();
-
-    // Cycle-level leg, queue sized to hold the whole graph in one slice
-    // (one run: the model is deterministic and dominates the wall clock).
-    let mut cfg = AcceleratorConfig::optimized();
-    cfg.queue = QueueConfig {
-        bins: 8,
-        rows: n.div_ceil(64).max(1),
-        cols: 8,
-    };
-    cfg.input_buffer = 64;
-    let t0 = Instant::now();
-    let cycle = GraphPulse::new(cfg)
-        .run(graph, algo)
-        .expect("cycle-level run failed");
-    let cycle_secs = t0.elapsed().as_secs_f64();
-
-    // Turbo leg: outcome once (bit-deterministic), wall time as the
-    // median of three timed runs.
-    let tcfg = TurboConfig::default();
-    let turbo = run_turbo(algo, graph, &tcfg);
-    let turbo_secs = microbench::median_secs(3, || run_turbo(algo, graph, &tcfg));
-
-    // Golden cross-check — the turbo-vs-golden smoke CI relies on.
-    let golden = run_sequential(algo, graph);
-    let diff = max_abs_diff(&turbo.values, &golden.values);
-    let tol = algo.comparison_tolerance().max(1e-9);
-    assert!(
-        diff <= tol,
-        "{app} 2^{log2_n}: turbo diverged from golden (max |diff| {diff:e} > {tol:e})"
-    );
-
-    let cycle_eps = cycle.report.events_processed as f64 / cycle_secs.max(1e-12);
-    let turbo_eps = turbo.events_processed as f64 / turbo_secs.max(1e-12);
-    let speedup = turbo_eps / cycle_eps.max(1e-12);
-    println!(
-        "{app:<5} 2^{log2_n:<2} cycle {:>12.0} ev/s  turbo {:>12.0} ev/s  speedup {speedup:>8.1}x  \
-         (diff vs golden {diff:.2e})",
-        cycle_eps, turbo_eps
-    );
-
-    let entry = Json::obj([
-        ("app", Json::Str(app.into())),
-        ("log2_vertices", Json::Num(f64::from(log2_n))),
-        ("vertices", Json::Num(n as f64)),
-        ("edges", Json::Num(graph.num_edges() as f64)),
-        (
-            "cycle",
-            leg_json(
-                cycle_secs,
-                cycle.report.events_processed,
-                &[("cycles", Json::Num(cycle.report.cycles as f64))],
-            ),
-        ),
-        (
-            "turbo",
-            leg_json(
-                turbo_secs,
-                turbo.events_processed,
-                &[
-                    ("rounds", Json::Num(turbo.rounds as f64)),
-                    ("coalesce_rate", Json::Num(turbo.coalesce_rate())),
-                ],
-            ),
-        ),
-        ("speedup_events_per_sec", Json::Num(speedup)),
-        ("max_abs_diff_vs_golden", Json::Num(diff)),
-    ]);
-    let row = vec![
-        app.to_string(),
-        format!("2^{log2_n}"),
-        format!("{:.3e}", cycle_eps),
-        format!("{:.3e}", turbo_eps),
-        format!("{speedup:.1}"),
-        turbo.rounds.to_string(),
-    ];
-    (entry, row)
-}
-
-/// The turbo perf trajectory: events/sec of the cycle model vs. the turbo
-/// backend per algorithm and graph size, written to `json_path`.
-fn turbo_trajectory(json_path: &std::path::Path) {
-    let sizes: Vec<u32> = std::env::var("TURBO_LOG2")
-        .unwrap_or_else(|_| "14,16,18".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    assert!(!sizes.is_empty(), "TURBO_LOG2 parsed to no sizes");
-    let largest = *sizes.iter().max().unwrap();
-
-    println!("\n== end_to_end: turbo perf trajectory ==");
-    println!("   (scatter-permuted R-MAT, degree 4, sizes {sizes:?})\n");
-
-    let mut entries = Vec::new();
-    let mut rows = Vec::new();
-    for &log2_n in &sizes {
-        let n = 1usize << log2_n;
-        let unweighted = permute(
-            &rmat(&RmatConfig::graph500(n, n * 4), 42),
-            &scatter_permutation(n, 7),
-        );
-        let weighted = permute(
-            &rmat(
-                &RmatConfig::graph500(n, n * 4).with_weights(WeightMode::Uniform(1.0, 10.0)),
-                42,
-            ),
-            &scatter_permutation(n, 7),
-        );
-        let root = weighted
-            .vertices()
-            .max_by_key(|v| weighted.out_degree(*v))
-            .unwrap_or(VertexId::new(0));
-
-        let (e, r) = measure_point("PRD", log2_n, &unweighted, &PageRankDelta::new(0.85, 1e-3));
-        entries.push(e);
-        rows.push(r);
-        let (e, r) = measure_point("SSSP", log2_n, &weighted, &Sssp::new(root));
-        entries.push(e);
-        rows.push(r);
-        if log2_n == largest {
-            let (e, r) = measure_point("BFS", log2_n, &unweighted, &Bfs::new(root));
-            entries.push(e);
-            rows.push(r);
-            let (e, r) = measure_point("CC", log2_n, &unweighted, &ConnectedComponents::new());
-            entries.push(e);
-            rows.push(r);
-        }
-    }
-
-    print_table(
-        "end_to_end turbo trajectory (R-MAT)",
-        &[
-            "app",
-            "size",
-            "cycle_ev_per_s",
-            "turbo_ev_per_s",
-            "speedup",
-            "turbo_rounds",
-        ],
-        &rows,
-    );
-
-    let doc = Json::obj([
-        ("schema", Json::Str(END_TO_END_SCHEMA.into())),
-        (
-            "host_threads",
-            Json::Num(std::thread::available_parallelism().map_or(1.0, |p| p.get() as f64)),
-        ),
-        ("entries", Json::Arr(entries)),
-    ]);
-    match write_output(json_path, &doc.render()) {
-        Ok(()) => println!("\nwrote {}", json_path.display()),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 const USAGE: &str = "\
 Usage: end_to_end [flags]
   --sweep-only  run only the shard-parallel worker sweep
-  --turbo-only  run only the turbo perf trajectory
-  --json PATH   JSON output path (default BENCH_end_to_end.json)
   --help        print this reference and exit";
 
-struct Invocation {
-    sweep_only: bool,
-    turbo_only: bool,
-    json_path: String,
-}
-
-fn parse(args: impl Iterator<Item = String>) -> Result<Option<Invocation>, String> {
-    let mut inv = Invocation {
-        sweep_only: false,
-        turbo_only: false,
-        json_path: "BENCH_end_to_end.json".into(),
-    };
+/// Parses the flags into "sweep only?".
+fn parse(args: impl Iterator<Item = String>) -> Result<Option<bool>, String> {
+    let mut sweep_only = false;
     let mut args = gp_bench::cli::Flags::new(args);
     while let Some(flag) = args.next_flag() {
-        match flag.as_str() {
-            "--sweep-only" => inv.sweep_only = true,
-            "--turbo-only" => inv.turbo_only = true,
-            "--json" => inv.json_path = args.value(&flag)?,
-            // `cargo bench` forwards its own harness flags (e.g. --bench);
-            // ignore anything unrecognized rather than failing the run.
-            _ => {}
+        // `cargo bench` forwards its own harness flags (e.g. --bench);
+        // ignore anything unrecognized rather than failing the run.
+        if flag == "--sweep-only" {
+            sweep_only = true;
         }
     }
     if args.help_requested() {
         return Ok(None);
     }
-    Ok(Some(inv))
+    Ok(Some(sweep_only))
 }
 
 fn main() {
-    let inv = gp_bench::cli::finish(parse(std::env::args().skip(1)), USAGE);
-    if !inv.sweep_only && !inv.turbo_only {
+    let sweep_only = gp_bench::cli::finish(parse(std::env::args().skip(1)), USAGE);
+    if !sweep_only {
         per_app_runs();
     }
-    if !inv.turbo_only {
-        worker_sweep();
-    }
-    if !inv.sweep_only {
-        turbo_trajectory(std::path::Path::new(&inv.json_path));
-    }
+    worker_sweep();
 }

@@ -1,14 +1,12 @@
 //! Schema validator for the machine-readable bench output.
 //!
 //! ```text
-//! cargo run -p gp-bench --bin bench_check -- BENCH_end_to_end.json [...]
+//! cargo run -p gp-bench --bin bench_check -- BENCH_chaos.json [...]
 //! ```
 //!
 //! For every path given: the file must exist, parse as JSON, and carry a
-//! known schema tag, which selects the validator — `gp-bench/end_to_end/v1`
-//! documents go through `gp_bench::json::validate_end_to_end` (required
-//! keys, positive throughput on both backends), `gp-bench/chaos/v1`
-//! documents through `gp_bench::json::validate_chaos` (every scenario
+//! known schema tag, which selects the validator — `gp-bench/chaos/v1`
+//! documents go through `gp_bench::json::validate_chaos` (every scenario
 //! detected and recovered, overhead baselines bit-exact, summary present),
 //! `gp-bench/serve/v2` documents through `gp_bench::json::validate_serve`
 //! (non-empty executor sweep, ordered per-class latency quantiles per run,
@@ -25,16 +23,15 @@
 //! diagnostic names the known tags).
 
 use gp_bench::json::{
-    validate_chaos, validate_end_to_end, validate_outofcore, validate_serve, Json, CHAOS_SCHEMA,
-    END_TO_END_SCHEMA, OUTOFCORE_SCHEMA, SERVE_SCHEMA,
+    validate_chaos, validate_outofcore, validate_serve, Json, CHAOS_SCHEMA, OUTOFCORE_SCHEMA,
+    SERVE_SCHEMA,
 };
 
 const USAGE: &str = "\
 Usage: bench_check <BENCH_*.json> [more.json ...]
 
 Validates machine-readable bench output against its embedded schema tag.
-Known schemas: gp-bench/end_to_end/v1, gp-bench/chaos/v1, gp-bench/serve/v2,
-gp-bench/outofcore/v1.
+Known schemas: gp-bench/chaos/v1, gp-bench/serve/v2, gp-bench/outofcore/v1.
 
 Exit status: 0 when every file passes, 1 on a validation failure, 2 on a
 bad invocation or an unknown schema tag.";
@@ -68,15 +65,13 @@ fn check(path: &str) -> Result<(), CheckError> {
         .and_then(Json::as_str)
         .ok_or_else(|| CheckError::unusable(format!("`{path}` has no string key \"schema\"")))?;
     let (validate, count_key): (Validator, &str) = match schema {
-        END_TO_END_SCHEMA => (validate_end_to_end, "entries"),
         CHAOS_SCHEMA => (validate_chaos, "scenarios"),
         SERVE_SCHEMA => (validate_serve, "runs"),
         OUTOFCORE_SCHEMA => (validate_outofcore, "entries"),
         other => {
             return Err(CheckError::unusable(format!(
                 "`{path}` has unknown schema {other:?} \
-                 (known: {END_TO_END_SCHEMA:?}, {CHAOS_SCHEMA:?}, {SERVE_SCHEMA:?}, \
-                 {OUTOFCORE_SCHEMA:?})"
+                 (known: {CHAOS_SCHEMA:?}, {SERVE_SCHEMA:?}, {OUTOFCORE_SCHEMA:?})"
             )))
         }
     };

@@ -323,9 +323,6 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Schema tag `validate_end_to_end` requires.
-pub const END_TO_END_SCHEMA: &str = "gp-bench/end_to_end/v1";
-
 /// Schema tag `validate_chaos` requires.
 pub const CHAOS_SCHEMA: &str = "gp-bench/chaos/v1";
 
@@ -410,44 +407,6 @@ fn schema_is(doc: &Json, want: &str) -> Result<(), String> {
         return Err(format!("schema is {schema:?}, expected {want:?}"));
     }
     Ok(())
-}
-
-/// Validates a `BENCH_end_to_end.json` document: schema tag, non-empty
-/// entry list, required keys, and positive throughput on every backend.
-/// This is the check `bench_check` (and CI) runs — it fails loudly if the
-/// bench binary ever stops emitting complete, sane numbers.
-///
-/// # Errors
-///
-/// Returns a readable description of the first violated rule.
-pub fn validate_end_to_end(doc: &Json) -> Result<(), String> {
-    schema_is(doc, END_TO_END_SCHEMA)?;
-    let entries = rows(doc, "entries", "the bench emitted no measurements")?;
-    each(entries, "entry", |entry| {
-        text(entry, "app")?;
-        nums(
-            entry,
-            &["log2_vertices", "vertices", "edges"],
-            Bound::Positive,
-        )?;
-        for backend in ["cycle", "turbo"] {
-            let leg = entry
-                .get(backend)
-                .ok_or_else(|| format!("missing object key {backend:?}"))?;
-            nums(leg, &["wall_secs", "events_processed"], Bound::Any)
-                .map_err(|e| format!("{backend}: {e}"))?;
-            let rate =
-                num(leg, "events_per_sec", Bound::Any).map_err(|e| format!("{backend}: {e}"))?;
-            if rate <= 0.0 {
-                return Err(format!("{backend}.events_per_sec must be > 0, got {rate}"));
-            }
-        }
-        let speedup = num(entry, "speedup_events_per_sec", Bound::Any)?;
-        if speedup <= 0.0 {
-            return Err(format!("speedup must be > 0, got {speedup}"));
-        }
-        Ok(())
-    })
 }
 
 /// Validates a `BENCH_serve.json` document: schema tag, positive graph,
@@ -777,78 +736,6 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    fn sample_entry() -> Json {
-        Json::obj([
-            ("app", Json::Str("PRD".into())),
-            ("log2_vertices", Json::Num(14.0)),
-            ("vertices", Json::Num(16384.0)),
-            ("edges", Json::Num(65536.0)),
-            (
-                "cycle",
-                Json::obj([
-                    ("wall_secs", Json::Num(1.0)),
-                    ("events_processed", Json::Num(1000.0)),
-                    ("events_per_sec", Json::Num(1000.0)),
-                ]),
-            ),
-            (
-                "turbo",
-                Json::obj([
-                    ("wall_secs", Json::Num(0.1)),
-                    ("events_processed", Json::Num(1000.0)),
-                    ("events_per_sec", Json::Num(10000.0)),
-                ]),
-            ),
-            ("speedup_events_per_sec", Json::Num(10.0)),
-        ])
-    }
-
-    #[test]
-    fn validator_accepts_a_complete_document() {
-        let doc = Json::obj([
-            ("schema", Json::Str(END_TO_END_SCHEMA.into())),
-            ("entries", Json::Arr(vec![sample_entry()])),
-        ]);
-        validate_end_to_end(&doc).unwrap();
-    }
-
-    #[test]
-    fn validator_rejects_missing_and_bad_fields() {
-        let empty = Json::obj([
-            ("schema", Json::Str(END_TO_END_SCHEMA.into())),
-            ("entries", Json::Arr(vec![])),
-        ]);
-        assert!(validate_end_to_end(&empty).unwrap_err().contains("empty"));
-
-        let wrong_schema = Json::obj([
-            ("schema", Json::Str("other/v9".into())),
-            ("entries", Json::Arr(vec![sample_entry()])),
-        ]);
-        assert!(validate_end_to_end(&wrong_schema)
-            .unwrap_err()
-            .contains("schema"));
-
-        // Zero throughput must fail.
-        let mut entry = sample_entry();
-        if let Json::Obj(pairs) = &mut entry {
-            for (k, v) in pairs.iter_mut() {
-                if k == "turbo" {
-                    *v = Json::obj([
-                        ("wall_secs", Json::Num(0.1)),
-                        ("events_processed", Json::Num(0.0)),
-                        ("events_per_sec", Json::Num(0.0)),
-                    ]);
-                }
-            }
-        }
-        let doc = Json::obj([
-            ("schema", Json::Str(END_TO_END_SCHEMA.into())),
-            ("entries", Json::Arr(vec![entry])),
-        ]);
-        let err = validate_end_to_end(&doc).unwrap_err();
-        assert!(err.contains("events_per_sec must be > 0"), "{err}");
     }
 
     fn sample_chaos_doc() -> Json {

@@ -197,9 +197,9 @@ fn bench_check_unknown_schema_exits_2_naming_known_tags() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     for tag in [
-        "gp-bench/end_to_end/v1",
         "gp-bench/chaos/v1",
         "gp-bench/serve/v2",
+        "gp-bench/outofcore/v1",
     ] {
         assert!(stderr.contains(tag), "must name known tag {tag}:\n{stderr}");
     }

@@ -14,7 +14,7 @@ use gp_algorithms::{
 use gp_graph::generators::{erdos_renyi, WeightMode};
 use gp_graph::{CsrGraph, VertexId};
 use gp_mem::integrity::{mix64, Storable};
-use gp_turbo::{run_turbo, StaleFault, TurboConfig};
+use gp_turbo::{StaleFault, TurboConfig};
 use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelChaos, ParallelConfig};
 
 use crate::engine::{run_chaos, ChaosConfig, ChaosOutcome};
@@ -356,21 +356,17 @@ where
         tol,
     ));
 
-    // Wheel stale-tag corruption, transient: caught by the turbo engine's
-    // lost-event check, recovered by retry. The victim (round, pick) is
-    // searched deterministically so the corruption actually orphans a
-    // delta (early-run upsets tend to self-heal — that is part of the
-    // model; the search sweeps late-to-early).
-    let tcfg = TurboConfig::default();
-    let blank = CampaignRecord::blank(FaultKind::WheelStale, name, false, "turbo");
-    let record = match find_orphaning_fault(algo, graph, &tcfg) {
-        Some(fault) => {
-            let out = run_turbo_guarded(algo, graph, &tcfg, Some(fault), 1, 3);
-            CampaignRecord::from_guarded(blank, "lost-event", &out, &reference.values, tol)
-        }
-        None => blank,
-    };
-    report.records.push(record);
+    // Turbo scheduling-bit corruption, transient: a cleared `active` bit
+    // always loses its delta, so the lost-event check catches it and a
+    // retry recovers.
+    let out = run_turbo_guarded(algo, graph, &TurboConfig::default(), Some(STALE), 1, 3);
+    report.records.push(CampaignRecord::from_guarded(
+        CampaignRecord::blank(FaultKind::WheelStale, name, false, "turbo"),
+        "lost-event",
+        &out,
+        &reference.values,
+        tol,
+    ));
 
     // Merge-order skew: the legacy fault. It corrupts a backend's output
     // value, which no single-engine watchdog can see — detection is
@@ -402,37 +398,12 @@ where
     });
 }
 
-/// Deterministically searches for a [`StaleFault`] that actually orphans
-/// a delta on this (algorithm, graph) pair: sweeps injection rounds from
-/// late to early (late upsets rarely get the healing redeposit) and victim
-/// picks `0..16` per round, returning the first that trips
-/// [`check_lost_events`](gp_turbo::TurboOutcome::check_lost_events).
-fn find_orphaning_fault<A, G>(algo: &A, graph: &G, tcfg: &TurboConfig) -> Option<StaleFault>
-where
-    A: DeltaAlgorithm,
-    G: gp_graph::GraphView + Sync,
-{
-    let clean_rounds = run_turbo(algo, graph, tcfg).rounds;
-    let mut rounds: Vec<u64> = (1..=12)
-        .map(|back| clean_rounds.saturating_sub(back))
-        .chain([clean_rounds / 2, clean_rounds / 4, 2])
-        .map(|r| r.max(1))
-        .collect();
-    rounds.dedup();
-    for after_rounds in rounds {
-        for pick in 0..16u64 {
-            let fault = StaleFault { after_rounds, pick };
-            let probe = TurboConfig {
-                fault: Some(fault),
-                ..*tcfg
-            };
-            if run_turbo(algo, graph, &probe).check_lost_events().is_err() {
-                return Some(fault);
-            }
-        }
-    }
-    None
-}
+/// The campaign's turbo upset: after the first sweep, when the seeds'
+/// out-neighbours are pending on every algorithm.
+const STALE: StaleFault = StaleFault {
+    after_rounds: 1,
+    pick: 0,
+};
 
 /// Persistent-fault degradation scenarios, run once (on SSSP) to pin the
 /// exhausted-retries path for every backend family.
@@ -479,20 +450,23 @@ fn degradation_scenarios(report: &mut CampaignReport, graph: &CsrGraph) {
         0.0,
     ));
 
-    // Persistent wheel corruption: every turbo attempt loses a delta,
-    // the guard degrades to the golden engine.
-    let tcfg = TurboConfig::default();
-    let fault = find_orphaning_fault(&algo, graph, &tcfg);
-    if let Some(fault) = fault {
-        let out = run_turbo_guarded(&algo, graph, &tcfg, Some(fault), u32::MAX, 2);
-        report.records.push(CampaignRecord::from_guarded(
-            CampaignRecord::blank(FaultKind::WheelStale, "sssp", true, "turbo"),
-            "lost-event",
-            &out,
-            &reference.values,
-            0.0,
-        ));
-    }
+    // Persistent turbo corruption: every attempt loses a delta, the guard
+    // degrades to the golden engine.
+    let out = run_turbo_guarded(
+        &algo,
+        graph,
+        &TurboConfig::default(),
+        Some(STALE),
+        u32::MAX,
+        2,
+    );
+    report.records.push(CampaignRecord::from_guarded(
+        CampaignRecord::blank(FaultKind::WheelStale, "sssp", true, "turbo"),
+        "lost-event",
+        &out,
+        &reference.values,
+        0.0,
+    ));
 }
 
 /// Runs the full campaign: every fault kind × all six algorithms

@@ -24,8 +24,9 @@ pub enum FaultKind {
     /// One shard's egress stalls for a window of epoch barriers in the
     /// shard-parallel engine.
     ShardStall,
-    /// Stale-tag corruption in the turbo scheduling pool
-    /// ([`gp_turbo::StaleFault`]).
+    /// A cleared `active` bit in the turbo event pool
+    /// ([`gp_turbo::StaleFault`]); the name dates from turbo's bucketed
+    /// scheduler and is kept for the `gp-bench/chaos/v1` label.
     WheelStale,
     /// The legacy injected fault: a merge-order skew that perturbs one
     /// vertex value of the parallel engine's output, caught by the

@@ -10,7 +10,7 @@ use gp_algorithms::DeltaAlgorithm;
 use gp_graph::partition::Partition;
 use gp_graph::{GraphView, VertexId};
 use gp_mem::{line_base, MemRequest, MemorySystem, TrafficClass, LINE_BYTES};
-use gp_sim::stats::{ShardStats, StateTimeline};
+use gp_sim::stats::StateTimeline;
 use gp_sim::Cycle;
 
 use crate::energy::{ActivityCounters, EnergyReport};
@@ -214,7 +214,6 @@ pub(crate) struct Machine<'a, A: DeltaAlgorithm, G: GraphView> {
     /// from O(events) to O(touched vertices) per epoch).
     outbox_index: Vec<HashMap<u32, usize>>,
     out_seq: u64,
-    stats_baseline: [u64; 5],
 
     phase: Phase<A::Delta>,
     /// Bin visit order for the current round (identity under round-robin).
@@ -331,7 +330,6 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             outbox,
             outbox_index,
             out_seq: 0,
-            stats_baseline: [0; 5],
             phase: Phase::Drain,
             bin_order: (0..cfg.queue.bins).collect(),
             current_bin: 0,
@@ -498,31 +496,6 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         }
         let empty = (0..self.outbox.len()).map(|_| Vec::new()).collect();
         std::mem::replace(&mut self.outbox, empty)
-    }
-
-    /// Counter deltas since the previous barrier, as a worker-local bundle
-    /// for the thread-safe registry merge.
-    pub(crate) fn drain_epoch_stats(&mut self) -> ShardStats {
-        let totals = [
-            self.events_processed,
-            self.events_generated,
-            self.events_coalesced,
-            self.events_spilled,
-            self.round,
-        ];
-        let mut s = ShardStats::new();
-        const KEYS: [&str; 5] = [
-            "events_processed",
-            "events_generated",
-            "events_coalesced",
-            "events_exchanged",
-            "rounds",
-        ];
-        for (i, key) in KEYS.into_iter().enumerate() {
-            s.add(key, totals[i] - self.stats_baseline[i]);
-        }
-        self.stats_baseline = totals;
-        s
     }
 
     /// Ticks actually executed (the shard's share of the parallel work).

@@ -35,7 +35,6 @@ use gp_algorithms::engine::initial_state;
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::partition::Partition;
 use gp_graph::{GraphView, VertexId};
-use gp_sim::stats::StatsRegistry;
 use gp_sim::Cycle;
 
 use crate::machine::Machine;
@@ -66,8 +65,7 @@ pub struct ParallelChaos {
 }
 
 /// Result of a parallel run: the merged [`Outcome`] fields plus the
-/// barrier-merged counter registry. Every field is bit-identical for any
-/// worker count.
+/// barrier diagnostics. Every field is bit-identical for any worker count.
 ///
 /// [`GraphPulse::run_parallel`] projects the values to `f64` (the default
 /// `V`); [`GraphPulse::run_parallel_seeded`] keeps them in the algorithm's
@@ -79,8 +77,6 @@ pub struct ParallelOutcome<V = f64> {
     pub values: Vec<V>,
     /// Merged measurement report; `cycles` is the slowest shard's clock.
     pub report: ExecutionReport,
-    /// Snapshot of the epoch-merged [`StatsRegistry`] in name order.
-    pub stats: Vec<(&'static str, u64)>,
     /// Number of epoch barriers executed.
     pub epochs: u64,
     /// Number of shards the graph was split into.
@@ -143,7 +139,6 @@ impl GraphPulse {
         Ok(ParallelOutcome {
             values: out.values.iter().map(|&v| algo.value_to_f64(v)).collect(),
             report: out.report,
-            stats: out.stats,
             epochs: out.epochs,
             shards: out.shards,
             shard_ticks: out.shard_ticks,
@@ -212,7 +207,6 @@ impl GraphPulse {
             return Ok(ParallelOutcome {
                 values: out.values,
                 report: out.report,
-                stats: Vec::new(),
                 epochs: 0,
                 shards: 0,
                 shard_ticks: Vec::new(),
@@ -228,7 +222,6 @@ impl GraphPulse {
             })
             .collect();
 
-        let registry = StatsRegistry::new();
         let workers = pc.workers.clamp(1, shard_count);
         let chunk = shard_count.div_ceil(workers);
         let mut epochs = 0u64;
@@ -269,12 +262,6 @@ impl GraphPulse {
             });
             if let Some(e) = first_err.into_inner().expect("error slot poisoned") {
                 return Err(e);
-            }
-
-            // Sharded counters merge into the thread-safe registry at the
-            // barrier (order-independent: counter addition commutes).
-            for m in &mut machines {
-                registry.absorb(m.drain_epoch_stats());
             }
 
             // Exchange: gather every shard's outboxes into per-destination
@@ -327,18 +314,14 @@ impl GraphPulse {
                 }
             });
         }
-        for m in &mut machines {
-            registry.absorb(m.drain_epoch_stats());
-        }
 
-        Ok(self.merge_outcome(&partition, machines, registry, epochs))
+        Ok(self.merge_outcome(&partition, machines, epochs))
     }
 
     fn merge_outcome<A: DeltaAlgorithm, G: GraphView>(
         &self,
         partition: &Partition,
         machines: Vec<Machine<'_, A, G>>,
-        registry: StatsRegistry,
         epochs: u64,
     ) -> ParallelOutcome<A::Value> {
         let shards = machines.len();
@@ -360,7 +343,6 @@ impl GraphPulse {
         ParallelOutcome {
             values,
             report: report.expect("at least one shard"),
-            stats: registry.snapshot(),
             epochs,
             shards,
             shard_ticks,

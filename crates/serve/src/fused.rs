@@ -80,15 +80,6 @@ impl PathKind {
             PathKind::Sswp => basis.min(f64::from(weight)),
         }
     }
-
-    /// Single-lane urgency, mirroring the single-source hints (§V):
-    /// near-the-root distances first, wide widths first.
-    fn urgency(self, delta: f64) -> f64 {
-        match self {
-            PathKind::Sssp | PathKind::Bfs => -delta,
-            PathKind::Sswp => delta,
-        }
-    }
 }
 
 /// Up to [`LANES`] same-class single-source problems fused into one
@@ -209,19 +200,6 @@ impl DeltaAlgorithm for FusedPaths {
             }
         }
         any.then_some(out)
-    }
-
-    /// Most urgent lane wins the bucket: the wheel schedules the whole
-    /// lane vector at once, and any order converges (§II-B), so a crude
-    /// max over active lanes is enough.
-    fn urgency(&self, delta: [f64; LANES]) -> f64 {
-        let identity = self.kind.init();
-        delta
-            .iter()
-            .filter(|&&d| d != identity)
-            .map(|&d| self.kind.urgency(d))
-            .fold(f64::NEG_INFINITY, f64::max)
-            .max(-1e300) // never NaN / -inf even for an all-identity delta
     }
 
     /// Lane 0's value — fused results are read per lane via the typed

@@ -1,59 +1,10 @@
 //! Statistics primitives backing the evaluation figures.
 //!
 //! Every figure in the paper's evaluation section is an aggregation over
-//! simulation counters; this module provides the small set of collectors the
-//! rest of the workspace shares: saturating [`Counter`]s, running
-//! [`Average`]s, bucketed [`Histogram`]s, and a per-unit
+//! simulation counters; this module provides the two collectors the rest
+//! of the workspace shares: running [`Average`]s and a per-unit
 //! [`StateTimeline`] that records how many cycles a hardware unit spent in
 //! each coarse state (the basis of the paper's Fig. 14 breakdown).
-//!
-//! For shard-parallel simulation the module also provides a thread-safe
-//! [`StatsRegistry`]: each worker accumulates into its own cheap
-//! [`ShardStats`] (no synchronization on the hot path) and the registry
-//! merges the shards at cycle-epoch barriers, so totals are deterministic
-//! regardless of how shards were scheduled onto threads.
-
-use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::Mutex;
-
-/// A monotonically increasing event counter.
-///
-/// ```
-/// use gp_sim::stats::Counter;
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n` occurrences.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// A running average of `f64` samples (mean, count, min, max).
 #[derive(Debug, Default, Clone, Copy)]
@@ -132,96 +83,6 @@ impl Average {
     }
 }
 
-/// A histogram over fixed-width buckets with an overflow bucket.
-///
-/// Used for the Fig. 8 lookahead distribution, where the paper buckets
-/// lookahead degrees as `0, <100, <200, <300, <400, >400`.
-///
-/// ```
-/// use gp_sim::stats::Histogram;
-/// let mut h = Histogram::new(100, 4); // buckets [0,100), [100,200), ... + overflow
-/// h.record(0);
-/// h.record(150);
-/// h.record(1_000);
-/// assert_eq!(h.bucket_counts(), &[1, 1, 0, 0, 1]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bucket_width: u64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` fixed-width buckets of width
-    /// `bucket_width` plus one overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` or `buckets` is zero.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be nonzero");
-        assert!(buckets > 0, "bucket count must be nonzero");
-        Histogram {
-            bucket_width,
-            counts: vec![0; buckets + 1],
-            total: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = (value / self.bucket_width) as usize;
-        let last = self.counts.len() - 1;
-        self.counts[idx.min(last)] += 1;
-        self.total += 1;
-    }
-
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        let idx = (value / self.bucket_width) as usize;
-        let last = self.counts.len() - 1;
-        self.counts[idx.min(last)] += n;
-        self.total += n;
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Width of the fixed buckets.
-    pub fn bucket_width(&self) -> u64 {
-        self.bucket_width
-    }
-
-    /// Merges another histogram with identical shape into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "bucket width mismatch"
-        );
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "bucket count mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-}
-
 /// Accumulates, per named state, how many cycles a unit spent in it.
 ///
 /// The generic parameter is typically a small `enum` implementing `Into<usize>`
@@ -284,116 +145,9 @@ impl StateTimeline {
     }
 }
 
-/// A worker-local bundle of named counters.
-///
-/// Accumulation is plain (unsynchronized) integer arithmetic; the shard is
-/// handed to [`StatsRegistry::absorb`] at an epoch barrier. Counter names
-/// are `&'static str` and totals are keyed in a `BTreeMap`, so snapshots
-/// iterate in a deterministic order.
-#[derive(Debug, Default, Clone)]
-pub struct ShardStats {
-    counts: BTreeMap<&'static str, u64>,
-}
-
-impl ShardStats {
-    /// Creates an empty shard.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to counter `name` (creating it at zero).
-    #[inline]
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counts.entry(name).or_insert(0) += n;
-    }
-
-    /// Increments counter `name` by one.
-    #[inline]
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Current local value of `name` (0 if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
-    /// Drains this shard into an empty one, returning the old contents.
-    pub fn take(&mut self) -> ShardStats {
-        std::mem::take(self)
-    }
-}
-
-/// A thread-safe registry of named counters for shard-parallel runs.
-///
-/// Workers never touch the registry on the hot path; they accumulate into a
-/// [`ShardStats`] and the epoch barrier calls [`StatsRegistry::absorb`].
-/// Because addition is commutative over `u64`, the merged totals are
-/// identical for any worker count or absorption order.
-///
-/// ```
-/// use gp_sim::stats::{ShardStats, StatsRegistry};
-/// let registry = StatsRegistry::new();
-/// let mut a = ShardStats::new();
-/// a.add("events", 3);
-/// let mut b = ShardStats::new();
-/// b.add("events", 4);
-/// registry.absorb(a);
-/// registry.absorb(b);
-/// assert_eq!(registry.get("events"), 7);
-/// ```
-#[derive(Debug, Default)]
-pub struct StatsRegistry {
-    totals: Mutex<BTreeMap<&'static str, u64>>,
-}
-
-impl StatsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Merges a worker shard into the global totals.
-    pub fn absorb(&self, shard: ShardStats) {
-        let mut totals = self.totals.lock().expect("stats registry poisoned");
-        for (name, n) in shard.counts {
-            *totals.entry(name).or_insert(0) += n;
-        }
-    }
-
-    /// Global value of `name` (0 if never reported).
-    pub fn get(&self, name: &str) -> u64 {
-        self.totals
-            .lock()
-            .expect("stats registry poisoned")
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// All `(name, total)` pairs in lexicographic name order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.totals
-            .lock()
-            .expect("stats registry poisoned")
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::default();
-        c.incr();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-        assert_eq!(c.to_string(), "42");
-    }
 
     #[test]
     fn average_tracks_extremes() {
@@ -406,38 +160,6 @@ mod tests {
         assert_eq!(a.min(), -1.0);
         assert_eq!(a.max(), 4.0);
         assert_eq!(a.count(), 3);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10, 3);
-        h.record(0);
-        h.record(9);
-        h.record(10);
-        h.record(29);
-        h.record(30); // overflow
-        h.record_n(35, 2);
-        assert_eq!(h.bucket_counts(), &[2, 1, 1, 3]);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(10, 2);
-        let mut b = Histogram::new(10, 2);
-        a.record(5);
-        b.record(15);
-        a.merge(&b);
-        assert_eq!(a.bucket_counts(), &[1, 1, 0]);
-        assert_eq!(a.total(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width mismatch")]
-    fn histogram_merge_shape_checked() {
-        let mut a = Histogram::new(10, 2);
-        let b = Histogram::new(20, 2);
-        a.merge(&b);
     }
 
     #[test]

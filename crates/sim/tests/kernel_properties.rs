@@ -1,7 +1,7 @@
 //! Property tests of the simulation kernel against simple reference
-//! models: the latency FIFO behaves like a timestamped `VecDeque`, the
-//! pipeline retires in issue order after exactly `depth` cycles, and the
-//! event wheel is a stable priority queue.
+//! models: the pipeline behaves like a timestamped `VecDeque` that takes
+//! one entry per cycle and retires in issue order after exactly `depth`
+//! cycles, and the event wheel is a stable priority queue.
 //!
 //! Randomized cases are driven by the workspace's deterministic
 //! [`gp_sim::rng::StdRng`], so every run exercises the same inputs.
@@ -9,48 +9,50 @@
 use std::collections::VecDeque;
 
 use gp_sim::rng::{Rng, StdRng};
-use gp_sim::{Cycle, EventWheel, Fifo, Pipeline};
+use gp_sim::{Cycle, EventWheel, Pipeline};
 
 #[derive(Debug, Clone)]
-enum FifoOp {
-    Push(u16),
-    Pop,
+enum PipeOp {
+    Issue(u16),
+    Retire,
     Advance(u8),
 }
 
-fn random_fifo_ops(rng: &mut StdRng) -> Vec<FifoOp> {
+fn random_pipe_ops(rng: &mut StdRng) -> Vec<PipeOp> {
     let len = rng.gen_range(1..200usize);
     (0..len)
         .map(|_| match rng.gen_range(0..3u32) {
-            0 => FifoOp::Push(rng.gen_range(0..u64::from(u16::MAX) as u32 + 1) as u16),
-            1 => FifoOp::Pop,
-            _ => FifoOp::Advance(rng.gen_range(1..10u8)),
+            0 => PipeOp::Issue(rng.gen_range(0..u64::from(u16::MAX) as u32 + 1) as u16),
+            1 => PipeOp::Retire,
+            _ => PipeOp::Advance(rng.gen_range(1..10u8)),
         })
         .collect()
 }
 
 #[test]
-fn fifo_matches_reference_model() {
+fn pipeline_matches_reference_model() {
     let mut rng = StdRng::seed_from_u64(0xF1F0);
     for case in 0..200 {
-        let ops = random_fifo_ops(&mut rng);
-        let capacity = rng.gen_range(1..16usize);
-        let latency = rng.gen_range(0..8u64);
-        let mut fifo = Fifo::new(capacity, latency);
+        let ops = random_pipe_ops(&mut rng);
+        let depth = rng.gen_range(1..8u64);
+        let mut pipe = Pipeline::new(depth);
         let mut model: VecDeque<(u64, u16)> = VecDeque::new();
+        let mut last_issue: Option<u64> = None;
         let mut now = Cycle::ZERO;
         for op in &ops {
             match *op {
-                FifoOp::Push(v) => {
-                    let accepted = fifo.push(now, v).is_ok();
-                    let model_accepts = model.len() < capacity;
-                    assert_eq!(accepted, model_accepts, "case {case}");
+                PipeOp::Issue(v) => {
+                    // One issue per cycle: a second one must be refused.
+                    let model_accepts = last_issue.is_none_or(|t| t < now.get());
+                    assert_eq!(pipe.can_issue(now), model_accepts, "case {case}");
                     if model_accepts {
-                        model.push_back((now.get() + latency, v));
+                        pipe.issue(now, v);
+                        last_issue = Some(now.get());
+                        model.push_back((now.get() + depth, v));
                     }
                 }
-                FifoOp::Pop => {
-                    let got = fifo.pop(now);
+                PipeOp::Retire => {
+                    let got = pipe.retire(now);
                     let expected = match model.front() {
                         Some(&(ready, v)) if ready <= now.get() => {
                             model.pop_front();
@@ -60,10 +62,10 @@ fn fifo_matches_reference_model() {
                     };
                     assert_eq!(got, expected, "case {case}");
                 }
-                FifoOp::Advance(d) => now += u64::from(d),
+                PipeOp::Advance(d) => now += u64::from(d),
             }
-            assert_eq!(fifo.len(), model.len(), "case {case}");
-            assert_eq!(fifo.is_empty(), model.is_empty(), "case {case}");
+            assert_eq!(pipe.len(), model.len(), "case {case}");
+            assert_eq!(pipe.is_empty(), model.is_empty(), "case {case}");
         }
     }
 }

@@ -8,33 +8,26 @@
 //! (queues, pipelines, DRAM timing), this backend asks the complementary
 //! question: *how fast does the paper's execution model run as software?*
 //!
-//! Three mechanisms carry the throughput:
+//! Two mechanisms carry the throughput:
 //!
-//! * **SoA event pool** — pending deltas live in flat `Vec`s indexed by
-//!   vertex id (delta, active flag, scheduled key), not per-event structs;
+//! * **Dense event pool** — pending deltas live in one flat `Vec` indexed
+//!   by vertex id, with an `active` bitmap beside it (one bit per vertex);
 //!   coalescing is a single indexed read-modify-write, exactly like the
 //!   accelerator's in-place coalescing queue but without the bin/row/slot
 //!   geometry.
-//! * **Delta-magnitude-prioritized draining** — active vertices are
-//!   filed in a plain array of [`KEY_SPACE`](priority::KEY_SPACE) buckets
-//!   indexed by the quantized [`urgency`](gp_algorithms::DeltaAlgorithm::urgency)
-//!   of their pending delta ([`priority::key_of`]) and the buckets drain in
-//!   ascending key order, so big deltas drain first (§V of the paper:
-//!   large deltas compound more work per event and converge faster). Like
-//!   the paper's direct-mapped event queue (§IV) there is no search
-//!   structure on the path: a key names its bucket, and an occupancy
-//!   bitmap names the next bucket to sweep. The §II-B reordering property
-//!   guarantees any drain order reaches the same fixed point, which is
-//!   what licenses the approximation.
-//! * **Cache-blocked kernels** — each drained priority bucket is sorted by
-//!   vertex id before processing, so the kernel walks monotone CSR ranges
-//!   (row pointers, edge lists, and the value/pending arrays stream
-//!   forward) instead of hopping with the priority order. The sort is also
-//!   what makes a vertex-sharded run reproduce the single-shard one bit
-//!   for bit, so it is not optional.
+//! * **Vertex-order sweeps** — the paper's queue is direct-mapped and
+//!   drained bin by bin in vertex order (§IV), not by priority. Here a
+//!   round takes each bitmap word and walks its set bits in ascending
+//!   order, so the kernel reads monotone CSR ranges (row pointers, edge
+//!   lists and the value/pending arrays stream forward) with no queue, no
+//!   sort and no search structure on the path. Deltas propagated during a
+//!   round are deposited when it ends, which is what makes a
+//!   vertex-sharded run reproduce the single-shard one bit for bit. The
+//!   §II-B reordering property guarantees any drain order reaches the same
+//!   fixed point.
 //!
 //! The backend is bit-deterministic: two runs on the same graph produce
-//! identical values, counters, and (optional) round logs. It is registered
+//! identical values, counters, and round logs. It is registered
 //! as the **fifth oracle leg** in `gp-verify`, so every fuzz case
 //! cross-checks it against the golden engine, the cycle-level accelerator,
 //! the shard-parallel engine, and the incremental engine — speed never
@@ -57,6 +50,5 @@
 #![warn(missing_docs)]
 
 mod engine;
-pub mod priority;
 
-pub use engine::{run_turbo, run_turbo_seeded, RoundStat, StaleFault, TurboConfig, TurboOutcome};
+pub use engine::{run_turbo, run_turbo_seeded, StaleFault, TurboConfig, TurboOutcome};

@@ -10,7 +10,7 @@
 //!    just within tolerance of golden but **bit-identical** to each other,
 //! 4. the incremental engine over the overlay, after every update batch,
 //!    against a from-scratch golden run on the updated graph,
-//! 5. the turbo engine (speed-first, delta-prioritized draining), run
+//! 5. the turbo engine (speed-first, vertex-order sweeps), run
 //!    twice to also pin its determinism.
 //!
 //! Metamorphic checks: vertex relabeling (values commute with the
@@ -253,8 +253,8 @@ where
     // Sharded turbo (oracle leg: differential-turbo-sharded): the vertex-
     // sharded engine must be bit-identical to the single-shard run at
     // every shard count — values and every counter — because the global
-    // round schedule and the canonical (bucket, shard, seq) merge are
-    // functions of the key sequence alone, not of the partition.
+    // round schedule and the canonical (shard, seq) merge are functions
+    // of the set of active vertices alone, not of the partition.
     for shards in [2usize, 4] {
         let ts = run_turbo(
             algo,
@@ -644,11 +644,11 @@ where
                     "chaos-detection",
                     format!("injected wheel-stale detected: {msg}"),
                 )),
-                // The corrupted entry was healed by a later redeposit:
-                // nothing was lost, so the fixed point must be untouched.
+                // The run had converged by the trigger sweep, so there was
+                // no bit to clear: the fixed point must be untouched.
                 Ok(()) => compare_values(
                     "chaos-silent-corruption",
-                    "healed wheel-stale",
+                    "unfired wheel-stale",
                     &out.values,
                     &golden.values,
                     tol,

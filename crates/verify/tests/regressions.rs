@@ -189,10 +189,7 @@ fn drop_event_repro_is_still_detected_in_engine() {
 /// bits, same counters, same per-round schedule (`render_log` covers
 /// both).
 fn assert_shard_metamorphic<A: DeltaAlgorithm>(seed: u64, algo: &A, g: &CsrGraph) {
-    let cfg = TurboConfig {
-        record_rounds: true,
-        ..TurboConfig::default()
-    };
+    let cfg = TurboConfig::default();
     let base = run_turbo(algo, g, &cfg);
     let base_bits: Vec<u64> = base.values.iter().map(|v| v.to_bits()).collect();
     for shards in [2usize, 3, 5, 8] {

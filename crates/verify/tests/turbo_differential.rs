@@ -91,10 +91,7 @@ fn turbo_matches_golden_on_the_fixed_seed_corpus() {
 
 #[test]
 fn turbo_is_byte_deterministic_on_the_corpus() {
-    let cfg = TurboConfig {
-        record_rounds: true,
-        ..TurboConfig::default()
-    };
+    let cfg = TurboConfig::default();
     let fingerprint = |o: &TurboOutcome| {
         let bits: Vec<u64> = o.values.iter().map(|v| v.to_bits()).collect();
         (bits, o.render_log())

@@ -130,7 +130,6 @@ fn assert_sharded<A: DeltaAlgorithm>(
         format!("{:?}", cold.report),
         "{label}: seeded run from initial_state is not the cold run"
     );
-    assert_eq!(warm.stats, cold.stats, "{label}");
     assert_eq!(warm.epochs, cold.epochs, "{label}");
     assert_eq!(warm.shards, cold.shards, "{label}");
     assert_eq!(warm.shard_ticks, cold.shard_ticks, "{label}");
