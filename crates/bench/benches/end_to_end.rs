@@ -25,7 +25,7 @@ use std::time::Instant;
 use gp_algorithms::PageRankDelta;
 use gp_bench::{gp_config, microbench, prepare, print_table, run_graphpulse, App};
 use gp_graph::generators::{rmat, RmatConfig};
-use gp_graph::partition::{permute, scatter_permutation};
+use gp_graph::rng::{Rng, StdRng};
 use gp_graph::workloads::Workload;
 use graphpulse_core::{AcceleratorConfig, GraphPulse, QueueConfig};
 
@@ -66,7 +66,7 @@ fn worker_sweep() {
     // Scatter the R-MAT hubs across the vertex range so contiguous shards
     // carry comparable event load (otherwise shard 0 serializes the run).
     let raw = rmat(&RmatConfig::graph500(n, n * degree), 42);
-    let graph = permute(&raw, &scatter_permutation(n, 7));
+    let graph = raw.relabel(&StdRng::seed_from_u64(7).permutation(n));
     drop(raw);
     println!("graph generated in {:.1} s", t0.elapsed().as_secs_f64());
     let algo = PageRankDelta::new(0.85, eps);

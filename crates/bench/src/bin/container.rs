@@ -47,7 +47,8 @@ use gp_bench::cli::{finish, Flags};
 use gp_bench::json::{Json, OUTOFCORE_SCHEMA};
 use gp_graph::container::{build_streaming, StreamBuildOptions};
 use gp_graph::generators::{rmat_edges, RmatConfig, WeightMode};
-use gp_graph::{GraphView, MappedCsr, MeteredView, VertexId};
+use gp_graph::stats::max_out_degree_vertex;
+use gp_graph::{GraphView, MappedCsr, MeteredView};
 use gp_turbo::{run_turbo, TurboConfig};
 
 /// PageRank-Delta convergence threshold — the same `1e-3` the end-to-end
@@ -155,13 +156,6 @@ fn parse(mut flags: Flags) -> Result<Option<Config>, String> {
         return Err("--slice-vertices and --bucket-vertices must be positive".into());
     }
     Ok(Some(cfg))
-}
-
-/// Root with the highest out-degree, like the figure binaries use.
-fn pick_root(g: &dyn GraphView) -> VertexId {
-    g.vertex_ids()
-        .max_by_key(|&v| g.out_degree(v))
-        .unwrap_or(VertexId::new(0))
 }
 
 /// One per-algorithm measurement row.
@@ -332,7 +326,7 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
         );
     }
 
-    let root = pick_root(&mapped);
+    let root = max_out_degree_vertex(&mapped);
     if cfg.check_resident {
         let resident = mapped.to_csr();
         check_resident(

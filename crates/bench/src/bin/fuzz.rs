@@ -9,9 +9,8 @@
 //! byte.
 //!
 //! `--inject-fault F` deliberately injects one of the `gp-chaos` fault
-//! kinds to self-test the harness's detection paths, and `--chaos` runs
-//! the full fault-injection campaign (every kind × every backend,
-//! detect → recover → bit-exact) instead of the fuzz loop.
+//! kinds to self-test the harness's detection paths. (The full
+//! fault-injection campaign is the `chaos` binary.)
 
 use gp_verify::{Fault, FuzzConfig};
 
@@ -25,25 +24,16 @@ Usage: fuzz [flags]
   --no-shrink           report the failing case unshrunk
   --inject-fault F      deliberately inject a defect to self-test the
                         harness; F is one of: {kinds}
-  --chaos               run the fault-injection campaign (every fault
-                        kind x backend, detect/recover/verify) instead
-                        of the fuzz loop; uses --seed
   --help                print this reference and exit
 
-Exit status: 0 when every iteration passes, 1 on an oracle or campaign
-failure, 2 on a bad invocation.",
+Exit status: 0 when every iteration passes, 1 on an oracle failure, 2 on
+a bad invocation.",
         kinds = Fault::labels().join(", ")
     )
 }
 
-struct Invocation {
-    cfg: FuzzConfig,
-    chaos: bool,
-}
-
-fn parse(args: impl Iterator<Item = String>) -> Result<Option<Invocation>, String> {
+fn parse(args: impl Iterator<Item = String>) -> Result<Option<FuzzConfig>, String> {
     let mut cfg = FuzzConfig::default();
-    let mut chaos = false;
     let mut args = gp_bench::cli::Flags::new(args);
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
@@ -51,7 +41,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Option<Invocation>, Strin
             "--iters" => cfg.iters = args.parsed(&flag, "an integer")?,
             "--shrink" => cfg.shrink = true,
             "--no-shrink" => cfg.shrink = false,
-            "--chaos" => chaos = true,
             "--inject-fault" => {
                 let v = args.value(&flag)?;
                 cfg.fault = Some(Fault::parse(&v).ok_or_else(|| {
@@ -67,21 +56,13 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Option<Invocation>, Strin
     if args.help_requested() {
         return Ok(None);
     }
-    Ok(Some(Invocation { cfg, chaos }))
+    Ok(Some(cfg))
 }
 
 fn main() {
-    let inv = gp_bench::cli::finish(parse(std::env::args().skip(1)), &usage());
-    if inv.chaos {
-        let report = gp_chaos::run_campaign(inv.cfg.seed);
-        print!("{}", report.render_log());
-        if !report.failures().is_empty() {
-            std::process::exit(1);
-        }
-        return;
-    }
+    let cfg = gp_bench::cli::finish(parse(std::env::args().skip(1)), &usage());
     let mut out = std::io::stdout().lock();
-    let report = match gp_verify::run_fuzz(&inv.cfg, &mut out) {
+    let report = match gp_verify::run_fuzz(&cfg, &mut out) {
         Ok(report) => report,
         Err(e) => {
             // stdout vanished mid-run (closed pipe, full disk): report on

@@ -18,6 +18,7 @@
 use gp_algorithms::{Bfs, ConnectedComponents, IncrementalAlgorithm, PageRankDelta, Sssp, Sswp};
 use gp_bench::{print_table, HarnessConfig, PR_EPS};
 use gp_graph::generators::{rmat, RmatConfig, WeightMode};
+use gp_graph::stats::max_out_degree_vertex;
 use gp_graph::{GraphView, VertexId};
 use gp_stream::{Backend, IncrementalEngine, StreamConfig, UpdateStream};
 use graphpulse_core::{AcceleratorConfig, GraphPulse};
@@ -41,13 +42,6 @@ fn backend(cfg: &HarnessConfig) -> Backend {
     }
 }
 
-/// Root with the highest out-degree, like the figure binaries use.
-fn pick_root(g: &dyn GraphView) -> VertexId {
-    g.vertex_ids()
-        .max_by_key(|&v| g.out_degree(v))
-        .unwrap_or(VertexId::new(0))
-}
-
 fn run_app<A: IncrementalAlgorithm>(
     label: &str,
     make: impl FnOnce(VertexId) -> A,
@@ -60,7 +54,7 @@ fn run_app<A: IncrementalAlgorithm>(
         &RmatConfig::graph500(n, 8 * n).with_weights(weights),
         cfg.seed,
     );
-    let algo = make(pick_root(&graph));
+    let algo = make(max_out_degree_vertex(&graph));
     let stream_config = StreamConfig {
         backend: backend(cfg),
         compact_fraction: 0.25,

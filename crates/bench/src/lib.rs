@@ -40,6 +40,7 @@ use gp_algorithms::{
 use gp_baselines::graphicionado::{self, GraphicionadoConfig};
 use gp_baselines::ligra::{apps as ligra_apps, LigraConfig, LigraOutput};
 use gp_graph::generators::WeightMode;
+use gp_graph::stats::max_out_degree_vertex;
 use gp_graph::workloads::Workload;
 use gp_graph::{CsrGraph, VertexId};
 use graphpulse_core::{AcceleratorConfig, GraphPulse, Outcome, ParallelOutcome, QueueConfig};
@@ -181,15 +182,15 @@ Common flags (every gp-bench binary):
                     cfg.workloads = args
                         .value(&flag)?
                         .split(',')
-                        .map(|w| match w.to_ascii_uppercase().as_str() {
-                            "WG" => Ok(Workload::WebGoogle),
-                            "FB" => Ok(Workload::Facebook),
-                            "WK" => Ok(Workload::Wikipedia),
-                            "LJ" => Ok(Workload::LiveJournal),
-                            "TW" => Ok(Workload::Twitter),
-                            other => Err(format!(
-                                "unknown workload {other} (expected WG,FB,WK,LJ,TW)"
-                            )),
+                        .map(|w| {
+                            Workload::parse(w)
+                                .filter(|w| Workload::TABLE_IV.contains(w))
+                                .ok_or_else(|| {
+                                    format!(
+                                        "unknown workload {} (expected WG,FB,WK,LJ,TW)",
+                                        w.to_ascii_uppercase()
+                                    )
+                                })
                         })
                         .collect::<Result<_, _>>()?;
                 }
@@ -293,10 +294,7 @@ pub fn prepare(workload: Workload, app: App, scale: usize, seed: u64) -> Prepare
         }
         _ => (workload.synthesize(scale, seed), None),
     };
-    let root = graph
-        .vertices()
-        .max_by_key(|v| graph.out_degree(*v))
-        .unwrap_or(VertexId::new(0));
+    let root = max_out_degree_vertex(&graph);
     Prepared {
         graph,
         params,

@@ -6,7 +6,7 @@
 //! paper relabels vertices so each slice is contiguous, which our generators
 //! already guarantee, so slicing reduces to choosing boundaries.
 
-use crate::{CsrGraph, GraphView, VertexId};
+use crate::{GraphView, VertexId};
 
 /// A contiguous vertex range `[start, end)` resident on the accelerator at
 /// one time.
@@ -158,53 +158,12 @@ impl Partition {
     }
 }
 
-/// A seeded random permutation of `0..n`, for [`permute`].
-///
-/// Contiguous slicing concentrates a power-law graph's hubs (the
-/// low-numbered vertices of R-MAT/Barabási generators) into the first
-/// slice, which serializes shard-parallel execution: one shard carries
-/// almost all events while the rest sit parked. Relabeling with a random
-/// permutation spreads the hubs uniformly, so every slice carries a
-/// similar share of the event load.
-pub fn scatter_permutation(n: usize, seed: u64) -> Vec<u32> {
-    use crate::rng::Rng;
-    let mut rng = crate::rng::StdRng::seed_from_u64(seed);
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    // Fisher–Yates.
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..i + 1);
-        perm.swap(i, j);
-    }
-    perm
-}
-
-/// Relabels `graph` so old vertex `v` becomes `perm[v]`, preserving edges
-/// and weights. `perm` must be a permutation of `0..graph.num_vertices()`.
-///
-/// # Panics
-///
-/// Panics if `perm.len() != graph.num_vertices()`.
-pub fn permute(graph: &CsrGraph, perm: &[u32]) -> CsrGraph {
-    assert_eq!(
-        perm.len(),
-        graph.num_vertices(),
-        "permutation length must match the vertex count"
-    );
-    let mut b = crate::GraphBuilder::new(graph.num_vertices());
-    b.weighted(graph.is_weighted());
-    for v in graph.vertices() {
-        let src = VertexId::new(perm[v.index()]);
-        for e in graph.out_edges(v) {
-            b.add_edge(src, VertexId::new(perm[e.other.index()]), e.weight);
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{erdos_renyi, WeightMode};
+    use crate::rng::{Rng, StdRng};
+    use crate::CsrGraph;
 
     fn graph() -> CsrGraph {
         erdos_renyi(100, 600, WeightMode::Unweighted, 1)
@@ -259,43 +218,17 @@ mod tests {
     }
 
     #[test]
-    fn permute_preserves_edges_and_weights() {
-        let g = erdos_renyi(60, 300, WeightMode::Uniform(1.0, 5.0), 4);
-        let perm = scatter_permutation(60, 9);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..60).collect::<Vec<u32>>(), "not a permutation");
-
-        let p = permute(&g, &perm);
-        assert_eq!(p.num_vertices(), g.num_vertices());
-        assert_eq!(p.num_edges(), g.num_edges());
-        assert!(p.is_weighted());
-        for v in g.vertices() {
-            let mut old: Vec<(u32, u32)> = g
-                .out_edges(v)
-                .map(|e| (perm[e.other.index()], e.weight.to_bits()))
-                .collect();
-            let mut new: Vec<(u32, u32)> = p
-                .out_edges(VertexId::new(perm[v.index()]))
-                .map(|e| (e.other.get(), e.weight.to_bits()))
-                .collect();
-            old.sort_unstable();
-            new.sort_unstable();
-            assert_eq!(old, new, "edge set changed for {v}");
-        }
-    }
-
-    #[test]
     fn scatter_spreads_a_hub_graph_across_slices() {
         // All edges out of vertex 0: contiguous slicing puts every edge in
-        // slice 0; after scattering, the hub lands in a random slice but
-        // the *in*-edges (the event load) spread with their targets.
+        // slice 0; after relabeling by a random permutation, the hub lands
+        // in a random slice but the *in*-edges (the event load) spread
+        // with their targets.
         let mut b = crate::GraphBuilder::new(64);
         for d in 1..64u32 {
             b.add_edge(VertexId::new(0), VertexId::new(d), 1.0);
         }
         let g = b.build();
-        let p = permute(&g, &scatter_permutation(64, 3));
+        let p = g.relabel(&StdRng::seed_from_u64(3).permutation(64));
         let part = Partition::contiguous(&p, 16);
         let loads: Vec<usize> = part
             .slices()

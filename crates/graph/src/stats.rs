@@ -1,6 +1,6 @@
 //! Graph-level statistics used to validate generators and size experiments.
 
-use crate::CsrGraph;
+use crate::{CsrGraph, GraphView, VertexId};
 
 /// Summary statistics of a graph's degree structure.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +80,16 @@ impl GraphStats {
     }
 }
 
+/// The vertex with the highest out-degree — the highest id among ties,
+/// vertex 0 on an empty graph. The harnesses root their traversals here
+/// so a single-source run reaches as much of the graph as one source can.
+pub fn max_out_degree_vertex<G: GraphView + ?Sized>(graph: &G) -> VertexId {
+    graph
+        .vertex_ids()
+        .max_by_key(|&v| graph.out_degree(v))
+        .unwrap_or(VertexId::new(0))
+}
+
 impl std::fmt::Display for GraphStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -124,6 +134,17 @@ mod tests {
         assert_eq!(s.vertices, 0);
         assert_eq!(s.avg_out_degree, 0.0);
         assert_eq!(s.skew(), 0.0);
+    }
+
+    #[test]
+    fn max_out_degree_vertex_takes_the_last_of_the_largest() {
+        let mut b = crate::GraphBuilder::new(5);
+        for (src, dst) in [(1, 0), (1, 2), (3, 0), (3, 4), (4, 0)] {
+            b.add_edge(VertexId::new(src), VertexId::new(dst), 1.0);
+        }
+        assert_eq!(max_out_degree_vertex(&b.build()), VertexId::new(3));
+        let empty = crate::GraphBuilder::new(0).build();
+        assert_eq!(max_out_degree_vertex(&empty), VertexId::new(0));
     }
 
     #[test]

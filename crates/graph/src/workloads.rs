@@ -48,6 +48,15 @@ impl Workload {
         }
     }
 
+    /// Parses a paper abbreviation ([`abbrev`](Workload::abbrev)),
+    /// ignoring case.
+    pub fn parse(s: &str) -> Option<Workload> {
+        Workload::TABLE_IV
+            .into_iter()
+            .chain([Workload::Road])
+            .find(|w| w.abbrev().eq_ignore_ascii_case(s))
+    }
+
     /// Human-readable name as in Table IV.
     pub fn description(self) -> &'static str {
         match self {

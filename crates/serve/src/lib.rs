@@ -19,27 +19,33 @@
 //! * **Batched query execution** ([`executor`]): a pool of
 //!   [`ServeConfig::executors`] executor threads, one per admission
 //!   *lane*, drains admitted queries in windows and groups them by
-//!   class. Queries route to lanes by `(class, source)` hash, so every
-//!   query for a given path source lands on the same executor and its
-//!   per-source column cache stays thread-local (no cross-thread cache
-//!   coherence). PageRank/CC per-epoch runs are memoized once in shared,
-//!   mutex-guarded caches (warm-started through
-//!   [`incremental_seeds`](gp_algorithms::incremental_seeds) +
-//!   [`run_turbo_seeded`](gp_turbo::run_turbo_seeded) when the epoch
-//!   advanced by one overlay delta) and the projected vectors are
-//!   `Arc`-shared to every lane. Path queries fuse through [`FusedPaths`]
-//!   multi-source frontier fusion — up to [`LANES`] same-class sources
-//!   per traversal — and cached columns warm-start across epochs by
-//!   replaying the overlay deltas incrementally. All turbo runs use
-//!   [`ServeConfig::turbo_shards`] engine shards; sharded runs are
-//!   bit-identical to single-shard runs, so responses stay golden-exact
-//!   regardless of the shard count.
+//!   class. The only thing a lane caches is a *column*: one algorithm's
+//!   converged per-vertex state, in the algorithm's own value type, at
+//!   the epoch it is exact for, keyed by `(class, key)` (the path source;
+//!   `0` for PageRank and CC). Queries route to lanes by the same pair,
+//!   so a column is owned by the one lane its key hashes to — no shared
+//!   caches, no locks, no cross-thread coherence. All five classes bring
+//!   a column to the pinned epoch the same way: replay the overlay deltas
+//!   it is behind by in place
+//!   ([`incremental_seeds`](gp_algorithms::incremental_seeds) +
+//!   [`run_turbo_seeded`](gp_turbo::run_turbo_seeded) — converged state
+//!   plus a perturbation processes only the events the perturbation
+//!   triggers), or run cold when the chain is too long or broken. Cold
+//!   path sources fuse through [`FusedPaths`] multi-source frontier
+//!   fusion, up to [`LANES`] same-class sources per traversal. All turbo
+//!   runs use [`ServeConfig::turbo_shards`] engine shards; sharded runs
+//!   are bit-identical to single-shard runs, so responses stay
+//!   golden-exact regardless of the shard count.
 //! * **Admission control** ([`admission`]): bounded per-tenant queues, a
 //!   global overload ceiling, typed [`Rejection`]s, and graceful
-//!   degradation — when the update pipeline lags behind
-//!   [`ServeConfig::degrade_lag`] batches, reads are served from the last
-//!   computed epoch (flagged [`QueryResponse::degraded`]) instead of
-//!   stalling on recomputes.
+//!   degradation — when the update pipeline lags four batches or more
+//!   behind, reads are served from the columns a lane already holds
+//!   (flagged [`QueryResponse::degraded`], exact for the epoch they name)
+//!   instead of stalling on recomputes.
+//! * **Constants, not knobs**: [`ServeConfig`] holds the eight values a
+//!   caller in this repository sets. Queue bounds, the batching window,
+//!   the degradation threshold, the replay limits and the path-column
+//!   bound are documented constants beside it.
 //! * **Front ends**: the in-process [`ServeHandle`] / [`ServeClient`]
 //!   API here, and a line-oriented TCP protocol in [`net`].
 //!
@@ -173,36 +179,43 @@ impl QueryClass {
     pub fn parse(s: &str) -> Option<QueryClass> {
         QueryClass::ALL.into_iter().find(|c| c.name() == s)
     }
+
+    /// Position in [`QueryClass::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl Query {
     /// The class this query batches under.
     pub fn class(&self) -> QueryClass {
-        match self {
-            Query::PageRank { .. } => QueryClass::PageRank,
-            Query::Components { .. } => QueryClass::Components,
-            Query::Sssp { .. } => QueryClass::Sssp,
-            Query::Bfs { .. } => QueryClass::Bfs,
-            Query::Sswp { .. } => QueryClass::Sswp,
+        self.parts().0
+    }
+
+    /// `(class, column key, vertex read)`: the key is the path source, `0`
+    /// for the whole-graph classes, and `(class, key)` names the one
+    /// column the answer is read from.
+    pub(crate) fn parts(&self) -> (QueryClass, u32, u32) {
+        match *self {
+            Query::PageRank { v } => (QueryClass::PageRank, 0, v.get()),
+            Query::Components { v } => (QueryClass::Components, 0, v.get()),
+            Query::Sssp { src, dst } => (QueryClass::Sssp, src.get(), dst.get()),
+            Query::Bfs { src, dst } => (QueryClass::Bfs, src.get(), dst.get()),
+            Query::Sswp { src, dst } => (QueryClass::Sswp, src.get(), dst.get()),
         }
     }
 
     fn validate(&self, num_vertices: usize) -> Result<(), Rejection> {
-        let check = |v: VertexId| {
-            if v.index() < num_vertices {
-                Ok(())
-            } else {
-                Err(Rejection::BadQuery(format!(
-                    "vertex {v} out of range for {num_vertices} vertices"
-                )))
-            }
-        };
-        match *self {
-            Query::PageRank { v } | Query::Components { v } => check(v),
-            Query::Sssp { src, dst } | Query::Bfs { src, dst } | Query::Sswp { src, dst } => {
-                check(src).and_then(|()| check(dst))
+        let (_, key, read) = self.parts();
+        for v in [key, read] {
+            if v as usize >= num_vertices {
+                return Err(Rejection::BadQuery(format!(
+                    "vertex {} out of range for {num_vertices} vertices",
+                    VertexId::new(v)
+                )));
             }
         }
+        Ok(())
     }
 }
 
@@ -221,36 +234,21 @@ pub struct QueryResponse {
     pub degraded: bool,
 }
 
-/// Server tuning knobs.
+/// Server tuning knobs: the values some caller sets. Everything else the
+/// service is tuned by is a constant below.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Registered tenant names; queries carry a tenant id (index).
     pub tenants: Vec<String>,
     /// Executor threads (= admission lanes). Queries route to lanes by
-    /// `(class, source)` hash so per-source path caches stay
-    /// thread-local. Minimum 1.
+    /// `(class, source)` hash, so each cached column is owned by exactly
+    /// one lane. Minimum 1.
     pub executors: usize,
     /// Vertex shards for every turbo run the service performs. Sharded
     /// runs are bit-identical to single-shard runs. Minimum 1.
     pub turbo_shards: usize,
-    /// Per-tenant admitted-query bound ([`Rejection::QueueFull`] beyond).
-    pub queue_capacity: usize,
-    /// Global admitted-query bound ([`Rejection::Overloaded`] beyond).
-    pub global_capacity: usize,
-    /// Most queries one executor sweep serves (the batching window's size
-    /// bound; same-class queries within a sweep share runs).
-    pub max_batch: usize,
-    /// How long an idle executor waits for queries to batch up.
-    pub batch_window: Duration,
-    /// Bounded depth of the update-batch queue; a full queue is
-    /// backpressure on the updater.
-    pub update_queue: usize,
-    /// Update batches pending beyond which reads degrade to cached
-    /// last-epoch results instead of recomputing — the service sheds
-    /// *freshness*, not availability, when writes outpace it.
-    pub degrade_lag: usize,
     /// Whole-graph (PageRank/CC) refresh stride under epoch churn: a
-    /// cached vector is reused — flagged [`QueryResponse::degraded`] and
+    /// cached column is reused — flagged [`QueryResponse::degraded`] and
     /// named exactly at its own epoch — until the sweep's pinned epoch is
     /// at least this many epochs ahead, then re-converged. Whole-graph
     /// convergence costs seconds per epoch on large graphs while path
@@ -268,11 +266,6 @@ pub struct ServeConfig {
     /// Recent epochs retained for [`SnapshotStore::epoch`] lookups
     /// (offline verification recomputes on exactly the served epoch).
     pub retain_epochs: usize,
-    /// Consecutive warm starts of a PageRank/CC cache before a forced
-    /// cold run, bounding incremental drift accumulation.
-    pub warm_limit: u32,
-    /// Per-source path-result cache entries before the cache is cleared.
-    pub path_cache_sources: usize,
     /// PageRank damping factor.
     pub pagerank_damping: f64,
     /// PageRank convergence threshold (also sets its comparison
@@ -286,22 +279,37 @@ impl Default for ServeConfig {
             tenants: vec!["default".to_string()],
             executors: 1,
             turbo_shards: 1,
-            queue_capacity: 1_024,
-            global_capacity: 8_192,
-            max_batch: 256,
-            batch_window: Duration::from_micros(200),
-            update_queue: 8,
-            degrade_lag: 4,
             refresh_lag: 8,
             compact_fraction: 0.25,
             retain_epochs: 64,
-            warm_limit: 16,
-            path_cache_sources: 128,
             pagerank_damping: 0.85,
             pagerank_threshold: 1e-9,
         }
     }
 }
+
+/// Per-tenant admitted-query bound ([`Rejection::QueueFull`] beyond).
+const QUEUE_CAPACITY: usize = 1_024;
+/// Global admitted-query bound ([`Rejection::Overloaded`] beyond).
+const GLOBAL_CAPACITY: usize = 8_192;
+/// Most queries one executor sweep serves (the batching window's size
+/// bound; same-class queries within a sweep share runs).
+pub(crate) const MAX_BATCH: usize = 256;
+/// How long an idle executor waits for queries to batch up.
+pub(crate) const BATCH_WINDOW: Duration = Duration::from_micros(200);
+/// Bounded depth of the update-batch queue; a full queue is backpressure
+/// on the updater.
+const UPDATE_QUEUE: usize = 8;
+/// Update batches pending at or beyond which reads degrade to the columns
+/// a lane already holds instead of recomputing — the service sheds
+/// *freshness*, not availability, when writes outpace it.
+pub(crate) const DEGRADE_LAG: usize = 4;
+/// Consecutive replays of a PageRank/CC column before a forced cold run,
+/// bounding incremental drift accumulation.
+pub(crate) const WARM_LIMIT: u32 = 16;
+/// Path columns one lane holds across its three path classes before the
+/// stale ones (then all of them) are dropped.
+pub(crate) const PATH_CACHE_SOURCES: usize = 128;
 
 /// Monotone service counters, updated by the executor/writer threads and
 /// readable at any time via [`ServeStats::snapshot`].
@@ -352,11 +360,7 @@ pub struct StatsSnapshot {
 
 impl ServeStats {
     pub(crate) fn count_served(&self, class: QueryClass, degraded: bool) {
-        let i = QueryClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("class");
-        self.served[i].fetch_add(1, Ordering::Relaxed);
+        self.served[class.index()].fetch_add(1, Ordering::Relaxed);
         if degraded {
             self.degraded.fetch_add(1, Ordering::Relaxed);
         }
@@ -398,9 +402,6 @@ pub(crate) struct Shared {
     pub(crate) queues: AdmissionQueues<Request>,
     pub(crate) store: SnapshotStore,
     pub(crate) stats: ServeStats,
-    /// Whole-graph PageRank/CC caches, computed once per epoch under a
-    /// mutex and `Arc`-shared to every executor lane.
-    pub(crate) caches: executor::SharedCaches,
     /// Update batches submitted but not yet published — the freshness lag
     /// that triggers degradation.
     pub(crate) update_lag: AtomicUsize,
@@ -438,13 +439,12 @@ impl Server {
         let shared = Arc::new(Shared {
             queues: AdmissionQueues::new(
                 config.tenants.clone(),
-                config.queue_capacity,
-                config.global_capacity,
+                QUEUE_CAPACITY,
+                GLOBAL_CAPACITY,
                 config.executors,
             ),
             store,
             stats: ServeStats::default(),
-            caches: executor::SharedCaches::new(&config),
             update_lag: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             num_vertices,
@@ -455,7 +455,7 @@ impl Server {
             config: config.clone(),
         });
 
-        let (update_tx, update_rx) = mpsc::sync_channel::<Vec<EdgeUpdate>>(config.update_queue);
+        let (update_tx, update_rx) = mpsc::sync_channel::<Vec<EdgeUpdate>>(UPDATE_QUEUE);
 
         let writer = {
             let shared = Arc::clone(&shared);
@@ -563,25 +563,19 @@ impl ServeHandle {
     }
 }
 
-/// Routes a query to an executor lane. All whole-graph reads of a class
-/// share a lane; path queries route by `(class, source)` so one lane owns
-/// every query against a given source column and its cache entry is
+/// Routes a query to an executor lane by the `(class, key)` of the column
+/// it reads: all whole-graph reads of a class share a lane, and one lane
+/// owns every query against a given path source, so each column is
 /// touched by exactly one thread.
 pub(crate) fn lane_of(query: &Query, lanes: usize) -> usize {
     if lanes <= 1 {
         return 0;
     }
-    let (class, src) = match *query {
-        Query::PageRank { .. } => (0u64, 0u32),
-        Query::Components { .. } => (1, 0),
-        Query::Sssp { src, .. } => (2, src.get()),
-        Query::Bfs { src, .. } => (3, src.get()),
-        Query::Sswp { src, .. } => (4, src.get()),
-    };
+    let (class, key, _) = query.parts();
     // Fibonacci-style multiply hash; deterministic across runs.
-    let mut h = class
+    let mut h = (class.index() as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(u64::from(src).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        .wrapping_add(u64::from(key).wrapping_mul(0xBF58_476D_1CE4_E5B9));
     h ^= h >> 31;
     (h % lanes as u64) as usize
 }
@@ -663,13 +657,14 @@ impl Updater {
     /// the writer's backpressure on a too-fast updater. Returns `false`
     /// if the writer is gone (post-shutdown).
     pub fn submit(&self, updates: Vec<EdgeUpdate>) -> bool {
-        match self.tx.send(updates) {
-            Ok(()) => {
-                self.shared.update_lag.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => false,
+        // Counted before the send: the writer decrements as soon as it
+        // has applied the batch, which can be before `send` returns here.
+        self.shared.update_lag.fetch_add(1, Ordering::Relaxed);
+        let sent = self.tx.send(updates).is_ok();
+        if !sent {
+            self.shared.update_lag.fetch_sub(1, Ordering::Relaxed);
         }
+        sent
     }
 
     /// Non-blocking submit.
@@ -679,14 +674,14 @@ impl Updater {
     /// [`Rejection::Overloaded`] when the update queue is full,
     /// [`Rejection::ShuttingDown`] when the writer is gone.
     pub fn try_submit(&self, updates: Vec<EdgeUpdate>) -> Result<(), Rejection> {
-        match self.tx.try_send(updates) {
-            Ok(()) => {
-                self.shared.update_lag.fetch_add(1, Ordering::Relaxed);
-                Ok(())
+        self.shared.update_lag.fetch_add(1, Ordering::Relaxed);
+        self.tx.try_send(updates).map_err(|e| {
+            self.shared.update_lag.fetch_sub(1, Ordering::Relaxed);
+            match e {
+                TrySendError::Full(_) => Rejection::Overloaded,
+                TrySendError::Disconnected(_) => Rejection::ShuttingDown,
             }
-            Err(TrySendError::Full(_)) => Err(Rejection::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(Rejection::ShuttingDown),
-        }
+        })
     }
 
     /// Update batches submitted but not yet published.
@@ -697,5 +692,36 @@ impl Updater {
     /// Current epoch number.
     pub fn current_epoch(&self) -> u64 {
         self.shared.store.current_number()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The ownership the lane-local columns rely on: a column's
+    /// `(class, key)` picks its lane, whatever vertex is read from it.
+    #[test]
+    fn lane_depends_only_on_class_and_key() {
+        let v = VertexId::new;
+        for lanes in 1..=8 {
+            let pagerank = lane_of(&Query::PageRank { v: v(0) }, lanes);
+            let components = lane_of(&Query::Components { v: v(0) }, lanes);
+            for x in 0..64 {
+                assert_eq!(lane_of(&Query::PageRank { v: v(x) }, lanes), pagerank);
+                assert_eq!(lane_of(&Query::Components { v: v(x) }, lanes), components);
+                for src in [0, 7, 300].map(v) {
+                    let dst = v(x);
+                    for (a, b) in [
+                        (Query::Sssp { src, dst }, Query::Sssp { src, dst: v(0) }),
+                        (Query::Bfs { src, dst }, Query::Bfs { src, dst: v(0) }),
+                        (Query::Sswp { src, dst }, Query::Sswp { src, dst: v(0) }),
+                    ] {
+                        assert!(lane_of(&a, lanes) < lanes);
+                        assert_eq!(lane_of(&a, lanes), lane_of(&b, lanes), "{a:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Concurrency contract tests: byte-stable reader results under racing
 //! writers, with the interleavings pinned down deterministically.
 //!
-//! Three interleavings the multi-executor service must survive:
+//! Four interleavings the multi-executor service must survive:
 //!
 //! 1. **Publish while pinned** — a reader holds an epoch pin while the
 //!    writer publishes (and the overlay mutates) underneath it. The
@@ -15,6 +15,11 @@
 //!    executor pool while the writer races batch publishes. Every
 //!    response, whatever epoch it landed on, must be exact for the epoch
 //!    it names.
+//! 4. **Apply before the submitter resumes** — the writer applies a batch
+//!    while the thread that submitted it is still inside `submit`. The
+//!    pending-batch count must already include that batch, or the
+//!    writer's decrement wraps it below zero and every sweep until the
+//!    submitter resumes runs degraded.
 //!
 //! The interleavings are sequenced explicitly (submit → wait for
 //! `lag == 0` → assert) where the contract is about a *specific* order,
@@ -22,6 +27,7 @@
 //! for *every* order. All servers run with multiple executors and
 //! sharded turbo so the concurrency machinery itself is under test.
 
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -287,4 +293,50 @@ fn drain_during_publish_is_golden_exact_across_the_pool() {
     assert_eq!(stats.served, total);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.update_batches, 16);
+}
+
+#[test]
+fn update_lag_never_exceeds_the_batches_submitted() {
+    const SUBMITTERS: usize = 4;
+    const PER_SUBMITTER: usize = 5_000;
+    let handle = Server::start(base_graph(61), ServeConfig::default());
+    let watcher = handle.updater();
+
+    // Empty batches publish nothing, so the writer's apply is as short as
+    // the submitter's own bookkeeping and the two race on every batch.
+    let started = AtomicUsize::new(0);
+    let running = AtomicUsize::new(SUBMITTERS);
+    let failed = AtomicBool::new(false);
+    let start = Barrier::new(SUBMITTERS + 1);
+    std::thread::scope(|scope| {
+        for _ in 0..SUBMITTERS {
+            let updater = handle.updater();
+            let (started, running, failed, start) = (&started, &running, &failed, &start);
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..PER_SUBMITTER {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    if !updater.submit(Vec::new()) {
+                        failed.store(true, Ordering::SeqCst);
+                    }
+                }
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        start.wait();
+        while running.load(Ordering::SeqCst) > 0 {
+            let lag = watcher.lag();
+            fence(Ordering::SeqCst);
+            let submitted = started.load(Ordering::SeqCst);
+            assert!(
+                lag <= submitted,
+                "lag {lag} with only {submitted} batch(es) submitted"
+            );
+        }
+    });
+    assert!(!failed.load(Ordering::SeqCst), "writer went away mid-run");
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.update_batches, (SUBMITTERS * PER_SUBMITTER) as u64);
+    assert_eq!(watcher.lag(), 0);
 }

@@ -28,6 +28,17 @@ if grep -rnE 'fn urgency\(|enq_key|key_of|KEY_SPACE' crates/*/src; then
   echo "bucketed drain reintroduced: deposit into Shard::pending / active and let sweep() order the work"; exit 1
 fi
 
+echo "== one kind of thing cached in gp-serve (lane-local typed columns, constants not knobs) =="
+# A lane caches columns in the algorithm's own value type and brings them
+# to an epoch one way; the shared mutex-guarded caches, the projected f64
+# copies and the eight never-set ServeConfig fields may not come back.
+if grep -rnE 'SharedCaches|struct ClassCache|fn warm_step|Arc<Vec<f64>>' crates/serve/src; then
+  echo "second cache mechanism reintroduced: keep state in executor::Column and advance it through Class::replay"; exit 1
+fi
+if grep -nE 'pub (queue_capacity|global_capacity|max_batch|batch_window|update_queue|degrade_lag|warm_limit|path_cache_sources)' crates/serve/src/lib.rs; then
+  echo "never-set ServeConfig field reintroduced: it is a constant beside the struct until two callers need different values"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -20,6 +20,7 @@ use graphpulse::baselines::graphicionado::{self, GraphicionadoConfig};
 use graphpulse::baselines::ligra::{apps, LigraConfig};
 use graphpulse::core::{AcceleratorConfig, GraphPulse};
 use graphpulse::graph::generators::WeightMode;
+use graphpulse::graph::stats::max_out_degree_vertex;
 use graphpulse::graph::workloads::Workload;
 use graphpulse::graph::{io, CsrGraph, VertexId};
 
@@ -73,15 +74,9 @@ fn parse_args() -> Result<Args, String> {
             "--app" => args.app = val()?,
             "--backend" => args.backend = val()?,
             "--workload" => {
-                args.workload = match val()?.to_ascii_uppercase().as_str() {
-                    "WG" => Workload::WebGoogle,
-                    "FB" => Workload::Facebook,
-                    "WK" => Workload::Wikipedia,
-                    "LJ" => Workload::LiveJournal,
-                    "TW" => Workload::Twitter,
-                    "RD" => Workload::Road,
-                    other => return Err(format!("unknown workload {other}")),
-                }
+                let name = val()?;
+                args.workload = Workload::parse(&name)
+                    .ok_or_else(|| format!("unknown workload {}", name.to_ascii_uppercase()))?;
             }
             "--scale" => args.scale = val()?.parse().map_err(|e| format!("--scale: {e}"))?,
             "--graph" => args.graph_file = Some(val()?),
@@ -116,22 +111,14 @@ fn load_graph(args: &Args, weighted: bool) -> Result<CsrGraph, String> {
         .synthesize_weighted(args.scale, mode, args.seed))
 }
 
-fn root_of(args: &Args, graph: &CsrGraph) -> VertexId {
-    match args.root {
-        Some(v) => VertexId::new(v),
-        None => graph
-            .vertices()
-            .max_by_key(|v| graph.out_degree(*v))
-            .unwrap_or(VertexId::new(0)),
-    }
-}
-
 /// `(values, simulated-or-measured seconds, human summary)`.
 fn run(args: &Args) -> Result<(Vec<f64>, f64, String), String> {
     let weighted = matches!(args.app.as_str(), "sssp" | "sswp" | "ads");
     let graph = load_graph(args, weighted)?;
     eprintln!("graph: {graph}");
-    let root = root_of(args, &graph);
+    let root = args
+        .root
+        .map_or_else(|| max_out_degree_vertex(&graph), VertexId::new);
 
     // Adsorption needs normalized weights + parameters.
     let (graph, params) = if args.app == "ads" {
