@@ -17,8 +17,9 @@
 //! same seeds, same traffic), recording one sweep entry per run —
 //! throughput scaling across pool sizes lands in a single document.
 //! `--turbo-shards` sets the engine shard count every turbo run uses;
-//! sharded runs are bit-identical to single-shard runs, so the golden
-//! cross-checks are unaffected.
+//! every shard count is bit-exact with golden on the monotone classes and
+//! within tolerance on PageRank, so the golden cross-checks hold for any
+//! value.
 //!
 //! A deterministic slice of the responses is cross-checked after each run
 //! against golden sequential recomputes on the *exact epoch each response
@@ -57,8 +58,8 @@ Usage: serve_bench [flags]
   --executors E    comma-separated executor-pool sizes; the identical
                    workload runs once per size and each run is one sweep
                    entry in the output (default 1)
-  --turbo-shards S engine shards for every turbo run; bit-identical to
-                   single-shard execution (default 1)
+  --turbo-shards S engine shards for every turbo run; golden-exact on
+                   the monotone classes at any value (default 1)
   --sample-every K sample every K-th query per client for the golden
                    cross-check (default 512)
   --verify-all     cross-check every sampled response (no golden-run

@@ -33,9 +33,11 @@
 //!   triggers), or run cold when the chain is too long or broken. Cold
 //!   path sources fuse through [`FusedPaths`] multi-source frontier
 //!   fusion, up to [`LANES`] same-class sources per traversal. All turbo
-//!   runs use [`ServeConfig::turbo_shards`] engine shards; sharded runs
-//!   are bit-identical to single-shard runs, so responses stay
-//!   golden-exact regardless of the shard count.
+//!   runs use [`ServeConfig::turbo_shards`] engine shards; the four
+//!   monotone classes are bit-exact with golden at every shard count,
+//!   while a PageRank response is within the algorithm's tolerance of
+//!   golden and its low-order bits are a function of the shard count
+//!   (turbo's lookahead ends at a shard boundary).
 //! * **Admission control** ([`admission`]): bounded per-tenant queues, a
 //!   global overload ceiling, typed [`Rejection`]s, and graceful
 //!   degradation — when the update pipeline lags four batches or more
@@ -244,8 +246,10 @@ pub struct ServeConfig {
     /// `(class, source)` hash, so each cached column is owned by exactly
     /// one lane. Minimum 1.
     pub executors: usize,
-    /// Vertex shards for every turbo run the service performs. Sharded
-    /// runs are bit-identical to single-shard runs. Minimum 1.
+    /// Vertex shards for every turbo run the service performs. CC and
+    /// path responses are bit-exact with golden for any value; PageRank
+    /// responses stay within tolerance and are reproducible per value,
+    /// not equal across values. Minimum 1.
     pub turbo_shards: usize,
     /// Whole-graph (PageRank/CC) refresh stride under epoch churn: a
     /// cached column is reused — flagged [`QueryResponse::degraded`] and

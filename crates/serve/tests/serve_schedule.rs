@@ -133,7 +133,7 @@ fn whole_graph_columns_refresh_cold_every_eighth_epoch() {
     assert_schedule(
         8,
         [48, 24, 99, 72, 72, 63, 6, 0, 12, 24, 207, 315],
-        0xe7c6_bfd0_86a1_6813,
+        0xaa7b_deb8_1d48_c2bf,
     );
 }
 
@@ -144,6 +144,6 @@ fn whole_graph_columns_chase_every_epoch_warm_until_the_streak_cap() {
     assert_schedule(
         1,
         [48, 24, 99, 72, 72, 0, 4, 44, 12, 24, 207, 315],
-        0x2b34_3d48_4586_1ad5,
+        0x3b43_c751_b1ce_7a70,
     );
 }

@@ -20,14 +20,16 @@
 //!   round takes each bitmap word and walks its set bits in ascending
 //!   order, so the kernel reads monotone CSR ranges (row pointers, edge
 //!   lists and the value/pending arrays stream forward) with no queue, no
-//!   sort and no search structure on the path. Deltas propagated during a
-//!   round are deposited when it ends, which is what makes a
-//!   vertex-sharded run reproduce the single-shard one bit for bit. The
+//!   sort and no search structure on the path. A propagated delta is
+//!   deposited at once, so a target the sweep has not reached yet is
+//!   processed in the same round — the lookahead of Fig. 8 — and only a
+//!   delta that crosses a shard boundary waits for the round barrier. The
 //!   §II-B reordering property guarantees any drain order reaches the same
 //!   fixed point.
 //!
-//! The backend is bit-deterministic: two runs on the same graph produce
-//! identical values, counters, and round logs. It is registered
+//! The backend is bit-deterministic: two runs on the same graph at the
+//! same shard count produce identical values, counters, and round logs.
+//! It is registered
 //! as the **fifth oracle leg** in `gp-verify`, so every fuzz case
 //! cross-checks it against the golden engine, the cycle-level accelerator,
 //! the shard-parallel engine, and the incremental engine — speed never

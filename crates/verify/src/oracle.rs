@@ -11,7 +11,8 @@
 //! 4. the incremental engine over the overlay, after every update batch,
 //!    against a from-scratch golden run on the updated graph,
 //! 5. the turbo engine (speed-first, vertex-order sweeps), run
-//!    twice to also pin its determinism.
+//!    twice to also pin its determinism, and again at 2 and 4 vertex
+//!    shards under both round drivers.
 //!
 //! Metamorphic checks: vertex relabeling (values commute with the
 //! permutation; for connected components, the partition does), edge-order
@@ -32,7 +33,7 @@ use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, GraphBuilder, MappedCsr, VertexId};
 use gp_mem::integrity::Storable;
 use gp_stream::{IncrementalEngine, StreamConfig};
-use gp_turbo::{run_turbo, StaleFault, TurboConfig};
+use gp_turbo::{run_turbo, StaleFault, TurboConfig, TurboOutcome};
 use graphpulse_core::{GraphPulse, ParallelChaos, RunError};
 
 use crate::case::{AlgoKind, TestCase};
@@ -195,6 +196,34 @@ fn compare_values(
     Ok(())
 }
 
+/// Two turbo runs that must be the same run: equal value bits and equal
+/// [`render_log`](TurboOutcome::render_log) (every counter and the
+/// per-round schedule).
+fn same_turbo_outcome(
+    check: &'static str,
+    what: &str,
+    a: &TurboOutcome,
+    b: &TurboOutcome,
+) -> Result<(), Failure> {
+    if same_bits(&a.values, &b.values) && a.render_log() == b.render_log() {
+        return Ok(());
+    }
+    Err(fail(
+        check,
+        format!(
+            "{what} diverged (processed {} vs {}, coalesced {} vs {}, \
+             rounds {} vs {}, max |value diff| {:e})",
+            a.events_processed,
+            b.events_processed,
+            a.events_coalesced,
+            b.events_coalesced,
+            a.rounds,
+            b.rounds,
+            max_abs_diff(&a.values, &b.values),
+        ),
+    ))
+}
+
 /// Golden ≡ accelerator ≡ parallel × {1, 2, 4 workers} ≡ chaos executor,
 /// plus determinism, event conservation, and slice-count invariance.
 fn check_differential<A>(
@@ -230,66 +259,44 @@ where
         &golden.values,
         tol,
     )?;
-    if !same_bits(&t1.values, &t2.values)
-        || t1.events_processed != t2.events_processed
-        || t1.events_generated != t2.events_generated
-        || t1.rounds != t2.rounds
-    {
-        return Err(fail(
-            "turbo-determinism",
-            format!(
-                "two identical turbo runs diverged \
-                 (processed {} vs {}, generated {} vs {}, rounds {} vs {})",
-                t1.events_processed,
-                t2.events_processed,
-                t1.events_generated,
-                t2.events_generated,
-                t1.rounds,
-                t2.rounds
-            ),
-        ));
-    }
+    same_turbo_outcome("turbo-determinism", "two identical turbo runs", &t1, &t2)?;
 
-    // Sharded turbo (oracle leg: differential-turbo-sharded): the vertex-
-    // sharded engine must be bit-identical to the single-shard run at
-    // every shard count — values and every counter — because the global
-    // round schedule and the canonical (shard, seq) merge are functions
-    // of the set of active vertices alone, not of the partition.
+    // Sharded turbo (oracle leg: differential-turbo-sharded). Lookahead
+    // ends at a shard boundary, so counters are per shard count; what must
+    // hold at each count is agreement with golden (tolerance 0 for the
+    // monotone algorithms), event conservation, and an outcome that is a
+    // function of (input, shard count) alone — the scoped-thread driver and
+    // the sequential driver (forced by a fault that never fires) must
+    // produce the same value bits and the same log.
     for shards in [2usize, 4] {
-        let ts = run_turbo(
-            algo,
-            g,
-            &TurboConfig {
-                shards,
-                ..turbo_cfg
-            },
-        );
-        if !same_bits(&ts.values, &t1.values)
-            || ts.events_processed != t1.events_processed
-            || ts.events_generated != t1.events_generated
-            || ts.events_coalesced != t1.events_coalesced
-            || ts.stale_entries != t1.stale_entries
-            || ts.reschedules != t1.reschedules
-            || ts.rounds != t1.rounds
-        {
-            return Err(fail(
-                "differential-turbo-sharded",
-                format!(
-                    "turbo at {shards} shards diverged from single-shard \
-                     (processed {} vs {}, generated {} vs {}, stale {} vs {}, \
-                     rounds {} vs {}, max |value diff| {:e})",
-                    ts.events_processed,
-                    t1.events_processed,
-                    ts.events_generated,
-                    t1.events_generated,
-                    ts.stale_entries,
-                    t1.stale_entries,
-                    ts.rounds,
-                    t1.rounds,
-                    gp_algorithms::max_abs_diff(&ts.values, &t1.values),
-                ),
-            ));
-        }
+        let threaded = TurboConfig {
+            shards,
+            ..turbo_cfg
+        };
+        let sequential = TurboConfig {
+            fault: Some(StaleFault {
+                after_rounds: u64::MAX,
+                pick: 0,
+            }),
+            ..threaded
+        };
+        let ts = run_turbo(algo, g, &threaded);
+        let leg = format!("turbo at {shards} shards");
+        compare_values(
+            "differential-turbo-sharded",
+            &leg,
+            &ts.values,
+            &golden.values,
+            tol,
+        )?;
+        ts.check_lost_events()
+            .map_err(|e| fail("differential-turbo-sharded", format!("{leg}: {e}")))?;
+        same_turbo_outcome(
+            "differential-turbo-sharded",
+            &format!("{leg}, threaded vs sequential driver"),
+            &ts,
+            &run_turbo(algo, g, &sequential),
+        )?;
     }
 
     // Cycle-level accelerator, twice: functional agreement + determinism.
@@ -485,27 +492,12 @@ where
     }
 
     let tcfg = TurboConfig::default();
-    let t_resident = run_turbo(algo, g, &tcfg);
-    let t_mapped = run_turbo(algo, &mapped, &tcfg);
-    if !same_bits(&t_mapped.values, &t_resident.values)
-        || t_mapped.events_processed != t_resident.events_processed
-        || t_mapped.events_generated != t_resident.events_generated
-        || t_mapped.rounds != t_resident.rounds
-    {
-        return Err(fail(
-            "differential-outofcore",
-            format!(
-                "turbo over the mapped container diverged from its resident run \
-                 (processed {} vs {}, rounds {} vs {}, max |diff| {:e})",
-                t_mapped.events_processed,
-                t_resident.events_processed,
-                t_mapped.rounds,
-                t_resident.rounds,
-                max_abs_diff(&t_mapped.values, &t_resident.values)
-            ),
-        ));
-    }
-    Ok(())
+    same_turbo_outcome(
+        "differential-outofcore",
+        "turbo over the mapped container vs its resident run",
+        &run_turbo(algo, &mapped, &tcfg),
+        &run_turbo(algo, g, &tcfg),
+    )
 }
 
 /// The chaos-plane oracle leg. With no fault (or the differential-only

@@ -97,13 +97,15 @@ diff BENCH_chaos.json /tmp/gp-chaos-a.json \
 cargo run --release -q -p gp-bench --bin bench_check -- \
   /tmp/gp-chaos-a.json BENCH_chaos.json
 
-echo "== sharded-turbo differential smoke (2 shards vs golden, full oracle) =="
+echo "== sharded-turbo differential smoke (2 and 4 shards vs golden, both drivers, full oracle) =="
 # The differential-turbo-sharded oracle leg re-runs every corpus case's
-# turbo execution at 2 and 4 vertex shards and demands bit-identical
-# values AND counters against the single-shard run; the fuzz smoke above
-# already sweeps it, and this pins a second fixed slice at a different
-# master seed so a determinism break in the sharded engine cannot hide
-# behind one lucky corpus.
+# turbo execution at 2 and 4 vertex shards and demands, at each count,
+# agreement with golden (bit-exact for the monotone algorithms), event
+# conservation, and identical value bits AND round log from the threaded
+# and the sequential driver; the fuzz smoke above already sweeps it, and
+# this pins a second fixed slice at a different master seed so a
+# determinism break in the sharded engine cannot hide behind one lucky
+# corpus.
 cargo run --release -q -p gp-bench --bin fuzz -- --seed 19 --iters 25
 
 echo "== serve smoke (executor pool + sharded engine, every sample vs golden) =="
