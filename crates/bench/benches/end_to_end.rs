@@ -1,11 +1,6 @@
-//! Bench behind Fig. 10: end-to-end accelerator runs, one per
-//! application, on a small LiveJournal-profile graph — plus the
-//! shard-parallel worker sweep.
+//! Bench behind EXPERIMENTS.md "Shard-parallel engine": the worker sweep.
 //!
-//! The per-app section reports wall-clock medians next to the simulated
-//! cycle counts (the figure's actual metric, which is deterministic).
-//!
-//! The sweep section runs PageRank-Delta on a 2^18-vertex R-MAT through
+//! The sweep runs PageRank-Delta on a 2^18-vertex R-MAT through
 //! the shard-parallel engine at 1/2/4/8 workers. The engine guarantees
 //! bit-identical vertex values, cycle counts, and reports for every
 //! worker count, so the only thing that changes is how the shard
@@ -15,32 +10,17 @@
 //! critical-path worker's share — the deterministic speedup a host with
 //! enough cores realizes).
 //!
-//! Flags: `--sweep-only` runs just the worker sweep. The sweep's shape
-//! can be overridden for quick runs via environment variables:
-//! `SWEEP_LOG2_N` (default 18), `SWEEP_DEGREE` (default 4), `SWEEP_SHARDS`
-//! (default 16), `SWEEP_EPS` (default 1e-3).
+//! The sweep's shape can be overridden for quick runs via environment
+//! variables: `SWEEP_LOG2_N` (default 18), `SWEEP_DEGREE` (default 4),
+//! `SWEEP_SHARDS` (default 16), `SWEEP_EPS` (default 1e-3).
 
 use std::time::Instant;
 
 use gp_algorithms::PageRankDelta;
-use gp_bench::{gp_config, microbench, prepare, print_table, run_graphpulse, App};
+use gp_bench::print_table;
 use gp_graph::generators::{rmat, RmatConfig};
 use gp_graph::rng::{Rng, StdRng};
-use gp_graph::workloads::Workload;
 use graphpulse_core::{AcceleratorConfig, GraphPulse, QueueConfig};
-
-fn per_app_runs() {
-    println!("\n== end_to_end: per-app runs (LiveJournal profile) ==\n");
-    for app in App::ALL {
-        let prepared = prepare(Workload::LiveJournal, app, 4096, 7);
-        let cfg = gp_config(Workload::LiveJournal, &prepared.graph, true);
-        let mut cycles = 0;
-        microbench::report(&format!("end_to_end/{}", app.label()), 3, || {
-            cycles = run_graphpulse(app, &prepared, &cfg).report.cycles;
-        });
-        println!("{:<40} {cycles:>10} simulated cycles", "");
-    }
-}
 
 fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
@@ -49,7 +29,7 @@ fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-fn worker_sweep() {
+fn main() {
     let log2_n: u32 = env_or("SWEEP_LOG2_N", 18);
     let degree: usize = env_or("SWEEP_DEGREE", 4);
     let shards: usize = env_or("SWEEP_SHARDS", 16);
@@ -163,34 +143,4 @@ fn worker_sweep() {
         "4-worker work-distribution speedup {speedup4:.2}x fell below 2x: shards are imbalanced"
     );
     println!("\n4-worker work-distribution speedup: {speedup4:.2}x (>= 2x required)");
-}
-
-const USAGE: &str = "\
-Usage: end_to_end [flags]
-  --sweep-only  run only the shard-parallel worker sweep
-  --help        print this reference and exit";
-
-/// Parses the flags into "sweep only?".
-fn parse(args: impl Iterator<Item = String>) -> Result<Option<bool>, String> {
-    let mut sweep_only = false;
-    let mut args = gp_bench::cli::Flags::new(args);
-    while let Some(flag) = args.next_flag() {
-        // `cargo bench` forwards its own harness flags (e.g. --bench);
-        // ignore anything unrecognized rather than failing the run.
-        if flag == "--sweep-only" {
-            sweep_only = true;
-        }
-    }
-    if args.help_requested() {
-        return Ok(None);
-    }
-    Ok(Some(sweep_only))
-}
-
-fn main() {
-    let sweep_only = gp_bench::cli::finish(parse(std::env::args().skip(1)), USAGE);
-    if !sweep_only {
-        per_app_runs();
-    }
-    worker_sweep();
 }

@@ -299,7 +299,7 @@ fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> (Json, u6
     let handle = Server::start(graph.clone(), config);
 
     // Skewed hot-source pool shared by every client: repeated sources hit
-    // the per-epoch path cache; distinct ones fuse into shared traversals.
+    // the lane's path columns; each distinct one runs cold once.
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x407);
     let hot: Arc<Vec<u32>> = Arc::new(
         (0..args.hot_sources)
@@ -407,7 +407,7 @@ fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> (Json, u6
     let throughput = stats.served as f64 / wall_secs.max(1e-12);
     println!(
         "{} queries in {wall_secs:.2}s = {throughput:.0} q/s \
-         ({} epochs published, {} warm starts, {} fused runs, {} path warm starts, {} degraded)",
+         ({} epochs published, {} warm starts, {} cold path runs, {} path warm starts, {} degraded)",
         stats.served,
         stats.epochs_published,
         stats.warm_starts,

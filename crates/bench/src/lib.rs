@@ -4,9 +4,9 @@
 //! (§VI). Each figure has a dedicated binary (`fig04_coalescing`,
 //! `fig08_lookahead`, `fig10_speedup`, `fig11_offchip`,
 //! `fig12_utilization`, `fig13_stages`, `fig14_breakdown`, `tab05_power`)
-//! plus a `report` binary that runs the full suite; the wall-clock benches
-//! in `benches/` (see [`microbench`]) cover the hot paths behind each
-//! figure and the shard-parallel worker sweep.
+//! plus a `report` binary that runs the full suite; the two wall-clock
+//! benches in `benches/` (plain `harness = false` mains) are the
+//! shard-parallel worker sweep and the threaded DRAM-model drive.
 //!
 //! All binaries accept the same reproducibility flags (see
 //! [`HarnessConfig::USAGE`], printed by `--help` on every binary):
@@ -327,6 +327,28 @@ pub fn gp_config(workload: Workload, graph: &CsrGraph, optimized: bool) -> Accel
     cfg
 }
 
+/// Evaluates `$run` with `$algo` bound to a reference to `$app`'s
+/// algorithm. The five algorithms are five types, so the arms share their
+/// text but cannot share a `let`.
+macro_rules! with_algorithm {
+    ($app:expr, $prepared:expr, |$algo:ident| $run:expr) => {
+        match $app {
+            App::PageRank => with_algorithm!(@ $algo = PageRankDelta::new(0.85, PR_EPS), $run),
+            App::Adsorption => {
+                let params = $prepared.params.clone().expect("adsorption params");
+                with_algorithm!(@ $algo = Adsorption::new(params, ADS_EPS), $run)
+            }
+            App::Sssp => with_algorithm!(@ $algo = Sssp::new($prepared.root), $run),
+            App::Bfs => with_algorithm!(@ $algo = Bfs::new($prepared.root), $run),
+            App::Cc => with_algorithm!(@ $algo = ConnectedComponents::new(), $run),
+        }
+    };
+    (@ $algo:ident = $make:expr, $run:expr) => {{
+        let $algo = &$make;
+        $run
+    }};
+}
+
 /// Runs one app on the GraphPulse accelerator model.
 ///
 /// # Panics
@@ -335,17 +357,7 @@ pub fn gp_config(workload: Workload, graph: &CsrGraph, optimized: bool) -> Accel
 pub fn run_graphpulse(app: App, prepared: &Prepared, cfg: &AcceleratorConfig) -> Outcome {
     let accel = GraphPulse::new(cfg.clone());
     let g = &prepared.graph;
-    match app {
-        App::PageRank => accel.run(g, &PageRankDelta::new(0.85, PR_EPS)),
-        App::Adsorption => accel.run(
-            g,
-            &Adsorption::new(prepared.params.clone().expect("adsorption params"), ADS_EPS),
-        ),
-        App::Sssp => accel.run(g, &Sssp::new(prepared.root)),
-        App::Bfs => accel.run(g, &Bfs::new(prepared.root)),
-        App::Cc => accel.run(g, &ConnectedComponents::new()),
-    }
-    .expect("accelerator run failed")
+    with_algorithm!(app, prepared, |algo| accel.run(g, algo)).expect("accelerator run failed")
 }
 
 /// Runs one app on the shard-parallel accelerator engine (workers and
@@ -361,17 +373,8 @@ pub fn run_graphpulse_parallel(
 ) -> ParallelOutcome {
     let accel = GraphPulse::new(cfg.clone());
     let g = &prepared.graph;
-    match app {
-        App::PageRank => accel.run_parallel(g, &PageRankDelta::new(0.85, PR_EPS)),
-        App::Adsorption => accel.run_parallel(
-            g,
-            &Adsorption::new(prepared.params.clone().expect("adsorption params"), ADS_EPS),
-        ),
-        App::Sssp => accel.run_parallel(g, &Sssp::new(prepared.root)),
-        App::Bfs => accel.run_parallel(g, &Bfs::new(prepared.root)),
-        App::Cc => accel.run_parallel(g, &ConnectedComponents::new()),
-    }
-    .expect("accelerator run failed")
+    with_algorithm!(app, prepared, |algo| accel.run_parallel(g, algo))
+        .expect("accelerator run failed")
 }
 
 /// Runs one app on the Ligra-style software framework (measured wall time).
@@ -398,17 +401,7 @@ pub fn run_graphicionado(
     cfg: &GraphicionadoConfig,
 ) -> graphicionado::GraphicionadoOutput {
     let g = &prepared.graph;
-    match app {
-        App::PageRank => graphicionado::run(g, &PageRankDelta::new(0.85, PR_EPS), cfg),
-        App::Adsorption => graphicionado::run(
-            g,
-            &Adsorption::new(prepared.params.clone().expect("adsorption params"), ADS_EPS),
-            cfg,
-        ),
-        App::Sssp => graphicionado::run(g, &Sssp::new(prepared.root), cfg),
-        App::Bfs => graphicionado::run(g, &Bfs::new(prepared.root), cfg),
-        App::Cc => graphicionado::run(g, &ConnectedComponents::new(), cfg),
-    }
+    with_algorithm!(app, prepared, |algo| graphicionado::run(g, algo, cfg))
 }
 
 /// Prints a Markdown-ish table: a header row then aligned data rows.
@@ -446,42 +439,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     );
     for row in rows {
         line(row.clone());
-    }
-}
-
-/// Minimal wall-clock micro-benchmark support for the `benches/` targets.
-///
-/// The workspace builds hermetically offline, so the benches are plain
-/// `harness = false` binaries driven by these helpers instead of an
-/// external benchmarking crate. Timings are wall-clock medians over a
-/// fixed iteration count — noisy relative to a statistics-driven harness,
-/// but all the figure benches compare *simulated* cycle counts or
-/// self-relative speedups, which are deterministic.
-pub mod microbench {
-    use std::time::Instant;
-
-    /// Runs `f` once as warmup, then `iters` more times; returns the
-    /// median wall-clock seconds of the timed runs.
-    pub fn median_secs<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
-        let iters = iters.max(1);
-        std::hint::black_box(f());
-        let mut samples: Vec<f64> = (0..iters)
-            .map(|_| {
-                let t0 = Instant::now();
-                std::hint::black_box(f());
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    }
-
-    /// Times `f` and prints `label: <median> ms (n=<iters>)`; returns the
-    /// median seconds so callers can derive throughput or speedup.
-    pub fn report<R>(label: &str, iters: usize, f: impl FnMut() -> R) -> f64 {
-        let secs = median_secs(iters, f);
-        println!("{label:<40} {:>10.3} ms  (n={iters})", secs * 1e3);
-        secs
     }
 }
 

@@ -15,8 +15,9 @@
 //! column is created, advanced, read and dropped by exactly one thread.
 //! Nothing is shared between lanes and nothing is locked.
 //!
-//! All five classes are one generic `Class` and go through the same three
-//! steps per sweep:
+//! All five classes are one generic `Class` — one algorithm type and a
+//! `Policy` of three numbers — and go through the same three steps per
+//! sweep:
 //!
 //! * **Usable or behind.** A column at the pinned epoch answers as is. A
 //!   column behind the pin still answers — flagged
@@ -40,10 +41,9 @@
 //!   PageRank's incremental drift. A chain with a link missing from the
 //!   snapshot history is not replayed.
 //! * **Cold.** Whatever could not be replayed runs from
-//!   [`initial_state`]: one run for a whole-graph class; for a path class
-//!   the cold sources fuse into [`FusedPaths`] traversals of up to
-//!   [`LANES`] sources, whose lanes are bit-identical to single-source
-//!   runs and are lifted into the single-source algorithm's value type.
+//!   [`initial_state`] with the class's own algorithm: one
+//!   [`run_turbo_seeded`] per cold column, path source or whole graph
+//!   alike — the run `gp-stream` and every golden check make.
 //!
 //! A reply is `value_to_f64(column.values[v])`. Path columns across the
 //! three path classes of a lane are bounded at `PATH_CACHE_SOURCES`,
@@ -61,7 +61,6 @@ use gp_algorithms::{
 use gp_graph::VertexId;
 use gp_turbo::run_turbo_seeded;
 
-use crate::fused::{FusedPaths, PathKind, LANES};
 use crate::snapshot::Epoch;
 use crate::{
     QueryClass, QueryResponse, Request, ServeConfig, ServeStats, Shared, BATCH_WINDOW, DEGRADE_LAG,
@@ -69,8 +68,8 @@ use crate::{
 };
 
 /// Longest epoch-delta chain a path column replays before the lane falls
-/// back to a cold fused traversal. Bounds worst-case replay work for a
-/// source that went cold for many epochs.
+/// back to a cold run. Bounds worst-case replay work for a source that
+/// went cold for many epochs.
 const MAX_WARM_CHAIN: u64 = 8;
 
 /// Executor thread body for one lane: sweep until the queues are closed
@@ -101,9 +100,17 @@ struct Column<V> {
 /// One read of a column: `(key, vertex read, where the answer goes)`.
 type Read = (u32, u32, Sender<QueryResponse>);
 
-/// How a path class runs cold: the semiring its sources fuse under, and
-/// the lift of a fused lane's `f64` into the algorithm's value type.
-type Fuse<V> = (PathKind, fn(f64) -> V);
+/// How far a class's columns may trail the pin and how they catch up.
+#[derive(Clone, Copy)]
+struct Policy {
+    /// Epochs a column may trail the pin by and still answer. (A lane's
+    /// pins only move forward, so no column is ever ahead of one.)
+    window: u64,
+    /// Longest delta chain a column replays; a longer one runs cold.
+    max_chain: u64,
+    /// Consecutive replays after which a column runs cold.
+    warm_limit: u32,
+}
 
 /// One query class of one lane: its columns and how to build the
 /// algorithm behind them.
@@ -111,22 +118,17 @@ struct Class<A: IncrementalAlgorithm> {
     class: QueryClass,
     /// Builds the algorithm for a column key.
     algo: fn(&ServeConfig, VertexId) -> A,
-    /// `Some` for a path class, `None` for a whole-graph one.
-    fused: Option<Fuse<A::Value>>,
+    policy: Policy,
     /// Path source (`0` for a whole-graph class) → column.
     columns: HashMap<u32, Column<A::Value>>,
 }
 
 impl<A: IncrementalAlgorithm> Class<A> {
-    fn new(
-        class: QueryClass,
-        algo: fn(&ServeConfig, VertexId) -> A,
-        fused: Option<Fuse<A::Value>>,
-    ) -> Self {
+    fn new(class: QueryClass, algo: fn(&ServeConfig, VertexId) -> A, policy: Policy) -> Self {
         Class {
             class,
             algo,
-            fused,
+            policy,
             columns: HashMap::new(),
         }
     }
@@ -136,18 +138,16 @@ impl<A: IncrementalAlgorithm> Class<A> {
     /// otherwise), then reply from the columns.
     fn serve(&mut self, shared: &Shared, reads: Vec<Read>, epoch: &Epoch, degraded_mode: bool) {
         let stats = &shared.stats;
-        // Epochs a column may trail the pin by and still answer. (A lane's
-        // pins only move forward, so no column is ever ahead of one.)
-        let window = match self.fused {
-            Some(_) => 1,
-            None => shared.config.refresh_lag as u64,
-        };
-        // BTreeSet dedups and fixes the fused lane order deterministically.
+        // The counters, not the work, are what differ by kind of class.
+        let path = self.class.is_path();
+        // Each behind column is brought to the pin once, in key order.
         let mut behind: BTreeSet<u32> = BTreeSet::new();
         for &(key, ..) in &reads {
             match self.columns.get(&key) {
-                Some(column) if degraded_mode || epoch.number - column.epoch < window => {
-                    if self.fused.is_some() {
+                Some(column)
+                    if degraded_mode || epoch.number - column.epoch < self.policy.window =>
+                {
+                    if path {
                         ServeStats::count(&stats.path_cache_hits);
                     }
                 }
@@ -157,18 +157,18 @@ impl<A: IncrementalAlgorithm> Class<A> {
             }
         }
 
-        let mut cold: Vec<u32> = Vec::new();
         for key in behind {
-            if self.replay(shared, key, epoch) {
-                ServeStats::count(match self.fused {
-                    Some(_) => &stats.path_warm_starts,
-                    None => &stats.warm_starts,
-                });
-            } else {
-                cold.push(key);
+            let replayed = self.replay(shared, key, epoch);
+            if !replayed {
+                self.run_cold(shared, key, epoch);
             }
+            ServeStats::count(match (replayed, path) {
+                (true, true) => &stats.path_warm_starts,
+                (true, false) => &stats.warm_starts,
+                (false, true) => &stats.fused_runs,
+                (false, false) => &stats.cold_runs,
+            });
         }
-        self.run_cold(shared, &cold, epoch);
 
         for (key, v, reply) in reads {
             let column = &self.columns[&key];
@@ -186,18 +186,15 @@ impl<A: IncrementalAlgorithm> Class<A> {
     /// Re-converges `key`'s column to `epoch` in place by replaying the
     /// delta chain between its epoch and the pin. `false` — column
     /// untouched, the caller runs cold — when there is no column, the
-    /// chain is longer than the class replays, or any link is missing
-    /// (epoch evicted from history, or published without a delta).
+    /// chain is longer than the class replays, the column has been
+    /// replayed `warm_limit` times in a row, or any link is missing (epoch
+    /// evicted from history, or published without a delta).
     fn replay(&mut self, shared: &Shared, key: u32, epoch: &Epoch) -> bool {
         let Some(column) = self.columns.get_mut(&key) else {
             return false;
         };
         let behind = epoch.number - column.epoch;
-        let replayable = match self.fused {
-            Some(_) => behind <= MAX_WARM_CHAIN,
-            None => behind == 1 && column.warm_streak < WARM_LIMIT,
-        };
-        if !replayable {
+        if behind > self.policy.max_chain || column.warm_streak >= self.policy.warm_limit {
             return false;
         }
         // Verify the whole chain is replayable before doing any work.
@@ -228,38 +225,17 @@ impl<A: IncrementalAlgorithm> Class<A> {
         true
     }
 
-    /// Converges columns for `keys` at `epoch` from scratch: one run per
-    /// key for a whole-graph class, fused traversals of up to [`LANES`]
-    /// sources for a path class.
-    fn run_cold(&mut self, shared: &Shared, keys: &[u32], epoch: &Epoch) {
-        let mut insert = |key: u32, values: Vec<A::Value>| {
-            let column = Column {
-                epoch: epoch.number,
-                values,
-                warm_streak: 0,
-            };
-            self.columns.insert(key, column);
+    /// Converges `key`'s column at `epoch` from scratch.
+    fn run_cold(&mut self, shared: &Shared, key: u32, epoch: &Epoch) {
+        let algo = (self.algo)(&shared.config, VertexId::new(key));
+        let (mut values, seeds) = initial_state(&algo, &epoch.graph);
+        run_turbo_seeded(&algo, &epoch.graph, &mut values, &seeds, &shared.turbo);
+        let column = Column {
+            epoch: epoch.number,
+            values,
+            warm_streak: 0,
         };
-        let Some((kind, lift)) = self.fused else {
-            for &key in keys {
-                let algo = (self.algo)(&shared.config, VertexId::new(key));
-                let (mut values, seeds) = initial_state(&algo, &epoch.graph);
-                run_turbo_seeded(&algo, &epoch.graph, &mut values, &seeds, &shared.turbo);
-                ServeStats::count(&shared.stats.cold_runs);
-                insert(key, values);
-            }
-            return;
-        };
-        for chunk in keys.chunks(LANES) {
-            let sources: Vec<VertexId> = chunk.iter().map(|&s| VertexId::new(s)).collect();
-            let fused = FusedPaths::new(kind, &sources);
-            let (mut values, seeds) = initial_state(&fused, &epoch.graph);
-            run_turbo_seeded(&fused, &epoch.graph, &mut values, &seeds, &shared.turbo);
-            ServeStats::count(&shared.stats.fused_runs);
-            for (lane, &src) in chunk.iter().enumerate() {
-                insert(src, values.iter().map(|v| lift(v[lane])).collect());
-            }
-        }
+        self.columns.insert(key, column);
     }
 
     /// Drops every column not at epoch `keep` (all of them for `None`).
@@ -280,36 +256,37 @@ struct Executor<'a> {
 
 impl<'a> Executor<'a> {
     fn new(shared: &'a Shared) -> Self {
+        // A whole-graph convergence is the expensive one: its column
+        // answers for a `refresh_lag` window, replays one delta at a time,
+        // and runs cold after `WARM_LIMIT` replays to bound PageRank's
+        // incremental drift. A path column chases the head, and monotone
+        // re-convergence is bit-identical to a cold run, so its streak is
+        // unbounded.
+        let whole_graph = Policy {
+            window: shared.config.refresh_lag as u64,
+            max_chain: 1,
+            warm_limit: WARM_LIMIT,
+        };
+        let path = Policy {
+            window: 1,
+            max_chain: MAX_WARM_CHAIN,
+            warm_limit: u32::MAX,
+        };
         Executor {
             shared,
             pagerank: Class::new(
                 QueryClass::PageRank,
                 |c, _| PageRankDelta::new(c.pagerank_damping, c.pagerank_threshold),
-                None,
+                whole_graph,
             ),
             components: Class::new(
                 QueryClass::Components,
                 |_, _| ConnectedComponents::new(),
-                None,
+                whole_graph,
             ),
-            sssp: Class::new(
-                QueryClass::Sssp,
-                |_, s| Sssp::new(s),
-                Some((PathKind::Sssp, |x| x)),
-            ),
-            // Lossless inverse of Bfs::value_to_f64: hop counts are small
-            // integers, and `as` saturates, so the unreached ∞ lifts to
-            // `u32::MAX`, the algorithm's own unreached sentinel.
-            bfs: Class::new(
-                QueryClass::Bfs,
-                |_, s| Bfs::new(s),
-                Some((PathKind::Bfs, |x| x as u32)),
-            ),
-            sswp: Class::new(
-                QueryClass::Sswp,
-                |_, s| Sswp::new(s),
-                Some((PathKind::Sswp, |x| x)),
-            ),
+            sssp: Class::new(QueryClass::Sssp, |_, s| Sssp::new(s), path),
+            bfs: Class::new(QueryClass::Bfs, |_, s| Bfs::new(s), path),
+            sswp: Class::new(QueryClass::Sswp, |_, s| Sswp::new(s), path),
         }
     }
 

@@ -30,9 +30,12 @@
 //!   ([`incremental_seeds`](gp_algorithms::incremental_seeds) +
 //!   [`run_turbo_seeded`](gp_turbo::run_turbo_seeded) — converged state
 //!   plus a perturbation processes only the events the perturbation
-//!   triggers), or run cold when the chain is too long or broken. Cold
-//!   path sources fuse through [`FusedPaths`] multi-source frontier
-//!   fusion, up to [`LANES`] same-class sources per traversal. All turbo
+//!   triggers), or run cold — one
+//!   [`initial_state`](gp_algorithms::engine::initial_state) +
+//!   `run_turbo_seeded` of the class's own algorithm per column — when
+//!   the chain is too long or broken. A class differs from another only
+//!   in its algorithm and three numbers: how far a column may trail, how
+//!   long a chain it replays, how many replays in a row. All turbo
 //!   runs use [`ServeConfig::turbo_shards`] engine shards; the four
 //!   monotone classes are bit-exact with golden at every shard count,
 //!   while a PageRank response is within the algorithm's tolerance of
@@ -86,7 +89,6 @@
 
 pub mod admission;
 pub mod executor;
-pub mod fused;
 pub mod net;
 pub mod snapshot;
 
@@ -100,7 +102,6 @@ use gp_graph::{CsrGraph, EdgeUpdate, OverlayGraph, VertexId};
 use gp_turbo::TurboConfig;
 
 pub use admission::{AdmissionQueues, Rejection};
-pub use fused::{FusedPaths, PathKind, LANES};
 pub use snapshot::{Epoch, SnapshotStore};
 
 /// One graph query. Vertex ids are validated against the graph at
@@ -185,6 +186,12 @@ impl QueryClass {
     /// Position in [`QueryClass::ALL`].
     pub(crate) fn index(self) -> usize {
         self as usize
+    }
+
+    /// Whether a column of this class is keyed by a path source (as
+    /// opposed to the one whole-graph column of PageRank or CC).
+    pub(crate) fn is_path(self) -> bool {
+        matches!(self, QueryClass::Sssp | QueryClass::Bfs | QueryClass::Sswp)
     }
 }
 
@@ -351,12 +358,16 @@ pub struct StatsSnapshot {
     pub warm_starts: u64,
     /// PageRank/CC cold (from-scratch) runs.
     pub cold_runs: u64,
-    /// Fused multi-source path traversals executed.
+    /// SSSP/BFS/SSWP cold (from-scratch) runs, one per `(class, source)`
+    /// column — the path classes' [`cold_runs`](Self::cold_runs). The name
+    /// is from when up to eight cold sources shared one fused traversal
+    /// and this counted traversals; it stays because the
+    /// `gp-bench/serve/v2` record and the repo benchmark read it by name.
     pub fused_runs: u64,
     /// Path queries answered from the per-source result cache.
     pub path_cache_hits: u64,
     /// Cached path columns re-converged to a newer epoch by replaying
-    /// overlay deltas incrementally instead of a cold fused traversal.
+    /// overlay deltas incrementally instead of running cold.
     pub path_warm_starts: u64,
     /// Executor batching sweeps that served at least one query.
     pub sweeps: u64,

@@ -16,13 +16,14 @@
 //! EPOCH                          -> OK <current epoch>
 //! ```
 //!
-//! `<weight>` must be finite and `> 0`. Any rejection or parse failure
-//! answers `ERR <reason>` and keeps the connection open; an empty line
-//! closes it. One thread per connection (std-only, no async runtime),
-//! which is plenty for a management-plane protocol — bulk traffic uses the
-//! in-process API.
+//! `<weight>` must be finite and `> 0`. Any rejection or parse failure (a
+//! line that is not UTF-8 included) answers `ERR <reason>` and keeps the
+//! connection open; an empty line closes it, and so does a line longer
+//! than `MAX_LINE` bytes, after `ERR line too long`. One thread per
+//! connection (std-only, no async runtime), which is plenty for a
+//! management-plane protocol — bulk traffic uses the in-process API.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
 
@@ -82,23 +83,34 @@ impl Drop for TcpFrontEnd {
     }
 }
 
+/// Longest request line accepted, in bytes before its newline; a
+/// well-formed request is a few dozen.
+const MAX_LINE: u64 = 4096;
+
 fn serve_connection(stream: TcpStream, client: &ServeClient, updater: &Updater) {
     let Ok(peer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(peer);
     let mut out = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        // The cap bounds `line` against a peer that never sends a newline.
+        let mut capped = reader.by_ref().take(MAX_LINE + 1);
+        match capped.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
-            Err(_) => return,
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        if line.len() as u64 > MAX_LINE && !line.ends_with(b"\n") {
+            // The rest of the line is unread, so there is no next request
+            // to find: answer and close.
+            let _ = writeln!(out, "ERR line too long");
             return;
         }
-        let response = handle_line(trimmed, client, updater);
+        let response = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => return,
+            Ok(request) => handle_line(request, client, updater),
+            Err(_) => "ERR line is not valid UTF-8".to_string(),
+        };
         if writeln!(out, "{response}").is_err() {
             return;
         }
@@ -230,8 +242,7 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    #[test]
-    fn tcp_round_trip() {
+    fn serve_loopback() -> (crate::ServeHandle, TcpFrontEnd) {
         let g = rmat(
             &RmatConfig::graph500(128, 1_024).with_weights(WeightMode::Uniform(1.0, 9.0)),
             3,
@@ -239,14 +250,27 @@ mod tests {
         let handle = Server::start(g, ServeConfig::default());
         let front = TcpFrontEnd::bind("127.0.0.1:0", handle.client(), handle.updater())
             .expect("bind loopback");
+        (handle, front)
+    }
+
+    fn connect(front: &TcpFrontEnd) -> (BufReader<TcpStream>, TcpStream) {
         let stream = TcpStream::connect(front.local_addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut stream = stream;
+        (BufReader::new(stream.try_clone().expect("clone")), stream)
+    }
+
+    fn read_reply(reader: &mut BufReader<TcpStream>) -> String {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        reply.trim_end().to_string()
+    }
+
+    #[test]
+    fn tcp_round_trip() {
+        let (handle, front) = serve_loopback();
+        let (mut reader, mut stream) = connect(&front);
         let mut ask = |line: &str| -> String {
             writeln!(stream, "{line}").expect("write");
-            let mut reply = String::new();
-            reader.read_line(&mut reply).expect("read");
-            reply.trim_end().to_string()
+            read_reply(&mut reader)
         };
 
         assert_eq!(ask("EPOCH"), "OK 0");
@@ -279,5 +303,39 @@ mod tests {
         let stats = handle.shutdown();
         assert_eq!(stats.served, 6);
         assert!(stats.update_batches >= 1);
+    }
+
+    #[test]
+    fn a_line_with_no_newline_is_refused_at_the_cap_and_the_connection_closed() {
+        let (handle, front) = serve_loopback();
+        let (mut reader, mut stream) = connect(&front);
+        // The server stops reading at the cap and closes, so the tail of
+        // the megabyte may have nowhere to go.
+        let _ = stream.write_all(&vec![b'Q'; 1 << 20]);
+        assert_eq!(read_reply(&mut reader), "ERR line too long");
+        let mut rest = String::new();
+        assert!(matches!(reader.read_line(&mut rest), Ok(0) | Err(_)));
+        assert_eq!(rest, "", "one ERR line and nothing more");
+
+        let (mut reader, mut stream) = connect(&front);
+        writeln!(stream, "EPOCH").expect("write");
+        assert_eq!(read_reply(&mut reader), "OK 0");
+
+        drop(front);
+        assert_eq!(handle.shutdown().served, 0);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_answered_and_the_connection_kept() {
+        let (handle, front) = serve_loopback();
+        let (mut reader, mut stream) = connect(&front);
+        stream.write_all(b"\xff\n").expect("write");
+        let r = read_reply(&mut reader);
+        assert!(r.starts_with("ERR "), "unexpected reply {r:?}");
+        writeln!(stream, "EPOCH").expect("write");
+        assert_eq!(read_reply(&mut reader), "OK 0");
+
+        drop(front);
+        handle.shutdown();
     }
 }

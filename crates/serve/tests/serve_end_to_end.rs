@@ -11,15 +11,25 @@
 use std::time::Duration;
 
 use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{ConnectedComponents, DeltaAlgorithm, PageRankDelta, Sssp, Sswp};
-use gp_graph::generators::{rmat, RmatConfig, WeightMode};
-use gp_graph::{OverlayGraph, VertexId};
+use gp_algorithms::{Bfs, ConnectedComponents, DeltaAlgorithm, PageRankDelta, Sssp, Sswp};
+use gp_graph::generators::{rmat, rmat_edges, RmatConfig, WeightMode};
+use gp_graph::{EdgeUpdate, GraphBuilder, GraphSnapshot, OverlayGraph, VertexId};
 use gp_serve::{Query, Rejection, ServeConfig, Server};
 use gp_stream::UpdateStream;
 
 const VERTICES: usize = 1_024;
 const BATCHES: usize = 20;
 const BATCH_LEN: usize = 32;
+
+/// From-scratch golden value of a path query on `graph`.
+fn golden_path(query: Query, graph: &GraphSnapshot) -> f64 {
+    match query {
+        Query::Sssp { src, dst } => run_sequential(&Sssp::new(src), graph).values[dst.index()],
+        Query::Bfs { src, dst } => run_sequential(&Bfs::new(src), graph).values[dst.index()],
+        Query::Sswp { src, dst } => run_sequential(&Sswp::new(src), graph).values[dst.index()],
+        _ => unreachable!("{query:?} is not a path query"),
+    }
+}
 
 #[test]
 fn mixed_queries_match_golden_on_their_named_epoch() {
@@ -51,7 +61,8 @@ fn mixed_queries_match_golden_on_their_named_epoch() {
     });
 
     // Client: mixed traffic racing the updater. Sources cycle through a
-    // small hot pool so fused lanes and the path cache both get exercised.
+    // small hot pool so cold runs, replays and the path cache all get
+    // exercised.
     let mut answered = Vec::new();
     for i in 0..240u32 {
         let src = VertexId::new((i % 7) * 13 % VERTICES as u32);
@@ -104,15 +115,7 @@ fn mixed_queries_match_golden_on_their_named_epoch() {
             Query::Components { v } => {
                 run_sequential(&ConnectedComponents::new(), &epoch.graph).values[v.index()]
             }
-            Query::Sssp { src, dst } => {
-                run_sequential(&Sssp::new(src), &epoch.graph).values[dst.index()]
-            }
-            Query::Bfs { src, dst } => {
-                run_sequential(&gp_algorithms::Bfs::new(src), &epoch.graph).values[dst.index()]
-            }
-            Query::Sswp { src, dst } => {
-                run_sequential(&Sswp::new(src), &epoch.graph).values[dst.index()]
-            }
+            path => golden_path(path, &epoch.graph),
         };
         assert_eq!(
             golden.to_bits(),
@@ -128,7 +131,13 @@ fn mixed_queries_match_golden_on_their_named_epoch() {
     assert_eq!(stats.served, 240);
     assert_eq!(stats.update_batches, BATCHES as u64);
     assert!(stats.epochs_published >= 1);
-    assert!(stats.fused_runs >= 1, "path fusion never ran");
+    // `fused_runs` counts cold single-source path runs: 7 sources x 3 path
+    // classes each run cold at first sight (more if a column fell past the
+    // replay chain while the updater raced ahead).
+    assert!(
+        stats.fused_runs >= 21,
+        "every (class, source) column runs cold once: {stats:?}"
+    );
     assert_eq!(stats.rejected, 1, "exactly the malformed query");
     assert_eq!(stats.degraded, degraded_seen);
 
@@ -187,4 +196,107 @@ fn warm_starts_engage_under_steady_pagerank_traffic() {
         stats.warm_starts >= 1,
         "steady one-delta-behind traffic should warm-start: {stats:?}"
     );
+}
+
+/// Many distinct cold sources of one path class in flight at once — more
+/// than the eight a fused traversal used to hold — each converge in a run
+/// of their own, and a vertex nothing reaches reads as the class's own
+/// unreached value (BFS keeps it as `u32::MAX`, not as a float) both from
+/// a cold column and from one replayed across a published batch.
+#[test]
+fn a_sweep_of_cold_sources_runs_each_once_and_keeps_the_unreached_value() {
+    const N: u32 = 256;
+    const SOURCES: u32 = 12;
+    // Vertex N has no edge in or out, and no update below gives it one.
+    let isolated = VertexId::new(N);
+    let mut builder = GraphBuilder::new(N as usize + 1);
+    builder.weighted(true);
+    let rmat_config = RmatConfig::graph500(N as usize, 8 * N as usize)
+        .with_weights(WeightMode::Uniform(1.0, 9.0));
+    rmat_edges(&rmat_config, 21, |s, d, w| {
+        builder.add_edge(VertexId::new(s), VertexId::new(d), w);
+    });
+    let g = builder.build();
+    let removed = g
+        .out_edges(VertexId::new(0))
+        .next()
+        .expect("the R-MAT hub has an out-edge")
+        .other;
+
+    let handle = Server::start(g, ServeConfig::default());
+    let client = handle.client();
+    let updater = handle.updater();
+    let tenant = client.tenant_id("default").expect("default tenant");
+
+    type Class = (&'static str, fn(VertexId, VertexId) -> Query, f64);
+    let classes: [Class; 3] = [
+        ("sssp", |src, dst| Query::Sssp { src, dst }, f64::INFINITY),
+        ("bfs", |src, dst| Query::Bfs { src, dst }, f64::INFINITY),
+        ("sswp", |src, dst| Query::Sswp { src, dst }, 0.0),
+    ];
+    // Every source is read twice: at some other vertex and at the isolated
+    // one. All of a class's reads are in flight before the first reply.
+    let sweep = |make: fn(VertexId, VertexId) -> Query, unreached: f64, want_epoch: u64| {
+        let in_flight: Vec<_> = (0..SOURCES)
+            .flat_map(|i| {
+                let src = VertexId::new(i * 7 % N);
+                [VertexId::new((i * 37 + 11) % N), isolated].map(|dst| (make(src, dst), dst))
+            })
+            .map(|(query, dst)| {
+                let reply = client.query_async(tenant, query).expect("admitted");
+                (query, dst, reply)
+            })
+            .collect();
+        for (query, dst, reply) in in_flight {
+            let response = reply.recv().expect("served");
+            assert_eq!(response.epoch, want_epoch, "{query:?}");
+            let epoch = handle.store().epoch(response.epoch).expect("retained");
+            let want = golden_path(query, &epoch.graph);
+            assert_eq!(response.value.to_bits(), want.to_bits(), "{query:?}");
+            if dst == isolated {
+                assert_eq!(response.value.to_bits(), unreached.to_bits(), "{query:?}");
+            }
+        }
+    };
+
+    for (done, &(name, make, unreached)) in classes.iter().enumerate() {
+        sweep(make, unreached, 0);
+        let stats = handle.stats();
+        let columns = (done as u64 + 1) * u64::from(SOURCES);
+        assert_eq!(stats.fused_runs, columns, "{name}: one cold run per source");
+        assert_eq!(stats.path_warm_starts, 0, "{name}");
+    }
+
+    // One batch that moves distances but leaves the isolated vertex alone.
+    assert!(updater.submit(vec![
+        EdgeUpdate::Insert {
+            src: VertexId::new(0),
+            dst: VertexId::new(N - 1),
+            weight: 0.5,
+        },
+        EdgeUpdate::Delete {
+            src: VertexId::new(0),
+            dst: removed,
+        },
+    ]));
+    while updater.lag() > 0 {
+        std::thread::yield_now();
+    }
+    assert_eq!(client.current_epoch(), 1);
+
+    for (done, &(name, make, unreached)) in classes.iter().enumerate() {
+        sweep(make, unreached, 1);
+        let stats = handle.stats();
+        let columns = (done as u64 + 1) * u64::from(SOURCES);
+        assert_eq!(
+            stats.path_warm_starts, columns,
+            "{name}: one replay per source"
+        );
+        assert_eq!(
+            stats.fused_runs,
+            3 * u64::from(SOURCES),
+            "{name}: none ran cold again"
+        );
+    }
+    handle.shutdown();
 }

@@ -128,7 +128,7 @@ fn whole_graph_columns_refresh_cold_every_eighth_epoch() {
     // 3 whole-graph reads x 21 rounds inside a refresh window are degraded;
     // refreshes at epochs 0, 8, 16 run both classes cold (the column is
     // eight deltas behind, never one); path columns replay one delta per
-    // round (9 x 23) and run fused only at first sight (9 + source 39) or
+    // round (9 x 23) and run cold only at first sight (9 + source 39) or
     // eleven epochs on (source 39 twice more).
     assert_schedule(
         8,

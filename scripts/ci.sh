@@ -39,6 +39,18 @@ if grep -nE 'pub (queue_capacity|global_capacity|max_batch|batch_window|update_q
   echo "never-set ServeConfig field reintroduced: it is a constant beside the struct until two callers need different values"; exit 1
 fi
 
+echo "== one way to converge a column in gp-serve (the class's own algorithm, one run per key) =="
+# A cold column is initial_state + run_turbo_seeded with the class's own
+# algorithm, for all five classes; the 8-lane fused formulation of the
+# path classes, or any other algorithm defined inside the service, may
+# not come back.
+if grep -rnE 'FusedPaths|PathKind|LANES|Fuse<' crates/serve/src; then
+  echo "path fusion reintroduced: a class is one algorithm type, run cold through Class::run_cold"; exit 1
+fi
+if grep -rn 'impl.*DeltaAlgorithm for' crates/serve/src; then
+  echo "gp-serve defines an algorithm of its own: algorithms live in gp-algorithms, where golden checks them"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
