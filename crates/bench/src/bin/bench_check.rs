@@ -8,7 +8,7 @@
 //! known schema tag, which selects the validator — `gp-bench/chaos/v1`
 //! documents go through `gp_bench::json::validate_chaos` (every scenario
 //! detected and recovered, overhead baselines bit-exact, summary present),
-//! `gp-bench/serve/v2` documents through `gp_bench::json::validate_serve`
+//! `gp-bench/serve/v3` documents through `gp_bench::json::validate_serve`
 //! (non-empty executor sweep, ordered per-class latency quantiles per run,
 //! golden cross-checks ran and passed), and `gp-bench/outofcore/v1`
 //! documents through `gp_bench::json::validate_outofcore` (consistent
@@ -31,7 +31,7 @@ const USAGE: &str = "\
 Usage: bench_check <BENCH_*.json> [more.json ...]
 
 Validates machine-readable bench output against its embedded schema tag.
-Known schemas: gp-bench/chaos/v1, gp-bench/serve/v2, gp-bench/outofcore/v1.
+Known schemas: gp-bench/chaos/v1, gp-bench/serve/v3, gp-bench/outofcore/v1.
 
 Exit status: 0 when every file passes, 1 on a validation failure, 2 on a
 bad invocation or an unknown schema tag.";

@@ -10,16 +10,12 @@
 //! while an updater thread races edge-update batches through the writer so
 //! epochs advance mid-run. Latency is measured per query at the client and
 //! reported as p50/p99/p999 per class in `BENCH_serve.json`
-//! (`gp-bench/serve/v2`, checked by `bench_check`).
+//! (`gp-bench/serve/v3`, checked by `bench_check`).
 //!
 //! `--executors` takes a comma-separated list of executor-pool sizes and
 //! runs the identical workload once per size (a fresh server each time,
 //! same seeds, same traffic), recording one sweep entry per run —
 //! throughput scaling across pool sizes lands in a single document.
-//! `--turbo-shards` sets the engine shard count every turbo run uses;
-//! every shard count is bit-exact with golden on the monotone classes and
-//! within tolerance on PageRank, so the golden cross-checks hold for any
-//! value.
 //!
 //! A deterministic slice of the responses is cross-checked after each run
 //! against golden sequential recomputes on the *exact epoch each response
@@ -58,8 +54,6 @@ Usage: serve_bench [flags]
   --executors E    comma-separated executor-pool sizes; the identical
                    workload runs once per size and each run is one sweep
                    entry in the output (default 1)
-  --turbo-shards S engine shards for every turbo run; golden-exact on
-                   the monotone classes at any value (default 1)
   --sample-every K sample every K-th query per client for the golden
                    cross-check (default 512)
   --verify-all     cross-check every sampled response (no golden-run
@@ -81,7 +75,6 @@ struct Args {
     batch_size: usize,
     hot_sources: usize,
     executors: Vec<usize>,
-    turbo_shards: usize,
     sample_every: usize,
     verify_all: bool,
     out: std::path::PathBuf,
@@ -113,7 +106,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
         batch_size: 96,
         hot_sources: 16,
         executors: vec![1],
-        turbo_shards: 1,
         sample_every: 512,
         verify_all: false,
         out: "BENCH_serve.json".into(),
@@ -130,7 +122,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
             "--batch-size" => parsed.batch_size = args.parsed(&flag, "an integer")?,
             "--hot-sources" => parsed.hot_sources = args.parsed(&flag, "an integer")?,
             "--executors" => parsed.executors = parse_executor_list(&args.value(&flag)?)?,
-            "--turbo-shards" => parsed.turbo_shards = args.parsed(&flag, "an integer")?,
             "--sample-every" => parsed.sample_every = args.parsed(&flag, "an integer")?,
             "--verify-all" => parsed.verify_all = true,
             "--out" => parsed.out = args.value(&flag)?.into(),
@@ -145,9 +136,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     }
     if parsed.clients == 0 || parsed.tenants == 0 || parsed.queries == 0 {
         return Err("--clients, --tenants, and --queries must be positive".into());
-    }
-    if parsed.turbo_shards == 0 {
-        return Err("--turbo-shards must be positive".into());
     }
     if parsed.executors.is_empty() {
         return Err("--executors needs at least one pool size".into());
@@ -277,16 +265,14 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 #[allow(clippy::too_many_lines)]
 fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> (Json, u64) {
     println!(
-        "serve_bench: {} executor(s), {} turbo shard(s), {} queries on {} client(s), \
-         {} update batch(es)",
-        executors, args.turbo_shards, args.queries, args.clients, args.batches
+        "serve_bench: {} executor(s), {} queries on {} client(s), {} update batch(es)",
+        executors, args.queries, args.clients, args.batches
     );
     let shadow_base = graph.clone();
 
     let config = ServeConfig {
         tenants: (0..args.tenants).map(|i| format!("t{i}")).collect(),
         executors,
-        turbo_shards: args.turbo_shards,
         // Retain every epoch this run can publish so the cross-check can
         // recompute on exactly the epoch each response names.
         retain_epochs: args.batches + 2,
@@ -497,7 +483,6 @@ fn main() {
         ("edges", Json::Num(base_edges as f64)),
         ("tenants", Json::Num(args.tenants as f64)),
         ("clients", Json::Num(args.clients as f64)),
-        ("turbo_shards", Json::Num(args.turbo_shards as f64)),
         ("runs", Json::Arr(entries)),
     ]);
     if let Err(e) = write_output(&args.out, &doc.render()) {

@@ -327,7 +327,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 pub const CHAOS_SCHEMA: &str = "gp-bench/chaos/v1";
 
 /// Schema tag `validate_serve` requires.
-pub const SERVE_SCHEMA: &str = "gp-bench/serve/v2";
+pub const SERVE_SCHEMA: &str = "gp-bench/serve/v3";
 
 /// Schema tag `validate_outofcore` requires.
 pub const OUTOFCORE_SCHEMA: &str = "gp-bench/outofcore/v1";
@@ -409,8 +409,8 @@ fn schema_is(doc: &Json, want: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `BENCH_serve.json` document: schema tag, positive graph,
-/// traffic, and `turbo_shards` fields, and a non-empty `runs` sweep (one
+/// Validates a `BENCH_serve.json` document: schema tag, positive graph
+/// and traffic fields, and a non-empty `runs` sweep (one
 /// entry per executor count). Each run must carry a positive `executors`
 /// count, positive traffic totals, a non-empty per-class latency table
 /// with ordered p50 ≤ p99 ≤ p999 quantiles that accounts for every served
@@ -426,7 +426,7 @@ pub fn validate_serve(doc: &Json) -> Result<(), String> {
     num(doc, "seed", Bound::Any)?;
     nums(
         doc,
-        &["vertices", "edges", "tenants", "clients", "turbo_shards"],
+        &["vertices", "edges", "tenants", "clients"],
         Bound::Positive,
     )?;
     let runs = rows(doc, "runs", "the sweep ran no executor configuration")?;
@@ -838,7 +838,6 @@ mod tests {
             ("edges", Json::Num(262144.0)),
             ("tenants", Json::Num(2.0)),
             ("clients", Json::Num(4.0)),
-            ("turbo_shards", Json::Num(2.0)),
             (
                 "runs",
                 Json::Arr(vec![sample_serve_run(1.0), sample_serve_run(4.0)]),
@@ -898,11 +897,11 @@ mod tests {
 
         let err = validate_serve(&with_serve_field(
             sample_serve_doc(),
-            "turbo_shards",
+            "clients",
             Json::Num(0.0),
         ))
         .unwrap_err();
-        assert!(err.contains("turbo_shards must be positive"), "{err}");
+        assert!(err.contains("clients must be positive"), "{err}");
 
         let err = validate_serve(&with_serve_field(
             sample_serve_doc(),

@@ -81,8 +81,8 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 
 /// A hand-written document that satisfies every `validate_serve` rule;
 /// the malformed variants below each break exactly one of them.
-const VALID_SERVE_DOC: &str = r#"{"schema":"gp-bench/serve/v2","seed":1,"vertices":64,
-"edges":256,"tenants":1,"clients":1,"turbo_shards":2,
+const VALID_SERVE_DOC: &str = r#"{"schema":"gp-bench/serve/v3","seed":1,"vertices":64,
+"edges":256,"tenants":1,"clients":1,
 "runs":[{"executors":2,"queries_total":10,"wall_secs":0.1,
 "throughput_qps":100,"rejected":0,"degraded":0,"epochs_published":1,
 "update_batches":1,"warm_starts":0,"cold_runs":1,"fused_runs":1,
@@ -113,8 +113,6 @@ fn serve_bench_tiny_run_emits_output_bench_check_accepts() {
             "16",
             "--executors",
             "1,2",
-            "--turbo-shards",
-            "2",
             "--verify-all",
             "--out",
             out_path.to_str().unwrap(),
@@ -150,7 +148,6 @@ fn serve_bench_help_exits_0_and_bad_flag_exits_2() {
     let stdout = String::from_utf8_lossy(&help.stdout);
     assert!(stdout.contains("--verify-all"), "{stdout}");
     assert!(stdout.contains("--executors"), "{stdout}");
-    assert!(stdout.contains("--turbo-shards"), "{stdout}");
 
     let bad = run(env!("CARGO_BIN_EXE_serve_bench"), &["--wat"]);
     assert_eq!(bad.status.code(), Some(2));
@@ -159,15 +156,14 @@ fn serve_bench_help_exits_0_and_bad_flag_exits_2() {
 
 #[test]
 fn serve_bench_rejects_bad_executor_and_shard_flags_with_usage() {
-    // Zero anywhere in the sweep list, a non-numeric entry, and a zero
-    // shard count are all bad invocations: exit 2 and print the usage.
+    // Zero anywhere in the sweep list and a non-numeric or empty entry are
+    // bad invocations: exit 2 and print the usage. (The shard flag this
+    // test is also named for went with sharded turbo.)
     for args in [
         ["--executors", "0"],
         ["--executors", "1,0,4"],
         ["--executors", "two"],
         ["--executors", ""],
-        ["--turbo-shards", "0"],
-        ["--turbo-shards", "many"],
     ] {
         let out = run(env!("CARGO_BIN_EXE_serve_bench"), &args);
         assert_eq!(
@@ -197,7 +193,7 @@ fn bench_check_unknown_schema_exits_2_naming_known_tags() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     for tag in [
         "gp-bench/chaos/v1",
-        "gp-bench/serve/v2",
+        "gp-bench/serve/v3",
         "gp-bench/outofcore/v1",
     ] {
         assert!(stderr.contains(tag), "must name known tag {tag}:\n{stderr}");

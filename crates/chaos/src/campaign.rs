@@ -14,7 +14,7 @@ use gp_algorithms::{
 use gp_graph::generators::{erdos_renyi, WeightMode};
 use gp_graph::{CsrGraph, VertexId};
 use gp_mem::integrity::{mix64, Storable};
-use gp_turbo::{StaleFault, TurboConfig};
+use gp_turbo::StaleFault;
 use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelChaos, ParallelConfig};
 
 use crate::engine::{run_chaos, ChaosConfig, ChaosOutcome};
@@ -359,7 +359,7 @@ where
     // Turbo scheduling-bit corruption, transient: a cleared `active` bit
     // always loses its delta, so the lost-event check catches it and a
     // retry recovers.
-    let out = run_turbo_guarded(algo, graph, &TurboConfig::default(), Some(STALE), 1, 3);
+    let out = run_turbo_guarded(algo, graph, Some(STALE), 1, 3);
     report.records.push(CampaignRecord::from_guarded(
         CampaignRecord::blank(FaultKind::WheelStale, name, false, "turbo"),
         "lost-event",
@@ -452,14 +452,7 @@ fn degradation_scenarios(report: &mut CampaignReport, graph: &CsrGraph) {
 
     // Persistent turbo corruption: every attempt loses a delta, the guard
     // degrades to the golden engine.
-    let out = run_turbo_guarded(
-        &algo,
-        graph,
-        &TurboConfig::default(),
-        Some(STALE),
-        u32::MAX,
-        2,
-    );
+    let out = run_turbo_guarded(&algo, graph, Some(STALE), u32::MAX, 2);
     report.records.push(CampaignRecord::from_guarded(
         CampaignRecord::blank(FaultKind::WheelStale, "sssp", true, "turbo"),
         "lost-event",

@@ -79,10 +79,9 @@ fn guard<A: DeltaAlgorithm, G: GraphView>(
 /// the attempt and retries (the fault re-fires while it has firings
 /// left). After `max_retries` failed attempts the run degrades to
 /// [`run_sequential`].
-pub fn run_turbo_guarded<A: DeltaAlgorithm, G: GraphView + Sync>(
+pub fn run_turbo_guarded<A: DeltaAlgorithm, G: GraphView>(
     algo: &A,
     graph: &G,
-    cfg: &TurboConfig,
     fault: Option<StaleFault>,
     repeats: u32,
     max_retries: u32,
@@ -90,7 +89,6 @@ pub fn run_turbo_guarded<A: DeltaAlgorithm, G: GraphView + Sync>(
     guard(algo, graph, repeats, max_retries, |armed| {
         let tcfg = TurboConfig {
             fault: fault.filter(|_| armed),
-            ..*cfg
         };
         let out = run_turbo(algo, graph, &tcfg);
         Ok(out.check_lost_events().map(|()| out.values))

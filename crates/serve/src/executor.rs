@@ -59,7 +59,7 @@ use gp_algorithms::{
     incremental_seeds, Bfs, ConnectedComponents, IncrementalAlgorithm, PageRankDelta, Sssp, Sswp,
 };
 use gp_graph::VertexId;
-use gp_turbo::run_turbo_seeded;
+use gp_turbo::{run_turbo_seeded, TurboConfig};
 
 use crate::snapshot::Epoch;
 use crate::{
@@ -209,16 +209,11 @@ impl<A: IncrementalAlgorithm> Class<A> {
             return false;
         }
         let algo = (self.algo)(&shared.config, VertexId::new(key));
+        let cfg = TurboConfig::default();
         for step in chain() {
             let delta = step.delta.as_ref().expect("chain checked above");
             let plan = incremental_seeds(&algo, &step.graph, &mut column.values, delta);
-            run_turbo_seeded(
-                &algo,
-                &step.graph,
-                &mut column.values,
-                &plan.seeds,
-                &shared.turbo,
-            );
+            run_turbo_seeded(&algo, &step.graph, &mut column.values, &plan.seeds, &cfg);
         }
         column.epoch = epoch.number;
         column.warm_streak += 1;
@@ -229,7 +224,8 @@ impl<A: IncrementalAlgorithm> Class<A> {
     fn run_cold(&mut self, shared: &Shared, key: u32, epoch: &Epoch) {
         let algo = (self.algo)(&shared.config, VertexId::new(key));
         let (mut values, seeds) = initial_state(&algo, &epoch.graph);
-        run_turbo_seeded(&algo, &epoch.graph, &mut values, &seeds, &shared.turbo);
+        let cfg = TurboConfig::default();
+        run_turbo_seeded(&algo, &epoch.graph, &mut values, &seeds, &cfg);
         let column = Column {
             epoch: epoch.number,
             values,

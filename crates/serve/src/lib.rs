@@ -35,19 +35,16 @@
 //!   `run_turbo_seeded` of the class's own algorithm per column — when
 //!   the chain is too long or broken. A class differs from another only
 //!   in its algorithm and three numbers: how far a column may trail, how
-//!   long a chain it replays, how many replays in a row. All turbo
-//!   runs use [`ServeConfig::turbo_shards`] engine shards; the four
-//!   monotone classes are bit-exact with golden at every shard count,
-//!   while a PageRank response is within the algorithm's tolerance of
-//!   golden and its low-order bits are a function of the shard count
-//!   (turbo's lookahead ends at a shard boundary).
+//!   long a chain it replays, how many replays in a row. The four
+//!   monotone classes are bit-exact with golden; a PageRank response is
+//!   within the algorithm's tolerance of it.
 //! * **Admission control** ([`admission`]): bounded per-tenant queues, a
 //!   global overload ceiling, typed [`Rejection`]s, and graceful
 //!   degradation — when the update pipeline lags four batches or more
 //!   behind, reads are served from the columns a lane already holds
 //!   (flagged [`QueryResponse::degraded`], exact for the epoch they name)
 //!   instead of stalling on recomputes.
-//! * **Constants, not knobs**: [`ServeConfig`] holds the eight values a
+//! * **Constants, not knobs**: [`ServeConfig`] holds the seven values a
 //!   caller in this repository sets. Queue bounds, the batching window,
 //!   the degradation threshold, the replay limits and the path-column
 //!   bound are documented constants beside it.
@@ -99,7 +96,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gp_graph::{CsrGraph, EdgeUpdate, OverlayGraph, VertexId};
-use gp_turbo::TurboConfig;
 
 pub use admission::{AdmissionQueues, Rejection};
 pub use snapshot::{Epoch, SnapshotStore};
@@ -253,11 +249,6 @@ pub struct ServeConfig {
     /// `(class, source)` hash, so each cached column is owned by exactly
     /// one lane. Minimum 1.
     pub executors: usize,
-    /// Vertex shards for every turbo run the service performs. CC and
-    /// path responses are bit-exact with golden for any value; PageRank
-    /// responses stay within tolerance and are reproducible per value,
-    /// not equal across values. Minimum 1.
-    pub turbo_shards: usize,
     /// Whole-graph (PageRank/CC) refresh stride under epoch churn: a
     /// cached column is reused — flagged [`QueryResponse::degraded`] and
     /// named exactly at its own epoch — until the sweep's pinned epoch is
@@ -289,7 +280,6 @@ impl Default for ServeConfig {
         ServeConfig {
             tenants: vec!["default".to_string()],
             executors: 1,
-            turbo_shards: 1,
             refresh_lag: 8,
             compact_fraction: 0.25,
             retain_epochs: 64,
@@ -362,7 +352,7 @@ pub struct StatsSnapshot {
     /// column — the path classes' [`cold_runs`](Self::cold_runs). The name
     /// is from when up to eight cold sources shared one fused traversal
     /// and this counted traversals; it stays because the
-    /// `gp-bench/serve/v2` record and the repo benchmark read it by name.
+    /// `gp-bench/serve/v3` record and the repo benchmark read it by name.
     pub fused_runs: u64,
     /// Path queries answered from the per-source result cache.
     pub path_cache_hits: u64,
@@ -427,9 +417,6 @@ pub(crate) struct Shared {
     pub(crate) shutting_down: AtomicBool,
     pub(crate) num_vertices: usize,
     pub(crate) config: ServeConfig,
-    /// Geometry of every turbo run the service performs:
-    /// [`ServeConfig::turbo_shards`] shards, defaults otherwise.
-    pub(crate) turbo: TurboConfig,
 }
 
 /// The in-process service: owns the executor and writer threads.
@@ -446,7 +433,6 @@ impl Server {
     pub fn start(base: CsrGraph, config: ServeConfig) -> ServeHandle {
         let mut config = config;
         config.executors = config.executors.max(1);
-        config.turbo_shards = config.turbo_shards.max(1);
         config.refresh_lag = config.refresh_lag.max(1);
         let num_vertices = base.num_vertices();
         let mut overlay = OverlayGraph::new(base);
@@ -463,10 +449,6 @@ impl Server {
             update_lag: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             num_vertices,
-            turbo: TurboConfig {
-                shards: config.turbo_shards,
-                ..TurboConfig::default()
-            },
             config: config.clone(),
         });
 

@@ -24,8 +24,8 @@
 //! The interleavings are sequenced explicitly (submit → wait for
 //! `lag == 0` → assert) where the contract is about a *specific* order,
 //! and left racing (barrier-started threads) where the contract must hold
-//! for *every* order. All servers run with multiple executors and
-//! sharded turbo so the concurrency machinery itself is under test.
+//! for *every* order. All servers run with multiple executors so the
+//! concurrency machinery itself is under test.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -109,7 +109,6 @@ fn publish_while_pinned_keeps_pinned_reads_byte_stable() {
         g,
         ServeConfig {
             executors: 2,
-            turbo_shards: 2,
             retain_epochs: 256,
             ..ServeConfig::default()
         },
@@ -167,7 +166,6 @@ fn compaction_never_disturbs_pinned_queries() {
         g,
         ServeConfig {
             executors: 2,
-            turbo_shards: 2,
             retain_epochs: 256,
             // Compact after every publish: the base CSR Arc is swapped
             // constantly while queries are in flight.
@@ -234,7 +232,6 @@ fn drain_during_publish_is_golden_exact_across_the_pool() {
         g,
         ServeConfig {
             executors: 3,
-            turbo_shards: 2,
             retain_epochs: 256,
             ..ServeConfig::default()
         },

@@ -300,3 +300,52 @@ fn a_sweep_of_cold_sources_runs_each_once_and_keeps_the_unreached_value() {
     }
     handle.shutdown();
 }
+
+/// A path column four epochs behind the pin is within the replay chain
+/// bound, but with `retain_epochs: 2` the first links of its chain have
+/// been evicted from history: the lane must refuse the replay, run the
+/// column cold, and still answer exactly for the epoch it names.
+#[test]
+fn a_chain_with_an_evicted_link_runs_cold() {
+    let g = rmat(
+        &RmatConfig::graph500(512, 4_096).with_weights(WeightMode::Uniform(1.0, 9.0)),
+        17,
+    );
+    let mut shadow = OverlayGraph::new(g.clone());
+    let config = ServeConfig {
+        retain_epochs: 2,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(g, config);
+    let client = handle.client();
+    let updater = handle.updater();
+    let tenant = client.tenant_id("default").expect("default tenant");
+    let query = Query::Sssp {
+        src: VertexId::new(0),
+        dst: VertexId::new(300),
+    };
+
+    let first = client.query(tenant, query).expect("admitted");
+    assert_eq!((first.epoch, first.degraded), (0, false));
+    let before = handle.stats();
+    assert_eq!((before.fused_runs, before.path_warm_starts), (1, 0));
+
+    let mut stream = UpdateStream::new(512, 0.3, WeightMode::Uniform(1.0, 9.0), 29);
+    for _ in 0..4 {
+        let updates = stream.next_batch(&shadow, 16);
+        shadow.apply(&updates);
+        assert!(updater.submit(updates));
+        while updater.lag() > 0 {
+            std::thread::yield_now();
+        }
+    }
+    assert_eq!(handle.store().current_number(), 4);
+    assert!(handle.store().epoch(1).is_none(), "epoch 1 must be evicted");
+
+    let second = client.query(tenant, query).expect("admitted");
+    assert_eq!((second.epoch, second.degraded), (4, false));
+    let want = golden_path(query, &shadow.freeze());
+    assert_eq!(second.value.to_bits(), want.to_bits());
+    let after = handle.shutdown();
+    assert_eq!((after.fused_runs, after.path_warm_starts), (2, 0));
+}

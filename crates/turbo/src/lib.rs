@@ -22,18 +22,18 @@
 //!   lists and the value/pending arrays stream forward) with no queue, no
 //!   sort and no search structure on the path. A propagated delta is
 //!   deposited at once, so a target the sweep has not reached yet is
-//!   processed in the same round — the lookahead of Fig. 8 — and only a
-//!   delta that crosses a shard boundary waits for the round barrier. The
-//!   §II-B reordering property guarantees any drain order reaches the same
+//!   processed in the same round — the lookahead of Fig. 8. The §II-B
+//!   reordering property guarantees any drain order reaches the same
 //!   fixed point.
 //!
-//! The backend is bit-deterministic: two runs on the same graph at the
-//! same shard count produce identical values, counters, and round logs.
-//! It is registered
-//! as the **fifth oracle leg** in `gp-verify`, so every fuzz case
-//! cross-checks it against the golden engine, the cycle-level accelerator,
-//! the shard-parallel engine, and the incremental engine — speed never
-//! forks semantics.
+//! The pool is one, and the run single-threaded: vertex sharding cost
+//! 1.17–1.51× the events, never read ahead of one pool in two timing
+//! sweeps running, and was deleted (EXPERIMENTS.md, "Sharded turbo"). The backend is
+//! bit-deterministic: two runs on the same graph produce identical values,
+//! counters, and round logs. It is registered as the **fifth oracle leg**
+//! in `gp-verify`, so every fuzz case cross-checks it against the golden
+//! engine, the cycle-level accelerator, the shard-parallel engine, and the
+//! incremental engine — speed never forks semantics.
 //!
 //! # Examples
 //!

@@ -11,8 +11,7 @@
 //! 4. the incremental engine over the overlay, after every update batch,
 //!    against a from-scratch golden run on the updated graph,
 //! 5. the turbo engine (speed-first, vertex-order sweeps), run
-//!    twice to also pin its determinism, and again at 2 and 4 vertex
-//!    shards under both round drivers.
+//!    twice to also pin its determinism.
 //!
 //! Metamorphic checks: vertex relabeling (values commute with the
 //! permutation; for connected components, the partition does), edge-order
@@ -248,7 +247,7 @@ where
     check_chaos(case, g, algo, fault)?;
 
     // Turbo engine, twice: functional agreement of the speed-first backend
-    // plus its bit-determinism (oracle leg 5).
+    // and event conservation, plus its bit-determinism (oracle leg 5).
     let turbo_cfg = TurboConfig::default();
     let t1 = run_turbo(algo, g, &turbo_cfg);
     let t2 = run_turbo(algo, g, &turbo_cfg);
@@ -259,45 +258,9 @@ where
         &golden.values,
         tol,
     )?;
+    t1.check_lost_events()
+        .map_err(|e| fail("differential-turbo", e))?;
     same_turbo_outcome("turbo-determinism", "two identical turbo runs", &t1, &t2)?;
-
-    // Sharded turbo (oracle leg: differential-turbo-sharded). Lookahead
-    // ends at a shard boundary, so counters are per shard count; what must
-    // hold at each count is agreement with golden (tolerance 0 for the
-    // monotone algorithms), event conservation, and an outcome that is a
-    // function of (input, shard count) alone — the scoped-thread driver and
-    // the sequential driver (forced by a fault that never fires) must
-    // produce the same value bits and the same log.
-    for shards in [2usize, 4] {
-        let threaded = TurboConfig {
-            shards,
-            ..turbo_cfg
-        };
-        let sequential = TurboConfig {
-            fault: Some(StaleFault {
-                after_rounds: u64::MAX,
-                pick: 0,
-            }),
-            ..threaded
-        };
-        let ts = run_turbo(algo, g, &threaded);
-        let leg = format!("turbo at {shards} shards");
-        compare_values(
-            "differential-turbo-sharded",
-            &leg,
-            &ts.values,
-            &golden.values,
-            tol,
-        )?;
-        ts.check_lost_events()
-            .map_err(|e| fail("differential-turbo-sharded", format!("{leg}: {e}")))?;
-        same_turbo_outcome(
-            "differential-turbo-sharded",
-            &format!("{leg}, threaded vs sequential driver"),
-            &ts,
-            &run_turbo(algo, g, &sequential),
-        )?;
-    }
 
     // Cycle-level accelerator, twice: functional agreement + determinism.
     let cfg = case.machine.to_config();
@@ -628,7 +591,6 @@ where
                     after_rounds: clean_rounds.saturating_sub(2).max(1),
                     pick: case.aux_seed % 8,
                 }),
-                ..tcfg
             };
             let out = run_turbo(algo, g, &faulted);
             match out.check_lost_events() {

@@ -9,14 +9,6 @@
 //! must still be caught on the minimal geometry — pinning the oracle's
 //! detection floor).
 
-use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{
-    max_abs_diff, same_bits, Adsorption, AdsorptionParams, Bfs, ConnectedComponents,
-    DeltaAlgorithm, PageRankDelta, Sssp, Sswp,
-};
-use gp_graph::CsrGraph;
-use gp_turbo::{run_turbo, TurboConfig};
-use gp_verify::oracle::ORACLE_THRESHOLD;
 use gp_verify::{generate, run_case, AlgoKind, Fault, MachineParams, TestCase};
 
 /// Shrunk from fuzz `--seed 7`: SSWP on a single isolated root. Failing
@@ -173,93 +165,11 @@ fn drop_event_repro_is_still_detected_in_engine() {
     );
 }
 
-// --- `differential-turbo-sharded` oracle leg -----------------------------
-//
-// When the sharded turbo engine landed, the fuzz driver ran 300 iterations
-// at master seed 7 with the new `differential-turbo-sharded` leg active
-// (every case re-runs turbo at 2 and 4 forced shards) and found no
-// divergence — there was no failing case for the shrinker to minimize. Per
-// the promotion protocol, the forced-shard metamorphic check itself is
-// committed here as a fixed-seed regression instead, at shard counts the
-// oracle leg does *not* sweep (3, 5, 8, including counts that do not
-// divide the vertex count and counts above it), so a future scheduling
-// change that only breaks an untested partition still trips a pinned test.
-//
-// Since turbo deposits in place, lookahead ends at a shard boundary and the
-// counters are per shard count; the relation checked is the one the leg
-// checks: every count agrees with golden, conserves events, and repeats
-// exactly.
-
-/// A sharded run must agree with golden (tolerance 0 for the monotone
-/// algorithms), account for every event, and be reproduced bit for bit —
-/// value bits and `render_log` (counters + per-round schedule) — by a
-/// second run at the same shard count.
-fn assert_shard_metamorphic<A: DeltaAlgorithm>(seed: u64, algo: &A, g: &CsrGraph) {
-    let golden = run_sequential(algo, g);
-    for shards in [2usize, 3, 5, 8] {
-        let cfg = TurboConfig {
-            shards,
-            ..TurboConfig::default()
-        };
-        let out = run_turbo(algo, g, &cfg);
-        let diff = max_abs_diff(&out.values, &golden.values);
-        assert!(
-            diff <= algo.comparison_tolerance(),
-            "seed {seed} ({}): |diff| {diff:e} vs golden at {shards} shards",
-            algo.name()
-        );
-        out.check_lost_events().unwrap();
-        let again = run_turbo(algo, g, &cfg);
-        assert_eq!(
-            out.render_log(),
-            again.render_log(),
-            "seed {seed} ({}): schedule not reproducible at {shards} shards",
-            algo.name()
-        );
-        assert!(
-            same_bits(&out.values, &again.values),
-            "seed {seed} ({}): values not reproducible at {shards} shards",
-            algo.name()
-        );
-    }
-}
-
-#[test]
-fn sharded_turbo_metamorphic_on_the_fixed_seed_corpus() {
-    let mut seen = [false; 6];
-    for seed in 0..12u64 {
-        let case = generate(seed);
-        let g = case.build_graph();
-        let root = case.clamped_root();
-        match case.algo {
-            AlgoKind::PageRank => {
-                assert_shard_metamorphic(seed, &PageRankDelta::new(0.85, ORACLE_THRESHOLD), &g)
-            }
-            AlgoKind::Adsorption => {
-                let algo = Adsorption::new(
-                    AdsorptionParams::random(g.num_vertices(), case.aux_seed),
-                    ORACLE_THRESHOLD,
-                );
-                assert_shard_metamorphic(seed, &algo, &g);
-            }
-            AlgoKind::Sssp => assert_shard_metamorphic(seed, &Sssp::new(root), &g),
-            AlgoKind::Bfs => assert_shard_metamorphic(seed, &Bfs::new(root), &g),
-            AlgoKind::Cc => assert_shard_metamorphic(seed, &ConnectedComponents::new(), &g),
-            AlgoKind::Sswp => assert_shard_metamorphic(seed, &Sswp::new(root), &g),
-        }
-        let idx = AlgoKind::ALL.iter().position(|&k| k == case.algo).unwrap();
-        seen[idx] = true;
-    }
-    assert!(
-        seen.iter().all(|&s| s),
-        "corpus slice did not cover all six algorithms: {seen:?}"
-    );
-}
-
 #[test]
 fn sharded_oracle_leg_passes_on_fixed_corpus_cases() {
-    // Full oracle sweep (which now includes `differential-turbo-sharded`)
-    // on a fixed corpus slice — the exact check the fuzzer runs, pinned.
+    // Full oracle sweep on a fixed corpus slice — the exact check the
+    // fuzzer runs, pinned. (Named for the sharded-turbo leg it was added
+    // with; that leg went with the mechanism.)
     for seed in [7u64, 8, 9] {
         run_case(&generate(seed), None).unwrap();
     }

@@ -25,7 +25,7 @@ echo "== one way to drain turbo (no priority queue behind the bitmap sweep) =="
 # Turbo sweeps one active bitmap in vertex order; the bucketed scheduler's
 # urgency hint, key quantizer and enqueue-key column may not come back.
 if grep -rnE 'fn urgency\(|enq_key|key_of|KEY_SPACE' crates/*/src; then
-  echo "bucketed drain reintroduced: deposit into Shard::pending / active and let sweep() order the work"; exit 1
+  echo "bucketed drain reintroduced: deposit into Pool::pending / active and let sweep() order the work"; exit 1
 fi
 
 echo "== one kind of thing cached in gp-serve (lane-local typed columns, constants not knobs) =="
@@ -49,6 +49,19 @@ if grep -rnE 'FusedPaths|PathKind|LANES|Fuse<' crates/serve/src; then
 fi
 if grep -rn 'impl.*DeltaAlgorithm for' crates/serve/src; then
   echo "gp-serve defines an algorithm of its own: algorithms live in gp-algorithms, where golden checks them"; exit 1
+fi
+
+echo "== one pool in gp-turbo (no vertex shards, no threads, no shard-count knob) =="
+# Turbo is one Pool swept by one loop. Vertex sharding — worker threads,
+# outboxes, round barriers, the two round drivers and the shard-count knob
+# on every surface above it — cost 1.17-1.51x the events and never read
+# ahead of one pool in two timing sweeps running (EXPERIMENTS.md, "Sharded
+# turbo"), and may not come back without a measurement that says otherwise.
+if grep -rnE 'Barrier|RwLock|thread::|Outbox|drive_(threaded|sequential)' crates/turbo/src; then
+  echo "sharded turbo reintroduced: gp-turbo is one Pool and one round loop"; exit 1
+fi
+if grep -rnE 'turbo[_-]shards' crates scripts README.md DESIGN.md; then
+  echo "turbo shard-count knob reintroduced: there is one pool, so there is nothing to set"; exit 1
 fi
 
 echo "== cargo clippy (warnings denied) =="
@@ -109,31 +122,18 @@ diff BENCH_chaos.json /tmp/gp-chaos-a.json \
 cargo run --release -q -p gp-bench --bin bench_check -- \
   /tmp/gp-chaos-a.json BENCH_chaos.json
 
-echo "== sharded-turbo differential smoke (2 and 4 shards vs golden, both drivers, full oracle) =="
-# The differential-turbo-sharded oracle leg re-runs every corpus case's
-# turbo execution at 2 and 4 vertex shards and demands, at each count,
-# agreement with golden (bit-exact for the monotone algorithms), event
-# conservation, and identical value bits AND round log from the threaded
-# and the sequential driver; the fuzz smoke above already sweeps it, and
-# this pins a second fixed slice at a different master seed so a
-# determinism break in the sharded engine cannot hide behind one lucky
-# corpus.
-cargo run --release -q -p gp-bench --bin fuzz -- --seed 19 --iters 25
-
-echo "== serve smoke (executor pool + sharded engine, every sample vs golden) =="
+echo "== serve smoke (executor pool, every sample vs golden) =="
 # Fixed-seed load run on a 2^14 R-MAT: four client threads race mixed
 # queries against an updater publishing epochs mid-run, served by a
-# two-executor pool with every turbo run at two vertex shards.
-# --verify-all makes the bench cross-check every sampled response against
-# a sequential golden recompute on the exact epoch the response named —
-# bit-exact for the monotone classes, within tolerance for PageRank.
-# Exit 1 on any mismatch.
+# two-executor pool. --verify-all makes the bench cross-check every
+# sampled response against a sequential golden recompute on the exact
+# epoch the response named — bit-exact for the monotone classes, within
+# tolerance for PageRank. Exit 1 on any mismatch.
 cargo run --release -q -p gp-bench --bin serve_bench -- \
   --seed 11 --vertices 16384 --queries 20000 --batches 8 \
-  --executors 2 --turbo-shards 2 \
-  --sample-every 64 --verify-all --out /tmp/gp-serve-smoke.json
+  --executors 2 --sample-every 64 --verify-all --out /tmp/gp-serve-smoke.json
 # The fresh run and the committed full-scale sweep must both satisfy the
-# gp-bench/serve/v2 schema (non-empty executor sweep, golden checks ran
+# gp-bench/serve/v3 schema (non-empty executor sweep, golden checks ran
 # and passed per run, per-class latency quantiles present and ordered).
 cargo run --release -q -p gp-bench --bin bench_check -- \
   /tmp/gp-serve-smoke.json BENCH_serve.json

@@ -78,7 +78,12 @@ fn parse_args() -> Result<Args, String> {
                 args.workload = Workload::parse(&name)
                     .ok_or_else(|| format!("unknown workload {}", name.to_ascii_uppercase()))?;
             }
-            "--scale" => args.scale = val()?.parse().map_err(|e| format!("--scale: {e}"))?,
+            "--scale" => {
+                args.scale = val()?.parse().map_err(|e| format!("--scale: {e}"))?;
+                if args.scale == 0 {
+                    return Err("--scale must be at least 1".into());
+                }
+            }
             "--graph" => args.graph_file = Some(val()?),
             "--seed" => args.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--root" => args.root = Some(val()?.parse().map_err(|e| format!("--root: {e}"))?),
@@ -116,6 +121,15 @@ fn run(args: &Args) -> Result<(Vec<f64>, f64, String), String> {
     let weighted = matches!(args.app.as_str(), "sssp" | "sswp" | "ads");
     let graph = load_graph(args, weighted)?;
     eprintln!("graph: {graph}");
+    let n = graph.num_vertices();
+    if n == 0 {
+        return Err("the graph has no vertices".into());
+    }
+    if let Some(v) = args.root.filter(|&v| v as usize >= n) {
+        return Err(format!(
+            "--root {v} is out of range: the graph has {n} vertices"
+        ));
+    }
     let root = args
         .root
         .map_or_else(|| max_out_degree_vertex(&graph), VertexId::new);

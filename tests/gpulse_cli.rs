@@ -1,0 +1,137 @@
+//! Invocation tests for the `gpulse` binary: a bad flag value, a missing
+//! file or an unknown name is a one-line error and a non-zero exit, never
+//! a panic, and a good run on every backend exits 0.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+const BACKENDS: [&str; 4] = ["accel", "base", "ligra", "graphicionado"];
+
+fn gpulse(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_gpulse"))
+        .args(args)
+        .output()
+        .expect("could not spawn gpulse")
+}
+
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("gpulse-cli-{}-{name}", std::process::id()))
+}
+
+/// A three-vertex weighted cycle, written as an edge list.
+fn triangle(name: &str) -> PathBuf {
+    let path = temp_path(name);
+    std::fs::write(&path, "# triangle\n0 1 2.0\n1 2 3.0\n2 0 1.5\n").unwrap();
+    path
+}
+
+/// Asserts a refused invocation: non-zero exit, `needle` in a message on
+/// stderr, and no panic.
+fn assert_refused(args: &[&str], needle: &str) {
+    let out = gpulse(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} must fail:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains(needle),
+        "{args:?} must name {needle:?}:\n{stderr}"
+    );
+}
+
+#[test]
+fn zero_scale_is_refused() {
+    assert_refused(&["--scale", "0"], "--scale");
+}
+
+#[test]
+fn out_of_range_root_is_refused_on_every_backend() {
+    let graph = triangle("root.txt");
+    let graph_arg = graph.to_str().unwrap();
+    for backend in BACKENDS {
+        for app in ["ppr", "bfs", "sssp", "sswp"] {
+            assert_refused(
+                &[
+                    "--graph",
+                    graph_arg,
+                    "--app",
+                    app,
+                    "--backend",
+                    backend,
+                    "--root",
+                    "99",
+                ],
+                "--root 99",
+            );
+        }
+    }
+    std::fs::remove_file(graph).ok();
+
+    // An empty edge list has no vertex for the default root either.
+    let empty = temp_path("empty.txt");
+    std::fs::write(&empty, "# no edges\n").unwrap();
+    assert_refused(
+        &["--graph", empty.to_str().unwrap(), "--app", "ppr"],
+        "no vertices",
+    );
+    std::fs::remove_file(empty).ok();
+}
+
+#[test]
+fn missing_graph_file_and_unknown_app_are_refused() {
+    let missing = temp_path("no-such-file.txt");
+    assert_refused(&["--graph", missing.to_str().unwrap()], "open");
+    let graph = triangle("app.txt");
+    for backend in BACKENDS {
+        assert_refused(
+            &[
+                "--graph",
+                graph.to_str().unwrap(),
+                "--app",
+                "pagerank",
+                "--backend",
+                backend,
+            ],
+            "pagerank",
+        );
+    }
+    std::fs::remove_file(graph).ok();
+}
+
+#[test]
+fn every_backend_runs_a_tiny_edge_list_and_writes_its_values() {
+    let graph = triangle("run.txt");
+    let values = temp_path("values.csv");
+    for backend in BACKENDS {
+        for (app, root) in [("pr", None), ("cc", None), ("sssp", Some("2"))] {
+            let mut args = vec![
+                "--graph",
+                graph.to_str().unwrap(),
+                "--app",
+                app,
+                "--backend",
+                backend,
+                "--values",
+                values.to_str().unwrap(),
+            ];
+            if let Some(root) = root {
+                args.extend(["--root", root]);
+            }
+            let out = gpulse(&args);
+            assert!(
+                out.status.success(),
+                "{app} on {backend}:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let csv = std::fs::read_to_string(&values).unwrap();
+            let rows: Vec<&str> = csv.lines().collect();
+            assert_eq!(rows[0], "vertex,value", "{app} on {backend}");
+            assert_eq!(rows.len(), 4, "{app} on {backend}: {csv}");
+            if app == "sssp" {
+                // 2 → 0 (1.5) → 1 (2.0).
+                assert_eq!(rows[1..], ["0,1.5", "1,3.5", "2,0"], "{backend}");
+            }
+        }
+    }
+    std::fs::remove_file(graph).ok();
+    std::fs::remove_file(values).ok();
+}

@@ -1,17 +1,13 @@
 //! Pins the turbo backend's schedule: on one fixed weighted R-MAT every
-//! work counter of every algorithm is a literal, at one shard and at three.
+//! work counter of every algorithm is a literal.
 //!
 //! The counters are functions of the round schedule (which vertices a
 //! sweep finds active, and in which order their deltas land), so any
-//! change to how turbo queues, orders or merges events moves at least one
-//! of them — while the values stay held to the sequential golden engine,
-//! bit for bit where the algebra is monotone. A delta deposited ahead of
-//! the sweep is processed in the same round, and how far ahead a shard can
-//! see depends on where its range ends, so the literals are per shard
-//! count. The single-shard run is also held to a work bound: fewer events
-//! and fewer rounds than the round-buffered `run_bsp`, and at most 1.10x
-//! the events of the FIFO golden engine. (No such bound holds for a
-//! sharded run: partial lookahead is not monotone in work.)
+//! change to how turbo queues or orders events moves at least one of them
+//! — while the values stay held to the sequential golden engine, bit for
+//! bit where the algebra is monotone. The run is also held to a work
+//! bound: fewer events and fewer rounds than the round-buffered `run_bsp`,
+//! and at most 1.10x the events of the FIFO golden engine.
 
 use graphpulse::algorithms::engine::{run_bsp, run_sequential};
 use graphpulse::algorithms::{
@@ -44,52 +40,41 @@ fn hub(g: &CsrGraph) -> VertexId {
     best
 }
 
-fn assert_schedule<A: DeltaAlgorithm>(label: &str, algo: &A, g: &CsrGraph, want: [Counts; 2]) {
+fn assert_schedule<A: DeltaAlgorithm>(label: &str, algo: &A, g: &CsrGraph, want: Counts) {
     let golden = run_sequential(algo, g);
     let (bsp, _) = run_bsp(algo, g, u64::MAX);
-    for (shards, want) in [1, 3].into_iter().zip(want) {
-        let out = run_turbo(
-            algo,
-            g,
-            &TurboConfig {
-                shards,
-                ..TurboConfig::default()
-            },
-        );
-        let got: Counts = [
-            out.events_processed,
-            out.events_generated,
-            out.events_coalesced,
-            out.stale_entries,
-            out.reschedules,
-            out.rounds,
-        ];
-        assert_eq!(got, want, "{label} at {shards} shard(s)");
-        out.check_lost_events().unwrap();
-        let tol = algo.comparison_tolerance();
-        if tol == 0.0 {
-            assert_eq!(out.values, golden.values, "{label} at {shards} shard(s)");
-        } else {
-            let diff = max_abs_diff(&out.values, &golden.values);
-            assert!(diff < tol, "{label} at {shards} shard(s): |diff| {diff:e}");
-        }
-        if shards == 1 {
-            assert!(
-                out.events_processed < bsp.events_processed && out.rounds < bsp.rounds,
-                "{label}: {} events / {} rounds, run_bsp {} / {}",
-                out.events_processed,
-                out.rounds,
-                bsp.events_processed,
-                bsp.rounds
-            );
-            assert!(
-                out.events_processed * 10 <= golden.events_processed * 11,
-                "{label}: {} events, golden {}",
-                out.events_processed,
-                golden.events_processed
-            );
-        }
+    let out = run_turbo(algo, g, &TurboConfig::default());
+    let got: Counts = [
+        out.events_processed,
+        out.events_generated,
+        out.events_coalesced,
+        out.stale_entries,
+        out.reschedules,
+        out.rounds,
+    ];
+    assert_eq!(got, want, "{label}");
+    out.check_lost_events().unwrap();
+    let tol = algo.comparison_tolerance();
+    if tol == 0.0 {
+        assert_eq!(out.values, golden.values, "{label}");
+    } else {
+        let diff = max_abs_diff(&out.values, &golden.values);
+        assert!(diff < tol, "{label}: |diff| {diff:e}");
     }
+    assert!(
+        out.events_processed < bsp.events_processed && out.rounds < bsp.rounds,
+        "{label}: {} events / {} rounds, run_bsp {} / {}",
+        out.events_processed,
+        out.rounds,
+        bsp.events_processed,
+        bsp.rounds
+    );
+    assert!(
+        out.events_processed * 10 <= golden.events_processed * 11,
+        "{label}: {} events, golden {}",
+        out.events_processed,
+        golden.events_processed
+    );
 }
 
 #[test]
@@ -100,39 +85,20 @@ fn work_counters_are_pinned_on_a_fixed_rmat() {
         "prd",
         &PageRankDelta::new(0.85, 1e-3),
         &g,
-        [
-            [44677, 437820, 393143, 0, 0, 18],
-            [65330, 645252, 579922, 0, 0, 26],
-        ],
+        [44677, 437820, 393143, 0, 0, 18],
     );
-    assert_schedule(
-        "sssp",
-        &Sssp::new(root),
-        &g,
-        [[6947, 49401, 42454, 0, 0, 6], [9194, 58686, 49492, 0, 0, 8]],
-    );
-    assert_schedule(
-        "bfs",
-        &Bfs::new(root),
-        &g,
-        [[4010, 28064, 24054, 0, 0, 4], [4765, 28220, 23455, 0, 0, 5]],
-    );
+    assert_schedule("sssp", &Sssp::new(root), &g, [6947, 49401, 42454, 0, 0, 6]);
+    assert_schedule("bfs", &Bfs::new(root), &g, [4010, 28064, 24054, 0, 0, 4]);
     assert_schedule(
         "cc",
         &ConnectedComponents::new(),
         &g,
-        [
-            [8870, 63743, 54873, 0, 0, 5],
-            [11087, 73636, 62549, 0, 0, 6],
-        ],
+        [8870, 63743, 54873, 0, 0, 5],
     );
     assert_schedule(
         "sswp",
         &Sswp::new(root),
         &g,
-        [
-            [15511, 87787, 72276, 0, 0, 13],
-            [21301, 116053, 94752, 0, 0, 20],
-        ],
+        [15511, 87787, 72276, 0, 0, 13],
     );
 }
