@@ -161,23 +161,41 @@ Common flags (every gp-bench binary):
     /// # Errors
     ///
     /// Returns a human-readable message for unknown flags, flags missing
-    /// their value, and unparsable values.
+    /// their value, unparsable values, and values a run would panic on
+    /// (`--scale 0`, `--epoch-cycles 0`, a `--delete-frac` outside [0, 1]).
     pub fn try_from_args(args: impl Iterator<Item = String>) -> Result<Option<Self>, String> {
+        fn at_least_one<T: PartialEq + Default>(flag: &str, v: T) -> Result<T, String> {
+            if v == T::default() {
+                return Err(format!("{flag} must be at least 1"));
+            }
+            Ok(v)
+        }
         let mut cfg = HarnessConfig::default();
         let mut args = cli::Flags::new(args);
         while let Some(flag) = args.next_flag() {
             match flag.as_str() {
-                "--scale" => cfg.scale = args.parsed(&flag, "an integer")?,
+                // A zero denominator has no graph to scale to.
+                "--scale" => cfg.scale = at_least_one(&flag, args.parsed(&flag, "an integer")?)?,
                 "--seed" => cfg.seed = args.parsed(&flag, "an integer")?,
                 "--threads" => cfg.threads = args.parsed(&flag, "an integer")?,
                 "--workers" => cfg.workers = Some(args.parsed(&flag, "an integer")?),
+                // The parallel engine rejects an empty epoch.
                 "--epoch-cycles" => {
-                    cfg.epoch_cycles = Some(args.parsed(&flag, "an integer")?);
+                    let cycles = at_least_one(&flag, args.parsed(&flag, "an integer")?)?;
+                    cfg.epoch_cycles = Some(cycles);
                 }
                 "--vertices" => cfg.stream_vertices = args.parsed(&flag, "an integer")?,
                 "--batches" => cfg.batches = args.parsed(&flag, "an integer")?,
                 "--batch-size" => cfg.batch_size = args.parsed(&flag, "an integer")?,
-                "--delete-frac" => cfg.delete_fraction = args.parsed(&flag, "a number")?,
+                "--delete-frac" => {
+                    cfg.delete_fraction = args.parsed(&flag, "a number")?;
+                    if !(0.0..=1.0).contains(&cfg.delete_fraction) {
+                        return Err(format!(
+                            "{flag} must be between 0 and 1, got {}",
+                            cfg.delete_fraction
+                        ));
+                    }
+                }
                 "--workloads" => {
                     cfg.workloads = args
                         .value(&flag)?
@@ -554,6 +572,15 @@ mod tests {
 
         let err = try_parse(&["--workloads", "WG,ZZ"]).unwrap_err();
         assert!(err.contains("unknown workload ZZ"), "{err}");
+
+        // Values that parse but that a run would panic on.
+        let err = try_parse(&["--scale", "0"]).unwrap_err();
+        assert_eq!(err, "--scale must be at least 1");
+        let err = try_parse(&["--epoch-cycles", "0"]).unwrap_err();
+        assert_eq!(err, "--epoch-cycles must be at least 1");
+        let err = try_parse(&["--delete-frac", "1.5"]).unwrap_err();
+        assert_eq!(err, "--delete-frac must be between 0 and 1, got 1.5");
+        assert!(try_parse(&["--delete-frac", "1"]).is_ok());
     }
 
     #[test]

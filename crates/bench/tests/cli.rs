@@ -75,6 +75,82 @@ fn chaos_bad_flag_exits_2() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 }
 
+/// A flag value a run cannot use is refused by the shared parser with the
+/// usage status, one `error:` line and the flag reference — not passed on
+/// to panic somewhere downstream.
+fn assert_refused(bin: &str, args: &[&str], why: &str) {
+    let out = run(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: {why}\n")),
+        "{args:?}:\n{stderr}"
+    );
+    assert!(stderr.contains("Common flags"), "{args:?}:\n{stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed a table");
+}
+
+#[test]
+fn zero_scale_is_refused_by_every_harness_binary() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig04_coalescing"),
+        env!("CARGO_BIN_EXE_fig08_lookahead"),
+        env!("CARGO_BIN_EXE_fig10_speedup"),
+        env!("CARGO_BIN_EXE_fig11_offchip"),
+        env!("CARGO_BIN_EXE_fig12_utilization"),
+        env!("CARGO_BIN_EXE_fig13_stages"),
+        env!("CARGO_BIN_EXE_fig14_breakdown"),
+        env!("CARGO_BIN_EXE_ablations"),
+        env!("CARGO_BIN_EXE_report"),
+        env!("CARGO_BIN_EXE_tab05_power"),
+        env!("CARGO_BIN_EXE_streaming"),
+    ] {
+        assert_refused(bin, &["--scale", "0"], "--scale must be at least 1");
+    }
+}
+
+#[test]
+fn zero_epoch_and_out_of_range_delete_fraction_are_refused() {
+    let fig12 = env!("CARGO_BIN_EXE_fig12_utilization");
+    let args = ["--scale", "4096", "--workers", "2", "--epoch-cycles", "0"];
+    assert_refused(fig12, &args, "--epoch-cycles must be at least 1");
+    let streaming = env!("CARGO_BIN_EXE_streaming");
+    for bad in ["2", "-0.5", "NaN"] {
+        let args = ["--vertices", "64", "--delete-frac", bad];
+        let why = format!("--delete-frac must be between 0 and 1, got {bad}");
+        assert_refused(streaming, &args, &why);
+    }
+}
+
+#[test]
+fn zero_counts_that_have_a_meaning_still_run() {
+    // The audit's other half: these zeros reach code that handles them
+    // (`--workers 0` and `--threads 0` mean one; an empty update stream is
+    // an empty table), so they stay accepted.
+    let tiny = ["--scale", "4096", "--workloads", "WG", "--apps", "bfs"];
+    for zero in [["--workers", "0"], ["--threads", "0"]] {
+        let args: Vec<&str> = tiny.iter().chain(&zero).copied().collect();
+        let out = run(env!("CARGO_BIN_EXE_fig10_speedup"), &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{zero:?}:\n{stderr}");
+    }
+    for zero in [
+        ["--vertices", "0"],
+        ["--batches", "0"],
+        ["--batch-size", "0"],
+    ] {
+        let args: Vec<&str> = ["--vertices", "64", "--batches", "1"]
+            .iter()
+            .chain(&zero)
+            .copied()
+            .collect();
+        let out = run(env!("CARGO_BIN_EXE_streaming"), &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{zero:?}:\n{stderr}");
+    }
+}
+
 fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("gp-bench-cli-{}-{name}", std::process::id()))
 }

@@ -6,6 +6,11 @@
 //! unit* holding several *streams* that share an edge cache; each stream
 //! walks one vertex's edge list at one edge per cycle, with a degree-hinted
 //! N-block prefetcher keeping the cache warm.
+//!
+//! A stream with no task, or one waiting for an edge line with nothing left
+//! to request, is parked by the machine (see [`wake`](crate::wake)):
+//! [`Stream::parked`] carries the span its timeline — and, while it waits
+//! for a line, its task's `edge_wait` — still owes.
 
 use std::collections::VecDeque;
 
@@ -16,6 +21,7 @@ use gp_sim::Cycle;
 
 use crate::metrics::GEN_STATES;
 use crate::network::Flit;
+use crate::wake::Parked;
 
 /// Index of the generation states in the Fig. 14 timeline.
 pub(crate) const GT_EDGE_READ: usize = 0;
@@ -56,6 +62,15 @@ pub(crate) struct Stream<D> {
     /// The crossbar port this stream is multiplexed onto.
     pub port: usize,
     pub timeline: StateTimeline,
+    /// Set while the machine is not visiting this stream: the state every
+    /// skipped cycle would have recorded, and since when.
+    pub parked: Option<Parked>,
+    /// While parked in [`GT_EDGE_READ`]: the line of the next edge. Its
+    /// arrival is what the stream sleeps for.
+    pub wait_line: u64,
+    /// The window start and unit line epoch at which the current task's
+    /// prefetch window was last walked and found covered.
+    covered: Option<(u64, u64)>,
 }
 
 impl<D> Stream<D> {
@@ -65,7 +80,47 @@ impl<D> Stream<D> {
             pending: None,
             port,
             timeline: StateTimeline::new(&GEN_STATES),
+            // Nothing to do until the processor queues a first task.
+            parked: Some(Parked {
+                since: Cycle::ZERO,
+                state: GT_IDLE,
+            }),
+            wait_line: 0,
+            covered: None,
         }
+    }
+
+    /// Starts walking `task`'s edge list.
+    pub(crate) fn start(&mut self, task: GenTask<D>) {
+        self.active = Some(ActiveGen {
+            task,
+            next_edge: 0,
+            edge_wait: 0,
+            gen_cycles: 0,
+        });
+        // A window is the task's: the old one says nothing about this one.
+        self.covered = None;
+    }
+
+    /// Books the cycles slept before `now` into the timeline — and into
+    /// the task's edge wait, if that is what the stream slept on; the span
+    /// a still-parked stream owes restarts at `resume`.
+    pub(crate) fn settle(&mut self, now: Cycle, resume: Cycle) {
+        if let Some(parked) = &mut self.parked {
+            let slept = parked.slept(now);
+            self.timeline.add(parked.state, slept);
+            if parked.state == GT_EDGE_READ {
+                if let Some(active) = &mut self.active {
+                    active.edge_wait += slept;
+                }
+            }
+            parked.since = resume;
+        }
+    }
+
+    /// Whether the stream is parked in `state`.
+    pub(crate) fn parked_in(&self, state: usize) -> bool {
+        self.parked.is_some_and(|p| p.state == state)
     }
 
     /// Whether the stream holds no work.
@@ -83,6 +138,9 @@ pub(crate) struct GenUnit<D> {
     pub cache: Cache,
     /// Edge lines requested from memory but not yet arrived.
     pub pending_lines: Vec<u64>,
+    /// Counts the changes to which lines are resident or on their way: a
+    /// prefetch window found covered stays covered while this stands still.
+    lines_epoch: u64,
     pub streams: Vec<Stream<D>>,
 }
 
@@ -99,6 +157,7 @@ impl<D> GenUnit<D> {
             buffer_cap,
             cache: Cache::new(cache),
             pending_lines: Vec::new(),
+            lines_epoch: 0,
             streams: (0..streams)
                 .map(|s| Stream::new((first_port + s) % ports))
                 .collect(),
@@ -120,10 +179,31 @@ impl<D> GenUnit<D> {
         self.buffer.push_back(task);
     }
 
-    /// An edge line arrived from memory.
-    pub(crate) fn line_arrived(&mut self, line: u64) {
+    /// An edge line arrived from memory. Returns whether filling it pushed
+    /// another line out of the cache — the one way a line some stream
+    /// counted as resident can stop being so.
+    pub(crate) fn line_arrived(&mut self, line: u64) -> bool {
         self.pending_lines.retain(|&l| l != line);
-        self.cache.fill(line);
+        self.lines_epoch += 1;
+        self.cache.fill(line).is_some()
+    }
+
+    /// A read of edge line `line` was issued to memory.
+    pub(crate) fn line_requested(&mut self, line: u64) {
+        self.pending_lines.push(line);
+        self.lines_epoch += 1;
+    }
+
+    /// Whether stream `s` last found its whole prefetch window, starting at
+    /// `first_line`, resident or on its way — and no line has moved since.
+    pub(crate) fn window_covered(&self, s: usize, first_line: u64) -> bool {
+        self.streams[s].covered == Some((first_line, self.lines_epoch))
+    }
+
+    /// Stream `s` walked its window from `first_line` and found nothing to
+    /// request.
+    pub(crate) fn note_window_covered(&mut self, s: usize, first_line: u64) {
+        self.streams[s].covered = Some((first_line, self.lines_epoch));
     }
 
     /// Whether buffer and all streams are drained.
@@ -137,6 +217,7 @@ impl<D> GenUnit<D> {
     pub(crate) fn reset_for_swap(&mut self) {
         debug_assert!(self.is_quiescent(), "swap while busy");
         self.cache.clear();
+        self.lines_epoch += 1;
     }
 }
 
@@ -176,9 +257,43 @@ mod tests {
         let mut u = unit();
         u.pending_lines.push(64);
         assert!(!u.is_quiescent());
-        u.line_arrived(64);
+        assert!(!u.line_arrived(64), "room in the set: nothing evicted");
         assert!(u.cache.contains(64));
         assert!(u.is_quiescent());
+        // Two sets of two ways: lines 64, 192 and 320 share set 1.
+        assert!(!u.line_arrived(192));
+        assert!(u.line_arrived(320), "a full set gives a line up");
+        assert!(!u.cache.contains(64));
+    }
+
+    #[test]
+    fn a_parked_edge_wait_is_settled_into_the_task_too() {
+        let mut u = unit();
+        let s = &mut u.streams[1];
+        assert!(s.parked_in(GT_IDLE));
+        s.settle(Cycle::new(7), Cycle::new(7));
+        assert_eq!(s.timeline.total(), 7);
+        s.active = Some(ActiveGen {
+            task: GenTask {
+                vertex: VertexId::new(1),
+                basis: 0.5,
+                degree: 3,
+                depth: 0,
+                queued_at: Cycle::ZERO,
+            },
+            next_edge: 0,
+            edge_wait: 2,
+            gen_cycles: 0,
+        });
+        s.parked = Some(Parked {
+            since: Cycle::new(9),
+            state: GT_EDGE_READ,
+        });
+        s.settle(Cycle::new(30), Cycle::new(30));
+        assert_eq!(s.active.as_ref().unwrap().edge_wait, 2 + 21);
+        assert_eq!(s.timeline.total(), 7 + 21);
+        s.settle(Cycle::new(30), Cycle::new(30));
+        assert_eq!(s.timeline.total(), 28, "settling twice books nothing twice");
     }
 
     #[test]

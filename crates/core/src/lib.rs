@@ -50,6 +50,7 @@ mod network;
 pub mod parallel;
 mod processor;
 mod queue;
+mod wake;
 
 pub use config::{AcceleratorConfig, ParallelConfig, QueueConfig, SchedulingPolicy};
 pub use energy::{ActivityCounters, EnergyModel, EnergyReport};

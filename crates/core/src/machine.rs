@@ -23,6 +23,7 @@ use crate::processor::{
     vertex_line, ApplyOp, ProcToken, Processor, ST_IDLE, ST_PROCESS, ST_STALL, ST_VERTEX_READ,
 };
 use crate::queue::{row_base_index, slot_of, Bin, InsertOutcome, SlotAddr};
+use crate::wake::{Parked, WakeSet};
 use crate::{AcceleratorConfig, Event, SchedulingPolicy};
 
 /// Result of an accelerator run: final vertex values plus the full
@@ -141,7 +142,7 @@ impl GraphPulse {
         self.config.validate().map_err(RunError::InvalidConfig)?;
         let mut machine = Machine::new(&self.config, graph, algo, values);
         machine.seed_events(seeds);
-        machine.run_to_completion()?;
+        machine.run_until(Cycle::NEVER)?;
         Ok(machine.finish())
     }
 }
@@ -215,6 +216,30 @@ pub(crate) struct Machine<'a, A: DeltaAlgorithm, G: GraphView> {
     outbox_index: Vec<HashMap<u32, usize>>,
     out_seq: u64,
 
+    // ---- who needs a visit (see `wake`) ----
+    /// Processors to visit this cycle. The rest are parked: quiescent, or
+    /// waiting for a line, for room in their generation buffer or for room
+    /// in a channel queue.
+    procs_awake: WakeSet,
+    /// Streams to visit this cycle, by `unit * gen_streams + stream`. The
+    /// rest are parked: without a task, or waiting for an edge line.
+    streams_awake: WakeSet,
+    /// Bins whose input FIFO holds something.
+    bins_active: WakeSet,
+    /// Units parked on a refusal by `mem.can_accept`, per channel (by
+    /// `channel % 64`, as `MemorySystem::tick` reports dequeues).
+    refused: Vec<Refused>,
+    /// Processors / generation units that are not quiescent.
+    procs_busy: WakeSet,
+    units_busy: WakeSet,
+    /// First cycle in which the scheduler finds every coalescer empty.
+    bins_settle_at: Cycle,
+    /// The drain found a row but no processor with room for it: only a
+    /// processor's progress can unblock it.
+    drain_starved: bool,
+    /// Cycles the clock moved while the shard sat parked between epochs.
+    parked_cycles: u64,
+
     phase: Phase<A::Delta>,
     /// Bin visit order for the current round (identity under round-robin).
     bin_order: Vec<usize>,
@@ -233,8 +258,12 @@ pub(crate) struct Machine<'a, A: DeltaAlgorithm, G: GraphView> {
     events_generated: u64,
     events_coalesced: u64,
     events_spilled: u64,
-    /// Ticks actually executed (shard-mode diagnostics).
-    ticks: u64,
+}
+
+/// The units one memory channel turned away, woken when it dequeues.
+struct Refused {
+    procs: WakeSet,
+    streams: WakeSet,
 }
 
 impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
@@ -281,8 +310,15 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         let edge_base = align_up(vertex_base + n as u64 * u64::from(cfg.vertex_bytes));
         let spill_base = align_up(edge_base + graph.edge_span() as u64 * u64::from(edge_bytes));
 
+        // Storage for the rows a resident slice can reach — the geometry
+        // (capacity, slot mapping, energy) stays the configured one.
+        let longest = partition.slices().iter().map(|s| s.len()).max();
+        let rows = longest
+            .unwrap_or(0)
+            .div_ceil(cfg.queue.bins * cfg.queue.cols)
+            .min(cfg.queue.rows);
         let bins = (0..cfg.queue.bins)
-            .map(|_| Bin::new(&cfg.queue, cfg.bin_input_depth, cfg.coalescer_depth))
+            .map(|_| Bin::new(&cfg.queue, rows, cfg.bin_input_depth, cfg.coalescer_depth))
             .collect();
         let procs = (0..cfg.processors)
             .map(|_| Processor::new(cfg.input_buffer, cfg.scratchpad_lines, cfg.process_latency))
@@ -305,6 +341,13 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             Vec::new()
         };
         let outbox_index = (0..outbox.len()).map(|_| HashMap::new()).collect();
+        let streams = cfg.total_streams();
+        let refused = (0..cfg.dram.channels.min(64))
+            .map(|_| Refused {
+                procs: WakeSet::new(cfg.processors),
+                streams: WakeSet::new(streams),
+            })
+            .collect();
 
         Machine {
             cfg,
@@ -321,7 +364,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             mem: MemorySystem::new(cfg.dram),
             pending_mem: HashMap::new(),
             bins,
-            xbar: Crossbar::new(cfg.crossbar_ports, 4),
+            xbar: Crossbar::new(cfg.crossbar_ports, 4, cfg.queue.bins),
             procs,
             units,
             spill,
@@ -330,6 +373,15 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             outbox,
             outbox_index,
             out_seq: 0,
+            procs_awake: WakeSet::new(cfg.processors),
+            streams_awake: WakeSet::new(streams),
+            bins_active: WakeSet::new(cfg.queue.bins),
+            refused,
+            procs_busy: WakeSet::new(cfg.processors),
+            units_busy: WakeSet::new(cfg.processors),
+            bins_settle_at: Cycle::ZERO,
+            drain_starved: false,
+            parked_cycles: 0,
             phase: Phase::Drain,
             bin_order: (0..cfg.queue.bins).collect(),
             current_bin: 0,
@@ -346,7 +398,6 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             events_generated: 0,
             events_coalesced: 0,
             events_spilled: 0,
-            ticks: 0,
         }
     }
 
@@ -438,14 +489,54 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
 
     // ---- main loop ----
 
-    fn run_to_completion(&mut self) -> Result<(), RunError> {
-        while !matches!(self.phase, Phase::Done) {
+    /// Ticks until the run is done or the clock reaches `end`.
+    fn run_until(&mut self, end: Cycle) -> Result<(), RunError> {
+        let limit = end.min(Cycle::new(self.cfg.max_cycles));
+        while !matches!(self.phase, Phase::Done) && self.now < end {
             if self.now.get() >= self.cfg.max_cycles {
                 return Err(RunError::CycleLimit(self.cfg.max_cycles));
             }
             self.tick();
+            self.skip_idle_cycles(limit);
         }
         Ok(())
+    }
+
+    /// With every unit parked, moves the clock to the first cycle in which
+    /// anything can happen — a memory event, or the scheduler acting on its
+    /// own — but never past `limit`. The cycles in between would have been
+    /// ticks that change nothing but the timelines, which parked units
+    /// settle in bulk.
+    fn skip_idle_cycles(&mut self, limit: Cycle) {
+        let all_parked = self.procs_awake.is_empty()
+            && self.streams_awake.is_empty()
+            && self.bins_active.is_empty()
+            && self.xbar.is_empty()
+            && self.spill_pending_bytes < LINE_BYTES; // else a spill write is due
+        if !all_parked || matches!(self.phase, Phase::Done) {
+            return;
+        }
+        let next = self.mem.next_event().min(self.scheduler_next_move());
+        if next > self.now {
+            self.now = next.min(limit);
+        }
+    }
+
+    /// The first cycle from `now` on in which the scheduler would do
+    /// something while no unit moves and no memory event occurs;
+    /// `Cycle::NEVER` if it is waiting for one of those.
+    fn scheduler_next_move(&self) -> Cycle {
+        match &self.phase {
+            Phase::Drain if self.drain_starved => Cycle::NEVER,
+            Phase::Fill { queue, .. } if queue.is_empty() => Cycle::NEVER,
+            Phase::Drain | Phase::Fill { .. } | Phase::Done => self.now,
+            // Quiescence can come with time alone only through the
+            // coalescers' last writes retiring.
+            Phase::Quiesce if self.quiescent_but_for_coalescers() => {
+                self.now.max(self.bins_settle_at)
+            }
+            Phase::Quiesce => Cycle::NEVER,
+        }
     }
 
     // ---- shard-mode lifecycle (epoch-barrier parallel engine) ----
@@ -454,14 +545,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
     /// boundary at `epoch_end`.
     pub(crate) fn run_epoch(&mut self, epoch_end: Cycle) -> Result<(), RunError> {
         debug_assert!(self.shard_mode);
-        while !matches!(self.phase, Phase::Done) && self.now.get() < epoch_end.get() {
-            if self.now.get() >= self.cfg.max_cycles {
-                return Err(RunError::CycleLimit(self.cfg.max_cycles));
-            }
-            self.tick();
-            self.ticks += 1;
-        }
-        Ok(())
+        self.run_until(epoch_end)
     }
 
     /// Whether the shard has run dry (no resident events, all units idle).
@@ -475,6 +559,10 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
     pub(crate) fn deliver(&mut self, at: Cycle, events: impl IntoIterator<Item = Event<A::Delta>>) {
         debug_assert!(self.shard_mode);
         if self.parked() {
+            // The cycles up to the barrier were never simulated: parked
+            // units owe their timelines nothing for them.
+            self.settle_parked_units(at);
+            self.parked_cycles += at - self.now;
             self.now = at;
             self.slice_activations += 1;
             for bin in &mut self.bins {
@@ -498,14 +586,42 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         std::mem::replace(&mut self.outbox, empty)
     }
 
-    /// Ticks actually executed (the shard's share of the parallel work).
+    /// Cycles simulated (the shard's share of the parallel work): the
+    /// clock, less the spans it sat parked between epochs.
     pub(crate) fn ticks(&self) -> u64 {
-        self.ticks
+        self.now.get() - self.parked_cycles
     }
 
+    /// Books every parked unit's slept cycles up to `now`; the spans of
+    /// those still parked restart at `resume`.
+    fn settle_parked_units(&mut self, resume: Cycle) {
+        let now = self.now;
+        for p in &mut self.procs {
+            p.settle(now, resume);
+        }
+        for s in self.units.iter_mut().flat_map(|u| &mut u.streams) {
+            s.settle(now, resume);
+        }
+    }
+
+    /// The waiters of the channel that turned a request for `line` away.
+    fn refused_by(&mut self, line: u64) -> &mut Refused {
+        &mut self.refused[self.mem.channel_of(line) % 64]
+    }
+
+    /// One cycle. Only units that are awake are visited, but in the order
+    /// an every-unit sweep would reach them — processor index, unit then
+    /// stream index, port rotation, bin index: who asks memory first
+    /// decides request ids, channel-queue order and so DRAM timing.
     fn tick(&mut self) {
         let now = self.now;
-        self.mem.tick(now);
+        let mut dequeued = self.mem.tick(now);
+        while dequeued != 0 {
+            let waiting = &mut self.refused[dequeued.trailing_zeros() as usize];
+            self.procs_awake.absorb(&mut waiting.procs);
+            self.streams_awake.absorb(&mut waiting.streams);
+            dequeued &= dequeued - 1;
+        }
         self.route_completions();
         self.tick_spill_writes();
         self.tick_scheduler();
@@ -522,9 +638,21 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                 Some(MemTarget::VertexLine { proc, line }) => {
                     self.procs[proc].line_arrived(line);
                     self.activity.scratchpad_accesses += 1;
+                    self.procs_awake.insert(proc);
+                    self.procs_busy.set(proc, !self.procs[proc].is_quiescent());
                 }
                 Some(MemTarget::EdgeLine { unit, line }) => {
-                    self.units[unit].line_arrived(line);
+                    let evicted = self.units[unit].line_arrived(line);
+                    // A stream waiting for this very line can go on; one
+                    // that had counted the evicted line as resident has a
+                    // request to make.
+                    let first = unit * self.cfg.gen_streams;
+                    for (s, stream) in self.units[unit].streams.iter().enumerate() {
+                        if stream.parked_in(GT_EDGE_READ) && (evicted || stream.wait_line == line) {
+                            self.streams_awake.insert(first + s);
+                        }
+                    }
+                    self.units_busy.set(unit, !self.units[unit].is_quiescent());
                 }
                 Some(MemTarget::FillChunk { events }) => {
                     for ev in events {
@@ -586,13 +714,14 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
     }
 
     fn tick_drain(&mut self) {
+        self.drain_starved = false;
         loop {
             if self.current_bin >= self.bins.len() {
                 self.phase = Phase::Quiesce;
                 return;
             }
             let bin_idx = self.bin_order[self.current_bin];
-            match self.bins[bin_idx].peek_drain() {
+            match self.bins[bin_idx].peek_drain(self.now) {
                 None => {
                     // Bin exhausted for this round; checking the next one
                     // costs no extra drain slot (priority encoder).
@@ -601,6 +730,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                 Some((_, 0)) => return, // row busy in the coalescer: retry next cycle
                 Some((row, count)) => {
                     let Some(target) = self.pick_processor(count) else {
+                        self.drain_starved = true;
                         return; // all input buffers too full: stall
                     };
                     let events = self.bins[bin_idx].drain_row(row, self.now);
@@ -623,6 +753,8 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                             demand_issued: false,
                         });
                     }
+                    self.procs_awake.insert(target);
+                    self.procs_busy.insert(target);
                     self.dispatch_rr = target + 1;
                     return; // one row per cycle
                 }
@@ -637,13 +769,30 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             .find(|&p| self.procs[p].free_input() >= needed)
     }
 
-    fn is_quiescent(&self) -> bool {
+    /// Every unit idle, the coalescers' in-flight writes aside.
+    fn quiescent_but_for_coalescers(&self) -> bool {
         self.pending_mem.is_empty()
             && self.mem.is_idle()
             && self.xbar.is_empty()
-            && self.bins.iter().all(Bin::is_quiescent)
-            && self.procs.iter().all(Processor::is_quiescent)
-            && self.units.iter().all(GenUnit::is_quiescent)
+            && self.bins_active.is_empty()
+            && self.procs_busy.is_empty()
+            && self.units_busy.is_empty()
+    }
+
+    fn is_quiescent(&self) -> bool {
+        let quiescent = self.quiescent_but_for_coalescers() && self.now >= self.bins_settle_at;
+        debug_assert_eq!(
+            quiescent,
+            self.pending_mem.is_empty()
+                && self.mem.is_idle()
+                && self.xbar.is_empty()
+                && self.bins.iter().all(|b| b.is_quiescent(self.now))
+                && self.procs.iter().all(Processor::is_quiescent)
+                && self.units.iter().all(GenUnit::is_quiescent),
+            "the busy sets disagree with the units at {}",
+            self.now
+        );
+        quiescent
     }
 
     fn tick_quiesce(&mut self) {
@@ -754,14 +903,35 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
     // ---- processors ----
 
     fn tick_processors(&mut self) {
-        for p in 0..self.procs.len() {
+        let mut from = 0;
+        while let Some(p) = self.procs_awake.next_from(from) {
             self.tick_processor(p);
+            from = p + 1;
+        }
+    }
+
+    /// Hands `task` to processor `p`'s generation unit, which has space.
+    fn queue_gen_task(&mut self, p: usize, task: GenTask<A::Delta>) {
+        self.units[p].push_task(task);
+        self.units_busy.insert(p);
+        let first = p * self.cfg.gen_streams;
+        for (s, stream) in self.units[p].streams.iter().enumerate() {
+            if stream.parked_in(GT_IDLE) {
+                self.streams_awake.insert(first + s);
+            }
         }
     }
 
     fn tick_processor(&mut self, p: usize) {
         let now = self.now;
+        self.procs[p].settle(now, now);
+        self.procs[p].parked = None;
         let mut state = ST_IDLE;
+        // Whether this tick changed anything, and the lines whose channel
+        // turned a request away: a tick that changed nothing repeats until
+        // something outside the processor does.
+        let mut acted = false;
+        let mut turned_away = [None; 2];
 
         // 1. Retry a stalled generation hand-off.
         if let Some(task) = self.procs[p].stalled.take() {
@@ -770,7 +940,8 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                     queued_at: now,
                     ..task
                 };
-                self.units[p].push_task(task);
+                self.queue_gen_task(p, task);
+                acted = true;
             } else {
                 self.procs[p].stalled = Some(task);
                 state = ST_STALL;
@@ -782,6 +953,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             if let Some(op) = self.procs[p].pipeline.retire(now) {
                 self.apply_op(p, op);
                 state = ST_PROCESS;
+                acted = true;
             }
         }
 
@@ -798,6 +970,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                     },
                 );
                 state = ST_PROCESS;
+                acted = true;
             }
         }
 
@@ -815,11 +988,15 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                 let id = self.mem.request(now, req).expect("can_accept checked");
                 self.pending_mem
                     .insert(id.get(), MemTarget::VertexLine { proc: p, line });
-                self.procs[p].pending_lines.push(line);
-            } else if !self.cfg.prefetch {
-                // The demand flag was consumed; put it back for a retry.
-                if let Some(t) = self.procs[p].input.front_mut() {
-                    t.demand_issued = false;
+                self.procs[p].line_requested(line);
+                acted = true;
+            } else {
+                turned_away[0] = Some(line);
+                if !self.cfg.prefetch {
+                    // The demand flag was consumed; put it back for a retry.
+                    if let Some(t) = self.procs[p].input.front_mut() {
+                        t.demand_issued = false;
+                    }
                 }
             }
         }
@@ -830,11 +1007,15 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             if self.mem.can_accept(line) {
                 self.procs[p].write_retry.pop_front();
                 self.issue_vertex_write(p, line, bytes);
+                acted = true;
+            } else {
+                turned_away[1] = Some(line);
             }
         }
         if self.procs[p].input.is_empty() && self.procs[p].pipeline.is_empty() {
             if let Some((line, bytes)) = self.procs[p].write_combine.take() {
                 self.issue_vertex_write(p, line, bytes);
+                acted = true;
             }
         }
 
@@ -843,6 +1024,25 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             state = ST_VERTEX_READ; // waiting on vertex data
         }
         self.procs[p].timeline.add(state, 1);
+        self.procs_busy.set(p, !self.procs[p].is_quiescent());
+
+        // 7. Park if the next tick would be this one again. Beyond the
+        //    clock reaching the apply pipeline's next retirement (blocked
+        //    while a hand-off is stalled), what can make it differ is a
+        //    block from the scheduler, a line from memory, the generation
+        //    unit taking a task, or a refusing channel dequeuing — and each
+        //    of those wakes the processor.
+        let proc = &mut self.procs[p];
+        if !acted && (proc.pipeline.is_empty() || proc.stalled.is_some()) {
+            proc.parked = Some(Parked {
+                since: now.next(),
+                state,
+            });
+            self.procs_awake.remove(p);
+            for line in turned_away.into_iter().flatten() {
+                self.refused_by(line).procs.insert(p);
+            }
+        }
     }
 
     /// Issues (or queues for retry) one combined vertex write-back burst.
@@ -896,7 +1096,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                     queued_at: now,
                 };
                 if self.units[p].has_space() {
-                    self.units[p].push_task(task);
+                    self.queue_gen_task(p, task);
                 } else {
                     self.procs[p].stalled = Some(task);
                 }
@@ -907,26 +1107,37 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
     // ---- generation ----
 
     fn tick_generation(&mut self) {
-        for u in 0..self.units.len() {
-            for s in 0..self.units[u].streams.len() {
-                self.tick_stream(u, s);
-            }
+        let per_unit = self.cfg.gen_streams;
+        let mut from = 0;
+        while let Some(g) = self.streams_awake.next_from(from) {
+            self.tick_stream(g / per_unit, g % per_unit);
+            from = g + 1;
         }
+    }
+
+    /// Parks stream `s` of unit `u` after a tick that changed nothing and
+    /// recorded `state`: every following cycle repeats it until the stream
+    /// is woken.
+    fn park_stream(&mut self, u: usize, s: usize, state: usize) {
+        self.units[u].streams[s].parked = Some(Parked {
+            since: self.now.next(),
+            state,
+        });
+        self.streams_awake.remove(u * self.cfg.gen_streams + s);
     }
 
     fn tick_stream(&mut self, u: usize, s: usize) {
         let now = self.now;
+        self.units[u].streams[s].settle(now, now);
+        self.units[u].streams[s].parked = None;
 
         // Pull a task if idle.
         if self.units[u].streams[s].active.is_none() && self.units[u].streams[s].pending.is_none() {
             if let Some(task) = self.units[u].buffer.pop_front() {
                 self.stages.gen_buffer.record((now - task.queued_at) as f64);
-                self.units[u].streams[s].active = Some(ActiveGen {
-                    task,
-                    next_edge: 0,
-                    edge_wait: 0,
-                    gen_cycles: 0,
-                });
+                self.units[u].streams[s].start(task);
+                // Room in the buffer: a stalled hand-off can go through.
+                self.procs_awake.insert(u);
             }
         }
 
@@ -940,6 +1151,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                 if let Some(active) = &mut self.units[u].streams[s].active {
                     active.gen_cycles += 1;
                 }
+                self.stream_let_go(u);
                 state = GT_GENERATE;
             } else {
                 self.units[u].streams[s].pending = Some(flit);
@@ -950,7 +1162,10 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         }
 
         let Some(active) = &self.units[u].streams[s].active else {
+            // No task and none queued: asleep until the processor hands
+            // the unit one.
             self.units[u].streams[s].timeline.add(GT_IDLE, 1);
+            self.park_stream(u, s, GT_IDLE);
             return;
         };
         let vertex = active.task.vertex;
@@ -963,12 +1178,13 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             let active = self.units[u].streams[s].active.take().expect("active");
             self.stages.edge_mem.record(active.edge_wait as f64);
             self.stages.generate.record(active.gen_cycles as f64);
+            self.stream_let_go(u);
             self.units[u].streams[s].timeline.add(GT_IDLE, 1);
             return;
         }
 
         // Edge prefetch: keep up to N lines ahead in flight (§V).
-        self.issue_edge_prefetch(u, vertex, next_edge, degree);
+        let prefetch = self.issue_edge_prefetch(u, s, vertex, next_edge, degree);
 
         // Consume one edge per cycle if its line is resident.
         let addr = self.edge_addr(vertex, next_edge);
@@ -1007,6 +1223,18 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             let active = self.units[u].streams[s].active.as_mut().expect("active");
             active.edge_wait += 1;
             state = GT_EDGE_READ;
+            // Waiting for `line` with nothing requested this cycle: the
+            // next cycle differs only once `line` arrives, a fill evicts a
+            // line of the window, or — if a channel turned the window's
+            // next request away — that channel dequeues.
+            if !matches!(prefetch, Prefetch::Issued) {
+                self.units[u].streams[s].wait_line = line;
+                self.park_stream(u, s, GT_EDGE_READ);
+                if let Prefetch::TurnedAway(missing) = prefetch {
+                    let stream = u * self.cfg.gen_streams + s;
+                    self.refused_by(missing).streams.insert(stream);
+                }
+            }
         }
 
         // Task finished?
@@ -1022,15 +1250,34 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             let active = self.units[u].streams[s].active.take().expect("active");
             self.stages.edge_mem.record(active.edge_wait as f64);
             self.stages.generate.record(active.gen_cycles as f64);
+            self.stream_let_go(u);
         }
         self.units[u].streams[s].timeline.add(state, 1);
     }
 
-    fn issue_edge_prefetch(&mut self, u: usize, vertex: VertexId, next_edge: u32, degree: u32) {
+    /// A stream of unit `u` finished a task or flushed its last event — the
+    /// two ways a stream's tick can leave its unit quiescent.
+    fn stream_let_go(&mut self, u: usize) {
+        self.units_busy.set(u, !self.units[u].is_quiescent());
+    }
+
+    /// Requests the first line of the stream's prefetch window that is
+    /// neither resident nor on its way, if memory takes it.
+    fn issue_edge_prefetch(
+        &mut self,
+        u: usize,
+        s: usize,
+        vertex: VertexId,
+        next_edge: u32,
+        degree: u32,
+    ) -> Prefetch {
         if next_edge >= degree {
-            return;
+            return Prefetch::Covered;
         }
         let first_line = line_base(self.edge_addr(vertex, next_edge));
+        if self.units[u].window_covered(s, first_line) {
+            return Prefetch::Covered;
+        }
         let last_line = line_base(self.edge_addr(vertex, degree - 1));
         let window_end = (first_line
             + (self.cfg.edge_prefetch_depth.saturating_sub(1)) * LINE_BYTES)
@@ -1038,33 +1285,37 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         let mut line = first_line;
         while line <= window_end {
             if !self.units[u].cache.contains(line) && !self.units[u].pending_lines.contains(&line) {
-                if self.mem.can_accept(line) {
-                    self.units[u].cache.probe(line); // counts the miss
-                    let list_end = self.edge_addr(vertex, degree - 1) + u64::from(self.edge_bytes);
-                    let useful = (list_end.min(line + LINE_BYTES)
-                        - line.max(self.edge_addr(vertex, 0)))
-                    .min(LINE_BYTES) as u32;
-                    let req = MemRequest::read(line, LINE_BYTES as u32, TrafficClass::EdgeRead)
-                        .with_useful_bytes(useful.max(1).min(LINE_BYTES as u32));
-                    let id = self.mem.request(self.now, req).expect("can_accept checked");
-                    self.pending_mem
-                        .insert(id.get(), MemTarget::EdgeLine { unit: u, line });
-                    self.units[u].pending_lines.push(line);
+                if !self.mem.can_accept(line) {
+                    return Prefetch::TurnedAway(line); // blocked wait
                 }
-                return; // at most one issue (or blocked wait) per cycle
+                self.units[u].cache.probe(line); // counts the miss
+                let list_end = self.edge_addr(vertex, degree - 1) + u64::from(self.edge_bytes);
+                let useful = (list_end.min(line + LINE_BYTES) - line.max(self.edge_addr(vertex, 0)))
+                    .min(LINE_BYTES) as u32;
+                let req = MemRequest::read(line, LINE_BYTES as u32, TrafficClass::EdgeRead)
+                    .with_useful_bytes(useful.max(1).min(LINE_BYTES as u32));
+                let id = self.mem.request(self.now, req).expect("can_accept checked");
+                self.pending_mem
+                    .insert(id.get(), MemTarget::EdgeLine { unit: u, line });
+                self.units[u].line_requested(line);
+                return Prefetch::Issued; // at most one issue per cycle
             }
             line += LINE_BYTES;
         }
+        self.units[u].note_window_covered(s, first_line);
+        Prefetch::Covered
     }
 
     // ---- network & bins ----
 
     fn tick_network(&mut self) {
-        let accepts: Vec<bool> = self.bins.iter().map(Bin::can_accept).collect();
         let now = self.now.get();
+        // Port priority rotates once per simulated cycle.
+        let cycle = now - self.parked_cycles;
         let Machine {
             xbar,
             bins,
+            bins_active,
             spill,
             events_spilled,
             spill_pending_bytes,
@@ -1076,9 +1327,14 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             out_seq,
             ..
         } = self;
-        xbar.tick(&accepts, |flit| match flit.route {
+        xbar.tick(cycle, |flit| match flit.route {
             Route::Bin { bin, row, col } => {
-                bins[bin].accept(SlotAddr { bin, row, col }, flit.event);
+                let room = bins[bin].can_accept();
+                if room {
+                    bins[bin].accept(SlotAddr { bin, row, col }, flit.event);
+                    bins_active.insert(bin);
+                }
+                room
             }
             Route::Spill { slice } => {
                 *events_spilled += 1;
@@ -1103,12 +1359,16 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                     spill[slice].push_back(flit.event);
                     *spill_pending_bytes += u64::from(cfg.event_bytes);
                 }
+                true
             }
         });
     }
 
     fn tick_bins(&mut self) {
-        for bin in &mut self.bins {
+        let mut from = 0;
+        while let Some(b) = self.bins_active.next_from(from) {
+            from = b + 1;
+            let bin = &mut self.bins[b];
             if let Some(outcome) = bin.tick_insert(self.now, self.algo) {
                 self.activity.queue_reads += 1; // slot probe
                 self.activity.queue_writes += 1; // slot write
@@ -1116,6 +1376,11 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                     self.events_coalesced += 1;
                     self.current_round.coalesced_away += 1;
                     self.activity.coalesce_ops += 1;
+                }
+                // The scheduler sees the write through its retire cycle.
+                self.bins_settle_at = self.now + self.cfg.coalescer_depth + 1;
+                if bin.input_is_empty() {
+                    self.bins_active.remove(b);
                 }
             }
         }
@@ -1125,7 +1390,8 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
 
     /// Tears the machine down into its typed vertex values (all of them,
     /// in shard mode too) plus the execution report.
-    pub(crate) fn finish(self) -> Outcome<A::Value> {
+    pub(crate) fn finish(mut self) -> Outcome<A::Value> {
+        self.settle_parked_units(self.now);
         let cycles = self.now.get();
         let mut proc_timeline = StateTimeline::new(&PROC_STATES);
         for p in &self.procs {
@@ -1172,6 +1438,16 @@ impl<D> ActiveGen<D> {
     fn degree_of_task(&self) -> u32 {
         self.task.degree
     }
+}
+
+/// What a stream's edge prefetcher did in a cycle.
+enum Prefetch {
+    /// Requested a line.
+    Issued,
+    /// Every line of the window is resident or on its way.
+    Covered,
+    /// The window's first missing line, refused by its channel's queue.
+    TurnedAway(u64),
 }
 
 /// `LINE_BYTES` as `u32` for the write-combining cap.
@@ -1318,14 +1594,299 @@ mod tests {
 
     #[test]
     fn report_timelines_cover_all_cycles() {
+        // Every processor and every stream accounts for every simulated
+        // cycle, visited or slept through: on the small machine, on the
+        // paper's, with the graph in three slices (swap-ins, fills and
+        // spills between them), and across three shards that park and are
+        // revived at barriers (there the cycles are each shard's own).
         let g = erdos_renyi(100, 400, WeightMode::Unweighted, 2);
         let algo = PageRankDelta::new(0.85, 1e-5);
+        let mut sliced = AcceleratorConfig::small_test();
+        sliced.queue = crate::QueueConfig {
+            bins: 2,
+            rows: 3,
+            cols: 8,
+        }; // 48 slots: three slices of the 100 vertices
+        for cfg in [
+            AcceleratorConfig::small_test(),
+            AcceleratorConfig::optimized(),
+            sliced,
+        ] {
+            let procs = cfg.processors as u64;
+            let streams = cfg.total_streams() as u64;
+            let slices = 100usize.div_ceil(cfg.queue.capacity()).max(1) as u64;
+            let out = GraphPulse::new(cfg).run(&g, &algo).unwrap();
+            assert_eq!(out.report.slices, slices);
+            assert_eq!(out.report.proc_timeline.total(), out.report.cycles * procs);
+            assert_eq!(out.report.gen_timeline.total(), out.report.cycles * streams);
+        }
+
+        let mut sharded = AcceleratorConfig::small_test();
+        sharded.parallel.shards = 3;
+        sharded.parallel.epoch_cycles = 97;
+        let procs = sharded.processors as u64;
+        let streams = sharded.total_streams() as u64;
+        let out = GraphPulse::new(sharded).run_parallel(&g, &algo).unwrap();
+        assert_eq!(out.shards, 3);
+        assert!(
+            out.report.slice_activations > 3,
+            "no shard was ever revived"
+        );
+        let simulated: u64 = out.shard_ticks.iter().sum();
+        assert_eq!(out.report.proc_timeline.total(), simulated * procs);
+        assert_eq!(out.report.gen_timeline.total(), simulated * streams);
+    }
+}
+
+/// The wake conditions, one unit at a time: a parked unit must act in the
+/// very cycle an every-cycle sweep would have seen it act, and its
+/// accounts must come out as if it had been visited all along.
+#[cfg(test)]
+mod wake_tests {
+    use super::*;
+    use gp_algorithms::{PageRankDelta, Sssp};
+    use gp_graph::generators::{erdos_renyi, WeightMode};
+    use gp_graph::{CsrGraph, GraphBuilder};
+
+    /// `sources` vertices with sixteen out-edges each — one 64-byte line
+    /// of unweighted edge records per source, line `v` for source `v`.
+    fn one_line_per_source(sources: u32) -> CsrGraph {
+        let mut b = GraphBuilder::new(sources as usize + 16);
+        for v in 0..sources {
+            for t in 0..16 {
+                b.add_edge(VertexId::new(v), VertexId::new(sources + t), 1.0);
+            }
+        }
+        b.build()
+    }
+
+    fn task(v: u32) -> GenTask<f64> {
+        GenTask {
+            vertex: VertexId::new(v),
+            basis: 1.0,
+            degree: 16,
+            depth: 0,
+            queued_at: Cycle::ZERO,
+        }
+    }
+
+    fn cycles_in(timeline: &StateTimeline, state: usize) -> u64 {
+        timeline.fractions()[state].1
+    }
+
+    fn all_parked<A: DeltaAlgorithm, G: GraphView>(m: &Machine<'_, A, G>) -> bool {
+        m.procs_awake.is_empty() && m.streams_awake.is_empty() && m.bins_active.is_empty()
+    }
+
+    #[test]
+    fn a_stream_parked_on_a_line_resumes_in_the_cycle_it_arrives() {
+        let g = one_line_per_source(1);
+        let algo = PageRankDelta::new(0.85, 1e-9);
         let cfg = AcceleratorConfig::small_test();
-        let procs = cfg.processors as u64;
-        let streams = cfg.total_streams() as u64;
-        let out = GraphPulse::new(cfg).run(&g, &algo).unwrap();
-        assert_eq!(out.report.proc_timeline.total(), out.report.cycles * procs);
-        assert_eq!(out.report.gen_timeline.total(), out.report.cycles * streams);
+        let mut m = Machine::new(&cfg, &g, &algo, vec![Default::default(); g.num_vertices()]);
+        let line = line_base(m.edge_addr(VertexId::new(0), 0));
+        m.queue_gen_task(0, task(0));
+
+        // Requested in cycle 0, issued to the idle DRAM in cycle 1: an
+        // activate, a column read and the 64-byte burst later it is back.
+        let burst = (LINE_BYTES as f64 / cfg.dram.bytes_per_cycle).ceil() as u64;
+        let arrival = Cycle::new(1 + cfg.dram.t_rcd + cfg.dram.t_cas + burst);
+
+        let mut ticked = 0;
+        let parked_before = loop {
+            let before = m.units[0].streams[0].parked;
+            let at = m.now;
+            m.tick();
+            ticked += 1;
+            if m.units[0].cache.contains(line) {
+                assert_eq!(at, arrival, "the line is back in cycle {at}");
+                break before;
+            }
+            m.skip_idle_cycles(Cycle::NEVER);
+        };
+        // Cycle 0 requested the line, cycle 1 had nothing more to ask for:
+        // parked from cycle 2 on, and the machine did not tick through it.
+        let parked = parked_before.expect("the stream slept until the line came");
+        assert_eq!((parked.since, parked.state), (Cycle::new(2), GT_EDGE_READ));
+        assert!(ticked < 6, "{ticked} ticks for {arrival} cycles");
+
+        // The arrival cycle itself already emitted the first edge, and the
+        // wait is every cycle before it, slept or not.
+        let stream = &m.units[0].streams[0];
+        let active = stream.active.as_ref().expect("mid-task");
+        assert_eq!(active.next_edge, 1);
+        assert_eq!(active.edge_wait, arrival.get());
+        assert_eq!(cycles_in(&stream.timeline, GT_EDGE_READ), arrival.get());
+        assert_eq!(cycles_in(&stream.timeline, GT_GENERATE), 1);
+        assert_eq!(stream.timeline.total(), arrival.get() + 1);
+    }
+
+    #[test]
+    fn refused_streams_issue_when_the_channel_has_room_in_stream_order() {
+        // One channel with a one-entry queue, three streams with a line
+        // each to fetch. Stream 0 gets the entry; 1 and 2 are refused and
+        // sleep. Each dequeue makes room for exactly one: stream 1 takes
+        // the first, stream 2 the second, each in the dequeue's own cycle.
+        let g = one_line_per_source(3);
+        let algo = PageRankDelta::new(0.85, 1e-9);
+        let mut cfg = AcceleratorConfig::small_test();
+        cfg.gen_streams = 3;
+        cfg.dram = gp_mem::DramConfig::single_channel();
+        cfg.dram.queue_depth = 1;
+        let mut m = Machine::new(&cfg, &g, &algo, vec![Default::default(); g.num_vertices()]);
+        let lines: Vec<u64> = (0..3)
+            .map(|v| line_base(m.edge_addr(VertexId::new(v), 0)))
+            .collect();
+        for v in 0..3 {
+            m.queue_gen_task(0, task(v));
+        }
+
+        let mut requested: [Option<Cycle>; 3] = [None; 3];
+        let mut ticked = 0;
+        while requested[2].is_none() {
+            let at = m.now;
+            m.tick();
+            ticked += 1;
+            for (s, line) in lines.iter().enumerate() {
+                if requested[s].is_none() && m.units[0].pending_lines.contains(line) {
+                    requested[s] = Some(at);
+                }
+            }
+            for s in 1..3 {
+                if requested[s].is_none() {
+                    // Still waiting: then no room went unused this cycle,
+                    // and the stream sleeps on the channel, not on a poll.
+                    assert!(!m.mem.can_accept(lines[s]), "room left over in {at}");
+                    assert!(m.units[0].streams[s].parked_in(GT_EDGE_READ));
+                    assert_ne!(m.streams_awake.next_from(s), Some(s));
+                }
+            }
+            m.skip_idle_cycles(Cycle::NEVER);
+        }
+        let [r0, r1, r2] = requested.map(|c| c.expect("requested").get());
+        assert_eq!((r0, r1), (0, 1), "the first dequeue is cycle 1's");
+        assert!(r2 > r1 + 1, "the second dequeue waits for the bus");
+        assert!(ticked < r2, "{ticked} ticks for {r2} cycles");
+        // Slept through, the wait still counts cycle for cycle.
+        let waited = m.units[0].streams[2].active.as_ref().unwrap().edge_wait;
+        assert_eq!(waited, r2 + 1);
+    }
+
+    #[test]
+    fn a_stalled_hand_off_goes_through_when_the_unit_takes_a_task() {
+        // A one-entry generation buffer, both streams busy on long waits:
+        // the processor's second task stalls, the processor parks, and the
+        // cycle a stream frees up and pulls the buffered task is followed
+        // by the cycle the stalled one enters the buffer.
+        let g = one_line_per_source(4);
+        let algo = PageRankDelta::new(0.85, 1e-9);
+        let mut cfg = AcceleratorConfig::small_test();
+        cfg.gen_buffer = 1;
+        let mut m = Machine::new(&cfg, &g, &algo, vec![Default::default(); g.num_vertices()]);
+        m.queue_gen_task(0, task(0));
+        m.tick(); // stream 0 takes task 0
+        m.queue_gen_task(0, task(1));
+        m.tick(); // stream 1 takes task 1
+        m.queue_gen_task(0, task(2)); // buffered: no stream is free
+        m.procs[0].stalled = Some(task(3));
+        m.procs_awake.insert(0);
+        m.procs_busy.insert(0);
+
+        let mut pulled_at = None;
+        let handed_over_at = loop {
+            let at = m.now;
+            m.tick();
+            if m.procs[0].stalled.is_none() {
+                break at;
+            }
+            if pulled_at.is_none() && m.units[0].buffer.is_empty() {
+                pulled_at = Some(at);
+            } else if pulled_at.is_none() {
+                let parked = m.procs[0].parked.expect("stalled with nothing else to do");
+                assert_eq!(parked.state, ST_STALL);
+            }
+            m.skip_idle_cycles(Cycle::NEVER);
+        };
+        let pulled_at = pulled_at.expect("a stream pulled the buffered task");
+        assert_eq!(handed_over_at, pulled_at.next());
+        assert_eq!(m.units[0].buffer.front().unwrap().queued_at, handed_over_at);
+        // Stalled from cycle 2 up to the hand-over, visited or not.
+        let stalled = cycles_in(&m.procs[0].timeline, ST_STALL);
+        assert_eq!(stalled, handed_over_at.get() - 2);
+    }
+
+    #[test]
+    fn an_epoch_ends_on_its_boundary_even_mid_sleep() {
+        // One shard stepped in 7-cycle epochs against the same shard run in
+        // one go: a jump that would cross a barrier stops on it, and
+        // nothing about the run depends on where the barriers fell.
+        let g = erdos_renyi(60, 240, WeightMode::Uniform(1.0, 9.0), 5);
+        let algo = Sssp::new(VertexId::new(0));
+        let cfg = AcceleratorConfig::small_test();
+        let shard = |cfg| {
+            let (values, seeds) = initial_state(&algo, &g);
+            let mut m = Machine::new_shard(cfg, &g, &algo, values, Partition::whole(&g), 0);
+            m.seed_events(&seeds);
+            m
+        };
+
+        let mut whole = shard(&cfg);
+        whole.run_epoch(Cycle::NEVER).unwrap();
+        assert!(whole.parked());
+
+        let mut stepped = shard(&cfg);
+        let mut end = Cycle::ZERO;
+        let mut stopped_mid_sleep = 0;
+        while !stepped.parked() {
+            end += 7;
+            stepped.run_epoch(end).unwrap();
+            assert!(stepped.now <= end);
+            if !stepped.parked() {
+                assert_eq!(stepped.now, end, "an epoch ends on its boundary");
+                let next = stepped.mem.next_event().min(stepped.scheduler_next_move());
+                if all_parked(&stepped) && stepped.xbar.is_empty() && next > end {
+                    stopped_mid_sleep += 1;
+                }
+            }
+        }
+        assert!(stopped_mid_sleep > 0, "no barrier fell inside a sleep");
+        assert_eq!(stepped.ticks(), whole.ticks());
+        let (stepped, whole) = (stepped.finish(), whole.finish());
+        assert_eq!(
+            format!("{:?}", stepped.report),
+            format!("{:?}", whole.report)
+        );
+        assert_eq!(stepped.values, whole.values);
+    }
+
+    #[test]
+    fn a_cycle_cap_inside_a_sleep_is_still_hit() {
+        // SSSP from one root: after cycle 1 the whole machine waits for the
+        // root's vertex line. A cap that falls in that wait is reported as
+        // the cap, with the clock on it — not skipped over.
+        let g = erdos_renyi(60, 240, WeightMode::Uniform(1.0, 9.0), 5);
+        let algo = Sssp::new(VertexId::new(0));
+        let mut cfg = AcceleratorConfig::small_test();
+        let sleeping_until = {
+            let (values, seeds) = initial_state(&algo, &g);
+            let mut m = Machine::new(&cfg, &g, &algo, values);
+            m.seed_events(&seeds);
+            m.tick();
+            m.tick();
+            assert!(all_parked(&m));
+            m.skip_idle_cycles(Cycle::NEVER);
+            m.now.get()
+        };
+        assert!(sleeping_until > 20, "the wait ends in {sleeping_until}");
+
+        cfg.max_cycles = 20;
+        let (values, seeds) = initial_state(&algo, &g);
+        let mut m = Machine::new(&cfg, &g, &algo, values);
+        m.seed_events(&seeds);
+        assert_eq!(m.run_until(Cycle::NEVER), Err(RunError::CycleLimit(20)));
+        assert_eq!(m.now, Cycle::new(20));
+        let err = GraphPulse::new(cfg).run(&g, &algo).unwrap_err();
+        assert_eq!(err, RunError::CycleLimit(20));
     }
 }
 

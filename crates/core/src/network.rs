@@ -7,6 +7,7 @@
 
 use std::collections::VecDeque;
 
+use crate::wake::WakeSet;
 use crate::Event;
 
 /// Where a routed event is headed.
@@ -40,13 +41,15 @@ pub(crate) struct Flit<D> {
 pub(crate) struct Crossbar<D> {
     ports: Vec<VecDeque<Flit<D>>>,
     port_cap: usize,
-    /// Rotating arbitration offset for fairness.
-    rr: usize,
+    /// The ports with a flit buffered.
+    waiting: WakeSet,
+    /// `taken[b]` is the cycle bin `b` last took a flit (one per cycle).
+    taken: Vec<Option<u64>>,
     pub(crate) flits_sent: u64,
 }
 
 impl<D: Copy> Crossbar<D> {
-    pub(crate) fn new(ports: usize, port_cap: usize) -> Self {
+    pub(crate) fn new(ports: usize, port_cap: usize, bins: usize) -> Self {
         assert!(
             ports > 0 && port_cap > 0,
             "crossbar needs ports and buffers"
@@ -54,7 +57,8 @@ impl<D: Copy> Crossbar<D> {
         Crossbar {
             ports: vec![VecDeque::new(); ports],
             port_cap,
-            rr: 0,
+            waiting: WakeSet::new(ports),
+            taken: vec![None; bins],
             flits_sent: 0,
         }
     }
@@ -72,43 +76,65 @@ impl<D: Copy> Crossbar<D> {
     pub(crate) fn send(&mut self, port: usize, flit: Flit<D>) {
         assert!(self.can_send(port), "crossbar port overflow");
         self.ports[port].push_back(flit);
+        self.waiting.insert(port);
         self.flits_sent += 1;
     }
 
-    /// One cycle of delivery: every port may forward its head flit if the
-    /// destination accepts (one event per bin per cycle; spills always
-    /// accept). `bin_accepts[b]` reports whether bin `b` has input space at
-    /// the start of the cycle; `deliver` consumes forwarded flits.
+    /// Delivery in the machine's `cycle`-th cycle: every port may forward
+    /// its head flit if the destination takes it (one event per bin per
+    /// cycle; spills always do). `offer` is handed each candidate and says
+    /// whether the destination had room and consumed it; a bin is offered
+    /// at most one flit it accepts per cycle.
     ///
-    /// Rotating port priority keeps arbitration fair.
-    pub(crate) fn tick(&mut self, bin_accepts: &[bool], mut deliver: impl FnMut(Flit<D>)) {
-        let n = self.ports.len();
-        let mut bin_taken = vec![false; bin_accepts.len()];
-        for i in 0..n {
-            let p = (self.rr + i) % n;
-            let Some(head) = self.ports[p].front() else {
-                continue;
-            };
-            match head.route {
-                Route::Bin { bin, .. } => {
-                    if !bin_taken[bin] && bin_accepts[bin] {
-                        bin_taken[bin] = true;
-                        let flit = self.ports[p].pop_front().expect("checked head");
-                        deliver(flit);
-                    }
+    /// Port priority rotates by one every cycle, empty or not, which keeps
+    /// arbitration fair — so it is read off the cycle count, and a cycle
+    /// with nothing buffered needs no call at all.
+    pub(crate) fn tick(&mut self, cycle: u64, mut offer: impl FnMut(Flit<D>) -> bool) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        // Ports `first..` then `..first`, the empty ones skipped.
+        let first = (cycle % self.ports.len() as u64) as usize;
+        let mut from = first;
+        while let Some(p) = self.waiting.next_from(from) {
+            self.forward_head(p, cycle, &mut offer);
+            from = p + 1;
+        }
+        from = 0;
+        while let Some(p) = self.waiting.next_from(from).filter(|&p| p < first) {
+            self.forward_head(p, cycle, &mut offer);
+            from = p + 1;
+        }
+    }
+
+    /// Port `p`'s turn: forwards its head flit if the destination takes it.
+    fn forward_head(&mut self, p: usize, cycle: u64, offer: &mut impl FnMut(Flit<D>) -> bool) {
+        let head = *self.ports[p].front().expect("a waiting port has a head");
+        let forwarded = match head.route {
+            Route::Bin { bin, .. } => {
+                let forwarded = self.taken[bin] != Some(cycle) && offer(head);
+                if forwarded {
+                    self.taken[bin] = Some(cycle);
                 }
-                Route::Spill { .. } => {
-                    let flit = self.ports[p].pop_front().expect("checked head");
-                    deliver(flit);
-                }
+                forwarded
+            }
+            Route::Spill { .. } => {
+                let taken = offer(head);
+                debug_assert!(taken, "spills always accept");
+                true
+            }
+        };
+        if forwarded {
+            self.ports[p].pop_front();
+            if self.ports[p].is_empty() {
+                self.waiting.remove(p);
             }
         }
-        self.rr = (self.rr + 1) % n;
     }
 
     /// Whether every port buffer is empty.
     pub(crate) fn is_empty(&self) -> bool {
-        self.ports.iter().all(VecDeque::is_empty)
+        self.waiting.is_empty()
     }
 }
 
@@ -128,45 +154,62 @@ mod tests {
         }
     }
 
+    /// An `offer` for bins with the given room: records what it takes.
+    fn taking<'a>(
+        accepts: &'a [bool],
+        delivered: &'a mut Vec<VertexId>,
+    ) -> impl FnMut(Flit<f64>) -> bool + 'a {
+        move |f| {
+            let room = match f.route {
+                Route::Bin { bin, .. } => accepts[bin],
+                Route::Spill { .. } => true,
+            };
+            if room {
+                delivered.push(f.event.target);
+            }
+            room
+        }
+    }
+
     #[test]
     fn one_event_per_bin_per_cycle() {
-        let mut xb: Crossbar<f64> = Crossbar::new(2, 4);
+        let mut xb: Crossbar<f64> = Crossbar::new(2, 4, 1);
         xb.send(0, flit(0, 1));
         xb.send(1, flit(0, 2)); // same destination bin
         let mut delivered = Vec::new();
-        xb.tick(&[true], |f| delivered.push(f.event.target));
+        xb.tick(0, taking(&[true], &mut delivered));
         assert_eq!(delivered.len(), 1);
-        xb.tick(&[true], |f| delivered.push(f.event.target));
+        xb.tick(1, taking(&[true], &mut delivered));
         assert_eq!(delivered.len(), 2);
         assert!(xb.is_empty());
     }
 
     #[test]
     fn different_bins_deliver_in_parallel() {
-        let mut xb: Crossbar<f64> = Crossbar::new(2, 4);
+        let mut xb: Crossbar<f64> = Crossbar::new(2, 4, 2);
         xb.send(0, flit(0, 1));
         xb.send(1, flit(1, 2));
-        let mut delivered = 0;
-        xb.tick(&[true, true], |_| delivered += 1);
-        assert_eq!(delivered, 2);
+        let mut delivered = Vec::new();
+        xb.tick(0, taking(&[true, true], &mut delivered));
+        assert_eq!(delivered.len(), 2);
     }
 
     #[test]
     fn backpressured_bin_blocks_head_of_line() {
-        let mut xb: Crossbar<f64> = Crossbar::new(1, 4);
+        let mut xb: Crossbar<f64> = Crossbar::new(1, 4, 2);
         xb.send(0, flit(0, 1));
         xb.send(0, flit(1, 2));
         let mut delivered = Vec::new();
         // Bin 0 rejects; head-of-line blocks the flit for bin 1 too.
-        xb.tick(&[false, true], |f| delivered.push(f.event.target));
+        xb.tick(0, taking(&[false, true], &mut delivered));
         assert!(delivered.is_empty());
-        xb.tick(&[true, true], |f| delivered.push(f.event.target));
+        xb.tick(1, taking(&[true, true], &mut delivered));
         assert_eq!(delivered, vec![VertexId::new(1)]);
     }
 
     #[test]
     fn spills_always_deliver() {
-        let mut xb: Crossbar<f64> = Crossbar::new(1, 4);
+        let mut xb: Crossbar<f64> = Crossbar::new(1, 4, 1);
         xb.send(
             0,
             Flit {
@@ -175,13 +218,37 @@ mod tests {
             },
         );
         let mut got = None;
-        xb.tick(&[false], |f| got = Some(f.route));
+        xb.tick(0, |f| {
+            got = Some(f.route);
+            true
+        });
         assert_eq!(got, Some(Route::Spill { slice: 2 }));
     }
 
     #[test]
+    fn port_priority_follows_the_cycle_count_across_idle_cycles() {
+        // Two ports contend for bin 0. Priority starts at port
+        // `cycle % ports`, whether or not the cycles before were ticked:
+        // an every-cycle caller and one that skips empty cycles agree.
+        for skip_idle in [false, true] {
+            let mut xb: Crossbar<f64> = Crossbar::new(2, 4, 1);
+            if !skip_idle {
+                for cycle in 0..5 {
+                    xb.tick(cycle, |_| unreachable!("nothing buffered"));
+                }
+            }
+            xb.send(0, flit(0, 10));
+            xb.send(1, flit(0, 11));
+            let mut delivered = Vec::new();
+            xb.tick(5, taking(&[true], &mut delivered)); // 5 % 2: port 1 first
+            xb.tick(6, taking(&[true], &mut delivered));
+            assert_eq!(delivered, vec![VertexId::new(11), VertexId::new(10)]);
+        }
+    }
+
+    #[test]
     fn port_capacity_enforced() {
-        let mut xb: Crossbar<f64> = Crossbar::new(1, 1);
+        let mut xb: Crossbar<f64> = Crossbar::new(1, 1, 1);
         assert!(xb.can_send(0));
         xb.send(0, flit(0, 1));
         assert!(!xb.can_send(0));

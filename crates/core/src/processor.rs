@@ -7,6 +7,10 @@
 //! in [`machine`](crate::machine) because it needs the shared memory system
 //! and the algorithm; this module keeps the per-processor state machine and
 //! its local invariants.
+//!
+//! A processor whose tick changed nothing is parked by the machine (see
+//! [`wake`](crate::wake)); [`Processor::parked`] carries the span its
+//! timeline still owes, settled in bulk when the processor is next visited.
 
 use std::collections::VecDeque;
 
@@ -16,6 +20,7 @@ use gp_sim::{Cycle, Pipeline};
 
 use crate::generation::GenTask;
 use crate::metrics::PROC_STATES;
+use crate::wake::Parked;
 use crate::Event;
 
 /// Index of the processor states in the Fig. 14 timeline.
@@ -51,7 +56,11 @@ pub(crate) struct Processor<D> {
     input_cap: usize,
     pub scratch: Scratchpad,
     /// Vertex lines requested from memory but not yet arrived.
-    pub pending_lines: Vec<u64>,
+    pending_lines: Vec<u64>,
+    /// What [`Processor::next_prefetch`] last answered, kept until the
+    /// input buffer, the scratchpad or `pending_lines` — all it reads —
+    /// next change.
+    prefetch_memo: Option<Option<(u64, u32)>>,
     pub pipeline: Pipeline<ApplyOp<D>>,
     /// A generation task that found the generation buffer full.
     pub stalled: Option<GenTask<D>>,
@@ -63,6 +72,9 @@ pub(crate) struct Processor<D> {
     /// `(line, bytes)` pairs awaiting retry.
     pub write_retry: VecDeque<(u64, u32)>,
     pub timeline: StateTimeline,
+    /// Set while the machine is not visiting this processor: the state
+    /// every skipped cycle would have recorded, and since when.
+    pub parked: Option<Parked>,
 }
 
 impl<D: Copy> Processor<D> {
@@ -72,11 +84,26 @@ impl<D: Copy> Processor<D> {
             input_cap,
             scratch: Scratchpad::new(scratchpad_lines),
             pending_lines: Vec::new(),
+            prefetch_memo: None,
             pipeline: Pipeline::new(process_latency),
             stalled: None,
             write_combine: None,
             write_retry: VecDeque::new(),
             timeline: StateTimeline::new(&PROC_STATES),
+            // Nothing to do until the scheduler hands over a first block.
+            parked: Some(Parked {
+                since: Cycle::ZERO,
+                state: ST_IDLE,
+            }),
+        }
+    }
+
+    /// Books the cycles slept before `now` into the timeline; the span a
+    /// still-parked processor owes restarts at `resume`.
+    pub(crate) fn settle(&mut self, now: Cycle, resume: Cycle) {
+        if let Some(parked) = &mut self.parked {
+            self.timeline.add(parked.state, parked.slept(now));
+            parked.since = resume;
         }
     }
 
@@ -93,6 +120,13 @@ impl<D: Copy> Processor<D> {
     pub(crate) fn push_token(&mut self, token: ProcToken<D>) {
         assert!(self.input.len() < self.input_cap, "input buffer overflow");
         self.input.push_back(token);
+        self.prefetch_memo = None;
+    }
+
+    /// A read of vertex line `line` was issued to memory.
+    pub(crate) fn line_requested(&mut self, line: u64) {
+        self.pending_lines.push(line);
+        self.prefetch_memo = None;
     }
 
     /// A requested vertex line arrived from memory.
@@ -100,6 +134,7 @@ impl<D: Copy> Processor<D> {
         self.pending_lines.retain(|&l| l != line);
         let inserted = self.scratch.insert(line);
         debug_assert!(inserted, "scratchpad overflow on fill");
+        self.prefetch_memo = None;
     }
 
     /// Whether the head event's vertex data is resident.
@@ -119,21 +154,40 @@ impl<D: Copy> Processor<D> {
         if !self.input.iter().any(|t| t.line == token.line) {
             self.scratch.take(token.line);
         }
+        self.prefetch_memo = None;
         Some(token)
     }
 
     /// The next vertex line the prefetcher should request: the first
     /// buffered event whose line is neither resident nor pending, provided
     /// the scratchpad can still track it. Returns `(line, events_on_line)`.
-    pub(crate) fn next_prefetch(&self) -> Option<(u64, u32)> {
+    /// Scans the input buffer only when something it reads has changed
+    /// since the last call.
+    pub(crate) fn next_prefetch(&mut self) -> Option<(u64, u32)> {
+        if let Some(answer) = self.prefetch_memo {
+            return answer;
+        }
+        let answer = self.scan_for_prefetch();
+        self.prefetch_memo = Some(answer);
+        answer
+    }
+
+    fn scan_for_prefetch(&self) -> Option<(u64, u32)> {
         if self.scratch.len() + self.pending_lines.len() >= self.scratch.capacity() {
             return None;
         }
+        // A drained block is consecutive vertices, so runs of tokens share a
+        // line: one lookup per run, not per token.
+        let mut covered = None;
         for t in &self.input {
+            if covered == Some(t.line) {
+                continue;
+            }
             if !self.scratch.contains(t.line) && !self.pending_lines.contains(&t.line) {
                 let count = self.input.iter().filter(|x| x.line == t.line).count() as u32;
                 return Some((t.line, count));
             }
+            covered = Some(t.line);
         }
         None
     }
@@ -178,6 +232,7 @@ impl<D: Copy> Processor<D> {
     pub(crate) fn reset_for_swap(&mut self) {
         debug_assert!(self.is_quiescent(), "swap while busy");
         self.scratch.clear();
+        self.prefetch_memo = None;
     }
 }
 
@@ -233,11 +288,50 @@ mod tests {
         p.push_token(token(3, 64));
         p.push_token(token(4, 128));
         assert_eq!(p.next_prefetch(), Some((0, 2)));
-        p.pending_lines.push(0);
+        p.line_requested(0);
         assert_eq!(p.next_prefetch(), Some((64, 1)));
-        p.pending_lines.push(64);
+        p.line_requested(64);
         // Scratchpad capacity (2) fully committed to pending lines.
         assert_eq!(p.next_prefetch(), None);
+    }
+
+    #[test]
+    fn prefetch_answer_is_rescanned_after_each_thing_it_reads_changes() {
+        // The remembered answer must never outlive a change to the input
+        // buffer, the scratchpad or the pending lines.
+        let mut p: Processor<f64> = Processor::new(8, 2, 2);
+        assert_eq!(p.next_prefetch(), None);
+        p.push_token(token(1, 0)); // input changed
+        assert_eq!(p.next_prefetch(), Some((0, 1)));
+        assert_eq!(p.next_prefetch(), Some((0, 1)), "refused: same answer");
+        p.push_token(token(2, 0));
+        assert_eq!(p.next_prefetch(), Some((0, 2)));
+        p.line_requested(0); // pending changed
+        assert_eq!(p.next_prefetch(), None);
+        p.push_token(token(3, 64));
+        p.push_token(token(4, 128));
+        assert_eq!(p.next_prefetch(), Some((64, 1)));
+        p.line_requested(64);
+        assert_eq!(p.next_prefetch(), None, "scratchpad fully committed");
+        p.line_arrived(0); // pending -> scratchpad: still committed
+        assert_eq!(p.next_prefetch(), None);
+        p.pop_ready().unwrap();
+        assert_eq!(p.next_prefetch(), None, "line 0 still has a user");
+        p.pop_ready().unwrap(); // releases line 0: room for line 128
+        assert_eq!(p.next_prefetch(), Some((128, 1)));
+    }
+
+    #[test]
+    fn a_parked_span_is_settled_in_bulk() {
+        let mut p: Processor<f64> = Processor::new(4, 4, 2);
+        // Parked idle since cycle 0; settle twice, resuming where told.
+        p.settle(Cycle::new(10), Cycle::new(10));
+        p.settle(Cycle::new(25), Cycle::new(40)); // 40: the machine itself sat out 25..40
+        p.settle(Cycle::new(42), Cycle::new(42));
+        assert_eq!(p.timeline.total(), 10 + 15 + 2);
+        p.parked = None;
+        p.settle(Cycle::new(100), Cycle::new(100));
+        assert_eq!(p.timeline.total(), 27, "an awake processor owes nothing");
     }
 
     #[test]

@@ -54,8 +54,16 @@ pub(crate) enum InsertOutcome {
 /// (structural hazard on the row's RAM block). Draining reads one whole row
 /// per cycle, sweeping row indices upward once per scheduler round;
 /// insertions to a bin stall during its drain cycles (§IV-D).
+///
+/// The insertion port only needs a visit ([`Bin::tick_insert`]) while its
+/// input FIFO holds something, and a visit during a same-row stall returns
+/// at once: the stall ends at a cycle known when it starts. Writes the
+/// coalescer finished are therefore dropped lazily, and every reader of the
+/// hazard window takes the cycle it is reading at.
 #[derive(Debug)]
 pub(crate) struct Bin<D> {
+    /// Rows backed by storage: enough for the longest slice ever resident,
+    /// which is all a direct-mapped queue can be asked to hold.
     rows: usize,
     cols: usize,
     slots: Vec<Option<Event<D>>>,
@@ -66,6 +74,9 @@ pub(crate) struct Bin<D> {
     input_cap: usize,
     /// Rows with an in-flight insertion (hazard window).
     inflight: Pipeline<usize>,
+    /// The head of the input FIFO hits a row the coalescer is writing; no
+    /// insertion can start before this cycle, when that write retires.
+    stalled_until: Cycle,
     /// Next row the drain sweep will consider this round.
     sweep: usize,
     /// Cycle in which the scheduler last drained this bin (insertion is
@@ -74,16 +85,26 @@ pub(crate) struct Bin<D> {
 }
 
 impl<D: Copy> Bin<D> {
-    pub(crate) fn new(cfg: &QueueConfig, input_cap: usize, coalescer_depth: u64) -> Self {
+    /// A bin of the `cfg` geometry with storage for its first `rows` rows
+    /// (`rows <= cfg.rows`; the slot mapping never reaches further when no
+    /// resident slice is longer than `rows * cfg.bins * cfg.cols`).
+    pub(crate) fn new(
+        cfg: &QueueConfig,
+        rows: usize,
+        input_cap: usize,
+        coalescer_depth: u64,
+    ) -> Self {
+        debug_assert!(rows <= cfg.rows);
         Bin {
-            rows: cfg.rows,
+            rows,
             cols: cfg.cols,
-            slots: vec![None; cfg.rows * cfg.cols],
-            row_counts: vec![0; cfg.rows],
+            slots: vec![None; rows * cfg.cols],
+            row_counts: vec![0; rows],
             occupancy: 0,
             input: VecDeque::with_capacity(input_cap),
             input_cap,
             inflight: Pipeline::new(coalescer_depth),
+            stalled_until: Cycle::ZERO,
             sweep: 0,
             drained_at: None,
         }
@@ -136,12 +157,21 @@ impl<D: Copy> Bin<D> {
         }
     }
 
+    /// Whether the input FIFO is empty: the insertion port has nothing to
+    /// do until [`Bin::accept`] is called.
+    pub(crate) fn input_is_empty(&self) -> bool {
+        self.input.is_empty()
+    }
+
     /// One cycle of the insertion port. Returns the outcome if an event was
     /// consumed from the input FIFO.
     pub(crate) fn tick_insert<A>(&mut self, now: Cycle, algo: &A) -> Option<InsertOutcome>
     where
         A: DeltaAlgorithm<Delta = D>,
     {
+        if now < self.stalled_until {
+            return None; // same-row hazard: asleep until the write retires
+        }
         while self.inflight.retire(now).is_some() {}
         if self.drained_at == Some(now) {
             return None;
@@ -151,21 +181,34 @@ impl<D: Copy> Bin<D> {
         }
         let (slot, _) = self.input.front()?;
         let row = slot.row;
-        if self.inflight.iter().any(|r| *r == row) {
-            return None; // same-row hazard: stall until the write retires
+        if let Some(retires) = self.row_busy_until(row) {
+            self.stalled_until = retires;
+            return None;
         }
         let (slot, ev) = self.input.pop_front().expect("checked front");
         self.inflight.issue(now, row);
         Some(self.write_slot(algo, slot, ev))
     }
 
-    /// The next occupied row the sweep would drain, if any — `(row, count)`.
-    pub(crate) fn peek_drain(&self) -> Option<(usize, usize)> {
-        // Skip rows the coalescer is still writing (read-write hazard).
+    /// The cycle the last in-flight write to `row` retires, if there is one.
+    fn row_busy_until(&self, row: usize) -> Option<Cycle> {
+        self.inflight
+            .due()
+            .filter(|(_, r)| **r == row)
+            .map(|(done, _)| done)
+            .last()
+    }
+
+    /// The next occupied row the sweep would drain at cycle `now`, if any —
+    /// `(row, count)`.
+    pub(crate) fn peek_drain(&self, now: Cycle) -> Option<(usize, usize)> {
+        // Skip rows the coalescer is still writing (read-write hazard). The
+        // scheduler looks before the insertion port's turn in a cycle, so a
+        // write retiring in `now` itself still counts.
         (self.sweep..self.rows).find_map(|r| {
             if self.row_counts[r] == 0 {
                 None
-            } else if self.inflight.iter().any(|ir| *ir == r) {
+            } else if self.row_busy_until(r).is_some_and(|done| done >= now) {
                 Some((r, 0)) // present but busy: caller must retry
             } else {
                 Some((r, self.row_counts[r] as usize))
@@ -204,9 +247,10 @@ impl<D: Copy> Bin<D> {
         self.occupancy
     }
 
-    /// Whether the input FIFO and the insertion pipeline are both empty.
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.input.is_empty() && self.inflight.is_empty()
+    /// Whether, seen before the insertion port's turn in cycle `now`, the
+    /// input FIFO and the insertion pipeline are both empty.
+    pub(crate) fn is_quiescent(&self, now: Cycle) -> bool {
+        self.input.is_empty() && self.inflight.due().all(|(done, _)| done < now)
     }
 }
 
@@ -276,7 +320,7 @@ mod tests {
     #[test]
     fn insert_then_coalesce() {
         let pr = PageRankDelta::new(0.85, 0.0);
-        let mut bin: Bin<f64> = Bin::new(&cfg(), 8, 4);
+        let mut bin: Bin<f64> = Bin::new(&cfg(), 4, 8, 4);
         let slot = SlotAddr {
             bin: 0,
             row: 0,
@@ -306,7 +350,7 @@ mod tests {
     #[test]
     fn different_rows_insert_back_to_back() {
         let pr = PageRankDelta::new(0.85, 0.0);
-        let mut bin: Bin<f64> = Bin::new(&cfg(), 8, 4);
+        let mut bin: Bin<f64> = Bin::new(&cfg(), 4, 8, 4);
         bin.accept(
             SlotAddr {
                 bin: 0,
@@ -331,7 +375,7 @@ mod tests {
     #[test]
     fn sweep_visits_each_row_once_per_round() {
         let pr = PageRankDelta::new(0.85, 0.0);
-        let mut bin: Bin<f64> = Bin::new(&cfg(), 8, 1);
+        let mut bin: Bin<f64> = Bin::new(&cfg(), 4, 8, 1);
         for (i, row) in [0usize, 2].iter().enumerate() {
             bin.accept(
                 SlotAddr {
@@ -343,11 +387,11 @@ mod tests {
             );
             bin.tick_insert(Cycle::new(i as u64), &pr);
         }
-        assert_eq!(bin.peek_drain().map(|(r, _)| r), Some(0));
+        assert_eq!(bin.peek_drain(Cycle::new(4)).map(|(r, _)| r), Some(0));
         bin.drain_row(0, Cycle::new(4));
-        assert_eq!(bin.peek_drain().map(|(r, _)| r), Some(2));
+        assert_eq!(bin.peek_drain(Cycle::new(5)).map(|(r, _)| r), Some(2));
         bin.drain_row(2, Cycle::new(5));
-        assert_eq!(bin.peek_drain(), None);
+        assert_eq!(bin.peek_drain(Cycle::new(6)), None);
         // An event inserted behind the sweep waits for the next round.
         bin.accept(
             SlotAddr {
@@ -358,15 +402,15 @@ mod tests {
             Event::new(VertexId::new(9), 1.0, 0),
         );
         bin.tick_insert(Cycle::new(10), &pr);
-        assert_eq!(bin.peek_drain(), None);
+        assert_eq!(bin.peek_drain(Cycle::new(12)), None);
         bin.reset_sweep();
-        assert_eq!(bin.peek_drain().map(|(r, _)| r), Some(1));
+        assert_eq!(bin.peek_drain(Cycle::new(12)).map(|(r, _)| r), Some(1));
     }
 
     #[test]
     fn drain_blocks_insert_same_cycle() {
         let pr = PageRankDelta::new(0.85, 0.0);
-        let mut bin: Bin<f64> = Bin::new(&cfg(), 8, 1);
+        let mut bin: Bin<f64> = Bin::new(&cfg(), 4, 8, 1);
         bin.accept(
             SlotAddr {
                 bin: 0,
@@ -469,7 +513,7 @@ mod tests {
         let mut rng = gp_graph::rng::StdRng::seed_from_u64(0x53);
         for (case, c) in random_configs(&mut rng, 12).into_iter().enumerate() {
             // Install every local index of a random subset of the capacity.
-            let mut bins: Vec<Bin<f64>> = (0..c.bins).map(|_| Bin::new(&c, 8, 1)).collect();
+            let mut bins: Vec<Bin<f64>> = (0..c.bins).map(|_| Bin::new(&c, c.rows, 8, 1)).collect();
             for l in 0..c.capacity() {
                 if rng.gen_bool(0.7) {
                     let s = slot_of(l, &c);
@@ -478,7 +522,7 @@ mod tests {
             }
             for (b, bin) in bins.iter_mut().enumerate() {
                 let mut now = Cycle::ZERO;
-                while let Some((row, count)) = bin.peek_drain() {
+                while let Some((row, count)) = bin.peek_drain(now) {
                     assert!(count > 0, "install path leaves no busy rows");
                     let evs = bin.drain_row(row, now);
                     now = now.next();
@@ -504,8 +548,8 @@ mod tests {
     #[test]
     fn quiescence_reflects_buffers() {
         let pr = PageRankDelta::new(0.85, 0.0);
-        let mut bin: Bin<f64> = Bin::new(&cfg(), 8, 2);
-        assert!(bin.is_quiescent());
+        let mut bin: Bin<f64> = Bin::new(&cfg(), 4, 8, 2);
+        assert!(bin.is_quiescent(Cycle::ZERO));
         bin.accept(
             SlotAddr {
                 bin: 0,
@@ -514,10 +558,75 @@ mod tests {
             },
             Event::new(VertexId::new(0), 1.0, 0),
         );
-        assert!(!bin.is_quiescent());
+        assert!(!bin.is_quiescent(Cycle::ZERO));
         bin.tick_insert(Cycle::new(0), &pr);
-        assert!(!bin.is_quiescent()); // still in the coalescer pipeline
-        bin.tick_insert(Cycle::new(3), &pr); // retires the write
-        assert!(bin.is_quiescent());
+        // Still in the coalescer pipeline, its retire cycle included: the
+        // scheduler looks before the port retires anything in a cycle.
+        assert!(!bin.is_quiescent(Cycle::new(1)));
+        assert!(!bin.is_quiescent(Cycle::new(2)));
+        // Retired, whether or not the port was visited to drop it.
+        assert!(bin.is_quiescent(Cycle::new(3)));
+        bin.tick_insert(Cycle::new(3), &pr);
+        assert!(bin.is_quiescent(Cycle::new(3)));
+    }
+
+    #[test]
+    fn a_same_row_stall_ends_in_the_retire_cycle() {
+        // Depth 4: the write issued in cycle 10 retires in cycle 14. The
+        // second event to the row cannot start before then, starts exactly
+        // then, and until then the scheduler sees the row busy — whether
+        // the port is visited during the stall (as an every-cycle model
+        // would) or not at all.
+        for visit_while_stalled in [true, false] {
+            let pr = PageRankDelta::new(0.85, 0.0);
+            let mut bin: Bin<f64> = Bin::new(&cfg(), 4, 8, 4);
+            let slot = SlotAddr {
+                bin: 0,
+                row: 2,
+                col: 1,
+            };
+            bin.accept(slot, Event::new(VertexId::new(0), 1.0, 0));
+            bin.accept(slot, Event::new(VertexId::new(0), 2.0, 0));
+            assert_eq!(
+                bin.tick_insert(Cycle::new(10), &pr),
+                Some(InsertOutcome::Inserted)
+            );
+            assert_eq!(bin.tick_insert(Cycle::new(11), &pr), None);
+            for t in 11..=14 {
+                assert_eq!(
+                    bin.peek_drain(Cycle::new(t)),
+                    Some((2, 0)),
+                    "row busy through its retire cycle {t}"
+                );
+                if visit_while_stalled && t < 14 {
+                    assert_eq!(bin.tick_insert(Cycle::new(t), &pr), None);
+                }
+            }
+            assert_eq!(
+                bin.tick_insert(Cycle::new(14), &pr),
+                Some(InsertOutcome::Coalesced),
+                "the stalled insert starts in the retire cycle"
+            );
+            assert!(bin.input_is_empty());
+            // That insert is itself in flight through cycle 18.
+            assert_eq!(bin.peek_drain(Cycle::new(18)), Some((2, 0)));
+            assert_eq!(bin.peek_drain(Cycle::new(19)), Some((2, 1)));
+        }
+    }
+
+    #[test]
+    fn storage_follows_the_rows_asked_for_not_the_geometry() {
+        // The paper's 4096-row geometry with two resident rows: two rows of
+        // slots, and the sweep ends where the storage does.
+        let pr = PageRankDelta::new(0.85, 0.0);
+        let paper = QueueConfig::paper();
+        let mut bin: Bin<f64> = Bin::new(&paper, 2, 8, 4);
+        assert_eq!(bin.slots.len(), 2 * paper.cols);
+        let slot = slot_of(paper.bins * paper.cols + 5, &paper);
+        assert_eq!((slot.bin, slot.row, slot.col), (0, 1, 5));
+        bin.install(&pr, slot, Event::new(VertexId::new(7), 1.0, 0));
+        assert_eq!(bin.peek_drain(Cycle::ZERO), Some((1, 1)));
+        assert_eq!(bin.drain_row(1, Cycle::ZERO).len(), 1);
+        assert_eq!(bin.peek_drain(Cycle::new(1)), None);
     }
 }

@@ -103,20 +103,26 @@ impl Cache {
     }
 
     /// Installs the line containing `addr` as MRU, evicting the LRU way if
-    /// the set is full. Idempotent for resident lines.
-    pub fn fill(&mut self, addr: u64) {
+    /// the set is full. Idempotent for resident lines. Returns the base
+    /// address of the evicted line, if one was — the only way a resident
+    /// line stops being resident, so a requester that sleeps while its
+    /// lines are resident knows when to look again.
+    pub fn fill(&mut self, addr: u64) -> Option<u64> {
         let set = self.set_of(addr);
         let tag = Self::tag_of(addr);
         let ways = &mut self.lines[set];
         if let Some(pos) = ways.iter().position(|&t| t == tag) {
             let t = ways.remove(pos);
             ways.insert(0, t);
-            return;
+            return None;
         }
-        if ways.len() == self.config.ways {
-            ways.pop();
-        }
+        let evicted = if ways.len() == self.config.ways {
+            ways.pop()
+        } else {
+            None
+        };
         ways.insert(0, tag);
+        evicted.map(|t| t * LINE_BYTES)
     }
 
     /// Empties the cache (slice swap).
@@ -187,9 +193,10 @@ mod tests {
     #[test]
     fn lru_evicts_oldest() {
         let mut c = Cache::new(CacheConfig { sets: 1, ways: 2 });
-        c.fill(0);
-        c.fill(64);
-        c.fill(128); // evicts line 0
+        assert_eq!(c.fill(0), None);
+        assert_eq!(c.fill(64), None);
+        assert_eq!(c.fill(128), Some(0)); // evicts line 0, and says so
+        assert_eq!(c.fill(128), None); // already resident: nothing leaves
         assert!(!c.contains(0));
         assert!(c.contains(64));
         assert!(c.contains(128));

@@ -113,7 +113,9 @@ struct Channel {
 ///
 /// Submit transactions with [`MemorySystem::request`], advance the model
 /// with [`MemorySystem::tick`] once per cycle, and harvest finished
-/// transactions with [`MemorySystem::pop_completion`]. Ordering between
+/// transactions with [`MemorySystem::pop_completion`]. A caller that has
+/// nothing to submit may skip ahead to [`MemorySystem::next_event`]: `tick`
+/// does nothing on the cycles in between. Ordering between
 /// requests to different banks/channels is not guaranteed (bank-level
 /// parallelism); requests to the same bank complete in issue order.
 ///
@@ -181,7 +183,8 @@ impl MemorySystem {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    fn channel_of(&self, addr: u64) -> usize {
+    /// The channel that serves `addr` (lines interleave across channels).
+    pub fn channel_of(&self, addr: u64) -> usize {
         ((addr / LINE_BYTES) % self.config.channels as u64) as usize
     }
 
@@ -214,16 +217,26 @@ impl MemorySystem {
     /// Advances the model one cycle: each channel may issue one queued
     /// request (FR-FCFS within a bounded window) and due completions become
     /// available to [`MemorySystem::pop_completion`].
-    pub fn tick(&mut self, now: Cycle) {
+    ///
+    /// Returns the channels that took a request off their queue this
+    /// cycle, channel `c` as bit `c % 64`. A queue only ever gets shorter
+    /// here, so a requester that [`MemorySystem::can_accept`] refused has
+    /// no reason to ask again before its channel's bit shows up.
+    pub fn tick(&mut self, now: Cycle) -> u64 {
+        let mut dequeued = 0;
         for ch_idx in 0..self.channels.len() {
-            self.issue_one(ch_idx, now);
+            if self.issue_one(ch_idx, now) {
+                dequeued |= 1 << (ch_idx % 64);
+            }
         }
         while let Some(req) = self.completions.pop_due(now) {
             self.ready.push_back(req);
         }
+        dequeued
     }
 
-    fn issue_one(&mut self, ch_idx: usize, now: Cycle) {
+    /// Issues at most one request of channel `ch_idx`; whether it did.
+    fn issue_one(&mut self, ch_idx: usize, now: Cycle) -> bool {
         // Select within the scheduler window: prefer the first row hit on a
         // ready bank, otherwise the oldest request whose bank is ready.
         let (row_bytes, banks_per_channel, window) = (
@@ -233,7 +246,7 @@ impl MemorySystem {
         );
         let ch = &mut self.channels[ch_idx];
         if ch.bus_free_at > now {
-            return;
+            return false;
         }
         let mut pick: Option<usize> = None;
         let mut fallback: Option<usize> = None;
@@ -251,7 +264,9 @@ impl MemorySystem {
                 fallback = Some(i);
             }
         }
-        let Some(i) = pick.or(fallback) else { return };
+        let Some(i) = pick.or(fallback) else {
+            return false;
+        };
         let req = ch.queue.remove(i).expect("scheduler window within queue");
         let row = req.addr() / row_bytes;
         let bank_idx = (row % banks_per_channel) as usize;
@@ -298,6 +313,7 @@ impl MemorySystem {
         self.stats.useful_bytes[idx] += u64::from(req.useful_bytes());
 
         self.completions.schedule(done, req);
+        true
     }
 
     /// Pops one finished request, if any completed by `now`.
@@ -324,14 +340,31 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// The earliest cycle at which new activity can occur (for fast-forward
-    /// loops); `Cycle::NEVER` when idle.
+    /// The earliest cycle at which [`MemorySystem::tick`] has anything to
+    /// do, provided nothing is submitted before then: the next completion,
+    /// or the first cycle a channel's bus is free and a request in its
+    /// scheduler window has a ready bank. `Cycle::ZERO` while a completion
+    /// waits to be popped, `Cycle::NEVER` when idle. Exact, so a
+    /// fast-forward loop that jumps here skips only cycles in which the
+    /// model would not have changed.
     pub fn next_event(&self) -> Cycle {
-        if self.channels.iter().any(|c| !c.queue.is_empty()) || !self.ready.is_empty() {
-            Cycle::ZERO
-        } else {
-            self.completions.next_due()
+        if !self.ready.is_empty() {
+            return Cycle::ZERO;
         }
+        let (row_bytes, banks) = (self.config.row_bytes, self.config.banks_per_channel as u64);
+        let mut next = self.completions.next_due();
+        for ch in &self.channels {
+            let bank_ready = ch
+                .queue
+                .iter()
+                .take(self.config.sched_window)
+                .map(|req| ch.banks[((req.addr() / row_bytes) % banks) as usize].ready_at)
+                .min();
+            if let Some(ready) = bank_ready {
+                next = next.min(ready.max(ch.bus_free_at));
+            }
+        }
+        next
     }
 }
 
@@ -515,6 +548,63 @@ mod tests {
             .filter(|r| r.outcome == RowOutcome::Hit)
             .count() as u64;
         assert_eq!(hits, mem.stats().row_hits);
+    }
+
+    #[test]
+    fn tick_reports_the_channels_that_dequeued() {
+        let mut mem = MemorySystem::new(DramConfig::paper());
+        // Lines 1 and 3 interleave onto channels 1 and 3.
+        for line in [1u64, 3] {
+            let addr = line * LINE_BYTES;
+            assert_eq!(mem.channel_of(addr), line as usize);
+            mem.request(Cycle::ZERO, MemRequest::read(addr, 64, TrafficClass::Other))
+                .unwrap();
+        }
+        assert_eq!(mem.tick(Cycle::ZERO), 0b1010);
+        assert_eq!(mem.tick(Cycle::new(1)), 0, "both queues are empty now");
+    }
+
+    #[test]
+    fn skipping_to_next_event_changes_nothing() {
+        // One request stream, two drivers: `tick` on every cycle, and
+        // `tick` only on the cycles `next_event` names. Completion times,
+        // the command trace and the statistics must agree.
+        let submit = |mem: &mut MemorySystem, i: u64, now: Cycle| {
+            let addr = (i * 72) ^ ((i % 5) * 65_536);
+            let _ = mem.request(now, MemRequest::read(addr, 40, TrafficClass::Other));
+        };
+        let mut cfg = DramConfig::paper();
+        cfg.queue_depth = 6;
+        let run = |skip: bool| {
+            let mut mem = MemorySystem::new(cfg);
+            mem.enable_trace();
+            let mut done = Vec::new();
+            let mut now = Cycle::ZERO;
+            for burst in 0..40u64 {
+                // A burst of submissions every 97 cycles, then quiet.
+                for i in 0..12 {
+                    submit(&mut mem, burst * 12 + i, now);
+                }
+                let until = Cycle::new((burst + 1) * 97);
+                while now < until {
+                    mem.tick(now);
+                    while let Some(r) = mem.pop_completion(now) {
+                        done.push((now, r.id()));
+                    }
+                    now = now.next();
+                    if skip {
+                        now = now.max(mem.next_event()).min(until);
+                    }
+                }
+            }
+            assert!(mem.is_idle() || mem.next_event() != Cycle::NEVER);
+            (done, mem.take_trace(), format!("{:?}", mem.stats()))
+        };
+        let (every, skipping) = (run(false), run(true));
+        assert!(!every.0.is_empty());
+        assert_eq!(every.0, skipping.0);
+        assert_eq!(format!("{:?}", every.1), format!("{:?}", skipping.1));
+        assert_eq!(every.2, skipping.2);
     }
 
     #[test]

@@ -84,6 +84,14 @@ impl<T> Pipeline<T> {
         self.in_flight.iter().map(|(_, v)| v)
     }
 
+    /// In-flight operations with the cycle each one completes, oldest
+    /// (and earliest to complete) first — what a caller that does not poll
+    /// [`Pipeline::retire`] every cycle needs to tell which of them a
+    /// cycle-by-cycle poller would still see.
+    pub fn due(&self) -> impl Iterator<Item = (Cycle, &T)> {
+        self.in_flight.iter().map(|(done, v)| (*done, v))
+    }
+
     /// Number of operations currently in flight.
     #[inline]
     pub fn len(&self) -> usize {
@@ -136,6 +144,15 @@ mod tests {
         let mut p = Pipeline::new(2);
         p.issue(Cycle::ZERO, 1);
         p.issue(Cycle::ZERO, 2);
+    }
+
+    #[test]
+    fn due_reports_completion_cycles_oldest_first() {
+        let mut p = Pipeline::new(3);
+        p.issue(Cycle::new(2), 'a');
+        p.issue(Cycle::new(5), 'b');
+        let due: Vec<_> = p.due().map(|(c, v)| (c.get(), *v)).collect();
+        assert_eq!(due, vec![(5, 'a'), (8, 'b')]);
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! stepped or torn down moves at least one of them. Each cold run is also
 //! held, field for field, to the seeded entry point started from
 //! `initial_state` — a cold start is nothing but that seeded run.
+//!
+//! The eight counts say when the run ended, not what each unit did on the
+//! way. `report_fold` pins the rest — both timelines per state, every stage
+//! average (count, sum, min, max), memory per traffic class, the edge
+//! cache, every round's row of `rounds_log` and the energy report — as one
+//! hash of the whole report's `{:?}` rendering, so a model that accounts
+//! for idle cycles in bulk has to land on the same totals as one that
+//! visits every unit every cycle.
 
 use graphpulse::algorithms::engine::initial_state;
 use graphpulse::algorithms::{ConnectedComponents, DeltaAlgorithm, PageRankDelta, Sssp};
@@ -66,6 +74,16 @@ fn checksum(values: &[f64]) -> u64 {
     })
 }
 
+/// FNV-1a over the `{:?}` rendering of the whole report: every field, in
+/// declaration order.
+fn report_fold(r: &ExecutionReport) -> u64 {
+    format!("{r:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 fn counts(values: &[f64], r: &ExecutionReport) -> Counts {
     let counts = [
         r.cycles,
@@ -90,10 +108,12 @@ fn assert_single<A: DeltaAlgorithm>(
     g: &CsrGraph,
     cfg: AcceleratorConfig,
     want: Counts,
+    fold: u64,
 ) {
     let accel = GraphPulse::new(cfg);
     let cold = accel.run(g, algo).expect("cold run");
     assert_eq!(counts(&cold.values, &cold.report), want, "{label}");
+    assert_eq!(report_fold(&cold.report), fold, "{label}: whole report");
 
     let (values, seeds) = initial_state(algo, g);
     let warm = accel.run_seeded(g, algo, values, &seeds).expect("seeded");
@@ -111,11 +131,13 @@ fn assert_sharded<A: DeltaAlgorithm>(
     g: &CsrGraph,
     shards: usize,
     want: Counts,
+    fold: u64,
     (epochs, shard_count, ticks): Barriers,
 ) {
     let accel = GraphPulse::new(sharded(shards));
     let cold = accel.run_parallel(g, algo).expect("cold run");
     assert_eq!(counts(&cold.values, &cold.report), want, "{label}");
+    assert_eq!(report_fold(&cold.report), fold, "{label}: whole report");
     assert_eq!(cold.epochs, epochs, "{label}");
     assert_eq!(cold.shards, shard_count, "{label}");
     assert_eq!(cold.shard_ticks, ticks, "{label}");
@@ -148,21 +170,56 @@ fn single_machine_counts_are_pinned_at_one_slice_and_three() {
 
     let prd = PageRankDelta::new(0.85, 1e-3);
     let want = [137236, 30, 1, 1, 73236, 724477, 651241, 0];
-    assert_single("prd/1", &prd, &g, one(), (want, 8147888742300430974));
+    assert_single(
+        "prd/1",
+        &prd,
+        &g,
+        one(),
+        (want, 8147888742300430974),
+        13734727614285415667,
+    );
     let want = [409435, 185, 3, 36, 101565, 1006165, 904600, 671161];
-    assert_single("prd/3", &prd, &g, sliced(), (want, 6812914816539572672));
+    assert_single(
+        "prd/3",
+        &prd,
+        &g,
+        sliced(),
+        (want, 6812914816539572672),
+        5017103070732853290,
+    );
 
     let sssp = Sssp::new(root);
     let want = [15520, 8, 1, 1, 8389, 57273, 48884, 0];
-    assert_single("sssp/1", &sssp, &g, one(), (want, SSSP_SUM));
+    assert_single(
+        "sssp/1",
+        &sssp,
+        &g,
+        one(),
+        (want, SSSP_SUM),
+        8602493985996642836,
+    );
     let want = [33866, 47, 3, 12, 10841, 60310, 49469, 40073];
-    assert_single("sssp/3", &sssp, &g, sliced(), (want, SSSP_SUM));
+    assert_single(
+        "sssp/3",
+        &sssp,
+        &g,
+        sliced(),
+        (want, SSSP_SUM),
+        15568078085063822518,
+    );
 
     let cc = ConnectedComponents::new();
     let want = [19174, 7, 1, 1, 13225, 93704, 80479, 0];
-    assert_single("cc/1", &cc, &g, one(), (want, CC_SUM));
+    assert_single("cc/1", &cc, &g, one(), (want, CC_SUM), 3670306365007196890);
     let want = [47794, 36, 3, 10, 15183, 116422, 101239, 75049];
-    assert_single("cc/3", &cc, &g, sliced(), (want, CC_SUM));
+    assert_single(
+        "cc/3",
+        &cc,
+        &g,
+        sliced(),
+        (want, CC_SUM),
+        6957153254932522594,
+    );
 }
 
 #[test]
@@ -176,22 +233,70 @@ fn shard_parallel_counts_are_pinned_at_one_shard_and_three() {
         [137236, 30, 1, 1, 73236, 724477, 651241, 0],
         8147888742300430974,
     );
-    assert_sharded("prd/1", &prd, &g, 1, want, (135, 1, &[137236]));
+    assert_sharded(
+        "prd/1",
+        &prd,
+        &g,
+        1,
+        want,
+        13734727614285415667,
+        (135, 1, &[137236]),
+    );
     let want = (
         [52546, 44, 3, 7, 87971, 873864, 344327, 584112],
         11269457688558416821,
     );
-    assert_sharded("prd/3", &prd, &g, 3, want, (52, 3, &[51952, 51800, 51737]));
+    assert_sharded(
+        "prd/3",
+        &prd,
+        &g,
+        3,
+        want,
+        14199553941931306767,
+        (52, 3, &[51952, 51800, 51737]),
+    );
 
     let sssp = Sssp::new(root);
     let want = ([15520, 8, 1, 1, 8389, 57273, 48884, 0], SSSP_SUM);
-    assert_sharded("sssp/1", &sssp, &g, 1, want, (16, 1, &[15520]));
+    assert_sharded(
+        "sssp/1",
+        &sssp,
+        &g,
+        1,
+        want,
+        8602493985996642836,
+        (16, 1, &[15520]),
+    );
     let want = ([9278, 15, 3, 12, 11266, 62907, 23333, 42040], SSSP_SUM);
-    assert_sharded("sssp/3", &sssp, &g, 3, want, (10, 3, &[7883, 7080, 7121]));
+    assert_sharded(
+        "sssp/3",
+        &sssp,
+        &g,
+        3,
+        want,
+        6105550401386130008,
+        (10, 3, &[7883, 7080, 7121]),
+    );
 
     let cc = ConnectedComponents::new();
     let want = ([19174, 7, 1, 1, 13225, 93704, 80479, 0], CC_SUM);
-    assert_sharded("cc/1", &cc, &g, 1, want, (19, 1, &[19174]));
+    assert_sharded(
+        "cc/1",
+        &cc,
+        &g,
+        1,
+        want,
+        3670306365007196890,
+        (19, 1, &[19174]),
+    );
     let want = ([9288, 12, 3, 10, 15293, 107743, 42256, 69302], CC_SUM);
-    assert_sharded("cc/3", &cc, &g, 3, want, (10, 3, &[8403, 8470, 8160]));
+    assert_sharded(
+        "cc/3",
+        &cc,
+        &g,
+        3,
+        want,
+        5036707492857484757,
+        (10, 3, &[8403, 8470, 8160]),
+    );
 }
