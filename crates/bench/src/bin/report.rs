@@ -1,13 +1,16 @@
-//! Full evaluation report: Tables III/IV plus a compact version of every
-//! figure, in one run. Use the dedicated `figXX_*` binaries for the
-//! full-resolution per-figure output.
+//! The evaluation report: Tables III/IV, then every figure, Table V and the
+//! reproduction verdict, all read off the one sweep `gp_bench::evaluate`
+//! runs. The simulator-only tables come first (byte-reproducible for a scale
+//! and seed; CSVs under `figures/`), the host-time ones after them (CSVs
+//! named `*-host.csv`). `--apps` / `--workloads` subset the grid.
 //!
 //! ```text
 //! cargo run -p gp-bench --release --bin report -- --scale 128
+//! cargo run -p gp-bench --release --bin report -- --scale 128 --apps pr --workloads LJ
 //! ```
 
-use gp_baselines::graphicionado::GraphicionadoConfig;
-use gp_bench::{gp_config, prepare, print_table, run_graphicionado, run_ligra, HarnessConfig};
+use gp_bench::figures::{self, Table};
+use gp_bench::{evaluate, HarnessConfig};
 use gp_graph::stats::GraphStats;
 use graphpulse_core::AcceleratorConfig;
 
@@ -18,55 +21,59 @@ fn main() {
         cfg.scale, cfg.seed
     );
 
-    table_iii();
-    table_iv(&cfg);
-    figures(&cfg);
+    table_iii().print();
+    table_iv(&cfg).print();
+    let grid = evaluate(&cfg);
+    println!("\n## Simulated (reproducible for this scale and seed)");
+    figures::simulated(&grid).iter().for_each(Table::print);
+    println!("\n## Host time (depends on the machine the software framework ran on)");
+    figures::host_time(&grid).iter().for_each(Table::print);
 }
 
-fn table_iii() {
-    let opt = AcceleratorConfig::optimized();
-    let base = AcceleratorConfig::baseline();
-    print_table(
+fn table_iii() -> Table {
+    let (opt, base) = (
+        AcceleratorConfig::optimized(),
+        AcceleratorConfig::baseline(),
+    );
+    let row = |parameter: &str, of: &dyn Fn(&AcceleratorConfig) -> String| {
+        vec![parameter.to_string(), of(&opt), of(&base)]
+    };
+    let mut t = Table::new(
         "Table III — device configurations",
+        "tab03-devices",
         &["parameter", "GraphPulse+opt", "GraphPulse-base"],
+    );
+    t.rows = vec![
+        row("compute", &|c| {
+            format!("{} processors @ {} GHz", c.processors, c.clock_ghz)
+        }),
+        row("gen streams/processor", &|c| c.gen_streams.to_string()),
+        row("queue slots", &|c| c.queue.capacity().to_string()),
+        row("prefetch", &|c| c.prefetch.to_string()),
+        row("off-chip", &|c| {
+            let dram = &c.dram;
+            format!("{}x DDR3 {} B/cyc", dram.channels, dram.bytes_per_cycle)
+        }),
+    ];
+    t
+}
+
+fn table_iv(cfg: &HarnessConfig) -> Table {
+    let mut t = Table::new(
+        "Table IV — workloads (published size vs. synthesized at this scale)",
+        "tab04-workloads",
         &[
-            vec![
-                "compute".into(),
-                format!("{} processors @ {} GHz", opt.processors, opt.clock_ghz),
-                format!("{} processors @ {} GHz", base.processors, base.clock_ghz),
-            ],
-            vec![
-                "gen streams/processor".into(),
-                opt.gen_streams.to_string(),
-                base.gen_streams.to_string(),
-            ],
-            vec![
-                "queue slots".into(),
-                opt.queue.capacity().to_string(),
-                base.queue.capacity().to_string(),
-            ],
-            vec![
-                "prefetch".into(),
-                opt.prefetch.to_string(),
-                base.prefetch.to_string(),
-            ],
-            vec![
-                "off-chip".into(),
-                format!(
-                    "{}x DDR3 {} B/cyc",
-                    opt.dram.channels, opt.dram.bytes_per_cycle
-                ),
-                format!(
-                    "{}x DDR3 {} B/cyc",
-                    base.dram.channels, base.dram.bytes_per_cycle
-                ),
-            ],
+            "graph",
+            "description",
+            "pub V",
+            "pub E",
+            "syn V",
+            "syn E",
+            "avg deg",
+            "skew",
         ],
     );
-}
-
-fn table_iv(cfg: &HarnessConfig) {
-    let rows: Vec<Vec<String>> = cfg
+    t.rows = cfg
         .workloads
         .iter()
         .map(|w| {
@@ -84,114 +91,5 @@ fn table_iv(cfg: &HarnessConfig) {
             ]
         })
         .collect();
-    print_table(
-        "Table IV — workloads (published size vs. synthesized at this scale)",
-        &[
-            "graph",
-            "description",
-            "pub V",
-            "pub E",
-            "syn V",
-            "syn E",
-            "avg deg",
-            "skew",
-        ],
-        &rows,
-    );
-}
-
-fn figures(cfg: &HarnessConfig) {
-    let mut speedup_rows = Vec::new();
-    let mut offchip_rows = Vec::new();
-    let mut geo = [0.0f64; 4]; // opt, base, graphicionado, offchip-norm
-    let mut runs = 0u32;
-
-    for app in &cfg.apps {
-        for workload in &cfg.workloads {
-            eprintln!("[report] running {}/{} ...", app.label(), workload.abbrev());
-            let prepared = prepare(*workload, *app, cfg.scale, cfg.seed);
-            let sw = run_ligra(*app, &prepared, &cfg.ligra());
-            let opt = cfg.run_accelerator(
-                *app,
-                &prepared,
-                &gp_config(*workload, &prepared.graph, true),
-            );
-            let base = cfg.run_accelerator(
-                *app,
-                &prepared,
-                &gp_config(*workload, &prepared.graph, false),
-            );
-            let hw = run_graphicionado(*app, &prepared, &GraphicionadoConfig::default());
-            assert!(
-                gp_algorithms::max_abs_diff(&opt.values, &sw.values) < 1e-2,
-                "backend divergence on {app:?}/{workload}"
-            );
-
-            let sw_secs = sw.elapsed.as_secs_f64().max(1e-9);
-            let s_opt = sw_secs / opt.report.seconds.max(1e-12);
-            let s_base = sw_secs / base.report.seconds.max(1e-12);
-            let s_hw = sw_secs / hw.seconds.max(1e-12);
-            let norm = opt.report.memory.total_accesses() as f64
-                / hw.memory.total_accesses().max(1) as f64;
-            geo[0] += s_opt.ln();
-            geo[1] += s_base.ln();
-            geo[2] += s_hw.ln();
-            geo[3] += norm.ln();
-            runs += 1;
-
-            speedup_rows.push(vec![
-                app.label().into(),
-                workload.abbrev().into(),
-                format!("{s_opt:.1}x"),
-                format!("{s_base:.1}x"),
-                format!("{s_hw:.1}x"),
-                format!("{:.1}x", s_opt / s_hw.max(1e-12)),
-            ]);
-            offchip_rows.push(vec![
-                app.label().into(),
-                workload.abbrev().into(),
-                format!("{norm:.2}"),
-                format!("{:.2}", opt.report.memory.utilization()),
-                format!("{:.2}", hw.memory.utilization()),
-                format!("{:.0}%", 100.0 * opt.report.coalesce_rate()),
-            ]);
-        }
-    }
-    print_table(
-        "Fig. 10 — speedup over the software framework",
-        &[
-            "app",
-            "graph",
-            "GP+opt",
-            "GP-base",
-            "Graphicionado",
-            "GP/Graphicionado",
-        ],
-        &speedup_rows,
-    );
-    print_table(
-        "Figs. 11/12/4 — off-chip accesses (normalized to Graphicionado), utilization, coalescing",
-        &[
-            "app",
-            "graph",
-            "accesses norm",
-            "GP util",
-            "Gr util",
-            "coalesced",
-        ],
-        &offchip_rows,
-    );
-    if runs > 0 {
-        let n = f64::from(runs);
-        println!(
-            "\ngeomeans: GP+opt {:.1}x | GP-base {:.1}x | Graphicionado {:.1}x | GP accesses {:.2} of Graphicionado",
-            (geo[0] / n).exp(),
-            (geo[1] / n).exp(),
-            (geo[2] / n).exp(),
-            (geo[3] / n).exp()
-        );
-        println!(
-            "paper: 28x avg (up to 74x) over Ligra; 6.2x over Graphicionado; 54% less off-chip traffic."
-        );
-    }
+    t
 }

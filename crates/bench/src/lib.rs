@@ -1,12 +1,14 @@
 //! # gp-bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the GraphPulse paper's evaluation
-//! (§VI). Each figure has a dedicated binary (`fig04_coalescing`,
-//! `fig08_lookahead`, `fig10_speedup`, `fig11_offchip`,
-//! `fig12_utilization`, `fig13_stages`, `fig14_breakdown`, `tab05_power`)
-//! plus a `report` binary that runs the full suite; the two wall-clock
-//! benches in `benches/` (plain `harness = false` mains) are the
-//! shard-parallel worker sweep and the threaded DRAM-model drive.
+//! (§VI). The evaluation is one sweep: [`evaluate`] runs the software
+//! framework, both GraphPulse configurations and the Graphicionado model
+//! once per (app, workload) cell, and every figure, Table V and the
+//! reproduction verdict are views of the resulting [`Grid`] ([`figures`]).
+//! The `report` binary prints all of them; `--apps` / `--workloads` subset
+//! the grid. The two wall-clock benches in `benches/` (plain
+//! `harness = false` mains) are the shard-parallel worker sweep and the
+//! threaded DRAM-model drive.
 //!
 //! All binaries accept the same reproducibility flags (see
 //! [`HarnessConfig::USAGE`], printed by `--help` on every binary):
@@ -32,7 +34,10 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod figures;
 pub mod json;
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use gp_algorithms::{
     normalize_inbound, Adsorption, AdsorptionParams, Bfs, ConnectedComponents, PageRankDelta, Sssp,
@@ -43,7 +48,7 @@ use gp_graph::generators::WeightMode;
 use gp_graph::stats::max_out_degree_vertex;
 use gp_graph::workloads::Workload;
 use gp_graph::{CsrGraph, VertexId};
-use graphpulse_core::{AcceleratorConfig, GraphPulse, Outcome, ParallelOutcome, QueueConfig};
+use graphpulse_core::{AcceleratorConfig, ExecutionReport, GraphPulse, Outcome, QueueConfig};
 
 /// The five applications of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,37 +243,6 @@ Common flags (every gp-bench binary):
     pub fn from_args(args: impl Iterator<Item = String>) -> Self {
         cli::finish(Self::try_from_args(args), Self::USAGE)
     }
-
-    /// The Ligra configuration derived from the harness knobs.
-    pub fn ligra(&self) -> LigraConfig {
-        LigraConfig {
-            threads: self.threads,
-            ..LigraConfig::default()
-        }
-    }
-
-    /// Runs one app on the accelerator, honoring `--workers`: without the
-    /// flag this is [`run_graphpulse`] (the sequential engine); with it the
-    /// run goes through the shard-parallel engine, whose results are
-    /// bit-identical for every worker count.
-    pub fn run_accelerator(
-        &self,
-        app: App,
-        prepared: &Prepared,
-        base: &AcceleratorConfig,
-    ) -> Outcome {
-        match self.workers {
-            None => run_graphpulse(app, prepared, base),
-            Some(w) => {
-                let mut cfg = base.clone();
-                cfg.parallel.workers = w.max(1);
-                if let Some(e) = self.epoch_cycles {
-                    cfg.parallel.epoch_cycles = e;
-                }
-                run_graphpulse_parallel(app, prepared, &cfg).into()
-            }
-        }
-    }
 }
 
 /// A workload instantiated for one app: the right graph variant plus
@@ -367,36 +341,42 @@ macro_rules! with_algorithm {
     }};
 }
 
-/// Runs one app on the GraphPulse accelerator model.
-///
-/// # Panics
-///
-/// Panics if the simulation errors (configuration is validated upstream).
-pub fn run_graphpulse(app: App, prepared: &Prepared, cfg: &AcceleratorConfig) -> Outcome {
-    let accel = GraphPulse::new(cfg.clone());
-    let g = &prepared.graph;
-    with_algorithm!(app, prepared, |algo| accel.run(g, algo)).expect("accelerator run failed")
-}
-
-/// Runs one app on the shard-parallel accelerator engine (workers and
-/// epoch length come from `cfg.parallel`).
-///
-/// # Panics
-///
-/// Panics if the simulation errors (configuration is validated upstream).
-pub fn run_graphpulse_parallel(
-    app: App,
-    prepared: &Prepared,
-    cfg: &AcceleratorConfig,
-) -> ParallelOutcome {
-    let accel = GraphPulse::new(cfg.clone());
-    let g = &prepared.graph;
-    with_algorithm!(app, prepared, |algo| accel.run_parallel(g, algo))
+impl HarnessConfig {
+    /// Runs one app on the accelerator, honoring `--workers`: without the
+    /// flag on the sequential engine; with it on the shard-parallel engine,
+    /// whose results are bit-identical for every worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation errors (configuration is validated upstream).
+    pub fn run_accelerator(
+        &self,
+        app: App,
+        prepared: &Prepared,
+        base: &AcceleratorConfig,
+    ) -> Outcome {
+        ENGINE_RUNS[1].fetch_add(1, Ordering::Relaxed);
+        let g = &prepared.graph;
+        let mut cfg = base.clone();
+        if let Some(workers) = self.workers {
+            cfg.parallel.workers = workers.max(1);
+            if let Some(e) = self.epoch_cycles {
+                cfg.parallel.epoch_cycles = e;
+            }
+        }
+        let accel = GraphPulse::new(cfg);
+        match self.workers {
+            None => with_algorithm!(app, prepared, |algo| accel.run(g, algo)),
+            Some(_) => with_algorithm!(app, prepared, |algo| accel.run_parallel(g, algo))
+                .map(Outcome::from),
+        }
         .expect("accelerator run failed")
+    }
 }
 
 /// Runs one app on the Ligra-style software framework (measured wall time).
 pub fn run_ligra(app: App, prepared: &Prepared, cfg: &LigraConfig) -> LigraOutput {
+    ENGINE_RUNS[0].fetch_add(1, Ordering::Relaxed);
     let g = &prepared.graph;
     match app {
         App::PageRank => ligra_apps::pagerank_delta(g, 0.85, PR_EPS, cfg),
@@ -418,17 +398,128 @@ pub fn run_graphicionado(
     prepared: &Prepared,
     cfg: &GraphicionadoConfig,
 ) -> graphicionado::GraphicionadoOutput {
+    ENGINE_RUNS[2].fetch_add(1, Ordering::Relaxed);
     let g = &prepared.graph;
     with_algorithm!(app, prepared, |algo| graphicionado::run(g, algo, cfg))
+}
+
+static ENGINE_RUNS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+
+/// Engine runs so far in this process — software framework, GraphPulse
+/// (either configuration, either engine), Graphicionado — counted where the
+/// engines are called, so a sweep that runs one twice shows.
+pub fn engine_runs() -> [u64; 3] {
+    std::array::from_fn(|i| ENGINE_RUNS[i].load(Ordering::Relaxed))
+}
+
+/// One (app, workload) cell of the evaluation: what each engine reported.
+/// The value vectors are dropped once [`evaluate`] has cross-checked them.
+pub struct Cell {
+    /// The application.
+    pub app: App,
+    /// The workload.
+    pub workload: Workload,
+    /// Vertices of the graph the app ran on.
+    pub vertices: usize,
+    /// Edges of the graph the app ran on.
+    pub edges: usize,
+    /// Wall-clock seconds of the software framework: the one host-time
+    /// number in the cell. Everything else is simulated and reproducible.
+    pub sw_secs: f64,
+    /// GraphPulse with the §V optimizations.
+    pub opt: ExecutionReport,
+    /// GraphPulse without them.
+    pub base: ExecutionReport,
+    /// The Graphicionado model (`values` emptied).
+    pub hw: graphicionado::GraphicionadoOutput,
+}
+
+/// The paper's evaluation: one [`Cell`] per (app, workload), apps outermost.
+pub struct Grid {
+    /// The cells, in `--apps` then `--workloads` order.
+    pub cells: Vec<Cell>,
+}
+
+/// Panics unless `values` agree with the software framework's result.
+fn cross_check(app: App, workload: Workload, engine: &str, values: &[f64], software: &[f64]) {
+    let diff = gp_algorithms::max_abs_diff(values, software);
+    assert!(
+        diff < 1e-2,
+        "{engine} diverged from the software result on {}/{}: max |diff| {diff}",
+        app.label(),
+        workload.abbrev()
+    );
+}
+
+/// Runs the evaluation sweep: every engine once per (app, workload), each
+/// simulated result checked against the software framework's.
+///
+/// # Panics
+///
+/// Panics if a simulation errors or an engine's values diverge from the
+/// software result, naming the app, workload and engine.
+pub fn evaluate(cfg: &HarnessConfig) -> Grid {
+    let ligra = LigraConfig {
+        threads: cfg.threads,
+        ..LigraConfig::default()
+    };
+    let mut cells = Vec::new();
+    for &app in &cfg.apps {
+        for &workload in &cfg.workloads {
+            eprintln!("[evaluate] {}/{} ...", app.label(), workload.abbrev());
+            let prepared = prepare(workload, app, cfg.scale, cfg.seed);
+            let graph = &prepared.graph;
+            let sw = run_ligra(app, &prepared, &ligra);
+            let opt = cfg.run_accelerator(app, &prepared, &gp_config(workload, graph, true));
+            let base = cfg.run_accelerator(app, &prepared, &gp_config(workload, graph, false));
+            let mut hw = run_graphicionado(app, &prepared, &GraphicionadoConfig::default());
+            cross_check(app, workload, "GP+opt", &opt.values, &sw.values);
+            cross_check(app, workload, "GP-base", &base.values, &sw.values);
+            cross_check(app, workload, "Graphicionado", &hw.values, &sw.values);
+            hw.values = Vec::new();
+            cells.push(Cell {
+                app,
+                workload,
+                vertices: graph.num_vertices(),
+                edges: graph.num_edges(),
+                sw_secs: sw.elapsed.as_secs_f64().max(1e-9),
+                opt: opt.report,
+                base: base.report,
+                hw,
+            });
+        }
+    }
+    Grid { cells }
 }
 
 /// Prints a Markdown-ish table: a header row then aligned data rows.
 ///
 /// Also drops a machine-readable copy under `figures/<slug>.csv` (relative
-/// to the working directory) so the data behind every figure can be
-/// re-plotted; failures to write the CSV are reported but non-fatal.
+/// to the working directory, the slug cut from the title) so the data
+/// behind every table can be re-plotted; failures to write the CSV are
+/// reported but non-fatal.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    if let Err(e) = write_csv(title, header, rows) {
+    let slug: String = title
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '-'
+            }
+        })
+        .collect::<String>()
+        .split('-')
+        .filter(|s| !s.is_empty())
+        .collect::<Vec<_>>()
+        .join("-");
+    let slug: String = slug.chars().take(60).collect();
+    print_table_as(&slug, title, header, rows);
+}
+
+/// [`print_table`] with the CSV's file stem given, not cut from the title.
+pub fn print_table_as(stem: &str, title: &str, header: &[&str], rows: &[Vec<String>]) {
+    if let Err(e) = write_csv(stem, header, rows) {
         eprintln!("note: could not write figures CSV: {e}");
     }
     println!("\n### {title}\n");
@@ -487,22 +578,7 @@ pub fn write_output(path: &std::path::Path, contents: &str) -> Result<(), String
         .map_err(|e| format!("could not write output file `{}`: {e}", path.display()))
 }
 
-fn write_csv(title: &str, header: &[&str], rows: &[Vec<String>]) -> Result<(), String> {
-    let slug: String = title
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect::<String>()
-        .split('-')
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join("-");
-    let slug: String = slug.chars().take(60).collect();
+fn write_csv(stem: &str, header: &[&str], rows: &[Vec<String>]) -> Result<(), String> {
     let mut contents = String::new();
     contents.push_str(&header.join(","));
     contents.push('\n');
@@ -511,7 +587,7 @@ fn write_csv(title: &str, header: &[&str], rows: &[Vec<String>]) -> Result<(), S
         contents.push('\n');
     }
     write_output(
-        std::path::Path::new(&format!("figures/{slug}.csv")),
+        std::path::Path::new(&format!("figures/{stem}.csv")),
         &contents,
     )
 }
@@ -637,6 +713,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "GP-base diverged from the software result on BFS/WG: max |diff| 1")]
+    fn a_diverging_engine_is_named_with_its_cell() {
+        let software = [0.0, 1.0];
+        cross_check(
+            App::Bfs,
+            Workload::WebGoogle,
+            "GP+opt",
+            &software,
+            &software,
+        );
+        cross_check(
+            App::Bfs,
+            Workload::WebGoogle,
+            "GP-base",
+            &[0.0, 2.0],
+            &software,
+        );
+    }
+
+    #[test]
     fn all_backends_agree_on_a_small_run() {
         let p = prepare(Workload::WebGoogle, App::Bfs, 8192, 3);
         let mut cfg = gp_config(Workload::WebGoogle, &p.graph, true);
@@ -645,7 +741,7 @@ mod tests {
             rows: 64,
             cols: 8,
         };
-        let gp = run_graphpulse(App::Bfs, &p, &cfg);
+        let gp = HarnessConfig::default().run_accelerator(App::Bfs, &p, &cfg);
         let sw = run_ligra(App::Bfs, &p, &LigraConfig::sequential());
         let hw = run_graphicionado(App::Bfs, &p, &GraphicionadoConfig::default());
         assert!(gp_algorithms::max_abs_diff(&gp.values, &sw.values) < 1e-9);

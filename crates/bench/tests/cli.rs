@@ -94,27 +94,23 @@ fn assert_refused(bin: &str, args: &[&str], why: &str) {
 #[test]
 fn zero_scale_is_refused_by_every_harness_binary() {
     for bin in [
-        env!("CARGO_BIN_EXE_fig04_coalescing"),
-        env!("CARGO_BIN_EXE_fig08_lookahead"),
-        env!("CARGO_BIN_EXE_fig10_speedup"),
-        env!("CARGO_BIN_EXE_fig11_offchip"),
-        env!("CARGO_BIN_EXE_fig12_utilization"),
-        env!("CARGO_BIN_EXE_fig13_stages"),
-        env!("CARGO_BIN_EXE_fig14_breakdown"),
         env!("CARGO_BIN_EXE_ablations"),
         env!("CARGO_BIN_EXE_report"),
-        env!("CARGO_BIN_EXE_tab05_power"),
         env!("CARGO_BIN_EXE_streaming"),
     ] {
         assert_refused(bin, &["--scale", "0"], "--scale must be at least 1");
     }
 }
 
+/// The one-cell grid `report` finishes in milliseconds.
+const TINY: [&str; 6] = ["--scale", "4096", "--workloads", "WG", "--apps", "bfs"];
+
 #[test]
 fn zero_epoch_and_out_of_range_delete_fraction_are_refused() {
-    let fig12 = env!("CARGO_BIN_EXE_fig12_utilization");
-    let args = ["--scale", "4096", "--workers", "2", "--epoch-cycles", "0"];
-    assert_refused(fig12, &args, "--epoch-cycles must be at least 1");
+    let report = env!("CARGO_BIN_EXE_report");
+    let bad_epoch = ["--workers", "2", "--epoch-cycles", "0"];
+    let args: Vec<&str> = TINY.iter().chain(&bad_epoch).copied().collect();
+    assert_refused(report, &args, "--epoch-cycles must be at least 1");
     let streaming = env!("CARGO_BIN_EXE_streaming");
     for bad in ["2", "-0.5", "NaN"] {
         let args = ["--vertices", "64", "--delete-frac", bad];
@@ -128,12 +124,17 @@ fn zero_counts_that_have_a_meaning_still_run() {
     // The audit's other half: these zeros reach code that handles them
     // (`--workers 0` and `--threads 0` mean one; an empty update stream is
     // an empty table), so they stay accepted.
-    let tiny = ["--scale", "4096", "--workloads", "WG", "--apps", "bfs"];
     for zero in [["--workers", "0"], ["--threads", "0"]] {
-        let args: Vec<&str> = tiny.iter().chain(&zero).copied().collect();
-        let out = run(env!("CARGO_BIN_EXE_fig10_speedup"), &args);
+        let args: Vec<&str> = TINY.iter().chain(&zero).copied().collect();
+        let out = run(env!("CARGO_BIN_EXE_report"), &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{zero:?}:\n{stderr}");
+        // A grid without the PRD/LJ cell says which tables it left out and
+        // still gives its verdict on the one cell it has.
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout.matches("skipped: --apps / --workloads").count(), 3);
+        assert!(stdout.contains("### Reproduction verdict\n"), "{stdout}");
+        assert!(stdout.contains("1/1 cells; geomean"), "{stdout}");
     }
     for zero in [
         ["--vertices", "0"],

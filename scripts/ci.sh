@@ -76,6 +76,19 @@ if grep -rnE 'tick_reference|tick_every_cycle|fn tick_old' crates/core/src; then
   echo "second tick path reintroduced: park and wake units in Machine::tick (DESIGN.md 4a)"; exit 1
 fi
 
+echo "== one evaluation sweep (no per-figure binaries, one app x workload loop) =="
+# gp_bench::evaluate runs every engine once per (app, workload) cell and
+# every figure, Table V and the verdict are views of that grid
+# (crates/bench/src/figures.rs). A per-figure binary, or a second sweep
+# beside evaluate's, simulates the same cells again and can print a table
+# the verdict was not computed from.
+if ls crates/bench/src/bin/fig*.rs crates/bench/src/bin/tab05_power.rs 2>/dev/null; then
+  echo "per-figure binary reintroduced: add a view to crates/bench/src/figures.rs; report prints it"; exit 1
+fi
+if [ "$(grep -rE 'for &?[a-z_]+ in &?[a-z_.]*(apps|workloads)\b' crates/bench/src | wc -l)" -ne 2 ]; then
+  echo "second (app x workload) sweep under crates/bench/src: read the Grid that gp_bench::evaluate returns"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -91,6 +104,20 @@ cargo test --workspace -q
 echo "== streaming smoke (tiny update stream) =="
 cargo run --release -q -p gp-bench --bin streaming -- \
   --vertices 256 --batches 2 --batch-size 16
+
+echo "== figures smoke (the whole evaluation once, simulator-only tables vs the committed record) =="
+# report at the smoke scale, three-slice Twitter column included (~20 s),
+# run from a temp directory so its figures/ lands there. Every CSV but the
+# host-time ones (*-host.csv: they divide by the software framework's wall
+# clock) must match figures/smoke/ byte for byte: a change that moves a
+# simulated number regenerates the record or fails here.
+GP_ROOT=$PWD
+GP_FIG_DIR=$(mktemp -d /tmp/gp-figures-smoke.XXXXXX)
+(cd "$GP_FIG_DIR" && cargo run --release -q --manifest-path "$GP_ROOT/Cargo.toml" \
+  -p gp-bench --bin report -- --scale 4096 --seed 42 > report.txt)
+diff -r -x '*-host.csv' figures/smoke "$GP_FIG_DIR/figures" \
+  || { echo "figures/smoke is stale: from an empty directory run report --scale 4096 --seed 42 and copy its figures/*.csv (not *-host.csv) over figures/smoke/"; exit 1; }
+rm -rf "$GP_FIG_DIR"
 
 echo "== fuzz smoke (fixed seed, byte-deterministic) =="
 # 58 iterations: 50 before the cycle model stopped visiting idle units,
