@@ -12,7 +12,10 @@
 //!
 //! This crate defines the [`DeltaAlgorithm`] trait capturing that form, the
 //! five applications of the paper's Table II ([`PageRankDelta`],
-//! [`Adsorption`], [`Sssp`], [`Bfs`], [`ConnectedComponents`]), two software
+//! [`Adsorption`], [`Sssp`], [`Bfs`], [`ConnectedComponents`]) plus [`Sswp`],
+//! the table that names them ([`App`]: spellings, input needs, and
+//! [`with_algorithm!`] — the one place a name becomes a concrete algorithm;
+//! every front end in the workspace dispatches through it), two software
 //! *golden* engines ([`engine::run_sequential`] — Algorithm 1 with a FIFO
 //! worklist, and [`engine::run_bsp`] — synchronous rounds), and classic
 //! [`mod@reference`] implementations (power iteration, Dijkstra, level BFS,
@@ -48,6 +51,7 @@ pub mod reference;
 mod solver;
 mod sssp;
 mod sswp;
+mod table;
 
 pub use adsorption::{normalize_inbound, Adsorption, AdsorptionParams};
 pub use bfs::Bfs;
@@ -60,6 +64,7 @@ pub use pagerank::PageRankDelta;
 pub use solver::{scale_for_convergence, LinearSolver};
 pub use sssp::Sssp;
 pub use sswp::Sswp;
+pub use table::{App, AppInputs};
 
 /// Maximum absolute difference between two value vectors; `f64::INFINITY`
 /// entries compare equal to each other.

@@ -1,8 +1,9 @@
-//! The five evaluation applications on the Ligra-style framework.
+//! The five evaluation applications on the Ligra-style framework, and
+//! [`run`], which picks one by its row of the application table.
 
 use std::time::Instant;
 
-use gp_algorithms::AdsorptionParams;
+use gp_algorithms::{AdsorptionParams, App, AppInputs};
 use gp_graph::{CsrGraph, VertexId};
 
 use super::atomic::{atomic_vec, snapshot};
@@ -294,6 +295,37 @@ pub fn adsorption(
     }
 }
 
+/// The rows of the application table this framework implements: Table II's
+/// five. SSWP has no Ligra port.
+pub const APPS: [App; 5] = App::PAPER;
+
+/// Runs `app` on `graph` (Adsorption expects normalized inbound weights),
+/// or returns `None` when `app` is not one of [`APPS`].
+///
+/// # Panics
+///
+/// Panics on [`App::Adsorption`] without [`AppInputs::adsorption`].
+pub fn run(
+    app: App,
+    inputs: &AppInputs,
+    graph: &CsrGraph,
+    cfg: &LigraConfig,
+) -> Option<LigraOutput> {
+    Some(match app {
+        App::PageRank => pagerank_delta(graph, App::DAMPING, inputs.threshold, cfg),
+        App::Adsorption => {
+            let params = inputs
+                .adsorption
+                .expect("Adsorption needs AppInputs::adsorption");
+            adsorption(graph, params, inputs.threshold, cfg)
+        }
+        App::Sssp => sssp(graph, inputs.root, cfg),
+        App::Bfs => bfs(graph, inputs.root, cfg),
+        App::Cc => cc(graph, cfg),
+        App::Sswp => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,5 +406,25 @@ mod tests {
             },
         );
         assert!(max_abs_diff(&a.values, &b.values) < 1e-6);
+    }
+
+    #[test]
+    fn run_reaches_the_listed_apps_and_agrees_with_golden() {
+        let raw = erdos_renyi(120, 700, WeightMode::Uniform(0.5, 2.0), 4);
+        let g = normalize_inbound(&raw);
+        let params = AdsorptionParams::random(120, 8);
+        let inputs = AppInputs {
+            root: VertexId::new(3),
+            threshold: 1e-10,
+            adsorption: Some(&params),
+        };
+        for app in App::ALL {
+            let out = run(app, &inputs, &g, &cfg());
+            assert_eq!(out.is_some(), APPS.contains(&app), "{app:?}");
+            if let Some(out) = out {
+                let golden = app.golden_values(&inputs, &g);
+                assert!(max_abs_diff(&out.values, &golden) < 1e-4, "{app:?}");
+            }
+        }
     }
 }

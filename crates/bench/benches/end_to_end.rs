@@ -8,7 +8,10 @@
 //! speedups over the 1-worker run: wall-clock (capped by this host's
 //! core count) and work-distribution (total shard ticks divided by the
 //! critical-path worker's share — the deterministic speedup a host with
-//! enough cores realizes).
+//! enough cores realizes). A last row runs the same graph and queue on the
+//! sliced single machine (§IV-F: the slices take turns on one set of
+//! units) — the engine the shards are an alternative to, and the wall
+//! clock the worker rows have to beat to earn their place on this host.
 //!
 //! The sweep's shape can be overridden for quick runs via environment
 //! variables: `SWEEP_LOG2_N` (default 18), `SWEEP_DEGREE` (default 4),
@@ -126,6 +129,25 @@ fn main() {
             out.report.cycles.to_string(),
         ]);
     }
+    let t0 = Instant::now();
+    let sliced = GraphPulse::new(cfg.clone())
+        .run(&graph, &algo)
+        .expect("sliced run");
+    let secs = t0.elapsed().as_secs_f64();
+    println!(
+        "sliced     slices={:<3} {:>9.1} ms  wall speedup {:>5.2}x",
+        sliced.report.slices,
+        secs * 1e3,
+        base_secs / secs,
+    );
+    rows.push(vec![
+        "sliced".to_string(),
+        sliced.report.slices.to_string(),
+        format!("{:.1}", secs * 1e3),
+        format!("{:.2}", base_secs / secs),
+        "-".to_string(),
+        sliced.report.cycles.to_string(),
+    ]);
     print_table(
         "end_to_end worker sweep (R-MAT, PageRank-Delta)",
         &[

@@ -8,12 +8,17 @@
 //! cargo run -p gp-bench --release --bin ablations -- --scale 512
 //! ```
 
-use gp_bench::{gp_config, prepare, print_table, App, HarnessConfig};
+use gp_algorithms::App;
+use gp_bench::{gp_config, prepare, print_table, HarnessConfig};
 use gp_graph::workloads::Workload;
 use graphpulse_core::{AcceleratorConfig, QueueConfig, SchedulingPolicy};
 
+/// The study's one cell is fixed, so `--apps`, `--workloads` and the
+/// software framework's `--threads` have nothing to select.
+const FLAGS: [&str; 4] = ["--scale", "--seed", "--workers", "--epoch-cycles"];
+
 fn main() {
-    let harness = HarnessConfig::from_args(std::env::args().skip(1));
+    let harness = HarnessConfig::from_args(std::env::args().skip(1), &FLAGS, &[App::PageRank]);
     let workload = Workload::LiveJournal;
     let prepared = prepare(workload, App::PageRank, harness.scale, harness.seed);
     println!(

@@ -58,7 +58,7 @@ impl CheckError {
 fn check(path: &str) -> Result<(), CheckError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CheckError::unusable(format!("cannot read `{path}`: {e}")))?;
-    let doc = Json::parse(&text)
+    let doc = gp_bench::json::parse(&text)
         .map_err(|e| CheckError::unusable(format!("`{path}` is not valid JSON: {e}")))?;
     let schema = doc
         .get("schema")

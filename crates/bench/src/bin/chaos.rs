@@ -133,7 +133,7 @@ fn main() {
     let args = gp_bench::cli::finish(parse(std::env::args().skip(1)), USAGE);
     let report = run_campaign(args.seed);
     print!("{}", report.render_log());
-    if let Err(e) = write_output(&args.out, &to_json(&report).render()) {
+    if let Err(e) = write_output(&args.out, &gp_bench::json::render(&to_json(&report))) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -41,8 +41,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{max_abs_diff, same_bits, DeltaAlgorithm};
-use gp_algorithms::{Bfs, ConnectedComponents, PageRankDelta, Sssp, Sswp};
+use gp_algorithms::{max_abs_diff, same_bits, with_algorithm, App, AppInputs, DeltaAlgorithm};
 use gp_bench::cli::{finish, Flags};
 use gp_bench::json::{Json, OUTOFCORE_SCHEMA};
 use gp_graph::container::{build_streaming, StreamBuildOptions};
@@ -54,7 +53,7 @@ use gp_turbo::{run_turbo, TurboConfig};
 /// PageRank-Delta convergence threshold — the same `1e-3` the end-to-end
 /// trajectory uses at scale. PRD's comparison tolerance scales with its
 /// threshold (sub-threshold residue accumulates along paths), so the
-/// tight small-fixture `PR_EPS` would reject legitimate turbo-vs-golden
+/// tight small-fixture `gp_bench::EPS` would reject legitimate turbo-vs-golden
 /// residue drift on multi-million-edge graphs.
 const PRD_THRESHOLD: f64 = 1e-3;
 
@@ -156,6 +155,14 @@ fn parse(mut flags: Flags) -> Result<Option<Config>, String> {
         return Err("--slice-vertices and --bucket-vertices must be positive".into());
     }
     Ok(Some(cfg))
+}
+
+/// The `algo` string of an application's row in the record.
+fn record_name(app: App) -> &'static str {
+    match app {
+        App::PageRank => "pagerank-delta",
+        other => other.name(),
+    }
 }
 
 /// One per-algorithm measurement row.
@@ -326,24 +333,24 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
         );
     }
 
-    let root = max_out_degree_vertex(&mapped);
+    // Every row of the table but Adsorption (see the module docs).
+    let table = App::ALL.into_iter().filter(|&app| app != App::Adsorption);
+    let inputs = AppInputs {
+        root: max_out_degree_vertex(&mapped),
+        threshold: PRD_THRESHOLD,
+        adsorption: None,
+    };
     if cfg.check_resident {
         let resident = mapped.to_csr();
-        check_resident(
-            "pagerank-delta",
-            &PageRankDelta::new(0.85, PRD_THRESHOLD),
-            &resident,
-            &mapped,
-        )
-        .map_err(|e| format!("2^{lg}: {e}"))?;
-        check_resident("sssp", &Sssp::new(root), &resident, &mapped)
+        for app in table.clone() {
+            with_algorithm!(app, &inputs, |algo| check_resident(
+                record_name(app),
+                algo,
+                &resident,
+                &mapped
+            ))
             .map_err(|e| format!("2^{lg}: {e}"))?;
-        check_resident("bfs", &Bfs::new(root), &resident, &mapped)
-            .map_err(|e| format!("2^{lg}: {e}"))?;
-        check_resident("cc", &ConnectedComponents::new(), &resident, &mapped)
-            .map_err(|e| format!("2^{lg}: {e}"))?;
-        check_resident("sswp", &Sswp::new(root), &resident, &mapped)
-            .map_err(|e| format!("2^{lg}: {e}"))?;
+        }
         println!("[2^{lg}] mapped runs are bit-identical to the fully-resident path");
     }
     let max_in_degree = mapped
@@ -351,19 +358,20 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
         .map(|v| mapped.in_degree(v))
         .max()
         .unwrap_or(0);
-    let prd_residue_bound = PRD_THRESHOLD * f64::from(max_in_degree);
-    let mut rows = vec![
-        measure(
-            "pagerank-delta",
-            &PageRankDelta::new(0.85, PRD_THRESHOLD),
-            &mapped,
-            prd_residue_bound,
-        ),
-        measure("sssp", &Sssp::new(root), &mapped, 0.0),
-        measure("bfs", &Bfs::new(root), &mapped, 0.0),
-        measure("cc", &ConnectedComponents::new(), &mapped, 0.0),
-        measure("sswp", &Sswp::new(root), &mapped, 0.0),
-    ];
+    let mut rows: Vec<AlgoRow> = table
+        .map(|app| {
+            let residue_bound = match app {
+                App::PageRank => PRD_THRESHOLD * f64::from(max_in_degree),
+                _ => 0.0,
+            };
+            with_algorithm!(app, &inputs, |algo| measure(
+                record_name(app),
+                algo,
+                &mapped,
+                residue_bound
+            ))
+        })
+        .collect();
     for row in &rows {
         println!(
             "[2^{lg}] {:>14}: {:>9.0} ev/s golden, {:>9.0} ev/s turbo, \
@@ -441,7 +449,7 @@ fn main() {
         ("budget_mb", Json::Num(cfg.budget_mb as f64)),
         ("entries", Json::Arr(entries)),
     ]);
-    if let Err(e) = std::fs::write(&cfg.out, doc.render() + "\n") {
+    if let Err(e) = std::fs::write(&cfg.out, gp_bench::json::render(&doc) + "\n") {
         eprintln!("error: cannot write {}: {e}", cfg.out.display());
         std::process::exit(2);
     }

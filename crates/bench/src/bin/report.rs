@@ -9,13 +9,25 @@
 //! cargo run -p gp-bench --release --bin report -- --scale 128 --apps pr --workloads LJ
 //! ```
 
+use gp_algorithms::App;
 use gp_bench::figures::{self, Table};
 use gp_bench::{evaluate, HarnessConfig};
 use gp_graph::stats::GraphStats;
 use graphpulse_core::AcceleratorConfig;
 
+/// The flags the evaluation reads; the grid's rows are Table II's five.
+const FLAGS: [&str; 7] = [
+    "--scale",
+    "--seed",
+    "--workloads",
+    "--apps",
+    "--threads",
+    "--workers",
+    "--epoch-cycles",
+];
+
 fn main() {
-    let cfg = HarnessConfig::from_args(std::env::args().skip(1));
+    let cfg = HarnessConfig::from_args(std::env::args().skip(1), &FLAGS, &App::PAPER);
     println!(
         "# GraphPulse evaluation report (scale 1/{}, seed {})",
         cfg.scale, cfg.seed

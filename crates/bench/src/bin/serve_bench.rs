@@ -31,8 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{Bfs, ConnectedComponents, DeltaAlgorithm, PageRankDelta, Sssp, Sswp};
+use gp_algorithms::{with_algorithm, App, AppInputs, DeltaAlgorithm};
 use gp_bench::json::{Json, SERVE_SCHEMA};
 use gp_bench::{cli, write_output};
 use gp_graph::generators::{rmat, RmatConfig, WeightMode};
@@ -213,7 +212,8 @@ fn run_client(
 /// many distinct golden runs the verification phase may spend.
 struct GoldenCache<'a> {
     store: &'a gp_serve::SnapshotStore,
-    pagerank: PageRankDelta,
+    /// The service's PageRank threshold; `root` is set per source.
+    inputs: AppInputs<'static>,
     values: std::collections::HashMap<(QueryClass, u32, u64), Arc<Vec<f64>>>,
     runs_left: usize,
 }
@@ -235,17 +235,11 @@ impl GoldenCache<'_> {
             .store
             .epoch(number)
             .expect("every published epoch is retained for verification");
-        let root = VertexId::new(src);
-        let values = match class {
-            QueryClass::PageRank => run_sequential(&self.pagerank, &epoch.graph).values,
-            QueryClass::Components => {
-                run_sequential(&ConnectedComponents::new(), &epoch.graph).values
-            }
-            QueryClass::Sssp => run_sequential(&Sssp::new(root), &epoch.graph).values,
-            QueryClass::Bfs => run_sequential(&Bfs::new(root), &epoch.graph).values,
-            QueryClass::Sswp => run_sequential(&Sswp::new(root), &epoch.graph).values,
+        let inputs = AppInputs {
+            root: VertexId::new(src),
+            ..self.inputs
         };
-        let values = Arc::new(values);
+        let values = Arc::new(class.app().golden_values(&inputs, &epoch.graph));
         self.values.insert(key, Arc::clone(&values));
         Some(values)
     }
@@ -278,10 +272,14 @@ fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> (Json, u6
         retain_epochs: args.batches + 2,
         // The harness-wide PageRank threshold: golden recomputes at 1e-9
         // would dominate the verification phase without changing the story.
-        pagerank_threshold: gp_bench::PR_EPS,
+        pagerank_threshold: gp_bench::EPS,
         ..ServeConfig::default()
     };
-    let pagerank = PageRankDelta::new(config.pagerank_damping, config.pagerank_threshold);
+    let inputs = AppInputs {
+        root: VertexId::new(0),
+        threshold: config.pagerank_threshold,
+        adsorption: None,
+    };
     let handle = Server::start(graph.clone(), config);
 
     // Skewed hot-source pool shared by every client: repeated sources hit
@@ -347,27 +345,21 @@ fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> (Json, u6
     // sample sharing its (class, source, epoch) key); --verify-all lifts it.
     let mut golden = GoldenCache {
         store: handle.store(),
-        pagerank: pagerank.clone(),
+        inputs,
         values: std::collections::HashMap::new(),
         runs_left: if args.verify_all { usize::MAX } else { 64 },
     };
-    let tolerance = pagerank.comparison_tolerance();
+    let tolerance = with_algorithm!(App::PageRank, &inputs, |algo| algo.comparison_tolerance());
     let mut verified = 0u64;
     let mut failures = 0u64;
     let mut budget_skipped = 0u64;
     for (query, response) in runs.iter().flat_map(|r| r.samples.iter()) {
-        let (class, src, read) = match *query {
-            Query::PageRank { v } => (QueryClass::PageRank, 0, v),
-            Query::Components { v } => (QueryClass::Components, 0, v),
-            Query::Sssp { src, dst } => (QueryClass::Sssp, src.get(), dst),
-            Query::Bfs { src, dst } => (QueryClass::Bfs, src.get(), dst),
-            Query::Sswp { src, dst } => (QueryClass::Sswp, src.get(), dst),
-        };
+        let (class, src, read) = query.parts();
         let Some(values) = golden.values_for(class, src, response.epoch) else {
             budget_skipped += 1;
             continue;
         };
-        let expected = values[read.index()];
+        let expected = values[read as usize];
         let ok = if class == QueryClass::PageRank {
             (expected - response.value).abs() <= tolerance
         } else {
@@ -485,7 +477,7 @@ fn main() {
         ("clients", Json::Num(args.clients as f64)),
         ("runs", Json::Arr(entries)),
     ]);
-    if let Err(e) = write_output(&args.out, &doc.render()) {
+    if let Err(e) = write_output(&args.out, &gp_bench::json::render(&doc)) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

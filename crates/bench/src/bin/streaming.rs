@@ -1,9 +1,9 @@
 //! `streaming` — update-stream benchmark: incremental recomputation vs
 //! full recompute on an R-MAT edge-update stream.
 //!
-//! For each of the five incremental-capable algorithms (PRD, SSSP, BFS,
-//! CC, SSWP — Adsorption has no incremental seeding rule, so `--apps` is
-//! ignored here) the bench:
+//! For each incremental-capable row of the application table (`--apps`,
+//! default all five: PRD, SSSP, BFS, CC, SSWP — Adsorption has no
+//! incremental seeding rule) the bench:
 //!
 //! 1. builds an R-MAT graph (`--vertices`, default 2^16) and fully
 //!    converges on the accelerator model (the shard-parallel engine when
@@ -15,11 +15,11 @@
 //!    reports events per update, mean re-convergence cycles per batch,
 //!    and the incremental-vs-full speedup.
 
-use gp_algorithms::{Bfs, ConnectedComponents, IncrementalAlgorithm, PageRankDelta, Sssp, Sswp};
-use gp_bench::{print_table, HarnessConfig, PR_EPS};
+use gp_algorithms::{with_algorithm, App, AppInputs, IncrementalAlgorithm};
+use gp_bench::{print_table, HarnessConfig, EPS};
 use gp_graph::generators::{rmat, RmatConfig, WeightMode};
 use gp_graph::stats::max_out_degree_vertex;
-use gp_graph::{GraphView, VertexId};
+use gp_graph::{CsrGraph, GraphView};
 use gp_stream::{Backend, IncrementalEngine, StreamConfig, UpdateStream};
 use graphpulse_core::{AcceleratorConfig, GraphPulse};
 
@@ -42,25 +42,48 @@ fn backend(cfg: &HarnessConfig) -> Backend {
     }
 }
 
-fn run_app<A: IncrementalAlgorithm>(
-    label: &str,
-    make: impl FnOnce(VertexId) -> A,
-    weights: WeightMode,
-    cfg: &HarnessConfig,
-    rows: &mut Vec<Vec<String>>,
-) {
+/// One table row: `app` on its own R-MAT (weighted when the app reads
+/// weights), rooted at the highest out-degree vertex.
+fn run_app(app: App, cfg: &HarnessConfig) -> Vec<String> {
     let n = cfg.stream_vertices.max(2);
+    let weights = if app.weighted() {
+        WeightMode::Uniform(1.0, 10.0)
+    } else {
+        WeightMode::Unweighted
+    };
     let graph = rmat(
         &RmatConfig::graph500(n, 8 * n).with_weights(weights),
         cfg.seed,
     );
-    let algo = make(max_out_degree_vertex(&graph));
+    let inputs = AppInputs {
+        root: max_out_degree_vertex(&graph),
+        threshold: EPS,
+        adsorption: None,
+    };
+    with_algorithm!(incremental app, &inputs, |algo| stream(
+        app.label(),
+        algo,
+        graph,
+        weights,
+        cfg
+    ))
+    .expect("--apps admits only incremental apps")
+}
+
+fn stream<A: IncrementalAlgorithm + Clone>(
+    label: &str,
+    algo: &A,
+    graph: CsrGraph,
+    weights: WeightMode,
+    cfg: &HarnessConfig,
+) -> Vec<String> {
+    let n = cfg.stream_vertices.max(2);
     let stream_config = StreamConfig {
         backend: backend(cfg),
         compact_fraction: 0.25,
     };
-    let (mut engine, init) =
-        IncrementalEngine::new(algo, graph, stream_config).expect("initial convergence failed");
+    let (mut engine, init) = IncrementalEngine::new(algo.clone(), graph, stream_config)
+        .expect("initial convergence failed");
     let mut stream = UpdateStream::new(n, cfg.delete_fraction, weights, cfg.seed ^ 0x57EA);
 
     let mut updates = 0u64;
@@ -102,7 +125,7 @@ fn run_app<A: IncrementalAlgorithm>(
     let batches = cfg.batches.max(1) as u64;
     let mean_cycles = cycles as f64 / batches as f64;
     let speedup = full_cycles as f64 / mean_cycles.max(1.0);
-    rows.push(vec![
+    vec![
         label.to_string(),
         engine.graph().num_edges().to_string(),
         updates.to_string(),
@@ -113,11 +136,25 @@ fn run_app<A: IncrementalAlgorithm>(
         full_cycles.to_string(),
         format!("{speedup:.1}x"),
         compactions.to_string(),
-    ]);
+    ]
 }
 
+/// `--scale`, `--workloads` and `--threads` belong to the evaluation grid;
+/// an update stream has its own sizes.
+const FLAGS: [&str; 8] = [
+    "--seed",
+    "--apps",
+    "--workers",
+    "--epoch-cycles",
+    "--vertices",
+    "--batches",
+    "--batch-size",
+    "--delete-frac",
+];
+
 fn main() {
-    let cfg = HarnessConfig::from_args(std::env::args().skip(1));
+    let incremental: Vec<App> = App::ALL.into_iter().filter(|a| a.incremental()).collect();
+    let cfg = HarnessConfig::from_args(std::env::args().skip(1), &FLAGS, &incremental);
     let n = cfg.stream_vertices.max(2);
     println!(
         "Streaming updates: {n}-vertex R-MAT, {} batches x {} updates, \
@@ -132,25 +169,7 @@ fn main() {
         },
     );
 
-    let weighted = WeightMode::Uniform(1.0, 10.0);
-    let mut rows = Vec::new();
-    run_app(
-        "PRD",
-        |_| PageRankDelta::new(0.85, PR_EPS),
-        WeightMode::Unweighted,
-        &cfg,
-        &mut rows,
-    );
-    run_app("SSSP", Sssp::new, weighted, &cfg, &mut rows);
-    run_app("BFS", Bfs::new, WeightMode::Unweighted, &cfg, &mut rows);
-    run_app(
-        "CC",
-        |_| ConnectedComponents::new(),
-        WeightMode::Unweighted,
-        &cfg,
-        &mut rows,
-    );
-    run_app("SSWP", Sswp::new, weighted, &cfg, &mut rows);
+    let rows: Vec<Vec<String>> = cfg.apps.iter().map(|&app| run_app(app, &cfg)).collect();
 
     print_table(
         "Update streams — incremental vs full recompute",

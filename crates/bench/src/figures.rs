@@ -8,10 +8,11 @@
 //! clock and are not. Figs. 4 and 8 and Table V read the PRD/LJ cell and
 //! come back empty, with a note, from a grid that has none.
 
+use gp_algorithms::App;
 use gp_graph::workloads::Workload;
 use gp_mem::{MemStats, TrafficClass};
 
-use crate::{print_table_as, App, Cell, Grid};
+use crate::{print_table_as, Cell, Grid};
 
 /// TDP assumed for the software platform (12-core Xeon, Table III class).
 const CPU_WATTS: f64 = 95.0;

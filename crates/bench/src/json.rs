@@ -1,326 +1,62 @@
-//! Minimal JSON support for machine-readable bench output.
+//! JSON for machine-readable bench output: the `BENCH_*.json` files the
+//! bench binaries emit and the `bench_check` schema validator reads back.
 //!
-//! The workspace builds hermetically offline (no serde), so the
-//! `BENCH_*.json` files the bench binaries emit — and the `bench_check`
-//! schema validator reads back — go through this small, std-only value
-//! type: a writer with stable formatting (two-space indent, keys in
-//! insertion order, so reruns diff cleanly) and a strict recursive-descent
-//! parser for the subset of JSON the harness produces (no comments, no
-//! trailing commas, finite numbers only).
+//! The workspace builds hermetically offline (no serde). The value type,
+//! its writer (two-space indent, keys in insertion order, so reruns diff
+//! cleanly) and its strict recursive-descent parser are the repo
+//! benchmark's (`benchmark/src/json.rs`), compiled in by path: one JSON
+//! implementation in the repository, owned by the package that must not
+//! depend on this one. This module adds the two checks a bench record
+//! wants on top — [`render`] refuses a non-finite number instead of writing
+//! `null`, [`parse`] refuses a duplicate key instead of letting
+//! [`Json::get`] shadow it — and the schema validators.
 
-use std::fmt::Write as _;
+#[allow(missing_docs)]
+#[path = "../../../benchmark/src/json.rs"]
+mod value;
 
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A finite number (JSON has no NaN/Inf; the writer rejects them).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion-ordered, duplicate keys rejected by the parser.
-    Obj(Vec<(String, Json)>),
+pub use value::Json;
+
+/// Whether `pred` holds for `doc` or for anything nested in it.
+fn any(doc: &Json, pred: &dyn Fn(&Json) -> bool) -> bool {
+    pred(doc)
+        || match doc {
+            Json::Arr(items) => items.iter().any(|item| any(item, pred)),
+            Json::Obj(pairs) => pairs.iter().any(|(_, value)| any(value, pred)),
+            _ => false,
+        }
 }
 
-impl Json {
-    /// Builds an object from key/value pairs.
-    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Looks up `key` in an object; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Renders with two-space indentation and a trailing newline.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-finite numbers — JSON cannot represent them, and a
-    /// bench emitting NaN is a bug worth failing loudly on.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => {
-                assert!(n.is_finite(), "JSON cannot encode {n}");
-                // Integers render without a fraction so counters stay exact
-                // and diff-friendly.
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => render_string(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    item.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    render_string(out, k);
-                    out.push_str(": ");
-                    v.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
-        }
-    }
-
-    /// Parses a complete JSON document (trailing whitespace allowed).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message with the byte offset of the first problem.
-    pub fn parse(s: &str) -> Result<Json, String> {
-        let bytes = s.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
+/// Renders a bench record with two-space indentation and a trailing
+/// newline.
+///
+/// # Panics
+///
+/// Panics on non-finite numbers — JSON cannot represent them, and a bench
+/// emitting NaN is a bug worth failing loudly on.
+#[must_use]
+pub fn render(doc: &Json) -> String {
+    let non_finite = |j: &Json| matches!(j, Json::Num(n) if !n.is_finite());
+    assert!(!any(doc, &non_finite), "JSON cannot encode NaN or infinity");
+    doc.render_pretty()
 }
 
-fn render_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Parses a complete bench record (trailing whitespace allowed).
+///
+/// # Errors
+///
+/// Returns a message naming the first problem: malformed JSON (with its
+/// byte offset) or an object with a duplicate key.
+pub fn parse(text: &str) -> Result<Json, String> {
+    let doc = Json::parse(text)?;
+    let duplicate_key = |j: &Json| match j {
+        Json::Obj(pairs) => (1..pairs.len()).any(|i| pairs[..i].iter().any(|p| p.0 == pairs[i].0)),
+        _ => false,
+    };
+    if any(&doc, &duplicate_key) {
+        return Err("an object repeats a key".into());
     }
-    out.push('"');
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_num(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii slice");
-    let n: f64 = text
-        .parse()
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
-    if !n.is_finite() {
-        return Err(format!("non-finite number {text:?} at byte {start}"));
-    }
-    Ok(Json::Num(n))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = b
-                    .get(*pos)
-                    .ok_or_else(|| "unterminated escape".to_string())?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?,
-                            16,
-                        )
-                        .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        *pos += 4;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("invalid code point {code:#x}"))?,
-                        );
-                    }
-                    other => return Err(format!("unknown escape \\{}", *other as char)),
-                }
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut pairs: Vec<(String, Json)> = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(pairs));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        if pairs.iter().any(|(k, _)| *k == key) {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        pairs.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
+    Ok(doc)
 }
 
 /// Schema tag `validate_chaos` requires.
@@ -714,8 +450,8 @@ mod tests {
                 ]),
             ),
         ]);
-        let text = doc.render();
-        let back = Json::parse(&text).unwrap();
+        let text = render(&doc);
+        let back = parse(&text).unwrap();
         assert_eq!(back, doc);
         // Integers must render without a fraction.
         assert!(text.contains("\"count\": 42,"), "{text}");
@@ -734,7 +470,7 @@ mod tests {
             "nul",
             "1e999", // overflows to inf
         ] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 

@@ -10,24 +10,28 @@
 //! `harness = false` mains) are the shard-parallel worker sweep and the
 //! threaded DRAM-model drive.
 //!
-//! All binaries accept the same reproducibility flags (see
-//! [`HarnessConfig::USAGE`], printed by `--help` on every binary):
+//! `report`, `ablations` and `streaming` share one flag parser
+//! ([`HarnessConfig::from_args`]); each passes the flags it reads and the
+//! rows of the application table (`gp_algorithms::App`) it can run, and a
+//! flag it would ignore is refused like an unknown one. `--help` prints the
+//! binary's own subset of this reference ([`HarnessConfig::usage`]):
 //!
 //! ```text
 //! --scale N        scale denominator vs. the published dataset sizes (default 256)
 //! --seed S         RNG seed (default 42)
 //! --workloads W    comma list of WG,FB,WK,LJ,TW (default all)
-//! --apps A         comma list of pr,ads,sssp,bfs,cc (default all)
+//! --apps A         comma list of the binary's apps (default all): pr,ads,sssp,bfs,cc
+//!                  for `report`, pr,sssp,bfs,cc,sswp for `streaming`; any spelling
+//!                  `App::parse` accepts (`PRD`, `pagerank`, ...)
 //! --threads T      software-baseline threads (default: all cores)
 //! --workers W      run the accelerator with the shard-parallel engine on W
 //!                  worker threads (omit for the classic sequential engine;
 //!                  results are bit-identical for every W)
 //! --epoch-cycles E cycles between parallel-engine exchange barriers
-//! --vertices N     update-stream graph size (streaming binary, default 2^16)
-//! --batches B      update batches to stream (streaming binary, default 16)
-//! --batch-size U   edge updates per batch (streaming binary, default 256)
-//! --delete-frac F  deletion fraction of the update mix (streaming binary,
-//!                  default 0.3)
+//! --vertices N     update-stream graph size (default 2^16)
+//! --batches B      update batches to stream (default 16)
+//! --batch-size U   edge updates per batch (default 256)
+//! --delete-frac F  deletion fraction of the update mix (default 0.3)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,9 +43,7 @@ pub mod json;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gp_algorithms::{
-    normalize_inbound, Adsorption, AdsorptionParams, Bfs, ConnectedComponents, PageRankDelta, Sssp,
-};
+use gp_algorithms::{normalize_inbound, with_algorithm, AdsorptionParams, App, AppInputs};
 use gp_baselines::graphicionado::{self, GraphicionadoConfig};
 use gp_baselines::ligra::{apps as ligra_apps, LigraConfig, LigraOutput};
 use gp_graph::generators::WeightMode;
@@ -49,49 +51,6 @@ use gp_graph::stats::max_out_degree_vertex;
 use gp_graph::workloads::Workload;
 use gp_graph::{CsrGraph, VertexId};
 use graphpulse_core::{AcceleratorConfig, ExecutionReport, GraphPulse, Outcome, QueueConfig};
-
-/// The five applications of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum App {
-    /// PageRank-Delta.
-    PageRank,
-    /// Adsorption.
-    Adsorption,
-    /// Single-source shortest paths.
-    Sssp,
-    /// Breadth-first search.
-    Bfs,
-    /// Connected components.
-    Cc,
-}
-
-impl App {
-    /// All apps in the paper's Fig. 10 order.
-    pub const ALL: [App; 5] = [App::PageRank, App::Adsorption, App::Sssp, App::Bfs, App::Cc];
-
-    /// Paper-style short label.
-    pub fn label(self) -> &'static str {
-        match self {
-            App::PageRank => "PRD",
-            App::Adsorption => "ADS",
-            App::Sssp => "SSSP",
-            App::Bfs => "BFS",
-            App::Cc => "CC",
-        }
-    }
-
-    /// Parses `pr`, `ads`, `sssp`, `bfs`, `cc` (case-insensitive).
-    pub fn parse(s: &str) -> Option<App> {
-        match s.to_ascii_lowercase().as_str() {
-            "pr" | "prd" | "pagerank" => Some(App::PageRank),
-            "ads" | "adsorption" => Some(App::Adsorption),
-            "sssp" => Some(App::Sssp),
-            "bfs" => Some(App::Bfs),
-            "cc" => Some(App::Cc),
-            _ => None,
-        }
-    }
-}
 
 /// Harness-wide knobs parsed from the command line.
 #[derive(Debug, Clone)]
@@ -129,7 +88,7 @@ impl Default for HarnessConfig {
             scale: 256,
             seed: 42,
             workloads: Workload::TABLE_IV.to_vec(),
-            apps: App::ALL.to_vec(),
+            apps: App::PAPER.to_vec(),
             threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
             workers: None,
             epoch_cycles: None,
@@ -141,43 +100,75 @@ impl Default for HarnessConfig {
     }
 }
 
-impl HarnessConfig {
-    /// The flag reference every binary prints on `--help`.
-    pub const USAGE: &'static str = "\
-Common flags (every gp-bench binary):
+/// The harness flag reference. A continuation line belongs to the flag
+/// above it; [`HarnessConfig::usage`] keeps a binary's own flags and fills
+/// in its apps.
+const REFERENCE: &str = "\
+Flags:
   --scale N        scale denominator vs. published dataset sizes (default 256)
   --seed S         RNG seed (default 42)
   --workloads W    comma list of WG,FB,WK,LJ,TW (default all)
-  --apps A         comma list of pr,ads,sssp,bfs,cc (default all)
+  --apps A         comma list of {apps} (default all)
   --threads T      software-baseline threads (default: all cores)
   --workers W      shard-parallel accelerator engine on W worker threads
                    (omit for the sequential engine; results bit-identical)
   --epoch-cycles E cycles between parallel-engine exchange barriers
-  --vertices N     update-stream graph size (streaming, default 65536)
-  --batches B      update batches to stream (streaming, default 16)
-  --batch-size U   edge updates per batch (streaming, default 256)
-  --delete-frac F  deletion fraction of the update mix (streaming, default 0.3)
+  --vertices N     update-stream graph size (default 65536)
+  --batches B      update batches to stream (default 16)
+  --batch-size U   edge updates per batch (default 256)
+  --delete-frac F  deletion fraction of the update mix (default 0.3)
   --help           print this reference and exit";
 
+impl HarnessConfig {
+    /// The flag reference of a binary that reads `flags` and runs `apps`:
+    /// what it prints on `--help` and after a refused invocation.
+    pub fn usage(flags: &[&str], apps: &[App]) -> String {
+        let mut listed = true;
+        let kept: Vec<&str> = REFERENCE
+            .lines()
+            .filter(|line| {
+                let first = line.split_whitespace().next();
+                if let Some(flag) = first.filter(|word| word.starts_with("--")) {
+                    listed = flag == "--help" || flags.contains(&flag);
+                }
+                listed
+            })
+            .collect();
+        kept.join("\n").replace("{apps}", &App::names(apps))
+    }
+
     /// Parses `std::env::args()`-style arguments without touching the
-    /// process: `Ok(Some(cfg))` on success, `Ok(None)` when `--help` was
-    /// requested, `Err` describing the first bad flag or value.
+    /// process, for a binary that reads `flags` (a flag it would ignore is
+    /// refused like an unknown one) and runs `apps` — the default of
+    /// `--apps` and the only rows it accepts, in any spelling
+    /// [`App::parse`] does: `Ok(Some(cfg))` on success, `Ok(None)` when
+    /// `--help` was requested, `Err` describing the first bad flag or value.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for unknown flags, flags missing
     /// their value, unparsable values, and values a run would panic on
     /// (`--scale 0`, `--epoch-cycles 0`, a `--delete-frac` outside [0, 1]).
-    pub fn try_from_args(args: impl Iterator<Item = String>) -> Result<Option<Self>, String> {
+    pub fn try_from_args(
+        args: impl Iterator<Item = String>,
+        flags: &[&str],
+        apps: &[App],
+    ) -> Result<Option<Self>, String> {
         fn at_least_one<T: PartialEq + Default>(flag: &str, v: T) -> Result<T, String> {
             if v == T::default() {
                 return Err(format!("{flag} must be at least 1"));
             }
             Ok(v)
         }
-        let mut cfg = HarnessConfig::default();
+        let mut cfg = HarnessConfig {
+            apps: apps.to_vec(),
+            ..HarnessConfig::default()
+        };
         let mut args = cli::Flags::new(args);
         while let Some(flag) = args.next_flag() {
+            if !flags.contains(&flag.as_str()) {
+                return Err(cli::Flags::unknown(&flag));
+            }
             match flag.as_str() {
                 // A zero denominator has no graph to scale to.
                 "--scale" => cfg.scale = at_least_one(&flag, args.parsed(&flag, "an integer")?)?,
@@ -222,8 +213,8 @@ Common flags (every gp-bench binary):
                         .value(&flag)?
                         .split(',')
                         .map(|a| {
-                            App::parse(a).ok_or_else(|| {
-                                format!("unknown app {a} (expected pr,ads,sssp,bfs,cc)")
+                            App::parse(a).filter(|a| apps.contains(a)).ok_or_else(|| {
+                                format!("unknown app {a} (expected {})", App::names(apps))
                             })
                         })
                         .collect::<Result<_, _>>()?;
@@ -237,11 +228,14 @@ Common flags (every gp-bench binary):
         Ok(Some(cfg))
     }
 
-    /// Parses `std::env::args()`-style arguments for a binary's `main`.
-    /// `--help` prints [`HarnessConfig::USAGE`] and exits 0; bad flags
-    /// print the error plus the same reference to stderr and exit 2.
-    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
-        cli::finish(Self::try_from_args(args), Self::USAGE)
+    /// [`try_from_args`](Self::try_from_args) for a binary's `main`:
+    /// `--help` prints [`usage`](Self::usage) and exits 0; a bad invocation
+    /// prints the error plus the same reference to stderr and exits 2.
+    pub fn from_args(args: impl Iterator<Item = String>, flags: &[&str], apps: &[App]) -> Self {
+        cli::finish(
+            Self::try_from_args(args, flags, apps),
+            &Self::usage(flags, apps),
+        )
     }
 }
 
@@ -256,14 +250,25 @@ pub struct Prepared {
     pub root: VertexId,
 }
 
+impl Prepared {
+    /// What the application table needs to build this cell's algorithm.
+    pub fn inputs(&self) -> AppInputs<'_> {
+        AppInputs {
+            root: self.root,
+            threshold: EPS,
+            adsorption: self.params.as_ref(),
+        }
+    }
+}
+
 /// Builds the graph (and parameters) `app` needs for `workload`.
 ///
-/// PR/BFS/CC run on the unweighted synthetic graph; SSSP gets uniform
-/// weights in `[1, 10)`; Adsorption gets random weights normalized per
-/// inbound vertex (§VI-A). Twitter is scaled an extra 4x beyond the
-/// requested denominator so the simulations stay affordable on one host;
-/// it remains by far the largest graph and still exercises the 3-slice
-/// execution path (see `gp_config`).
+/// PR/BFS/CC run on the unweighted synthetic graph; a weighted app gets
+/// uniform weights in `[1, 10)`, except Adsorption, which gets random
+/// weights normalized per inbound vertex (§VI-A). Twitter is scaled an
+/// extra 4x beyond the requested denominator so the simulations stay
+/// affordable on one host; it remains by far the largest graph and still
+/// exercises the 3-slice execution path (see `gp_config`).
 pub fn prepare(workload: Workload, app: App, scale: usize, seed: u64) -> Prepared {
     let scale = if workload == Workload::Twitter {
         scale * 4
@@ -271,10 +276,6 @@ pub fn prepare(workload: Workload, app: App, scale: usize, seed: u64) -> Prepare
         scale
     };
     let (graph, params) = match app {
-        App::Sssp => (
-            workload.synthesize_weighted(scale, WeightMode::Uniform(1.0, 10.0), seed),
-            None,
-        ),
         App::Adsorption => {
             let raw = workload.synthesize_weighted(scale, WeightMode::Uniform(0.5, 2.0), seed);
             let graph = normalize_inbound(&raw);
@@ -284,6 +285,10 @@ pub fn prepare(workload: Workload, app: App, scale: usize, seed: u64) -> Prepare
             ));
             (graph, params)
         }
+        _ if app.weighted() => (
+            workload.synthesize_weighted(scale, WeightMode::Uniform(1.0, 10.0), seed),
+            None,
+        ),
         _ => (workload.synthesize(scale, seed), None),
     };
     let root = max_out_degree_vertex(&graph);
@@ -294,10 +299,9 @@ pub fn prepare(workload: Workload, app: App, scale: usize, seed: u64) -> Prepare
     }
 }
 
-/// The PageRank threshold used throughout the harness.
-pub const PR_EPS: f64 = 1e-7;
-/// The Adsorption threshold used throughout the harness.
-pub const ADS_EPS: f64 = 1e-7;
+/// The propagation threshold PageRank-Delta and Adsorption run with
+/// throughout the harness.
+pub const EPS: f64 = 1e-7;
 
 /// GraphPulse configuration for a workload: the paper's machine, with the
 /// queue sized so Twitter needs ~3 slices (§IV-F / §VI-A) and smaller
@@ -317,28 +321,6 @@ pub fn gp_config(workload: Workload, graph: &CsrGraph, optimized: bool) -> Accel
         cfg.queue = QueueConfig { bins, rows, cols };
     }
     cfg
-}
-
-/// Evaluates `$run` with `$algo` bound to a reference to `$app`'s
-/// algorithm. The five algorithms are five types, so the arms share their
-/// text but cannot share a `let`.
-macro_rules! with_algorithm {
-    ($app:expr, $prepared:expr, |$algo:ident| $run:expr) => {
-        match $app {
-            App::PageRank => with_algorithm!(@ $algo = PageRankDelta::new(0.85, PR_EPS), $run),
-            App::Adsorption => {
-                let params = $prepared.params.clone().expect("adsorption params");
-                with_algorithm!(@ $algo = Adsorption::new(params, ADS_EPS), $run)
-            }
-            App::Sssp => with_algorithm!(@ $algo = Sssp::new($prepared.root), $run),
-            App::Bfs => with_algorithm!(@ $algo = Bfs::new($prepared.root), $run),
-            App::Cc => with_algorithm!(@ $algo = ConnectedComponents::new(), $run),
-        }
-    };
-    (@ $algo:ident = $make:expr, $run:expr) => {{
-        let $algo = &$make;
-        $run
-    }};
 }
 
 impl HarnessConfig {
@@ -366,8 +348,8 @@ impl HarnessConfig {
         }
         let accel = GraphPulse::new(cfg);
         match self.workers {
-            None => with_algorithm!(app, prepared, |algo| accel.run(g, algo)),
-            Some(_) => with_algorithm!(app, prepared, |algo| accel.run_parallel(g, algo))
+            None => with_algorithm!(app, &prepared.inputs(), |algo| accel.run(g, algo)),
+            Some(_) => with_algorithm!(app, &prepared.inputs(), |algo| accel.run_parallel(g, algo))
                 .map(Outcome::from),
         }
         .expect("accelerator run failed")
@@ -375,21 +357,14 @@ impl HarnessConfig {
 }
 
 /// Runs one app on the Ligra-style software framework (measured wall time).
+///
+/// # Panics
+///
+/// Panics on an app the framework has no port of (`ligra::apps::APPS`).
 pub fn run_ligra(app: App, prepared: &Prepared, cfg: &LigraConfig) -> LigraOutput {
     ENGINE_RUNS[0].fetch_add(1, Ordering::Relaxed);
-    let g = &prepared.graph;
-    match app {
-        App::PageRank => ligra_apps::pagerank_delta(g, 0.85, PR_EPS, cfg),
-        App::Adsorption => ligra_apps::adsorption(
-            g,
-            prepared.params.as_ref().expect("adsorption params"),
-            ADS_EPS,
-            cfg,
-        ),
-        App::Sssp => ligra_apps::sssp(g, prepared.root, cfg),
-        App::Bfs => ligra_apps::bfs(g, prepared.root, cfg),
-        App::Cc => ligra_apps::cc(g, cfg),
-    }
+    ligra_apps::run(app, &prepared.inputs(), &prepared.graph, cfg)
+        .unwrap_or_else(|| panic!("{} has no Ligra port", app.label()))
 }
 
 /// Runs one app on the Graphicionado model.
@@ -400,7 +375,9 @@ pub fn run_graphicionado(
 ) -> graphicionado::GraphicionadoOutput {
     ENGINE_RUNS[2].fetch_add(1, Ordering::Relaxed);
     let g = &prepared.graph;
-    with_algorithm!(app, prepared, |algo| graphicionado::run(g, algo, cfg))
+    with_algorithm!(app, &prepared.inputs(), |algo| graphicionado::run(
+        g, algo, cfg
+    ))
 }
 
 static ENGINE_RUNS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
@@ -596,8 +573,21 @@ fn write_csv(stem: &str, header: &[&str], rows: &[Vec<String>]) -> Result<(), St
 mod tests {
     use super::*;
 
+    /// The flags of a binary that reads everything these tests pass but
+    /// the update-stream sizes.
+    const FLAGS: [&str; 8] = [
+        "--scale",
+        "--seed",
+        "--workloads",
+        "--apps",
+        "--threads",
+        "--workers",
+        "--epoch-cycles",
+        "--delete-frac",
+    ];
+
     fn try_parse(args: &[&str]) -> Result<Option<HarnessConfig>, String> {
-        HarnessConfig::try_from_args(args.iter().map(|s| s.to_string()))
+        HarnessConfig::try_from_args(args.iter().map(|s| s.to_string()), &FLAGS, &App::PAPER)
     }
 
     #[test]
@@ -624,6 +614,22 @@ mod tests {
         );
         assert_eq!(cfg.apps, vec![App::PageRank, App::Bfs]);
         assert_eq!(cfg.threads, 2);
+    }
+
+    #[test]
+    fn a_flag_the_binary_does_not_read_is_unknown_to_it() {
+        let err = try_parse(&["--seed", "7", "--batches", "2"]).unwrap_err();
+        assert_eq!(err, "unknown flag --batches");
+        let usage = HarnessConfig::usage(&FLAGS, &App::PAPER);
+        assert!(usage.contains("--apps A         comma list of pr,ads,sssp,bfs,cc (default all)\n"));
+        assert!(!usage.contains("--batches"), "{usage}");
+        assert_eq!(usage.lines().count(), FLAGS.len() + 3, "{usage}");
+
+        // `--apps` takes the binary's rows, in any spelling of the table.
+        let cfg = try_parse(&["--apps", "PRD,Adsorption"]).unwrap().unwrap();
+        assert_eq!(cfg.apps, vec![App::PageRank, App::Adsorption]);
+        let err = try_parse(&["--apps", "sswp"]).unwrap_err();
+        assert_eq!(err, "unknown app sswp (expected pr,ads,sssp,bfs,cc)");
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Invocation tests for the `fuzz`, `chaos`, `serve_bench`, and
-//! `bench_check` binaries: good runs exit 0, validation failures exit 1,
-//! bad flags and unknown schemas exit 2 with a usage text that enumerates
-//! every valid fault kind / schema tag.
+//! Invocation tests for the `fuzz`, `chaos`, `serve_bench`, `bench_check`
+//! and harness (`report`, `ablations`, `streaming`) binaries: good runs
+//! exit 0, validation failures exit 1, bad flags — a flag the binary would
+//! ignore included — and unknown schemas exit 2 with a usage text that
+//! enumerates every valid fault kind / schema tag / flag.
 
 use std::process::Command;
 
@@ -87,19 +88,102 @@ fn assert_refused(bin: &str, args: &[&str], why: &str) {
         stderr.starts_with(&format!("error: {why}\n")),
         "{args:?}:\n{stderr}"
     );
-    assert!(stderr.contains("Common flags"), "{args:?}:\n{stderr}");
+    assert!(stderr.contains("\n\nFlags:\n"), "{args:?}:\n{stderr}");
     assert!(out.stdout.is_empty(), "{args:?} printed a table");
 }
 
 #[test]
 fn zero_scale_is_refused_by_every_harness_binary() {
+    // Every one that reads `--scale`: an update stream has `--vertices`.
     for bin in [
         env!("CARGO_BIN_EXE_ablations"),
         env!("CARGO_BIN_EXE_report"),
-        env!("CARGO_BIN_EXE_streaming"),
     ] {
         assert_refused(bin, &["--scale", "0"], "--scale must be at least 1");
     }
+}
+
+/// Each harness binary refuses the flags it would parse and ignore, as it
+/// refuses a flag nobody has, and its usage lists exactly what it reads.
+fn assert_reads_exactly(bin: &str, reads: &str) {
+    let all = "--scale --seed --workloads --apps --threads --workers --epoch-cycles \
+               --vertices --batches --batch-size --delete-frac";
+    let reads: Vec<&str> = reads.split(' ').collect();
+    assert!(reads.iter().all(|flag| all.split(' ').any(|f| f == *flag)));
+    let help = run(bin, &["--help"]);
+    assert!(help.status.success());
+    let usage = String::from_utf8_lossy(&help.stdout);
+    for flag in all.split(' ') {
+        let listed = usage.contains(&format!("\n  {flag} "));
+        assert_eq!(listed, reads.contains(&flag), "{flag}:\n{usage}");
+        if !listed {
+            assert_refused(bin, &[flag, "1"], &format!("unknown flag {flag}"));
+        }
+    }
+}
+
+#[test]
+fn report_refuses_the_update_stream_flags() {
+    let report = env!("CARGO_BIN_EXE_report");
+    assert_reads_exactly(
+        report,
+        "--scale --seed --workloads --apps --threads --workers --epoch-cycles",
+    );
+    // The grid's rows are Table II's five, in any spelling of the table.
+    let why = "unknown app sswp (expected pr,ads,sssp,bfs,cc)";
+    assert_refused(report, &["--apps", "bfs,sswp"], why);
+    let args: Vec<&str> = TINY[..4]
+        .iter()
+        .chain(&["--apps", "BFS"])
+        .copied()
+        .collect();
+    let out = run(report, &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("[evaluate] BFS/WG"), "{stderr}");
+}
+
+#[test]
+fn ablations_refuses_every_flag_its_fixed_cell_ignores() {
+    let ablations = env!("CARGO_BIN_EXE_ablations");
+    assert_reads_exactly(ablations, "--scale --seed --workers --epoch-cycles");
+}
+
+#[test]
+fn streaming_refuses_the_grid_flags_and_apps_selects_its_rows() {
+    let streaming = env!("CARGO_BIN_EXE_streaming");
+    assert_reads_exactly(
+        streaming,
+        "--seed --apps --workers --epoch-cycles --vertices --batches --batch-size --delete-frac",
+    );
+    // Adsorption has no incremental seeding rule.
+    let why = "unknown app ads (expected pr,sssp,bfs,cc,sswp)";
+    assert_refused(streaming, &["--apps", "ads"], why);
+
+    let rows = |apps: Option<&str>| -> Vec<Vec<String>> {
+        let mut args = vec!["--vertices", "64", "--batches", "1", "--batch-size", "4"];
+        args.extend(apps.iter().flat_map(|a| ["--apps", a]));
+        let out = run(streaming, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{apps:?}:\n{stderr}");
+        // Data rows follow the header and its rule; cells are padded to
+        // the widest in their column.
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|line| line.starts_with('|'))
+            .skip(2)
+            .map(|line| {
+                line.split('|')
+                    .map(|cell| cell.trim().to_string())
+                    .collect()
+            })
+            .collect()
+    };
+    let all = rows(None);
+    let apps: Vec<&str> = all.iter().map(|row| row[1].as_str()).collect();
+    assert_eq!(apps, ["PRD", "SSSP", "BFS", "CC", "SSWP"]);
+    // A selection prints the selected rows, in the order given, unchanged.
+    assert_eq!(rows(Some("sswp,BFS")), [all[4].clone(), all[2].clone()]);
 }
 
 /// The one-cell grid `report` finishes in milliseconds.

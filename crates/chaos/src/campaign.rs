@@ -8,8 +8,7 @@
 
 use gp_algorithms::engine::run_sequential;
 use gp_algorithms::{
-    max_abs_diff, Adsorption, AdsorptionParams, Bfs, ConnectedComponents, DeltaAlgorithm,
-    PageRankDelta, Sssp, Sswp,
+    max_abs_diff, with_algorithm, AdsorptionParams, App, AppInputs, DeltaAlgorithm,
 };
 use gp_graph::generators::{erdos_renyi, WeightMode};
 use gp_graph::{CsrGraph, VertexId};
@@ -276,12 +275,12 @@ fn campaign_machine() -> GraphPulse {
 
 /// Runs the event/memory-layer scenarios plus the backend-specific ones
 /// for a single algorithm, appending to `report`.
-fn algo_scenarios<A>(report: &mut CampaignReport, algo: &A, name: &'static str, graph: &CsrGraph)
+fn algo_scenarios<A>(report: &mut CampaignReport, algo: &A, app: App, graph: &CsrGraph)
 where
     A: DeltaAlgorithm,
     A::Value: Storable,
 {
-    let seed = report.seed;
+    let (seed, name) = (report.seed, app.name());
     let tol = algo.comparison_tolerance();
     let reference = run_sequential(algo, graph);
 
@@ -407,10 +406,14 @@ const STALE: StaleFault = StaleFault {
 
 /// Persistent-fault degradation scenarios, run once (on SSSP) to pin the
 /// exhausted-retries path for every backend family.
-fn degradation_scenarios(report: &mut CampaignReport, graph: &CsrGraph) {
-    let seed = report.seed;
-    let algo = Sssp::new(VertexId::new(0));
-    let reference = run_sequential(&algo, graph);
+fn degradation_scenarios<A>(report: &mut CampaignReport, algo: &A, app: App, graph: &CsrGraph)
+where
+    A: DeltaAlgorithm,
+    A::Value: Storable,
+{
+    let (seed, name) = (report.seed, app.name());
+    let tol = algo.comparison_tolerance();
+    let reference = run_sequential(algo, graph);
     let cfg = ChaosConfig {
         epoch_events: 16,
         max_retries: 2,
@@ -420,45 +423,45 @@ fn degradation_scenarios(report: &mut CampaignReport, graph: &CsrGraph) {
     // Persistent drop: re-fires on every replay, exhausts the rollback
     // budget, degrades to the golden engine from the last checkpoint.
     let plan = FaultPlan::persistent(FaultKind::DropEvent, seed ^ 0xD0D);
-    let out = run_chaos(&algo, graph, Some(plan), &cfg);
+    let out = run_chaos(algo, graph, Some(plan), &cfg);
     report.records.push(CampaignRecord::from_chaos(
         plan,
-        "sssp",
+        name,
         &out,
         &reference.values,
-        0.0,
+        tol,
     ));
 
     // Persistent shard stall: every retry trips the watchdog, the guard
     // degrades to the golden engine.
     let gp = campaign_machine();
     let clean_parallel = gp
-        .run_parallel(graph, &algo)
+        .run_parallel(graph, algo)
         .expect("clean parallel run must succeed");
     let budget = clean_parallel.epochs + 8;
     let chaos = ParallelChaos {
         stall: Some((0, budget + 32)),
         epoch_budget: Some(budget),
     };
-    let out = run_parallel_guarded(&gp, &algo, graph, chaos, u32::MAX, 2)
+    let out = run_parallel_guarded(&gp, algo, graph, chaos, u32::MAX, 2)
         .expect("guarded parallel must not hit config errors");
     report.records.push(CampaignRecord::from_guarded(
-        CampaignRecord::blank(FaultKind::ShardStall, "sssp", true, "parallel"),
+        CampaignRecord::blank(FaultKind::ShardStall, name, true, "parallel"),
         "epoch-budget",
         &out,
         &reference.values,
-        0.0,
+        tol,
     ));
 
     // Persistent turbo corruption: every attempt loses a delta, the guard
     // degrades to the golden engine.
-    let out = run_turbo_guarded(&algo, graph, Some(STALE), u32::MAX, 2);
+    let out = run_turbo_guarded(algo, graph, Some(STALE), u32::MAX, 2);
     report.records.push(CampaignRecord::from_guarded(
-        CampaignRecord::blank(FaultKind::WheelStale, "sssp", true, "turbo"),
+        CampaignRecord::blank(FaultKind::WheelStale, name, true, "turbo"),
         "lost-event",
         &out,
         &reference.values,
-        0.0,
+        tol,
     ));
 }
 
@@ -470,20 +473,37 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
     let n = 96;
     let graph = erdos_renyi(n, 420, WeightMode::Uniform(0.5, 4.0), mix64(seed));
     let ads_graph = gp_algorithms::normalize_inbound(&graph);
-    let root = VertexId::new(0);
+    let params = AdsorptionParams::random(n, mix64(seed ^ 0xAD5));
+    let inputs = AppInputs {
+        root: VertexId::new(0),
+        threshold: 1e-9,
+        adsorption: Some(&params),
+    };
 
     let mut report = CampaignReport {
         seed,
         records: Vec::new(),
         overhead: Vec::new(),
     };
-    algo_scenarios(&mut report, &PageRankDelta::new(0.85, 1e-9), "pr", &graph);
-    let ads = Adsorption::new(AdsorptionParams::random(n, mix64(seed ^ 0xAD5)), 1e-9);
-    algo_scenarios(&mut report, &ads, "ads", &ads_graph);
-    algo_scenarios(&mut report, &Sssp::new(root), "sssp", &graph);
-    algo_scenarios(&mut report, &Bfs::new(root), "bfs", &graph);
-    algo_scenarios(&mut report, &ConnectedComponents::new(), "cc", &graph);
-    algo_scenarios(&mut report, &Sswp::new(root), "sswp", &graph);
-    degradation_scenarios(&mut report, &graph);
+    for app in App::ALL {
+        let g = if app == App::Adsorption {
+            &ads_graph
+        } else {
+            &graph
+        };
+        with_algorithm!(app, &inputs, |algo| algo_scenarios(
+            &mut report,
+            algo,
+            app,
+            g
+        ));
+    }
+    let app = App::Sssp;
+    with_algorithm!(app, &inputs, |algo| degradation_scenarios(
+        &mut report,
+        algo,
+        app,
+        &graph
+    ));
     report
 }

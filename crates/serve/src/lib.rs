@@ -179,6 +179,21 @@ impl QueryClass {
         QueryClass::ALL.into_iter().find(|c| c.name() == s)
     }
 
+    /// The row of the application table this class serves — with the
+    /// class's source as root and the service's PageRank threshold, the
+    /// algorithm whose converged column a response is read from
+    /// (`App::golden_values` recomputes it).
+    pub fn app(self) -> gp_algorithms::App {
+        use gp_algorithms::App;
+        match self {
+            QueryClass::PageRank => App::PageRank,
+            QueryClass::Components => App::Cc,
+            QueryClass::Sssp => App::Sssp,
+            QueryClass::Bfs => App::Bfs,
+            QueryClass::Sswp => App::Sswp,
+        }
+    }
+
     /// Position in [`QueryClass::ALL`].
     pub(crate) fn index(self) -> usize {
         self as usize
@@ -200,7 +215,7 @@ impl Query {
     /// `(class, column key, vertex read)`: the key is the path source, `0`
     /// for the whole-graph classes, and `(class, key)` names the one
     /// column the answer is read from.
-    pub(crate) fn parts(&self) -> (QueryClass, u32, u32) {
+    pub fn parts(&self) -> (QueryClass, u32, u32) {
         match *self {
             Query::PageRank { v } => (QueryClass::PageRank, 0, v.get()),
             Query::Components { v } => (QueryClass::Components, 0, v.get()),

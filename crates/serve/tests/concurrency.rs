@@ -32,8 +32,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{Bfs, ConnectedComponents, DeltaAlgorithm, PageRankDelta, Sssp, Sswp};
+use gp_algorithms::{AppInputs, DeltaAlgorithm, PageRankDelta};
 use gp_graph::generators::{rmat, RmatConfig, WeightMode};
 use gp_graph::{GraphSnapshot, OverlayGraph, VertexId};
 use gp_serve::{Query, QueryResponse, ServeConfig, Server};
@@ -48,19 +47,21 @@ fn base_graph(seed: u64) -> gp_graph::CsrGraph {
     )
 }
 
-/// Golden recompute of `query` on `graph`, as f64 bits (PageRank is
-/// checked by tolerance separately and must not go through here).
-fn golden_bits(query: Query, graph: &GraphSnapshot) -> u64 {
-    let v = match query {
-        Query::Components { v } => {
-            run_sequential(&ConnectedComponents::new(), graph).values[v.index()]
-        }
-        Query::Sssp { src, dst } => run_sequential(&Sssp::new(src), graph).values[dst.index()],
-        Query::Bfs { src, dst } => run_sequential(&Bfs::new(src), graph).values[dst.index()],
-        Query::Sswp { src, dst } => run_sequential(&Sswp::new(src), graph).values[dst.index()],
-        Query::PageRank { .. } => unreachable!("pagerank is tolerance-checked, not bit-checked"),
+/// Golden recompute of `query` on `graph`: the value of the vertex it
+/// reads in the converged column of its class's application.
+fn golden(query: Query, graph: &GraphSnapshot) -> f64 {
+    let (class, source, read) = query.parts();
+    let inputs = AppInputs {
+        root: VertexId::new(source),
+        threshold: ServeConfig::default().pagerank_threshold,
+        adsorption: None,
     };
-    v.to_bits()
+    class.app().golden_values(&inputs, graph)[read as usize]
+}
+
+/// [`golden`] as f64 bits, for the classes that must match exactly.
+fn golden_bits(query: Query, graph: &GraphSnapshot) -> u64 {
+    golden(query, graph).to_bits()
 }
 
 /// Cross-checks one served response against a golden run on the epoch it
@@ -72,8 +73,7 @@ fn assert_golden(handle: &gp_serve::ServeHandle, query: Query, response: &QueryR
         .expect("served epoch retained");
     if let Query::PageRank { v } = query {
         let pr = PageRankDelta::new(0.85, 1e-9);
-        let out = run_sequential(&pr, &epoch.graph);
-        let diff = (out.values[v.index()] - response.value).abs();
+        let diff = (golden(query, &epoch.graph) - response.value).abs();
         assert!(
             diff <= pr.comparison_tolerance(),
             "pagerank({v:?}) off by {diff:e} at epoch {}",

@@ -10,8 +10,7 @@
 
 use std::time::Duration;
 
-use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{Bfs, ConnectedComponents, DeltaAlgorithm, PageRankDelta, Sssp, Sswp};
+use gp_algorithms::{AppInputs, DeltaAlgorithm, PageRankDelta};
 use gp_graph::generators::{rmat, rmat_edges, RmatConfig, WeightMode};
 use gp_graph::{EdgeUpdate, GraphBuilder, GraphSnapshot, OverlayGraph, VertexId};
 use gp_serve::{Query, Rejection, ServeConfig, Server};
@@ -21,14 +20,16 @@ const VERTICES: usize = 1_024;
 const BATCHES: usize = 20;
 const BATCH_LEN: usize = 32;
 
-/// From-scratch golden value of a path query on `graph`.
-fn golden_path(query: Query, graph: &GraphSnapshot) -> f64 {
-    match query {
-        Query::Sssp { src, dst } => run_sequential(&Sssp::new(src), graph).values[dst.index()],
-        Query::Bfs { src, dst } => run_sequential(&Bfs::new(src), graph).values[dst.index()],
-        Query::Sswp { src, dst } => run_sequential(&Sswp::new(src), graph).values[dst.index()],
-        _ => unreachable!("{query:?} is not a path query"),
-    }
+/// From-scratch golden value of `query` on `graph`: the vertex it reads in
+/// the converged column of its class's application.
+fn golden(query: Query, graph: &GraphSnapshot) -> f64 {
+    let (class, source, read) = query.parts();
+    let inputs = AppInputs {
+        root: VertexId::new(source),
+        threshold: ServeConfig::default().pagerank_threshold,
+        adsorption: None,
+    };
+    class.app().golden_values(&inputs, graph)[read as usize]
 }
 
 #[test]
@@ -101,24 +102,18 @@ fn mixed_queries_match_golden_on_their_named_epoch() {
         if response.degraded {
             degraded_seen += 1;
         }
-        let golden = match *query {
-            Query::PageRank { v } => {
-                let out = run_sequential(&pagerank, &epoch.graph);
-                let diff = (out.values[v.index()] - response.value).abs();
-                assert!(
-                    diff <= tolerance,
-                    "pagerank({v:?}) off by {diff:e} at epoch {}",
-                    response.epoch
-                );
-                continue;
-            }
-            Query::Components { v } => {
-                run_sequential(&ConnectedComponents::new(), &epoch.graph).values[v.index()]
-            }
-            path => golden_path(path, &epoch.graph),
-        };
+        let want = golden(*query, &epoch.graph);
+        if let Query::PageRank { v } = *query {
+            let diff = (want - response.value).abs();
+            assert!(
+                diff <= tolerance,
+                "pagerank({v:?}) off by {diff:e} at epoch {}",
+                response.epoch
+            );
+            continue;
+        }
         assert_eq!(
-            golden.to_bits(),
+            want.to_bits(),
             response.value.to_bits(),
             "{query:?} at epoch {} (degraded: {})",
             response.epoch,
@@ -251,7 +246,7 @@ fn a_sweep_of_cold_sources_runs_each_once_and_keeps_the_unreached_value() {
             let response = reply.recv().expect("served");
             assert_eq!(response.epoch, want_epoch, "{query:?}");
             let epoch = handle.store().epoch(response.epoch).expect("retained");
-            let want = golden_path(query, &epoch.graph);
+            let want = golden(query, &epoch.graph);
             assert_eq!(response.value.to_bits(), want.to_bits(), "{query:?}");
             if dst == isolated {
                 assert_eq!(response.value.to_bits(), unreached.to_bits(), "{query:?}");
@@ -344,7 +339,7 @@ fn a_chain_with_an_evicted_link_runs_cold() {
 
     let second = client.query(tenant, query).expect("admitted");
     assert_eq!((second.epoch, second.degraded), (4, false));
-    let want = golden_path(query, &shadow.freeze());
+    let want = golden(query, &shadow.freeze());
     assert_eq!(second.value.to_bits(), want.to_bits());
     let after = handle.shutdown();
     assert_eq!((after.fused_runs, after.path_warm_starts), (2, 0));

@@ -7,58 +7,12 @@
 //! seed via [`generate`], so a case can be reproduced from its seed alone
 //! — and reconstructed verbatim from the literal the shrinker prints.
 
-use gp_algorithms::normalize_inbound;
+use gp_algorithms::{normalize_inbound, App};
 use gp_graph::generators::{barabasi_albert, erdos_renyi, rmat, RmatConfig, WeightMode};
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, EdgeUpdate, GraphBuilder, OverlayGraph, VertexId};
 use gp_stream::UpdateStream;
 use graphpulse_core::{AcceleratorConfig, ParallelConfig, QueueConfig, SchedulingPolicy};
-
-/// Which of the five bundled algorithms a case exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgoKind {
-    /// PageRank-Delta (accumulative, `f64` sums).
-    PageRank,
-    /// Adsorption label propagation (accumulative, weighted).
-    Adsorption,
-    /// Single-source shortest paths (monotone min).
-    Sssp,
-    /// Breadth-first search (monotone min).
-    Bfs,
-    /// Connected components (monotone min over labels).
-    Cc,
-    /// Single-source widest paths (monotone max, weighted).
-    Sswp,
-}
-
-impl AlgoKind {
-    /// All kinds, in the rotation order the fuzz driver uses.
-    pub const ALL: [AlgoKind; 6] = [
-        AlgoKind::PageRank,
-        AlgoKind::Adsorption,
-        AlgoKind::Sssp,
-        AlgoKind::Bfs,
-        AlgoKind::Cc,
-        AlgoKind::Sswp,
-    ];
-
-    /// Short label for logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            AlgoKind::PageRank => "pr",
-            AlgoKind::Adsorption => "ads",
-            AlgoKind::Sssp => "sssp",
-            AlgoKind::Bfs => "bfs",
-            AlgoKind::Cc => "cc",
-            AlgoKind::Sswp => "sswp",
-        }
-    }
-
-    /// Whether the case's graph carries meaningful weights.
-    pub fn weighted(self) -> bool {
-        matches!(self, AlgoKind::Sssp | AlgoKind::Adsorption | AlgoKind::Sswp)
-    }
-}
 
 /// A compact, shrink-stable machine description, expanded to a full
 /// [`AcceleratorConfig`] by [`MachineParams::to_config`].
@@ -134,7 +88,7 @@ pub struct TestCase {
     /// Explicit directed edge list `(src, dst, weight)`.
     pub edges: Vec<(u32, u32, f32)>,
     /// Algorithm under test.
-    pub algo: AlgoKind,
+    pub algo: App,
     /// Root vertex for SSSP/BFS (clamped into range at build time).
     pub root: u32,
     /// Seed for auxiliary randomness that must survive shrinking unchanged
@@ -162,7 +116,7 @@ impl TestCase {
             }
         }
         let g = b.build();
-        if self.algo == AlgoKind::Adsorption {
+        if self.algo == App::Adsorption {
             normalize_inbound(&g)
         } else {
             g
@@ -209,7 +163,7 @@ fn edge_list(g: &CsrGraph) -> Vec<(u32, u32, f32)> {
 /// Generates the test case fully determined by `seed`.
 pub fn generate(seed: u64) -> TestCase {
     let mut rng = StdRng::seed_from_u64(seed);
-    let algo = AlgoKind::ALL[rng.gen_range(0..AlgoKind::ALL.len())];
+    let algo = App::ALL[rng.gen_range(0..App::ALL.len())];
     let n = rng.gen_range(8..64usize);
     let m = n * rng.gen_range(2..6usize);
     let weights = if algo.weighted() {
@@ -304,7 +258,7 @@ mod tests {
         let mut seen = [false; 6];
         for seed in 0..64u64 {
             let c = generate(seed);
-            let idx = AlgoKind::ALL.iter().position(|&k| k == c.algo).unwrap();
+            let idx = App::ALL.iter().position(|&k| k == c.algo).unwrap();
             seen[idx] = true;
         }
         assert!(seen.iter().all(|&s| s), "{seen:?}");

@@ -82,7 +82,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, out: &mut impl Write) -> std::io::Result<FuzzR
         writeln!(
             out,
             "iter {iter:4}  seed {case_seed:#018x}  algo {:<4}  n {:3}  m {:4}  updates {:2}",
-            case.algo.label(),
+            case.algo.name(),
             case.vertices,
             case.edges.len(),
             case.updates.len()

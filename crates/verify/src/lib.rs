@@ -10,9 +10,12 @@
 //! cross-checks all of them on randomized inputs, deterministically:
 //!
 //! * [`case`] — random test cases (R-MAT / degree-skewed / uniform graphs,
-//!   randomized machine geometries, insert/delete update streams), fully
-//!   determined by a single `u64` seed;
-//! * [`oracle`] — the differential oracle plus metamorphic checks
+//!   randomized machine geometries, insert/delete update streams, one
+//!   application drawn from `gp_algorithms::App::ALL`), fully determined by
+//!   a single `u64` seed;
+//! * [`oracle`] — the differential oracle (every leg generic over the
+//!   algorithm `gp_algorithms::with_algorithm!` hands it: the crate has no
+//!   per-application code but the relabel rule) plus metamorphic checks
 //!   (vertex-relabeling invariance, edge-order-permutation invariance,
 //!   slice-count invariance) and the micro-architectural invariants
 //!   (event conservation, DRAM protocol legality, cache accounting);
@@ -43,7 +46,7 @@ pub mod invariants;
 pub mod oracle;
 pub mod shrink;
 
-pub use case::{generate, AlgoKind, MachineParams, TestCase};
+pub use case::{generate, MachineParams, TestCase};
 pub use fuzz::{run_fuzz, FuzzConfig, FuzzReport};
 pub use oracle::{run_case, Failure, Fault};
 pub use shrink::{regression_test, shrink};

@@ -23,8 +23,8 @@
 
 use gp_algorithms::engine::run_sequential;
 use gp_algorithms::{
-    max_abs_diff, same_bits, Adsorption, AdsorptionParams, Bfs, ConnectedComponents,
-    DeltaAlgorithm, IncrementalAlgorithm, PageRankDelta, Sssp, Sswp,
+    max_abs_diff, same_bits, with_algorithm, AdsorptionParams, App, AppInputs, DeltaAlgorithm,
+    IncrementalAlgorithm,
 };
 use gp_chaos::{run_chaos, ChaosConfig, FaultPlan};
 use gp_graph::container::write_container;
@@ -35,7 +35,7 @@ use gp_stream::{IncrementalEngine, StreamConfig};
 use gp_turbo::{run_turbo, StaleFault, TurboConfig, TurboOutcome};
 use graphpulse_core::{GraphPulse, ParallelChaos, RunError};
 
-use crate::case::{AlgoKind, TestCase};
+use crate::case::TestCase;
 
 /// Propagation threshold the oracle's accumulative algorithms run with.
 pub const ORACLE_THRESHOLD: f64 = 1e-7;
@@ -99,59 +99,20 @@ fn symmetrize(g: &CsrGraph) -> CsrGraph {
 /// Returns the first failed check.
 pub fn run_case(case: &TestCase, fault: Option<Fault>) -> Result<(), Failure> {
     let g = case.build_graph();
-    let perm = metamorphic_perm(case);
-    let root = case.clamped_root();
-    let new_root = VertexId::new(perm[root.index()]);
-    match case.algo {
-        AlgoKind::PageRank => {
-            let algo = PageRankDelta::new(0.85, ORACLE_THRESHOLD);
-            check_differential(case, &g, &algo, fault)?;
-            check_relabel(&g, &algo, &algo, &perm, false)?;
-            check_incremental(case, &g, &algo)?;
-        }
-        AlgoKind::Adsorption => {
-            let params = AdsorptionParams::random(g.num_vertices(), case.aux_seed ^ ADS_SALT);
-            let algo = Adsorption::new(params, ORACLE_THRESHOLD);
-            // No relabel leg: the per-vertex parameters cannot be permuted
-            // alongside the vertices from outside the algorithm. No
-            // incremental leg: Adsorption is not an IncrementalAlgorithm
-            // (normalized inbound weights do not survive edge updates).
-            check_differential(case, &g, &algo, fault)?;
-        }
-        AlgoKind::Sssp => {
-            let algo = Sssp::new(root);
-            check_differential(case, &g, &algo, fault)?;
-            check_relabel(&g, &algo, &Sssp::new(new_root), &perm, false)?;
-            check_incremental(case, &g, &algo)?;
-        }
-        AlgoKind::Bfs => {
-            let algo = Bfs::new(root);
-            check_differential(case, &g, &algo, fault)?;
-            check_relabel(&g, &algo, &Bfs::new(new_root), &perm, false)?;
-            check_incremental(case, &g, &algo)?;
-        }
-        AlgoKind::Cc => {
-            let algo = ConnectedComponents::new();
-            check_differential(case, &g, &algo, fault)?;
-            // Component labels are vertex ids, so relabeling changes the
-            // values; what must be invariant is the partition itself — but
-            // only on the symmetric closure. On a directed graph the label
-            // is "largest id reaching v", and whether two vertices share it
-            // depends on which reacher carries the largest id, which a
-            // relabeling legitimately changes (e.g. a lone edge u -> v
-            // merges labels iff id(u) > id(v)). Symmetrizing commutes with
-            // relabeling and makes the partition the WCC partition, which
-            // is permutation-invariant.
-            check_relabel(&symmetrize(&g), &algo, &algo, &perm, true)?;
-            check_incremental(case, &g, &algo)?;
-        }
-        AlgoKind::Sswp => {
-            let algo = Sswp::new(root);
-            check_differential(case, &g, &algo, fault)?;
-            check_relabel(&g, &algo, &Sswp::new(new_root), &perm, false)?;
-            check_incremental(case, &g, &algo)?;
-        }
-    }
+    let app = case.algo;
+    let params = (app == App::Adsorption)
+        .then(|| AdsorptionParams::random(g.num_vertices(), case.aux_seed ^ ADS_SALT));
+    let inputs = AppInputs {
+        root: case.clamped_root(),
+        threshold: ORACLE_THRESHOLD,
+        adsorption: params.as_ref(),
+    };
+    with_algorithm!(app, &inputs, |algo| check_differential(
+        case, &g, algo, fault
+    ))?;
+    check_relabel(app, &inputs, &g, &metamorphic_perm(case))?;
+    with_algorithm!(incremental app, &inputs, |algo| check_incremental(case, &g, algo))
+        .unwrap_or(Ok(()))?;
     check_edge_order(case, &g)
 }
 
@@ -613,19 +574,36 @@ where
     }
 }
 
-/// Vertex-relabeling invariance: running `relabeled_algo` on the
-/// isomorphic graph must commute with the permutation — by value for every
-/// algorithm except connected components, whose labels are vertex ids and
-/// must instead induce the same partition.
-fn check_relabel<A: DeltaAlgorithm>(
-    g: &CsrGraph,
-    algo: &A,
-    relabeled_algo: &A,
-    perm: &[u32],
-    as_partition: bool,
-) -> Result<(), Failure> {
-    let golden = run_sequential(algo, g).values;
-    let relabeled = run_sequential(relabeled_algo, &g.relabel(perm)).values;
+/// Vertex-relabeling invariance: running `app` — rooted at the permuted
+/// root — on the isomorphic graph must commute with the permutation, by
+/// value for every application except the two singled out below.
+fn check_relabel(app: App, inputs: &AppInputs, g: &CsrGraph, perm: &[u32]) -> Result<(), Failure> {
+    let symmetric;
+    let (g, as_partition) = match app {
+        // No relabel leg: the per-vertex parameters cannot be permuted
+        // alongside the vertices from outside the algorithm.
+        App::Adsorption => return Ok(()),
+        // Component labels are vertex ids, so relabeling changes the
+        // values; what must be invariant is the partition itself — but
+        // only on the symmetric closure. On a directed graph the label
+        // is "largest id reaching v", and whether two vertices share it
+        // depends on which reacher carries the largest id, which a
+        // relabeling legitimately changes (e.g. a lone edge u -> v
+        // merges labels iff id(u) > id(v)). Symmetrizing commutes with
+        // relabeling and makes the partition the WCC partition, which
+        // is permutation-invariant.
+        App::Cc => {
+            symmetric = symmetrize(g);
+            (&symmetric, true)
+        }
+        _ => (g, false),
+    };
+    let relabeled_inputs = AppInputs {
+        root: VertexId::new(perm[inputs.root.index()]),
+        ..*inputs
+    };
+    let golden = app.golden_values(inputs, g);
+    let relabeled = app.golden_values(&relabeled_inputs, &g.relabel(perm));
     if as_partition {
         // label(v) == label(w)  <=>  label'(perm(v)) == label'(perm(w)):
         // the value map golden -> relabeled must be a bijection.
@@ -647,7 +625,7 @@ fn check_relabel<A: DeltaAlgorithm>(
         }
         return Ok(());
     }
-    let tol = algo.comparison_tolerance();
+    let tol = with_algorithm!(app, inputs, |algo| algo.comparison_tolerance());
     let pulled: Vec<f64> = (0..golden.len())
         .map(|v| relabeled[perm[v] as usize])
         .collect();
@@ -737,7 +715,7 @@ mod tests {
         for seed in [1u64, 2, 3, 4, 5, 6] {
             let case = generate(seed);
             run_case(&case, None)
-                .unwrap_or_else(|f| panic!("seed {seed} ({}) failed: {f}", case.algo.label()));
+                .unwrap_or_else(|f| panic!("seed {seed} ({}) failed: {f}", case.algo.name()));
         }
     }
 

@@ -206,7 +206,7 @@ pub fn regression_test(case: &TestCase, fault: Option<Fault>, failure: &Failure)
          \x20   let case = gp_verify::TestCase {{\n\
          \x20       vertices: {vertices},\n\
          \x20       edges: vec![{edges}],\n\
-         \x20       algo: gp_verify::AlgoKind::{algo:?},\n\
+         \x20       algo: gp_algorithms::App::{algo:?},\n\
          \x20       root: {root},\n\
          \x20       aux_seed: {aux_seed},\n\
          \x20       updates: vec![\n            {updates}\n        ],\n\

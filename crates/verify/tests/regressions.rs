@@ -9,7 +9,8 @@
 //! must still be caught on the minimal geometry — pinning the oracle's
 //! detection floor).
 
-use gp_verify::{generate, run_case, AlgoKind, Fault, MachineParams, TestCase};
+use gp_algorithms::App;
+use gp_verify::{generate, run_case, Fault, MachineParams, TestCase};
 
 /// Shrunk from fuzz `--seed 7`: SSWP on a single isolated root. Failing
 /// check was `differential-parallel`
@@ -18,7 +19,7 @@ fn repro_seed7_sswp_isolated_root() -> TestCase {
     TestCase {
         vertices: 1,
         edges: vec![],
-        algo: AlgoKind::Sswp,
+        algo: App::Sswp,
         root: 0,
         aux_seed: 5688135274254200921,
         updates: vec![],
@@ -46,7 +47,7 @@ fn repro_seed8_bfs_forced_shards() -> TestCase {
     TestCase {
         vertices: 1,
         edges: vec![],
-        algo: AlgoKind::Bfs,
+        algo: App::Bfs,
         root: 0,
         aux_seed: 17764872561908459043,
         updates: vec![],
@@ -74,7 +75,7 @@ fn repro_seed9_sssp_prefetch() -> TestCase {
     TestCase {
         vertices: 1,
         edges: vec![],
-        algo: AlgoKind::Sssp,
+        algo: App::Sssp,
         root: 0,
         aux_seed: 8653046082777018145,
         updates: vec![],
@@ -112,7 +113,7 @@ fn repro_seed7_sswp_drop_event() -> TestCase {
             (25, 18, 1.0),
             (25, 21, 1.0),
         ],
-        algo: AlgoKind::Sswp,
+        algo: App::Sswp,
         root: 25,
         aux_seed: 5688135274254200921,
         updates: vec![],

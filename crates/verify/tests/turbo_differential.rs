@@ -8,13 +8,21 @@
 
 use gp_algorithms::engine::run_sequential;
 use gp_algorithms::{
-    max_abs_diff, Adsorption, AdsorptionParams, Bfs, ConnectedComponents, DeltaAlgorithm,
-    PageRankDelta, Sssp, Sswp,
+    max_abs_diff, with_algorithm, AdsorptionParams, App, AppInputs, DeltaAlgorithm,
 };
 use gp_graph::CsrGraph;
 use gp_turbo::{run_turbo, TurboConfig, TurboOutcome};
 use gp_verify::oracle::ORACLE_THRESHOLD;
-use gp_verify::{generate, AlgoKind};
+use gp_verify::{generate, TestCase};
+
+/// What the application table needs to build `case`'s algorithm.
+fn inputs<'a>(case: &TestCase, params: &'a AdsorptionParams) -> AppInputs<'a> {
+    AppInputs {
+        root: case.clamped_root(),
+        threshold: ORACLE_THRESHOLD,
+        adsorption: Some(params),
+    }
+}
 
 /// Runs turbo and golden on the same graph; exact (bit-level) agreement
 /// for monotone algorithms, tolerance-bounded for accumulative ones.
@@ -49,27 +57,14 @@ fn assert_turbo_matches<A: DeltaAlgorithm>(seed: u64, algo: &A, g: &CsrGraph, ex
     );
 }
 
-fn check_seed(seed: u64) -> AlgoKind {
+fn check_seed(seed: u64) -> App {
     let case = generate(seed);
     let g = case.build_graph();
-    let root = case.clamped_root();
-    match case.algo {
-        AlgoKind::PageRank => {
-            let algo = PageRankDelta::new(0.85, ORACLE_THRESHOLD);
-            assert_turbo_matches(seed, &algo, &g, false);
-        }
-        AlgoKind::Adsorption => {
-            let algo = Adsorption::new(
-                AdsorptionParams::random(g.num_vertices(), case.aux_seed),
-                ORACLE_THRESHOLD,
-            );
-            assert_turbo_matches(seed, &algo, &g, false);
-        }
-        AlgoKind::Sssp => assert_turbo_matches(seed, &Sssp::new(root), &g, true),
-        AlgoKind::Bfs => assert_turbo_matches(seed, &Bfs::new(root), &g, true),
-        AlgoKind::Cc => assert_turbo_matches(seed, &ConnectedComponents::new(), &g, true),
-        AlgoKind::Sswp => assert_turbo_matches(seed, &Sswp::new(root), &g, true),
-    }
+    let params = AdsorptionParams::random(g.num_vertices(), case.aux_seed);
+    let exact = !matches!(case.algo, App::PageRank | App::Adsorption);
+    with_algorithm!(case.algo, &inputs(&case, &params), |algo| {
+        assert_turbo_matches(seed, algo, &g, exact)
+    });
     case.algo
 }
 
@@ -80,7 +75,7 @@ fn turbo_matches_golden_on_the_fixed_seed_corpus() {
     let mut seen = [false; 6];
     for seed in 0..48u64 {
         let kind = check_seed(seed);
-        let idx = AlgoKind::ALL.iter().position(|&k| k == kind).unwrap();
+        let idx = App::ALL.iter().position(|&k| k == kind).unwrap();
         seen[idx] = true;
     }
     assert!(
@@ -99,41 +94,16 @@ fn turbo_is_byte_deterministic_on_the_corpus() {
     for seed in [7u64, 8, 9, 10, 11, 12] {
         let case = generate(seed);
         let g = case.build_graph();
-        let root = case.clamped_root();
-        let (a, b) = match case.algo {
-            AlgoKind::PageRank => {
-                let algo = PageRankDelta::new(0.85, ORACLE_THRESHOLD);
-                (run_turbo(&algo, &g, &cfg), run_turbo(&algo, &g, &cfg))
-            }
-            AlgoKind::Adsorption => {
-                let algo = Adsorption::new(
-                    AdsorptionParams::random(g.num_vertices(), case.aux_seed),
-                    ORACLE_THRESHOLD,
-                );
-                (run_turbo(&algo, &g, &cfg), run_turbo(&algo, &g, &cfg))
-            }
-            AlgoKind::Sssp => {
-                let algo = Sssp::new(root);
-                (run_turbo(&algo, &g, &cfg), run_turbo(&algo, &g, &cfg))
-            }
-            AlgoKind::Bfs => {
-                let algo = Bfs::new(root);
-                (run_turbo(&algo, &g, &cfg), run_turbo(&algo, &g, &cfg))
-            }
-            AlgoKind::Cc => {
-                let algo = ConnectedComponents::new();
-                (run_turbo(&algo, &g, &cfg), run_turbo(&algo, &g, &cfg))
-            }
-            AlgoKind::Sswp => {
-                let algo = Sswp::new(root);
-                (run_turbo(&algo, &g, &cfg), run_turbo(&algo, &g, &cfg))
-            }
-        };
+        let params = AdsorptionParams::random(g.num_vertices(), case.aux_seed);
+        let (a, b) = with_algorithm!(case.algo, &inputs(&case, &params), |algo| (
+            run_turbo(algo, &g, &cfg),
+            run_turbo(algo, &g, &cfg)
+        ));
         assert_eq!(
             fingerprint(&a),
             fingerprint(&b),
             "seed {seed} ({}): two runs diverged",
-            case.algo.label()
+            case.algo.name()
         );
         assert!(!a.render_log().is_empty());
     }

@@ -89,6 +89,20 @@ if [ "$(grep -rE 'for &?[a-z_]+ in &?[a-z_.]*(apps|workloads)\b' crates/bench/sr
   echo "second (app x workload) sweep under crates/bench/src: read the Grid that gp_bench::evaluate returns"; exit 1
 fi
 
+echo "== one application table (no per-front-end algorithm ladder, no second app enum) =="
+# gp_algorithms::App names the applications and with_algorithm! is the one
+# place a name becomes a concrete algorithm (crates/algorithms/src/table.rs).
+# A front end that constructs one itself has started a ladder of its own,
+# and a second enum is a second set of spellings and input rules to drift.
+if grep -nE '(PageRankDelta|Adsorption|Sssp|Bfs|ConnectedComponents|Sswp)::new\(' \
+    src/bin/gpulse.rs crates/bench/src/lib.rs crates/bench/src/bin/*.rs \
+    crates/chaos/src/campaign.rs crates/verify/src/oracle.rs; then
+  echo "algorithm constructed in a front end: dispatch through gp_algorithms::with_algorithm!"; exit 1
+fi
+if grep -rnE 'enum (App|AlgoKind)\b' --include='*.rs' src crates examples tests | grep -v '^crates/algorithms/src/'; then
+  echo "second application enum: add the row to gp_algorithms::App (crates/algorithms/src/table.rs)"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -13,8 +13,8 @@
 use std::process::ExitCode;
 
 use graphpulse::algorithms::{
-    normalize_inbound, Adsorption, AdsorptionParams, Bfs, ConnectedComponents, PageRankDelta, Sssp,
-    Sswp,
+    normalize_inbound, with_algorithm, AdsorptionParams, App, AppInputs, DeltaAlgorithm,
+    PageRankDelta,
 };
 use graphpulse::baselines::graphicionado::{self, GraphicionadoConfig};
 use graphpulse::baselines::ligra::{apps, LigraConfig};
@@ -29,22 +29,30 @@ gpulse — event-driven graph-processing accelerator (GraphPulse, MICRO 2020)
 
 USAGE: gpulse [OPTIONS]
 
-  --app <pr|ppr|ads|sssp|bfs|cc|sswp>   application to run (default pr)
+  --app <pr|ppr|ads|sssp|bfs|cc|sswp>   application to run (default pr); also
+                                        PRD, pagerank, ADS, adsorption, any case
   --backend <accel|base|ligra|graphicionado>
-                                        execution backend (default accel)
+                                        execution backend (default accel);
+                                        ligra runs pr, ads, sssp, bfs, cc
   --workload <WG|FB|WK|LJ|TW|RD>        synthetic Table IV profile (default WG)
   --scale <N>                           1/N of the published size (default 512)
   --graph <FILE>                        edge-list file instead of a workload
   --seed <S>                            RNG seed (default 42)
   --root <V>                            root vertex for BFS/SSSP/SSWP/PPR
                                         (default: highest out-degree)
-  --threads <T>                         ligra backend threads
+  --threads <T>                         ligra backend threads (at least 1)
   --values <FILE>                       write final vertex values as CSV
   --help                                this message
 ";
 
+const BACKENDS: [&str; 4] = ["accel", "base", "ligra", "graphicionado"];
+
 struct Args {
-    app: String,
+    app: App,
+    /// `--app ppr`: PageRank-Delta with the teleport mass injected at the
+    /// root only. Not a row of the application table — only the initial
+    /// events differ from `pr`.
+    personalized: bool,
     backend: String,
     workload: Workload,
     scale: usize,
@@ -57,7 +65,8 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        app: "pr".into(),
+        app: App::PageRank,
+        personalized: false,
         backend: "accel".into(),
         workload: Workload::WebGoogle,
         scale: 512,
@@ -71,8 +80,30 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut val = || it.next().ok_or(format!("flag {flag} needs a value"));
         match flag.as_str() {
-            "--app" => args.app = val()?,
-            "--backend" => args.backend = val()?,
+            "--app" => {
+                let name = val()?;
+                args.personalized = name.eq_ignore_ascii_case("ppr");
+                args.app = match App::parse(&name) {
+                    Some(app) => app,
+                    None if args.personalized => App::PageRank,
+                    None => {
+                        return Err(format!(
+                            "unknown app {name} (expected {},ppr)",
+                            App::names(&App::ALL)
+                        ))
+                    }
+                };
+            }
+            "--backend" => {
+                args.backend = val()?.to_ascii_lowercase();
+                if !BACKENDS.contains(&args.backend.as_str()) {
+                    let expected = BACKENDS.join(",");
+                    return Err(format!(
+                        "unknown backend {} (expected {expected})",
+                        args.backend
+                    ));
+                }
+            }
             "--workload" => {
                 let name = val()?;
                 args.workload = Workload::parse(&name)
@@ -88,7 +119,13 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--root" => args.root = Some(val()?.parse().map_err(|e| format!("--root: {e}"))?),
             "--threads" => {
-                args.threads = Some(val()?.parse().map_err(|e| format!("--threads: {e}"))?)
+                // edge_map would run 0 threads as 1; refuse it as --scale 0
+                // is refused rather than report a count that was not used.
+                let threads: usize = val()?.parse().map_err(|e| format!("--threads: {e}"))?;
+                if threads == 0 {
+                    return Err("--threads must be at least 1".into());
+                }
+                args.threads = Some(threads);
             }
             "--values" => args.values_out = Some(val()?),
             "--help" | "-h" => {
@@ -97,6 +134,18 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    let ligra_has = !args.personalized && apps::APPS.contains(&args.app);
+    if args.backend == "ligra" && !ligra_has {
+        return Err(format!(
+            "app {} not available on the ligra backend (expected {})",
+            if args.personalized {
+                "ppr"
+            } else {
+                args.app.name()
+            },
+            App::names(&apps::APPS)
+        ));
     }
     Ok(args)
 }
@@ -117,9 +166,10 @@ fn load_graph(args: &Args, weighted: bool) -> Result<CsrGraph, String> {
 }
 
 /// `(values, simulated-or-measured seconds, human summary)`.
-fn run(args: &Args) -> Result<(Vec<f64>, f64, String), String> {
-    let weighted = matches!(args.app.as_str(), "sssp" | "sswp" | "ads");
-    let graph = load_graph(args, weighted)?;
+type Run = (Vec<f64>, f64, String);
+
+fn run(args: &Args) -> Result<Run, String> {
+    let graph = load_graph(args, args.app.weighted())?;
     eprintln!("graph: {graph}");
     let n = graph.num_vertices();
     if n == 0 {
@@ -135,103 +185,86 @@ fn run(args: &Args) -> Result<(Vec<f64>, f64, String), String> {
         .map_or_else(|| max_out_degree_vertex(&graph), VertexId::new);
 
     // Adsorption needs normalized weights + parameters.
-    let (graph, params) = if args.app == "ads" {
+    let (graph, params) = if args.app == App::Adsorption {
         let normalized = normalize_inbound(&graph);
         let params = AdsorptionParams::random(normalized.num_vertices(), args.seed ^ 0xAD50);
         (normalized, Some(params))
     } else {
         (graph, None)
     };
+    let inputs = AppInputs {
+        root,
+        threshold: 1e-7,
+        adsorption: params.as_ref(),
+    };
 
-    match args.backend.as_str() {
-        "accel" | "base" => {
-            let config = if args.backend == "accel" {
-                AcceleratorConfig::optimized()
-            } else {
-                AcceleratorConfig::baseline()
-            };
-            let accel = GraphPulse::new(config);
-            let outcome = match args.app.as_str() {
-                "pr" => accel.run(&graph, &PageRankDelta::new(0.85, 1e-7)),
-                "ppr" => accel.run(
-                    &graph,
-                    &PageRankDelta::personalized(0.85, 1e-9, graph.num_vertices(), &[root]),
-                ),
-                "ads" => accel.run(&graph, &Adsorption::new(params.expect("params"), 1e-7)),
-                "sssp" => accel.run(&graph, &Sssp::new(root)),
-                "bfs" => accel.run(&graph, &Bfs::new(root)),
-                "cc" => accel.run(&graph, &ConnectedComponents::new()),
-                "sswp" => accel.run(&graph, &Sswp::new(root)),
-                other => return Err(format!("unknown app {other}")),
-            }
-            .map_err(|e| e.to_string())?;
-            let r = &outcome.report;
-            let summary = format!(
-                "{} cycles ({:.3} ms simulated) | {} rounds, {} slices | \
-                 events: {} generated, {} processed, {:.1}% coalesced | \
-                 off-chip: {} accesses, {:.1} MB, {:.0}% utilized | {:.1} mW avg",
-                r.cycles,
-                r.seconds * 1e3,
-                r.rounds,
-                r.slices,
-                r.events_generated,
-                r.events_processed,
-                100.0 * r.coalesce_rate(),
-                r.memory.total_accesses(),
-                r.memory.total_bytes() as f64 / 1e6,
-                100.0 * r.memory.utilization(),
-                r.energy.total_mw,
-            );
-            Ok((outcome.values, r.seconds, summary))
+    if args.backend == "ligra" {
+        let mut cfg = LigraConfig::default();
+        if let Some(t) = args.threads {
+            cfg.threads = t;
         }
-        "ligra" => {
-            let mut cfg = LigraConfig::default();
-            if let Some(t) = args.threads {
-                cfg.threads = t;
-            }
-            let out = match args.app.as_str() {
-                "pr" => apps::pagerank_delta(&graph, 0.85, 1e-7, &cfg),
-                "ads" => apps::adsorption(&graph, &params.expect("params"), 1e-7, &cfg),
-                "sssp" => apps::sssp(&graph, root, &cfg),
-                "bfs" => apps::bfs(&graph, root, &cfg),
-                "cc" => apps::cc(&graph, &cfg),
-                other => return Err(format!("app {other} not available on the ligra backend")),
-            };
-            let secs = out.elapsed.as_secs_f64();
-            let summary = format!(
-                "{:.3} ms measured on {} threads | {} iterations",
-                secs * 1e3,
-                cfg.threads,
-                out.iterations
-            );
-            Ok((out.values, secs, summary))
-        }
-        "graphicionado" => {
-            let cfg = GraphicionadoConfig::default();
-            let out = match args.app.as_str() {
-                "pr" => graphicionado::run(&graph, &PageRankDelta::new(0.85, 1e-7), &cfg),
-                "ads" => graphicionado::run(
-                    &graph,
-                    &Adsorption::new(params.expect("params"), 1e-7),
-                    &cfg,
-                ),
-                "sssp" => graphicionado::run(&graph, &Sssp::new(root), &cfg),
-                "bfs" => graphicionado::run(&graph, &Bfs::new(root), &cfg),
-                "cc" => graphicionado::run(&graph, &ConnectedComponents::new(), &cfg),
-                "sswp" => graphicionado::run(&graph, &Sswp::new(root), &cfg),
-                other => return Err(format!("unknown app {other}")),
-            };
-            let summary = format!(
-                "{} cycles ({:.3} ms simulated) | {} BSP iterations | {} edges processed",
-                out.cycles,
-                out.seconds * 1e3,
-                out.iterations,
-                out.edges_processed
-            );
-            Ok((out.values, out.seconds, summary))
-        }
-        other => Err(format!("unknown backend {other}")),
+        let out = apps::run(args.app, &inputs, &graph, &cfg)
+            .expect("parse_args admits only the apps ligra has");
+        let secs = out.elapsed.as_secs_f64();
+        let summary = format!(
+            "{:.3} ms measured on {} threads | {} iterations",
+            secs * 1e3,
+            cfg.threads,
+            out.iterations
+        );
+        return Ok((out.values, secs, summary));
     }
+    if args.personalized {
+        let algo = PageRankDelta::personalized(App::DAMPING, 1e-9, n, &[root]);
+        return simulate(&args.backend, &graph, &algo);
+    }
+    with_algorithm!(args.app, &inputs, |algo| simulate(
+        &args.backend,
+        &graph,
+        algo
+    ))
+}
+
+/// Runs `algo` on one of the timing models: `accel`, `base` or
+/// `graphicionado`.
+fn simulate<A: DeltaAlgorithm>(backend: &str, graph: &CsrGraph, algo: &A) -> Result<Run, String> {
+    if backend == "graphicionado" {
+        let out = graphicionado::run(graph, algo, &GraphicionadoConfig::default());
+        let summary = format!(
+            "{} cycles ({:.3} ms simulated) | {} BSP iterations | {} edges processed",
+            out.cycles,
+            out.seconds * 1e3,
+            out.iterations,
+            out.edges_processed
+        );
+        return Ok((out.values, out.seconds, summary));
+    }
+    let config = if backend == "accel" {
+        AcceleratorConfig::optimized()
+    } else {
+        AcceleratorConfig::baseline()
+    };
+    let outcome = GraphPulse::new(config)
+        .run(graph, algo)
+        .map_err(|e| e.to_string())?;
+    let r = &outcome.report;
+    let summary = format!(
+        "{} cycles ({:.3} ms simulated) | {} rounds, {} slices | \
+         events: {} generated, {} processed, {:.1}% coalesced | \
+         off-chip: {} accesses, {:.1} MB, {:.0}% utilized | {:.1} mW avg",
+        r.cycles,
+        r.seconds * 1e3,
+        r.rounds,
+        r.slices,
+        r.events_generated,
+        r.events_processed,
+        100.0 * r.coalesce_rate(),
+        r.memory.total_accesses(),
+        r.memory.total_bytes() as f64 / 1e6,
+        100.0 * r.memory.utilization(),
+        r.energy.total_mw,
+    );
+    Ok((outcome.values, r.seconds, summary))
 }
 
 fn main() -> ExitCode {
