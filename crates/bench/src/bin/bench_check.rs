@@ -10,7 +10,7 @@
 //! detected and recovered, overhead baselines bit-exact, summary present),
 //! `gp-bench/serve/v3` documents through `gp_bench::json::validate_serve`
 //! (non-empty executor sweep, ordered per-class latency quantiles per run,
-//! golden cross-checks ran and passed), and `gp-bench/outofcore/v1`
+//! golden cross-checks ran and passed), and `gp-bench/outofcore/v2`
 //! documents through `gp_bench::json::validate_outofcore` (consistent
 //! bytes-moved-per-edge accounting, positive throughput on both engines,
 //! turbo within tolerance of golden, and — when a resident-memory budget
@@ -31,7 +31,7 @@ const USAGE: &str = "\
 Usage: bench_check <BENCH_*.json> [more.json ...]
 
 Validates machine-readable bench output against its embedded schema tag.
-Known schemas: gp-bench/chaos/v1, gp-bench/serve/v3, gp-bench/outofcore/v1.
+Known schemas: gp-bench/chaos/v1, gp-bench/serve/v3, gp-bench/outofcore/v2.
 
 Exit status: 0 when every file passes, 1 on a validation failure, 2 on a
 bad invocation or an unknown schema tag.";

@@ -19,7 +19,7 @@
 //!    in-neighbor may legitimately hold sub-threshold residue it never
 //!    propagated, so on scale-free R-MATs the mega-hub's rank can differ
 //!    by up to that sum and the flat tolerance under-scales past ~2^20),
-//! 4. emits a `BENCH_outofcore.json` document (`gp-bench/outofcore/v1`,
+//! 4. emits a `BENCH_outofcore.json` document (`gp-bench/outofcore/v2`,
 //!    schema-checked by `bench_check`).
 //!
 //! Adsorption is skipped: it needs inbound-normalized weights, a whole
@@ -30,7 +30,7 @@
 //! (both CSR directions: `2*4*(n+1)` row-pointer plus `2*4*m` neighbor
 //! and, when weighted, `2*4*m` weight bytes) and a conservative bound on
 //! the mapped run's heap working state (48 B/vertex for values, pending
-//! deltas, and scheduler entries, plus the 32 B/slice index). The run
+//! deltas, and scheduler entries). The run
 //! fails unless the working state fits under the budget; the validator
 //! additionally requires at least one scale whose resident footprint
 //! exceeds it — i.e. a graph the fully-resident path could not have
@@ -44,6 +44,7 @@ use gp_algorithms::engine::run_sequential;
 use gp_algorithms::{max_abs_diff, same_bits, with_algorithm, App, AppInputs, DeltaAlgorithm};
 use gp_bench::cli::{finish, Flags};
 use gp_bench::json::{Json, OUTOFCORE_SCHEMA};
+use gp_bench::write_output;
 use gp_graph::container::{build_streaming, StreamBuildOptions};
 use gp_graph::generators::{rmat_edges, RmatConfig, WeightMode};
 use gp_graph::stats::max_out_degree_vertex;
@@ -59,17 +60,16 @@ const PRD_THRESHOLD: f64 = 1e-3;
 
 const USAGE: &str = "\
 Usage: container [--seed N] [--log2 L1,L2,...] [--edge-factor N]
-                 [--slice-vertices N] [--bucket-vertices N] [--budget-mb N]
+                 [--bucket-vertices N] [--budget-mb N] [--check-resident]
                  [--unweighted] [--dir PATH] [--out PATH]
 
 Builds on-disk GPC1 containers at each 2^L-vertex scale with the streaming
 builder (no resident graph), memory-maps them, and benchmarks the golden
-engine and turbo over the mapping. Writes a gp-bench/outofcore/v1 document.
+engine and turbo over the mapping. Writes a gp-bench/outofcore/v2 document.
 
   --seed N            R-MAT seed (default 42)
   --log2 LIST         comma-separated log2 vertex counts (default 20,22)
   --edge-factor N     directed edges per vertex before dedup (default 8)
-  --slice-vertices N  stored slice-index granularity (default 65536)
   --bucket-vertices N vertices per streaming spill bucket (default 262144)
   --budget-mb N       resident-memory budget; the mapped working state must
                       fit under it (0 = no budget, the default)
@@ -84,7 +84,6 @@ struct Config {
     seed: u64,
     log2: Vec<u32>,
     edge_factor: usize,
-    slice_vertices: usize,
     bucket_vertices: usize,
     budget_mb: u64,
     check_resident: bool,
@@ -99,7 +98,6 @@ impl Default for Config {
             seed: 42,
             log2: vec![20, 22],
             edge_factor: 8,
-            slice_vertices: 1 << 16,
             bucket_vertices: 1 << 18,
             budget_mb: 0,
             check_resident: false,
@@ -135,7 +133,6 @@ fn parse(mut flags: Flags) -> Result<Option<Config>, String> {
             "--seed" => cfg.seed = flags.parsed(&flag, "an integer")?,
             "--log2" => cfg.log2 = parse_log2_list(&flags.value(&flag)?)?,
             "--edge-factor" => cfg.edge_factor = flags.parsed(&flag, "an integer")?,
-            "--slice-vertices" => cfg.slice_vertices = flags.parsed(&flag, "an integer")?,
             "--bucket-vertices" => cfg.bucket_vertices = flags.parsed(&flag, "an integer")?,
             "--budget-mb" => cfg.budget_mb = flags.parsed(&flag, "an integer")?,
             "--check-resident" => cfg.check_resident = true,
@@ -151,8 +148,14 @@ fn parse(mut flags: Flags) -> Result<Option<Config>, String> {
     if cfg.edge_factor == 0 {
         return Err("--edge-factor must be positive".into());
     }
-    if cfg.slice_vertices == 0 || cfg.bucket_vertices == 0 {
-        return Err("--slice-vertices and --bucket-vertices must be positive".into());
+    if cfg.bucket_vertices == 0 {
+        return Err("--bucket-vertices must be positive".into());
+    }
+    if cfg.budget_mb.checked_mul(1 << 20).is_none() {
+        return Err(format!(
+            "--budget-mb {} MiB overflows a 64-bit byte count",
+            cfg.budget_mb
+        ));
     }
     Ok(Some(cfg))
 }
@@ -285,7 +288,6 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
     let t = Instant::now();
     let opts = StreamBuildOptions {
         weighted: cfg.weighted,
-        slice_vertices: cfg.slice_vertices,
         bucket_vertices: cfg.bucket_vertices,
     };
     let summary = build_streaming(&path, n, &opts, |sink| {
@@ -297,17 +299,15 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
     let mapped = MappedCsr::open_verified(&path)
         .map_err(|e| format!("2^{lg}: container failed verified open: {e:?}"))?;
     let m = mapped.num_edges();
-    let slices = mapped.slice_extents().len();
 
     // Analytic footprints: what a fully-resident CsrGraph would commit
     // (both directions) vs a conservative bound on the mapped run's heap
     // working state. Mapped file pages are evictable cache, not commit.
     let resident_graph_bytes = (8 * (n as u64 + 1)) + 8 * m as u64 * (1 + u64::from(cfg.weighted));
-    let mapped_state_bytes = 48 * n as u64 + 32 * slices as u64;
+    let mapped_state_bytes = 48 * n as u64;
     println!(
-        "[2^{lg}] {m} edges, {} slices, container {} B in {build_secs:.1}s \
+        "[2^{lg}] {m} edges, container {} B in {build_secs:.1}s \
          (kernel-mapped: {}); resident {} MiB vs mapped state {} MiB",
-        slices,
         summary.file_bytes,
         mapped.is_kernel_mapped(),
         resident_graph_bytes >> 20,
@@ -445,13 +445,12 @@ fn main() {
         ("schema", Json::Str(OUTOFCORE_SCHEMA.into())),
         ("seed", Json::Num(cfg.seed as f64)),
         ("edge_factor", Json::Num(cfg.edge_factor as f64)),
-        ("slice_vertices", Json::Num(cfg.slice_vertices as f64)),
         ("budget_mb", Json::Num(cfg.budget_mb as f64)),
         ("entries", Json::Arr(entries)),
     ]);
-    if let Err(e) = std::fs::write(&cfg.out, gp_bench::json::render(&doc) + "\n") {
-        eprintln!("error: cannot write {}: {e}", cfg.out.display());
-        std::process::exit(2);
+    if let Err(e) = write_output(&cfg.out, &gp_bench::json::render(&doc)) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
     println!("wrote {}", cfg.out.display());
 }

@@ -66,7 +66,7 @@ pub const CHAOS_SCHEMA: &str = "gp-bench/chaos/v1";
 pub const SERVE_SCHEMA: &str = "gp-bench/serve/v3";
 
 /// Schema tag `validate_outofcore` requires.
-pub const OUTOFCORE_SCHEMA: &str = "gp-bench/outofcore/v1";
+pub const OUTOFCORE_SCHEMA: &str = "gp-bench/outofcore/v2";
 
 /// Sign rule a numeric field is held to.
 #[derive(Clone, Copy)]
@@ -333,7 +333,7 @@ pub fn validate_chaos(doc: &Json) -> Result<(), String> {
 pub fn validate_outofcore(doc: &Json) -> Result<(), String> {
     schema_is(doc, OUTOFCORE_SCHEMA)?;
     num(doc, "seed", Bound::Any)?;
-    nums(doc, &["edge_factor", "slice_vertices"], Bound::Positive)?;
+    num(doc, "edge_factor", Bound::Positive)?;
     let budget_mb = num(doc, "budget_mb", Bound::NonNegative)?;
     let budget_bytes = budget_mb * (1u64 << 20) as f64;
 
@@ -834,7 +834,6 @@ mod tests {
             ("schema", Json::Str(OUTOFCORE_SCHEMA.into())),
             ("seed", Json::Num(42.0)),
             ("edge_factor", Json::Num(8.0)),
-            ("slice_vertices", Json::Num(65536.0)),
             ("budget_mb", Json::Num(budget_mb)),
             (
                 "entries",

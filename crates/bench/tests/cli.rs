@@ -1,5 +1,5 @@
-//! Invocation tests for the `fuzz`, `chaos`, `serve_bench`, `bench_check`
-//! and harness (`report`, `ablations`, `streaming`) binaries: good runs
+//! Invocation tests for the `fuzz`, `chaos`, `serve_bench`, `container`,
+//! `bench_check` and harness (`report`, `ablations`, `streaming`) binaries: good runs
 //! exit 0, validation failures exit 1, bad flags — a flag the binary would
 //! ignore included — and unknown schemas exit 2 with a usage text that
 //! enumerates every valid fault kind / schema tag / flag.
@@ -346,6 +346,56 @@ fn serve_bench_rejects_bad_executor_and_shard_flags_with_usage() {
 }
 
 #[test]
+fn container_writes_its_record_like_the_other_record_binaries() {
+    // A missing parent directory is created, the record ends in exactly one
+    // newline, and bench_check accepts it.
+    let base = temp_path("container");
+    let out_path = base.join("a").join("b").join("o.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_container"),
+        &[
+            "--seed",
+            "7",
+            "--log2",
+            "10",
+            "--out",
+            out_path.to_str().unwrap(),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&out_path).unwrap();
+    assert!(text.ends_with("}\n") && !text.ends_with("\n\n"), "{text:?}");
+    let check = run(
+        env!("CARGO_BIN_EXE_bench_check"),
+        &[out_path.to_str().unwrap()],
+    );
+    assert!(
+        check.status.success(),
+        "bench_check rejected container's own output:\n{}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn container_refuses_a_budget_past_the_byte_count() {
+    // 2^44 MiB is 2^64 bytes: `<< 20` would wrap it to zero.
+    let out = run(
+        env!("CARGO_BIN_EXE_container"),
+        &["--budget-mb", "17592186044416"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: --budget-mb "), "{stderr}");
+    assert!(stderr.contains("Usage: container"), "{stderr}");
+    assert!(out.stdout.is_empty(), "the run started:\n{stderr}");
+}
+
+#[test]
 fn bench_check_unknown_schema_exits_2_naming_known_tags() {
     let path = temp_path("unknown-schema.json");
     std::fs::write(&path, r#"{"schema": "gp-bench/mystery/v9"}"#).unwrap();
@@ -355,7 +405,7 @@ fn bench_check_unknown_schema_exits_2_naming_known_tags() {
     for tag in [
         "gp-bench/chaos/v1",
         "gp-bench/serve/v3",
-        "gp-bench/outofcore/v1",
+        "gp-bench/outofcore/v2",
     ] {
         assert!(stderr.contains(tag), "must name known tag {tag}:\n{stderr}");
     }

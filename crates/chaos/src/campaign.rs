@@ -285,10 +285,7 @@ where
     let reference = run_sequential(algo, graph);
 
     // Fault-free overhead: checkpointing + detection enabled, no fault.
-    let clean_cfg = ChaosConfig {
-        epoch_events: 16,
-        ..ChaosConfig::default()
-    };
+    let clean_cfg = ChaosConfig::default();
     let clean = run_chaos(algo, graph, None, &clean_cfg);
     report.overhead.push(OverheadRecord {
         algo: name,
@@ -321,7 +318,6 @@ where
     // localized, and cured by poisoned-region quarantine.
     let flip_plan = FaultPlan::persistent(FaultKind::BitFlip, seed ^ 0xB17);
     let flip_cfg = ChaosConfig {
-        epoch_events: 16,
         verify_every: 2, // nonzero detection latency is part of the story
         ..ChaosConfig::default()
     };
@@ -415,7 +411,6 @@ where
     let tol = algo.comparison_tolerance();
     let reference = run_sequential(algo, graph);
     let cfg = ChaosConfig {
-        epoch_events: 16,
         max_retries: 2,
         ..ChaosConfig::default()
     };

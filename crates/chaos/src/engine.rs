@@ -5,7 +5,7 @@
 //! [`run_sequential`](gp_algorithms::engine::run_sequential) — same
 //! deposit/coalesce/pop order, hence bit-identical values on a fault-free
 //! run — but chops the run into *epochs* of at most
-//! [`ChaosConfig::epoch_events`] processed events. Epoch boundaries are
+//! [`EPOCH_EVENTS`] processed events. Epoch boundaries are
 //! where everything interesting happens:
 //!
 //! * **injection** — the event-layer faults ([`FaultKind::DropEvent`],
@@ -49,24 +49,28 @@ use graphpulse_core::ExecutionReport;
 
 use crate::plan::{FaultKind, FaultPlan};
 
-/// Tuning knobs for [`run_chaos`].
+/// Events processed per epoch (the detection granularity).
+pub const EPOCH_EVENTS: usize = 16;
+
+/// Vertices per shadow-checksum region (the quarantine granule).
+pub const REGION_LEN: usize = 8;
+
+/// Convergence watchdog: total epoch executions (replays included) before
+/// the run is declared stuck.
+pub const MAX_EPOCHS: u64 = 100_000;
+
+/// Scrub detections in one region before it is quarantined.
+pub const QUARANTINE_THRESHOLD: u32 = 2;
+
+/// The recovery knobs of [`run_chaos`] that callers vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
-    /// Events processed per epoch (the detection granularity).
-    pub epoch_events: usize,
     /// Scrub-and-checkpoint cadence in epochs. `1` verifies every epoch;
     /// larger values trade detection latency for checkpoint cost. The
     /// conservation check always runs every epoch (counters are free).
     pub verify_every: u64,
-    /// Vertices per shadow-checksum region (the quarantine granule).
-    pub region_len: usize,
-    /// Convergence watchdog: total epoch executions (replays included)
-    /// before the run is declared stuck.
-    pub max_epochs: u64,
     /// Rollback budget before degradation.
     pub max_retries: u32,
-    /// Scrub detections in one region before it is quarantined.
-    pub quarantine_threshold: u32,
     /// Fall back to the golden engine when retries are exhausted. When
     /// `false`, an unrecovered detection is reported in
     /// [`ChaosOutcome::unrecovered`] instead.
@@ -76,12 +80,8 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
-            epoch_events: 64,
             verify_every: 1,
-            region_len: 8,
-            max_epochs: 100_000,
             max_retries: 4,
-            quarantine_threshold: 2,
             degrade: true,
         }
     }
@@ -141,7 +141,7 @@ pub struct ChaosOutcome {
     /// Whether the run finished on the golden-engine degradation path.
     pub degraded: bool,
     /// Quarantined memory regions (region indices; see
-    /// [`ChaosConfig::region_len`]).
+    /// [`REGION_LEN`]).
     pub quarantined: Vec<usize>,
     /// Checkpoints taken.
     pub checkpoints: u64,
@@ -326,10 +326,6 @@ fn check_epoch_conservation(
 /// [`FaultKind::DelayEvent`], [`FaultKind::BitFlip`]); backend-specific
 /// kinds are handled by the [`guard`](crate::guard) wrappers and the
 /// campaign. A plan of another kind runs clean.
-///
-/// # Panics
-///
-/// Panics if `cfg.epoch_events == 0` or `cfg.region_len == 0`.
 pub fn run_chaos<A, G>(
     algo: &A,
     graph: &G,
@@ -341,7 +337,6 @@ where
     A::Value: Storable,
     G: GraphView,
 {
-    assert!(cfg.epoch_events > 0, "epoch_events must be positive");
     let n = graph.num_vertices();
     let (init_values, seeds) = initial_state(algo, graph);
 
@@ -365,7 +360,7 @@ where
         return out;
     }
 
-    let shadow = ShadowChecksum::new(&init_values, cfg.region_len);
+    let shadow = ShadowChecksum::new(&init_values, REGION_LEN);
     let mut st = ExecState::<A> {
         values: init_values.clone(),
         pending: vec![None; n],
@@ -456,9 +451,9 @@ where
             }
         }
 
-        // ---- process up to epoch_events events, FIFO ----
+        // ---- process up to EPOCH_EVENTS events, FIFO ----
         let mut popped = 0usize;
-        while popped < cfg.epoch_events {
+        while popped < EPOCH_EVENTS {
             let Some(u) = st.worklist.pop_front() else {
                 break;
             };
@@ -512,13 +507,13 @@ where
                 detection = Some((Detector::MemoryScrub, msg, Some(region)));
             }
         }
-        if detection.is_none() && out.epochs > cfg.max_epochs {
+        if detection.is_none() && out.epochs > MAX_EPOCHS {
             detection = Some((
                 Detector::ConvergenceBudget,
                 format!(
                     "convergence watchdog: {} epochs executed without reaching a \
                      fixed point (budget {})",
-                    out.epochs, cfg.max_epochs
+                    out.epochs, MAX_EPOCHS
                 ),
                 None,
             ));
@@ -559,7 +554,7 @@ where
                 if let Some(r) = region {
                     let hits = quarantine_hits.entry(r).or_insert(0);
                     *hits += 1;
-                    if *hits >= cfg.quarantine_threshold && !out.quarantined.contains(&r) {
+                    if *hits >= QUARANTINE_THRESHOLD && !out.quarantined.contains(&r) {
                         out.quarantined.push(r);
                     }
                 }

@@ -15,13 +15,6 @@ fn graph(seed: u64) -> CsrGraph {
     erdos_renyi(72, 300, WeightMode::Uniform(0.5, 4.0), seed)
 }
 
-fn small_cfg() -> ChaosConfig {
-    ChaosConfig {
-        epoch_events: 16,
-        ..ChaosConfig::default()
-    }
-}
-
 /// Clean chaos run must be the golden engine, bit for bit — values and
 /// every event counter.
 #[test]
@@ -32,7 +25,7 @@ fn fault_free_chaos_is_bit_exact_with_golden() {
         A::Value: Storable,
     {
         let golden = run_sequential(algo, g);
-        let chaos = run_chaos(algo, g, None, &small_cfg());
+        let chaos = run_chaos(algo, g, None, &ChaosConfig::default());
         assert_eq!(chaos.values, golden.values);
         assert_eq!(chaos.events_processed, golden.events_processed);
         assert_eq!(chaos.events_generated, golden.events_generated);
@@ -56,7 +49,7 @@ fn expect_detect_and_rollback(kind: FaultKind, seed: u64) -> ChaosOutcome {
         &algo,
         &g,
         Some(FaultPlan::transient(kind, seed)),
-        &small_cfg(),
+        &ChaosConfig::default(),
     );
     assert!(
         !out.detections.is_empty(),
@@ -113,7 +106,6 @@ fn persistent_bit_flip_is_scrubbed_and_quarantined() {
     let algo = Sssp::new(VertexId::new(0));
     let golden = run_sequential(&algo, &g);
     let cfg = ChaosConfig {
-        epoch_events: 16,
         verify_every: 2,
         ..ChaosConfig::default()
     };
@@ -151,7 +143,7 @@ fn transient_bit_flip_rolls_back_without_quarantine() {
         &algo,
         &g,
         Some(FaultPlan::transient(FaultKind::BitFlip, 33)),
-        &small_cfg(),
+        &ChaosConfig::default(),
     );
     assert!(!out.detections.is_empty());
     assert_eq!(out.detections[0].detector, Detector::MemoryScrub);
@@ -169,7 +161,6 @@ fn persistent_drop_degrades_to_golden_engine() {
     let algo = Sssp::new(VertexId::new(0));
     let golden = run_sequential(&algo, &g);
     let cfg = ChaosConfig {
-        epoch_events: 16,
         max_retries: 2,
         ..ChaosConfig::default()
     };
@@ -194,7 +185,6 @@ fn unrecoverable_fault_is_reported_when_degradation_is_off() {
     let g = graph(19);
     let algo = Sssp::new(VertexId::new(0));
     let cfg = ChaosConfig {
-        epoch_events: 16,
         max_retries: 1,
         degrade: false,
         ..ChaosConfig::default()
@@ -220,8 +210,8 @@ fn chaos_runs_are_deterministic() {
         Some(FaultPlan::transient(FaultKind::DropEvent, 4)),
         Some(FaultPlan::persistent(FaultKind::BitFlip, 8)),
     ] {
-        let a = run_chaos(&algo, &g, plan, &small_cfg());
-        let b = run_chaos(&algo, &g, plan, &small_cfg());
+        let a = run_chaos(&algo, &g, plan, &ChaosConfig::default());
+        let b = run_chaos(&algo, &g, plan, &ChaosConfig::default());
         assert_eq!(a, b);
     }
 }
@@ -233,9 +223,8 @@ fn scrub_cadence_bounds_detection_latency() {
     let g = graph(29);
     let algo = ConnectedComponents::new();
     let plan = Some(FaultPlan::transient(FaultKind::BitFlip, 41));
-    let tight = run_chaos(&algo, &g, plan, &small_cfg());
+    let tight = run_chaos(&algo, &g, plan, &ChaosConfig::default());
     let sparse_cfg = ChaosConfig {
-        epoch_events: 16,
         verify_every: 4,
         ..ChaosConfig::default()
     };

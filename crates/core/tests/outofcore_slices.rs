@@ -11,8 +11,7 @@ use std::path::PathBuf;
 use gp_algorithms::{Bfs, ConnectedComponents, DeltaAlgorithm, PageRankDelta, Sssp};
 use gp_graph::container::write_container;
 use gp_graph::generators::{rmat, RmatConfig, WeightMode};
-use gp_graph::partition::Partition;
-use gp_graph::{CsrGraph, GraphView, MappedCsr};
+use gp_graph::{CsrGraph, MappedCsr};
 use gp_mem::integrity::Storable;
 use graphpulse_core::{AcceleratorConfig, GraphPulse, QueueConfig};
 
@@ -41,7 +40,7 @@ fn fixture(scratch: &Scratch, weighted: bool) -> (CsrGraph, MappedCsr) {
     let cfg = RmatConfig::graph500(512, 2048).with_weights(wm);
     let g = rmat(&cfg, 21);
     let path = scratch.0.join(format!("fixture-{weighted}.gpc"));
-    write_container(&g, &path, 64).unwrap();
+    write_container(&g, &path).unwrap();
     (g, MappedCsr::open_verified(&path).unwrap())
 }
 
@@ -109,24 +108,4 @@ fn sliced_accelerator_is_bit_identical_on_mapped_weighted_graph() {
     let scratch = Scratch::new("weighted");
     let (g, mapped) = fixture(&scratch, true);
     assert_same_outcome(&Sssp::new(gp_graph::VertexId::new(0)), &g, &mapped);
-}
-
-#[test]
-fn partition_machinery_agrees_with_the_stored_slice_index() {
-    let scratch = Scratch::new("partition");
-    let (g, mapped) = fixture(&scratch, false);
-    // The container was written with a 64-vertex slice cap; the partition
-    // machinery over the *mapped* view must reproduce the stored index,
-    // and both must tile the vertex and edge spaces.
-    let part = Partition::contiguous(&mapped, 64);
-    let stored = mapped.slice_extents();
-    assert_eq!(part.len(), stored.len());
-    let mut edge_total = 0u64;
-    for (p, s) in part.slices().iter().zip(stored) {
-        assert_eq!(u64::from(p.start.get()), s.start);
-        assert_eq!(u64::from(p.end.get()), s.end);
-        edge_total += s.edge_end - s.edge_start;
-    }
-    assert_eq!(edge_total as usize, g.num_edges());
-    assert_eq!(GraphView::num_edges(&mapped), g.num_edges());
 }

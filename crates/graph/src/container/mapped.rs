@@ -5,9 +5,8 @@ use std::path::Path;
 
 use super::mmap::Mapping;
 use super::{
-    digest_of, Header, SliceExtent, HEADER_BYTES, SEGMENT_ALIGN, SEG_COUNT, SEG_IN_NEIGHBORS,
-    SEG_IN_ROWPTR, SEG_IN_WEIGHTS, SEG_NAMES, SEG_OUT_NEIGHBORS, SEG_OUT_ROWPTR, SEG_OUT_WEIGHTS,
-    SEG_SLICE_INDEX, SLICE_ENTRY_BYTES,
+    digest_of, Header, HEADER_BYTES, SEGMENT_ALIGN, SEG_COUNT, SEG_IN_NEIGHBORS, SEG_IN_ROWPTR,
+    SEG_IN_WEIGHTS, SEG_NAMES, SEG_OUT_NEIGHBORS, SEG_OUT_ROWPTR, SEG_OUT_WEIGHTS,
 };
 use crate::csr::u32_at;
 use crate::io::ReadGraphError;
@@ -26,8 +25,8 @@ use crate::{CsrGraph, GraphView, OutEdges, VertexId};
 /// machinery, and turbo all run against it unmodified.
 ///
 /// [`MappedCsr::open`] performs *structural* validation: magic, version,
-/// header digest, segment alignment and extents, row-pointer monotonicity
-/// for both directions, and slice-index consistency. It does **not** read
+/// header digest, segment alignment and extents, and row-pointer
+/// monotonicity for both directions. It does **not** read
 /// the edge segments (that would fault in the whole file);
 /// [`MappedCsr::open_verified`] additionally recomputes every segment
 /// digest for end-to-end integrity at the cost of one full scan.
@@ -39,7 +38,6 @@ pub struct MappedCsr {
     weighted: bool,
     seg_bounds: [(usize, usize); SEG_COUNT],
     seg_digests: [u64; SEG_COUNT],
-    slices: Vec<SliceExtent>,
 }
 
 impl MappedCsr {
@@ -89,15 +87,8 @@ impl MappedCsr {
 
         // Expected byte length of each segment, in file order.
         let wlen = if header.weighted { m64 * 4 } else { 0 };
-        let expected_len: [u64; SEG_COUNT] = [
-            (n64 + 1) * 4,
-            m64 * 4,
-            wlen,
-            (n64 + 1) * 4,
-            m64 * 4,
-            wlen,
-            u64::from(header.slice_count) * SLICE_ENTRY_BYTES,
-        ];
+        let expected_len: [u64; SEG_COUNT] =
+            [(n64 + 1) * 4, m64 * 4, wlen, (n64 + 1) * 4, m64 * 4, wlen];
 
         let mut seg_bounds = [(0usize, 0usize); SEG_COUNT];
         let mut seg_digests = [0u64; SEG_COUNT];
@@ -141,7 +132,6 @@ impl MappedCsr {
             weighted: header.weighted,
             seg_bounds,
             seg_digests,
-            slices: Vec::new(),
         };
 
         // Row pointers must be monotone and end exactly at num_edges, in
@@ -171,48 +161,7 @@ impl MappedCsr {
             }
         }
 
-        // Decode and sanity-check the slice index (small: one entry per
-        // slice, not per vertex).
-        let raw = graph.seg(SEG_SLICE_INDEX);
-        let mut slices = Vec::with_capacity(header.slice_count as usize);
-        for s in 0..header.slice_count as usize {
-            let at = s * SLICE_ENTRY_BYTES as usize;
-            let f = |o: usize| u64::from_le_bytes(raw[at + o..at + o + 8].try_into().unwrap());
-            slices.push(SliceExtent {
-                start: f(0),
-                end: f(8),
-                edge_start: f(16),
-                edge_end: f(24),
-            });
-        }
-        let rowptr = graph.seg(SEG_OUT_ROWPTR);
-        let mut cursor = 0u64;
-        let mut edge_cursor = 0u64;
-        for (i, s) in slices.iter().enumerate() {
-            let rows_ok = s.start == cursor && s.end > s.start && s.end <= n64;
-            let edges_ok = s.edge_start == edge_cursor
-                && s.edge_start == u64::from(u32_at(rowptr, s.start as usize))
-                && s.edge_end == u64::from(u32_at(rowptr, s.end as usize));
-            if !rows_ok || !edges_ok {
-                return Err(ReadGraphError::Corrupt(format!(
-                    "slice {i} ({s:?}) does not tile the vertex/edge space"
-                )));
-            }
-            cursor = s.end;
-            edge_cursor = s.edge_end;
-        }
-        if header.slice_count > 0 && (cursor != n64 || edge_cursor != m64) {
-            return Err(ReadGraphError::Corrupt(format!(
-                "slice index covers {cursor}/{n64} vertices, {edge_cursor}/{m64} edges"
-            )));
-        }
-        if header.slice_count == 0 && n > 0 {
-            return Err(ReadGraphError::Corrupt(
-                "non-empty graph with an empty slice index".into(),
-            ));
-        }
-
-        Ok(MappedCsr { slices, ..graph })
+        Ok(graph)
     }
 
     /// Recomputes every segment digest against the header.
@@ -236,14 +185,6 @@ impl MappedCsr {
     fn seg(&self, i: usize) -> &[u8] {
         let (lo, hi) = self.seg_bounds[i];
         &self.map.bytes()[lo..hi]
-    }
-
-    /// The per-slice index stored in the container: contiguous vertex
-    /// ranges with their out-edge extents, matching
-    /// [`Partition::contiguous`](crate::partition::Partition::contiguous)
-    /// over this graph at the writer's slice capacity.
-    pub fn slice_extents(&self) -> &[SliceExtent] {
-        &self.slices
     }
 
     /// Total size of the backing file in bytes.

@@ -1,23 +1,22 @@
 //! On-disk, mmap-able CSR container — graphs beyond resident memory.
 //!
-//! The in-memory binary codec in [`io`](crate::io) round-trips a graph
-//! through a byte buffer, but decoding rebuilds the whole CSR in RAM. This
-//! module grows that codec into a *container*: a binary file laid out so a
-//! read-only memory mapping of it **is** the CSR, with no decode step and
-//! no resident copy. A [`MappedCsr`] implements [`GraphView`](crate::GraphView)
-//! directly over the mapped segments, so every execution backend — the
-//! golden engines, the cycle-level accelerator with its slice-swapping
-//! machinery, the shard-parallel engine, turbo — runs unmodified against
-//! disk-resident graphs, with the OS page cache deciding what is hot.
+//! A container is a binary file laid out so a read-only memory mapping of
+//! it **is** the CSR, with no decode step and no resident copy. A
+//! [`MappedCsr`] implements [`GraphView`](crate::GraphView) directly over
+//! the mapped segments, so every execution backend — the golden engines,
+//! the cycle-level accelerator with its slice-swapping machinery, the
+//! shard-parallel engine, turbo — runs unmodified against disk-resident
+//! graphs, with the OS page cache deciding what is hot.
 //!
-//! # Layout (`GPC1`, version 1, little-endian)
+//! # Layout (`GPC1`, version 2, little-endian)
 //!
 //! ```text
 //! offset 0    fixed 256-byte header:
 //!               magic "GPC1" · version u16 · flags u16 (bit 0: weighted)
-//!               num_vertices u64 · num_edges u64 · slice_count u32 · pad
-//!               7 segment descriptors (offset u64, len u64, digest u64)
-//!               header digest u64 over bytes [0, 200) · zero padding
+//!               num_vertices u64 · num_edges u64 · 8 reserved zero bytes
+//!               6 segment descriptors (offset u64, len u64, digest u64)
+//!               zero padding · header digest u64 over bytes [0, 200) at 200
+//!               · zero padding
 //! then        segments, each 64-byte aligned, in this order:
 //!               out_rowptr   (num_vertices + 1) × u32
 //!               out_neighbors  num_edges × u32
@@ -25,20 +24,19 @@
 //!               in_rowptr    (num_vertices + 1) × u32
 //!               in_neighbors   num_edges × u32
 //!               in_weights     num_edges × f32   (empty when unweighted)
-//!               slice_index    slice_count × 32 bytes
 //! ```
 //!
 //! Design rationale, following the Dann et al. access-pattern studies (the
 //! two "Memory Access Patterns for/of Graph Processing Accelerators"
 //! papers): graph accelerators live or die on request-size distribution
 //! and row-buffer locality, so the on-disk format keeps each access class
-//! in its own dense, 64-byte-aligned segment — row-pointer reads are two
-//! adjacent words, edge-list reads are contiguous bursts, and neither ever
-//! straddles a transfer granule because of header skew. The per-slice
-//! index mirrors the §IV-F slice-swapping machinery: contiguous vertex
-//! ranges with their edge extents, so an out-of-core run can stream one
-//! slice's worth of rows and edges at a time and account bytes moved per
-//! edge, the headline metric.
+//! an engine issues in its own dense, 64-byte-aligned segment — row-pointer
+//! reads are two adjacent words, edge-list reads are contiguous bursts, and
+//! neither ever straddles a transfer granule because of header skew. The
+//! file holds the graph and nothing else: where a slice ends is a run-time
+//! property of the machine's queue capacity (§IV-F), decided by
+//! [`Partition::contiguous`](crate::partition::Partition::contiguous) over
+//! the mapped graph like over any other.
 //!
 //! Integrity: every segment (and the header) carries a 64-bit digest with
 //! the same index-mixed, order-independent construction as
@@ -79,7 +77,7 @@ use crate::io::ReadGraphError;
 pub const CONTAINER_MAGIC: u32 = u32::from_le_bytes(*b"GPC1");
 
 /// Format version this build reads and writes.
-pub const CONTAINER_VERSION: u16 = 1;
+pub const CONTAINER_VERSION: u16 = 2;
 
 /// Required alignment of every segment, matching the DRAM transfer granule
 /// the memory models assume (`gp_mem::LINE_BYTES`).
@@ -88,14 +86,11 @@ pub const SEGMENT_ALIGN: u64 = 64;
 /// Fixed size of the header region; the first segment starts here.
 pub const HEADER_BYTES: u64 = 256;
 
-/// Bytes of one slice-index entry.
-pub const SLICE_ENTRY_BYTES: u64 = 32;
-
 /// Flag bit: the graph carries meaningful edge weights.
 const FLAG_WEIGHTED: u16 = 1;
 
 /// Number of segments in a container, in file order.
-pub(crate) const SEG_COUNT: usize = 7;
+pub(crate) const SEG_COUNT: usize = 6;
 
 /// Segment indexes into [`Header::segments`].
 pub(crate) const SEG_OUT_ROWPTR: usize = 0;
@@ -104,7 +99,6 @@ pub(crate) const SEG_OUT_WEIGHTS: usize = 2;
 pub(crate) const SEG_IN_ROWPTR: usize = 3;
 pub(crate) const SEG_IN_NEIGHBORS: usize = 4;
 pub(crate) const SEG_IN_WEIGHTS: usize = 5;
-pub(crate) const SEG_SLICE_INDEX: usize = 6;
 
 /// Human-readable segment names, indexed like [`Header::segments`].
 pub(crate) const SEG_NAMES: [&str; SEG_COUNT] = [
@@ -114,7 +108,6 @@ pub(crate) const SEG_NAMES: [&str; SEG_COUNT] = [
     "in_rowptr",
     "in_neighbors",
     "in_weights",
-    "slice_index",
 ];
 
 /// Byte offset of the header digest; it covers bytes `[0, HEADER_DIGEST_AT)`.
@@ -135,32 +128,6 @@ pub(crate) struct SegmentDesc {
     pub len: u64,
     /// [`SegmentDigest`] of the segment bytes.
     pub digest: u64,
-}
-
-/// One entry of the per-slice index: a contiguous vertex range and the
-/// out-edge extent it owns, the granularity at which the §IV-F
-/// slice-swapping machinery streams a disk-resident graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SliceExtent {
-    /// First vertex of the slice (inclusive).
-    pub start: u64,
-    /// One past the last vertex (exclusive).
-    pub end: u64,
-    /// First out-edge index owned by the slice.
-    pub edge_start: u64,
-    /// One past the last out-edge index.
-    pub edge_end: u64,
-}
-
-impl SliceExtent {
-    /// Bytes this slice's rows and out-edges occupy in the container —
-    /// the unit of bytes-moved accounting for slice streaming.
-    #[must_use]
-    pub fn bytes(&self, weighted: bool) -> u64 {
-        let rows = (self.end - self.start + 1) * 4;
-        let edges = (self.edge_end - self.edge_start) * if weighted { 8 } else { 4 };
-        rows + edges
-    }
 }
 
 /// Streaming digest over a byte sequence, reusing the
@@ -242,7 +209,6 @@ pub(crate) struct Header {
     pub num_vertices: u64,
     pub num_edges: u64,
     pub weighted: bool,
-    pub slice_count: u32,
     pub segments: [SegmentDesc; SEG_COUNT],
 }
 
@@ -257,8 +223,7 @@ impl Header {
         buf[6..8].copy_from_slice(&flags.to_le_bytes());
         buf[8..16].copy_from_slice(&self.num_vertices.to_le_bytes());
         buf[16..24].copy_from_slice(&self.num_edges.to_le_bytes());
-        buf[24..28].copy_from_slice(&self.slice_count.to_le_bytes());
-        // buf[28..32] reserved, zero.
+        // buf[24..32] reserved, zero.
         for (i, seg) in self.segments.iter().enumerate() {
             let at = 32 + i * 24;
             buf[at..at + 8].copy_from_slice(&seg.offset.to_le_bytes());
@@ -276,7 +241,7 @@ impl Header {
     ///
     /// [`ReadGraphError::Truncated`] when shorter than the fixed header,
     /// [`ReadGraphError::BadMagic`] / [`ReadGraphError::BadVersion`] on an
-    /// alien or future file, [`ReadGraphError::ChecksumMismatch`] when the
+    /// alien, older or future file, [`ReadGraphError::ChecksumMismatch`] when the
     /// header digest disagrees, and [`ReadGraphError::Corrupt`] for
     /// unknown flag bits.
     pub fn decode(bytes: &[u8]) -> Result<Header, ReadGraphError> {
@@ -284,9 +249,8 @@ impl Header {
             return Err(ReadGraphError::Truncated);
         }
         let u16_at = |at: usize| u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
-        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        if u32_at(0) != CONTAINER_MAGIC {
+        if bytes[0..4] != CONTAINER_MAGIC.to_le_bytes() {
             return Err(ReadGraphError::BadMagic);
         }
         let version = u16_at(4);
@@ -319,60 +283,9 @@ impl Header {
             num_vertices: u64_at(8),
             num_edges: u64_at(16),
             weighted: flags & FLAG_WEIGHTED != 0,
-            slice_count: u32_at(24),
             segments,
         })
     }
-}
-
-/// Computes the container's slice boundaries from a row-pointer array: the
-/// same greedy edge-balancing walk as
-/// [`Partition::contiguous`](crate::partition::Partition::contiguous), so
-/// the index stored in a container equals the partition the slice-swapping
-/// machinery would compute over the mapped graph with the same vertex cap.
-pub(crate) fn slice_extents_from_rowptr(rowptr: &[u32], max_vertices: usize) -> Vec<SliceExtent> {
-    assert!(max_vertices > 0, "slice capacity must be nonzero");
-    let n = rowptr.len() - 1;
-    if n == 0 {
-        return Vec::new();
-    }
-    let m = rowptr[n] as usize;
-    let num_slices = n.div_ceil(max_vertices);
-    let target_edges = (m / num_slices).max(1);
-    let mut slices = Vec::with_capacity(num_slices);
-    let mut start = 0usize;
-    while start < n {
-        let mut end = start;
-        let mut edges = 0usize;
-        while end < n && end - start < max_vertices {
-            edges += (rowptr[end + 1] - rowptr[end]) as usize;
-            end += 1;
-            let remaining_slices = num_slices - slices.len() - 1;
-            if edges >= target_edges && remaining_slices * max_vertices >= n - end {
-                break;
-            }
-        }
-        slices.push(SliceExtent {
-            start: start as u64,
-            end: end as u64,
-            edge_start: u64::from(rowptr[start]),
-            edge_end: u64::from(rowptr[end]),
-        });
-        start = end;
-    }
-    slices
-}
-
-/// Serializes the slice index segment.
-pub(crate) fn encode_slice_index(slices: &[SliceExtent]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(slices.len() * SLICE_ENTRY_BYTES as usize);
-    for s in slices {
-        buf.extend_from_slice(&s.start.to_le_bytes());
-        buf.extend_from_slice(&s.end.to_le_bytes());
-        buf.extend_from_slice(&s.edge_start.to_le_bytes());
-        buf.extend_from_slice(&s.edge_end.to_le_bytes());
-    }
-    buf
 }
 
 #[cfg(test)]
@@ -413,7 +326,6 @@ mod tests {
             num_vertices: 42,
             num_edges: 999,
             weighted: true,
-            slice_count: 3,
             segments,
         };
         let bytes = h.encode();
@@ -426,7 +338,6 @@ mod tests {
             num_vertices: 8,
             num_edges: 16,
             weighted: false,
-            slice_count: 1,
             segments: [SegmentDesc::default(); SEG_COUNT],
         };
         let mut bytes = h.encode();
@@ -435,29 +346,5 @@ mod tests {
             Header::decode(&bytes),
             Err(ReadGraphError::ChecksumMismatch(_))
         ));
-    }
-
-    #[test]
-    fn slice_extents_cover_contiguously() {
-        // Degrees 3, 0, 5, 1, 0, 2 -> rowptr below.
-        let rowptr = [0u32, 3, 3, 8, 9, 9, 11];
-        for cap in 1..=6usize {
-            let slices = slice_extents_from_rowptr(&rowptr, cap);
-            assert_eq!(slices[0].start, 0);
-            assert_eq!(slices.last().unwrap().end, 6);
-            assert_eq!(slices.last().unwrap().edge_end, 11);
-            for w in slices.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-                assert_eq!(w[0].edge_end, w[1].edge_start);
-            }
-            for s in &slices {
-                assert!((s.end - s.start) as usize <= cap);
-            }
-        }
-    }
-
-    #[test]
-    fn slice_extents_empty_graph() {
-        assert!(slice_extents_from_rowptr(&[0], 8).is_empty());
     }
 }

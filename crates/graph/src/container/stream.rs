@@ -21,9 +21,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use super::write::{layout, rowptr_bytes, ContainerSummary, ContainerWriteError, CountingWriter};
-use super::{
-    digest_of, encode_slice_index, slice_extents_from_rowptr, Header, SegmentDigest, SEG_COUNT,
-};
+use super::{digest_of, Header, SegmentDigest, SEG_COUNT};
 
 /// Tuning and semantics knobs for [`build_streaming`].
 #[derive(Debug, Clone, Copy)]
@@ -31,9 +29,6 @@ pub struct StreamBuildOptions {
     /// Mark the graph as carrying meaningful weights (writes the weight
     /// segments). Default `false`.
     pub weighted: bool,
-    /// Maximum vertices per entry of the stored slice index. Default
-    /// `1 << 16`, the accelerator-sized slice the partition machinery uses.
-    pub slice_vertices: usize,
     /// Vertices per spill bucket — the unit of resident memory during the
     /// build (one bucket's edges are sorted in RAM at a time). Default
     /// `1 << 18`.
@@ -44,7 +39,6 @@ impl Default for StreamBuildOptions {
     fn default() -> Self {
         StreamBuildOptions {
             weighted: false,
-            slice_vertices: 1 << 16,
             bucket_vertices: 1 << 18,
         }
     }
@@ -161,7 +155,7 @@ fn open_bucket_writers(
 /// dropped, parallel edges deduplicated keeping the first-streamed weight.
 /// The resulting file is byte-identical to
 /// [`write_container`](super::write_container) over the resident build of
-/// the same stream (same `slice_vertices`).
+/// the same stream.
 ///
 /// # Errors
 ///
@@ -172,7 +166,7 @@ fn open_bucket_writers(
 ///
 /// # Panics
 ///
-/// Panics if `slice_vertices` or `bucket_vertices` is zero.
+/// Panics if `bucket_vertices` is zero.
 pub fn build_streaming<F>(
     path: &Path,
     num_vertices: usize,
@@ -295,8 +289,6 @@ where
 
     // Assemble the container: all digests are known before the header is
     // written, so the file streams out front to back.
-    let slices = slice_extents_from_rowptr(&out_rowptr, opts.slice_vertices);
-    let slice_index = encode_slice_index(&slices);
     let out_rowptr_bytes = rowptr_bytes(&out_rowptr);
     let in_rowptr_bytes = rowptr_bytes(&in_rowptr);
     drop(out_rowptr);
@@ -316,7 +308,6 @@ where
         in_rowptr_bytes.len() as u64,
         in_neigh_len,
         in_w_len,
-        slice_index.len() as u64,
     ];
     let (mut segs, file_bytes) = layout(&seg_lens);
     let digests = [
@@ -326,7 +317,6 @@ where
         digest_of(&in_rowptr_bytes),
         in_neigh_digest,
         in_w_digest,
-        digest_of(&slice_index),
     ];
     for (seg, d) in segs.iter_mut().zip(digests) {
         seg.digest = d;
@@ -335,7 +325,6 @@ where
         num_vertices: n as u64,
         num_edges: m,
         weighted: opts.weighted,
-        slice_count: slices.len() as u32,
         segments: segs,
     };
 
@@ -348,7 +337,6 @@ where
         None, // in_rowptr: in memory
         Some(&in_neigh_path),
         Some(&in_w_path),
-        None, // slice index: in memory
     ];
     let in_memory = [
         Some(&out_rowptr_bytes),
@@ -357,7 +345,6 @@ where
         Some(&in_rowptr_bytes),
         None,
         None,
-        Some(&slice_index),
     ];
     for i in 0..SEG_COUNT {
         w.pad_to(segs[i].offset)?;
@@ -386,7 +373,6 @@ where
         vertices: n as u64,
         edges: m,
         weighted: opts.weighted,
-        slices: slices.len() as u32,
         file_bytes,
     })
 }

@@ -5,10 +5,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use super::{
-    align_up, digest_of, encode_slice_index, slice_extents_from_rowptr, Header, SegmentDesc,
-    HEADER_BYTES, SEG_COUNT,
-};
+use super::{align_up, digest_of, Header, SegmentDesc, HEADER_BYTES, SEG_COUNT};
 use crate::{CsrGraph, VertexId};
 
 /// Failure writing a container.
@@ -55,8 +52,6 @@ pub struct ContainerSummary {
     pub edges: u64,
     /// Whether weight segments were written.
     pub weighted: bool,
-    /// Entries in the per-slice index.
-    pub slices: u32,
     /// Final file size in bytes.
     pub file_bytes: u64,
 }
@@ -146,10 +141,7 @@ fn weight_bytes(weights: &[f32]) -> Vec<u8> {
     buf
 }
 
-/// Writes `graph` as a container at `path`, with a slice index computed at
-/// a maximum of `slice_vertices` vertices per slice (the same greedy
-/// edge-balancing as
-/// [`Partition::contiguous`](crate::partition::Partition::contiguous)).
+/// Writes `graph` as a container at `path`.
 ///
 /// The segments are serialized one at a time (peak transient memory is one
 /// segment, not a second copy of the graph), with the header back-patched
@@ -158,33 +150,18 @@ fn weight_bytes(weights: &[f32]) -> Vec<u8> {
 /// # Errors
 ///
 /// [`ContainerWriteError::Io`] on filesystem failure.
-///
-/// # Panics
-///
-/// Panics if `slice_vertices` is zero.
 pub fn write_container(
     graph: &CsrGraph,
     path: &Path,
-    slice_vertices: usize,
 ) -> Result<ContainerSummary, ContainerWriteError> {
     let (out_off, out_nei, out_w) = graph.out_parts();
     let (in_off, in_nei, in_w) = graph.in_parts();
     let weighted = graph.is_weighted();
-    let slices = slice_extents_from_rowptr(out_off, slice_vertices);
-    let slice_index = encode_slice_index(&slices);
 
     let n = graph.num_vertices() as u64;
     let m = graph.num_edges() as u64;
     let wlen = if weighted { m * 4 } else { 0 };
-    let seg_lens = [
-        (n + 1) * 4,
-        m * 4,
-        wlen,
-        (n + 1) * 4,
-        m * 4,
-        wlen,
-        slice_index.len() as u64,
-    ];
+    let seg_lens = [(n + 1) * 4, m * 4, wlen, (n + 1) * 4, m * 4, wlen];
     let (mut segs, file_bytes) = layout(&seg_lens);
 
     let file = File::create(path)?;
@@ -208,7 +185,6 @@ pub fn write_container(
         } else {
             Vec::new()
         },
-        slice_index,
     ];
     for (desc, payload) in segs.iter_mut().zip(payloads) {
         w.pad_to(desc.offset)?;
@@ -221,7 +197,6 @@ pub fn write_container(
         num_vertices: n,
         num_edges: m,
         weighted,
-        slice_count: slices.len() as u32,
         segments: segs,
     };
     let mut inner = w.into_inner();
@@ -235,7 +210,6 @@ pub fn write_container(
         vertices: n,
         edges: m,
         weighted,
-        slices: slices.len() as u32,
         file_bytes,
     })
 }

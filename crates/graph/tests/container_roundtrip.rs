@@ -15,7 +15,6 @@ use gp_graph::generators::{
     barabasi_albert, erdos_renyi, rmat, rmat_edges, RmatConfig, WeightMode,
 };
 use gp_graph::io::ReadGraphError;
-use gp_graph::partition::Partition;
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, EdgeRef, GraphBuilder, GraphView, MappedCsr, OutEdges, VertexId};
 
@@ -93,23 +92,11 @@ fn mapped_container_bit_identical_to_resident() {
             _ => erdos_renyi(n, n * 4, wm, seed),
         };
         let path = scratch.path(&format!("case{case}.gpc"));
-        let cap = rng.gen_range(1..n + 1);
-        let summary = write_container(&g, &path, cap).unwrap();
+        let summary = write_container(&g, &path).unwrap();
         assert_eq!(summary.vertices as usize, g.num_vertices());
         assert_eq!(summary.edges as usize, g.num_edges());
         let mapped = MappedCsr::open_verified(&path).unwrap();
         assert_bit_identical(&g, &mapped);
-        // The stored slice index must equal the partition machinery's
-        // answer over the mapped graph at the same capacity.
-        let part = Partition::contiguous(&mapped, cap);
-        let stored = mapped.slice_extents();
-        assert_eq!(stored.len(), part.len());
-        for (s, p) in stored.iter().zip(part.slices()) {
-            assert_eq!(
-                (s.start, s.end),
-                (u64::from(p.start.get()), u64::from(p.end.get()))
-            );
-        }
     }
 }
 
@@ -117,18 +104,18 @@ fn mapped_container_bit_identical_to_resident() {
 fn empty_and_zero_degree_graphs_round_trip() {
     let scratch = Scratch::new("edgecases");
 
-    // Fully empty graph: zero vertices, zero edges, zero slices.
+    // Fully empty graph: zero vertices, zero edges.
     let empty = GraphBuilder::new(0).build();
     let path = scratch.path("empty.gpc");
-    let summary = write_container(&empty, &path, 16).unwrap();
-    assert_eq!((summary.vertices, summary.edges, summary.slices), (0, 0, 0));
+    let summary = write_container(&empty, &path).unwrap();
+    assert_eq!((summary.vertices, summary.edges), (0, 0));
     let mapped = MappedCsr::open_verified(&path).unwrap();
     assert_bit_identical(&empty, &mapped);
 
     // Vertices with no edges at all.
     let isolated = GraphBuilder::new(17).build();
     let path = scratch.path("isolated.gpc");
-    write_container(&isolated, &path, 4).unwrap();
+    write_container(&isolated, &path).unwrap();
     assert_bit_identical(&isolated, &MappedCsr::open_verified(&path).unwrap());
 
     // Zero-degree vertices interleaved with a weighted path, including a
@@ -139,7 +126,7 @@ fn empty_and_zero_degree_graphs_round_trip() {
     b.weighted(true);
     let sparse = b.build();
     let path = scratch.path("sparse.gpc");
-    write_container(&sparse, &path, 3).unwrap();
+    write_container(&sparse, &path).unwrap();
     assert_bit_identical(&sparse, &MappedCsr::open_verified(&path).unwrap());
 }
 
@@ -156,13 +143,12 @@ fn streaming_build_matches_resident_container_bytewise() {
 
         let resident_path = scratch.path(&format!("resident-{seed}.gpc"));
         let g = rmat(&cfg, seed);
-        write_container(&g, &resident_path, 128).unwrap();
+        write_container(&g, &resident_path).unwrap();
 
         // Tiny buckets force many spill files and multi-bucket assembly.
         let streamed_path = scratch.path(&format!("streamed-{seed}.gpc"));
         let opts = StreamBuildOptions {
             weighted,
-            slice_vertices: 128,
             bucket_vertices: 100,
         };
         let summary = build_streaming(&streamed_path, cfg.vertices, &opts, |sink| {
@@ -204,7 +190,7 @@ fn healthy_container(scratch: &Scratch, name: &str) -> (PathBuf, Vec<u8>) {
     let g = rmat(&cfg, 99);
     assert!(g.num_edges() > 0);
     let path = scratch.path(name);
-    write_container(&g, &path, 16).unwrap();
+    write_container(&g, &path).unwrap();
     let bytes = fs::read(&path).unwrap();
     (path, bytes)
 }
@@ -266,6 +252,12 @@ fn wrong_version_is_typed() {
     bytes[4..6].copy_from_slice(&7u16.to_le_bytes());
     let err = open_patched(&scratch, "bad.gpc", &bytes).unwrap_err();
     assert!(matches!(err, ReadGraphError::BadVersion(7)), "{err}");
+    // A version-1 file (the format with a stored slice index) is refused
+    // even with a well-formed header: there is no compatibility reader.
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    reseal_header(&mut bytes);
+    let err = open_patched(&scratch, "v1.gpc", &bytes).unwrap_err();
+    assert!(matches!(err, ReadGraphError::BadVersion(1)), "{err}");
 }
 
 #[test]
@@ -339,17 +331,6 @@ fn non_monotone_rowptr_is_typed() {
     // the segment is consulted.
     let rowptr_off = u64_at(&bytes, 32) as usize;
     bytes[rowptr_off + 4..rowptr_off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-    let err = open_patched(&scratch, "bad.gpc", &bytes).unwrap_err();
-    assert!(matches!(err, ReadGraphError::Corrupt(_)), "{err}");
-}
-
-#[test]
-fn corrupt_slice_index_is_typed() {
-    let scratch = Scratch::new("slices");
-    let (_, mut bytes) = healthy_container(&scratch, "ok.gpc");
-    // First slice's start vertex moved off zero: the index no longer tiles.
-    let slice_off = u64_at(&bytes, 32 + 6 * 24) as usize;
-    bytes[slice_off..slice_off + 8].copy_from_slice(&1u64.to_le_bytes());
     let err = open_patched(&scratch, "bad.gpc", &bytes).unwrap_err();
     assert!(matches!(err, ReadGraphError::Corrupt(_)), "{err}");
 }

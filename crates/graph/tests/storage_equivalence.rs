@@ -189,7 +189,6 @@ impl Model {
 fn stream_and_map(g: &CsrGraph, path: &Path, rng: &mut StdRng) -> MappedCsr {
     let opts = StreamBuildOptions {
         weighted: g.is_weighted(),
-        slice_vertices: rng.gen_range(1..g.num_vertices() + 1),
         bucket_vertices: rng.gen_range(1..g.num_vertices() + 1),
     };
     build_streaming(path, g.num_vertices(), &opts, |sink| {

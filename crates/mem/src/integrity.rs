@@ -133,10 +133,9 @@ impl ShadowChecksum {
     ///
     /// # Panics
     ///
-    /// Panics if `region_len == 0`.
+    /// Panics if `region_len == 0` (division by zero).
     #[must_use]
     pub fn new<V: Storable>(values: &[V], region_len: usize) -> Self {
-        assert!(region_len > 0, "region length must be positive");
         let regions = values.len().div_ceil(region_len).max(1);
         let sums = (0..regions)
             .map(|r| region_digest(values, r, region_len))

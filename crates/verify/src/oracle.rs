@@ -362,8 +362,6 @@ where
 /// `GraphView`, the comparison is **bit-exact** — values and event
 /// counters — not merely within tolerance; any divergence means the
 /// container codec, the mapping, or its accessors corrupted adjacency.
-/// A small vertex cap forces a multi-slice index on all but trivial cases
-/// so the stored slice extents get exercised too.
 fn check_outofcore<A>(g: &CsrGraph, algo: &A) -> Result<(), Failure>
 where
     A: DeltaAlgorithm,
@@ -383,8 +381,7 @@ where
         UNIQUE.fetch_add(1, Ordering::Relaxed)
     ));
     let _cleanup = Cleanup(path.clone());
-    let cap = (g.num_vertices() / 2).max(1);
-    write_container(g, &path, cap)
+    write_container(g, &path)
         .map_err(|e| fail("differential-outofcore", format!("write failed: {e}")))?;
     let mapped = MappedCsr::open_verified(&path)
         .map_err(|e| fail("differential-outofcore", format!("open failed: {e}")))?;
@@ -447,7 +444,6 @@ where
     let tol = algo.comparison_tolerance();
     let golden = run_sequential(algo, g);
     let cfg = ChaosConfig {
-        epoch_events: 16,
         max_retries: 0,
         degrade: false,
         ..ChaosConfig::default()

@@ -200,7 +200,7 @@ fn corpus_container(seed: u64) -> (std::path::PathBuf, std::path::PathBuf, Vec<u
     let dir = std::env::temp_dir().join(format!("gp-regress-ooc-{seed}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("case.gpc");
-    write_container(&g, &path, (g.num_vertices() / 2).max(1)).unwrap();
+    write_container(&g, &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     (dir, path, bytes)
 }
@@ -235,10 +235,10 @@ fn outofcore_corruption_classes_stay_typed_on_corpus_graph() {
     ));
 
     let mut version = healthy.clone();
-    version[4..6].copy_from_slice(&2u16.to_le_bytes());
+    version[4..6].copy_from_slice(&3u16.to_le_bytes());
     assert!(matches!(
         reopen(&path, &version),
-        Err(ReadGraphError::BadVersion(2))
+        Err(ReadGraphError::BadVersion(3))
     ));
 
     let mut skewed = healthy.clone();

@@ -103,6 +103,16 @@ if grep -rnE 'enum (App|AlgoKind)\b' --include='*.rs' src crates examples tests 
   echo "second application enum: add the row to gp_algorithms::App (crates/algorithms/src/table.rs)"; exit 1
 fi
 
+echo "== one place decides where a slice ends (the container holds the graph only) =="
+# Slicing is a run-time property of the machine's queue capacity (§IV-F):
+# Partition::contiguous cuts any GraphView, a mapped container included.
+# The stored per-slice index GPC1 version 1 carried was a second copy of
+# that rule, fixed at write time and read by no engine, and may not come
+# back with its cap option or flag.
+if grep -rnE 'Slice[E]xtent|slice_[e]xtents|slice_[v]ertices|SEG_SLICE_[I]NDEX' crates src tests scripts; then
+  echo "stored slice index reintroduced: cut slices with Partition::contiguous over the mapped graph"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -204,7 +214,8 @@ echo "== out-of-core smoke (streamed container, mapped vs resident bit-compare) 
 # materializes the graph and requires golden and turbo over the mapping
 # to be bit-identical (values and every event counter) to the fully
 # resident runs; the binary exits non-zero on any divergence. The emitted
-# JSON plus the committed sweep must both satisfy gp-bench/outofcore/v1.
+# JSON plus the committed sweep must both satisfy gp-bench/outofcore/v2
+# (v1 minus the top-level slice-index cap, which went with the index).
 # (The differential-outofcore oracle leg inside the fuzz smokes above
 # additionally bit-compares mapped vs resident runs on every corpus case.)
 GP_OOC_DIR=$(mktemp -d /tmp/gp-ooc-smoke.XXXXXX)

@@ -72,7 +72,7 @@ fn overlay_snapshot_and_mapping_run_like_the_resident_csr() {
     let snapshot = overlay.freeze();
     let resident = overlay.to_csr();
     let path = std::env::temp_dir().join(format!("gp-adjacency-rows-{}.gpc", std::process::id()));
-    write_container(&resident, &path, 1024).expect("container written");
+    write_container(&resident, &path).expect("container written");
     let mapped = MappedCsr::open_verified(&path).expect("container opens");
 
     assert_same_runs(
