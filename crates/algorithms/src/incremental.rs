@@ -555,4 +555,56 @@ mod tests {
         assert_eq!(inc.values, scratch.values);
         assert_eq!(inc.values[..3], [2.0, 2.0, 2.0], "cycle must relabel");
     }
+
+    /// Compaction keeps what the builder's defaults would drop: a ring with
+    /// a self loop on every vertex and one parallel edge keeps its degrees,
+    /// its in-edges and PageRank-delta's values, bit for bit.
+    #[test]
+    fn compaction_keeps_self_loops_and_parallel_edges() {
+        let n = 8u32;
+        let v = VertexId::new;
+        let mut b = gp_graph::GraphBuilder::new(n as usize);
+        b.weighted(true).drop_self_loops(false).dedup(false);
+        for u in 0..n {
+            b.add_edge(v(u), v((u + 1) % n), 1.0);
+            b.add_edge(v(u), v(u), 0.5);
+        }
+        b.add_edge(v(3), v(4), 2.0);
+        let mut o = OverlayGraph::new(b.build());
+        // Patches to fold back, one of them on the parallel edge's source.
+        o.apply(&[
+            EdgeUpdate::Insert {
+                src: v(0),
+                dst: v(4),
+                weight: 1.5,
+            },
+            EdgeUpdate::Insert {
+                src: v(3),
+                dst: v(6),
+                weight: 1.0,
+            },
+        ]);
+        let algo = PageRankDelta::new(0.85, 1e-9);
+        let observe = |o: &OverlayGraph| {
+            let rows: Vec<_> = (0..n)
+                .map(|u| {
+                    let in_edges: Vec<_> = o
+                        .in_edges(v(u))
+                        .map(|e| (e.other, e.weight.to_bits()))
+                        .collect();
+                    (o.out_degree(v(u)), o.in_degree(v(u)), in_edges)
+                })
+                .collect();
+            let values: Vec<u64> = run_sequential(&algo, o)
+                .values
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            (rows, values)
+        };
+        let before = observe(&o);
+        o.compact();
+        assert_eq!(o.patched_vertices(), 0);
+        assert_eq!(observe(&o), before);
+    }
 }

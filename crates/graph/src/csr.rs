@@ -96,6 +96,35 @@ impl CsrGraph {
         }
     }
 
+    /// Assembles a graph from both directions' `(offsets, neighbors,
+    /// weights)` arrays, already in the canonical order [`from_parts`]
+    /// produces; used by overlay compaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if the arrays break
+    /// [`CsrGraph::check_invariants`].
+    ///
+    /// [`from_parts`]: CsrGraph::from_parts
+    pub(crate) fn from_canonical_parts(
+        (out_offsets, out_neighbors, out_weights): (Vec<u32>, Vec<VertexId>, Vec<f32>),
+        (in_offsets, in_neighbors, in_weights): (Vec<u32>, Vec<VertexId>, Vec<f32>),
+        weighted: bool,
+    ) -> Self {
+        let g = CsrGraph {
+            num_vertices: u32::try_from(out_offsets.len() - 1).expect("vertex count exceeds u32"),
+            out_offsets,
+            out_neighbors,
+            out_weights,
+            in_offsets,
+            in_neighbors,
+            in_weights,
+            weighted,
+        };
+        debug_assert_eq!(g.check_invariants(), Ok(()));
+        g
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -203,7 +232,11 @@ impl CsrGraph {
     /// Validates structural invariants; exercised by tests and `proptest`.
     ///
     /// Checks: offsets are monotone and bounded, in/out edge counts agree,
-    /// every neighbor id is in range, and weights arrays are aligned.
+    /// every neighbor id is in range, weights arrays are aligned, every
+    /// out- and in-row is non-decreasing by neighbor id, and the
+    /// in-adjacency is the transpose of the out-adjacency, weights
+    /// included, with each in-row ordered by source as the out-rows are
+    /// walked. Overlay compaction relies on the last two.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.num_vertices as usize;
         if self.out_offsets.len() != n + 1 || self.in_offsets.len() != n + 1 {
@@ -239,6 +272,35 @@ impl CsrGraph {
             .any(|v| v.index() >= n)
         {
             return Err("neighbor id out of range".into());
+        }
+        for (offsets, neighbors) in [
+            (&self.out_offsets, &self.out_neighbors),
+            (&self.in_offsets, &self.in_neighbors),
+        ] {
+            if offsets
+                .windows(2)
+                .any(|w| !neighbors[w[0] as usize..w[1] as usize].is_sorted())
+            {
+                return Err("row not sorted by neighbor id".into());
+            }
+        }
+        // Walking the out-rows in source order must consume every in-row
+        // front to back: one cursor per destination, one compare per edge.
+        let mut cursor = self.in_offsets[..n].to_vec();
+        for src in 0..n {
+            let lo = self.out_offsets[src] as usize;
+            let hi = self.out_offsets[src + 1] as usize;
+            for e in lo..hi {
+                let dst = self.out_neighbors[e].index();
+                let slot = cursor[dst] as usize;
+                let mirrored = slot < self.in_offsets[dst + 1] as usize
+                    && self.in_neighbors[slot].index() == src
+                    && self.in_weights[slot].to_bits() == self.out_weights[e].to_bits();
+                if !mirrored {
+                    return Err("in-adjacency is not the transpose of out-adjacency".into());
+                }
+                cursor[dst] += 1;
+            }
         }
         Ok(())
     }
@@ -455,6 +517,42 @@ mod tests {
     #[test]
     fn invariants_hold() {
         diamond().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn invariants_catch_an_unsorted_row() {
+        // Vertex 0's row read backwards: still the transpose, not sorted.
+        let mut g = diamond();
+        g.out_neighbors.swap(0, 1);
+        g.out_weights.swap(0, 1);
+        assert_eq!(
+            g.check_invariants(),
+            Err("row not sorted by neighbor id".into())
+        );
+        let mut g = diamond();
+        g.in_neighbors.swap(2, 3);
+        g.in_weights.swap(2, 3);
+        assert_eq!(
+            g.check_invariants(),
+            Err("row not sorted by neighbor id".into())
+        );
+    }
+
+    #[test]
+    fn invariants_catch_an_in_csr_that_is_not_the_transpose() {
+        let broken = Err("in-adjacency is not the transpose of out-adjacency".into());
+        // A weight that disagrees with its out-edge.
+        let mut g = diamond();
+        g.in_weights[3] = 9.0;
+        assert_eq!(g.check_invariants(), broken);
+        // 1 -> 3 mirrored as 0 -> 3: sorted, in range, right counts.
+        let mut g = diamond();
+        g.in_neighbors[2] = VertexId::new(0);
+        assert_eq!(g.check_invariants(), broken);
+        // In-degrees moved: 3's in-row lends an edge to 2's.
+        let mut g = diamond();
+        g.in_offsets[3] += 1;
+        assert_eq!(g.check_invariants(), broken);
     }
 
     #[test]

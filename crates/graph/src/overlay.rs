@@ -219,15 +219,20 @@ impl OverlayGraph {
         self.check_endpoints(src, dst);
         let snap = &mut self.snap;
         let patch = ensure_out_patch(&snap.base, &mut snap.out_patch, &mut snap.pool_len, src);
-        let at = patch
-            .edges
-            .binary_search_by_key(&dst.get(), |&(n, _)| n)
-            .ok()?;
+        // The first of a parallel run (a base may carry them) in both
+        // lists, so the out- and in-side stay each other's mirror.
+        let at = patch.edges.partition_point(|&(n, _)| n < dst.get());
+        if patch.edges.get(at).is_none_or(|&(n, _)| n != dst.get()) {
+            return None;
+        }
         let (_, weight) = patch.edges.remove(at);
         let in_list = ensure_in_patch(&snap.base, &mut snap.in_patch, dst);
-        let at = in_list
-            .binary_search_by_key(&src.get(), |&(n, _)| n)
-            .expect("in-list out of sync with out-list");
+        let at = in_list.partition_point(|&(n, _)| n < src.get());
+        assert_eq!(
+            in_list.get(at).map(|&(n, _)| n),
+            Some(src.get()),
+            "in-list out of sync with out-list"
+        );
         in_list.remove(at);
         snap.live_edges -= 1;
         Some(weight)
@@ -315,15 +320,36 @@ impl OverlayGraph {
         batch
     }
 
-    /// Folds every patch back into a freshly built CSR base and resets the
-    /// pool. Values computed on the overlay remain valid: compaction only
-    /// changes the representation, never the edge set.
+    /// Folds every patch back into a fresh CSR base and resets the pool.
+    /// Values computed on the overlay remain valid: compaction only
+    /// changes the representation, never the edge multiset.
+    ///
+    /// A copy, not a rebuild: each direction is one pass over the vertices
+    /// that bulk-copies the base's rows between patched vertices and
+    /// splices each patched list in at its vertex. Both are already in
+    /// canonical order — base rows are neighbor-sorted, base in-rows and
+    /// patched in-lists are sorted by source — so the result is the CSR
+    /// [`OverlayGraph::to_csr`] would build, with no sort and no scatter.
     pub fn compact(&mut self) {
         // No patches means an empty pool: slots are only ever reserved
-        // for a patched list.
-        if !self.snap.out_patch.is_empty() {
-            *self = OverlayGraph::new(self.to_csr());
+        // for a patched list, and an in-list is only ever patched beside
+        // an out-list.
+        if self.snap.out_patch.is_empty() {
+            return;
         }
+        let snap = &self.snap;
+        let base = &snap.base;
+        let out = merge_rows(
+            base.out_parts(),
+            snap.out_patch.iter().map(|(&v, p)| (v, p.edges.as_slice())),
+            snap.live_edges,
+        );
+        let inn = merge_rows(
+            base.in_parts(),
+            snap.in_patch.iter().map(|(&v, l)| (v, l.as_slice())),
+            snap.live_edges,
+        );
+        *self = OverlayGraph::new(CsrGraph::from_canonical_parts(out, inn, base.is_weighted()));
     }
 
     /// Compacts when pool pressure reaches `max_pool_fraction` of the base
@@ -339,10 +365,15 @@ impl OverlayGraph {
 
     /// Materializes the current (mutated) adjacency as a standalone CSR
     /// without clearing the overlay — the "from scratch on the mutated
-    /// graph" side of differential tests.
+    /// graph" side of differential tests, and the independent reference
+    /// [`OverlayGraph::compact`] is checked against. Keeps whatever self
+    /// loops and parallel edges the base carried: it is the exact edge
+    /// multiset, rebuilt through [`GraphBuilder`].
     pub fn to_csr(&self) -> CsrGraph {
         let mut b = GraphBuilder::new(self.snap.num_vertices());
-        b.weighted(self.snap.is_weighted());
+        b.weighted(self.snap.is_weighted())
+            .drop_self_loops(false)
+            .dedup(false);
         for v in self.snap.vertex_ids() {
             for e in self.snap.out_edges(v) {
                 b.add_edge(v, e.other, e.weight);
@@ -395,6 +426,44 @@ fn ensure_in_patch<'a>(
             .map(|e| (e.other.get(), e.weight))
             .collect()
     })
+}
+
+/// One direction of a compacted base: `base`'s `(offsets, neighbors,
+/// weights)` with the row of every vertex in `patches` (ascending) replaced
+/// by its list. Unpatched runs are copied in bulk, their offsets moved by
+/// one shift; `edges` sizes the output.
+fn merge_rows<'a>(
+    base: (&[u32], &[VertexId], &[f32]),
+    patches: impl Iterator<Item = (u32, &'a [(u32, f32)])>,
+    edges: usize,
+) -> (Vec<u32>, Vec<VertexId>, Vec<f32>) {
+    let (offsets, neighbors, weights) = base;
+    let n = offsets.len() - 1;
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    let mut new_neighbors = Vec::with_capacity(edges);
+    let mut new_weights = Vec::with_capacity(edges);
+    new_offsets.push(0);
+    let mut next = 0;
+    // `(n, None)` closes the walk with the run after the last patch.
+    for (v, list) in patches
+        .map(|(v, list)| (v as usize, Some(list)))
+        .chain([(n, None)])
+    {
+        // Base rows `next..v`, shifted to where the output stands.
+        let (lo, hi) = (offsets[next], offsets[v]);
+        let shift = (new_neighbors.len() as u32).wrapping_sub(lo);
+        new_offsets.extend(offsets[next + 1..=v].iter().map(|&o| o.wrapping_add(shift)));
+        new_neighbors.extend_from_slice(&neighbors[lo as usize..hi as usize]);
+        new_weights.extend_from_slice(&weights[lo as usize..hi as usize]);
+        if let Some(list) = list {
+            new_neighbors.extend(list.iter().map(|&(u, _)| VertexId::new(u)));
+            new_weights.extend(list.iter().map(|&(_, w)| w));
+            new_offsets.push(new_neighbors.len() as u32);
+            next = v + 1;
+        }
+    }
+    debug_assert_eq!(new_neighbors.len(), edges);
+    (new_offsets, new_neighbors, new_weights)
 }
 
 /// Pool reservation for a list of `len` edges: next power of two, min 2,
@@ -589,6 +658,23 @@ mod tests {
         let n = GraphView::num_edges(&o);
         assert!(!o.insert_edge(v(3), v(3), 1.0));
         assert_eq!(GraphView::num_edges(&o), n);
+    }
+
+    #[test]
+    fn deleting_one_of_parallel_edges_keeps_the_in_side_mirrored() {
+        let mut b = GraphBuilder::new(3);
+        b.weighted(true).dedup(false);
+        for w in [1.0, 2.0, 3.0] {
+            b.add_edge(v(0), v(1), w);
+        }
+        b.add_edge(v(2), v(1), 4.0);
+        let mut o = OverlayGraph::new(b.build());
+        assert_eq!(o.delete_edge(v(0), v(1)), Some(1.0), "first of the run");
+        let row = |it: OutEdges<'_>| it.map(|e| (e.other.get(), e.weight)).collect::<Vec<_>>();
+        assert_eq!(row(o.snap.in_edges(v(1))), [(0, 2.0), (0, 3.0), (2, 4.0)]);
+        o.compact();
+        assert_eq!(o.base(), &o.to_csr());
+        assert_eq!(row(o.base().out_edges(v(0))), [(1, 2.0), (1, 3.0)]);
     }
 
     #[test]
