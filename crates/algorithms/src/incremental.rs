@@ -36,13 +36,26 @@
 //!   support checks. Required for CC and SSWP, where a cycle of equal
 //!   values *can* self-support under pass-through / min-capped propagation
 //!   and the support test would wrongly keep stale values alive.
+//!
+//! # Accumulation
+//!
+//! Every seed event is deposited into a [`DeltaPool`] — the dense
+//! coalescing column the turbo backend sweeps, one pending delta and one
+//! bit per vertex — in the order the rules above generate them, so the
+//! events bound for one target coalesce in arrival order. The plan is one
+//! drain of the pool: bitmap words in ascending order, each bit cleared as
+//! it is taken, no-op seeds dropped. A drained pool is empty again, so an
+//! owner that streams batches keeps one across them
+//! ([`incremental_seeds_with`]) and each plan costs the deposits it takes
+//! plus one pass over the `n / 64` bitmap words;
+//! [`incremental_seeds`] builds a fresh one per call.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use gp_graph::{AppliedBatch, EdgeRef, GraphView, VertexId};
 
 use crate::engine::{run_sequential_seeded, EngineOutput};
-use crate::DeltaAlgorithm;
+use crate::{DeltaAlgorithm, DeltaPool};
 
 /// How stranded values are detected after edge deletions (monotone
 /// algorithms only). See the [module docs](self) for the soundness
@@ -117,6 +130,10 @@ impl<D> SeedPlan<D> {
 /// [`run_sequential_seeded`] (or the accelerator's seeded mode) to
 /// re-converge.
 ///
+/// Accumulates in a fresh [`DeltaPool`]; a caller that streams batches
+/// keeps one and calls [`incremental_seeds_with`], which returns the same
+/// plan.
+///
 /// # Panics
 ///
 /// Panics if `values.len() != graph.num_vertices()`.
@@ -126,14 +143,68 @@ pub fn incremental_seeds<A: IncrementalAlgorithm, G: GraphView>(
     values: &mut [A::Value],
     batch: &AppliedBatch,
 ) -> SeedPlan<A::Delta> {
+    let mut pool = DeltaPool::new(algo, graph.num_vertices());
+    incremental_seeds_with(&mut pool, algo, graph, values, batch)
+}
+
+/// [`incremental_seeds`] accumulating in the caller's `pool`, which must be
+/// empty (every plan leaves it so) and sized for the graph: the resident
+/// form, whose cost is the deposits the batch generates, not the vertex
+/// count.
+///
+/// # Panics
+///
+/// Panics if `values.len()` or `pool.num_vertices()` differs from
+/// `graph.num_vertices()`.
+pub fn incremental_seeds_with<A: IncrementalAlgorithm, G: GraphView>(
+    pool: &mut DeltaPool<A>,
+    algo: &A,
+    graph: &G,
+    values: &mut [A::Value],
+    batch: &AppliedBatch,
+) -> SeedPlan<A::Delta> {
+    let n = graph.num_vertices();
+    assert_eq!(values.len(), n, "state length must match the vertex count");
     assert_eq!(
-        values.len(),
-        graph.num_vertices(),
-        "state length must match the vertex count"
+        pool.num_vertices(),
+        n,
+        "seed pool sized for {} vertices, graph has {n}",
+        pool.num_vertices()
     );
+    debug_assert!(!pool.has_active(), "seed pool holds a stale delta");
+    let invalidated = deposit_seeds(algo, graph, values, batch, |t, d| {
+        pool.deposit(algo, t.get(), d);
+    });
+    // Drop seeds the reduce operator would ignore; what survives is exactly
+    // the dirty frontier.
+    let mut seeds = Vec::new();
+    pool.sweep(|_, t, d| {
+        if algo.reduce(values[t], d) != values[t] {
+            seeds.push((VertexId::from_index(t), d));
+        }
+    });
+    pool.take_counts();
+    SeedPlan { seeds, invalidated }
+}
+
+/// Generates every seed event of `batch` into `deposit`, in the order
+/// coalescing must see them, resets the invalidated vertices in `values`
+/// and returns them ascending.
+fn deposit_seeds<A: IncrementalAlgorithm, G: GraphView>(
+    algo: &A,
+    graph: &G,
+    values: &mut [A::Value],
+    batch: &AppliedBatch,
+    mut deposit: impl FnMut(VertexId, A::Delta),
+) -> Vec<VertexId> {
     match algo.strategy() {
-        SeedingStrategy::DeltaCorrection => delta_correction_seeds(algo, graph, values, batch),
-        SeedingStrategy::Monotone(inv) => monotone_seeds(algo, graph, values, batch, inv),
+        SeedingStrategy::DeltaCorrection => {
+            delta_correction_seeds(algo, graph, values, batch, &mut deposit);
+            Vec::new()
+        }
+        SeedingStrategy::Monotone(inv) => {
+            monotone_seeds(algo, graph, values, batch, inv, &mut deposit)
+        }
     }
 }
 
@@ -150,53 +221,20 @@ pub fn rerun_incremental<A: IncrementalAlgorithm, G: GraphView>(
     run_sequential_seeded(algo, graph, values, &plan.seeds)
 }
 
-fn coalesce_into<A: DeltaAlgorithm + ?Sized>(
-    algo: &A,
-    map: &mut BTreeMap<u32, A::Delta>,
-    t: VertexId,
-    d: A::Delta,
-) {
-    match map.entry(t.get()) {
-        std::collections::btree_map::Entry::Occupied(mut e) => {
-            let prev = *e.get();
-            *e.get_mut() = algo.coalesce(prev, d);
-        }
-        std::collections::btree_map::Entry::Vacant(e) => {
-            e.insert(d);
-        }
-    }
-}
-
-/// Drops seeds the reduce operator would ignore; what survives is exactly
-/// the dirty frontier.
-fn into_plan<A: DeltaAlgorithm>(
-    algo: &A,
-    values: &[A::Value],
-    seeds: BTreeMap<u32, A::Delta>,
-    invalidated: Vec<VertexId>,
-) -> SeedPlan<A::Delta> {
-    let seeds = seeds
-        .into_iter()
-        .map(|(t, d)| (VertexId::new(t), d))
-        .filter(|&(t, d)| algo.reduce(values[t.index()], d) != values[t.index()])
-        .collect();
-    SeedPlan { seeds, invalidated }
-}
-
 fn delta_correction_seeds<A: IncrementalAlgorithm, G: GraphView>(
     algo: &A,
     graph: &G,
-    values: &mut [A::Value],
+    values: &[A::Value],
     batch: &AppliedBatch,
-) -> SeedPlan<A::Delta> {
-    let mut seeds: BTreeMap<u32, A::Delta> = BTreeMap::new();
+    deposit: &mut impl FnMut(VertexId, A::Delta),
+) {
     for (u, old_edges) in &batch.old_out {
         let basis = algo.basis_of(values[u.index()]);
         // Retract what `u` sent under its old list and degree...
         let old_deg = old_edges.len() as u32;
         for &e in old_edges {
             if let Some(share) = algo.propagate(basis, *u, old_deg, e) {
-                coalesce_into(algo, &mut seeds, e.other, algo.negate(share));
+                deposit(e.other, algo.negate(share));
             }
         }
         // ...and grant what it sends under the new ones. Unchanged targets
@@ -205,11 +243,10 @@ fn delta_correction_seeds<A: IncrementalAlgorithm, G: GraphView>(
         let new_deg = new_row.len() as u32;
         for e in new_row {
             if let Some(share) = algo.propagate(basis, *u, new_deg, e) {
-                coalesce_into(algo, &mut seeds, e.other, share);
+                deposit(e.other, share);
             }
         }
     }
-    into_plan(algo, values, seeds, Vec::new())
 }
 
 /// Pre-batch out-degree of `u` (every effectively touched source has its
@@ -228,7 +265,8 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
     values: &mut [A::Value],
     batch: &AppliedBatch,
     invalidation: Invalidation,
-) -> SeedPlan<A::Delta> {
+    deposit: &mut impl FnMut(VertexId, A::Delta),
+) -> Vec<VertexId> {
     // 1. Suspects: a deleted edge (u, t) strands t only if the value u
     //    propagated along it reproduces t's current value.
     let mut suspects: BTreeSet<u32> = BTreeSet::new();
@@ -261,11 +299,10 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
         let t = VertexId::new(t);
         values[t.index()] = algo.init_value(t);
     }
-    let mut seeds: BTreeMap<u32, A::Delta> = BTreeMap::new();
     for &t in &invalid {
         let t = VertexId::new(t);
         if let Some(d) = algo.initial_delta(t) {
-            coalesce_into(algo, &mut seeds, t, d);
+            deposit(t, d);
         }
         for e in graph.in_edges(t) {
             let s = e.other;
@@ -279,7 +316,7 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
             if let Some(c) =
                 algo.propagate(algo.basis_of(values[s.index()]), s, graph.out_degree(s), se)
             {
-                coalesce_into(algo, &mut seeds, t, c);
+                deposit(t, c);
             }
         }
     }
@@ -302,12 +339,11 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
             graph.out_degree(u),
             edge,
         ) {
-            coalesce_into(algo, &mut seeds, t, c);
+            deposit(t, c);
         }
     }
 
-    let invalidated = invalid.into_iter().map(VertexId::new).collect();
-    into_plan(algo, values, seeds, invalidated)
+    invalid.into_iter().map(VertexId::new).collect()
 }
 
 /// Whether some intact source (or the vertex's own initial delta) still
@@ -517,6 +553,178 @@ mod tests {
         let plan = incremental_seeds(&algo, &o, &mut values, &batch);
         assert!(plan.seeds.is_empty());
         assert!(plan.invalidated.is_empty());
+    }
+
+    /// The sparse reference accumulator: a `BTreeMap` keyed by vertex,
+    /// coalescing in arrival order, iterated ascending, no-op seeds
+    /// dropped.
+    fn reference_plan<A: IncrementalAlgorithm, G: GraphView>(
+        algo: &A,
+        graph: &G,
+        values: &mut [A::Value],
+        batch: &AppliedBatch,
+    ) -> SeedPlan<A::Delta> {
+        let mut map: std::collections::BTreeMap<u32, A::Delta> = Default::default();
+        let invalidated = deposit_seeds(algo, graph, values, batch, |t, d| {
+            map.entry(t.get())
+                .and_modify(|p| *p = algo.coalesce(*p, d))
+                .or_insert(d);
+        });
+        let seeds = map
+            .into_iter()
+            .map(|(t, d)| (VertexId::new(t), d))
+            .filter(|&(t, d)| algo.reduce(values[t.index()], d) != values[t.index()])
+            .collect();
+        SeedPlan { seeds, invalidated }
+    }
+
+    /// A base graph with a hub: vertex `hub` points at every third vertex,
+    /// vertices 0 and n − 1 are linked both ways, and every vertex has two
+    /// random out-edges.
+    fn hub_graph(n: usize, hub: u32, weights: WeightMode, rng: &mut StdRng) -> gp_graph::CsrGraph {
+        let mut b = gp_graph::GraphBuilder::new(n);
+        b.weighted(true);
+        let weight = |rng: &mut StdRng| match weights {
+            WeightMode::Unweighted => 1.0,
+            WeightMode::Uniform(lo, hi) => rng.gen_range(lo..hi),
+        };
+        let v = VertexId::new;
+        let last = n as u32 - 1;
+        for t in (0..n as u32).step_by(3) {
+            let w = weight(rng);
+            b.add_edge(v(hub), v(t), w);
+        }
+        for (s, t) in [(0, last), (last, 0)] {
+            let w = weight(rng);
+            b.add_edge(v(s), v(t), w);
+        }
+        for s in 0..n as u32 {
+            for _ in 0..2 {
+                let t = rng.gen_range(0..n as u32);
+                let w = weight(rng);
+                b.add_edge(v(s), v(t), w);
+            }
+        }
+        b.build()
+    }
+
+    /// Round `r`'s batch: mixed, delete-only, hub-sourced, or on the
+    /// endpoints 0 and n − 1, in rotation.
+    fn property_batch(
+        o: &OverlayGraph,
+        hub: u32,
+        round: usize,
+        weights: WeightMode,
+        rng: &mut StdRng,
+    ) -> Vec<EdgeUpdate> {
+        let n = o.base().num_vertices() as u32;
+        let last = n - 1;
+        let mut updates = Vec::new();
+        for _ in 0..12 {
+            let (src, delete) = match round % 4 {
+                0 => (rng.gen_range(0..n), rng.gen_bool(0.5)),
+                1 => (rng.gen_range(0..n), true),
+                2 => (hub, rng.gen_bool(0.5)),
+                _ => ([0, last][rng.gen_range(0..2usize)], rng.gen_bool(0.5)),
+            };
+            let src = VertexId::new(src);
+            let row: Vec<VertexId> = o.out_edges(src).map(|e| e.other).collect();
+            if delete && !row.is_empty() {
+                let dst = row[rng.gen_range(0..row.len())];
+                updates.push(EdgeUpdate::Delete { src, dst });
+            } else if !delete {
+                let dst = match round % 4 {
+                    3 => VertexId::new([0, last][rng.gen_range(0..2usize)]),
+                    _ => VertexId::new(rng.gen_range(0..n)),
+                };
+                let weight = match weights {
+                    WeightMode::Unweighted => 1.0,
+                    WeightMode::Uniform(lo, hi) => rng.gen_range(lo..hi),
+                };
+                updates.push(EdgeUpdate::Insert { src, dst, weight });
+            }
+        }
+        updates
+    }
+
+    /// The dense plan — from a pool kept across batches and from a fresh
+    /// one — equals the `BTreeMap` reference: seed vertices, delta bits,
+    /// invalidated vertices and the reset values, batch after batch.
+    fn check_plans_match_reference<A: IncrementalAlgorithm>(
+        algo: &A,
+        weights: WeightMode,
+        bits: fn(A::Delta) -> u64,
+    ) {
+        for n in [1usize, 63, 64, 65, 200] {
+            for seed in 0..3u64 {
+                let mut rng = StdRng::seed_from_u64(seed ^ ((n as u64) << 8));
+                let hub = [0, n as u32 - 1, rng.gen_range(0..n as u32)][seed as usize];
+                let mut o = OverlayGraph::new(hub_graph(n, hub, weights, &mut rng));
+                let (mut values, seeds) = initial_state(algo, &o);
+                run_sequential_seeded(algo, &o, &mut values, &seeds);
+                let mut pool = DeltaPool::new(algo, n);
+                let mut dirty = 0;
+                for round in 0..8 {
+                    let updates = property_batch(&o, hub, round, weights, &mut rng);
+                    let batch = o.apply(&updates);
+                    let mut reference = values.clone();
+                    let want = reference_plan(algo, &o, &mut reference, &batch);
+                    let mut fresh = values.clone();
+                    let once = incremental_seeds(algo, &o, &mut fresh, &batch);
+                    let plan = incremental_seeds_with(&mut pool, algo, &o, &mut values, &batch);
+                    let label = format!("{} n={n} seed={seed} round={round}", algo.name());
+                    let print = |p: &SeedPlan<A::Delta>| {
+                        let seeds: Vec<(u32, u64)> =
+                            p.seeds.iter().map(|&(v, d)| (v.get(), bits(d))).collect();
+                        (seeds, p.invalidated.clone())
+                    };
+                    assert_eq!(print(&plan), print(&want), "{label}");
+                    assert_eq!(print(&once), print(&want), "{label}");
+                    assert!(values == reference && values == fresh, "{label}");
+                    assert!(!pool.has_active(), "{label}: the drain left a bit set");
+                    dirty += plan.dirty_vertices();
+                    run_sequential_seeded(algo, &o, &mut values, &plan.seeds);
+                    if round % 3 == 2 {
+                        o.compact();
+                    }
+                }
+                assert_eq!(
+                    dirty > 0,
+                    n > 1,
+                    "{} n={n}: nothing was seeded",
+                    algo.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dense_seed_plans_match_the_btreemap_reference() {
+        for weights in [WeightMode::Unweighted, WeightMode::Uniform(1.0, 9.0)] {
+            let root = VertexId::new(0);
+            check_plans_match_reference(&PageRankDelta::new(0.85, 1e-9), weights, f64::to_bits);
+            check_plans_match_reference(&Sssp::new(root), weights, f64::to_bits);
+            check_plans_match_reference(&Bfs::new(root), weights, u64::from);
+            check_plans_match_reference(&ConnectedComponents::new(), weights, |d| d as u64);
+            check_plans_match_reference(&Sswp::new(root), weights, f64::to_bits);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "seed pool sized for 8 vertices, graph has 30")]
+    fn a_pool_of_the_wrong_size_is_refused() {
+        let g = erdos_renyi(30, 120, WeightMode::Unweighted, 3);
+        let mut o = OverlayGraph::new(g);
+        let algo = ConnectedComponents::new();
+        let (mut values, _) = initial_state(&algo, &o);
+        let batch = o.apply(&[]);
+        incremental_seeds_with(
+            &mut DeltaPool::new(&algo, 8),
+            &algo,
+            &o,
+            &mut values,
+            &batch,
+        );
     }
 
     /// The textbook CC failure mode for support-test invalidation: a cycle

@@ -15,7 +15,9 @@
 //! [`Adsorption`], [`Sssp`], [`Bfs`], [`ConnectedComponents`]) plus [`Sswp`],
 //! the table that names them ([`App`]: spellings, input needs, and
 //! [`with_algorithm!`] — the one place a name becomes a concrete algorithm;
-//! every front end in the workspace dispatches through it), two software
+//! every front end in the workspace dispatches through it), the dense
+//! coalescing column the turbo backend and incremental seeding share
+//! ([`DeltaPool`]), two software
 //! *golden* engines ([`engine::run_sequential`] — Algorithm 1 with a FIFO
 //! worklist, and [`engine::run_bsp`] — synchronous rounds), and classic
 //! [`mod@reference`] implementations (power iteration, Dijkstra, level BFS,
@@ -47,6 +49,7 @@ mod delta;
 pub mod engine;
 pub mod incremental;
 mod pagerank;
+pub mod pool;
 pub mod reference;
 mod solver;
 mod sssp;
@@ -58,9 +61,11 @@ pub use bfs::Bfs;
 pub use cc::ConnectedComponents;
 pub use delta::DeltaAlgorithm;
 pub use incremental::{
-    incremental_seeds, IncrementalAlgorithm, Invalidation, SeedPlan, SeedingStrategy,
+    incremental_seeds, incremental_seeds_with, IncrementalAlgorithm, Invalidation, SeedPlan,
+    SeedingStrategy,
 };
 pub use pagerank::PageRankDelta;
+pub use pool::DeltaPool;
 pub use solver::{scale_for_convergence, LinearSolver};
 pub use sssp::Sssp;
 pub use sswp::Sswp;

@@ -316,10 +316,9 @@ fn serve_bench_help_exits_0_and_bad_flag_exits_2() {
 }
 
 #[test]
-fn serve_bench_rejects_bad_executor_and_shard_flags_with_usage() {
+fn serve_bench_rejects_bad_executor_flags_with_usage() {
     // Zero anywhere in the sweep list and a non-numeric or empty entry are
-    // bad invocations: exit 2 and print the usage. (The shard flag this
-    // test is also named for went with sharded turbo.)
+    // bad invocations: exit 2 and print the usage.
     for args in [
         ["--executors", "0"],
         ["--executors", "1,0,4"],

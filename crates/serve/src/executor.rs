@@ -32,8 +32,8 @@
 //!   queued behind it. Path columns always chase the head.
 //! * **Replay.** A column that is behind re-converges **in place**: for
 //!   each overlay delta between its epoch and the pin,
-//!   [`incremental_seeds`] turns the delta into seed events and
-//!   [`run_turbo_seeded`] processes only what they trigger — converged
+//!   [`incremental_seeds_with`] turns the delta into seed events and a
+//!   [`TurboEngine`] run processes only what they trigger — converged
 //!   state plus a perturbation, the GraphPulse model. Path columns replay
 //!   chains of up to `MAX_WARM_CHAIN` deltas (monotone re-convergence is
 //!   bit-identical to a cold run); whole-graph columns replay exactly one
@@ -41,9 +41,16 @@
 //!   PageRank's incremental drift. A chain with a link missing from the
 //!   snapshot history is not replayed.
 //! * **Cold.** Whatever could not be replayed runs from
-//!   [`initial_state`] with the class's own algorithm: one
-//!   [`run_turbo_seeded`] per cold column, path source or whole graph
-//!   alike — the run `gp-stream` and every golden check make.
+//!   [`initial_state`] with the class's own algorithm: one turbo run per
+//!   cold column, path source or whole graph alike — the run `gp-stream`
+//!   and every golden check make.
+//!
+//! Every replay and cold run of a class goes through the class's one seed
+//! accumulator ([`DeltaPool`]) and one [`TurboEngine`], built at its first
+//! run and kept for the lane's life. Each is `n`-length, every plan and
+//! every run leaves it empty, and the vertex count never changes between
+//! epochs, so a path replay of a few seeds costs those seeds and a pass
+//! over the bitmap words, not an `n`-length allocation and fill.
 //!
 //! A reply is `value_to_f64(column.values[v])`. Path columns across the
 //! three path classes of a lane are bounded at `PATH_CACHE_SOURCES`,
@@ -56,10 +63,11 @@ use std::sync::Arc;
 
 use gp_algorithms::engine::initial_state;
 use gp_algorithms::{
-    incremental_seeds, Bfs, ConnectedComponents, IncrementalAlgorithm, PageRankDelta, Sssp, Sswp,
+    incremental_seeds_with, Bfs, ConnectedComponents, DeltaPool, IncrementalAlgorithm,
+    PageRankDelta, Sssp, Sswp,
 };
 use gp_graph::VertexId;
-use gp_turbo::{run_turbo_seeded, TurboConfig};
+use gp_turbo::{TurboConfig, TurboEngine};
 
 use crate::snapshot::Epoch;
 use crate::{
@@ -112,8 +120,8 @@ struct Policy {
     warm_limit: u32,
 }
 
-/// One query class of one lane: its columns and how to build the
-/// algorithm behind them.
+/// One query class of one lane: its columns, how to build the algorithm
+/// behind them, and the resident pools every run of the class shares.
 struct Class<A: IncrementalAlgorithm> {
     class: QueryClass,
     /// Builds the algorithm for a column key.
@@ -121,6 +129,9 @@ struct Class<A: IncrementalAlgorithm> {
     policy: Policy,
     /// Path source (`0` for a whole-graph class) → column.
     columns: HashMap<u32, Column<A::Value>>,
+    /// The seed accumulator and the turbo engine, from the class's first
+    /// run on; a lane that never serves the class never builds them.
+    resident: Option<(DeltaPool<A>, TurboEngine<A>)>,
 }
 
 impl<A: IncrementalAlgorithm> Class<A> {
@@ -130,6 +141,7 @@ impl<A: IncrementalAlgorithm> Class<A> {
             algo,
             policy,
             columns: HashMap::new(),
+            resident: None,
         }
     }
 
@@ -209,11 +221,13 @@ impl<A: IncrementalAlgorithm> Class<A> {
             return false;
         }
         let algo = (self.algo)(&shared.config, VertexId::new(key));
+        let (seeder, engine) = resident(&mut self.resident, &algo, shared.num_vertices);
         let cfg = TurboConfig::default();
         for step in chain() {
             let delta = step.delta.as_ref().expect("chain checked above");
-            let plan = incremental_seeds(&algo, &step.graph, &mut column.values, delta);
-            run_turbo_seeded(&algo, &step.graph, &mut column.values, &plan.seeds, &cfg);
+            let plan =
+                incremental_seeds_with(seeder, &algo, &step.graph, &mut column.values, delta);
+            engine.run(&algo, &step.graph, &mut column.values, &plan.seeds, &cfg);
         }
         column.epoch = epoch.number;
         column.warm_streak += 1;
@@ -224,8 +238,14 @@ impl<A: IncrementalAlgorithm> Class<A> {
     fn run_cold(&mut self, shared: &Shared, key: u32, epoch: &Epoch) {
         let algo = (self.algo)(&shared.config, VertexId::new(key));
         let (mut values, seeds) = initial_state(&algo, &epoch.graph);
-        let cfg = TurboConfig::default();
-        run_turbo_seeded(&algo, &epoch.graph, &mut values, &seeds, &cfg);
+        let (_, engine) = resident(&mut self.resident, &algo, shared.num_vertices);
+        engine.run(
+            &algo,
+            &epoch.graph,
+            &mut values,
+            &seeds,
+            &TurboConfig::default(),
+        );
         let column = Column {
             epoch: epoch.number,
             values,
@@ -238,6 +258,16 @@ impl<A: IncrementalAlgorithm> Class<A> {
     fn evict(&mut self, keep: Option<u64>) {
         self.columns.retain(|_, c| Some(c.epoch) == keep);
     }
+}
+
+/// A class's resident seed accumulator and turbo engine, built for `n`
+/// vertices at first use.
+fn resident<'r, A: IncrementalAlgorithm>(
+    slot: &'r mut Option<(DeltaPool<A>, TurboEngine<A>)>,
+    algo: &A,
+    n: usize,
+) -> &'r mut (DeltaPool<A>, TurboEngine<A>) {
+    slot.get_or_insert_with(|| (DeltaPool::new(algo, n), TurboEngine::new(algo, n)))
 }
 
 /// Everything one executor lane owns: one [`Class`] per query class.

@@ -27,13 +27,14 @@
 //!   caches, no locks, no cross-thread coherence. All five classes bring
 //!   a column to the pinned epoch the same way: replay the overlay deltas
 //!   it is behind by in place
-//!   ([`incremental_seeds`](gp_algorithms::incremental_seeds) +
-//!   [`run_turbo_seeded`](gp_turbo::run_turbo_seeded) — converged state
-//!   plus a perturbation processes only the events the perturbation
-//!   triggers), or run cold — one
-//!   [`initial_state`](gp_algorithms::engine::initial_state) +
-//!   `run_turbo_seeded` of the class's own algorithm per column — when
-//!   the chain is too long or broken. A class differs from another only
+//!   ([`incremental_seeds_with`](gp_algorithms::incremental_seeds_with) +
+//!   a [`TurboEngine`](gp_turbo::TurboEngine) run — converged state plus
+//!   a perturbation processes only the events the perturbation triggers),
+//!   or run cold — one
+//!   [`initial_state`](gp_algorithms::engine::initial_state) + turbo run
+//!   of the class's own algorithm per column — when the chain is too long
+//!   or broken. Each class keeps one seed accumulator and one turbo engine
+//!   resident for all of its runs. A class differs from another only
 //!   in its algorithm and three numbers: how far a column may trail, how
 //!   long a chain it replays, how many replays in a row. The four
 //!   monotone classes are bit-exact with golden; a PageRank response is

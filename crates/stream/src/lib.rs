@@ -15,8 +15,10 @@
 //! * [`IncrementalEngine`] (this crate) drives the loop: apply a batch,
 //!   seed only the dirty vertices, and re-converge through a chosen
 //!   [`Backend`] — the golden sequential engine, the cycle-level
-//!   accelerator model, or the shard-parallel engine (which keeps its
-//!   bit-identical-across-worker-counts guarantee in seeded mode).
+//!   accelerator model, the shard-parallel engine (which keeps its
+//!   bit-identical-across-worker-counts guarantee in seeded mode), or
+//!   turbo. The seed accumulator and the turbo pool are resident across
+//!   batches, so a batch costs the vertices it touches.
 //!
 //! [`UpdateStream`] generates deterministic R-MAT-skewed insert/delete
 //! streams for benchmarking; the `streaming` binary in `gp-bench` reports
@@ -48,10 +50,11 @@
 #![warn(missing_docs)]
 
 use gp_algorithms::engine::{initial_state, run_sequential_seeded};
-use gp_algorithms::{incremental_seeds, IncrementalAlgorithm};
+use gp_algorithms::{incremental_seeds_with, DeltaPool, IncrementalAlgorithm};
 use gp_graph::generators::WeightMode;
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, EdgeUpdate, GraphView, OverlayGraph, VertexId};
+use gp_turbo::TurboEngine;
 use graphpulse_core::{AcceleratorConfig, GraphPulse, Outcome, RunError};
 
 /// Which execution engine re-converges the dirty frontier after a batch.
@@ -69,9 +72,10 @@ pub enum Backend {
     /// ([`GraphPulse::run_parallel_seeded`]); results stay bit-identical
     /// across worker counts.
     Parallel(Box<AcceleratorConfig>),
-    /// The speed-first turbo backend in seeded mode
-    /// ([`gp_turbo::run_turbo_seeded`]) — the only engine fast enough to
-    /// sit behind interactive traffic, which is what `gp-serve` does.
+    /// The speed-first turbo backend in seeded mode: one resident
+    /// [`TurboEngine`], built at the first run and reused by every batch
+    /// after it — the only engine fast enough to sit behind interactive
+    /// traffic, which is what `gp-serve` does.
     /// Bit-exact vs [`Backend::Golden`] for the monotone algorithms,
     /// within `comparison_tolerance` for PageRank-delta.
     Turbo(gp_turbo::TurboConfig),
@@ -140,12 +144,21 @@ pub struct BatchReport {
 /// floating-point event-order tolerance for PageRank; exactly for the
 /// monotone algorithms) what a from-scratch run on the mutated graph
 /// produces — the property the differential test suite pins.
+///
+/// The per-batch machinery is resident: the seed plan accumulates in one
+/// [`DeltaPool`] kept across batches, and the turbo backend runs on one
+/// [`TurboEngine`]. Compaction replaces the graph but not its vertex
+/// count, so both outlive it, and each batch costs what it touches.
 #[derive(Debug)]
 pub struct IncrementalEngine<A: IncrementalAlgorithm> {
     algo: A,
     graph: OverlayGraph,
     values: Vec<A::Value>,
     config: StreamConfig,
+    /// Coalesces each batch's seed plan; every plan drains it empty.
+    seeds: DeltaPool<A>,
+    /// The turbo backend's pool, from its first run on.
+    turbo: Option<TurboEngine<A>>,
 }
 
 impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
@@ -164,10 +177,12 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
         config: StreamConfig,
     ) -> Result<(Self, BatchReport), RunError> {
         let mut engine = IncrementalEngine {
+            seeds: DeltaPool::new(&algo, base.num_vertices()),
             algo,
             graph: OverlayGraph::new(base),
             values: Vec::new(),
             config,
+            turbo: None,
         };
         let (values, seeds) = initial_state(&engine.algo, &engine.graph);
         engine.values = values;
@@ -194,7 +209,13 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
         if applied.is_empty() {
             return Ok(BatchReport::default());
         }
-        let plan = incremental_seeds(&self.algo, &self.graph, &mut self.values, &applied);
+        let plan = incremental_seeds_with(
+            &mut self.seeds,
+            &self.algo,
+            &self.graph,
+            &mut self.values,
+            &applied,
+        );
         let mut report = self.run_backend(&plan.seeds)?;
         report.inserts = applied.inserts.len();
         report.deletes = applied.deletes.len();
@@ -230,13 +251,11 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
                 report = self.adopt(out.into());
             }
             Backend::Turbo(cfg) => {
-                let out = gp_turbo::run_turbo_seeded(
-                    &self.algo,
-                    &self.graph,
-                    &mut self.values,
-                    seeds,
-                    cfg,
-                );
+                let n = self.values.len();
+                let engine = self
+                    .turbo
+                    .get_or_insert_with(|| TurboEngine::new(&self.algo, n));
+                let out = engine.run(&self.algo, &self.graph, &mut self.values, seeds, cfg);
                 report.events_processed = out.events_processed;
                 report.events_generated = out.events_generated;
             }

@@ -26,6 +26,11 @@
 //!   reordering property guarantees any drain order reaches the same
 //!   fixed point.
 //!
+//! The pool is a [`gp_algorithms::DeltaPool`], and a [`TurboEngine`] keeps
+//! one resident across runs: a finished run leaves no bit set, so the next
+//! run reuses the pool untouched and costs what it processes.
+//! [`run_turbo`] and [`run_turbo_seeded`] are one run of a fresh engine.
+//!
 //! The pool is one, and the run single-threaded: vertex sharding cost
 //! 1.17–1.51× the events, never read ahead of one pool in two timing
 //! sweeps running, and was deleted (EXPERIMENTS.md, "Sharded turbo"). The backend is
@@ -53,4 +58,6 @@
 
 mod engine;
 
-pub use engine::{run_turbo, run_turbo_seeded, StaleFault, TurboConfig, TurboOutcome};
+pub use engine::{
+    run_turbo, run_turbo_seeded, StaleFault, TurboConfig, TurboEngine, TurboOutcome, TurboRun,
+};

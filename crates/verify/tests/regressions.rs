@@ -167,10 +167,9 @@ fn drop_event_repro_is_still_detected_in_engine() {
 }
 
 #[test]
-fn sharded_oracle_leg_passes_on_fixed_corpus_cases() {
+fn oracle_passes_on_fixed_corpus_cases() {
     // Full oracle sweep on a fixed corpus slice — the exact check the
-    // fuzzer runs, pinned. (Named for the sharded-turbo leg it was added
-    // with; that leg went with the mechanism.)
+    // fuzzer runs, pinned.
     for seed in [7u64, 8, 9] {
         run_case(&generate(seed), None).unwrap();
     }

@@ -40,7 +40,7 @@ if grep -nE 'pub (queue_capacity|global_capacity|max_batch|batch_window|update_q
 fi
 
 echo "== one way to converge a column in gp-serve (the class's own algorithm, one run per key) =="
-# A cold column is initial_state + run_turbo_seeded with the class's own
+# A cold column is initial_state + one turbo run with the class's own
 # algorithm, for all five classes; the 8-lane fused formulation of the
 # path classes, or any other algorithm defined inside the service, may
 # not come back.
@@ -51,14 +51,27 @@ if grep -rn 'impl.*DeltaAlgorithm for' crates/serve/src; then
   echo "gp-serve defines an algorithm of its own: algorithms live in gp-algorithms, where golden checks them"; exit 1
 fi
 
+echo "== the incremental step is resident (one seed pool, one turbo engine per owner) =="
+# IncrementalEngine and every gp-serve executor class keep one DeltaPool and
+# one TurboEngine across runs; a finished run leaves both empty, so reuse is
+# free. The per-call entry points allocate and fill n-length columns every
+# call, and the BTreeMap seed accumulator cost a tree insert per event
+# (EXPERIMENTS.md, "Resident incremental step").
+if grep -rnE 'run_turbo_seeded\(|incremental_seeds\(' crates/stream/src crates/serve/src; then
+  echo "per-call turbo run or seed plan in gp-stream / gp-serve: use the owner's resident DeltaPool and TurboEngine"; exit 1
+fi
+if grep -rnE 'fn coalesce_into|fn into_plan' crates/algorithms/src; then
+  echo "BTreeMap seed accumulator reintroduced: seeds coalesce in a DeltaPool"; exit 1
+fi
+
 echo "== one pool in gp-turbo (no vertex shards, no threads, no shard-count knob) =="
-# Turbo is one Pool swept by one loop. Vertex sharding — worker threads,
+# Turbo is one DeltaPool swept by one loop. Vertex sharding — worker threads,
 # outboxes, round barriers, the two round drivers and the shard-count knob
 # on every surface above it — cost 1.17-1.51x the events and never read
 # ahead of one pool in two timing sweeps running (EXPERIMENTS.md, "Sharded
 # turbo"), and may not come back without a measurement that says otherwise.
 if grep -rnE 'Barrier|RwLock|thread::|Outbox|drive_(threaded|sequential)' crates/turbo/src; then
-  echo "sharded turbo reintroduced: gp-turbo is one Pool and one round loop"; exit 1
+  echo "sharded turbo reintroduced: gp-turbo is one DeltaPool and one round loop"; exit 1
 fi
 if grep -rnE 'turbo[_-]shards' crates scripts README.md DESIGN.md; then
   echo "turbo shard-count knob reintroduced: there is one pool, so there is nothing to set"; exit 1
