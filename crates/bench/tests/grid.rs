@@ -4,8 +4,9 @@
 //! it PageRank-Delta — the Facebook and Twitter columns would add 5 s and
 //! 16 s). The verdict's simulator-only rows are pinned as literals the way
 //! `tests/cycle_schedule.rs` pins counts and checked against the tables
-//! printed above them, and the sweep is checked to run each engine once per
-//! cell and to repeat byte for byte.
+//! printed above them, every simulated table is pinned as one FNV-1a fold,
+//! and the sweep is checked to run each engine once per cell and to repeat
+//! byte for byte.
 
 use std::sync::OnceLock;
 
@@ -60,6 +61,13 @@ fn render(tables: &[Table]) -> String {
     out
 }
 
+/// FNV-1a over the rendered tables' bytes.
+fn fold(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// The named column as numbers, unit suffixes (`x`, `%`, `ms`) dropped;
 /// `engine` keeps only that engine's rows of Fig. 12.
 fn column(t: &Table, name: &str, engine: Option<&str>) -> Vec<f64> {
@@ -109,6 +117,20 @@ fn each_engine_runs_once_per_cell() {
 fn two_sweeps_give_byte_identical_simulated_tables() {
     let s = sweep();
     assert_eq!(render(&figures::simulated(&s.grid)), s.again);
+}
+
+/// Every simulated number of the grid — Figs. 4, 8, 10 (simulated half),
+/// 11–14, Table V and the verdict — folded to one hash, the in-process twin
+/// of the CI diff against `figures/smoke/`: a change meant to keep the
+/// simulation leaves it alone, one meant to move it re-pins it.
+#[test]
+fn simulated_tables_are_pinned() {
+    let text = render(&figures::simulated(&sweep().grid));
+    assert_eq!(
+        (text.lines().count(), fold(&text)),
+        (309, 12324080665583597776),
+        "simulated tables moved:\n{text}"
+    );
 }
 
 #[test]

@@ -239,6 +239,22 @@ impl AcceleratorConfig {
         if self.crossbar_ports == 0 {
             return Err("need at least one crossbar port".into());
         }
+        // A zero-entry buffer never takes an event or a task, so the run
+        // would spin to `max_cycles`; a zero-line scratchpad or a cache
+        // with no sets or ways cannot be built.
+        if self.bin_input_depth == 0 || self.gen_buffer == 0 {
+            return Err("bin input FIFO and generation buffer need an entry".into());
+        }
+        if self.scratchpad_lines == 0 {
+            return Err("the vertex scratchpad needs a line".into());
+        }
+        let cache = self.edge_cache;
+        if !cache.sets.is_power_of_two() || cache.ways == 0 {
+            return Err(format!(
+                "edge cache needs a nonzero power-of-two set count and a way, got {} x {}",
+                cache.sets, cache.ways
+            ));
+        }
         if self.input_buffer < self.queue.cols {
             return Err(format!(
                 "input buffer ({}) must hold at least one drained row ({} events)",

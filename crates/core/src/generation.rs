@@ -68,9 +68,10 @@ pub(crate) struct Stream<D> {
     /// While parked in [`GT_EDGE_READ`]: the line of the next edge. Its
     /// arrival is what the stream sleeps for.
     pub wait_line: u64,
-    /// The window start and unit line epoch at which the current task's
-    /// prefetch window was last walked and found covered.
-    covered: Option<(u64, u64)>,
+    /// `(line, epoch)`: at unit line epoch `epoch`, every line of the
+    /// current task's prefetch window below `line` was resident or on its
+    /// way.
+    covered_to: Option<(u64, u64)>,
 }
 
 impl<D> Stream<D> {
@@ -86,7 +87,7 @@ impl<D> Stream<D> {
                 state: GT_IDLE,
             }),
             wait_line: 0,
-            covered: None,
+            covered_to: None,
         }
     }
 
@@ -99,7 +100,7 @@ impl<D> Stream<D> {
             gen_cycles: 0,
         });
         // A window is the task's: the old one says nothing about this one.
-        self.covered = None;
+        self.covered_to = None;
     }
 
     /// Books the cycles slept before `now` into the timeline — and into
@@ -138,8 +139,10 @@ pub(crate) struct GenUnit<D> {
     pub cache: Cache,
     /// Edge lines requested from memory but not yet arrived.
     pub pending_lines: Vec<u64>,
-    /// Counts the changes to which lines are resident or on their way: a
-    /// prefetch window found covered stays covered while this stands still.
+    /// Counts the ways a line can stop being resident or on its way — an
+    /// eviction or a clear. A requested line stays pending until it
+    /// arrives and then stays resident until one of those, so a prefetch
+    /// window found covered stays covered while this stands still.
     lines_epoch: u64,
     pub streams: Vec<Stream<D>>,
 }
@@ -184,26 +187,30 @@ impl<D> GenUnit<D> {
     /// counted as resident can stop being so.
     pub(crate) fn line_arrived(&mut self, line: u64) -> bool {
         self.pending_lines.retain(|&l| l != line);
-        self.lines_epoch += 1;
-        self.cache.fill(line).is_some()
+        let evicted = self.cache.fill(line).is_some();
+        self.lines_epoch += u64::from(evicted);
+        evicted
     }
 
     /// A read of edge line `line` was issued to memory.
     pub(crate) fn line_requested(&mut self, line: u64) {
         self.pending_lines.push(line);
-        self.lines_epoch += 1;
     }
 
-    /// Whether stream `s` last found its whole prefetch window, starting at
-    /// `first_line`, resident or on its way — and no line has moved since.
-    pub(crate) fn window_covered(&self, s: usize, first_line: u64) -> bool {
-        self.streams[s].covered == Some((first_line, self.lines_epoch))
+    /// Where stream `s`'s walk of its prefetch window, now starting at
+    /// `first_line`, has to begin: past the lines it found covered, if no
+    /// line has left the cache since.
+    pub(crate) fn unchecked_from(&self, s: usize, first_line: u64) -> u64 {
+        match self.streams[s].covered_to {
+            Some((line, epoch)) if epoch == self.lines_epoch => line.max(first_line),
+            _ => first_line,
+        }
     }
 
-    /// Stream `s` walked its window from `first_line` and found nothing to
-    /// request.
-    pub(crate) fn note_window_covered(&mut self, s: usize, first_line: u64) {
-        self.streams[s].covered = Some((first_line, self.lines_epoch));
+    /// Stream `s` found every line of its window below `line` resident or
+    /// on its way.
+    pub(crate) fn note_covered_to(&mut self, s: usize, line: u64) {
+        self.streams[s].covered_to = Some((line, self.lines_epoch));
     }
 
     /// Whether buffer and all streams are drained.

@@ -9,7 +9,7 @@ use gp_algorithms::engine::initial_state;
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::partition::Partition;
 use gp_graph::{GraphView, VertexId};
-use gp_mem::{line_base, MemRequest, MemorySystem, TrafficClass, LINE_BYTES};
+use gp_mem::{line_base, MemRequest, MemorySystem, ReqId, TrafficClass, LINE_BYTES};
 use gp_sim::stats::StateTimeline;
 use gp_sim::Cycle;
 
@@ -156,6 +156,55 @@ enum MemTarget<D> {
     FillChunk { events: Vec<Event<D>> },
 }
 
+/// The memory requests in flight and where each one's completion goes, by
+/// request id. [`MemorySystem::request`] numbers requests in sequence and
+/// the machine records every one it makes, so the ids outstanding lie in
+/// one window `base..base + slots.len()` — with holes, since FR-FCFS can
+/// complete a newer request while an older one waits.
+struct PendingMem<T> {
+    /// Id of `slots[0]`.
+    base: u64,
+    /// `None` once completed; the front is `Some` unless `slots` is empty.
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> Default for PendingMem<T> {
+    fn default() -> Self {
+        PendingMem {
+            base: 0,
+            slots: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> PendingMem<T> {
+    /// Records the target of request `id`, the next one issued.
+    fn insert(&mut self, id: ReqId, target: T) {
+        assert_eq!(
+            id.get(),
+            self.base + self.slots.len() as u64,
+            "memory request ids are issued in sequence"
+        );
+        self.slots.push_back(Some(target));
+    }
+
+    /// Takes the target of request `id`, if it is outstanding.
+    fn remove(&mut self, id: ReqId) -> Option<T> {
+        let at = usize::try_from(id.get().checked_sub(self.base)?).ok()?;
+        let target = self.slots.get_mut(at)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        target
+    }
+
+    /// Whether no request is outstanding.
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
 /// A cross-shard event awaiting exchange at the next epoch barrier, tagged
 /// for the deterministic `(cycle, source shard, sequence)` merge order.
 pub(crate) struct OutEvent<D> {
@@ -195,7 +244,7 @@ pub(crate) struct Machine<'a, A: DeltaAlgorithm, G: GraphView> {
     values: Vec<A::Value>,
 
     mem: MemorySystem,
-    pending_mem: HashMap<u64, MemTarget<A::Delta>>,
+    pending_mem: PendingMem<MemTarget<A::Delta>>,
     bins: Vec<Bin<A::Delta>>,
     xbar: Crossbar<A::Delta>,
     procs: Vec<Processor<A::Delta>>,
@@ -362,7 +411,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             active_slice,
             values,
             mem: MemorySystem::new(cfg.dram),
-            pending_mem: HashMap::new(),
+            pending_mem: PendingMem::default(),
             bins,
             xbar: Crossbar::new(cfg.crossbar_ports, 4, cfg.queue.bins),
             procs,
@@ -634,7 +683,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
 
     fn route_completions(&mut self) {
         while let Some(req) = self.mem.pop_completion(self.now) {
-            match self.pending_mem.remove(&req.id().get()) {
+            match self.pending_mem.remove(req.id()) {
                 Some(MemTarget::VertexLine { proc, line }) => {
                     self.procs[proc].line_arrived(line);
                     self.activity.scratchpad_accesses += 1;
@@ -677,7 +726,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             let addr = self.next_spill_addr();
             let req = MemRequest::write(addr, LINE_BYTES as u32, TrafficClass::EventSpill);
             let id = self.mem.request(self.now, req).expect("can_accept checked");
-            self.pending_mem.insert(id.get(), MemTarget::SpillWrite);
+            self.pending_mem.insert(id, MemTarget::SpillWrite);
             self.spill_pending_bytes -= LINE_BYTES;
         }
     }
@@ -693,7 +742,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         let req = MemRequest::write(addr, bytes, TrafficClass::EventSpill);
         match self.mem.request(self.now, req) {
             Ok(id) => {
-                self.pending_mem.insert(id.get(), MemTarget::SpillWrite);
+                self.pending_mem.insert(id, MemTarget::SpillWrite);
             }
             Err(_) => {
                 // Retry next cycle via the normal spill path.
@@ -895,8 +944,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             let addr = self.next_spill_addr();
             let req = MemRequest::read(addr, bytes, TrafficClass::EventFill);
             let id = self.mem.request(self.now, req).expect("can_accept checked");
-            self.pending_mem
-                .insert(id.get(), MemTarget::FillChunk { events });
+            self.pending_mem.insert(id, MemTarget::FillChunk { events });
         }
     }
 
@@ -987,16 +1035,13 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                     .with_useful_bytes(useful);
                 let id = self.mem.request(now, req).expect("can_accept checked");
                 self.pending_mem
-                    .insert(id.get(), MemTarget::VertexLine { proc: p, line });
+                    .insert(id, MemTarget::VertexLine { proc: p, line });
                 self.procs[p].line_requested(line);
                 acted = true;
             } else {
                 turned_away[0] = Some(line);
                 if !self.cfg.prefetch {
-                    // The demand flag was consumed; put it back for a retry.
-                    if let Some(t) = self.procs[p].input.front_mut() {
-                        t.demand_issued = false;
-                    }
+                    self.procs[p].demand_refused();
                 }
             }
         }
@@ -1012,7 +1057,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                 turned_away[1] = Some(line);
             }
         }
-        if self.procs[p].input.is_empty() && self.procs[p].pipeline.is_empty() {
+        if self.procs[p].input_is_empty() && self.procs[p].pipeline.is_empty() {
             if let Some((line, bytes)) = self.procs[p].write_combine.take() {
                 self.issue_vertex_write(p, line, bytes);
                 acted = true;
@@ -1020,7 +1065,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         }
 
         // 6. State accounting (Fig. 14 left bars).
-        if state == ST_IDLE && !self.procs[p].input.is_empty() {
+        if state == ST_IDLE && !self.procs[p].input_is_empty() {
             state = ST_VERTEX_READ; // waiting on vertex data
         }
         self.procs[p].timeline.add(state, 1);
@@ -1050,7 +1095,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         if self.mem.can_accept(line) {
             let req = MemRequest::write(line, bytes, TrafficClass::VertexWrite);
             let id = self.mem.request(self.now, req).expect("can_accept checked");
-            self.pending_mem.insert(id.get(), MemTarget::VertexWriteAck);
+            self.pending_mem.insert(id, MemTarget::VertexWriteAck);
         } else {
             self.procs[p].write_retry.push_back((line, bytes));
         }
@@ -1107,10 +1152,13 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
     // ---- generation ----
 
     fn tick_generation(&mut self) {
-        let per_unit = self.cfg.gen_streams;
+        // A 32-bit divide is several times cheaper than a 64-bit one, and
+        // stream indices are unit-sized.
+        let per_unit = self.cfg.gen_streams as u32;
         let mut from = 0;
         while let Some(g) = self.streams_awake.next_from(from) {
-            self.tick_stream(g / per_unit, g % per_unit);
+            let (u, s) = (g as u32 / per_unit, g as u32 % per_unit);
+            self.tick_stream(u as usize, s as usize);
             from = g + 1;
         }
     }
@@ -1190,8 +1238,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         let addr = self.edge_addr(vertex, next_edge);
         let line = line_base(addr);
         let state;
-        if self.units[u].cache.contains(line) {
-            self.units[u].cache.probe(line); // counts the hit, updates LRU
+        if self.units[u].cache.touch(line) {
             let edge = self
                 .graph
                 .out_edges(vertex)
@@ -1275,16 +1322,14 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             return Prefetch::Covered;
         }
         let first_line = line_base(self.edge_addr(vertex, next_edge));
-        if self.units[u].window_covered(s, first_line) {
-            return Prefetch::Covered;
-        }
         let last_line = line_base(self.edge_addr(vertex, degree - 1));
         let window_end = (first_line
             + (self.cfg.edge_prefetch_depth.saturating_sub(1)) * LINE_BYTES)
             .min(last_line);
-        let mut line = first_line;
+        let mut line = self.units[u].unchecked_from(s, first_line);
         while line <= window_end {
             if !self.units[u].cache.contains(line) && !self.units[u].pending_lines.contains(&line) {
+                self.units[u].note_covered_to(s, line);
                 if !self.mem.can_accept(line) {
                     return Prefetch::TurnedAway(line); // blocked wait
                 }
@@ -1296,13 +1341,14 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                     .with_useful_bytes(useful.max(1).min(LINE_BYTES as u32));
                 let id = self.mem.request(self.now, req).expect("can_accept checked");
                 self.pending_mem
-                    .insert(id.get(), MemTarget::EdgeLine { unit: u, line });
+                    .insert(id, MemTarget::EdgeLine { unit: u, line });
                 self.units[u].line_requested(line);
+                self.units[u].note_covered_to(s, line + LINE_BYTES);
                 return Prefetch::Issued; // at most one issue per cycle
             }
             line += LINE_BYTES;
         }
-        self.units[u].note_window_covered(s, first_line);
+        self.units[u].note_covered_to(s, line);
         Prefetch::Covered
     }
 
@@ -1590,6 +1636,55 @@ mod tests {
             .run(&g, &PageRankDelta::new(0.85, 1e-4))
             .unwrap_err();
         assert!(matches!(err, RunError::InvalidConfig(_)));
+    }
+
+    /// Both entry points must refuse `cfg` up front, not spin or panic.
+    fn assert_refused(cfg: AcceleratorConfig) {
+        let g = small_graph();
+        let algo = PageRankDelta::new(0.85, 1e-4);
+        let accel = GraphPulse::new(cfg);
+        let sequential = accel.run(&g, &algo).map(drop);
+        let parallel = accel.run_parallel(&g, &algo).map(drop);
+        for err in [sequential, parallel] {
+            assert!(matches!(err, Err(RunError::InvalidConfig(_))), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn a_bin_input_fifo_without_an_entry_is_refused() {
+        let mut cfg = AcceleratorConfig::small_test();
+        cfg.bin_input_depth = 0;
+        assert_refused(cfg);
+    }
+
+    #[test]
+    fn a_generation_buffer_without_an_entry_is_refused() {
+        let mut cfg = AcceleratorConfig::small_test();
+        cfg.gen_buffer = 0;
+        assert_refused(cfg);
+    }
+
+    #[test]
+    fn a_scratchpad_without_a_line_is_refused() {
+        let mut cfg = AcceleratorConfig::small_test();
+        cfg.scratchpad_lines = 0;
+        assert_refused(cfg);
+    }
+
+    #[test]
+    fn an_edge_cache_set_count_off_a_power_of_two_is_refused() {
+        for sets in [0, 3, 96] {
+            let mut cfg = AcceleratorConfig::small_test();
+            cfg.edge_cache.sets = sets;
+            assert_refused(cfg);
+        }
+    }
+
+    #[test]
+    fn an_edge_cache_without_ways_is_refused() {
+        let mut cfg = AcceleratorConfig::small_test();
+        cfg.edge_cache.ways = 0;
+        assert_refused(cfg);
     }
 
     #[test]

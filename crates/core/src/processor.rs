@@ -52,15 +52,19 @@ pub(crate) struct ApplyOp<D> {
 /// One event processor.
 #[derive(Debug)]
 pub(crate) struct Processor<D> {
-    pub input: VecDeque<ProcToken<D>>,
+    input: VecDeque<ProcToken<D>>,
     input_cap: usize,
-    pub scratch: Scratchpad,
+    scratch: Scratchpad,
     /// Vertex lines requested from memory but not yet arrived.
     pending_lines: Vec<u64>,
-    /// What [`Processor::next_prefetch`] last answered, kept until the
-    /// input buffer, the scratchpad or `pending_lines` — all it reads —
-    /// next change.
-    prefetch_memo: Option<Option<(u64, u32)>>,
+    /// How many leading tokens of `input` [`Processor::next_prefetch`] has
+    /// found covered — their line resident or pending. A buffered token's
+    /// line only ever becomes more covered: a pending line arrives into the
+    /// scratchpad, [`Processor::pop_ready`] releases a line only when no
+    /// buffered token shares it, and [`Processor::reset_for_swap`] runs
+    /// only when the buffer is empty. So the prefix stays covered, and the
+    /// next search starts where the last one stopped.
+    covered_prefix: usize,
     pub pipeline: Pipeline<ApplyOp<D>>,
     /// A generation task that found the generation buffer full.
     pub stalled: Option<GenTask<D>>,
@@ -84,7 +88,7 @@ impl<D: Copy> Processor<D> {
             input_cap,
             scratch: Scratchpad::new(scratchpad_lines),
             pending_lines: Vec::new(),
-            prefetch_memo: None,
+            covered_prefix: 0,
             pipeline: Pipeline::new(process_latency),
             stalled: None,
             write_combine: None,
@@ -112,6 +116,11 @@ impl<D: Copy> Processor<D> {
         self.input_cap - self.input.len()
     }
 
+    /// Whether the input buffer holds no event.
+    pub(crate) fn input_is_empty(&self) -> bool {
+        self.input.is_empty()
+    }
+
     /// Accepts a drained event block from the scheduler.
     ///
     /// # Panics
@@ -120,13 +129,11 @@ impl<D: Copy> Processor<D> {
     pub(crate) fn push_token(&mut self, token: ProcToken<D>) {
         assert!(self.input.len() < self.input_cap, "input buffer overflow");
         self.input.push_back(token);
-        self.prefetch_memo = None;
     }
 
     /// A read of vertex line `line` was issued to memory.
     pub(crate) fn line_requested(&mut self, line: u64) {
         self.pending_lines.push(line);
-        self.prefetch_memo = None;
     }
 
     /// A requested vertex line arrived from memory.
@@ -134,7 +141,6 @@ impl<D: Copy> Processor<D> {
         self.pending_lines.retain(|&l| l != line);
         let inserted = self.scratch.insert(line);
         debug_assert!(inserted, "scratchpad overflow on fill");
-        self.prefetch_memo = None;
     }
 
     /// Whether the head event's vertex data is resident.
@@ -154,40 +160,31 @@ impl<D: Copy> Processor<D> {
         if !self.input.iter().any(|t| t.line == token.line) {
             self.scratch.take(token.line);
         }
-        self.prefetch_memo = None;
+        // The head was ready, so covered: if the prefix held it, the prefix
+        // is one token shorter now.
+        self.covered_prefix = self.covered_prefix.saturating_sub(1);
         Some(token)
     }
 
     /// The next vertex line the prefetcher should request: the first
     /// buffered event whose line is neither resident nor pending, provided
     /// the scratchpad can still track it. Returns `(line, events_on_line)`.
-    /// Scans the input buffer only when something it reads has changed
-    /// since the last call.
+    /// Searches on from the covered prefix of the buffer only.
     pub(crate) fn next_prefetch(&mut self) -> Option<(u64, u32)> {
-        if let Some(answer) = self.prefetch_memo {
-            return answer;
-        }
-        let answer = self.scan_for_prefetch();
-        self.prefetch_memo = Some(answer);
-        answer
-    }
-
-    fn scan_for_prefetch(&self) -> Option<(u64, u32)> {
         if self.scratch.len() + self.pending_lines.len() >= self.scratch.capacity() {
             return None;
         }
-        // A drained block is consecutive vertices, so runs of tokens share a
-        // line: one lookup per run, not per token.
-        let mut covered = None;
-        for t in &self.input {
-            if covered == Some(t.line) {
-                continue;
-            }
-            if !self.scratch.contains(t.line) && !self.pending_lines.contains(&t.line) {
-                let count = self.input.iter().filter(|x| x.line == t.line).count() as u32;
+        while let Some(t) = self.input.get(self.covered_prefix) {
+            // A drained block is consecutive vertices, so runs of tokens
+            // share a line: one lookup per run, not per token.
+            let run = self.covered_prefix > 0 && self.input[self.covered_prefix - 1].line == t.line;
+            if !run && !self.scratch.contains(t.line) && !self.pending_lines.contains(&t.line) {
+                // Coverage is per line: no token of the prefix has this one.
+                let rest = self.input.range(self.covered_prefix..);
+                let count = rest.filter(|x| x.line == t.line).count() as u32;
                 return Some((t.line, count));
             }
-            covered = Some(t.line);
+            self.covered_prefix += 1;
         }
         None
     }
@@ -201,6 +198,14 @@ impl<D: Copy> Processor<D> {
         }
         t.demand_issued = true;
         Some(t.line)
+    }
+
+    /// The head's demand read was turned away by memory: the next
+    /// [`Processor::next_demand`] asks again.
+    pub(crate) fn demand_refused(&mut self) {
+        if let Some(t) = self.input.front_mut() {
+            t.demand_issued = false;
+        }
     }
 
     /// Records a vertex write-back in the write-combining buffer; returns a
@@ -232,7 +237,7 @@ impl<D: Copy> Processor<D> {
     pub(crate) fn reset_for_swap(&mut self) {
         debug_assert!(self.is_quiescent(), "swap while busy");
         self.scratch.clear();
-        self.prefetch_memo = None;
+        self.covered_prefix = 0;
     }
 }
 
@@ -297,8 +302,8 @@ mod tests {
 
     #[test]
     fn prefetch_answer_is_rescanned_after_each_thing_it_reads_changes() {
-        // The remembered answer must never outlive a change to the input
-        // buffer, the scratchpad or the pending lines.
+        // The answer must follow every change to the input buffer, the
+        // scratchpad or the pending lines.
         let mut p: Processor<f64> = Processor::new(8, 2, 2);
         assert_eq!(p.next_prefetch(), None);
         p.push_token(token(1, 0)); // input changed
@@ -319,6 +324,63 @@ mod tests {
         assert_eq!(p.next_prefetch(), None, "line 0 still has a user");
         p.pop_ready().unwrap(); // releases line 0: room for line 128
         assert_eq!(p.next_prefetch(), Some((128, 1)));
+    }
+
+    /// What `next_prefetch` answered before the cursor: a scan of the whole
+    /// buffer for the first line neither resident nor pending.
+    fn rescan(p: &Processor<f64>) -> Option<(u64, u32)> {
+        if p.scratch.len() + p.pending_lines.len() >= p.scratch.capacity() {
+            return None;
+        }
+        let covered = |line: u64| p.scratch.contains(line) || p.pending_lines.contains(&line);
+        let first = p.input.iter().find(|t| !covered(t.line))?;
+        let count = p.input.iter().filter(|t| t.line == first.line).count();
+        Some((first.line, count as u32))
+    }
+
+    #[test]
+    fn the_cursor_answers_what_a_full_rescan_does() {
+        use gp_graph::rng::{Rng, StdRng};
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let scratchpad = rng.gen_range(1..6usize);
+            let mut p: Processor<f64> = Processor::new(rng.gen_range(4..24), scratchpad, 2);
+            let mut v = 0;
+            for step in 0..3_000 {
+                match rng.gen_range(0..10u32) {
+                    // A drained block: a run of consecutive vertices, some
+                    // sharing a line, some lines already buffered.
+                    0..=2 => {
+                        let mut line = rng.gen_range(0..12u64) * 64;
+                        for _ in 0..rng.gen_range(1..6usize).min(p.free_input()) {
+                            p.push_token(token(v, line));
+                            v += 1;
+                            if rng.gen_bool(0.4) {
+                                line += 64;
+                            }
+                        }
+                    }
+                    3..=5 => {
+                        if let Some((line, _)) = p.next_prefetch() {
+                            p.line_requested(line);
+                        }
+                    }
+                    6 | 7 if !p.pending_lines.is_empty() => {
+                        let at = rng.gen_range(0..p.pending_lines.len());
+                        p.line_arrived(p.pending_lines[at]);
+                    }
+                    _ => {
+                        p.pop_ready();
+                        if p.is_quiescent() && rng.gen_bool(0.2) {
+                            p.reset_for_swap();
+                        }
+                    }
+                }
+                let want = rescan(&p);
+                assert_eq!(p.next_prefetch(), want, "seed {seed}, step {step}");
+                assert!(p.covered_prefix <= p.input.len());
+            }
+        }
     }
 
     #[test]

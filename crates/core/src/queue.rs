@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use gp_algorithms::DeltaAlgorithm;
-use gp_sim::{Cycle, Pipeline};
+use gp_sim::Cycle;
 
 use crate::{Event, QueueConfig};
 
@@ -24,11 +24,19 @@ pub(crate) struct SlotAddr {
 /// columns of one row first, then moving to the next *bin* (same row
 /// index), satisfies both: a drained row is a block of `cols` consecutive
 /// vertices, and consecutive blocks land in different bins.
+///
+/// Every event's route goes through here, so it divides in 32 bits: a local
+/// index is below the `u32` vertex-id space, and so is any queue dimension
+/// a machine can allocate.
 pub(crate) fn slot_of(local_index: usize, cfg: &QueueConfig) -> SlotAddr {
-    let col = local_index % cfg.cols;
-    let bin = (local_index / cfg.cols) % cfg.bins;
-    let row = local_index / (cfg.cols * cfg.bins);
-    SlotAddr { bin, row, col }
+    debug_assert!(u32::try_from(local_index.max(cfg.cols * cfg.bins)).is_ok());
+    let (l, cols, bins) = (local_index as u32, cfg.cols as u32, cfg.bins as u32);
+    let block = l / cols;
+    SlotAddr {
+        bin: (block % bins) as usize,
+        row: (block / bins) as usize,
+        col: (l % cols) as usize,
+    }
 }
 
 /// First slice-local vertex index of `row` in `bin` (the drained block's
@@ -57,9 +65,11 @@ pub(crate) enum InsertOutcome {
 ///
 /// The insertion port only needs a visit ([`Bin::tick_insert`]) while its
 /// input FIFO holds something, and a visit during a same-row stall returns
-/// at once: the stall ends at a cycle known when it starts. Writes the
-/// coalescer finished are therefore dropped lazily, and every reader of the
-/// hazard window takes the cycle it is reading at.
+/// at once: the stall ends at a cycle known when it starts. The coalescer
+/// retires in issue order, so a row's last write retires after every
+/// earlier one: the hazard window is each row's last retire cycle and the
+/// last issue cycle, and every reader of it takes the cycle it is reading
+/// at.
 #[derive(Debug)]
 pub(crate) struct Bin<D> {
     /// Rows backed by storage: enough for the longest slice ever resident,
@@ -72,8 +82,14 @@ pub(crate) struct Bin<D> {
     /// Network-side input FIFO.
     input: VecDeque<(SlotAddr, Event<D>)>,
     input_cap: usize,
-    /// Rows with an in-flight insertion (hazard window).
-    inflight: Pipeline<usize>,
+    /// Coalescer pipeline depth: a write issued in cycle `t` retires in
+    /// `t + depth`.
+    depth: u64,
+    /// Per row, the cycle the last write to it retires (`None`: never
+    /// written). The row is busy through that cycle.
+    row_retires: Vec<Option<Cycle>>,
+    /// Cycle the last insertion started (one may start per cycle).
+    last_issue: Option<Cycle>,
     /// The head of the input FIFO hits a row the coalescer is writing; no
     /// insertion can start before this cycle, when that write retires.
     stalled_until: Cycle,
@@ -103,7 +119,9 @@ impl<D: Copy> Bin<D> {
             occupancy: 0,
             input: VecDeque::with_capacity(input_cap),
             input_cap,
-            inflight: Pipeline::new(coalescer_depth),
+            depth: coalescer_depth,
+            row_retires: vec![None; rows],
+            last_issue: None,
             stalled_until: Cycle::ZERO,
             sweep: 0,
             drained_at: None,
@@ -169,34 +187,21 @@ impl<D: Copy> Bin<D> {
     where
         A: DeltaAlgorithm<Delta = D>,
     {
-        if now < self.stalled_until {
-            return None; // same-row hazard: asleep until the write retires
-        }
-        while self.inflight.retire(now).is_some() {}
-        if self.drained_at == Some(now) {
-            return None;
-        }
-        if !self.inflight.can_issue(now) {
+        if now < self.stalled_until
+            || self.drained_at == Some(now)
+            || self.last_issue.is_some_and(|at| at >= now)
+        {
             return None;
         }
         let (slot, _) = self.input.front()?;
-        let row = slot.row;
-        if let Some(retires) = self.row_busy_until(row) {
-            self.stalled_until = retires;
+        if let Some(done) = self.row_retires[slot.row].filter(|&done| done > now) {
+            self.stalled_until = done; // same-row hazard: asleep until the write retires
             return None;
         }
         let (slot, ev) = self.input.pop_front().expect("checked front");
-        self.inflight.issue(now, row);
+        self.last_issue = Some(now);
+        self.row_retires[slot.row] = Some(now + self.depth);
         Some(self.write_slot(algo, slot, ev))
-    }
-
-    /// The cycle the last in-flight write to `row` retires, if there is one.
-    fn row_busy_until(&self, row: usize) -> Option<Cycle> {
-        self.inflight
-            .due()
-            .filter(|(_, r)| **r == row)
-            .map(|(done, _)| done)
-            .last()
     }
 
     /// The next occupied row the sweep would drain at cycle `now`, if any —
@@ -208,7 +213,7 @@ impl<D: Copy> Bin<D> {
         (self.sweep..self.rows).find_map(|r| {
             if self.row_counts[r] == 0 {
                 None
-            } else if self.row_busy_until(r).is_some_and(|done| done >= now) {
+            } else if self.row_retires[r].is_some_and(|done| done >= now) {
                 Some((r, 0)) // present but busy: caller must retry
             } else {
                 Some((r, self.row_counts[r] as usize))
@@ -250,7 +255,7 @@ impl<D: Copy> Bin<D> {
     /// Whether, seen before the insertion port's turn in cycle `now`, the
     /// input FIFO and the insertion pipeline are both empty.
     pub(crate) fn is_quiescent(&self, now: Cycle) -> bool {
-        self.input.is_empty() && self.inflight.due().all(|(done, _)| done < now)
+        self.input.is_empty() && self.last_issue.is_none_or(|at| at + self.depth < now)
     }
 }
 
@@ -611,6 +616,151 @@ mod tests {
             // That insert is itself in flight through cycle 18.
             assert_eq!(bin.peek_drain(Cycle::new(18)), Some((2, 0)));
             assert_eq!(bin.peek_drain(Cycle::new(19)), Some((2, 1)));
+        }
+    }
+
+    /// The bin's timing as it was kept before the per-row retire cycles:
+    /// every in-flight write in a `Pipeline`, retired lazily by the port,
+    /// and a row's hazard read by walking it. Slots are occupancy bits.
+    struct PipelineBin {
+        cols: usize,
+        occupied: Vec<bool>,
+        row_counts: Vec<usize>,
+        input: VecDeque<SlotAddr>,
+        inflight: gp_sim::Pipeline<usize>,
+        stalled_until: Cycle,
+        sweep: usize,
+        drained_at: Option<Cycle>,
+    }
+
+    impl PipelineBin {
+        fn new(rows: usize, cols: usize, depth: u64) -> Self {
+            PipelineBin {
+                cols,
+                occupied: vec![false; rows * cols],
+                row_counts: vec![0; rows],
+                input: VecDeque::new(),
+                inflight: gp_sim::Pipeline::new(depth),
+                stalled_until: Cycle::ZERO,
+                sweep: 0,
+                drained_at: None,
+            }
+        }
+
+        fn row_busy_until(&self, row: usize) -> Option<Cycle> {
+            let due = self.inflight.due();
+            due.filter(|(_, r)| **r == row).map(|(done, _)| done).last()
+        }
+
+        fn tick_insert(&mut self, now: Cycle) -> Option<InsertOutcome> {
+            if now < self.stalled_until {
+                return None;
+            }
+            while self.inflight.retire(now).is_some() {}
+            if self.drained_at == Some(now) || !self.inflight.can_issue(now) {
+                return None;
+            }
+            let row = self.input.front()?.row;
+            if let Some(retires) = self.row_busy_until(row) {
+                self.stalled_until = retires;
+                return None;
+            }
+            let slot = self.input.pop_front().expect("checked front");
+            self.inflight.issue(now, row);
+            let idx = slot.row * self.cols + slot.col;
+            if std::mem::replace(&mut self.occupied[idx], true) {
+                Some(InsertOutcome::Coalesced)
+            } else {
+                self.row_counts[slot.row] += 1;
+                Some(InsertOutcome::Inserted)
+            }
+        }
+
+        fn peek_drain(&self, now: Cycle) -> Option<(usize, usize)> {
+            (self.sweep..self.row_counts.len()).find_map(|r| {
+                if self.row_counts[r] == 0 {
+                    None
+                } else if self.row_busy_until(r).is_some_and(|done| done >= now) {
+                    Some((r, 0))
+                } else {
+                    Some((r, self.row_counts[r]))
+                }
+            })
+        }
+
+        fn drain_row(&mut self, row: usize, now: Cycle) {
+            let cols = row * self.cols..(row + 1) * self.cols;
+            self.occupied[cols].fill(false);
+            self.row_counts[row] = 0;
+            self.sweep = row + 1;
+            self.drained_at = Some(now);
+        }
+
+        fn is_quiescent(&self, now: Cycle) -> bool {
+            self.input.is_empty() && self.inflight.due().all(|(done, _)| done < now)
+        }
+    }
+
+    #[test]
+    fn retire_cycles_time_the_bin_as_the_pipeline_did() {
+        use gp_graph::rng::{Rng, StdRng};
+        let pr = PageRankDelta::new(0.85, 0.0);
+        for depth in 1..=4u64 {
+            for seed in 0..8 {
+                let mut rng = StdRng::seed_from_u64(depth * 100 + seed);
+                let c = QueueConfig {
+                    bins: 1,
+                    rows: rng.gen_range(1..5usize),
+                    cols: rng.gen_range(1..4usize),
+                };
+                let mut bin: Bin<f64> = Bin::new(&c, c.rows, 6, depth);
+                let mut reference = PipelineBin::new(c.rows, c.cols, depth);
+                let mut now = Cycle::ZERO;
+                for step in 0..2_000 {
+                    let at = format!("depth {depth}, seed {seed}, step {step}, {now}");
+                    // The scheduler looks first, as in `Machine::tick`.
+                    assert_eq!(bin.is_quiescent(now), reference.is_quiescent(now), "{at}");
+                    let peeked = bin.peek_drain(now);
+                    assert_eq!(peeked, reference.peek_drain(now), "{at}");
+                    match peeked {
+                        Some((row, count)) if count > 0 && rng.gen_bool(0.3) => {
+                            assert_eq!(bin.drain_row(row, now).len(), count, "{at}");
+                            reference.drain_row(row, now);
+                        }
+                        None if rng.gen_bool(0.5) => {
+                            bin.reset_sweep();
+                            reference.sweep = 0;
+                        }
+                        _ => {}
+                    }
+                    // Then the network hands over events, then the port.
+                    for _ in 0..rng.gen_range(0..3usize) {
+                        if bin.can_accept() {
+                            let slot = SlotAddr {
+                                bin: 0,
+                                row: rng.gen_range(0..c.rows),
+                                col: rng.gen_range(0..c.cols),
+                            };
+                            let v = (slot.row * c.cols + slot.col) as u32;
+                            bin.accept(slot, Event::new(VertexId::new(v), 1.0, 0));
+                            reference.input.push_back(slot);
+                        }
+                    }
+                    if !bin.input_is_empty() && rng.gen_bool(0.8) {
+                        assert_eq!(
+                            bin.tick_insert(now, &pr),
+                            reference.tick_insert(now),
+                            "{at}"
+                        );
+                    }
+                    // Now and then the clock jumps, as it does past idle cycles.
+                    now += if rng.gen_bool(0.1) {
+                        rng.gen_range(2..7u64)
+                    } else {
+                        1
+                    };
+                }
+            }
         }
     }
 

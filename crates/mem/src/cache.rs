@@ -25,6 +25,10 @@ impl CacheConfig {
     }
 }
 
+/// A tag no line can have: tags are line numbers (`addr / 64`), so the
+/// largest is `u64::MAX / 64`.
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative LRU cache over 64-byte lines.
 ///
 /// Purely a hit/miss model: it tracks which line addresses are resident,
@@ -45,8 +49,9 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `lines[set]` holds up to `ways` tags in LRU order (front = MRU).
-    lines: Vec<Vec<u64>>,
+    /// One flat `sets × ways` array, set by set. A set's ways hold its
+    /// resident tags in LRU order (front = MRU), then `EMPTY` up to the end.
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -65,41 +70,58 @@ impl Cache {
         assert!(config.ways > 0, "ways must be nonzero");
         Cache {
             config,
-            lines: vec![Vec::with_capacity(config.ways); config.sets],
+            tags: vec![EMPTY; config.sets * config.ways],
             hits: 0,
             misses: 0,
         }
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        ((addr / LINE_BYTES) as usize) & (self.config.sets - 1)
+    /// The tag of the line containing `addr` and where its set's ways
+    /// start in `tags`.
+    fn locate(&self, addr: u64) -> (u64, usize) {
+        let tag = addr / LINE_BYTES;
+        let set = tag as usize & (self.config.sets - 1);
+        (tag, set * self.config.ways)
     }
 
-    fn tag_of(addr: u64) -> u64 {
-        addr / LINE_BYTES
+    /// Makes the line containing `addr` MRU if it is resident; whether it
+    /// was.
+    fn promote(&mut self, addr: u64) -> bool {
+        let (tag, start) = self.locate(addr);
+        let ways = &mut self.tags[start..start + self.config.ways];
+        let Some(pos) = ways.iter().position(|&t| t == tag) else {
+            return false;
+        };
+        ways.copy_within(..pos, 1);
+        ways[0] = tag;
+        true
     }
 
     /// Looks up the line containing `addr`, updating LRU state and hit/miss
     /// counters. Returns `true` on hit.
     pub fn probe(&mut self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = Self::tag_of(addr);
-        let ways = &mut self.lines[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
+        let hit = self.promote(addr);
+        if hit {
             self.hits += 1;
-            true
         } else {
             self.misses += 1;
-            false
         }
+        hit
+    }
+
+    /// [`Cache::probe`] for a requester that only reads resident lines: a
+    /// hit is counted and made MRU, a miss changes nothing — not even the
+    /// miss counter. Returns `true` on hit.
+    pub fn touch(&mut self, addr: u64) -> bool {
+        let hit = self.promote(addr);
+        self.hits += u64::from(hit);
+        hit
     }
 
     /// Checks residency without touching LRU state or counters.
     pub fn contains(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        self.lines[set].contains(&Self::tag_of(addr))
+        let (tag, start) = self.locate(addr);
+        self.tags[start..start + self.config.ways].contains(&tag)
     }
 
     /// Installs the line containing `addr` as MRU, evicting the LRU way if
@@ -108,31 +130,23 @@ impl Cache {
     /// line stops being resident, so a requester that sleeps while its
     /// lines are resident knows when to look again.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        let set = self.set_of(addr);
-        let tag = Self::tag_of(addr);
-        let ways = &mut self.lines[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
+        if self.promote(addr) {
             return None;
         }
-        let evicted = if ways.len() == self.config.ways {
-            ways.pop()
-        } else {
-            None
-        };
-        ways.insert(0, tag);
-        evicted.map(|t| t * LINE_BYTES)
+        let (tag, start) = self.locate(addr);
+        let ways = &mut self.tags[start..start + self.config.ways];
+        let lru = ways[ways.len() - 1];
+        ways.copy_within(..ways.len() - 1, 1);
+        ways[0] = tag;
+        (lru != EMPTY).then(|| lru * LINE_BYTES)
     }
 
     /// Empties the cache (slice swap).
     pub fn clear(&mut self) {
-        for set in &mut self.lines {
-            set.clear();
-        }
+        self.tags.fill(EMPTY);
     }
 
-    /// Hits recorded by [`Cache::probe`].
+    /// Hits recorded by [`Cache::probe`] and [`Cache::touch`].
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -158,22 +172,20 @@ impl Cache {
     }
 
     /// Validates structural invariants (a debug hook for verification
-    /// harnesses): every set holds at most `ways` tags, no set holds a
-    /// duplicate tag, and every resident tag actually indexes its set.
+    /// harnesses): every set holds its tags ahead of its empty ways, no set
+    /// holds a duplicate tag, and every resident tag actually indexes its
+    /// set.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (set, ways) in self.lines.iter().enumerate() {
-            if ways.len() > self.config.ways {
-                return Err(format!(
-                    "set {set} holds {} tags but associativity is {}",
-                    ways.len(),
-                    self.config.ways
-                ));
+        for (set, ways) in self.tags.chunks(self.config.ways).enumerate() {
+            let resident = ways.iter().take_while(|&&t| t != EMPTY).count();
+            if ways[resident..].iter().any(|&t| t != EMPTY) {
+                return Err(format!("set {set} holds a tag behind an empty way"));
             }
-            for (i, &tag) in ways.iter().enumerate() {
+            for (i, &tag) in ways[..resident].iter().enumerate() {
                 if ways[..i].contains(&tag) {
                     return Err(format!("set {set} holds tag {tag:#x} twice"));
                 }
@@ -256,6 +268,138 @@ mod tests {
         c.check_invariants().unwrap();
         c.clear();
         c.check_invariants().unwrap();
+    }
+
+    /// The per-set `Vec` LRU the flat tag array replaced: each set's tags
+    /// in LRU order (front = MRU), a hit moved to the front, a fill pushed
+    /// there and the back popped when the set is full.
+    struct VecLru {
+        sets: usize,
+        ways: usize,
+        lines: Vec<Vec<u64>>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl VecLru {
+        fn new(config: CacheConfig) -> Self {
+            VecLru {
+                sets: config.sets,
+                ways: config.ways,
+                lines: vec![Vec::new(); config.sets],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set(&mut self, addr: u64) -> &mut Vec<u64> {
+            &mut self.lines[(addr / LINE_BYTES) as usize & (self.sets - 1)]
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            let tag = addr / LINE_BYTES;
+            let set = self.set(addr);
+            if let Some(pos) = set.iter().position(|&t| t == tag) {
+                let t = set.remove(pos);
+                set.insert(0, t);
+                self.hits += 1;
+                true
+            } else {
+                self.misses += 1;
+                false
+            }
+        }
+
+        fn contains(&mut self, addr: u64) -> bool {
+            let tag = addr / LINE_BYTES;
+            self.set(addr).contains(&tag)
+        }
+
+        /// What the generation streams did before `Cache::touch`.
+        fn touch(&mut self, addr: u64) -> bool {
+            self.contains(addr) && self.probe(addr)
+        }
+
+        fn fill(&mut self, addr: u64) -> Option<u64> {
+            let (tag, ways) = (addr / LINE_BYTES, self.ways);
+            let set = self.set(addr);
+            if let Some(pos) = set.iter().position(|&t| t == tag) {
+                let t = set.remove(pos);
+                set.insert(0, t);
+                return None;
+            }
+            let evicted = if set.len() == ways { set.pop() } else { None };
+            set.insert(0, tag);
+            evicted.map(|t| t * LINE_BYTES)
+        }
+
+        fn clear(&mut self) {
+            self.lines.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    #[test]
+    fn flat_tags_match_the_per_set_vec_lru() {
+        use gp_sim::rng::{Rng, StdRng};
+        for sets in [1, 2, 128] {
+            for ways in [1, 2, 4] {
+                let config = CacheConfig { sets, ways };
+                let mut rng = StdRng::seed_from_u64((sets * 8 + ways) as u64);
+                let (mut flat, mut reference) = (Cache::new(config), VecLru::new(config));
+                // Twice the capacity in lines, at any offset inside a line:
+                // sets fill, evict, and see hits on lines filled through a
+                // neighbouring address.
+                let lines = (2 * sets * ways) as u64 + 3;
+                for op in 0..4_000 {
+                    let addr = rng.gen_range(0..lines) * LINE_BYTES + rng.gen_range(0..LINE_BYTES);
+                    let what = rng.gen_range(0..100u32);
+                    let (got, want) = match what {
+                        0..=29 => (flat.fill(addr), reference.fill(addr)),
+                        30..=54 => (
+                            Some(u64::from(flat.probe(addr))),
+                            Some(u64::from(reference.probe(addr))),
+                        ),
+                        55..=84 => (
+                            Some(u64::from(flat.touch(addr))),
+                            Some(u64::from(reference.touch(addr))),
+                        ),
+                        85..=98 => (
+                            Some(u64::from(flat.contains(addr))),
+                            Some(u64::from(reference.contains(addr))),
+                        ),
+                        _ => {
+                            flat.clear();
+                            reference.clear();
+                            (None, None)
+                        }
+                    };
+                    let at = format!("{sets}x{ways}, op {op} ({what}) on {addr:#x}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(
+                        (flat.hits(), flat.misses()),
+                        (reference.hits, reference.misses),
+                        "{at}"
+                    );
+                }
+                flat.check_invariants().unwrap();
+                for line in 0..lines {
+                    let addr = line * LINE_BYTES;
+                    assert_eq!(flat.contains(addr), reference.contains(addr));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn touch_counts_hits_only() {
+        let mut c = Cache::new(CacheConfig { sets: 1, ways: 2 });
+        assert!(!c.touch(0), "a miss");
+        assert_eq!((c.hits(), c.misses()), (0, 0), "is not counted");
+        c.fill(0);
+        c.fill(64);
+        assert!(c.touch(0)); // line 0 becomes MRU
+        assert_eq!((c.hits(), c.misses()), (1, 0));
+        assert_eq!(c.fill(128), Some(64), "the LRU way goes");
     }
 
     #[test]
