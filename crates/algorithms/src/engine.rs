@@ -9,6 +9,15 @@
 //! * [`run_bsp`] — synchronous (bulk-synchronous) rounds over deltas, i.e.
 //!   the execution order a BSP accelerator such as Graphicionado imposes.
 //!   Also reports per-round event counts, which back the Fig. 4 analysis.
+//!
+//! The event step of Algorithm 1 is written once, here: [`apply_event`]
+//! (reduce, store, local termination) and [`for_each_propagated`] (the
+//! out-row walk). Both engines above, turbo's sweep, the chaos executor and
+//! Graphicionado's rounds (through [`bsp_round`]) call the pair; the cycle
+//! model calls [`apply_event`] and walks the edges in its generation
+//! streams.
+
+use std::collections::VecDeque;
 
 use gp_graph::{GraphView, VertexId};
 
@@ -72,6 +81,44 @@ pub fn initial_state<A: DeltaAlgorithm, G: GraphView>(
     (values, seeds)
 }
 
+/// Lines 6–8 of Algorithm 1, the first half of the one event step every
+/// engine takes: reduces `delta` into `u`'s value, stores the result, and
+/// tests local termination (Table II). Returns the basis `u` propagates,
+/// or `None` when the change is too small to pass on.
+#[inline]
+pub fn apply_event<A: DeltaAlgorithm>(
+    algo: &A,
+    values: &mut [A::Value],
+    u: VertexId,
+    delta: A::Delta,
+) -> Option<A::Delta> {
+    let old = values[u.index()];
+    let new = algo.reduce(old, delta);
+    values[u.index()] = new;
+    algo.propagation_basis(old, new)
+}
+
+/// Lines 9–12 of Algorithm 1, the second half of the event step: hands
+/// `emit` the target and delta of every event `u` propagates with `basis`,
+/// along its out-row in row order. Returns the row length.
+#[inline]
+pub fn for_each_propagated<A: DeltaAlgorithm, G: GraphView>(
+    algo: &A,
+    graph: &G,
+    u: VertexId,
+    basis: A::Delta,
+    mut emit: impl FnMut(VertexId, A::Delta),
+) -> u32 {
+    let row = graph.out_edges(u);
+    let degree = row.len() as u32;
+    for edge in row {
+        if let Some(d) = algo.propagate(basis, u, degree, edge) {
+            emit(edge.other, d);
+        }
+    }
+    degree
+}
+
 /// Runs `algo` from explicit state: `values` holds the warm-start vertex
 /// states (updated in place), `seeds` the initial events. This is the
 /// golden executor behind incremental recomputation — a full run is the
@@ -94,48 +141,32 @@ pub fn run_sequential_seeded<A: DeltaAlgorithm, G: GraphView>(
     let n = graph.num_vertices();
     assert_eq!(values.len(), n, "state length must match the vertex count");
     let mut pending: Vec<Option<A::Delta>> = vec![None; n];
-    let mut worklist: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-
-    let mut events_generated = 0u64;
-    let mut events_processed = 0u64;
-
-    for &(v, d) in seeds {
-        events_generated += 1;
-        let slot = &mut pending[v.index()];
-        match slot {
+    let mut worklist = VecDeque::new();
+    let deposit = |pending: &mut [Option<A::Delta>], worklist: &mut VecDeque<_>, v: VertexId, d| {
+        match &mut pending[v.index()] {
             Some(existing) => *existing = algo.coalesce(*existing, d),
-            None => {
+            slot => {
                 *slot = Some(d);
-                worklist.push_back(v.get());
+                worklist.push_back(v);
             }
         }
-    }
+    };
 
+    let mut events_generated = seeds.len() as u64;
+    let mut events_processed = 0u64;
+    for &(v, d) in seeds {
+        deposit(&mut pending, &mut worklist, v, d);
+    }
     while let Some(u) = worklist.pop_front() {
-        let u = VertexId::new(u);
         let delta = pending[u.index()]
             .take()
             .expect("worklist entry without delta");
         events_processed += 1;
-        let old = values[u.index()];
-        let new = algo.reduce(old, delta);
-        values[u.index()] = new;
-        if let Some(basis) = algo.propagation_basis(old, new) {
-            let row = graph.out_edges(u);
-            let degree = row.len() as u32;
-            for edge in row {
-                if let Some(d) = algo.propagate(basis, u, degree, edge) {
-                    events_generated += 1;
-                    let slot = &mut pending[edge.other.index()];
-                    match slot {
-                        Some(existing) => *existing = algo.coalesce(*existing, d),
-                        None => {
-                            *slot = Some(d);
-                            worklist.push_back(edge.other.get());
-                        }
-                    }
-                }
-            }
+        if let Some(basis) = apply_event(algo, values, u, delta) {
+            for_each_propagated(algo, graph, u, basis, |v, d| {
+                events_generated += 1;
+                deposit(&mut pending, &mut worklist, v, d);
+            });
         }
     }
 
@@ -147,13 +178,55 @@ pub fn run_sequential_seeded<A: DeltaAlgorithm, G: GraphView>(
     }
 }
 
-/// Per-round statistics from [`run_bsp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-round statistics from [`bsp_round`], logged by [`run_bsp`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BspRound {
+    /// Events applied: the vertices active at the start of the round.
+    pub processed: u64,
     /// Events generated during the round, before coalescing.
     pub produced: u64,
     /// Events remaining after coalescing (i.e. active vertices next round).
     pub coalesced: u64,
+    /// Out-edges walked by the round's vertices that passed local
+    /// termination — what a BSP pipeline processes.
+    pub active_edges: u64,
+}
+
+/// One bulk-synchronous round: applies every pending delta of `current` in
+/// ascending vertex order and coalesces what they propagate into a fresh
+/// delta set, which replaces `current` at the barrier. [`run_bsp`] loops
+/// over it, and so does the Graphicionado model.
+pub fn bsp_round<A: DeltaAlgorithm, G: GraphView>(
+    algo: &A,
+    graph: &G,
+    values: &mut [A::Value],
+    current: &mut Vec<Option<A::Delta>>,
+) -> BspRound {
+    let mut next: Vec<Option<A::Delta>> = vec![None; current.len()];
+    let mut round = BspRound::default();
+    for (u, slot) in current.iter_mut().enumerate() {
+        let Some(delta) = slot.take() else {
+            continue;
+        };
+        round.processed += 1;
+        let u = VertexId::from_index(u);
+        if let Some(basis) = apply_event(algo, values, u, delta) {
+            let degree = for_each_propagated(algo, graph, u, basis, |v, d| {
+                round.produced += 1;
+                let slot = &mut next[v.index()];
+                *slot = Some(match *slot {
+                    Some(existing) => algo.coalesce(existing, d),
+                    None => {
+                        round.coalesced += 1;
+                        d
+                    }
+                });
+            });
+            round.active_edges += u64::from(degree);
+        }
+    }
+    *current = next;
+    round
 }
 
 /// Runs `algo` with bulk-synchronous rounds: all pending deltas are applied
@@ -168,72 +241,39 @@ pub fn run_bsp<A: DeltaAlgorithm, G: GraphView>(
     graph: &G,
     max_rounds: u64,
 ) -> (EngineOutput, Vec<BspRound>) {
-    let n = graph.num_vertices();
-    let mut values: Vec<A::Value> = (0..n)
-        .map(|v| algo.init_value(VertexId::from_index(v)))
-        .collect();
-    let mut current: Vec<Option<A::Delta>> = vec![None; n];
-    let mut events_generated = 0u64;
-    let mut events_processed = 0u64;
-    let mut rounds_log = Vec::new();
-
-    for v in graph.vertex_ids() {
-        if let Some(d) = algo.initial_delta(v) {
-            current[v.index()] = Some(d);
-            events_generated += 1;
-        }
-    }
-
-    let mut rounds = 0u64;
-    loop {
-        if rounds >= max_rounds || current.iter().all(Option::is_none) {
-            break;
-        }
-        rounds += 1;
-        let mut next: Vec<Option<A::Delta>> = vec![None; n];
-        let mut produced = 0u64;
-        for u in 0..n {
-            let Some(delta) = current[u].take() else {
-                continue;
-            };
-            events_processed += 1;
-            let uid = VertexId::from_index(u);
-            let old = values[u];
-            let new = algo.reduce(old, delta);
-            values[u] = new;
-            if let Some(basis) = algo.propagation_basis(old, new) {
-                let row = graph.out_edges(uid);
-                let degree = row.len() as u32;
-                for edge in row {
-                    if let Some(d) = algo.propagate(basis, uid, degree, edge) {
-                        produced += 1;
-                        events_generated += 1;
-                        let slot = &mut next[edge.other.index()];
-                        *slot = Some(match slot {
-                            Some(existing) => algo.coalesce(*existing, d),
-                            None => d,
-                        });
-                    }
-                }
-            }
-        }
-        let coalesced = next.iter().filter(|s| s.is_some()).count() as u64;
-        rounds_log.push(BspRound {
-            produced,
-            coalesced,
-        });
-        current = next;
+    let (mut values, mut current) = bsp_state(algo, graph);
+    let mut events_generated = current.iter().flatten().count() as u64;
+    let mut rounds_log: Vec<BspRound> = Vec::new();
+    while (rounds_log.len() as u64) < max_rounds && current.iter().any(Option::is_some) {
+        let round = bsp_round(algo, graph, &mut values, &mut current);
+        events_generated += round.produced;
+        rounds_log.push(round);
     }
 
     (
         EngineOutput {
             values: values.into_iter().map(|v| algo.value_to_f64(v)).collect(),
-            events_processed,
+            events_processed: rounds_log.iter().map(|r| r.processed).sum(),
             events_generated,
-            rounds,
+            rounds: rounds_log.len() as u64,
         },
         rounds_log,
     )
+}
+
+/// The init vertex states and the dense delta set a cold BSP run starts
+/// from: [`initial_state`] with the seeds filed by vertex.
+#[allow(clippy::type_complexity)]
+pub fn bsp_state<A: DeltaAlgorithm, G: GraphView>(
+    algo: &A,
+    graph: &G,
+) -> (Vec<A::Value>, Vec<Option<A::Delta>>) {
+    let (values, seeds) = initial_state(algo, graph);
+    let mut current = vec![None; values.len()];
+    for (v, d) in seeds {
+        current[v.index()] = Some(d);
+    }
+    (values, current)
 }
 
 #[cfg(test)]

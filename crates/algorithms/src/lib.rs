@@ -17,9 +17,10 @@
 //! [`with_algorithm!`] — the one place a name becomes a concrete algorithm;
 //! every front end in the workspace dispatches through it), the dense
 //! coalescing column the turbo backend and incremental seeding share
-//! ([`DeltaPool`]), two software
-//! *golden* engines ([`engine::run_sequential`] — Algorithm 1 with a FIFO
-//! worklist, and [`engine::run_bsp`] — synchronous rounds), and classic
+//! ([`DeltaPool`]), Algorithm 1's event step, written once for every engine
+//! ([`engine::apply_event`] and [`engine::for_each_propagated`]), two
+//! software *golden* engines ([`engine::run_sequential`] — Algorithm 1 with
+//! a FIFO worklist, and [`engine::run_bsp`] — synchronous rounds), and classic
 //! [`mod@reference`] implementations (power iteration, Dijkstra, level BFS,
 //! label propagation, Jacobi) used to validate every execution backend in
 //! the workspace.

@@ -8,14 +8,14 @@
 //! takes it. Vertex order is the bit position, so nothing is sorted and
 //! nothing is filed twice.
 //!
-//! Two owners use it. The turbo backend's rounds are sweeps over one
-//! (`gp_turbo::TurboEngine`), and
+//! Two uses share it. The turbo backend's rounds are sweeps over one
+//! (`gp_turbo::run_turbo_with`), and
 //! [`incremental_seeds_with`](crate::incremental::incremental_seeds_with)
 //! coalesces a batch's correction events in one and drains it into a
 //! [`SeedPlan`](crate::SeedPlan). A sweep clears every bit it takes, so a
 //! drained pool is empty again and the next run or batch reuses it without
 //! touching the `n`-length column: a resident pool costs what each use
-//! touches.
+//! touches, and an owner that seeds and then runs keeps one pool for both.
 
 use std::fmt;
 

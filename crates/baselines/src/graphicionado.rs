@@ -13,11 +13,11 @@
 //! the changed vertices' write-back lines. Compute is pipelined at one edge
 //! per cycle per stream (8 streams, like GraphPulse's 8×4 generation
 //! streams ÷ 4 lanes); the iteration's latency is the slower of compute and
-//! memory, plus a pipeline-drain barrier. Functionally it executes the same
-//! [`DeltaAlgorithm`] BSP semantics as
-//! [`gp_algorithms::engine::run_bsp`], so results validate against the
-//! golden references.
+//! memory, plus a pipeline-drain barrier. Functionally each iteration is one
+//! [`bsp_round`] — the round [`gp_algorithms::engine::run_bsp`] loops
+//! over — so results validate against the golden references.
 
+use gp_algorithms::engine::{bsp_round, bsp_state};
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::{CsrGraph, VertexId};
 use gp_mem::{line_base, DramConfig, MemRequest, MemStats, MemorySystem, TrafficClass, LINE_BYTES};
@@ -83,8 +83,9 @@ pub struct GraphicionadoOutput {
 ///
 /// # Panics
 ///
-/// Panics if the DRAM configuration is invalid or the iteration cap is hit
-/// (BSP rounds of the bundled algorithms always terminate).
+/// Panics if the DRAM configuration is invalid or work is still pending
+/// after `max_iterations` rounds (BSP rounds of the bundled algorithms
+/// always terminate). A run whose last round is the cap-th is not refused.
 pub fn run<A: DeltaAlgorithm>(
     graph: &CsrGraph,
     algo: &A,
@@ -104,17 +105,8 @@ pub fn run<A: DeltaAlgorithm>(
     let mut mem = MemorySystem::new(cfg.dram);
     let mut now = Cycle::ZERO;
 
-    // Functional BSP state.
-    let mut values: Vec<A::Value> = (0..n)
-        .map(|v| algo.init_value(VertexId::from_index(v)))
-        .collect();
-    let mut current: Vec<Option<A::Delta>> = vec![None; n];
-    for v in graph.vertices() {
-        if let Some(d) = algo.initial_delta(v) {
-            current[v.index()] = Some(d);
-        }
-    }
-
+    // Functional BSP state: the same rounds as `run_bsp`.
+    let (mut values, mut current) = bsp_state(algo, graph);
     let mut iterations = 0u64;
     let mut edges_processed = 0u64;
 
@@ -122,42 +114,22 @@ pub fn run<A: DeltaAlgorithm>(
         let active: Vec<u32> = (0..n as u32)
             .filter(|&v| current[v as usize].is_some())
             .collect();
-        if active.is_empty() || iterations >= cfg.max_iterations {
+        if active.is_empty() {
             break;
         }
+        assert!(
+            iterations < cfg.max_iterations,
+            "graphicionado hit the iteration cap with work pending"
+        );
         iterations += 1;
 
         // ---- functional phase (apply + scatter into on-chip temp) ----
-        let mut next: Vec<Option<A::Delta>> = vec![None; n];
-        let mut active_edges = 0u64;
-        let mut changed: Vec<u32> = Vec::new();
-        for &u in &active {
-            let uid = VertexId::new(u);
-            let delta = current[u as usize].take().expect("active has delta");
-            let old = values[u as usize];
-            let new = algo.reduce(old, delta);
-            values[u as usize] = new;
-            changed.push(u);
-            if let Some(basis) = algo.propagation_basis(old, new) {
-                let degree = graph.out_degree(uid);
-                active_edges += u64::from(degree);
-                for edge in graph.out_edges(uid) {
-                    if let Some(d) = algo.propagate(basis, uid, degree, edge) {
-                        let slot = &mut next[edge.other.index()];
-                        *slot = Some(match slot {
-                            Some(existing) => algo.coalesce(*existing, d),
-                            None => d,
-                        });
-                    }
-                }
-            }
-        }
+        let active_edges = bsp_round(algo, graph, &mut values, &mut current).active_edges;
         edges_processed += active_edges;
-        current = next;
 
         // ---- timing phase: stream the iteration's off-chip traffic ----
         // Reads: active vertices' property lines + their edge-list lines;
-        // writes: changed vertices' property lines.
+        // writes: the same vertices' property lines (each applied a delta).
         let mut requests: Vec<MemRequest> = Vec::new();
         push_vertex_lines(
             &mut requests,
@@ -193,14 +165,14 @@ pub fn run<A: DeltaAlgorithm>(
         // unlimited-temp grant covers the scatter side only).
         push_vertex_lines(
             &mut requests,
-            &changed,
+            &active,
             vertex_base,
             cfg.vertex_bytes,
             TrafficClass::VertexRead,
         );
         push_vertex_lines(
             &mut requests,
-            &changed,
+            &active,
             vertex_base,
             cfg.vertex_bytes,
             TrafficClass::VertexWrite,
@@ -239,10 +211,6 @@ pub fn run<A: DeltaAlgorithm>(
         now += cfg.barrier_overhead;
     }
 
-    assert!(
-        iterations < cfg.max_iterations,
-        "graphicionado hit the iteration cap"
-    );
     GraphicionadoOutput {
         values: values.into_iter().map(|v| algo.value_to_f64(v)).collect(),
         iterations,
@@ -313,6 +281,37 @@ mod tests {
         );
         let golden = reference::sssp_dijkstra(&g, VertexId::new(0));
         assert!(max_abs_diff(&out.values, &golden) < 1e-6);
+    }
+
+    /// A cap equal to the rounds a run needs is enough: the last round may
+    /// be the cap-th, and the run is the uncapped one.
+    #[test]
+    fn a_run_converging_at_the_cap_is_not_refused() {
+        let g = erdos_renyi(200, 1_200, WeightMode::Uniform(1.0, 8.0), 5);
+        let algo = Sssp::new(VertexId::new(0));
+        let free = run(&g, &algo, &GraphicionadoConfig::default());
+        assert_eq!(free.iterations, 9);
+        let capped = GraphicionadoConfig {
+            max_iterations: free.iterations,
+            ..Default::default()
+        };
+        let out = run(&g, &algo, &capped);
+        assert_eq!(out.values, free.values);
+        assert_eq!(
+            (out.iterations, out.cycles, out.edges_processed),
+            (free.iterations, free.cycles, free.edges_processed)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "graphicionado hit the iteration cap with work pending")]
+    fn a_run_cut_short_by_the_cap_panics() {
+        let g = erdos_renyi(200, 1_200, WeightMode::Uniform(1.0, 8.0), 5);
+        let capped = GraphicionadoConfig {
+            max_iterations: 8,
+            ..Default::default()
+        };
+        run(&g, &Sssp::new(VertexId::new(0)), &capped);
     }
 
     #[test]

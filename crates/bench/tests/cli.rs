@@ -2,7 +2,8 @@
 //! `bench_check` and harness (`report`, `ablations`, `streaming`) binaries: good runs
 //! exit 0, validation failures exit 1, bad flags — a flag the binary would
 //! ignore included — and unknown schemas exit 2 with a usage text that
-//! enumerates every valid fault kind / schema tag / flag.
+//! enumerates every valid fault kind / schema tag / flag. The seed-42 chaos
+//! campaign must also reproduce the committed `BENCH_chaos.json`.
 
 use std::process::Command;
 
@@ -74,6 +75,42 @@ fn chaos_bad_flag_exits_2() {
     let out = run(env!("CARGO_BIN_EXE_chaos"), &["--bogus"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+}
+
+/// The seed-42 campaign — every fault kind against the chaos executor, the
+/// shard-parallel engine and turbo — writes the committed
+/// `BENCH_chaos.json` byte for byte, so a change to any engine it runs that
+/// moves a detection, a recovery or a counter fails the test suite.
+#[test]
+fn chaos_campaign_reproduces_the_committed_record() {
+    let out_path = temp_path("chaos-42.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_chaos"),
+        &["--seed", "42", "--out", out_path.to_str().unwrap()],
+    );
+    assert!(
+        out.status.success(),
+        "stdout:\n{}\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let fresh = std::fs::read_to_string(&out_path).expect("chaos wrote its record");
+    std::fs::remove_file(&out_path).ok();
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
+    let committed = std::fs::read_to_string(committed).expect("the committed record");
+    if let Some((line, (got, want))) = fresh
+        .lines()
+        .zip(committed.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "BENCH_chaos.json line {} differs:\n  fresh:     {got}\n  committed: {want}\n\
+             regenerate with chaos --seed 42 --out BENCH_chaos.json",
+            line + 1
+        );
+    }
+    assert_eq!(fresh, committed, "same lines, different bytes");
 }
 
 /// A flag value a run cannot use is refused by the shared parser with the

@@ -41,7 +41,9 @@
 
 use std::collections::VecDeque;
 
-use gp_algorithms::engine::{initial_state, run_sequential_seeded};
+use gp_algorithms::engine::{
+    apply_event, for_each_propagated, initial_state, run_sequential_seeded,
+};
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::{GraphView, VertexId};
 use gp_mem::integrity::{checkpoint_bytes, BitUpset, ShadowChecksum, Storable};
@@ -463,27 +465,14 @@ where
                 .expect("worklist entry without delta");
             st.epoch_proc += 1;
             st.totals.processed += 1;
-            let uid = VertexId::new(u);
-            let old = st.values[u as usize];
-            let new = algo.reduce(old, delta);
-            st.values[u as usize] = new;
-            st.shadow.record_write(u as usize, old, new);
-            if let Some(basis) = algo.propagation_basis(old, new) {
-                let row = graph.out_edges(uid);
-                let degree = row.len() as u32;
-                for edge in row {
-                    if let Some(d) = algo.propagate(basis, uid, degree, edge) {
-                        deposit(
-                            &mut st,
-                            &mut inj,
-                            algo,
-                            logical,
-                            out.epochs,
-                            edge.other.get(),
-                            d,
-                        );
-                    }
-                }
+            let (uid, old) = (VertexId::new(u), st.values[u as usize]);
+            let basis = apply_event(algo, &mut st.values, uid, delta);
+            st.shadow
+                .record_write(u as usize, old, st.values[u as usize]);
+            if let Some(basis) = basis {
+                for_each_propagated(algo, graph, uid, basis, |v, d| {
+                    deposit(&mut st, &mut inj, algo, logical, out.epochs, v.get(), d);
+                });
             }
         }
         out.epochs += 1;

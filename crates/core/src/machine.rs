@@ -5,7 +5,7 @@ use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
-use gp_algorithms::engine::initial_state;
+use gp_algorithms::engine::{apply_event, initial_state};
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::partition::Partition;
 use gp_graph::{GraphView, VertexId};
@@ -1105,8 +1105,8 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         let now = self.now;
         let v = op.event.target;
         let old = self.values[v.index()];
-        let new = self.algo.reduce(old, op.event.delta);
-        self.values[v.index()] = new;
+        let basis = apply_event(self.algo, &mut self.values, v, op.event.delta);
+        let new = self.values[v.index()];
         self.events_processed += 1;
         self.activity.proc_ops += 1;
         // The apply pipeline itself is fixed-latency; any extra time before
@@ -1129,8 +1129,9 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             self.issue_vertex_write(p, flush_line, bytes);
         }
 
-        // Local termination check (Algorithm 1 line 8).
-        if let Some(basis) = self.algo.propagation_basis(old, new) {
+        // Local termination (Algorithm 1 line 8) passed: the generation
+        // streams walk the out-edges.
+        if let Some(basis) = basis {
             let degree = self.graph.out_degree(v);
             if degree > 0 {
                 let task = GenTask {

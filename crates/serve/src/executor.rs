@@ -33,7 +33,7 @@
 //! * **Replay.** A column that is behind re-converges **in place**: for
 //!   each overlay delta between its epoch and the pin,
 //!   [`incremental_seeds_with`] turns the delta into seed events and a
-//!   [`TurboEngine`] run processes only what they trigger — converged
+//!   [`run_turbo_with`] run processes only what they trigger — converged
 //!   state plus a perturbation, the GraphPulse model. Path columns replay
 //!   chains of up to `MAX_WARM_CHAIN` deltas (monotone re-convergence is
 //!   bit-identical to a cold run); whole-graph columns replay exactly one
@@ -45,12 +45,13 @@
 //!   cold column, path source or whole graph alike — the run `gp-stream`
 //!   and every golden check make.
 //!
-//! Every replay and cold run of a class goes through the class's one seed
-//! accumulator ([`DeltaPool`]) and one [`TurboEngine`], built at its first
-//! run and kept for the lane's life. Each is `n`-length, every plan and
-//! every run leaves it empty, and the vertex count never changes between
-//! epochs, so a path replay of a few seeds costs those seeds and a pass
-//! over the bitmap words, not an `n`-length allocation and fill.
+//! Every replay and cold run of a class goes through the class's one
+//! [`DeltaPool`], built at its first run and kept for the lane's life: a
+//! replay's seed plans and turbo runs take turns in it. It is `n`-length,
+//! every plan and every run leaves it empty, and the vertex count never
+//! changes between epochs, so a path replay of a few seeds costs those
+//! seeds and a pass over the bitmap words, not an `n`-length allocation
+//! and fill.
 //!
 //! A reply is `value_to_f64(column.values[v])`. Path columns across the
 //! three path classes of a lane are bounded at `PATH_CACHE_SOURCES`,
@@ -67,7 +68,7 @@ use gp_algorithms::{
     PageRankDelta, Sssp, Sswp,
 };
 use gp_graph::VertexId;
-use gp_turbo::{TurboConfig, TurboEngine};
+use gp_turbo::{run_turbo_with, TurboConfig};
 
 use crate::snapshot::Epoch;
 use crate::{
@@ -121,7 +122,7 @@ struct Policy {
 }
 
 /// One query class of one lane: its columns, how to build the algorithm
-/// behind them, and the resident pools every run of the class shares.
+/// behind them, and the resident pool every run of the class shares.
 struct Class<A: IncrementalAlgorithm> {
     class: QueryClass,
     /// Builds the algorithm for a column key.
@@ -129,9 +130,10 @@ struct Class<A: IncrementalAlgorithm> {
     policy: Policy,
     /// Path source (`0` for a whole-graph class) → column.
     columns: HashMap<u32, Column<A::Value>>,
-    /// The seed accumulator and the turbo engine, from the class's first
-    /// run on; a lane that never serves the class never builds them.
-    resident: Option<(DeltaPool<A>, TurboEngine<A>)>,
+    /// The pool every seed plan and turbo run of the class takes turns
+    /// in, from the class's first run on; a lane that never serves the
+    /// class never builds it.
+    pool: Option<DeltaPool<A>>,
 }
 
 impl<A: IncrementalAlgorithm> Class<A> {
@@ -141,7 +143,7 @@ impl<A: IncrementalAlgorithm> Class<A> {
             algo,
             policy,
             columns: HashMap::new(),
-            resident: None,
+            pool: None,
         }
     }
 
@@ -221,13 +223,14 @@ impl<A: IncrementalAlgorithm> Class<A> {
             return false;
         }
         let algo = (self.algo)(&shared.config, VertexId::new(key));
-        let (seeder, engine) = resident(&mut self.resident, &algo, shared.num_vertices);
+        let n = shared.num_vertices;
+        let pool = self.pool.get_or_insert_with(|| DeltaPool::new(&algo, n));
         let cfg = TurboConfig::default();
         for step in chain() {
             let delta = step.delta.as_ref().expect("chain checked above");
-            let plan =
-                incremental_seeds_with(seeder, &algo, &step.graph, &mut column.values, delta);
-            engine.run(&algo, &step.graph, &mut column.values, &plan.seeds, &cfg);
+            let values = &mut column.values;
+            let plan = incremental_seeds_with(pool, &algo, &step.graph, values, delta);
+            run_turbo_with(pool, &algo, &step.graph, values, &plan.seeds, &cfg);
         }
         column.epoch = epoch.number;
         column.warm_streak += 1;
@@ -238,14 +241,10 @@ impl<A: IncrementalAlgorithm> Class<A> {
     fn run_cold(&mut self, shared: &Shared, key: u32, epoch: &Epoch) {
         let algo = (self.algo)(&shared.config, VertexId::new(key));
         let (mut values, seeds) = initial_state(&algo, &epoch.graph);
-        let (_, engine) = resident(&mut self.resident, &algo, shared.num_vertices);
-        engine.run(
-            &algo,
-            &epoch.graph,
-            &mut values,
-            &seeds,
-            &TurboConfig::default(),
-        );
+        let n = shared.num_vertices;
+        let pool = self.pool.get_or_insert_with(|| DeltaPool::new(&algo, n));
+        let cfg = TurboConfig::default();
+        run_turbo_with(pool, &algo, &epoch.graph, &mut values, &seeds, &cfg);
         let column = Column {
             epoch: epoch.number,
             values,
@@ -258,16 +257,6 @@ impl<A: IncrementalAlgorithm> Class<A> {
     fn evict(&mut self, keep: Option<u64>) {
         self.columns.retain(|_, c| Some(c.epoch) == keep);
     }
-}
-
-/// A class's resident seed accumulator and turbo engine, built for `n`
-/// vertices at first use.
-fn resident<'r, A: IncrementalAlgorithm>(
-    slot: &'r mut Option<(DeltaPool<A>, TurboEngine<A>)>,
-    algo: &A,
-    n: usize,
-) -> &'r mut (DeltaPool<A>, TurboEngine<A>) {
-    slot.get_or_insert_with(|| (DeltaPool::new(algo, n), TurboEngine::new(algo, n)))
 }
 
 /// Everything one executor lane owns: one [`Class`] per query class.

@@ -28,8 +28,9 @@
 //!   a column to the pinned epoch the same way: replay the overlay deltas
 //!   it is behind by in place
 //!   ([`incremental_seeds_with`](gp_algorithms::incremental_seeds_with) +
-//!   a [`TurboEngine`](gp_turbo::TurboEngine) run — converged state plus
-//!   a perturbation processes only the events the perturbation triggers),
+//!   a [`run_turbo_with`](gp_turbo::run_turbo_with) run on the same pool —
+//!   converged state plus a perturbation processes only the events the
+//!   perturbation triggers),
 //!   or run cold — one
 //!   [`initial_state`](gp_algorithms::engine::initial_state) + turbo run
 //!   of the class's own algorithm per column — when the chain is too long

@@ -17,8 +17,9 @@
 //!   [`Backend`] — the golden sequential engine, the cycle-level
 //!   accelerator model, the shard-parallel engine (which keeps its
 //!   bit-identical-across-worker-counts guarantee in seeded mode), or
-//!   turbo. The seed accumulator and the turbo pool are resident across
-//!   batches, so a batch costs the vertices it touches.
+//!   turbo. One pool is resident across batches — each batch's seed plan
+//!   drains it, then the turbo run sweeps it — so a batch costs the
+//!   vertices it touches.
 //!
 //! [`UpdateStream`] generates deterministic R-MAT-skewed insert/delete
 //! streams for benchmarking; the `streaming` binary in `gp-bench` reports
@@ -54,7 +55,7 @@ use gp_algorithms::{incremental_seeds_with, DeltaPool, IncrementalAlgorithm};
 use gp_graph::generators::WeightMode;
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, EdgeUpdate, GraphView, OverlayGraph, VertexId};
-use gp_turbo::TurboEngine;
+use gp_turbo::run_turbo_with;
 use graphpulse_core::{AcceleratorConfig, GraphPulse, Outcome, RunError};
 
 /// Which execution engine re-converges the dirty frontier after a batch.
@@ -72,10 +73,10 @@ pub enum Backend {
     /// ([`GraphPulse::run_parallel_seeded`]); results stay bit-identical
     /// across worker counts.
     Parallel(Box<AcceleratorConfig>),
-    /// The speed-first turbo backend in seeded mode: one resident
-    /// [`TurboEngine`], built at the first run and reused by every batch
-    /// after it — the only engine fast enough to sit behind interactive
-    /// traffic, which is what `gp-serve` does.
+    /// The speed-first turbo backend in seeded mode
+    /// ([`gp_turbo::run_turbo_with`]), on the engine's resident pool —
+    /// the only engine fast enough to sit behind interactive traffic,
+    /// which is what `gp-serve` does.
     /// Bit-exact vs [`Backend::Golden`] for the monotone algorithms,
     /// within `comparison_tolerance` for PageRank-delta.
     Turbo(gp_turbo::TurboConfig),
@@ -145,20 +146,20 @@ pub struct BatchReport {
 /// monotone algorithms) what a from-scratch run on the mutated graph
 /// produces — the property the differential test suite pins.
 ///
-/// The per-batch machinery is resident: the seed plan accumulates in one
-/// [`DeltaPool`] kept across batches, and the turbo backend runs on one
-/// [`TurboEngine`]. Compaction replaces the graph but not its vertex
-/// count, so both outlive it, and each batch costs what it touches.
+/// The per-batch machinery is resident: one [`DeltaPool`], kept across
+/// batches, takes each seed plan and then the turbo backend's run, and
+/// each leaves it empty for the other. Compaction replaces the graph but
+/// not its vertex count, so the pool outlives it, and each batch costs
+/// what it touches.
 #[derive(Debug)]
 pub struct IncrementalEngine<A: IncrementalAlgorithm> {
     algo: A,
     graph: OverlayGraph,
     values: Vec<A::Value>,
     config: StreamConfig,
-    /// Coalesces each batch's seed plan; every plan drains it empty.
-    seeds: DeltaPool<A>,
-    /// The turbo backend's pool, from its first run on.
-    turbo: Option<TurboEngine<A>>,
+    /// Coalesces each batch's seed plan, then carries the turbo run;
+    /// every plan and every run drains it empty.
+    pool: DeltaPool<A>,
 }
 
 impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
@@ -177,12 +178,11 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
         config: StreamConfig,
     ) -> Result<(Self, BatchReport), RunError> {
         let mut engine = IncrementalEngine {
-            seeds: DeltaPool::new(&algo, base.num_vertices()),
+            pool: DeltaPool::new(&algo, base.num_vertices()),
             algo,
             graph: OverlayGraph::new(base),
             values: Vec::new(),
             config,
-            turbo: None,
         };
         let (values, seeds) = initial_state(&engine.algo, &engine.graph);
         engine.values = values;
@@ -210,7 +210,7 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
             return Ok(BatchReport::default());
         }
         let plan = incremental_seeds_with(
-            &mut self.seeds,
+            &mut self.pool,
             &self.algo,
             &self.graph,
             &mut self.values,
@@ -251,11 +251,8 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
                 report = self.adopt(out.into());
             }
             Backend::Turbo(cfg) => {
-                let n = self.values.len();
-                let engine = self
-                    .turbo
-                    .get_or_insert_with(|| TurboEngine::new(&self.algo, n));
-                let out = engine.run(&self.algo, &self.graph, &mut self.values, seeds, cfg);
+                let (pool, values) = (&mut self.pool, &mut self.values);
+                let out = run_turbo_with(pool, &self.algo, &self.graph, values, seeds, cfg);
                 report.events_processed = out.events_processed;
                 report.events_generated = out.events_generated;
             }

@@ -26,10 +26,11 @@
 //!   reordering property guarantees any drain order reaches the same
 //!   fixed point.
 //!
-//! The pool is a [`gp_algorithms::DeltaPool`], and a [`TurboEngine`] keeps
-//! one resident across runs: a finished run leaves no bit set, so the next
-//! run reuses the pool untouched and costs what it processes.
-//! [`run_turbo`] and [`run_turbo_seeded`] are one run of a fresh engine.
+//! The pool is a [`gp_algorithms::DeltaPool`], and [`run_turbo_with`] runs
+//! on one the caller keeps resident across runs: a finished run leaves no
+//! bit set, so the next run reuses the pool untouched and costs what it
+//! processes. [`run_turbo`] and [`run_turbo_seeded`] are one run on a fresh
+//! pool.
 //!
 //! The pool is one, and the run single-threaded: vertex sharding cost
 //! 1.17–1.51× the events, never read ahead of one pool in two timing
@@ -59,5 +60,5 @@
 mod engine;
 
 pub use engine::{
-    run_turbo, run_turbo_seeded, StaleFault, TurboConfig, TurboEngine, TurboOutcome, TurboRun,
+    run_turbo, run_turbo_seeded, run_turbo_with, StaleFault, TurboConfig, TurboOutcome, TurboRun,
 };

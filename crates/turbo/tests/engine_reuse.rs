@@ -1,17 +1,18 @@
-//! A reused `TurboEngine` is bit-exact with a fresh `run_turbo_seeded`:
-//! values, every counter and the rendered round log, run after run —
-//! after a `StaleFault` run, across a compaction (a new graph of the same
-//! size), with no seeds, and on the bitmap's edge sizes. A finished run
-//! leaves the pool empty, which is what makes reuse free; these tests are
-//! what holds it to that.
+//! A run on a reused `DeltaPool` (`run_turbo_with`) is bit-exact with a
+//! fresh `run_turbo_seeded`: values, every counter and the rendered round
+//! log, run after run — after a `StaleFault` run, across a compaction (a
+//! new graph of the same size), with the seed plans drained through the
+//! same pool in between, with no seeds, and on the bitmap's edge sizes. A
+//! finished run or plan leaves the pool empty, which is what makes reuse
+//! free; these tests are what holds it to that.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gp_algorithms::engine::initial_state;
-use gp_algorithms::{incremental_seeds, DeltaAlgorithm, PageRankDelta, Sssp};
+use gp_algorithms::{incremental_seeds_with, DeltaAlgorithm, DeltaPool, PageRankDelta, Sssp};
 use gp_graph::generators::{rmat, RmatConfig, WeightMode};
 use gp_graph::{CsrGraph, EdgeUpdate, GraphBuilder, GraphView, OverlayGraph, VertexId};
-use gp_turbo::{run_turbo_seeded, StaleFault, TurboConfig, TurboEngine, TurboRun};
+use gp_turbo::{run_turbo_seeded, run_turbo_with, StaleFault, TurboConfig, TurboRun};
 
 fn faulted(after_rounds: u64, pick: u64) -> TurboConfig {
     TurboConfig {
@@ -19,11 +20,11 @@ fn faulted(after_rounds: u64, pick: u64) -> TurboConfig {
     }
 }
 
-/// Runs `seeds` from `values` on the reused `engine` and on a fresh
+/// Runs `seeds` from `values` on the reused `pool` and on a fresh
 /// `run_turbo_seeded`, asserts the two agree bit for bit, and leaves the
 /// re-converged values in `values`.
 fn run_both<A: DeltaAlgorithm, G: GraphView>(
-    engine: &mut TurboEngine<A>,
+    pool: &mut DeltaPool<A>,
     algo: &A,
     graph: &G,
     values: &mut [A::Value],
@@ -32,7 +33,7 @@ fn run_both<A: DeltaAlgorithm, G: GraphView>(
 ) -> TurboRun {
     let mut fresh = values.to_vec();
     let want = run_turbo_seeded(algo, graph, &mut fresh, seeds, cfg);
-    let got = engine.run(algo, graph, values, seeds, cfg);
+    let got = run_turbo_with(pool, algo, graph, values, seeds, cfg);
     let bits = |vs: &[A::Value]| -> Vec<u64> {
         vs.iter().map(|&v| algo.value_to_f64(v).to_bits()).collect()
     };
@@ -81,13 +82,13 @@ fn reuse_matches_fresh_runs_on_the_bitmap_edge_sizes() {
     for n in [0usize, 1, 64, 65] {
         let g = ring(n);
         let algo = Sssp::new(VertexId::new(0));
-        let mut engine = TurboEngine::new(&algo, n);
-        assert_eq!(engine.num_vertices(), n);
-        // Empty seeds on a fresh engine, then a cold run, a faulted one,
+        let mut pool = DeltaPool::new(&algo, n);
+        assert_eq!(pool.num_vertices(), n);
+        // Empty seeds on a fresh pool, then a cold run, a faulted one,
         // empty seeds again, and a warm one with duplicate seeds.
         let mut values = vec![f64::INFINITY; n];
         let idle = run_both(
-            &mut engine,
+            &mut pool,
             &algo,
             &g,
             &mut values,
@@ -97,7 +98,7 @@ fn reuse_matches_fresh_runs_on_the_bitmap_edge_sizes() {
         assert_eq!((idle.rounds, idle.events_generated), (0, 0), "n = {n}");
         let (mut values, seeds) = initial_state(&algo, &g);
         run_both(
-            &mut engine,
+            &mut pool,
             &algo,
             &g,
             &mut values,
@@ -105,10 +106,10 @@ fn reuse_matches_fresh_runs_on_the_bitmap_edge_sizes() {
             &TurboConfig::default(),
         );
         let (mut again, seeds) = initial_state(&algo, &g);
-        let lossy = run_both(&mut engine, &algo, &g, &mut again, &seeds, &faulted(1, 0));
+        let lossy = run_both(&mut pool, &algo, &g, &mut again, &seeds, &faulted(1, 0));
         assert_eq!(lossy.check_lost_events().is_err(), n > 0, "n = {n}");
         run_both(
-            &mut engine,
+            &mut pool,
             &algo,
             &g,
             &mut values,
@@ -123,7 +124,7 @@ fn reuse_matches_fresh_runs_on_the_bitmap_edge_sizes() {
             }
         };
         run_both(
-            &mut engine,
+            &mut pool,
             &algo,
             &g,
             &mut values,
@@ -140,11 +141,11 @@ fn reuse_after_a_stale_fault_matches_fresh_runs() {
         13,
     );
     let algo = Sssp::new(VertexId::new(0));
-    let mut engine = TurboEngine::new(&algo, 256);
+    let mut pool = DeltaPool::new(&algo, 256);
     for (after_rounds, pick) in [(1, 3), (2, 0), (u64::MAX, 1)] {
         let (mut values, seeds) = initial_state(&algo, &g);
         let out = run_both(
-            &mut engine,
+            &mut pool,
             &algo,
             &g,
             &mut values,
@@ -154,7 +155,7 @@ fn reuse_after_a_stale_fault_matches_fresh_runs() {
         assert_eq!(out.check_lost_events().is_err(), after_rounds != u64::MAX);
         let (mut values, seeds) = initial_state(&algo, &g);
         let clean = run_both(
-            &mut engine,
+            &mut pool,
             &algo,
             &g,
             &mut values,
@@ -165,9 +166,10 @@ fn reuse_after_a_stale_fault_matches_fresh_runs() {
     }
 }
 
-/// One engine carries PageRank-delta and SSSP columns through update
-/// batches on an overlay that compacts every other batch: the compacted
-/// base is a new graph of the same size.
+/// One pool carries PageRank-delta and SSSP columns through update
+/// batches on an overlay that compacts every other batch — each batch's
+/// seed plan drained through it, then the run on it: the compacted base is
+/// a new graph of the same size.
 #[test]
 fn reuse_across_compaction_matches_fresh_runs() {
     fn stream<A: gp_algorithms::IncrementalAlgorithm>(algo: &A, seed: u64) {
@@ -177,10 +179,10 @@ fn reuse_across_compaction_matches_fresh_runs() {
             seed,
         );
         let mut overlay = OverlayGraph::new(g);
-        let mut engine = TurboEngine::new(algo, n);
+        let mut pool = DeltaPool::new(algo, n);
         let (mut values, seeds) = initial_state(algo, &overlay);
         run_both(
-            &mut engine,
+            &mut pool,
             algo,
             &overlay,
             &mut values,
@@ -190,9 +192,9 @@ fn reuse_across_compaction_matches_fresh_runs() {
         let mut updates = update_batches(n, seed);
         for batch in 0..6 {
             let applied = overlay.apply(&updates(&overlay));
-            let plan = incremental_seeds(algo, &overlay, &mut values, &applied);
+            let plan = incremental_seeds_with(&mut pool, algo, &overlay, &mut values, &applied);
             run_both(
-                &mut engine,
+                &mut pool,
                 algo,
                 &overlay,
                 &mut values,
@@ -203,7 +205,7 @@ fn reuse_across_compaction_matches_fresh_runs() {
                 overlay.compact();
                 assert_eq!(overlay.patched_vertices(), 0);
                 run_both(
-                    &mut engine,
+                    &mut pool,
                     algo,
                     &overlay,
                     &mut values,
@@ -248,12 +250,13 @@ fn update_batches(n: usize, seed: u64) -> impl FnMut(&OverlayGraph) -> Vec<EdgeU
 }
 
 #[test]
-#[should_panic(expected = "turbo engine built for 64 vertices run on a graph of 65")]
+#[should_panic(expected = "turbo pool built for 64 vertices run on a graph of 65")]
 fn a_graph_of_another_size_is_refused() {
     let algo = Sssp::new(VertexId::new(0));
-    let mut engine = TurboEngine::new(&algo, 64);
+    let mut pool = DeltaPool::new(&algo, 64);
     let mut values = vec![f64::INFINITY; 65];
-    engine.run(&algo, &ring(65), &mut values, &[], &TurboConfig::default());
+    let cfg = TurboConfig::default();
+    run_turbo_with(&mut pool, &algo, &ring(65), &mut values, &[], &cfg);
 }
 
 /// A bad seed is refused before the first deposit, so the seeds ahead of
@@ -263,7 +266,7 @@ fn an_out_of_range_seed_is_refused_before_any_deposit() {
     let n = 65;
     let g = ring(n);
     let algo = Sssp::new(VertexId::new(0));
-    let mut engine = TurboEngine::new(&algo, n);
+    let mut pool = DeltaPool::new(&algo, n);
     let bad = [
         (VertexId::new(0), 0.0),
         (VertexId::new(64), 1.0),
@@ -271,7 +274,14 @@ fn an_out_of_range_seed_is_refused_before_any_deposit() {
     ];
     let mut values = vec![f64::INFINITY; n];
     let refused = catch_unwind(AssertUnwindSafe(|| {
-        engine.run(&algo, &g, &mut values, &bad, &TurboConfig::default())
+        run_turbo_with(
+            &mut pool,
+            &algo,
+            &g,
+            &mut values,
+            &bad,
+            &TurboConfig::default(),
+        )
     }));
     let message = *refused
         .expect_err("seed 65 of 65 vertices must be refused")
@@ -281,7 +291,7 @@ fn an_out_of_range_seed_is_refused_before_any_deposit() {
     assert!(values.iter().all(|v| v.is_infinite()), "state was touched");
     let (mut values, seeds) = initial_state(&algo, &g);
     let idle = run_both(
-        &mut engine,
+        &mut pool,
         &algo,
         &g,
         &mut values,
@@ -290,7 +300,7 @@ fn an_out_of_range_seed_is_refused_before_any_deposit() {
     );
     assert_eq!(idle.events_generated, 0, "the refused seeds were deposited");
     run_both(
-        &mut engine,
+        &mut pool,
         &algo,
         &g,
         &mut values,

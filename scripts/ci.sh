@@ -51,14 +51,15 @@ if grep -rn 'impl.*DeltaAlgorithm for' crates/serve/src; then
   echo "gp-serve defines an algorithm of its own: algorithms live in gp-algorithms, where golden checks them"; exit 1
 fi
 
-echo "== the incremental step is resident (one seed pool, one turbo engine per owner) =="
-# IncrementalEngine and every gp-serve executor class keep one DeltaPool and
-# one TurboEngine across runs; a finished run leaves both empty, so reuse is
-# free. The per-call entry points allocate and fill n-length columns every
-# call, and the BTreeMap seed accumulator cost a tree insert per event
-# (EXPERIMENTS.md, "Resident incremental step").
+echo "== the incremental step is resident (one pool per owner) =="
+# IncrementalEngine and every gp-serve executor class keep one DeltaPool
+# across runs, used by each seed plan and then by the turbo run; a finished
+# plan or run leaves it empty, so reuse is free. The per-call entry points
+# allocate and fill n-length columns every call, and the BTreeMap seed
+# accumulator cost a tree insert per event (EXPERIMENTS.md, "Resident
+# incremental step").
 if grep -rnE 'run_turbo_seeded\(|incremental_seeds\(' crates/stream/src crates/serve/src; then
-  echo "per-call turbo run or seed plan in gp-stream / gp-serve: use the owner's resident DeltaPool and TurboEngine"; exit 1
+  echo "per-call turbo run or seed plan in gp-stream / gp-serve: use the owner's resident DeltaPool (incremental_seeds_with, run_turbo_with)"; exit 1
 fi
 if grep -rnE 'fn coalesce_into|fn into_plan' crates/algorithms/src; then
   echo "BTreeMap seed accumulator reintroduced: seeds coalesce in a DeltaPool"; exit 1
@@ -124,6 +125,21 @@ echo "== one place decides where a slice ends (the container holds the graph onl
 # back with its cap option or flag.
 if grep -rnE 'Slice[E]xtent|slice_[e]xtents|slice_[v]ertices|SEG_SLICE_[I]NDEX' crates src tests scripts; then
   echo "stored slice index reintroduced: cut slices with Partition::contiguous over the mapped graph"; exit 1
+fi
+
+echo "== one event step (Algorithm 1 written once, in gp_algorithms::engine) =="
+# Reduce, local termination and the out-row walk are apply_event and
+# for_each_propagated; every engine calls them, so the termination test
+# has one call site. Lines from the first #[cfg(test)] of a file on are
+# test code and may call it directly.
+if grep -rn --include='*.rs' '\.propagation_basis(' crates \
+    | grep -v '^crates/algorithms/src/engine.rs:' \
+    | while IFS=: read -r file line _; do
+        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
+        case "$file" in */tests/*) continue ;; esac
+        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
+      done | grep .; then
+  echo "a second event step: reach reduce / local termination through gp_algorithms::engine::apply_event"; exit 1
 fi
 
 echo "== cargo clippy (warnings denied) =="
