@@ -100,7 +100,8 @@ pub fn apply_event<A: DeltaAlgorithm>(
 
 /// Lines 9–12 of Algorithm 1, the second half of the event step: hands
 /// `emit` the target and delta of every event `u` propagates with `basis`,
-/// along its out-row in row order. Returns the row length.
+/// along its out-row in row order. Returns the row length. The row is
+/// walked in one `for_each`, so its storage is matched once per event.
 #[inline]
 pub fn for_each_propagated<A: DeltaAlgorithm, G: GraphView>(
     algo: &A,
@@ -111,11 +112,11 @@ pub fn for_each_propagated<A: DeltaAlgorithm, G: GraphView>(
 ) -> u32 {
     let row = graph.out_edges(u);
     let degree = row.len() as u32;
-    for edge in row {
+    row.for_each(|edge| {
         if let Some(d) = algo.propagate(basis, u, degree, edge) {
             emit(edge.other, d);
         }
-    }
+    });
     degree
 }
 
@@ -130,8 +131,8 @@ pub fn for_each_propagated<A: DeltaAlgorithm, G: GraphView>(
 ///
 /// # Panics
 ///
-/// Panics if `values.len() != graph.num_vertices()` or a seed vertex is out
-/// of range.
+/// Panics, before any state is touched, if `values.len() !=
+/// graph.num_vertices()` or a seed vertex is out of range.
 pub fn run_sequential_seeded<A: DeltaAlgorithm, G: GraphView>(
     algo: &A,
     graph: &G,
@@ -140,6 +141,9 @@ pub fn run_sequential_seeded<A: DeltaAlgorithm, G: GraphView>(
 ) -> EngineOutput {
     let n = graph.num_vertices();
     assert_eq!(values.len(), n, "state length must match the vertex count");
+    if let Some((v, _)) = seeds.iter().find(|(v, _)| v.index() >= n) {
+        panic!("seed vertex {v:?} out of range");
+    }
     let mut pending: Vec<Option<A::Delta>> = vec![None; n];
     let mut worklist = VecDeque::new();
     let deposit = |pending: &mut [Option<A::Delta>], worklist: &mut VecDeque<_>, v: VertexId, d| {
@@ -330,6 +334,17 @@ mod tests {
         let out = run_sequential(&PageRankDelta::new(0.85, 1e-4), &g);
         assert!(out.values.is_empty());
         assert_eq!(out.events_processed, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn sequential_refuses_an_out_of_range_seed() {
+        let g = erdos_renyi(8, 16, WeightMode::Unweighted, 2);
+        let bfs = Bfs::new(VertexId::new(0));
+        let (mut values, _) = initial_state(&bfs, &g);
+        // A good seed ahead of the bad one: the check runs before any deposit.
+        let seeds = [(VertexId::new(0), 0), (VertexId::new(8), 0)];
+        run_sequential_seeded(&bfs, &g, &mut values, &seeds);
     }
 
     #[test]

@@ -241,11 +241,11 @@ fn delta_correction_seeds<A: IncrementalAlgorithm, G: GraphView>(
         // still shift when the degree changes (the share is `α·v/deg`).
         let new_row = graph.out_edges(*u);
         let new_deg = new_row.len() as u32;
-        for e in new_row {
+        new_row.for_each(|e| {
             if let Some(share) = algo.propagate(basis, *u, new_deg, e) {
                 deposit(e.other, share);
             }
-        }
+        });
     }
 }
 
@@ -304,10 +304,10 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
         if let Some(d) = algo.initial_delta(t) {
             deposit(t, d);
         }
-        for e in graph.in_edges(t) {
+        graph.in_edges(t).for_each(|e| {
             let s = e.other;
             if invalid.contains(&s.get()) {
-                continue;
+                return;
             }
             let se = EdgeRef {
                 other: t,
@@ -318,7 +318,7 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
             {
                 deposit(t, c);
             }
-        }
+        });
     }
 
     // 4. Insertions between intact vertices seed the propagated
@@ -407,10 +407,10 @@ fn support_test_closure<A: IncrementalAlgorithm, G: GraphView>(
         let row = graph.out_edges(tid);
         let deg = row.len() as u32;
         let basis = algo.basis_of(values[tid.index()]);
-        for e in row {
+        row.for_each(|e| {
             let w = e.other;
             if invalid.contains(&w.get()) || values[w.index()] == algo.init_value(w) {
-                continue;
+                return;
             }
             if let Some(c) = algo.propagate(basis, tid, deg, e) {
                 if algo.reduce(algo.init_value(w), c) == values[w.index()] && queued.insert(w.get())
@@ -418,7 +418,7 @@ fn support_test_closure<A: IncrementalAlgorithm, G: GraphView>(
                     queue.push_back(w.get());
                 }
             }
-        }
+        });
     }
     invalid
 }
@@ -436,10 +436,10 @@ fn reachability_closure<A: IncrementalAlgorithm, G: GraphView>(
         let row = graph.out_edges(tid);
         let deg = row.len() as u32;
         let basis = algo.basis_of(values[tid.index()]);
-        for e in row {
+        row.for_each(|e| {
             let w = e.other;
             if invalid.contains(&w.get()) || values[w.index()] == algo.init_value(w) {
-                continue;
+                return;
             }
             if let Some(c) = algo.propagate(basis, tid, deg, e) {
                 if algo.reduce(algo.init_value(w), c) == values[w.index()] {
@@ -447,7 +447,7 @@ fn reachability_closure<A: IncrementalAlgorithm, G: GraphView>(
                     queue.push_back(w.get());
                 }
             }
-        }
+        });
     }
     invalid
 }

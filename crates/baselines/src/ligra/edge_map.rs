@@ -121,14 +121,14 @@ fn edge_map_sparse(
                 let mut local: Vec<u32> = Vec::new();
                 for &u in part {
                     let u = VertexId::new(u);
-                    for e in graph.out_edges(u) {
+                    graph.out_edges(u).for_each(|e| {
                         if op.cond(e.other)
                             && op.update_atomic(u, e.other, e.weight)
                             && !claimed[e.other.index()].swap(true, Ordering::AcqRel)
                         {
                             local.push(e.other.get());
                         }
-                    }
+                    });
                 }
                 local
             }));

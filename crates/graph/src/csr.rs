@@ -393,7 +393,13 @@ enum Row<'a> {
 #[inline]
 pub(crate) fn u32_at(seg: &[u8], index: usize) -> u32 {
     let at = index * 4;
-    u32::from_le_bytes(seg[at..at + 4].try_into().expect("4-byte window"))
+    le_u32(&seg[at..at + 4])
+}
+
+/// Little-endian `u32` of a 4-byte record.
+#[inline]
+fn le_u32(record: &[u8]) -> u32 {
+    u32::from_le_bytes([record[0], record[1], record[2], record[3]])
 }
 
 impl<'a> OutEdges<'a> {
@@ -465,6 +471,50 @@ impl Iterator for OutEdges<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let rem = self.len - self.pos;
         (rem, Some(rem))
+    }
+
+    /// Walks what is left of the row in one loop: the storage is matched
+    /// once per row, not once per edge as through [`next`](Self::next).
+    /// `for_each` runs through here, so a row walk without an early exit
+    /// is `row.for_each(..)`. Same edges, same order as `next`.
+    #[inline]
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, EdgeRef) -> B,
+    {
+        let (pos, len) = (self.pos, self.len);
+        match self.row {
+            Row::Csr { neighbors, weights } => neighbors[pos..len]
+                .iter()
+                .zip(&weights[pos..len])
+                .fold(init, |acc, (&other, &weight)| {
+                    f(acc, EdgeRef { other, weight })
+                }),
+            Row::Patch(edges) => edges[pos..len].iter().fold(init, |acc, &(other, weight)| {
+                let other = VertexId::new(other);
+                f(acc, EdgeRef { other, weight })
+            }),
+            Row::Mapped {
+                neighbors,
+                weights: None,
+            } => neighbors[pos * 4..len * 4]
+                .chunks_exact(4)
+                .fold(init, |acc, other| {
+                    let other = VertexId::new(le_u32(other));
+                    f(acc, EdgeRef { other, weight: 1.0 })
+                }),
+            Row::Mapped {
+                neighbors,
+                weights: Some(weights),
+            } => neighbors[pos * 4..len * 4]
+                .chunks_exact(4)
+                .zip(weights[pos * 4..len * 4].chunks_exact(4))
+                .fold(init, |acc, (other, weight)| {
+                    let other = VertexId::new(le_u32(other));
+                    let weight = f32::from_bits(le_u32(weight));
+                    f(acc, EdgeRef { other, weight })
+                }),
+        }
     }
 }
 

@@ -6,7 +6,8 @@
 //! compaction, of a streamed-then-mapped [`MappedCsr`], and of a
 //! [`MeteredView`] over each agree element for element — neighbor and
 //! weight bits, in order — with the materialized CSR, and every row obeys
-//! `len() == degree` and `get(i) == nth(i)`.
+//! `len() == degree` and `get(i) == nth(i)`, and folds (`fold`,
+//! `for_each`) exactly the edges `next` would still yield.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -24,8 +25,23 @@ fn bits(e: EdgeRef) -> (u32, u32) {
     (e.other.get(), e.weight.to_bits())
 }
 
-/// One row against the edges it must hold: length, order, and the
-/// `get`/`nth` contract at every index, from the start and mid-walk.
+/// What is left of `row`, read through `fold` and through `for_each`: both
+/// must match `want`, the tail `next` would still yield.
+fn assert_walks(label: &str, row: &OutEdges<'_>, want: &[EdgeRef]) {
+    let want: Vec<_> = want.iter().copied().map(bits).collect();
+    let folded = row.clone().fold(Vec::new(), |mut acc, e| {
+        acc.push(bits(e));
+        acc
+    });
+    assert_eq!(folded, want, "{label}: fold");
+    let mut walked = Vec::new();
+    row.clone().for_each(|e| walked.push(bits(e)));
+    assert_eq!(walked, want, "{label}: for_each");
+}
+
+/// One row against the edges it must hold: length, order, the `get`/`nth`
+/// contract at every index, and `fold`/`for_each` over the whole row, from
+/// the start and mid-walk.
 fn assert_row(label: &str, row: OutEdges<'_>, degree: u32, want: &[EdgeRef]) {
     assert_eq!(row.len(), want.len(), "{label}: len");
     assert_eq!(degree as usize, want.len(), "{label}: degree");
@@ -38,13 +54,16 @@ fn assert_row(label: &str, row: OutEdges<'_>, degree: u32, want: &[EdgeRef]) {
         );
     }
     assert!(row.get(want.len()).is_none(), "{label}: get past the end");
-    // `get` indexes what is left of a partly walked row.
+    // `get`, `fold` and `for_each` see only what is left of a partly
+    // walked row.
     let mut walked = row.clone();
     for (i, &w) in want.iter().enumerate() {
+        assert_walks(&format!("{label} after {i}"), &walked, &want[i..]);
         assert_eq!(walked.len(), want.len() - i, "{label}: remaining at {i}");
         assert_eq!(walked.get(0).map(bits), Some(bits(w)), "{label}: head {i}");
         assert_eq!(walked.next().map(bits), Some(bits(w)), "{label}: next {i}");
     }
+    assert_walks(&format!("{label} walked"), &walked, &[]);
     assert!(walked.next().is_none() && walked.get(0).is_none());
 }
 

@@ -183,6 +183,14 @@ cargo run --release -q -p gp-bench --bin fuzz -- --seed 7 --iters 58 \
   > /tmp/gp-fuzz-b.log
 diff /tmp/gp-fuzz-a.log /tmp/gp-fuzz-b.log \
   || { echo "fuzz output not deterministic"; exit 1; }
+# Two runs of one binary agree even when a verdict flips, so the log is also
+# pinned: its line count and POSIX cksum (CRC, bytes), as
+# crates/verify/tests/fuzz_fold.rs pins its 24-iteration prefix. A change
+# meant to move case generation or a verdict re-pins both.
+[ "$(wc -l < /tmp/gp-fuzz-a.log)" -eq 60 ] \
+  || { echo "fuzz log line count moved: expected 60"; exit 1; }
+[ "$(cksum < /tmp/gp-fuzz-a.log)" = "2115535695 4393" ] \
+  || { echo "fuzz log checksum moved: expected 2115535695 4393"; exit 1; }
 
 echo "== shrinker self-test (injected fault must be caught and shrunk) =="
 if cargo run --release -q -p gp-bench --bin fuzz -- \
