@@ -75,6 +75,67 @@ impl AppliedBatch {
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()
     }
+
+    /// The net diff `old -> new` over `sources` (ascending, each once):
+    /// what one [`OverlayGraph::apply`] of every update between the two
+    /// graphs would report, provided `sources` holds every vertex whose
+    /// out-row differs between them — for a chain of batches, the union
+    /// of their `old_out` sources. A source whose rows match reports
+    /// nothing, so churn that cancels across the chain leaves no trace.
+    pub fn between(old: &impl GraphView, new: &impl GraphView, sources: &[VertexId]) -> Self {
+        debug_assert!(sources.windows(2).all(|w| w[0] < w[1]), "sources unsorted");
+        let mut batch = AppliedBatch::default();
+        for &u in sources {
+            batch.push_row_diff(u, old.out_edges(u).collect(), new.out_edges(u));
+        }
+        batch
+    }
+
+    /// Appends `u`'s net change from `old` to `new` — a two-pointer diff
+    /// of the neighbor-sorted rows; a re-weighted edge is a delete plus an
+    /// insert — and `old` as its `old_out` row if anything changed. Calls
+    /// must come in ascending `u` to keep the lists sorted.
+    fn push_row_diff(&mut self, u: VertexId, old: Vec<EdgeRef>, new: OutEdges<'_>) {
+        let mut changed = false;
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < new.len() {
+            match (old.get(i), new.get(j)) {
+                (Some(o), Some(n)) if o.other == n.other => {
+                    if o.weight.to_bits() != n.weight.to_bits() {
+                        self.deletes.push((u, o.other, o.weight));
+                        self.inserts.push((u, n.other, n.weight));
+                        changed = true;
+                    }
+                    i += 1;
+                    j += 1;
+                }
+                (Some(o), Some(n)) if o.other < n.other => {
+                    self.deletes.push((u, o.other, o.weight));
+                    changed = true;
+                    i += 1;
+                }
+                (Some(_), Some(n)) => {
+                    self.inserts.push((u, n.other, n.weight));
+                    changed = true;
+                    j += 1;
+                }
+                (Some(o), None) => {
+                    self.deletes.push((u, o.other, o.weight));
+                    changed = true;
+                    i += 1;
+                }
+                (None, Some(n)) => {
+                    self.inserts.push((u, n.other, n.weight));
+                    changed = true;
+                    j += 1;
+                }
+                (None, None) => unreachable!("loop condition"),
+            }
+        }
+        if changed {
+            self.old_out.push((u, old));
+        }
+    }
 }
 
 /// A patched out-list: full replacement adjacency for one vertex, plus its
@@ -271,51 +332,10 @@ impl OverlayGraph {
             }
         }
 
-        // Net effect per touched source: two-pointer diff of the
-        // neighbor-sorted pre- and post-batch lists.
         let mut batch = AppliedBatch::default();
         for (u, old) in captured {
             let u = VertexId::new(u);
-            let new = self.snap.out_edges(u);
-            let mut changed = false;
-            let (mut i, mut j) = (0, 0);
-            while i < old.len() || j < new.len() {
-                match (old.get(i), new.get(j)) {
-                    (Some(o), Some(n)) if o.other == n.other => {
-                        if o.weight.to_bits() != n.weight.to_bits() {
-                            batch.deletes.push((u, o.other, o.weight));
-                            batch.inserts.push((u, n.other, n.weight));
-                            changed = true;
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(o), Some(n)) if o.other < n.other => {
-                        batch.deletes.push((u, o.other, o.weight));
-                        changed = true;
-                        i += 1;
-                    }
-                    (Some(_), Some(n)) => {
-                        batch.inserts.push((u, n.other, n.weight));
-                        changed = true;
-                        j += 1;
-                    }
-                    (Some(o), None) => {
-                        batch.deletes.push((u, o.other, o.weight));
-                        changed = true;
-                        i += 1;
-                    }
-                    (None, Some(n)) => {
-                        batch.inserts.push((u, n.other, n.weight));
-                        changed = true;
-                        j += 1;
-                    }
-                    (None, None) => unreachable!("loop condition"),
-                }
-            }
-            if changed {
-                batch.old_out.push((u, old));
-            }
+            batch.push_row_diff(u, old, self.snap.out_edges(u));
         }
         batch
     }

@@ -30,16 +30,22 @@
 //!   a whole-graph convergence costs seconds on large graphs, and chasing
 //!   every published epoch would starve the microsecond-scale reads
 //!   queued behind it. Path columns always chase the head.
-//! * **Replay.** A column that is behind re-converges **in place**: for
-//!   each overlay delta between its epoch and the pin,
-//!   [`incremental_seeds_with`] turns the delta into seed events and a
-//!   [`run_turbo_with`] run processes only what they trigger — converged
-//!   state plus a perturbation, the GraphPulse model. Path columns replay
+//! * **Replay.** A column that is behind re-converges **in place**, in
+//!   one step whatever the chain's length: the chain's net delta — the
+//!   stored delta for a chain of one, else
+//!   [`AppliedBatch::between`] the column's own snapshot and the pin over
+//!   every source a link touched — goes through one
+//!   [`incremental_seeds_with`] plan and one [`run_turbo_with`] run, which
+//!   processes only the events the perturbation triggers: converged state
+//!   plus a perturbation, the GraphPulse model. Path columns replay
 //!   chains of up to `MAX_WARM_CHAIN` deltas (monotone re-convergence is
-//!   bit-identical to a cold run); whole-graph columns replay exactly one
-//!   delta, and run cold after `WARM_LIMIT` consecutive replays to bound
-//!   PageRank's incremental drift. A chain with a link missing from the
-//!   snapshot history is not replayed.
+//!   bit-identical to a cold run). A PageRank column replays the
+//!   `refresh_lag` deltas a refresh finds it behind, until `WARM_LIMIT`
+//!   deltas have been merged since its last cold run — the bound on
+//!   PageRank's incremental drift. A CC column never replays: a deletion
+//!   invalidates the reachability closure of its source, which on a
+//!   giant component costs more than the cold run. A chain with a link
+//!   missing from the snapshot history is not replayed.
 //! * **Cold.** Whatever could not be replayed runs from
 //!   [`initial_state`] with the class's own algorithm: one turbo run per
 //!   cold column, path source or whole graph alike — the run `gp-stream`
@@ -47,7 +53,7 @@
 //!
 //! Every replay and cold run of a class goes through the class's one
 //! [`DeltaPool`], built at its first run and kept for the lane's life: a
-//! replay's seed plans and turbo runs take turns in it. It is `n`-length,
+//! replay's seed plan and turbo run take turns in it. It is `n`-length,
 //! every plan and every run leaves it empty, and the vertex count never
 //! changes between epochs, so a path replay of a few seeds costs those
 //! seeds and a pass over the bitmap words, not an `n`-length allocation
@@ -67,7 +73,7 @@ use gp_algorithms::{
     incremental_seeds_with, Bfs, ConnectedComponents, DeltaPool, IncrementalAlgorithm,
     PageRankDelta, Sssp, Sswp,
 };
-use gp_graph::VertexId;
+use gp_graph::{AppliedBatch, GraphSnapshot, VertexId};
 use gp_turbo::{run_turbo_with, TurboConfig};
 
 use crate::snapshot::Epoch;
@@ -101,9 +107,11 @@ pub(crate) fn run(shared: &Shared, lane: usize) {
 struct Column<V> {
     /// Epoch `values` is exact for.
     epoch: u64,
+    /// That epoch's adjacency: the old end of a replay's net delta.
+    graph: GraphSnapshot,
     values: Vec<V>,
-    /// Replays since the last cold run.
-    warm_streak: u32,
+    /// Deltas merged by replays since the last cold run.
+    warm_streak: u64,
 }
 
 /// One read of a column: `(key, vertex read, where the answer goes)`.
@@ -117,8 +125,8 @@ struct Policy {
     window: u64,
     /// Longest delta chain a column replays; a longer one runs cold.
     max_chain: u64,
-    /// Consecutive replays after which a column runs cold.
-    warm_limit: u32,
+    /// Most deltas a column merges by replay between cold runs.
+    warm_limit: u64,
 }
 
 /// One query class of one lane: its columns, how to build the algorithm
@@ -197,18 +205,19 @@ impl<A: IncrementalAlgorithm> Class<A> {
         }
     }
 
-    /// Re-converges `key`'s column to `epoch` in place by replaying the
-    /// delta chain between its epoch and the pin. `false` — column
-    /// untouched, the caller runs cold — when there is no column, the
-    /// chain is longer than the class replays, the column has been
-    /// replayed `warm_limit` times in a row, or any link is missing (epoch
-    /// evicted from history, or published without a delta).
+    /// Re-converges `key`'s column to `epoch` in place with one seed plan
+    /// and one turbo run on the net delta of the chain between its epoch
+    /// and the pin. `false` — column untouched, the caller runs cold —
+    /// when there is no column, the chain is longer than the class
+    /// replays, merging it would take the column past `warm_limit` deltas
+    /// since its last cold run, or any link is missing (epoch evicted from
+    /// history, or published without a delta).
     fn replay(&mut self, shared: &Shared, key: u32, epoch: &Epoch) -> bool {
         let Some(column) = self.columns.get_mut(&key) else {
             return false;
         };
         let behind = epoch.number - column.epoch;
-        if behind > self.policy.max_chain || column.warm_streak >= self.policy.warm_limit {
+        if behind > self.policy.max_chain || column.warm_streak + behind > self.policy.warm_limit {
             return false;
         }
         // Verify the whole chain is replayable before doing any work.
@@ -218,22 +227,42 @@ impl<A: IncrementalAlgorithm> Class<A> {
         else {
             return false;
         };
-        let chain = || steps.iter().map(|s| &**s).chain([epoch]);
-        if chain().any(|step| step.delta.is_none()) {
+        let Some(deltas) = steps
+            .iter()
+            .map(|s| &**s)
+            .chain([epoch])
+            .map(|step| step.delta.as_ref())
+            .collect::<Option<Vec<&AppliedBatch>>>()
+        else {
             return false;
-        }
+        };
+        // A chain of one is its own net delta. A longer one is the diff of
+        // its two ends over every source a link changed: no other row
+        // differs between them.
+        let net;
+        let delta = match deltas[..] {
+            [delta] => delta,
+            _ => {
+                let mut sources: Vec<VertexId> = deltas
+                    .iter()
+                    .flat_map(|d| d.old_out.iter().map(|&(u, _)| u))
+                    .collect();
+                sources.sort_unstable();
+                sources.dedup();
+                net = AppliedBatch::between(&column.graph, &epoch.graph, &sources);
+                &net
+            }
+        };
         let algo = (self.algo)(&shared.config, VertexId::new(key));
         let n = shared.num_vertices;
         let pool = self.pool.get_or_insert_with(|| DeltaPool::new(&algo, n));
         let cfg = TurboConfig::default();
-        for step in chain() {
-            let delta = step.delta.as_ref().expect("chain checked above");
-            let values = &mut column.values;
-            let plan = incremental_seeds_with(pool, &algo, &step.graph, values, delta);
-            run_turbo_with(pool, &algo, &step.graph, values, &plan.seeds, &cfg);
-        }
+        let values = &mut column.values;
+        let plan = incremental_seeds_with(pool, &algo, &epoch.graph, values, delta);
+        run_turbo_with(pool, &algo, &epoch.graph, values, &plan.seeds, &cfg);
         column.epoch = epoch.number;
-        column.warm_streak += 1;
+        column.graph = epoch.graph.clone();
+        column.warm_streak += behind;
         true
     }
 
@@ -247,6 +276,7 @@ impl<A: IncrementalAlgorithm> Class<A> {
         run_turbo_with(pool, &algo, &epoch.graph, &mut values, &seeds, &cfg);
         let column = Column {
             epoch: epoch.number,
+            graph: epoch.graph.clone(),
             values,
             warm_streak: 0,
         };
@@ -272,32 +302,41 @@ struct Executor<'a> {
 impl<'a> Executor<'a> {
     fn new(shared: &'a Shared) -> Self {
         // A whole-graph convergence is the expensive one: its column
-        // answers for a `refresh_lag` window, replays one delta at a time,
-        // and runs cold after `WARM_LIMIT` replays to bound PageRank's
-        // incremental drift. A path column chases the head, and monotone
-        // re-convergence is bit-identical to a cold run, so its streak is
-        // unbounded.
-        let whole_graph = Policy {
-            window: shared.config.refresh_lag as u64,
-            max_chain: 1,
-            warm_limit: WARM_LIMIT,
+        // answers for a `refresh_lag` window. PageRank then replays the
+        // window's deltas in one step, and runs cold once `WARM_LIMIT`
+        // deltas have been merged since the last cold run, to bound its
+        // incremental drift. CC always runs cold: its replay invalidates
+        // the closure of every deleted edge's source, and on a giant
+        // component that costs several cold runs. A path column chases the
+        // head, and monotone re-convergence is bit-identical to a cold
+        // run, so its streak is unbounded.
+        let refresh_lag = shared.config.refresh_lag as u64;
+        let pagerank = Policy {
+            window: refresh_lag,
+            max_chain: refresh_lag,
+            warm_limit: u64::from(WARM_LIMIT),
+        };
+        let components = Policy {
+            window: refresh_lag,
+            max_chain: 0,
+            warm_limit: 0,
         };
         let path = Policy {
             window: 1,
             max_chain: MAX_WARM_CHAIN,
-            warm_limit: u32::MAX,
+            warm_limit: u64::MAX,
         };
         Executor {
             shared,
             pagerank: Class::new(
                 QueryClass::PageRank,
                 |c, _| PageRankDelta::new(c.pagerank_damping, c.pagerank_threshold),
-                whole_graph,
+                pagerank,
             ),
             components: Class::new(
                 QueryClass::Components,
                 |_, _| ConnectedComponents::new(),
-                whole_graph,
+                components,
             ),
             sssp: Class::new(QueryClass::Sssp, |_, s| Sssp::new(s), path),
             bfs: Class::new(QueryClass::Bfs, |_, s| Bfs::new(s), path),

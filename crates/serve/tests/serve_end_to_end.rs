@@ -13,7 +13,7 @@ use std::time::Duration;
 use gp_algorithms::{AppInputs, DeltaAlgorithm, PageRankDelta};
 use gp_graph::generators::{rmat, rmat_edges, RmatConfig, WeightMode};
 use gp_graph::{EdgeUpdate, GraphBuilder, GraphSnapshot, OverlayGraph, VertexId};
-use gp_serve::{Query, Rejection, ServeConfig, Server};
+use gp_serve::{Query, QueryClass, Rejection, ServeConfig, ServeHandle, Server};
 use gp_stream::UpdateStream;
 
 const VERTICES: usize = 1_024;
@@ -24,12 +24,33 @@ const BATCH_LEN: usize = 32;
 /// the converged column of its class's application.
 fn golden(query: Query, graph: &GraphSnapshot) -> f64 {
     let (class, source, read) = query.parts();
+    let threshold = ServeConfig::default().pagerank_threshold;
+    golden_column(class, source, threshold, graph)[read as usize]
+}
+
+/// The converged column of `class`'s application from `source` on
+/// `graph`, PageRank at `threshold`.
+fn golden_column(
+    class: QueryClass,
+    source: u32,
+    threshold: f64,
+    graph: &GraphSnapshot,
+) -> Vec<f64> {
     let inputs = AppInputs {
         root: VertexId::new(source),
-        threshold: ServeConfig::default().pagerank_threshold,
+        threshold,
         adsorption: None,
     };
-    class.app().golden_values(&inputs, graph)[read as usize]
+    class.app().golden_values(&inputs, graph)
+}
+
+/// Submits `updates` and waits until the writer has published them.
+fn publish(handle: &ServeHandle, updates: Vec<EdgeUpdate>) {
+    let updater = handle.updater();
+    assert!(updater.submit(updates));
+    while updater.lag() > 0 {
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -191,6 +212,144 @@ fn warm_starts_engage_under_steady_pagerank_traffic() {
         stats.warm_starts >= 1,
         "steady one-delta-behind traffic should warm-start: {stats:?}"
     );
+}
+
+/// At the default `refresh_lag` of 8, a PageRank read that finds its
+/// column eight deltas behind catches it up with one replay of the
+/// window's net delta, and the answer is golden's within tolerance.
+#[test]
+fn warm_starts_engage_at_the_default_refresh_lag() {
+    let g = rmat(
+        &RmatConfig::graph500(512, 4_096).with_weights(WeightMode::Uniform(1.0, 9.0)),
+        9,
+    );
+    let mut shadow = OverlayGraph::new(g.clone());
+    let config = ServeConfig::default();
+    assert_eq!(config.refresh_lag, 8);
+    let handle = Server::start(g, config);
+    let client = handle.client();
+    let tenant = client.tenant_id("default").expect("default tenant");
+    let read = Query::PageRank {
+        v: VertexId::new(0),
+    };
+    let first = client.query(tenant, read).expect("admitted");
+    assert_eq!((first.epoch, first.degraded), (0, false));
+
+    let mut stream = UpdateStream::new(512, 0.3, WeightMode::Uniform(1.0, 9.0), 13);
+    for _ in 0..8 {
+        let updates = stream.next_batch(&shadow, 16);
+        shadow.apply(&updates);
+        publish(&handle, updates);
+    }
+    let r = client.query(tenant, read).expect("admitted");
+    assert_eq!((r.epoch, r.degraded), (8, false));
+    let want = golden(read, &shadow.freeze());
+    let tolerance = PageRankDelta::new(0.85, 1e-9).comparison_tolerance();
+    assert!(
+        (want - r.value).abs() <= tolerance,
+        "{} vs golden {want}",
+        r.value
+    );
+
+    let stats = handle.shutdown();
+    assert_eq!((stats.cold_runs, stats.warm_starts), (1, 1), "{stats:?}");
+}
+
+/// PageRank's incremental drift over the replays the service allows: a
+/// column replayed in `refresh_lag` windows until `WARM_LIMIT` deltas
+/// force a cold run stays within the comparison tolerance of a cold
+/// golden run at every refresh, at the service's default threshold and
+/// at the benchmark's coarse one. The monotone columns, caught up over
+/// the same eight-delta windows (CC cold, path sources by one net-delta
+/// replay), stay bit-equal to golden.
+#[test]
+fn pagerank_drift_stays_within_tolerance_up_to_the_warm_limit() {
+    const N: usize = 512;
+    const SOURCES: [u32; 2] = [0, 77];
+    for threshold in [1e-9, 1e-3] {
+        let g = rmat(
+            &RmatConfig::graph500(N, 8 * N).with_weights(WeightMode::Uniform(1.0, 9.0)),
+            23,
+        );
+        let mut shadow = OverlayGraph::new(g.clone());
+        let config = ServeConfig {
+            pagerank_threshold: threshold,
+            ..ServeConfig::default()
+        };
+        let refresh_lag = config.refresh_lag;
+        let handle = Server::start(g, config);
+        let client = handle.client();
+        let tenant = client.tenant_id("default").expect("default tenant");
+        let tolerance = PageRankDelta::new(0.85, threshold).comparison_tolerance();
+        let mut stream = UpdateStream::new(N, 0.3, WeightMode::Uniform(1.0, 9.0), 31);
+
+        // Refreshes at epochs 0 (cold), 8 and 16 (replays, 16 deltas
+        // merged), 24 (cold again).
+        let mut drift = Vec::new();
+        for window in 0..4u64 {
+            let epoch = window * refresh_lag as u64;
+            let graph = shadow.freeze();
+            let mut columns = vec![(QueryClass::PageRank, 0), (QueryClass::Components, 0)];
+            for class in [QueryClass::Sssp, QueryClass::Bfs, QueryClass::Sswp] {
+                columns.extend(SOURCES.map(|s| (class, s)));
+            }
+            for (class, source) in columns {
+                let want = golden_column(class, source, threshold, &graph);
+                let in_flight: Vec<_> = (0..N as u32)
+                    .map(|v| {
+                        let (src, v) = (VertexId::new(source), VertexId::new(v));
+                        let query = match class {
+                            QueryClass::PageRank => Query::PageRank { v },
+                            QueryClass::Components => Query::Components { v },
+                            QueryClass::Sssp => Query::Sssp { src, dst: v },
+                            QueryClass::Bfs => Query::Bfs { src, dst: v },
+                            QueryClass::Sswp => Query::Sswp { src, dst: v },
+                        };
+                        client.query_async(tenant, query).expect("admitted")
+                    })
+                    .collect();
+                let mut max_abs = 0.0f64;
+                for (v, reply) in in_flight.into_iter().enumerate() {
+                    let r = reply.recv().expect("served");
+                    assert_eq!((r.epoch, r.degraded), (epoch, false), "{class:?}");
+                    if class == QueryClass::PageRank {
+                        max_abs = max_abs.max((r.value - want[v]).abs());
+                    } else {
+                        let label = format!("{class:?} from {source} at {v}, epoch {epoch}");
+                        assert_eq!(r.value.to_bits(), want[v].to_bits(), "{label}");
+                    }
+                }
+                if class == QueryClass::PageRank {
+                    drift.push(max_abs);
+                }
+            }
+            for _ in 0..refresh_lag {
+                let updates = stream.next_batch(&shadow, 16);
+                shadow.apply(&updates);
+                publish(&handle, updates);
+            }
+        }
+        eprintln!("threshold {threshold:e}: PageRank max |served - golden| per refresh {drift:?}");
+        for (window, d) in drift.iter().enumerate() {
+            assert!(
+                *d <= tolerance,
+                "threshold {threshold:e}, refresh {window}: drift {d:e}"
+            );
+        }
+
+        let stats = handle.shutdown();
+        assert_eq!(
+            (stats.cold_runs, stats.warm_starts),
+            (2 + 4, 2),
+            "{stats:?}"
+        );
+        assert_eq!(stats.fused_runs, 3 * SOURCES.len() as u64, "{stats:?}");
+        assert_eq!(
+            stats.path_warm_starts,
+            3 * 3 * SOURCES.len() as u64,
+            "{stats:?}"
+        );
+    }
 }
 
 /// Many distinct cold sources of one path class in flight at once — more

@@ -8,10 +8,11 @@
 //! a delta chain, which run cold, which are flagged degraded — is a
 //! function of the script alone: the same at 1 and 3 executors, and
 //! different between `refresh_lag` 8 (whole-graph columns refresh every
-//! eighth epoch, cold) and 1 (they chase every epoch, warm until the
-//! streak cap forces a cold run). A change to how columns are cached,
-//! replayed or evicted that is meant to keep behaviour leaves these
-//! literals untouched.
+//! eighth epoch, PageRank by replaying the window's net delta) and 1
+//! (they chase every epoch, PageRank warm until `WARM_LIMIT` deltas force
+//! a cold run). CC runs cold at every refresh under both. A change to how
+//! columns are cached, replayed or evicted that is meant to keep
+//! behaviour leaves these literals untouched.
 
 use std::time::{Duration, Instant};
 
@@ -124,26 +125,28 @@ fn assert_schedule(refresh_lag: usize, want: Counts, want_fold: u64) {
 }
 
 #[test]
-fn whole_graph_columns_refresh_cold_every_eighth_epoch() {
-    // 3 whole-graph reads x 21 rounds inside a refresh window are degraded;
-    // refreshes at epochs 0, 8, 16 run both classes cold (the column is
-    // eight deltas behind, never one); path columns replay one delta per
-    // round (9 x 23) and run cold only at first sight (9 + source 39) or
-    // eleven epochs on (source 39 twice more).
+fn whole_graph_columns_refresh_every_eighth_epoch() {
+    // 3 whole-graph reads x 21 rounds inside a refresh window are degraded.
+    // Refreshes at epochs 0, 8, 16: CC runs cold at all three; PageRank
+    // runs cold at 0 and replays the eight-delta window in one step at 8
+    // and 16 (16 deltas merged, exactly `WARM_LIMIT`). Path columns replay
+    // one delta per round (9 x 23) and run cold only at first sight (9 +
+    // source 39) or eleven epochs on (source 39 twice more).
     assert_schedule(
         8,
-        [48, 24, 99, 72, 72, 63, 6, 0, 12, 24, 207, 315],
-        0xaa7b_deb8_1d48_c2bf,
+        [48, 24, 99, 72, 72, 63, 4, 2, 12, 24, 207, 315],
+        0x8694_f6eb_0cd3_283b,
     );
 }
 
 #[test]
 fn whole_graph_columns_chase_every_epoch_warm_until_the_streak_cap() {
-    // Cold at epoch 0, sixteen warm steps, a forced cold run at epoch 17,
-    // six more warm steps: (16 + 6) x 2 classes warm, 2 x 2 cold.
+    // PageRank: cold at epoch 0, sixteen one-delta replays, a forced cold
+    // run at epoch 17 (a seventeenth delta would pass `WARM_LIMIT`), six
+    // more replays: 16 + 6 warm, 2 cold. CC: cold at all 24 epochs.
     assert_schedule(
         1,
-        [48, 24, 99, 72, 72, 0, 4, 44, 12, 24, 207, 315],
+        [48, 24, 99, 72, 72, 0, 26, 22, 12, 24, 207, 315],
         0x3b43_c751_b1ce_7a70,
     );
 }

@@ -232,10 +232,16 @@ echo "== serve smoke (executor pool, every sample vs golden) =="
 # two-executor pool. --verify-all makes the bench cross-check every
 # sampled response against a sequential golden recompute on the exact
 # epoch the response named — bit-exact for the monotone classes, within
-# tolerance for PageRank. Exit 1 on any mismatch.
+# tolerance for PageRank. Exit 1 on any mismatch. Sixteen batches close
+# at least one eight-epoch refresh window mid-run, so the PageRank column
+# catches up by a net-delta replay that the check then covers; a run
+# with no warm start did not exercise it.
 cargo run --release -q -p gp-bench --bin serve_bench -- \
-  --seed 11 --vertices 16384 --queries 20000 --batches 8 \
+  --seed 11 --vertices 16384 --queries 20000 --batches 16 \
   --executors 2 --sample-every 64 --verify-all --out /tmp/gp-serve-smoke.json
+warm=$(grep -o '"warm_starts": *[0-9]*' /tmp/gp-serve-smoke.json | grep -o '[0-9]*$')
+[ "${warm:-0}" -ge 1 ] \
+  || { echo "serve smoke ran no whole-graph replay (warm_starts ${warm:-missing})"; exit 1; }
 # The fresh run and the committed full-scale sweep must both satisfy the
 # gp-bench/serve/v3 schema (non-empty executor sweep, golden checks ran
 # and passed per run, per-class latency quantiles present and ordered).
