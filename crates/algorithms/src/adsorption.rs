@@ -151,10 +151,6 @@ impl DeltaAlgorithm for Adsorption {
         "adsorption"
     }
 
-    fn needs_weights(&self) -> bool {
-        true
-    }
-
     fn init_value(&self, _v: VertexId) -> f64 {
         0.0
     }
@@ -188,10 +184,6 @@ impl DeltaAlgorithm for Adsorption {
         edge: EdgeRef,
     ) -> Option<f64> {
         Some(f64::from(self.params.alpha(src)) * f64::from(edge.weight) * basis)
-    }
-
-    fn progress(&self, old: f64, new: f64) -> f64 {
-        (new - old).abs()
     }
 
     fn value_to_f64(&self, v: f64) -> f64 {

@@ -87,14 +87,6 @@ impl DeltaAlgorithm for Bfs {
         Some(basis.saturating_add(1))
     }
 
-    fn progress(&self, old: u32, _new: u32) -> f64 {
-        if old == UNREACHED {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
     fn value_to_f64(&self, v: u32) -> f64 {
         if v == UNREACHED {
             f64::INFINITY

@@ -77,14 +77,6 @@ impl DeltaAlgorithm for ConnectedComponents {
         Some(basis)
     }
 
-    fn progress(&self, old: i64, new: i64) -> f64 {
-        if new > old {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
     fn value_to_f64(&self, v: i64) -> f64 {
         v as f64
     }

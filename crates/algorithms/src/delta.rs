@@ -41,12 +41,6 @@ pub trait DeltaAlgorithm: Send + Sync {
     /// Short name used in reports ("pagerank-delta", "sssp", ...).
     fn name(&self) -> &'static str;
 
-    /// Whether [`propagate`](DeltaAlgorithm::propagate) reads edge weights;
-    /// drives per-edge traffic accounting in the timing models.
-    fn needs_weights(&self) -> bool {
-        false
-    }
-
     /// Initial vertex state — the identity of the reduce operator, so the
     /// first arriving event fully determines the initial value (§III-A,
     /// *Initialization and Termination*).
@@ -83,18 +77,6 @@ pub trait DeltaAlgorithm: Send + Sync {
         src_out_degree: u32,
         edge: EdgeRef,
     ) -> Option<Self::Delta>;
-
-    /// Contribution of a state transition to the global progress
-    /// accumulator (§IV-C, *Global Termination Condition*).
-    fn progress(&self, _old: Self::Value, _new: Self::Value) -> f64 {
-        0.0
-    }
-
-    /// Global termination threshold on the per-round progress sum; `None`
-    /// terminates only when the event queue empties.
-    fn global_threshold(&self) -> Option<f64> {
-        None
-    }
 
     /// Projects a final vertex state to `f64` for reporting and comparison.
     fn value_to_f64(&self, v: Self::Value) -> f64;

@@ -15,7 +15,8 @@
 //! out-row walk). Both engines above, turbo's sweep, the chaos executor and
 //! Graphicionado's rounds (through [`bsp_round`]) call the pair; the cycle
 //! model calls [`apply_event`] and walks the edges in its generation
-//! streams.
+//! streams. What the step conserves is counted in one ledger,
+//! [`EventCounts`], and checked in one place.
 
 use std::collections::VecDeque;
 
@@ -96,6 +97,70 @@ pub fn apply_event<A: DeltaAlgorithm>(
     let new = algo.reduce(old, delta);
     values[u.index()] = new;
     algo.propagation_basis(old, new)
+}
+
+/// The event ledger of a run: what Algorithm 1's in-place coalescing
+/// conserves. Every generated event is either coalesced into a pending one
+/// or processed, so once nothing is pending `generated == coalesced +
+/// processed`. Turbo, the chaos executor and the cycle model keep their
+/// counts in it or check through it; [`check_within`](Self::check_within)
+/// is the one place the identity is tested.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Events generated by seeds and propagation (pre-coalescing).
+    pub generated: u64,
+    /// Events absorbed in place into an already-pending delta.
+    pub coalesced: u64,
+    /// Events applied to vertex state (post-coalescing).
+    pub processed: u64,
+}
+
+impl std::ops::AddAssign for EventCounts {
+    fn add_assign(&mut self, other: EventCounts) {
+        self.generated += other.generated;
+        self.coalesced += other.coalesced;
+        self.processed += other.processed;
+    }
+}
+
+impl EventCounts {
+    /// The conservation identity with nothing in flight:
+    /// [`check_within(0)`](Self::check_within).
+    ///
+    /// # Errors
+    ///
+    /// As [`check_within`](Self::check_within).
+    pub fn check(&self) -> Result<(), String> {
+        self.check_within(0)
+    }
+
+    /// The conservation identity with up to `in_flight` events still
+    /// unaccounted for (a merged shard-parallel report's spills): nothing
+    /// is absorbed that was not generated, and the events neither
+    /// coalesced nor processed number at most `in_flight`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the surplus, or the deficit and the
+    /// violated identity.
+    pub fn check_within(&self, in_flight: u64) -> Result<(), String> {
+        let absorbed = self.processed + self.coalesced;
+        let Some(deficit) = self.generated.checked_sub(absorbed) else {
+            return Err(format!(
+                "absorbed more events than generated: processed {} + coalesced {} > generated {}",
+                self.processed, self.coalesced, self.generated
+            ));
+        };
+        if deficit > in_flight {
+            return Err(format!(
+                "lost {deficit} event(s), event conservation violated: generated {} != \
+                 processed {} + coalesced {} (event deficit {deficit} exceeds spilled count \
+                 {in_flight})",
+                self.generated, self.processed, self.coalesced
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Lines 9–12 of Algorithm 1, the second half of the event step: hands
@@ -345,6 +410,28 @@ mod tests {
         // A good seed ahead of the bad one: the check runs before any deposit.
         let seeds = [(VertexId::new(0), 0), (VertexId::new(8), 0)];
         run_sequential_seeded(&bfs, &g, &mut values, &seeds);
+    }
+
+    #[test]
+    fn event_counts_check_the_identity_within_the_allowance() {
+        let counts = |generated, coalesced, processed| EventCounts {
+            generated,
+            coalesced,
+            processed,
+        };
+        counts(10, 4, 6).check().unwrap();
+        counts(10, 3, 5).check_within(2).unwrap();
+        let err = counts(10, 3, 5).check_within(1).unwrap_err();
+        assert!(err.contains("lost 2 event(s)"), "{err}");
+        assert!(
+            err.contains("event deficit 2 exceeds spilled count 1"),
+            "{err}"
+        );
+        let err = counts(10, 4, 7).check_within(u64::MAX).unwrap_err();
+        assert!(err.contains("absorbed more events than generated"), "{err}");
+        let mut sum = counts(1, 2, 3);
+        sum += counts(10, 20, 30);
+        assert_eq!(sum, counts(11, 22, 33));
     }
 
     #[test]

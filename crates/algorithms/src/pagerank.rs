@@ -140,16 +140,6 @@ impl DeltaAlgorithm for PageRankDelta {
         Some(self.alpha * basis / src_out_degree as f64)
     }
 
-    fn progress(&self, old: f64, new: f64) -> f64 {
-        (new - old).abs()
-    }
-
-    fn global_threshold(&self) -> Option<f64> {
-        // Pure-threshold termination is already handled locally; the global
-        // accumulator provides the paper's optional safety net.
-        None
-    }
-
     fn value_to_f64(&self, v: f64) -> f64 {
         v
     }

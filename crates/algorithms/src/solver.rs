@@ -67,10 +67,6 @@ impl DeltaAlgorithm for LinearSolver {
         "linear-solver"
     }
 
-    fn needs_weights(&self) -> bool {
-        true
-    }
-
     fn init_value(&self, _v: VertexId) -> f64 {
         0.0
     }
@@ -105,10 +101,6 @@ impl DeltaAlgorithm for LinearSolver {
         edge: EdgeRef,
     ) -> Option<f64> {
         Some(f64::from(edge.weight) * basis)
-    }
-
-    fn progress(&self, old: f64, new: f64) -> f64 {
-        (new - old).abs()
     }
 
     fn value_to_f64(&self, v: f64) -> f64 {

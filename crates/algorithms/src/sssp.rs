@@ -49,10 +49,6 @@ impl DeltaAlgorithm for Sssp {
         "sssp"
     }
 
-    fn needs_weights(&self) -> bool {
-        true
-    }
-
     fn init_value(&self, _v: VertexId) -> f64 {
         f64::INFINITY
     }
@@ -85,14 +81,6 @@ impl DeltaAlgorithm for Sssp {
         edge: EdgeRef,
     ) -> Option<f64> {
         Some(basis + edge.weight as f64)
-    }
-
-    fn progress(&self, old: f64, new: f64) -> f64 {
-        if old.is_infinite() {
-            1.0
-        } else {
-            (old - new).max(0.0)
-        }
     }
 
     fn value_to_f64(&self, v: f64) -> f64 {

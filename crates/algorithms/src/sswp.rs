@@ -51,10 +51,6 @@ impl DeltaAlgorithm for Sswp {
         "sswp"
     }
 
-    fn needs_weights(&self) -> bool {
-        true
-    }
-
     fn init_value(&self, _v: VertexId) -> f64 {
         0.0
     }
@@ -87,10 +83,6 @@ impl DeltaAlgorithm for Sswp {
         edge: EdgeRef,
     ) -> Option<f64> {
         Some(basis.min(f64::from(edge.weight)))
-    }
-
-    fn progress(&self, old: f64, new: f64) -> f64 {
-        (new - old).max(0.0)
     }
 
     fn value_to_f64(&self, v: f64) -> f64 {

@@ -222,7 +222,7 @@ macro_rules! with_algorithm {
 mod tests {
     use super::*;
     use crate::engine::initial_state;
-    use crate::{DeltaAlgorithm, IncrementalAlgorithm};
+    use crate::{normalize_inbound, DeltaAlgorithm, IncrementalAlgorithm};
     use gp_graph::generators::{erdos_renyi, WeightMode};
 
     #[test]
@@ -283,7 +283,7 @@ mod tests {
     ///   `gp_verify::AlgoKind::weighted` (`Sssp | Adsorption | Sswp`),
     ///   `gp_bench::prepare` (weighted graphs for SSSP and Adsorption
     ///   only), `streaming`'s call list (weights for SSSP and SSWP) — and
-    ///   each algorithm's own `needs_weights`.
+    ///   whether the algorithm's result moves with the edge weights.
     /// * `rooted` — the `::new(root)` calls of every ladder: SSSP, BFS and
     ///   SSWP in `gpulse`, `gp-bench`, `container`, `streaming`,
     ///   `chaos::campaign`, `oracle::run_case`; `gp-serve`'s path classes.
@@ -311,9 +311,19 @@ mod tests {
             threshold: 1e-7,
             adsorption: Some(&params),
         };
+        // Two weightings of one graph, inbound-normalized so Adsorption
+        // converges: a row's values move between them iff it reads weights.
+        let g = erdos_renyi(16, 48, WeightMode::Uniform(0.5, 2.0), 9);
+        let mut b = gp_graph::GraphBuilder::new(16);
+        for v in g.vertex_ids() {
+            for e in g.out_edges(v) {
+                b.add_edge(v, e.other, 1.0);
+            }
+        }
+        let (g, unit) = (normalize_inbound(&g), normalize_inbound(&b.build()));
         for app in App::ALL {
-            let needs_weights = with_algorithm!(app, &inputs, |algo| algo.needs_weights());
-            assert_eq!(app.weighted(), needs_weights, "{app:?}");
+            let reads_weights = app.golden_values(&inputs, &g) != app.golden_values(&inputs, &unit);
+            assert_eq!(app.weighted(), reads_weights, "{app:?}");
             fn is_incremental<A: IncrementalAlgorithm>(_: &A) {}
             let bound = with_algorithm!(incremental app, &inputs, |algo| is_incremental(algo));
             assert_eq!(app.incremental(), bound.is_some(), "{app:?}");

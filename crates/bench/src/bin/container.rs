@@ -41,7 +41,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{max_abs_diff, same_bits, with_algorithm, App, AppInputs, DeltaAlgorithm};
+use gp_algorithms::{max_abs_diff, with_algorithm, App, AppInputs, DeltaAlgorithm};
 use gp_bench::cli::{finish, Flags};
 use gp_bench::json::{Json, OUTOFCORE_SCHEMA};
 use gp_bench::write_output;
@@ -50,6 +50,7 @@ use gp_graph::generators::{rmat_edges, RmatConfig, WeightMode};
 use gp_graph::stats::max_out_degree_vertex;
 use gp_graph::{GraphView, MappedCsr, MeteredView};
 use gp_turbo::{run_turbo, TurboConfig};
+use gp_verify::oracle::check_mapped;
 
 /// PageRank-Delta convergence threshold — the same `1e-3` the end-to-end
 /// trajectory uses at scale. PRD's comparison tolerance scales with its
@@ -238,39 +239,6 @@ fn measure<A: DeltaAlgorithm>(
     }
 }
 
-/// Bit-compares golden and turbo over the mapping against the same runs
-/// on the fully-resident graph: value bits and every event counter.
-fn check_resident<A: DeltaAlgorithm>(
-    label: &'static str,
-    algo: &A,
-    resident: &gp_graph::CsrGraph,
-    mapped: &MappedCsr,
-) -> Result<(), String> {
-    let g_ram = run_sequential(algo, resident);
-    let g_map = run_sequential(algo, mapped);
-    if !same_bits(&g_map.values, &g_ram.values)
-        || g_map.events_processed != g_ram.events_processed
-        || g_map.events_generated != g_ram.events_generated
-    {
-        return Err(format!(
-            "{label}: golden over the mapping diverged from the resident run"
-        ));
-    }
-    let tcfg = TurboConfig::default();
-    let t_ram = run_turbo(algo, resident, &tcfg);
-    let t_map = run_turbo(algo, mapped, &tcfg);
-    if !same_bits(&t_map.values, &t_ram.values)
-        || t_map.events_processed != t_ram.events_processed
-        || t_map.events_generated != t_ram.events_generated
-        || t_map.rounds != t_ram.rounds
-    {
-        return Err(format!(
-            "{label}: turbo over the mapping diverged from the resident run"
-        ));
-    }
-    Ok(())
-}
-
 fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, String> {
     let n = 1usize << lg;
     let weights = if cfg.weighted {
@@ -343,13 +311,8 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
     if cfg.check_resident {
         let resident = mapped.to_csr();
         for app in table.clone() {
-            with_algorithm!(app, &inputs, |algo| check_resident(
-                record_name(app),
-                algo,
-                &resident,
-                &mapped
-            ))
-            .map_err(|e| format!("2^{lg}: {e}"))?;
+            with_algorithm!(app, &inputs, |algo| check_mapped(algo, &resident, &mapped))
+                .map_err(|e| format!("2^{lg}: {}: {e}", record_name(app)))?;
         }
         println!("[2^{lg}] mapped runs are bit-identical to the fully-resident path");
     }

@@ -289,7 +289,7 @@ where
     let clean = run_chaos(algo, graph, None, &clean_cfg);
     report.overhead.push(OverheadRecord {
         algo: name,
-        events_processed: clean.events_processed,
+        events_processed: clean.events.processed,
         epochs: clean.epochs,
         checkpoints: clean.checkpoints,
         checkpoint_words: clean.checkpoint_words,

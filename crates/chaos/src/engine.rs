@@ -15,7 +15,7 @@
 //!   bypassing the apply path;
 //! * **detection** — every epoch is closed by an event-conservation
 //!   check (the carry-in/carry-out mapping below, delegated to
-//!   [`ExecutionReport::check_event_conservation`]), a periodic memory
+//!   [`EventCounts::check`]), a periodic memory
 //!   scrub of the [`ShadowChecksum`], and a convergence budget;
 //! * **recovery** — clean verified epochs are checkpointed (values +
 //!   pending-event queue); a detection rolls back to the last checkpoint
@@ -42,12 +42,11 @@
 use std::collections::VecDeque;
 
 use gp_algorithms::engine::{
-    apply_event, for_each_propagated, initial_state, run_sequential_seeded,
+    apply_event, for_each_propagated, initial_state, run_sequential_seeded, EventCounts,
 };
 use gp_algorithms::DeltaAlgorithm;
 use gp_graph::{GraphView, VertexId};
 use gp_mem::integrity::{checkpoint_bytes, BitUpset, ShadowChecksum, Storable};
-use graphpulse_core::ExecutionReport;
 
 use crate::plan::{FaultKind, FaultPlan};
 
@@ -152,13 +151,10 @@ pub struct ChaosOutcome {
     /// Line-rounded bytes of checkpoint traffic
     /// ([`gp_mem::integrity::checkpoint_bytes`]).
     pub checkpoint_bytes: u64,
-    /// Events processed on the accepted execution path (rolled-back work
-    /// excluded; degraded-continuation work included).
-    pub events_processed: u64,
-    /// Events generated on the accepted execution path.
-    pub events_generated: u64,
-    /// Events coalesced on the accepted execution path.
-    pub events_coalesced: u64,
+    /// Events generated, coalesced and processed on the accepted
+    /// execution path (rolled-back work excluded; degraded-continuation
+    /// work included). A recovered run satisfies [`EventCounts::check`].
+    pub events: EventCounts,
     /// Events whose processing was discarded by rollbacks (the recovery
     /// overhead numerator).
     pub wasted_events: u64,
@@ -170,20 +166,13 @@ pub struct ChaosOutcome {
     pub unrecovered: Option<String>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Totals {
-    generated: u64,
-    processed: u64,
-    coalesced: u64,
-}
-
 struct Checkpoint<A: DeltaAlgorithm> {
     /// Logical epoch this checkpoint restores to (state as of the start
     /// of that epoch's pops).
     epoch: u64,
     values: Vec<A::Value>,
     queue: Vec<(u32, A::Delta)>,
-    totals: Totals,
+    totals: EventCounts,
     shadow: ShadowChecksum,
 }
 
@@ -192,10 +181,10 @@ struct ExecState<A: DeltaAlgorithm> {
     pending: Vec<Option<A::Delta>>,
     worklist: VecDeque<u32>,
     shadow: ShadowChecksum,
-    totals: Totals,
-    epoch_gen: u64,
-    epoch_coal: u64,
-    epoch_proc: u64,
+    /// Counts since the start of the run.
+    totals: EventCounts,
+    /// Counts since the start of the current epoch.
+    epoch: EventCounts,
 }
 
 impl<A: DeltaAlgorithm> ExecState<A> {
@@ -204,7 +193,7 @@ impl<A: DeltaAlgorithm> ExecState<A> {
         match slot {
             Some(existing) => {
                 *existing = algo.coalesce(*existing, d);
-                self.epoch_coal += 1;
+                self.epoch.coalesced += 1;
                 self.totals.coalesced += 1;
             }
             None => {
@@ -268,7 +257,7 @@ fn deposit<A: DeltaAlgorithm>(
 ) {
     let index = st.totals.generated;
     st.totals.generated += 1;
-    st.epoch_gen += 1;
+    st.epoch.generated += 1;
     if let Some(plan) = inj.plan {
         if inj.fired < plan.repeats && index == plan.trigger_index() {
             match plan.kind {
@@ -295,27 +284,25 @@ fn deposit<A: DeltaAlgorithm>(
     st.raw_insert(algo, v, d);
 }
 
-/// Maps one epoch's counters onto the event-conservation identity and
-/// delegates to [`ExecutionReport::check_event_conservation`]: the
-/// worklist carry-in is folded into `generated` and the carry-out into
-/// `coalesced`, so strict mode demands the exact per-epoch balance.
+/// Maps one epoch's counts onto the event-conservation identity and
+/// delegates to [`EventCounts::check`]: the worklist carry-in is folded
+/// into `generated` and the carry-out into `coalesced`, so the check
+/// demands the exact per-epoch balance.
 fn check_epoch_conservation(
-    epoch_gen: u64,
-    epoch_coal: u64,
-    epoch_proc: u64,
+    epoch: EventCounts,
     carry_in: u64,
     carry_out: u64,
 ) -> Result<(), String> {
-    let report = ExecutionReport::from_event_counters(
-        epoch_gen + carry_in,
-        epoch_proc,
-        epoch_coal + carry_out,
-        0,
-    );
-    report.check_event_conservation(true).map_err(|e| {
+    let carried = EventCounts {
+        generated: epoch.generated + carry_in,
+        coalesced: epoch.coalesced + carry_out,
+        processed: epoch.processed,
+    };
+    carried.check().map_err(|e| {
         format!(
-            "per-epoch conservation: generated {epoch_gen} + carry-in {carry_in} != \
-             coalesced {epoch_coal} + processed {epoch_proc} + carry-out {carry_out} ({e})"
+            "per-epoch conservation: generated {} + carry-in {carry_in} != coalesced {} + \
+             processed {} + carry-out {carry_out} ({e})",
+            epoch.generated, epoch.coalesced, epoch.processed
         )
     })
 }
@@ -351,9 +338,7 @@ where
         checkpoints: 0,
         checkpoint_words: 0,
         checkpoint_bytes: 0,
-        events_processed: 0,
-        events_generated: 0,
-        events_coalesced: 0,
+        events: EventCounts::default(),
         wasted_events: 0,
         epochs: 0,
         unrecovered: None,
@@ -368,10 +353,8 @@ where
         pending: vec![None; n],
         worklist: VecDeque::new(),
         shadow: shadow.clone(),
-        totals: Totals::default(),
-        epoch_gen: 0,
-        epoch_coal: 0,
-        epoch_proc: 0,
+        totals: EventCounts::default(),
+        epoch: EventCounts::default(),
     };
     let mut inj = Injector::<A::Delta> {
         plan,
@@ -390,10 +373,9 @@ where
         epoch: 0,
         values: init_values,
         queue: seeds.iter().map(|&(v, d)| (v.get(), d)).collect(),
-        totals: Totals {
+        totals: EventCounts {
             generated: seeds.len() as u64,
-            processed: 0,
-            coalesced: 0,
+            ..EventCounts::default()
         },
         shadow,
     };
@@ -411,9 +393,7 @@ where
 
     'run: loop {
         // ---- epoch open ----
-        st.epoch_gen = 0;
-        st.epoch_coal = 0;
-        st.epoch_proc = 0;
+        st.epoch = EventCounts::default();
         let carry_in = st.worklist.len() as u64;
 
         // Redeliver delayed events due this epoch (uncounted inflow: the
@@ -463,7 +443,7 @@ where
             let delta = st.pending[u as usize]
                 .take()
                 .expect("worklist entry without delta");
-            st.epoch_proc += 1;
+            st.epoch.processed += 1;
             st.totals.processed += 1;
             let (uid, old) = (VertexId::new(u), st.values[u as usize]);
             let basis = apply_event(algo, &mut st.values, uid, delta);
@@ -483,13 +463,7 @@ where
         let verify_now = (logical + 1).is_multiple_of(verify_every) || converged;
 
         let mut detection: Option<(Detector, String, Option<usize>)> = None;
-        if let Err(msg) = check_epoch_conservation(
-            st.epoch_gen,
-            st.epoch_coal,
-            st.epoch_proc,
-            carry_in,
-            carry_out,
-        ) {
+        if let Err(msg) = check_epoch_conservation(st.epoch, carry_in, carry_out) {
             detection = Some((Detector::EventConservation, msg, None));
         } else if verify_now {
             if let Err((region, msg)) = st.shadow.scrub(&st.values) {
@@ -560,7 +534,9 @@ where
                     verify_every = (verify_every / 2).max(1);
                 } else if cfg.degrade {
                     // Retries exhausted (or retrying is pointless): hand
-                    // the last good checkpoint to the golden engine.
+                    // the last good checkpoint to the golden engine. Its
+                    // queue is in the checkpoint's `generated` already, so
+                    // golden's count of it as seeds is taken back out.
                     out.wasted_events += st.totals.processed - ckpt.totals.processed;
                     let mut values = ckpt.values.clone();
                     let seeds: Vec<(VertexId, A::Delta)> = ckpt
@@ -570,10 +546,12 @@ where
                         .collect();
                     let golden = run_sequential_seeded(algo, graph, &mut values, &seeds);
                     out.degraded = true;
-                    out.events_generated = ckpt.totals.generated + golden.events_generated;
-                    out.events_processed = ckpt.totals.processed + golden.events_processed;
-                    out.events_coalesced =
-                        ckpt.totals.coalesced + (golden.events_generated - golden.events_processed);
+                    out.events = ckpt.totals;
+                    out.events += EventCounts {
+                        generated: golden.events_generated - seeds.len() as u64,
+                        coalesced: golden.events_generated - golden.events_processed,
+                        processed: golden.events_processed,
+                    };
                     out.values = golden.values;
                     return out;
                 } else {
@@ -584,9 +562,7 @@ where
         }
     }
 
-    out.events_generated = st.totals.generated;
-    out.events_processed = st.totals.processed;
-    out.events_coalesced = st.totals.coalesced;
+    out.events = st.totals;
     out.values = st.values.iter().map(|&v| algo.value_to_f64(v)).collect();
     out
 }

@@ -27,8 +27,8 @@ fn fault_free_chaos_is_bit_exact_with_golden() {
         let golden = run_sequential(algo, g);
         let chaos = run_chaos(algo, g, None, &ChaosConfig::default());
         assert_eq!(chaos.values, golden.values);
-        assert_eq!(chaos.events_processed, golden.events_processed);
-        assert_eq!(chaos.events_generated, golden.events_generated);
+        assert_eq!(chaos.events.processed, golden.events_processed);
+        assert_eq!(chaos.events.generated, golden.events_generated);
         assert!(chaos.detections.is_empty());
         assert_eq!(chaos.rollbacks, 0);
         assert!(!chaos.degraded);
@@ -176,6 +176,58 @@ fn persistent_drop_degrades_to_golden_engine() {
     assert!(out.unrecovered.is_none());
     assert_eq!(out.values, golden.values);
     assert!(out.wasted_events > 0);
+}
+
+/// Every recovery path hands back an accepted-path ledger that conserves
+/// events: a rollback restores the checkpoint's counts, a quarantine
+/// rolls back the same way, and a degradation adds golden's run from the
+/// checkpoint queue without counting that queue twice.
+#[test]
+fn recovered_runs_conserve_events() {
+    let sssp = Sssp::new(VertexId::new(0));
+    let retry2 = ChaosConfig {
+        max_retries: 2,
+        ..ChaosConfig::default()
+    };
+    let scrub2 = ChaosConfig {
+        verify_every: 2,
+        ..ChaosConfig::default()
+    };
+    let cases = [
+        (
+            graph(11),
+            FaultPlan::transient(FaultKind::DropEvent, 3),
+            ChaosConfig::default(),
+        ),
+        (
+            graph(13),
+            FaultPlan::persistent(FaultKind::BitFlip, 21),
+            scrub2,
+        ),
+        (
+            graph(19),
+            FaultPlan::persistent(FaultKind::DropEvent, 19),
+            retry2,
+        ),
+        (
+            erdos_renyi(96, 420, WeightMode::Uniform(0.5, 4.0), 3),
+            FaultPlan::persistent(FaultKind::DropEvent, 3),
+            retry2,
+        ),
+    ];
+    let mut paths = (0, 0, 0);
+    for (g, plan, cfg) in cases {
+        let out = run_chaos(&sssp, &g, Some(plan), &cfg);
+        assert!(out.rollbacks > 0 && out.unrecovered.is_none(), "{plan:?}");
+        assert_eq!(out.values, run_sequential(&sssp, &g).values, "{plan:?}");
+        out.events
+            .check()
+            .unwrap_or_else(|e| panic!("{plan:?}: {e}"));
+        paths.0 += u32::from(!out.degraded);
+        paths.1 += u32::from(!out.quarantined.is_empty());
+        paths.2 += u32::from(out.degraded);
+    }
+    assert_eq!(paths, (2, 1, 2), "rollback, quarantine, degradation");
 }
 
 /// With degradation disabled, an unrecoverable fault is reported — never

@@ -296,7 +296,6 @@ pub(crate) struct Machine<'a, A: DeltaAlgorithm, G: GraphView> {
     dispatch_rr: usize,
     round: u64,
     slice_activations: u64,
-    progress_accum: f64,
 
     now: Cycle,
     current_round: RoundMetrics,
@@ -437,7 +436,6 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             dispatch_rr: 0,
             round: 0,
             slice_activations: 1,
-            progress_accum: 0.0,
             now: Cycle::ZERO,
             current_round: RoundMetrics::default(),
             rounds_log: Vec::new(),
@@ -855,16 +853,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         metrics.remaining = remaining;
         self.rounds_log.push(metrics);
 
-        let round_progress = self.progress_accum;
-        self.progress_accum = 0.0;
         self.round += 1;
-
-        if let Some(threshold) = self.algo.global_threshold() {
-            if round_progress < threshold && remaining > 0 {
-                self.phase = Phase::Done;
-                return;
-            }
-        }
 
         if remaining == 0 {
             if self.shard_mode {
@@ -1104,9 +1093,7 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
     fn apply_op(&mut self, p: usize, op: ApplyOp<A::Delta>) {
         let now = self.now;
         let v = op.event.target;
-        let old = self.values[v.index()];
         let basis = apply_event(self.algo, &mut self.values, v, op.event.delta);
-        let new = self.values[v.index()];
         self.events_processed += 1;
         self.activity.proc_ops += 1;
         // The apply pipeline itself is fixed-latency; any extra time before
@@ -1117,8 +1104,6 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
         if stall > 0 {
             self.stages.gen_buffer.record(stall as f64);
         }
-        self.progress_accum += self.algo.progress(old, new);
-
         // Write the updated property back through the write-combining
         // buffer: block scheduling processes consecutive vertices
         // back-to-back, so write-backs merge into sequential line writes

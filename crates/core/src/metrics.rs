@@ -1,5 +1,6 @@
 //! Execution metrics backing every figure of the evaluation.
 
+use gp_algorithms::engine::EventCounts;
 use gp_mem::MemStats;
 use gp_sim::stats::{Average, StateTimeline};
 
@@ -203,11 +204,55 @@ impl ExecutionReport {
         self.seconds = self.energy.seconds;
     }
 
-    /// A zeroed report carrying only the four event counters — for
-    /// synthesizing [`ExecutionReport::check_event_conservation`] checks
-    /// over externally-maintained counters (the chaos plane's per-epoch
-    /// watchdog does this).
-    pub fn from_event_counters(
+    /// Fraction of generated events that were eliminated by coalescing
+    /// (the paper reports >90% for PageRank on LiveJournal).
+    pub fn coalesce_rate(&self) -> f64 {
+        if self.events_generated == 0 {
+            0.0
+        } else {
+            self.events_coalesced as f64 / self.events_generated as f64
+        }
+    }
+
+    /// Event-conservation debug check: [`EventCounts::check_within`] of
+    /// the run's counters, with every spilled event allowed in flight
+    /// unless `strict`.
+    ///
+    /// For a single machine (sequential and sliced runs) the accounting is
+    /// exact — spilled events re-enter the queue on a later slice pass and
+    /// are eventually processed or coalesced, so pass `strict = true` and
+    /// require `generated == processed + coalesced`. A merged shard-parallel
+    /// report coalesces cross-shard events inside per-shard outboxes without
+    /// incrementing `events_coalesced`, so there pass `strict = false`,
+    /// which only requires the deficit to stay within `events_spilled`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violated balance equation.
+    pub fn check_event_conservation(&self, strict: bool) -> Result<(), String> {
+        let counts = EventCounts {
+            generated: self.events_generated,
+            coalesced: self.events_coalesced,
+            processed: self.events_processed,
+        };
+        counts.check_within(if strict { 0 } else { self.events_spilled })
+    }
+
+    /// Aggregate lookahead distribution over all rounds.
+    pub fn total_lookahead(&self) -> LookaheadBuckets {
+        let mut total = LookaheadBuckets::default();
+        for r in &self.rounds_log {
+            total.merge(&r.lookahead);
+        }
+        total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report_with(
         generated: u64,
         processed: u64,
         coalesced: u64,
@@ -238,82 +283,6 @@ impl ExecutionReport {
                 1,
             ),
         }
-    }
-
-    /// Fraction of generated events that were eliminated by coalescing
-    /// (the paper reports >90% for PageRank on LiveJournal).
-    pub fn coalesce_rate(&self) -> f64 {
-        if self.events_generated == 0 {
-            0.0
-        } else {
-            self.events_coalesced as f64 / self.events_generated as f64
-        }
-    }
-
-    /// Event-conservation debug check: every generated event must be
-    /// accounted for as processed, coalesced away, or spilled off-chip.
-    ///
-    /// For a single machine (sequential and sliced runs) the accounting is
-    /// exact — spilled events re-enter the queue on a later slice pass and
-    /// are eventually processed or coalesced, so pass `strict = true` and
-    /// require `generated == processed + coalesced`. A merged shard-parallel
-    /// report coalesces cross-shard events inside per-shard outboxes without
-    /// incrementing `events_coalesced`, so there pass `strict = false`,
-    /// which only requires the deficit to stay within `events_spilled`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated balance equation.
-    pub fn check_event_conservation(&self, strict: bool) -> Result<(), String> {
-        let absorbed = self.events_processed + self.events_coalesced;
-        if absorbed > self.events_generated {
-            return Err(format!(
-                "absorbed more events than generated: processed {} + coalesced {} > generated {}",
-                self.events_processed, self.events_coalesced, self.events_generated
-            ));
-        }
-        let deficit = self.events_generated - absorbed;
-        if strict && deficit != 0 {
-            return Err(format!(
-                "event conservation violated: generated {} != processed {} + coalesced {} \
-                 (deficit {deficit})",
-                self.events_generated, self.events_processed, self.events_coalesced
-            ));
-        }
-        if deficit > self.events_spilled {
-            return Err(format!(
-                "event deficit {deficit} exceeds spilled count {} \
-                 (generated {}, processed {}, coalesced {})",
-                self.events_spilled,
-                self.events_generated,
-                self.events_processed,
-                self.events_coalesced
-            ));
-        }
-        Ok(())
-    }
-
-    /// Aggregate lookahead distribution over all rounds.
-    pub fn total_lookahead(&self) -> LookaheadBuckets {
-        let mut total = LookaheadBuckets::default();
-        for r in &self.rounds_log {
-            total.merge(&r.lookahead);
-        }
-        total
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn report_with(
-        generated: u64,
-        processed: u64,
-        coalesced: u64,
-        spilled: u64,
-    ) -> ExecutionReport {
-        ExecutionReport::from_event_counters(generated, processed, coalesced, spilled)
     }
 
     #[test]

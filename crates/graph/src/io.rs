@@ -75,7 +75,8 @@ impl From<std::io::Error> for ReadGraphError {
 ///
 /// # Errors
 ///
-/// Returns [`ReadGraphError`] on I/O failure or malformed lines.
+/// Returns [`ReadGraphError`] on I/O failure or malformed lines, a vertex
+/// id at or above a pinned `num_vertices` or equal to `u32::MAX` included.
 ///
 /// # Examples
 ///
@@ -93,6 +94,8 @@ pub fn read_edge_list<R: Read>(
     let mut edges: Vec<(u32, u32, f32)> = Vec::new();
     let mut max_id = 0u32;
     let mut weighted = false;
+    // `max id + 1` must fit the builder's `u32` vertex count.
+    let limit = num_vertices.unwrap_or(u32::MAX as usize);
     for (lineno, line) in buf.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -100,16 +103,22 @@ pub fn read_edge_list<R: Read>(
             continue;
         }
         let mut it = line.split_whitespace();
-        let src: u32 = it
-            .next()
-            .ok_or_else(|| ReadGraphError::Parse(lineno + 1, "missing src".into()))?
-            .parse()
-            .map_err(|e| ReadGraphError::Parse(lineno + 1, format!("src: {e}")))?;
-        let dst: u32 = it
-            .next()
-            .ok_or_else(|| ReadGraphError::Parse(lineno + 1, "missing dst".into()))?
-            .parse()
-            .map_err(|e| ReadGraphError::Parse(lineno + 1, format!("dst: {e}")))?;
+        let mut id = |what: &str| -> Result<u32, ReadGraphError> {
+            let parse = |detail| ReadGraphError::Parse(lineno + 1, detail);
+            let id: u32 = it
+                .next()
+                .ok_or_else(|| parse(format!("missing {what}")))?
+                .parse()
+                .map_err(|e| parse(format!("{what}: {e}")))?;
+            if id as usize >= limit {
+                return Err(parse(format!(
+                    "{what}: vertex id {id} out of range (ids must be below {limit})"
+                )));
+            }
+            Ok(id)
+        };
+        let src = id("src")?;
+        let dst = id("dst")?;
         let weight = match it.next() {
             Some(w) => {
                 weighted = true;
@@ -188,6 +197,39 @@ mod tests {
                 assert!((x.weight - y.weight).abs() < 1e-4);
             }
         }
+    }
+
+    #[test]
+    fn an_id_past_the_u32_vertex_count_is_a_parse_error() {
+        let err = read_edge_list("0 4294967295\n".as_bytes(), None).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, ReadGraphError::Parse(1, _)), "{msg}");
+        assert!(
+            msg.contains("dst: vertex id 4294967295 out of range"),
+            "{msg}"
+        );
+        let err = read_edge_list("4294967295 0\n".as_bytes(), None).unwrap_err();
+        assert!(
+            err.to_string().contains("src: vertex id 4294967295"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_id_past_a_pinned_vertex_count_is_a_parse_error() {
+        let err = read_edge_list("0 1\n0 5\n".as_bytes(), Some(3)).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, ReadGraphError::Parse(2, _)), "{msg}");
+        assert!(
+            msg.contains("dst: vertex id 5 out of range (ids must be below 3)"),
+            "{msg}"
+        );
+        assert_eq!(
+            read_edge_list("0 2\n".as_bytes(), Some(3))
+                .unwrap()
+                .num_vertices(),
+            3
+        );
     }
 
     #[test]

@@ -253,8 +253,8 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
             Backend::Turbo(cfg) => {
                 let (pool, values) = (&mut self.pool, &mut self.values);
                 let out = run_turbo_with(pool, &self.algo, &self.graph, values, seeds, cfg);
-                report.events_processed = out.events_processed;
-                report.events_generated = out.events_generated;
+                report.events_processed = out.events.processed;
+                report.events_generated = out.events.generated;
             }
         }
         Ok(report)

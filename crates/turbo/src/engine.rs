@@ -41,7 +41,7 @@
 //! `n`-length column, and reusing a pool costs its counters. [`run_turbo`]
 //! and [`run_turbo_seeded`] are one run on a fresh pool.
 
-use gp_algorithms::engine::{apply_event, for_each_propagated};
+use gp_algorithms::engine::{apply_event, for_each_propagated, EventCounts};
 use gp_algorithms::{DeltaAlgorithm, DeltaPool};
 use gp_graph::{GraphView, VertexId};
 
@@ -73,13 +73,10 @@ pub struct StaleFault {
 /// log. The values are the typed slice the caller passed in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TurboRun {
-    /// Events applied to vertex state (post-coalescing), the paper's
-    /// throughput denominator.
-    pub events_processed: u64,
-    /// Events generated by seeds and propagation (pre-coalescing).
-    pub events_generated: u64,
-    /// Events absorbed in place into an already-pending delta.
-    pub events_coalesced: u64,
+    /// Events generated, coalesced and processed; a finished run satisfies
+    /// [`EventCounts::check`] unless the scheduler lost a pending delta
+    /// ([`StaleFault`] is the canonical cause).
+    pub events: EventCounts,
     /// Rounds: sweeps executed until no vertex was active.
     pub rounds: u64,
     /// Events processed by each sweep; one entry per round.
@@ -87,39 +84,16 @@ pub struct TurboRun {
 }
 
 impl TurboRun {
-    /// In-engine lost-event check: once no vertex is active, every
-    /// generated event must have been coalesced away or processed. A
-    /// pending delta dropped by the scheduler ([`StaleFault`] is the
-    /// canonical cause) breaks the identity.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the lost-event count and the violated
-    /// conservation identity.
-    pub fn check_lost_events(&self) -> Result<(), String> {
-        let accounted = self.events_coalesced + self.events_processed;
-        if self.events_generated == accounted {
-            return Ok(());
-        }
-        Err(format!(
-            "turbo lost {} event(s) — conservation violated: \
-             generated {} != coalesced {} + processed {}",
-            self.events_generated.abs_diff(accounted),
-            self.events_generated,
-            self.events_coalesced,
-            self.events_processed,
-        ))
-    }
-
     /// Renders the counters and the round log as a stable, deterministic
     /// text block — two identical runs must produce byte-identical output,
     /// which the determinism tests rely on.
     #[must_use]
     pub fn render_log(&self) -> String {
         use std::fmt::Write as _;
+        let e = &self.events;
         let mut s = format!(
             "turbo: rounds={} processed={} generated={} coalesced={}\n",
-            self.rounds, self.events_processed, self.events_generated, self.events_coalesced,
+            self.rounds, e.processed, e.generated, e.coalesced,
         );
         for (round, processed) in self.round_log.iter().enumerate() {
             let _ = writeln!(s, "round {round} processed={processed}");
@@ -157,9 +131,9 @@ impl TurboOutcome {
     fn new(run: TurboRun, values: Vec<f64>) -> Self {
         TurboOutcome {
             values,
-            events_processed: run.events_processed,
-            events_generated: run.events_generated,
-            events_coalesced: run.events_coalesced,
+            events_processed: run.events.processed,
+            events_generated: run.events.generated,
+            events_coalesced: run.events.coalesced,
             stale_entries: 0,
             reschedules: 0,
             rounds: run.rounds,
@@ -170,22 +144,24 @@ impl TurboOutcome {
     /// The counters and the round log, without the values.
     fn run(&self) -> TurboRun {
         TurboRun {
-            events_processed: self.events_processed,
-            events_generated: self.events_generated,
-            events_coalesced: self.events_coalesced,
+            events: EventCounts {
+                generated: self.events_generated,
+                coalesced: self.events_coalesced,
+                processed: self.events_processed,
+            },
             rounds: self.rounds,
             round_log: self.round_log.clone(),
         }
     }
 
-    /// [`TurboRun::check_lost_events`] of this run.
+    /// In-engine lost-event check: [`EventCounts::check`] of this run.
     ///
     /// # Errors
     ///
     /// Returns a message naming the lost-event count and the violated
     /// conservation identity.
     pub fn check_lost_events(&self) -> Result<(), String> {
-        self.run().check_lost_events()
+        self.run().events.check()
     }
 
     /// [`TurboRun::render_log`] of this run.
@@ -247,11 +223,13 @@ pub fn run_turbo_with<A: DeltaAlgorithm, G: GraphView>(
         }
     }
 
-    let (events_generated, events_coalesced) = pool.take_counts();
+    let (generated, coalesced) = pool.take_counts();
     TurboRun {
-        events_processed: round_log.iter().sum(),
-        events_generated,
-        events_coalesced,
+        events: EventCounts {
+            generated,
+            coalesced,
+            processed: round_log.iter().sum(),
+        },
         rounds: round_log.len() as u64,
         round_log,
     }

@@ -43,9 +43,9 @@ fn run_both<A: DeltaAlgorithm, G: GraphView>(
     assert_eq!(got.render_log(), want.render_log());
     assert_eq!(
         (
-            got.events_processed,
-            got.events_generated,
-            got.events_coalesced,
+            got.events.processed,
+            got.events.generated,
+            got.events.coalesced,
             got.rounds,
             &got.round_log
         ),
@@ -57,7 +57,7 @@ fn run_both<A: DeltaAlgorithm, G: GraphView>(
             &want.round_log
         )
     );
-    assert_eq!(got.check_lost_events(), want.check_lost_events());
+    assert_eq!(got.events.check(), want.check_lost_events());
     got
 }
 
@@ -95,7 +95,7 @@ fn reuse_matches_fresh_runs_on_the_bitmap_edge_sizes() {
             &[],
             &TurboConfig::default(),
         );
-        assert_eq!((idle.rounds, idle.events_generated), (0, 0), "n = {n}");
+        assert_eq!((idle.rounds, idle.events.generated), (0, 0), "n = {n}");
         let (mut values, seeds) = initial_state(&algo, &g);
         run_both(
             &mut pool,
@@ -107,7 +107,7 @@ fn reuse_matches_fresh_runs_on_the_bitmap_edge_sizes() {
         );
         let (mut again, seeds) = initial_state(&algo, &g);
         let lossy = run_both(&mut pool, &algo, &g, &mut again, &seeds, &faulted(1, 0));
-        assert_eq!(lossy.check_lost_events().is_err(), n > 0, "n = {n}");
+        assert_eq!(lossy.events.check().is_err(), n > 0, "n = {n}");
         run_both(
             &mut pool,
             &algo,
@@ -152,7 +152,7 @@ fn reuse_after_a_stale_fault_matches_fresh_runs() {
             &seeds,
             &faulted(after_rounds, pick),
         );
-        assert_eq!(out.check_lost_events().is_err(), after_rounds != u64::MAX);
+        assert_eq!(out.events.check().is_err(), after_rounds != u64::MAX);
         let (mut values, seeds) = initial_state(&algo, &g);
         let clean = run_both(
             &mut pool,
@@ -162,7 +162,7 @@ fn reuse_after_a_stale_fault_matches_fresh_runs() {
             &seeds,
             &TurboConfig::default(),
         );
-        clean.check_lost_events().unwrap();
+        clean.events.check().unwrap();
     }
 }
 
@@ -298,7 +298,7 @@ fn an_out_of_range_seed_is_refused_before_any_deposit() {
         &[],
         &TurboConfig::default(),
     );
-    assert_eq!(idle.events_generated, 0, "the refused seeds were deposited");
+    assert_eq!(idle.events.generated, 0, "the refused seeds were deposited");
     run_both(
         &mut pool,
         &algo,

@@ -159,28 +159,20 @@ fn compare_values(
 /// Two turbo runs that must be the same run: equal value bits and equal
 /// [`render_log`](TurboOutcome::render_log) (every counter and the
 /// per-round schedule).
-fn same_turbo_outcome(
-    check: &'static str,
-    what: &str,
-    a: &TurboOutcome,
-    b: &TurboOutcome,
-) -> Result<(), Failure> {
+fn same_turbo_outcome(what: &str, a: &TurboOutcome, b: &TurboOutcome) -> Result<(), String> {
     if same_bits(&a.values, &b.values) && a.render_log() == b.render_log() {
         return Ok(());
     }
-    Err(fail(
-        check,
-        format!(
-            "{what} diverged (processed {} vs {}, coalesced {} vs {}, \
-             rounds {} vs {}, max |value diff| {:e})",
-            a.events_processed,
-            b.events_processed,
-            a.events_coalesced,
-            b.events_coalesced,
-            a.rounds,
-            b.rounds,
-            max_abs_diff(&a.values, &b.values),
-        ),
+    Err(format!(
+        "{what} diverged (processed {} vs {}, coalesced {} vs {}, \
+         rounds {} vs {}, max |value diff| {:e})",
+        a.events_processed,
+        b.events_processed,
+        a.events_coalesced,
+        b.events_coalesced,
+        a.rounds,
+        b.rounds,
+        max_abs_diff(&a.values, &b.values),
     ))
 }
 
@@ -221,7 +213,8 @@ where
     )?;
     t1.check_lost_events()
         .map_err(|e| fail("differential-turbo", e))?;
-    same_turbo_outcome("turbo-determinism", "two identical turbo runs", &t1, &t2)?;
+    same_turbo_outcome("two identical turbo runs", &t1, &t2)
+        .map_err(|e| fail("turbo-determinism", e))?;
 
     // Cycle-level accelerator, twice: functional agreement + determinism.
     let cfg = case.machine.to_config();
@@ -392,32 +385,46 @@ where
         ));
     }
 
-    let golden = run_sequential(algo, g);
-    let ooc = run_sequential(algo, &mapped);
+    check_mapped(algo, g, &mapped).map_err(|e| fail("differential-outofcore", e))
+}
+
+/// Bit-compares the golden engine and turbo over a memory-mapped
+/// container against the same runs on the fully-resident graph: golden's
+/// value bits and event counters, and turbo's value bits and
+/// [`render_log`](TurboOutcome::render_log) (every counter and the
+/// per-round schedule). The oracle's out-of-core leg and `container
+/// --check-resident` both call it.
+///
+/// # Errors
+///
+/// Returns which engine diverged, with its counters and the largest value
+/// difference.
+pub fn check_mapped<A: DeltaAlgorithm>(
+    algo: &A,
+    resident: &CsrGraph,
+    mapped: &MappedCsr,
+) -> Result<(), String> {
+    let golden = run_sequential(algo, resident);
+    let ooc = run_sequential(algo, mapped);
     if !same_bits(&ooc.values, &golden.values)
         || ooc.events_processed != golden.events_processed
         || ooc.events_generated != golden.events_generated
     {
-        return Err(fail(
-            "differential-outofcore",
-            format!(
-                "golden over the mapped container is not bit-exact with resident \
-                 (processed {} vs {}, generated {} vs {}, max |diff| {:e})",
-                ooc.events_processed,
-                golden.events_processed,
-                ooc.events_generated,
-                golden.events_generated,
-                max_abs_diff(&ooc.values, &golden.values)
-            ),
+        return Err(format!(
+            "golden over the mapped container is not bit-exact with resident \
+             (processed {} vs {}, generated {} vs {}, max |diff| {:e})",
+            ooc.events_processed,
+            golden.events_processed,
+            ooc.events_generated,
+            golden.events_generated,
+            max_abs_diff(&ooc.values, &golden.values)
         ));
     }
-
     let tcfg = TurboConfig::default();
     same_turbo_outcome(
-        "differential-outofcore",
         "turbo over the mapped container vs its resident run",
-        &run_turbo(algo, &mapped, &tcfg),
-        &run_turbo(algo, g, &tcfg),
+        &run_turbo(algo, mapped, &tcfg),
+        &run_turbo(algo, resident, &tcfg),
     )
 }
 
@@ -461,17 +468,17 @@ where
         ));
     }
     if !same_bits(&clean.values, &golden.values)
-        || clean.events_processed != golden.events_processed
-        || clean.events_generated != golden.events_generated
+        || clean.events.processed != golden.events_processed
+        || clean.events.generated != golden.events_generated
     {
         return Err(fail(
             "differential-chaos",
             format!(
                 "clean chaos run is not bit-exact with golden \
                  (processed {} vs {}, generated {} vs {}, max |diff| {:e})",
-                clean.events_processed,
+                clean.events.processed,
                 golden.events_processed,
-                clean.events_generated,
+                clean.events.generated,
                 golden.events_generated,
                 max_abs_diff(&clean.values, &golden.values)
             ),

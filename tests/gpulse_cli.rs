@@ -101,6 +101,24 @@ fn missing_graph_file_and_unknown_app_are_refused() {
     std::fs::remove_file(graph).ok();
 }
 
+/// An edge list naming vertex `u32::MAX` cannot be sized: the reader
+/// refuses the line instead of panicking in the graph builder.
+#[test]
+fn an_id_past_the_vertex_count_is_a_parse_error() {
+    let graph = temp_path("huge-id.txt");
+    std::fs::write(&graph, "0 4294967295\n").unwrap();
+    let stderr = assert_refused(
+        &["--graph", graph.to_str().unwrap()],
+        "error: parse error on line 1",
+    );
+    assert!(stderr.contains("4294967295"), "{stderr}");
+    assert_eq!(
+        gpulse(&["--graph", graph.to_str().unwrap()]).status.code(),
+        Some(1)
+    );
+    std::fs::remove_file(graph).ok();
+}
+
 /// `--app`, `--backend` and whether the backend has the app are settled
 /// before the graph is synthesized: a refusal carries no `graph:` line.
 #[test]
