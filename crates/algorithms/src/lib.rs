@@ -73,7 +73,8 @@ pub use sswp::Sswp;
 pub use table::{App, AppInputs};
 
 /// Maximum absolute difference between two value vectors; `f64::INFINITY`
-/// entries compare equal to each other.
+/// entries compare equal to each other, and a NaN difference counts as
+/// `f64::INFINITY`, so no tolerance accepts a NaN.
 ///
 /// Convenience for tests that compare a backend against a golden reference.
 ///
@@ -81,6 +82,7 @@ pub use table::{App, AppInputs};
 /// let a = [1.0, f64::INFINITY];
 /// let b = [1.0 + 1e-9, f64::INFINITY];
 /// assert!(gp_algorithms::max_abs_diff(&a, &b) < 1e-6);
+/// assert_eq!(gp_algorithms::max_abs_diff(&[f64::NAN, 2.0], &[1.0, 2.0]), f64::INFINITY);
 /// ```
 ///
 /// # Panics
@@ -94,7 +96,12 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
             if x.is_infinite() && y.is_infinite() && x.signum() == y.signum() {
                 0.0
             } else {
-                (x - y).abs()
+                let d = (x - y).abs();
+                if d.is_nan() {
+                    f64::INFINITY
+                } else {
+                    d
+                }
             }
         })
         .fold(0.0, f64::max)
@@ -115,4 +122,37 @@ pub fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.iter()
         .map(|v| v.to_bits())
         .eq(b.iter().map(|v| v.to_bits()))
+}
+
+/// Whether two records are the same run: their `{:#?}` renderings are
+/// equal. `Debug` prints every field in declaration order and every `f64`
+/// as its shortest round-trip decimal, so a field added to the record is
+/// compared without touching a caller, and `0.0` differs from `-0.0`. The
+/// one thing the rendering cannot tell apart is two NaN payloads: compare
+/// value vectors with [`same_bits`] too.
+///
+/// # Errors
+///
+/// Names `what` and the first line of the renderings that differs.
+///
+/// # Examples
+///
+/// ```
+/// use gp_algorithms::same_run;
+/// assert!(same_run("runs", &(1u64, [0.5]), &(1u64, [0.5])).is_ok());
+/// let err = same_run("runs", &(1u64, [0.0]), &(1u64, [-0.0])).unwrap_err();
+/// assert!(err.contains("-0.0"), "{err}");
+/// ```
+pub fn same_run<T: std::fmt::Debug>(what: &str, a: &T, b: &T) -> Result<(), String> {
+    let (a, b) = (format!("{a:#?}"), format!("{b:#?}"));
+    let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+    match (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "{what} diverged at line {} of the record: {} vs {}",
+            i + 1,
+            a.get(i).map_or("<end>", |l| l.trim()),
+            b.get(i).map_or("<end>", |l| l.trim())
+        )),
+    }
 }

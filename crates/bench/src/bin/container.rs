@@ -14,11 +14,8 @@
 //!    over a [`MeteredView`] of the mapping (reporting events/sec and the
 //!    bytes-moved-per-edge traffic split) and turbo over the raw mapping
 //!    (reporting its events/sec and its max |diff| vs golden, which must
-//!    sit within the algorithm's comparison tolerance — for PRD widened
-//!    to the first-order residue bound `threshold * max_in_degree`: every
-//!    in-neighbor may legitimately hold sub-threshold residue it never
-//!    propagated, so on scale-free R-MATs the mega-hub's rank can differ
-//!    by up to that sum and the flat tolerance under-scales past ~2^20),
+//!    sit within the algorithm's comparison tolerance — one bound, which
+//!    does not loosen as the graph's hubs grow),
 //! 4. emits a `BENCH_outofcore.json` document (`gp-bench/outofcore/v2`,
 //!    schema-checked by `bench_check`).
 //!
@@ -180,22 +177,10 @@ struct AlgoRow {
     turbo_ok: bool,
 }
 
-/// Golden over the metered mapping, turbo over the raw mapping.
-///
-/// `residue_bound` widens the turbo-vs-golden acceptance beyond the
-/// algorithm's flat [`comparison_tolerance`] — pass `0.0` for algorithms
-/// whose backends agree bit-exactly, and the first-order sub-threshold
-/// residue bound `threshold * max_in_degree` for PageRank-delta (every
-/// in-neighbor may hold up to `threshold` of never-propagated rank, so a
-/// hub's converged value can legitimately differ by their sum).
-///
-/// [`comparison_tolerance`]: DeltaAlgorithm::comparison_tolerance
-fn measure<A: DeltaAlgorithm>(
-    label: &'static str,
-    algo: &A,
-    mapped: &MappedCsr,
-    residue_bound: f64,
-) -> AlgoRow {
+/// Golden over the metered mapping, turbo over the raw mapping; turbo is
+/// accepted within the algorithm's
+/// [`comparison_tolerance`](DeltaAlgorithm::comparison_tolerance).
+fn measure<A: DeltaAlgorithm>(label: &'static str, algo: &A, mapped: &MappedCsr) -> AlgoRow {
     let metered = MeteredView::new(mapped);
     let t = Instant::now();
     let golden = run_sequential(algo, &metered);
@@ -206,7 +191,7 @@ fn measure<A: DeltaAlgorithm>(
     let turbo = run_turbo(algo, mapped, &TurboConfig::default());
     let turbo_wall = t.elapsed().as_secs_f64();
     let diff = max_abs_diff(&turbo.values, &golden.values);
-    let turbo_ok = diff <= algo.comparison_tolerance().max(residue_bound);
+    let turbo_ok = diff <= algo.comparison_tolerance();
 
     let eps = golden.events_processed as f64 / wall.max(1e-9);
     let turbo_eps = turbo.events_processed as f64 / turbo_wall.max(1e-9);
@@ -316,22 +301,12 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
         }
         println!("[2^{lg}] mapped runs are bit-identical to the fully-resident path");
     }
-    let max_in_degree = mapped
-        .vertex_ids()
-        .map(|v| mapped.in_degree(v))
-        .max()
-        .unwrap_or(0);
     let mut rows: Vec<AlgoRow> = table
         .map(|app| {
-            let residue_bound = match app {
-                App::PageRank => PRD_THRESHOLD * f64::from(max_in_degree),
-                _ => 0.0,
-            };
             with_algorithm!(app, &inputs, |algo| measure(
                 record_name(app),
                 algo,
-                &mapped,
-                residue_bound
+                &mapped
             ))
         })
         .collect();

@@ -158,7 +158,8 @@ pub struct OverheadRecord {
     pub checkpoint_words: u64,
     /// Line-rounded checkpoint traffic in bytes.
     pub checkpoint_bytes: u64,
-    /// Whether the fault-free chaos run was bit-exact vs the golden run.
+    /// Whether the fault-free chaos run was the golden run
+    /// ([`ChaosOutcome::check_golden`]) with no watchdog firing.
     pub bitexact: bool,
 }
 
@@ -294,7 +295,7 @@ where
         checkpoints: clean.checkpoints,
         checkpoint_words: clean.checkpoint_words,
         checkpoint_bytes: clean.checkpoint_bytes,
-        bitexact: clean.values == reference.values && clean.detections.is_empty(),
+        bitexact: clean.check_golden(&reference).is_ok() && clean.detections.is_empty(),
     });
 
     // Event-layer faults, transient: cured by rollback-and-retry.

@@ -42,9 +42,10 @@
 use std::collections::VecDeque;
 
 use gp_algorithms::engine::{
-    apply_event, for_each_propagated, initial_state, run_sequential_seeded, EventCounts,
+    apply_event, for_each_propagated, initial_state, run_sequential_seeded, EngineOutput,
+    EventCounts,
 };
-use gp_algorithms::DeltaAlgorithm;
+use gp_algorithms::{max_abs_diff, same_bits, DeltaAlgorithm};
 use gp_graph::{GraphView, VertexId};
 use gp_mem::integrity::{checkpoint_bytes, BitUpset, ShadowChecksum, Storable};
 
@@ -164,6 +165,34 @@ pub struct ChaosOutcome {
     /// degradation disabled): the diagnosis of the unrecovered fault.
     /// The values must then be treated as corrupt.
     pub unrecovered: Option<String>,
+}
+
+impl ChaosOutcome {
+    /// The rule a fault-free run keeps: it is the golden run — the value
+    /// bits of [`run_sequential`](gp_algorithms::engine::run_sequential)
+    /// and its events processed and generated. The oracle's chaos leg and
+    /// the campaign's `bitexact` both check it here.
+    ///
+    /// # Errors
+    ///
+    /// Names both runs' counters and the largest value difference.
+    pub fn check_golden(&self, golden: &EngineOutput) -> Result<(), String> {
+        if same_bits(&self.values, &golden.values)
+            && self.events.processed == golden.events_processed
+            && self.events.generated == golden.events_generated
+        {
+            return Ok(());
+        }
+        Err(format!(
+            "clean chaos run is not bit-exact with golden \
+             (processed {} vs {}, generated {} vs {}, max |diff| {:e})",
+            self.events.processed,
+            golden.events_processed,
+            self.events.generated,
+            golden.events_generated,
+            max_abs_diff(&self.values, &golden.values)
+        ))
+    }
 }
 
 struct Checkpoint<A: DeltaAlgorithm> {

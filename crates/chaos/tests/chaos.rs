@@ -9,7 +9,7 @@ use gp_chaos::{
 };
 use gp_graph::generators::{erdos_renyi, WeightMode};
 use gp_graph::{CsrGraph, VertexId};
-use gp_mem::integrity::Storable;
+use gp_mem::integrity::{BitUpset, Storable};
 
 fn graph(seed: u64) -> CsrGraph {
     erdos_renyi(72, 300, WeightMode::Uniform(0.5, 4.0), seed)
@@ -130,6 +130,24 @@ fn persistent_bit_flip_is_scrubbed_and_quarantined() {
     assert!(!out.degraded);
     assert!(out.unrecovered.is_none());
     assert_eq!(out.values, golden.values);
+}
+
+/// The quarantine granule is eight vertices: a persistent upset at slot
+/// `i` quarantines region `i / 8` and no other.
+#[test]
+fn a_persistent_flip_quarantines_its_eight_vertex_region() {
+    let g = graph(13);
+    let seed = 21;
+    let upset = BitUpset::from_seed(seed, g.num_vertices());
+    // Past the first region, so a wider granule would name another one.
+    assert!(upset.index >= 8, "slot {}", upset.index);
+    let cfg = ChaosConfig {
+        verify_every: 2,
+        ..ChaosConfig::default()
+    };
+    let plan = FaultPlan::persistent(FaultKind::BitFlip, seed);
+    let out = run_chaos(&Sssp::new(VertexId::new(0)), &g, Some(plan), &cfg);
+    assert_eq!(out.quarantined, vec![upset.index / 8]);
 }
 
 /// A transient bit-flip is caught by the scrub and cured by a single

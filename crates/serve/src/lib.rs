@@ -664,6 +664,31 @@ impl ServeClient {
     }
 }
 
+/// Checks one edge update against a graph of `num_vertices` vertices: both
+/// endpoints in range and, for an insert, a weight that is finite and
+/// `> 0` — the precondition the path classes' incremental re-convergence
+/// documents (`Sssp`'s `IncrementalAlgorithm` impl). An endpoint out of
+/// range would panic the writer in `OverlayGraph::apply`, and a negative
+/// cycle would keep every later SSSP run on the epoch from terminating.
+pub(crate) fn check_update(update: &EdgeUpdate, num_vertices: usize) -> Result<(), String> {
+    let (src, dst, weight) = match *update {
+        EdgeUpdate::Insert { src, dst, weight } => (src, dst, Some(weight)),
+        EdgeUpdate::Delete { src, dst } => (src, dst, None),
+    };
+    if let Some(v) = [src, dst].into_iter().find(|v| v.index() >= num_vertices) {
+        return Err(format!(
+            "vertex {} out of range for {num_vertices} vertices",
+            v.get()
+        ));
+    }
+    match weight {
+        Some(w) if !(w.is_finite() && w > 0.0) => {
+            Err(format!("bad weight: {w} is not finite and > 0"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Clonable update-side client: submits edge-update batches to the writer.
 #[derive(Clone)]
 pub struct Updater {
@@ -672,10 +697,23 @@ pub struct Updater {
 }
 
 impl Updater {
+    /// Refuses a batch with an update [`check_update`] rejects, before it
+    /// counts toward the lag: the writer applies what it is sent unchecked.
+    fn check(&self, updates: &[EdgeUpdate]) -> Result<(), Rejection> {
+        updates.iter().enumerate().try_for_each(|(i, u)| {
+            check_update(u, self.shared.num_vertices)
+                .map_err(|e| Rejection::BadQuery(format!("update {i} ({u:?}): {e}")))
+        })
+    }
+
     /// Submits a batch, blocking while the bounded update queue is full —
     /// the writer's backpressure on a too-fast updater. Returns `false`
-    /// if the writer is gone (post-shutdown).
+    /// if the batch is refused (see [`try_submit`](Updater::try_submit))
+    /// or the writer is gone (post-shutdown).
     pub fn submit(&self, updates: Vec<EdgeUpdate>) -> bool {
+        if self.check(&updates).is_err() {
+            return false;
+        }
         // Counted before the send: the writer decrements as soon as it
         // has applied the batch, which can be before `send` returns here.
         self.shared.update_lag.fetch_add(1, Ordering::Relaxed);
@@ -690,9 +728,12 @@ impl Updater {
     ///
     /// # Errors
     ///
+    /// [`Rejection::BadQuery`] naming the first update with an endpoint out
+    /// of range or a weight that is not finite and `> 0`,
     /// [`Rejection::Overloaded`] when the update queue is full,
     /// [`Rejection::ShuttingDown`] when the writer is gone.
     pub fn try_submit(&self, updates: Vec<EdgeUpdate>) -> Result<(), Rejection> {
+        self.check(&updates)?;
         self.shared.update_lag.fetch_add(1, Ordering::Relaxed);
         self.tx.try_send(updates).map_err(|e| {
             self.shared.update_lag.fetch_sub(1, Ordering::Relaxed);

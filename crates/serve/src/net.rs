@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 
 use gp_graph::{EdgeUpdate, VertexId};
 
-use crate::{Query, QueryClass, Rejection, ServeClient, Updater};
+use crate::{check_update, Query, QueryClass, Rejection, ServeClient, Updater};
 
 /// A running TCP front end.
 pub struct TcpFrontEnd {
@@ -153,19 +153,20 @@ fn dispatch(line: &str, client: &ServeClient, updater: &Updater) -> Result<Strin
         Some("U") => {
             let update = match words.next() {
                 Some("insert") => EdgeUpdate::Insert {
-                    src: parse_vertex(words.next(), client)?,
-                    dst: parse_vertex(words.next(), client)?,
+                    src: parse_vertex(words.next())?,
+                    dst: parse_vertex(words.next())?,
                     weight: parse_weight(words.next())?,
                 },
                 Some("delete") => EdgeUpdate::Delete {
-                    src: parse_vertex(words.next(), client)?,
-                    dst: parse_vertex(words.next(), client)?,
+                    src: parse_vertex(words.next())?,
+                    dst: parse_vertex(words.next())?,
                 },
                 _ => return Err("usage: U <insert|delete> ...".into()),
             };
             if words.next().is_some() {
                 return Err("trailing arguments".into());
             }
+            check_update(&update, client.num_vertices())?;
             updater
                 .try_submit(vec![update])
                 .map_err(|e| e.to_string())?;
@@ -207,31 +208,17 @@ fn parse_query<'a>(
     })
 }
 
-fn parse_vertex(word: Option<&str>, client: &ServeClient) -> Result<VertexId, String> {
+fn parse_vertex(word: Option<&str>) -> Result<VertexId, String> {
     let w = word.ok_or("missing vertex id")?;
     let id: u32 = w.parse().map_err(|e| format!("bad vertex {w:?}: {e}"))?;
-    if (id as usize) < client.num_vertices() {
-        Ok(VertexId::new(id))
-    } else {
-        Err(format!(
-            "vertex {id} out of range for {} vertices",
-            client.num_vertices()
-        ))
-    }
+    Ok(VertexId::new(id))
 }
 
-/// Edge weights must be finite and positive — the precondition the path
-/// classes' incremental re-convergence documents (`Sssp`'s
-/// `IncrementalAlgorithm` impl). A negative cycle would keep every later
-/// SSSP run on the epoch from terminating and wedge its executor lane.
+/// Parses a weight; whether the graph can take it is
+/// [`check_update`]'s to say.
 fn parse_weight(word: Option<&str>) -> Result<f32, String> {
     let w = word.ok_or("usage: U insert <src> <dst> <weight>")?;
-    let weight: f32 = w.parse().map_err(|e| format!("bad weight: {e}"))?;
-    if weight.is_finite() && weight > 0.0 {
-        Ok(weight)
-    } else {
-        Err(format!("bad weight: {w} is not finite and > 0"))
-    }
+    w.parse().map_err(|e| format!("bad weight: {e}"))
 }
 
 #[cfg(test)]

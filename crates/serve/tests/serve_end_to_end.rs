@@ -8,7 +8,7 @@
 //! epoch's snapshot — bit-exact for the monotone classes, within the
 //! algorithm's comparison tolerance for PageRank.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gp_algorithms::{AppInputs, DeltaAlgorithm, PageRankDelta};
 use gp_graph::generators::{rmat, rmat_edges, RmatConfig, WeightMode};
@@ -502,4 +502,58 @@ fn a_chain_with_an_evicted_link_runs_cold() {
     assert_eq!(second.value.to_bits(), want.to_bits());
     let after = handle.shutdown();
     assert_eq!((after.fused_runs, after.path_warm_starts), (2, 0));
+}
+
+/// A batch with an endpoint past the last vertex or a weight the path
+/// classes cannot take is refused before it reaches the writer — which
+/// would panic applying it — so the next good batch still publishes.
+#[test]
+fn a_refused_update_batch_leaves_the_writer_publishing() {
+    let v = VertexId::new;
+    let mut b = GraphBuilder::new(64);
+    b.weighted(true);
+    for i in 0..63 {
+        b.add_edge(v(i), v(i + 1), 1.0);
+    }
+    let handle = Server::start(b.build(), ServeConfig::default());
+    let updater = handle.updater();
+    let good = EdgeUpdate::Insert {
+        src: v(0),
+        dst: v(63),
+        weight: 2.0,
+    };
+    let insert = |src, weight| EdgeUpdate::Insert {
+        src: v(src),
+        dst: v(1),
+        weight,
+    };
+    for (bad, why) in [
+        (insert(64, 1.0), "out of range"),
+        (insert(0, f32::NAN), "bad weight"),
+        (insert(0, -1.0), "bad weight"),
+        (insert(0, f32::INFINITY), "bad weight"),
+        (
+            EdgeUpdate::Delete {
+                src: v(2),
+                dst: v(64),
+            },
+            "out of range",
+        ),
+    ] {
+        match updater.try_submit(vec![good, bad]) {
+            Err(Rejection::BadQuery(msg)) => {
+                assert!(msg.contains("update 1") && msg.contains(why), "{msg}");
+            }
+            other => panic!("{bad:?} was not refused: {other:?}"),
+        }
+        assert!(!updater.submit(vec![good, bad]), "{bad:?}");
+        assert_eq!(updater.lag(), 0, "a refused batch counts toward the lag");
+    }
+    assert!(updater.submit(vec![good]));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.store().current_number() < 1 {
+        assert!(Instant::now() < deadline, "the writer stopped publishing");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.shutdown();
 }

@@ -1,6 +1,6 @@
 //! A run on a reused `DeltaPool` (`run_turbo_with`) is bit-exact with a
-//! fresh `run_turbo_seeded`: values, every counter and the rendered round
-//! log, run after run — after a `StaleFault` run, across a compaction (a
+//! fresh `run_turbo_seeded`: values, every counter and the round log, run
+//! after run — after a `StaleFault` run, across a compaction (a
 //! new graph of the same size), with the seed plans drained through the
 //! same pool in between, with no seeds, and on the bitmap's edge sizes. A
 //! finished run or plan leaves the pool empty, which is what makes reuse
@@ -40,7 +40,6 @@ fn run_both<A: DeltaAlgorithm, G: GraphView>(
     assert_eq!(bits(values), bits(&fresh));
     let want_bits: Vec<u64> = want.values.iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits(values), want_bits);
-    assert_eq!(got.render_log(), want.render_log());
     assert_eq!(
         (
             got.events.processed,

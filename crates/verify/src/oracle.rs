@@ -7,11 +7,15 @@
 //! 1. the sequential golden engine (Algorithm 1 of the paper),
 //! 2. the cycle-level accelerator, run twice to also pin determinism,
 //! 3. the shard-parallel engine at 1, 2, and 4 workers — which must be not
-//!    just within tolerance of golden but **bit-identical** to each other,
+//!    just within tolerance of golden but the **same run** as each other,
 //! 4. the incremental engine over the overlay, after every update batch,
 //!    against a from-scratch golden run on the updated graph,
 //! 5. the turbo engine (speed-first, vertex-order sweeps), run
 //!    twice to also pin its determinism.
+//!
+//! Every identity check — determinism, worker invariance, out-of-core —
+//! compares whole records through [`same_run`] plus [`same_bits`] on the
+//! values, so a field added to a record is compared without a change here.
 //!
 //! Metamorphic checks: vertex relabeling (values commute with the
 //! permutation; for connected components, the partition does), edge-order
@@ -21,10 +25,10 @@
 //! conservation on single machines, bounded conservation on merged
 //! parallel reports.
 
-use gp_algorithms::engine::run_sequential;
+use gp_algorithms::engine::{run_sequential, EngineOutput};
 use gp_algorithms::{
-    max_abs_diff, same_bits, with_algorithm, AdsorptionParams, App, AppInputs, DeltaAlgorithm,
-    IncrementalAlgorithm,
+    max_abs_diff, same_bits, same_run, with_algorithm, AdsorptionParams, App, AppInputs,
+    DeltaAlgorithm, IncrementalAlgorithm,
 };
 use gp_chaos::{run_chaos, ChaosConfig, FaultPlan};
 use gp_graph::container::write_container;
@@ -32,8 +36,8 @@ use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, GraphBuilder, MappedCsr, VertexId};
 use gp_mem::integrity::Storable;
 use gp_stream::{IncrementalEngine, StreamConfig};
-use gp_turbo::{run_turbo, StaleFault, TurboConfig, TurboOutcome};
-use graphpulse_core::{GraphPulse, ParallelChaos, RunError};
+use gp_turbo::{run_turbo, StaleFault, TurboConfig};
+use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelChaos, RunError};
 
 use crate::case::TestCase;
 
@@ -156,24 +160,32 @@ fn compare_values(
     Ok(())
 }
 
-/// Two turbo runs that must be the same run: equal value bits and equal
-/// [`render_log`](TurboOutcome::render_log) (every counter and the
-/// per-round schedule).
-fn same_turbo_outcome(what: &str, a: &TurboOutcome, b: &TurboOutcome) -> Result<(), String> {
-    if same_bits(&a.values, &b.values) && a.render_log() == b.render_log() {
-        return Ok(());
+/// Two records that must be the same run: [`same_run`] over the whole
+/// record, and [`same_bits`] over its values, whose NaN payloads `{:#?}`
+/// prints alike.
+fn same_record<T: std::fmt::Debug>(
+    what: &str,
+    a: &T,
+    b: &T,
+    values: impl Fn(&T) -> &[f64],
+) -> Result<(), String> {
+    same_run(what, a, b)?;
+    if same_bits(values(a), values(b)) {
+        Ok(())
+    } else {
+        Err(format!("{what} diverged in NaN payload bits"))
     }
-    Err(format!(
-        "{what} diverged (processed {} vs {}, coalesced {} vs {}, \
-         rounds {} vs {}, max |value diff| {:e})",
-        a.events_processed,
-        b.events_processed,
-        a.events_coalesced,
-        b.events_coalesced,
-        a.rounds,
-        b.rounds,
-        max_abs_diff(&a.values, &b.values),
-    ))
+}
+
+/// The case's machine for `run_parallel` on `g`: a forced shard count that
+/// would not fit a slice falls back to automatic sharding.
+fn parallel_config(case: &TestCase, g: &CsrGraph) -> AcceleratorConfig {
+    let mut cfg = case.machine.to_config();
+    let capacity = cfg.queue.capacity().max(1);
+    if cfg.parallel.shards > 0 && g.num_vertices().div_ceil(cfg.parallel.shards) > capacity {
+        cfg.parallel.shards = 0;
+    }
+    cfg
 }
 
 /// Golden ≡ accelerator ≡ parallel × {1, 2, 4 workers} ≡ chaos executor,
@@ -197,7 +209,7 @@ where
 
     // Chaos executor (oracle leg 6): clean equivalence with golden, and —
     // under an injected fault — the in-engine watchdogs' detection.
-    check_chaos(case, g, algo, fault)?;
+    check_chaos(case, g, algo, &golden, fault)?;
 
     // Turbo engine, twice: functional agreement of the speed-first backend
     // and event conservation, plus its bit-determinism (oracle leg 5).
@@ -213,7 +225,7 @@ where
     )?;
     t1.check_lost_events()
         .map_err(|e| fail("differential-turbo", e))?;
-    same_turbo_outcome("two identical turbo runs", &t1, &t2)
+    same_record("two identical turbo runs", &t1, &t2, |o| &o.values)
         .map_err(|e| fail("turbo-determinism", e))?;
 
     // Cycle-level accelerator, twice: functional agreement + determinism.
@@ -232,38 +244,16 @@ where
         &golden.values,
         tol,
     )?;
-    if !same_bits(&first.values, &second.values)
-        || first.report.cycles != second.report.cycles
-        || first.report.edge_cache_hits != second.report.edge_cache_hits
-        || first.report.edge_cache_misses != second.report.edge_cache_misses
-    {
-        return Err(fail(
-            "accelerator-determinism",
-            format!(
-                "two identical runs diverged (cycles {} vs {}, cache {}/{} vs {}/{})",
-                first.report.cycles,
-                second.report.cycles,
-                first.report.edge_cache_hits,
-                first.report.edge_cache_misses,
-                second.report.edge_cache_hits,
-                second.report.edge_cache_misses
-            ),
-        ));
-    }
+    same_record("two identical runs", &first, &second, |o| &o.values)
+        .map_err(|e| fail("accelerator-determinism", e))?;
     first
         .report
         .check_event_conservation(true)
         .map_err(|e| fail("event-conservation", format!("accelerator: {e}")))?;
 
     // Shard-parallel at 1/2/4 workers: within tolerance of golden, bounded
-    // conservation, and bit-identical to each other.
-    let mut parallel_cfg = cfg.clone();
-    let capacity = parallel_cfg.queue.capacity().max(1);
-    if parallel_cfg.parallel.shards > 0
-        && g.num_vertices().div_ceil(parallel_cfg.parallel.shards) > capacity
-    {
-        parallel_cfg.parallel.shards = 0; // forced count would not fit a slice
-    }
+    // conservation, and the same run as each other.
+    let parallel_cfg = parallel_config(case, g);
     let mut outcomes = Vec::new();
     for workers in [1usize, 2, 4] {
         let mut c = parallel_cfg.clone();
@@ -294,24 +284,10 @@ where
     }
     let (_, base) = &outcomes[0];
     for (workers, out) in &outcomes[1..] {
-        let same_values = same_bits(&base.values, &out.values);
-        if !same_values
-            || base.report.cycles != out.report.cycles
-            || base.report.events_processed != out.report.events_processed
-            || base.report.events_generated != out.report.events_generated
-            || base.report.events_spilled != out.report.events_spilled
-            || base.epochs != out.epochs
-            || base.shards != out.shards
-        {
-            return Err(fail(
-                "parallel-worker-invariance",
-                format!(
-                    "1 worker vs {workers} workers differ \
-                     (cycles {} vs {}, epochs {} vs {}, values equal: {same_values})",
-                    base.report.cycles, out.report.cycles, base.epochs, out.epochs
-                ),
-            ));
-        }
+        same_record(&format!("1 worker vs {workers} workers"), base, out, |o| {
+            &o.values
+        })
+        .map_err(|e| fail("parallel-worker-invariance", e))?;
     }
 
     // Slice-count invariance: shrink the queue until the graph needs >= 2
@@ -388,60 +364,50 @@ where
     check_mapped(algo, g, &mapped).map_err(|e| fail("differential-outofcore", e))
 }
 
-/// Bit-compares the golden engine and turbo over a memory-mapped
-/// container against the same runs on the fully-resident graph: golden's
-/// value bits and event counters, and turbo's value bits and
-/// [`render_log`](TurboOutcome::render_log) (every counter and the
-/// per-round schedule). The oracle's out-of-core leg and `container
+/// Checks that the golden engine and turbo over a memory-mapped container
+/// are the same runs as on the fully-resident graph: value bits and every
+/// field of each outcome. The oracle's out-of-core leg and `container
 /// --check-resident` both call it.
 ///
 /// # Errors
 ///
-/// Returns which engine diverged, with its counters and the largest value
-/// difference.
+/// Returns which engine diverged and the first line of its record that
+/// differs.
 pub fn check_mapped<A: DeltaAlgorithm>(
     algo: &A,
     resident: &CsrGraph,
     mapped: &MappedCsr,
 ) -> Result<(), String> {
-    let golden = run_sequential(algo, resident);
-    let ooc = run_sequential(algo, mapped);
-    if !same_bits(&ooc.values, &golden.values)
-        || ooc.events_processed != golden.events_processed
-        || ooc.events_generated != golden.events_generated
-    {
-        return Err(format!(
-            "golden over the mapped container is not bit-exact with resident \
-             (processed {} vs {}, generated {} vs {}, max |diff| {:e})",
-            ooc.events_processed,
-            golden.events_processed,
-            ooc.events_generated,
-            golden.events_generated,
-            max_abs_diff(&ooc.values, &golden.values)
-        ));
-    }
+    same_record(
+        "golden over the mapped container vs its resident run",
+        &run_sequential(algo, mapped),
+        &run_sequential(algo, resident),
+        |o| &o.values,
+    )?;
     let tcfg = TurboConfig::default();
-    same_turbo_outcome(
+    same_record(
         "turbo over the mapped container vs its resident run",
         &run_turbo(algo, mapped, &tcfg),
         &run_turbo(algo, resident, &tcfg),
+        |o| &o.values,
     )
 }
 
-/// The chaos-plane oracle leg. With no fault (or the differential-only
-/// [`Fault::MergeSkew`]): [`run_chaos`] with detection enabled and
-/// recovery disabled must be bit-exact with the golden engine — values
-/// *and* event counters — with no watchdog firing (pinning the detectors'
-/// false-positive rate at zero). With an injected chaos-plane fault:
-/// recovery stays disabled, so a fired fault must surface as an in-engine
-/// detection (returned as the oracle failure the shrinker minimizes); a
-/// fault that never fired or self-healed must leave the result at the
-/// golden fixed point — silent corruption is the one unacceptable
-/// outcome.
+/// The chaos-plane oracle leg, against the case's `golden` run. With no
+/// fault (or the differential-only [`Fault::MergeSkew`]): [`run_chaos`]
+/// with detection enabled and recovery disabled must be the golden run
+/// ([`ChaosOutcome::check_golden`](gp_chaos::ChaosOutcome::check_golden))
+/// with no watchdog firing (pinning the detectors' false-positive rate at
+/// zero). With an injected chaos-plane fault: recovery stays disabled, so
+/// a fired fault must surface as an in-engine detection (returned as the
+/// oracle failure the shrinker minimizes); a fault that never fired or
+/// self-healed must leave the result at the golden fixed point — silent
+/// corruption is the one unacceptable outcome.
 fn check_chaos<A>(
     case: &TestCase,
     g: &CsrGraph,
     algo: &A,
+    golden: &EngineOutput,
     fault: Option<Fault>,
 ) -> Result<(), Failure>
 where
@@ -449,7 +415,6 @@ where
     A::Value: Storable,
 {
     let tol = algo.comparison_tolerance();
-    let golden = run_sequential(algo, g);
     let cfg = ChaosConfig {
         max_retries: 0,
         degrade: false,
@@ -467,23 +432,9 @@ where
             ),
         ));
     }
-    if !same_bits(&clean.values, &golden.values)
-        || clean.events.processed != golden.events_processed
-        || clean.events.generated != golden.events_generated
-    {
-        return Err(fail(
-            "differential-chaos",
-            format!(
-                "clean chaos run is not bit-exact with golden \
-                 (processed {} vs {}, generated {} vs {}, max |diff| {:e})",
-                clean.events.processed,
-                golden.events_processed,
-                clean.events.generated,
-                golden.events_generated,
-                max_abs_diff(&clean.values, &golden.values)
-            ),
-        ));
-    }
+    clean
+        .check_golden(golden)
+        .map_err(|e| fail("differential-chaos", e))?;
 
     match fault {
         Some(
@@ -512,14 +463,7 @@ where
             )
         }
         Some(Fault::ShardStall) => {
-            let mut pcfg = case.machine.to_config();
-            let capacity = pcfg.queue.capacity().max(1);
-            if pcfg.parallel.shards > 0
-                && g.num_vertices().div_ceil(pcfg.parallel.shards) > capacity
-            {
-                pcfg.parallel.shards = 0;
-            }
-            let gp = GraphPulse::new(pcfg);
+            let gp = GraphPulse::new(parallel_config(case, g));
             let clean_epochs = gp
                 .run_parallel(g, algo)
                 .map_err(|e| fail("parallel-run", format!("clean run for stall leg: {e}")))?
@@ -730,6 +674,20 @@ mod tests {
                 .expect_err("fault injection must be detected");
             assert_eq!(failure.check, "differential-parallel");
         }
+    }
+
+    /// A NaN difference is never within tolerance, however loose.
+    #[test]
+    fn a_nan_value_fails_compare_values() {
+        let failure = compare_values(
+            "differential-turbo",
+            "turbo",
+            &[1.0, f64::NAN],
+            &[1.0, 2.0],
+            1e3,
+        )
+        .expect_err("a NaN value must fail the tolerance check");
+        assert!(failure.detail.contains("first at vertex 1"), "{failure}");
     }
 
     #[test]

@@ -162,6 +162,22 @@ if grep -rnE 'from_event_counters|struct Totals|global_threshold|progress_accum|
   echo "deleted conservation twin or unread trait hook reintroduced: count in EventCounts, check with check_within"; exit 1
 fi
 
+echo "== a run is compared whole (gp_algorithms::same_run) =="
+# Two runs that must reproduce each other are compared as whole records
+# ({:#?} through same_run), so a field added to a record is compared
+# without a hand-written field list to extend; turbo-vs-golden acceptance
+# is one bound, comparison_tolerance, with no degree-scaled widening. The
+# oracle's turbo comparator, turbo's rendered log and the out-of-core
+# bench's residue bound may not come back.
+if [ "$(grep -rn --include='*.rs' 'fn same_run' crates/*/src | wc -l)" -ne 1 ]; then
+  echo "same_run must be defined exactly once under crates/*/src (gp_algorithms)"; exit 1
+fi
+if grep -rn 'fn same_turbo_outcome' crates/*/src \
+    || grep -rn 'fn render_log' crates/turbo/src \
+    || grep -rn 'residue_bound' crates/bench/src; then
+  echo "hand-picked run comparison or second acceptance bound reintroduced: compare records with same_run, accept within comparison_tolerance"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
