@@ -91,6 +91,26 @@ impl AppliedBatch {
         batch
     }
 
+    /// The in-rows, read from `parent` — the graph the batch was applied
+    /// to — of every destination the batch touched, ascending. With
+    /// [`old_out`](Self::old_out) this is every row the batch changed, as
+    /// it was before: what [`OverlayGraph::restore_rows`] needs to undo it.
+    pub fn old_in_rows(&self, parent: &impl GraphView) -> Vec<(VertexId, Vec<EdgeRef>)> {
+        let mut dsts: Vec<VertexId> = (self.inserts.iter().chain(&self.deletes))
+            .map(|&(_, d, _)| d)
+            .collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        dsts.into_iter()
+            .map(|d| {
+                let row = parent.in_edges(d);
+                let mut list = Vec::with_capacity(row.len());
+                row.for_each(|e| list.push(e));
+                (d, list)
+            })
+            .collect()
+    }
+
     /// Appends `u`'s net change from `old` to `new` — a two-pointer diff
     /// of the neighbor-sorted rows; a re-weighted edge is a delete plus an
     /// insert — and `old` as its `old_out` row if anything changed. Calls
@@ -340,6 +360,42 @@ impl OverlayGraph {
         batch
     }
 
+    /// Sets each listed vertex's out-row (`out`) and in-row (`inn`) to the
+    /// given list, verbatim, and moves [`num_edges`](GraphView::num_edges)
+    /// by the out-rows' change in length. Given a batch's
+    /// [`old_out`](AppliedBatch::old_out) and
+    /// [`old_in_rows`](AppliedBatch::old_in_rows), it undoes the batch:
+    /// the adjacency becomes, row for row, the one the batch was applied
+    /// to, self loops and parallel edges included. The caller keeps the
+    /// two directions each other's mirror.
+    ///
+    /// Every restored out-row takes a fresh pool region, so the result's
+    /// pool layout ([`out_edge_base`](GraphView::out_edge_base),
+    /// [`edge_span`](GraphView::edge_span)) is not the one the rows were
+    /// read from; only the adjacency is.
+    pub fn restore_rows(
+        &mut self,
+        out: &[(VertexId, Vec<EdgeRef>)],
+        inn: &[(VertexId, Vec<EdgeRef>)],
+    ) {
+        let list = |row: &[EdgeRef]| row.iter().map(|e| (e.other.get(), e.weight)).collect();
+        let snap = &mut self.snap;
+        for (v, row) in out {
+            snap.live_edges = snap.live_edges - snap.out_degree(*v) as usize + row.len();
+            let cap = pool_region(row.len());
+            let patch = PatchList {
+                edges: list(row),
+                base_addr: snap.pool_len,
+                cap,
+            };
+            snap.pool_len += cap;
+            Arc::make_mut(&mut snap.out_patch).insert(v.get(), patch);
+        }
+        for (v, row) in inn {
+            Arc::make_mut(&mut snap.in_patch).insert(v.get(), list(row));
+        }
+    }
+
     /// Folds every patch back into a fresh CSR base and resets the pool.
     /// Values computed on the overlay remain valid: compaction only
     /// changes the representation, never the edge multiset.
@@ -352,9 +408,8 @@ impl OverlayGraph {
     /// [`OverlayGraph::to_csr`] would build, with no sort and no scatter.
     pub fn compact(&mut self) {
         // No patches means an empty pool: slots are only ever reserved
-        // for a patched list, and an in-list is only ever patched beside
-        // an out-list.
-        if self.snap.out_patch.is_empty() {
+        // for a patched out-list.
+        if self.snap.out_patch.is_empty() && self.snap.in_patch.is_empty() {
             return;
         }
         let snap = &self.snap;
@@ -578,6 +633,15 @@ impl GraphView for GraphSnapshot {
             Some(list) => OutEdges::patch(list),
             None => self.base.in_edges(v),
         }
+    }
+}
+
+/// An overlay that starts at a frozen snapshot: it shares the snapshot's
+/// base and patch tables until its first write copies the table it
+/// touches, so the snapshot stays as it was frozen.
+impl From<GraphSnapshot> for OverlayGraph {
+    fn from(snap: GraphSnapshot) -> Self {
+        OverlayGraph { snap }
     }
 }
 

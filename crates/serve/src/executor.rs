@@ -220,28 +220,21 @@ impl<A: IncrementalAlgorithm> Class<A> {
         if behind > self.policy.max_chain || column.warm_streak + behind > self.policy.warm_limit {
             return false;
         }
-        // Verify the whole chain is replayable before doing any work.
-        let Some(steps) = (column.epoch + 1..epoch.number)
-            .map(|e| shared.store.epoch(e))
-            .collect::<Option<Vec<Arc<Epoch>>>>()
-        else {
+        // Verify the whole chain is replayable before doing any work. The
+        // chain is read as deltas: no graph is rebuilt for it.
+        let Some(mut deltas) = shared.store.deltas(column.epoch + 1..epoch.number) else {
             return false;
         };
-        let Some(deltas) = steps
-            .iter()
-            .map(|s| &**s)
-            .chain([epoch])
-            .map(|step| step.delta.as_ref())
-            .collect::<Option<Vec<&AppliedBatch>>>()
-        else {
+        let Some(last) = &epoch.delta else {
             return false;
         };
+        deltas.push(Arc::clone(last));
         // A chain of one is its own net delta. A longer one is the diff of
         // its two ends over every source a link changed: no other row
         // differs between them.
         let net;
-        let delta = match deltas[..] {
-            [delta] => delta,
+        let delta = match &deltas[..] {
+            [delta] => &**delta,
             _ => {
                 let mut sources: Vec<VertexId> = deltas
                     .iter()

@@ -15,7 +15,10 @@
 //!   [`GraphSnapshot`](gp_graph::GraphSnapshot)s through the
 //!   [`SnapshotStore`]. Readers pin an epoch with one `Arc` clone; no
 //!   epoch ever mutates after publish; compaction swaps the base CSR
-//!   `Arc` without disturbing pinned readers.
+//!   `Arc` without disturbing pinned readers. The retained history keeps
+//!   a graph only for epochs someone holds; every other epoch is an undo
+//!   record (its delta plus its parent's in-rows it touched) that
+//!   [`SnapshotStore::epoch`] rebuilds from, off the read path.
 //! * **Batched query execution** ([`executor`]): a pool of
 //!   [`ServeConfig::executors`] executor threads, one per admission
 //!   *lane*, drains admitted queries in windows and groups them by
@@ -286,7 +289,8 @@ pub struct ServeConfig {
     /// off the read path after each publish.
     pub compact_fraction: f64,
     /// Recent epochs retained for [`SnapshotStore::epoch`] lookups
-    /// (offline verification recomputes on exactly the served epoch).
+    /// (offline verification recomputes on exactly the served epoch). A
+    /// retained epoch nobody holds costs its delta, not a graph.
     pub retain_epochs: usize,
     /// PageRank damping factor.
     pub pagerank_damping: f64,
@@ -452,7 +456,29 @@ impl Server {
     /// Builds the service over `base` and starts its threads: epoch 0 is
     /// the frozen base graph, the executor begins draining queries, the
     /// writer begins consuming update batches.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, unless `0 < pagerank_damping < 1`,
+    /// `pagerank_threshold >= 0` and `compact_fraction` is a number —
+    /// before any thread starts, rather than in an executor at the first
+    /// PageRank query (which would leave that lane's later queries
+    /// unanswered) or in a writer that never compacts.
     pub fn start(base: CsrGraph, config: ServeConfig) -> ServeHandle {
+        assert!(
+            config.pagerank_damping > 0.0 && config.pagerank_damping < 1.0,
+            "ServeConfig::pagerank_damping must be in (0, 1), got {}",
+            config.pagerank_damping
+        );
+        assert!(
+            config.pagerank_threshold >= 0.0,
+            "ServeConfig::pagerank_threshold must be nonnegative, got {}",
+            config.pagerank_threshold
+        );
+        assert!(
+            !config.compact_fraction.is_nan(),
+            "ServeConfig::compact_fraction must be a number, got NaN"
+        );
         let mut config = config;
         config.executors = config.executors.max(1);
         config.refresh_lag = config.refresh_lag.max(1);
@@ -783,5 +809,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Starts a service over a small graph with `config`.
+    fn start(config: ServeConfig) -> ServeHandle {
+        let g = gp_graph::generators::erdos_renyi(
+            64,
+            256,
+            gp_graph::generators::WeightMode::Uniform(1.0, 9.0),
+            3,
+        );
+        Server::start(g, config)
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::pagerank_damping")]
+    fn a_damping_of_one_is_refused_at_start() {
+        start(ServeConfig {
+            pagerank_damping: 1.0,
+            ..ServeConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::pagerank_damping")]
+    fn a_zero_damping_is_refused_at_start() {
+        start(ServeConfig {
+            pagerank_damping: 0.0,
+            ..ServeConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::pagerank_threshold")]
+    fn a_negative_threshold_is_refused_at_start() {
+        start(ServeConfig {
+            pagerank_threshold: -1e-9,
+            ..ServeConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::pagerank_threshold")]
+    fn a_nan_threshold_is_refused_at_start() {
+        start(ServeConfig {
+            pagerank_threshold: f64::NAN,
+            ..ServeConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::compact_fraction")]
+    fn a_nan_compact_fraction_is_refused_at_start() {
+        start(ServeConfig {
+            compact_fraction: f64::NAN,
+            ..ServeConfig::default()
+        });
+    }
+
+    /// A threshold of zero is a valid PageRank (it runs to a fixed point),
+    /// so the check must let it through to an answer.
+    #[test]
+    fn a_zero_threshold_starts_and_answers() {
+        let handle = start(ServeConfig {
+            pagerank_threshold: 0.0,
+            ..ServeConfig::default()
+        });
+        let response = handle
+            .client()
+            .query(
+                0,
+                Query::PageRank {
+                    v: VertexId::new(5),
+                },
+            )
+            .expect("admitted");
+        assert!(response.value.is_finite() && response.value > 0.0);
+        assert_eq!(handle.shutdown().served, 1);
     }
 }

@@ -157,3 +157,107 @@ fn history_eviction_keeps_current_reachable() {
         assert_eq!(store.epoch(n).expect("retained window is dense").number, n);
     }
 }
+
+/// A row as `(neighbor, weight bits)`, in stored order.
+fn row(edges: gp_graph::OutEdges<'_>) -> Vec<(u32, u32)> {
+    edges.map(|e| (e.other.get(), e.weight.to_bits())).collect()
+}
+
+/// Asserts `got` has `want`'s adjacency row for row.
+fn assert_same_graph(got: &impl GraphView, want: &impl GraphView, label: &str) {
+    assert_eq!(got.num_edges(), want.num_edges(), "{label}: num_edges");
+    assert_eq!(
+        got.is_weighted(),
+        want.is_weighted(),
+        "{label}: is_weighted"
+    );
+    for v in want.vertex_ids() {
+        assert_eq!(
+            row(got.out_edges(v)),
+            row(want.out_edges(v)),
+            "{label}: out-row {v}"
+        );
+        assert_eq!(
+            row(got.in_edges(v)),
+            row(want.in_edges(v)),
+            "{label}: in-row {v}"
+        );
+    }
+}
+
+/// The history keeps undo records, not graphs, yet every retained epoch
+/// reads back as published: after each of `3 × retain` publishes (the
+/// master compacted after every third), every epoch in the window equals
+/// the snapshot frozen for it, row for row, and every older one is gone.
+#[test]
+fn every_retained_epoch_reads_back_as_published() {
+    const RETAIN: usize = 8;
+    let (mut overlay, mut stream) = setup(53);
+    let store = SnapshotStore::new(overlay.freeze(), RETAIN);
+    // The test's own copy of every published graph; holding these does
+    // not hold the store's epochs.
+    let mut published = vec![overlay.freeze()];
+    for round in 1..=3 * RETAIN as u64 {
+        let updates = stream.next_batch(&overlay, 32);
+        let applied = overlay.apply(&updates);
+        assert_eq!(store.publish(overlay.freeze(), applied), round);
+        published.push(overlay.freeze());
+        if round % 3 == 0 {
+            overlay.compact();
+        }
+        for (n, graph) in published.iter().enumerate() {
+            let n = n as u64;
+            match store.epoch(n) {
+                Some(epoch) => {
+                    assert!(round - n < RETAIN as u64, "epoch {n} outlived the window");
+                    assert_eq!((epoch.number, epoch.parent), (n, n.saturating_sub(1)));
+                    assert_eq!(epoch.delta.is_some(), n > 0);
+                    assert_same_graph(&epoch.graph, graph, &format!("epoch {n} at {round}"));
+                }
+                None => assert!(round - n >= RETAIN as u64, "epoch {n} evicted early"),
+            }
+        }
+    }
+}
+
+/// An epoch someone holds comes back as the `Arc` they hold, and one
+/// nobody holds is not kept: after every publish only the current epoch
+/// is alive, rebuilt epochs included once their callers drop them.
+#[test]
+fn held_epochs_come_back_shared_and_the_store_keeps_only_the_current_one() {
+    let (mut overlay, mut stream) = setup(59);
+    let store = SnapshotStore::new(overlay.freeze(), 16);
+    let pinned = store.pin();
+    let mut weak = vec![Arc::downgrade(&pinned)];
+    for round in 1..=12 {
+        let updates = stream.next_batch(&overlay, 32);
+        let applied = overlay.apply(&updates);
+        store.publish(overlay.freeze(), applied);
+        weak.push(Arc::downgrade(&store.pin()));
+        if round % 2 == 0 {
+            overlay.compact();
+        }
+    }
+    let alive: Vec<u64> = weak
+        .iter()
+        .filter_map(|w| w.upgrade().map(|e| e.number))
+        .collect();
+    assert_eq!(alive, [0, 12], "only the pin and the current epoch live");
+    assert!(Arc::ptr_eq(&store.epoch(0).expect("retained"), &pinned));
+    assert!(Arc::ptr_eq(
+        &store.epoch(12).expect("retained"),
+        &store.pin()
+    ));
+
+    // A rebuild is shared while held, and dropped with its last holder.
+    let rebuilt = store.epoch(5).expect("retained");
+    assert!(Arc::ptr_eq(&store.epoch(5).expect("retained"), &rebuilt));
+    let held = Arc::downgrade(&rebuilt);
+    drop(rebuilt);
+    assert!(held.upgrade().is_none(), "the store kept a rebuilt epoch");
+
+    // With nobody pinning, one epoch is alive: the current one.
+    drop(pinned);
+    let alive = weak.iter().filter(|w| w.upgrade().is_some()).count();
+    assert_eq!(alive, 1);
+}

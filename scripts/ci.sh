@@ -178,6 +178,22 @@ if grep -rn 'fn same_turbo_outcome' crates/*/src \
   echo "hand-picked run comparison or second acceptance bound reintroduced: compare records with same_run, accept within comparison_tolerance"; exit 1
 fi
 
+echo "== the read path never rebuilds an epoch (gp-serve replays read deltas) =="
+# A retained epoch nobody holds is an undo record, and SnapshotStore::epoch
+# rebuilds its graph from the nearest newer held one at the cost of every
+# delta between them. An executor pins the current epoch and reads a
+# replay chain through SnapshotStore::deltas; a lookup anywhere else in
+# gp-serve would put a rebuild on the read path. Lines from the first
+# #[cfg(test)] of a file on are test code and may look epochs up.
+if grep -rn --include='*.rs' '\.epoch(' crates/serve/src \
+    | grep -v '^crates/serve/src/snapshot.rs:' \
+    | while IFS=: read -r file line _; do
+        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
+        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
+      done | grep .; then
+  echo "epoch lookup on the gp-serve read path: read a chain's deltas with SnapshotStore::deltas"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -271,7 +287,9 @@ echo "== serve smoke (executor pool, every sample vs golden) =="
 # tolerance for PageRank. Exit 1 on any mismatch. Sixteen batches close
 # at least one eight-epoch refresh window mid-run, so the PageRank column
 # catches up by a net-delta replay that the check then covers; a run
-# with no warm start did not exercise it.
+# with no warm start did not exercise it. The store keeps a graph only for
+# epochs someone holds, so most samples are checked on an epoch the
+# store rebuilt from its undo records: the check covers the rebuild too.
 cargo run --release -q -p gp-bench --bin serve_bench -- \
   --seed 11 --vertices 16384 --queries 20000 --batches 16 \
   --executors 2 --sample-every 64 --verify-all --out /tmp/gp-serve-smoke.json
