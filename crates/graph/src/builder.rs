@@ -1,14 +1,102 @@
-//! Edge-list to CSR construction.
+//! Edge-list to CSR construction: [`GraphBuilder`], and the one counting
+//! sort ([`csr_rows`]) that turns any replayable edge stream into
+//! canonical CSR rows, shared with the container builder.
+
+use std::convert::Infallible;
+use std::iter::zip;
+use std::ops::Range;
 
 use crate::{CsrGraph, VertexId};
 
+/// CSR rows as `(offsets, columns, payloads)`: row `i` of the range is
+/// `offsets[i]..offsets[i + 1]` of the two parallel arrays.
+type Rows<C, P> = (Vec<u32>, Vec<C>, Vec<P>);
+
+/// Canonical CSR rows over the vertex range `rows` from a record stream:
+/// every `(row, col, payload)` record `replay` pushes through its sink
+/// lands in its row in stream order, each row is then sorted stably by
+/// `col`, and with `dedup` only the first record of a repeated `col`
+/// stays. That is a global stable sort by `(row, col)` followed by
+/// keep-first deduplication, done as a counting sort: `replay` is called
+/// twice (count, then scatter) and must push the same records both times,
+/// all with `row` inside `rows`. Nothing beside the output is held but one
+/// row's `(col, payload)` pairs while that row is sorted.
+///
+/// # Errors
+///
+/// Whatever `replay` returns.
+pub(crate) fn csr_rows<C, P, E>(
+    rows: Range<usize>,
+    dedup: bool,
+    mut replay: impl FnMut(&mut dyn FnMut(u32, C, P)) -> Result<(), E>,
+) -> Result<Rows<C, P>, E>
+where
+    C: Copy + Ord + Default,
+    P: Copy + Default,
+{
+    let (mut offsets, mut cols, mut payload) = scatter_rows(rows, &mut replay)?;
+    let mut row: Vec<(C, P)> = Vec::new();
+    let (mut read, mut write) = (0, 0);
+    for end in &mut offsets[1..] {
+        row.clear();
+        let span = read..*end as usize;
+        row.extend(zip(&cols[span.clone()], &payload[span]).map(|(&c, &p)| (c, p)));
+        row.sort_by_key(|&(c, _)| c);
+        let start = write;
+        for &(c, p) in &row {
+            if dedup && write > start && cols[write - 1] == c {
+                continue;
+            }
+            cols[write] = c;
+            payload[write] = p;
+            write += 1;
+        }
+        read = *end as usize;
+        *end = write as u32;
+    }
+    // Dedup slack goes back: a resident graph is held at its exact size.
+    cols.truncate(write);
+    cols.shrink_to_fit();
+    payload.truncate(write);
+    payload.shrink_to_fit();
+    Ok((offsets, cols, payload))
+}
+
+/// The count-and-scatter half of [`csr_rows`]: rows in stream order,
+/// unsorted.
+pub(crate) fn scatter_rows<C: Copy + Default, P: Copy + Default, E>(
+    rows: Range<usize>,
+    replay: &mut impl FnMut(&mut dyn FnMut(u32, C, P)) -> Result<(), E>,
+) -> Result<Rows<C, P>, E> {
+    let (lo, len) = (rows.start, rows.len());
+    let mut offsets = vec![0u32; len + 1];
+    replay(&mut |r, _, _| offsets[r as usize - lo + 1] += 1)?;
+    for i in 1..=len {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut cols = vec![C::default(); offsets[len] as usize];
+    let mut payload = vec![P::default(); cols.len()];
+    // `offsets[i]` is row i's write cursor and ends at row i + 1's start.
+    replay(&mut |r, c, p| {
+        let slot = &mut offsets[r as usize - lo];
+        cols[*slot as usize] = c;
+        payload[*slot as usize] = p;
+        *slot += 1;
+    })?;
+    offsets.copy_within(..len, 1);
+    offsets[0] = 0;
+    Ok((offsets, cols, payload))
+}
+
 /// Accumulates an edge list and assembles a [`CsrGraph`].
 ///
-/// A non-consuming builder (configuration methods take `&mut self`); the
-/// terminal [`GraphBuilder::build`] consumes the accumulated edges.
+/// A non-consuming builder: configuration methods take `&mut self`, and
+/// [`GraphBuilder::build`] takes `&self`, so one edge list can be built
+/// under several configurations.
 ///
 /// * `dedup(true)` (default) removes parallel edges, keeping the
-///   first-added weight (stable sort, then keep-first).
+///   first-added weight; a mirrored edge counts as added after every
+///   original one.
 /// * `drop_self_loops(true)` (default) removes `v -> v` edges, which
 ///   delta-accumulative algorithms treat as no-ops anyway.
 /// * `symmetric(true)` inserts the reverse of every edge (social-network
@@ -106,36 +194,25 @@ impl GraphBuilder {
     }
 
     /// Sorts, optionally deduplicates and symmetrizes, and assembles the CSR.
+    ///
+    /// The added edges, then their mirrors, are counting-sorted straight
+    /// into the out-arrays (`csr_rows`); the build holds the edge list,
+    /// both CSR directions and `n`-length counters, nothing more.
     pub fn build(&self) -> CsrGraph {
-        let mut edges = self.edges.clone();
-        if self.symmetric {
-            let mirrored: Vec<_> = edges.iter().map(|&(s, d, w)| (d, s, w)).collect();
-            edges.extend(mirrored);
-        }
-        if self.drop_self_loops {
-            edges.retain(|&(s, d, _)| s != d);
-        }
-        // Stable sort: among parallel edges, dedup keeps the *first added*,
-        // which is the canonical keep-first semantics the out-of-core
-        // streaming container builder reproduces without ever holding the
-        // full edge list (it spills generation-ordered runs and stable-sorts
-        // per bucket, so "first in sorted order" means the same edge there).
-        edges.sort_by_key(|e| (e.0, e.1));
-        if self.dedup {
-            edges.dedup_by_key(|e| (e.0, e.1));
-        }
-
-        let n = self.num_vertices as usize;
-        let mut offsets = vec![0u32; n + 1];
-        for &(s, _, _) in &edges {
-            offsets[s as usize + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let neighbors: Vec<VertexId> = edges.iter().map(|&(_, d, _)| VertexId::new(d)).collect();
-        let weights: Vec<f32> = edges.iter().map(|&(_, _, w)| w).collect();
-
+        let mirrors = if self.symmetric { &self.edges[..] } else { &[] };
+        let Ok((offsets, neighbors, weights)) = csr_rows(
+            0..self.num_vertices as usize,
+            self.dedup,
+            |sink: &mut dyn FnMut(u32, VertexId, f32)| {
+                let mirrored = mirrors.iter().map(|&(s, d, w)| (d, s, w));
+                for (s, d, w) in self.edges.iter().copied().chain(mirrored) {
+                    if !(self.drop_self_loops && s == d) {
+                        sink(s, VertexId::new(d), w);
+                    }
+                }
+                Ok::<(), Infallible>(())
+            },
+        );
         CsrGraph::from_parts(
             self.num_vertices,
             offsets,

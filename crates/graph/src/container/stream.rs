@@ -2,19 +2,22 @@
 //!
 //! [`build_streaming`] assembles a container without ever materializing
 //! the graph: the edge stream spills to per-source-bucket temporary files
-//! (12 bytes per edge), each bucket is loaded alone, stable-sorted by
-//! `(src, dst)` and deduplicated keep-first — exactly the
-//! [`GraphBuilder`](crate::GraphBuilder) canonicalization, applied one
-//! bucket at a time — and the CSR segments stream out as buckets resolve.
-//! A second bucketed spill of `(dst, src, weight)` records builds the
-//! in-adjacency mirror the same way. Peak resident memory is one bucket's
-//! edges plus the row-pointer arrays, independent of total edge count, so
-//! graphs whose resident CSR would not fit in RAM can still be built.
+//! (12 bytes per edge), and each bucket becomes canonical CSR rows through
+//! the counting sort [`GraphBuilder`](crate::GraphBuilder) uses
+//! (`builder::csr_rows`: count, scatter in stream order, sort each row
+//! stably by destination, keep the first of a repeated one), reading its
+//! file twice instead of loading it. The CSR segments stream out as
+//! buckets resolve. A second bucketed spill of `(dst, src, weight)`
+//! records builds the in-adjacency mirror the same way. Peak resident
+//! memory is ≈ 8 bytes per edge of one bucket (its destinations and
+//! weight bits) plus the row-pointer arrays, independent of total edge
+//! count, so graphs whose resident CSR would not fit in RAM can still be
+//! built.
 //!
-//! Because each bucket covers a contiguous source range, the per-bucket
-//! stable sort is the restriction of the global stable sort, and the
-//! output is bit-identical to `GraphBuilder::build` over the same stream
-//! (defaults: dedup on, self-loops dropped, no symmetrization).
+//! Because each bucket covers a contiguous source range and is replayed
+//! in stream order, its rows are exactly the resident build's rows, and
+//! the output is bit-identical to `GraphBuilder::build` over the same
+//! stream (defaults: dedup on, self-loops dropped, no symmetrization).
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -22,6 +25,7 @@ use std::path::{Path, PathBuf};
 
 use super::write::{layout, rowptr_bytes, ContainerSummary, ContainerWriteError, CountingWriter};
 use super::{digest_of, Header, SegmentDigest, SEG_COUNT};
+use crate::builder::csr_rows;
 
 /// Tuning and semantics knobs for [`build_streaming`].
 #[derive(Debug, Clone, Copy)]
@@ -30,8 +34,8 @@ pub struct StreamBuildOptions {
     /// segments). Default `false`.
     pub weighted: bool,
     /// Vertices per spill bucket — the unit of resident memory during the
-    /// build (one bucket's edges are sorted in RAM at a time). Default
-    /// `1 << 18`.
+    /// build (one bucket's rows, ≈ 8 bytes per edge, are in RAM at a
+    /// time). Default `1 << 18`.
     pub bucket_vertices: usize,
 }
 
@@ -115,20 +119,17 @@ fn push_record(w: &mut BufWriter<File>, a: u32, b: u32, wbits: u32) -> io::Resul
     w.write_all(&rec)
 }
 
-fn read_records(path: &Path) -> io::Result<Vec<(u32, u32, u32)>> {
-    let mut bytes = Vec::new();
-    BufReader::new(File::open(path)?).read_to_end(&mut bytes)?;
-    debug_assert_eq!(bytes.len() % RECORD_BYTES, 0);
-    Ok(bytes
-        .chunks_exact(RECORD_BYTES)
-        .map(|rec| {
-            (
-                u32::from_le_bytes(rec[0..4].try_into().unwrap()),
-                u32::from_le_bytes(rec[4..8].try_into().unwrap()),
-                u32::from_le_bytes(rec[8..12].try_into().unwrap()),
-            )
-        })
-        .collect())
+/// Pushes every record of spill file `path` through `sink`, in file order.
+fn replay(path: &Path, sink: &mut dyn FnMut(u32, u32, u32)) -> io::Result<()> {
+    let records = std::fs::metadata(path)?.len() / RECORD_BYTES as u64;
+    let mut r = BufReader::with_capacity(1 << 16, File::open(path)?);
+    let mut rec = [0u8; RECORD_BYTES];
+    for _ in 0..records {
+        r.read_exact(&mut rec)?;
+        let word = |at: usize| u32::from_le_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
+        sink(word(0), word(4), word(8));
+    }
+    Ok(())
 }
 
 fn open_bucket_writers(
@@ -184,6 +185,7 @@ where
         )));
     }
     let buckets = n.div_ceil(opts.bucket_vertices);
+    let bucket = |b: usize| b * opts.bucket_vertices..n.min((b + 1) * opts.bucket_vertices);
     let dir = SpillDir::create(path)?;
 
     // Phase A: spill the raw stream into per-source-bucket files.
@@ -220,72 +222,58 @@ where
     }
     drop(out_spill);
 
-    // Phase B: per bucket — sort, dedup, emit out-CSR rows/edges, and
-    // re-spill (dst, src, weight) for the in-mirror.
-    let mut in_spill = open_bucket_writers(&dir, "in", buckets)?;
-    let mut out_rowptr: Vec<u32> = vec![0; n + 1];
-    let mut out_neigh = DigestingWriter::create(dir.file("out_neigh.seg"))?;
-    let mut out_weights = DigestingWriter::create(dir.file("out_weights.seg"))?;
-    let mut edges: u64 = 0;
-    for b in 0..buckets {
-        let lo = b * opts.bucket_vertices;
-        let hi = n.min(lo + opts.bucket_vertices);
-        let mut recs = read_records(&dir.file(&format!("out{b}")))?;
-        // Stable per-bucket sort == restriction of the global stable sort,
-        // so keep-first dedup picks the same surviving edge the resident
-        // GraphBuilder would.
-        recs.sort_by_key(|r| (r.0, r.1));
-        recs.dedup_by_key(|r| (r.0, r.1));
-        edges += recs.len() as u64;
-        if edges > u64::from(u32::MAX) {
-            return Err(ContainerWriteError::Invalid(format!(
-                "deduplicated edge count exceeds u32::MAX at bucket {b}"
-            )));
-        }
-        let mut deg = vec![0u32; hi - lo];
-        for &(s, d, wbits) in &recs {
-            deg[s as usize - lo] += 1;
-            out_neigh.put(&d.to_le_bytes())?;
-            if opts.weighted {
-                out_weights.put(&wbits.to_le_bytes())?;
+    // Phases B and C, one direction each: every bucket becomes canonical
+    // rows (csr_rows, reading its spill file twice) that stream out to the
+    // direction's segments. The out pass re-spills each edge as
+    // (dst, src, weight); an in-bucket thus lists every row's sources
+    // ascending, the transpose order CsrGraph::from_parts produces.
+    let emit_rows = |prefix: &str,
+                     dedup: bool,
+                     mut in_spill: Option<&mut Vec<BufWriter<File>>>|
+     -> Result<_, ContainerWriteError> {
+        let mut rowptr: Vec<u32> = vec![0; n + 1];
+        let mut neigh = DigestingWriter::create(dir.file(&format!("{prefix}_neigh.seg")))?;
+        let mut weights = DigestingWriter::create(dir.file(&format!("{prefix}_weights.seg")))?;
+        for b in 0..buckets {
+            let rows = bucket(b);
+            let spill = dir.file(&format!("{prefix}{b}"));
+            let (offsets, ids, wbits) = csr_rows(rows.clone(), dedup, |sink| replay(&spill, sink))?;
+            std::fs::remove_file(&spill)?;
+            let base = rowptr[rows.start];
+            if u64::from(base) + ids.len() as u64 > u64::from(u32::MAX) {
+                return Err(ContainerWriteError::Invalid(format!(
+                    "deduplicated edge count exceeds u32::MAX at bucket {b}"
+                )));
             }
-            let db = d as usize / opts.bucket_vertices;
-            push_record(&mut in_spill[db], d, s, wbits)?;
+            for (v, run) in rows.zip(offsets.windows(2)) {
+                rowptr[v + 1] = base + run[1];
+                for e in run[0] as usize..run[1] as usize {
+                    neigh.put(&ids[e].to_le_bytes())?;
+                    if opts.weighted {
+                        weights.put(&wbits[e].to_le_bytes())?;
+                    }
+                    if let Some(spill) = in_spill.as_deref_mut() {
+                        let d = ids[e];
+                        push_record(
+                            &mut spill[d as usize / opts.bucket_vertices],
+                            d,
+                            v as u32,
+                            wbits[e],
+                        )?;
+                    }
+                }
+            }
         }
-        for v in lo..hi {
-            out_rowptr[v + 1] = out_rowptr[v] + deg[v - lo];
-        }
-        std::fs::remove_file(dir.file(&format!("out{b}")))?;
-    }
+        Ok((rowptr, neigh, weights))
+    };
+    let mut in_spill = open_bucket_writers(&dir, "in", buckets)?;
+    let (out_rowptr, out_neigh, out_weights) = emit_rows("out", true, Some(&mut in_spill))?;
     for w in &mut in_spill {
         w.flush()?;
     }
     drop(in_spill);
-    let m = edges;
-
-    // Phase C: the in-mirror, sorted by (dst, src) — the counting-sort
-    // order CsrGraph::from_parts produces for the resident build.
-    let mut in_rowptr: Vec<u32> = vec![0; n + 1];
-    let mut in_neigh = DigestingWriter::create(dir.file("in_neigh.seg"))?;
-    let mut in_weights = DigestingWriter::create(dir.file("in_weights.seg"))?;
-    for b in 0..buckets {
-        let lo = b * opts.bucket_vertices;
-        let hi = n.min(lo + opts.bucket_vertices);
-        let mut recs = read_records(&dir.file(&format!("in{b}")))?;
-        recs.sort_by_key(|r| (r.0, r.1));
-        let mut deg = vec![0u32; hi - lo];
-        for &(d, s, wbits) in &recs {
-            deg[d as usize - lo] += 1;
-            in_neigh.put(&s.to_le_bytes())?;
-            if opts.weighted {
-                in_weights.put(&wbits.to_le_bytes())?;
-            }
-        }
-        for v in lo..hi {
-            in_rowptr[v + 1] = in_rowptr[v] + deg[v - lo];
-        }
-        std::fs::remove_file(dir.file(&format!("in{b}")))?;
-    }
+    let (in_rowptr, in_neigh, in_weights) = emit_rows("in", false, None)?;
+    let m = u64::from(out_rowptr[n]);
 
     // Assemble the container: all digests are known before the header is
     // written, so the file streams out front to back.

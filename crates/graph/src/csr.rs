@@ -1,7 +1,9 @@
 //! Compressed Sparse Row graph storage.
 
+use std::convert::Infallible;
 use std::fmt;
 
+use crate::builder::scatter_rows;
 use crate::VertexId;
 
 /// A directed graph in Compressed Sparse Row form, with both out- and
@@ -58,31 +60,21 @@ impl CsrGraph {
         debug_assert_eq!(*out_offsets.last().unwrap() as usize, out_neighbors.len());
         debug_assert_eq!(out_neighbors.len(), out_weights.len());
 
-        // Build the in-CSR mirror by counting sort over destinations.
+        // The in-CSR mirror: the out-rows counting-sorted by destination,
+        // so each in-row lists its sources ascending.
         let n = num_vertices as usize;
-        let mut in_degrees = vec![0u32; n];
-        for dst in &out_neighbors {
-            in_degrees[dst.index()] += 1;
-        }
-        let mut in_offsets = vec![0u32; n + 1];
-        for v in 0..n {
-            in_offsets[v + 1] = in_offsets[v] + in_degrees[v];
-        }
-        let m = out_neighbors.len();
-        let mut in_neighbors = vec![VertexId::default(); m];
-        let mut in_weights = vec![0.0f32; m];
-        let mut cursor = in_offsets[..n].to_vec();
-        for src in 0..n {
-            let lo = out_offsets[src] as usize;
-            let hi = out_offsets[src + 1] as usize;
-            for e in lo..hi {
-                let dst = out_neighbors[e].index();
-                let slot = cursor[dst] as usize;
-                in_neighbors[slot] = VertexId::from_index(src);
-                in_weights[slot] = out_weights[e];
-                cursor[dst] += 1;
+        let Ok((in_offsets, in_neighbors, in_weights)) = scatter_rows(0..n, &mut |sink| {
+            for (src, run) in out_offsets.windows(2).enumerate() {
+                for e in run[0] as usize..run[1] as usize {
+                    sink(
+                        out_neighbors[e].get(),
+                        VertexId::from_index(src),
+                        out_weights[e],
+                    );
+                }
             }
-        }
+            Ok::<(), Infallible>(())
+        });
 
         CsrGraph {
             num_vertices,

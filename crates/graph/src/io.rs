@@ -76,7 +76,10 @@ impl From<std::io::Error> for ReadGraphError {
 /// # Errors
 ///
 /// Returns [`ReadGraphError`] on I/O failure or malformed lines, a vertex
-/// id at or above a pinned `num_vertices` or equal to `u32::MAX` included.
+/// id at or above a pinned `num_vertices` or equal to `u32::MAX` included,
+/// and a weight that is not finite and > 0 (`nan`, `inf`, `0`, `-2.5`):
+/// the rule update batches are held to, and the one the shortest-path
+/// algorithms and the incremental invalidation assume.
 ///
 /// # Examples
 ///
@@ -122,8 +125,14 @@ pub fn read_edge_list<R: Read>(
         let weight = match it.next() {
             Some(w) => {
                 weighted = true;
-                w.parse::<f32>()
-                    .map_err(|e| ReadGraphError::Parse(lineno + 1, format!("weight: {e}")))?
+                let parse = |detail| ReadGraphError::Parse(lineno + 1, detail);
+                let w = w
+                    .parse::<f32>()
+                    .map_err(|e| parse(format!("weight: {e}")))?;
+                if !(w.is_finite() && w > 0.0) {
+                    return Err(parse(format!("weight: {w} is not finite and > 0")));
+                }
+                w
             }
             None => 1.0,
         };
@@ -230,6 +239,52 @@ mod tests {
                 .num_vertices(),
             3
         );
+    }
+
+    /// Asserts that a weight token is refused on its line, by name.
+    fn assert_weight_refused(bad: &str) {
+        let text = format!("0 1 2.0\n1 2 {bad}\n");
+        let err = read_edge_list(text.as_bytes(), None).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, ReadGraphError::Parse(2, _)), "{bad}: {msg}");
+        assert!(
+            msg.contains("weight: ") && msg.contains("is not finite and > 0"),
+            "{bad}: {msg}"
+        );
+    }
+
+    #[test]
+    fn a_nan_weight_is_refused() {
+        assert_weight_refused("nan");
+        assert_weight_refused("NaN");
+    }
+
+    #[test]
+    fn an_infinite_weight_is_refused() {
+        assert_weight_refused("inf");
+    }
+
+    #[test]
+    fn a_negative_infinite_weight_is_refused() {
+        assert_weight_refused("-inf");
+    }
+
+    #[test]
+    fn a_zero_weight_is_refused() {
+        assert_weight_refused("0");
+        assert_weight_refused("-0");
+    }
+
+    #[test]
+    fn a_negative_weight_is_refused() {
+        assert_weight_refused("-2.5");
+    }
+
+    #[test]
+    fn the_smallest_positive_weights_are_kept() {
+        let g = read_edge_list("0 1 1e-30\n1 0 1e-45\n".as_bytes(), None).unwrap();
+        let w = |v| g.out_edges(VertexId::new(v)).next().unwrap().weight;
+        assert_eq!((w(0), w(1)), (1e-30, 1e-45));
     }
 
     #[test]

@@ -194,6 +194,18 @@ if grep -rn --include='*.rs' '\.epoch(' crates/serve/src \
   echo "epoch lookup on the gp-serve read path: read a chain's deltas with SnapshotStore::deltas"; exit 1
 fi
 
+echo "== one canonicalization (an edge stream becomes CSR rows through one counting sort) =="
+# GraphBuilder::build and the container builder's buckets both go through
+# builder::csr_rows: count per row, scatter in stream order, sort each row
+# stably by column, keep the first of a repeated one. A global sort by the
+# (src, dst) pair, the cloned edge list it sorted, or a spill file loaded
+# whole would be a second canonicalization to keep in step with the first.
+if grep -rnE 'sort(_unstable)?_by_key\(.*\((src, *dst|[a-z_]+\.0, *[a-z_]+\.1)\)' \
+    crates/graph/src/builder.rs crates/graph/src/container/ \
+  || grep -rnE 'read_records|self\.edges\.clone\(\)' crates/graph/src; then
+  echo "second canonicalization reintroduced: build CSR rows with builder::csr_rows (count, scatter, per-row stable sort)"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -119,6 +119,24 @@ fn an_id_past_the_vertex_count_is_a_parse_error() {
     std::fs::remove_file(graph).ok();
 }
 
+/// A weight the algorithms cannot use (here NaN) is refused on its line
+/// before any run: no panic, and no run on a poisoned graph.
+#[test]
+fn a_nan_weight_is_a_parse_error() {
+    let graph = temp_path("nan-weight.txt");
+    std::fs::write(&graph, "0 1 2.0\n1 2 nan\n").unwrap();
+    let out = gpulse(&["--graph", graph.to_str().unwrap(), "--app", "sssp"]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("error: parse error on line 2: weight: NaN is not finite and > 0"),
+        "{stderr}"
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+    std::fs::remove_file(graph).ok();
+}
+
 /// `--app`, `--backend` and whether the backend has the app are settled
 /// before the graph is synthesized: a refusal carries no `graph:` line.
 #[test]
