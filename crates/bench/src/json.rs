@@ -428,6 +428,177 @@ fn validate_outofcore_algo(a: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// Per out-of-core entry, the fields a rerun reproduces exactly.
+const OUTOFCORE_ENTRY_EXACT: [&str; 2] = ["edges", "container_bytes"];
+
+/// Per out-of-core algorithm row, the fields a rerun reproduces exactly.
+const OUTOFCORE_ALGO_EXACT: [&str; 6] = [
+    "events_processed",
+    "edges_read",
+    "rowptr_bytes",
+    "edge_bytes",
+    "bytes_moved",
+    "turbo_max_abs_diff",
+];
+
+/// Per serve run, the fields a rerun reproduces exactly. `path_warm_starts`
+/// is not one: it moves by a few between runs of one binary.
+const SERVE_RUN_EXACT: [&str; 4] = ["queries_total", "cold_runs", "warm_starts", "fused_runs"];
+
+/// Holds a fresh bench record to a committed one on the fields a rerun of
+/// an unchanged program reproduces exactly, whatever the host:
+///
+/// * out-of-core: the `seed` and `edge_factor`; per entry, matched by
+///   `log2_vertices`, `edges` and `container_bytes`; per algorithm, matched
+///   by `algo`, every count (`events_processed`, `edges_read`,
+///   `rowptr_bytes`, `edge_bytes`, `bytes_moved`) and `turbo_max_abs_diff`;
+/// * serve: the `seed`, `vertices` and `edges`; per run, matched by
+///   `executors`, `queries_total`, `cold_runs`, `warm_starts` and
+///   `fused_runs`.
+///
+/// A committed entry the fresh record did not run is skipped; a fresh
+/// entry or algorithm the committed record lacks, or a committed
+/// algorithm the fresh entry lacks, is a mismatch.
+///
+/// Returns one line per wall-clock field, fresh beside committed: those
+/// are reported, not held to anything.
+///
+/// # Errors
+///
+/// Returns every mismatch, one per line, each naming its entry and field;
+/// or one line when the records' schemas differ or have no such fields.
+pub fn compare_against(fresh: &Json, committed: &Json) -> Result<Vec<String>, String> {
+    let schema = text(fresh, "schema")?;
+    schema_is(committed, schema)?;
+    let mut cmp = Comparison::default();
+    match schema {
+        OUTOFCORE_SCHEMA => {
+            cmp.exact("record", fresh, committed, &["seed", "edge_factor"]);
+            cmp.rows(
+                "",
+                fresh,
+                committed,
+                ("entries", "log2_vertices"),
+                false,
+                |cmp, at, f, c| {
+                    cmp.exact(at, f, c, &OUTOFCORE_ENTRY_EXACT);
+                    cmp.wall(at, f, c, &["build_secs"]);
+                    cmp.rows(at, f, c, ("algos", "algo"), true, |cmp, at, f, c| {
+                        cmp.exact(at, f, c, &OUTOFCORE_ALGO_EXACT);
+                        cmp.wall(at, f, c, &["wall_secs", "turbo_wall_secs"]);
+                    });
+                },
+            );
+        }
+        SERVE_SCHEMA => {
+            cmp.exact("record", fresh, committed, &["seed", "vertices", "edges"]);
+            cmp.rows(
+                "",
+                fresh,
+                committed,
+                ("runs", "executors"),
+                false,
+                |cmp, at, f, c| {
+                    cmp.exact(at, f, c, &SERVE_RUN_EXACT);
+                    cmp.wall(at, f, c, &["wall_secs"]);
+                },
+            );
+        }
+        other => {
+            return Err(format!(
+                "{other:?} records have no run-invariant fields to compare"
+            ))
+        }
+    }
+    if cmp.mismatches.is_empty() {
+        Ok(cmp.notes)
+    } else {
+        Err(cmp.mismatches.join("\n"))
+    }
+}
+
+/// What [`compare_against`] has found so far.
+#[derive(Default)]
+struct Comparison {
+    notes: Vec<String>,
+    mismatches: Vec<String>,
+}
+
+/// A field's value for a message: its JSON, or `missing`.
+fn shown(value: Option<&Json>) -> String {
+    value.map_or_else(|| "missing".into(), Json::render)
+}
+
+/// The array at `key`, or none.
+fn items<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.get(key).and_then(Json::as_arr).unwrap_or(&[])
+}
+
+impl Comparison {
+    /// Requires each of `keys` to be equal in `fresh` and `committed`.
+    fn exact(&mut self, at: &str, fresh: &Json, committed: &Json, keys: &[&str]) {
+        for key in keys {
+            let (f, c) = (fresh.get(key), committed.get(key));
+            if f != c {
+                self.mismatches.push(format!(
+                    "{at}: {key} is {} here but {} in the committed record",
+                    shown(f),
+                    shown(c)
+                ));
+            }
+        }
+    }
+
+    /// Notes each of `keys` side by side.
+    fn wall(&mut self, at: &str, fresh: &Json, committed: &Json, keys: &[&str]) {
+        for key in keys {
+            let (f, c) = (shown(fresh.get(key)), shown(committed.get(key)));
+            self.notes.push(format!("{at}: {key} {f} (committed {c})"));
+        }
+    }
+
+    /// Pairs the rows of the `array` arrays by their `id` field and runs
+    /// `check` on each pair. A fresh row with no committed twin is a
+    /// mismatch; a committed row with no fresh twin is one only when
+    /// `all` is set, and otherwise a note.
+    fn rows(
+        &mut self,
+        at: &str,
+        fresh: &Json,
+        committed: &Json,
+        (array, id): (&str, &str),
+        all: bool,
+        mut check: impl FnMut(&mut Self, &str, &Json, &Json),
+    ) {
+        let (fresh, committed) = (items(fresh, array), items(committed, array));
+        let label = |row: &Json| {
+            format!(
+                "{at}{}{id} {}",
+                if at.is_empty() { "" } else { " / " },
+                shown(row.get(id))
+            )
+        };
+        let twin = |rows: &[Json], row: &Json| rows.iter().position(|r| r.get(id) == row.get(id));
+        for f in fresh {
+            match twin(committed, f) {
+                Some(i) => check(self, &label(f), f, &committed[i]),
+                None => self
+                    .mismatches
+                    .push(format!("{}: not in the committed record", label(f))),
+            }
+        }
+        for c in committed.iter().filter(|c| twin(fresh, c).is_none()) {
+            if all {
+                self.mismatches
+                    .push(format!("{}: in the committed record only", label(c)));
+            } else {
+                self.notes
+                    .push(format!("{}: not run here, skipped", label(c)));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -965,5 +1136,119 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("\"algos\" is empty"), "{err}");
+    }
+
+    #[test]
+    fn a_rerun_matches_its_record_whatever_its_wall_times() {
+        let record = sample_outofcore_doc(64.0);
+        let slower = with_entry_field(
+            with_algo_field(record.clone(), "wall_secs", Json::Num(9.0)),
+            "build_secs",
+            Json::Num(7.0),
+        );
+        let notes = compare_against(&slower, &record).unwrap();
+        assert!(
+            notes.contains(&"log2_vertices 20: build_secs 7 (committed 3.5)".to_string()),
+            "{notes:?}"
+        );
+        assert!(notes
+            .iter()
+            .any(|n| n.starts_with("log2_vertices 20 / algo \"pagerank-delta\": wall_secs 9")));
+
+        let serve = sample_serve_doc();
+        let drifted = with_run_field(serve.clone(), "path_warm_starts", Json::Num(13.0));
+        compare_against(&drifted, &serve).unwrap();
+    }
+
+    #[test]
+    fn a_moved_count_is_named_with_its_entry_and_field() {
+        let record = sample_outofcore_doc(0.0);
+        let err = compare_against(
+            &with_algo_field(record.clone(), "edges_read", Json::Num(8001.0)),
+            &record,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "log2_vertices 20 / algo \"pagerank-delta\": edges_read is 8001 here \
+             but 8000 in the committed record"
+        );
+        for key in OUTOFCORE_ALGO_EXACT {
+            let moved = with_algo_field(record.clone(), key, Json::Num(0.25));
+            let err = compare_against(&moved, &record).unwrap_err();
+            assert!(err.contains(&format!(": {key} is 0.25 here")), "{err}");
+        }
+        let err = compare_against(
+            &with_entry_field(record.clone(), "container_bytes", Json::Num(1.0)),
+            &record,
+        )
+        .unwrap_err();
+        assert!(
+            err.starts_with("log2_vertices 20: container_bytes is 1 here"),
+            "{err}"
+        );
+
+        // Every mismatch is listed, not only the first.
+        let serve = sample_serve_doc();
+        let err = compare_against(
+            &with_run_field(serve.clone(), "warm_starts", Json::Num(6.0)),
+            &serve,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.lines().collect::<Vec<_>>(),
+            [
+                "executors 1: warm_starts is 6 here but 7 in the committed record",
+                "executors 4: warm_starts is 6 here but 7 in the committed record",
+            ]
+        );
+        let err = compare_against(
+            &with_serve_field(serve.clone(), "seed", Json::Num(7.0)),
+            &serve,
+        )
+        .unwrap_err();
+        assert_eq!(err, "record: seed is 7 here but 42 in the committed record");
+    }
+
+    #[test]
+    fn rows_pair_by_their_id() {
+        let record = sample_outofcore_doc(0.0);
+        let at_22 = with_entry_field(record.clone(), "log2_vertices", Json::Num(22.0));
+        // A committed scale the rerun skipped is noted; a fresh one the
+        // record lacks is a mismatch.
+        let notes = compare_against(
+            &Json::obj([
+                ("schema", Json::Str(OUTOFCORE_SCHEMA.into())),
+                ("seed", Json::Num(42.0)),
+                ("edge_factor", Json::Num(8.0)),
+                ("entries", Json::Arr(vec![])),
+            ]),
+            &record,
+        )
+        .unwrap();
+        assert_eq!(notes, ["log2_vertices 20: not run here, skipped"]);
+        let err = compare_against(&at_22, &record).unwrap_err();
+        assert!(
+            err.starts_with("log2_vertices 22: not in the committed record"),
+            "{err}"
+        );
+        // A committed algorithm the fresh entry lacks is a mismatch.
+        let renamed = with_algo_field(record.clone(), "algo", Json::Str("sssp".into()));
+        let err = compare_against(&renamed, &record).unwrap_err();
+        assert!(
+            err.ends_with(
+                "log2_vertices 20 / algo \"pagerank-delta\": in the committed record only"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn records_of_different_kinds_are_not_compared() {
+        let err = compare_against(&sample_serve_doc(), &sample_outofcore_doc(0.0)).unwrap_err();
+        assert!(err.contains("schema is"), "{err}");
+        let chaos = sample_chaos_doc();
+        let err = compare_against(&chaos, &chaos).unwrap_err();
+        assert!(err.contains("no run-invariant fields"), "{err}");
     }
 }

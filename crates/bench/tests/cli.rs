@@ -418,6 +418,81 @@ fn container_writes_its_record_like_the_other_record_binaries() {
 }
 
 #[test]
+fn bench_check_holds_a_container_record_to_a_committed_one() {
+    let base = temp_path("against");
+    let fresh = base.join("fresh.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_container"),
+        &[
+            "--seed",
+            "7",
+            "--log2",
+            "10",
+            "--out",
+            fresh.to_str().unwrap(),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&fresh).unwrap();
+    let against = |committed: &str| {
+        let path = base.join("committed.json");
+        std::fs::write(&path, committed).unwrap();
+        run(
+            env!("CARGO_BIN_EXE_bench_check"),
+            &[fresh.to_str().unwrap(), "--against", path.to_str().unwrap()],
+        )
+    };
+
+    // The record against itself: exit 0, wall times printed beside.
+    let out = against(&text);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("log2_vertices 10: build_secs "), "{stdout}");
+    assert!(stdout.contains("on every run-invariant count"), "{stdout}");
+
+    // One moved count: exit 1, naming the entry, the algorithm and the field.
+    let key = "\"events_processed\": ";
+    let at = text.find(key).unwrap() + key.len();
+    let digits = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let events: u64 = text[at..at + digits].parse().unwrap();
+    let moved = format!("{}{}{}", &text[..at], events + 1, &text[at + digits..]);
+    let out = against(&moved);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "log2_vertices 10 / algo \"pagerank-delta\": events_processed is {events} here \
+             but {} in the committed record",
+            events + 1
+        )),
+        "{stderr}"
+    );
+
+    // A record of another kind, and a malformed invocation: exit 2.
+    let out = against(VALID_SERVE_DOC);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = run(
+        env!("CARGO_BIN_EXE_bench_check"),
+        &[fresh.to_str().unwrap(), "--against"],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
 fn container_refuses_a_budget_past_the_byte_count() {
     // 2^44 MiB is 2^64 bytes: `<< 20` would wrap it to zero.
     let out = run(

@@ -21,7 +21,7 @@ mod small_world;
 pub use barabasi::barabasi_albert;
 pub use erdos_renyi::{erdos_renyi, erdos_renyi_edges};
 pub use grid::grid_2d;
-pub use rmat::{rmat, rmat_edges, RmatConfig};
+pub use rmat::{rmat, rmat_edges, rmat_scramble, rmat_step, RmatConfig};
 pub use small_world::watts_strogatz;
 
 use gp_sim::rng::Rng;

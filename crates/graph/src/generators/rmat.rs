@@ -9,7 +9,8 @@ use crate::{CsrGraph, GraphBuilder, VertexId};
 ///
 /// The classic Graph500 parameterization is `a=0.57, b=0.19, c=0.19,
 /// d=0.05`, which produces heavily skewed power-law graphs similar to web
-/// and social networks. `a + b + c + d` must be `1.0` (±1e-6).
+/// and social networks. `a`, `b` and `c` must be nonnegative with
+/// `a + b + c ≤ 1 + 1e-6`; `d` is the remainder `1 - a - b - c`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RmatConfig {
     /// Number of vertices; rounded up to the next power of two internally.
@@ -24,7 +25,9 @@ pub struct RmatConfig {
     /// Probability of the bottom-left quadrant.
     pub c: f64,
     /// Quadrant-probability noise applied per recursion level, which avoids
-    /// the artificial self-similarity of noiseless R-MAT.
+    /// the artificial self-similarity of noiseless R-MAT: each probability
+    /// is scaled by `1 + u` with `u` uniform in `[-noise, noise)`. Must be in
+    /// `[0, 1)`; `0` draws no jitter at all.
     pub noise: f64,
     /// Edge-weight assignment.
     pub weights: WeightMode,
@@ -63,7 +66,8 @@ impl RmatConfig {
 ///
 /// # Panics
 ///
-/// Panics if the quadrant probabilities do not sum to 1, or if
+/// Panics if a quadrant probability is negative or `a + b + c` exceeds
+/// `1 + 1e-6`, if `config.noise` is outside `[0, 1)` (NaN included), or if
 /// `config.vertices` is zero.
 ///
 /// # Examples
@@ -90,6 +94,13 @@ pub fn rmat(config: &RmatConfig, seed: u64) -> CsrGraph {
 /// set is bit-identical to the resident [`rmat`] build (same stable
 /// sort + keep-first dedup, applied per spill bucket instead of in RAM).
 ///
+/// The RNG stream is a contract, since every pinned graph, schedule and
+/// record downstream is built from it. With `L = ceil(log2(vertices))`
+/// levels (at least one), an edge takes per level four jitters (`a`, `b`,
+/// `c`, `d`, only when `noise > 0`) and one roll in `[0, a + b + c + d)`,
+/// then one weight draw when the weights are `Uniform`: `5L + 1` draws for
+/// a weighted noisy edge. The sums are formed left to right, as written.
+///
 /// # Panics
 ///
 /// Same contract as [`rmat`].
@@ -100,55 +111,56 @@ pub fn rmat_edges(config: &RmatConfig, seed: u64, mut sink: impl FnMut(u32, u32,
         config.a >= 0.0 && config.b >= 0.0 && config.c >= 0.0 && partial <= 1.0 + 1e-6,
         "rmat quadrant probabilities must be nonnegative and sum to 1 (a+b+c = {partial})"
     );
+    let noise = config.noise;
+    assert!(
+        (0.0..1.0).contains(&noise),
+        "rmat noise must be in [0, 1) (noise = {noise})"
+    );
 
     let levels = (config.vertices as f64).log2().ceil().max(1.0) as u32;
-    let side = 1usize << levels;
+    let n = config.vertices as u64;
+    let quadrants = [config.a, config.b, config.c, config.d()];
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // Fixed multiplicative scramble maps the padded id space onto the
-    // requested vertex count while dispersing hubs.
-    let n = config.vertices as u64;
-    let scramble =
-        |v: usize| -> u32 { ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n) as u32 };
-
     for _ in 0..config.edges {
-        let (mut lo_r, mut hi_r) = (0usize, side);
-        let (mut lo_c, mut hi_c) = (0usize, side);
-        while hi_r - lo_r > 1 {
-            let jitter = |p: f64, rng: &mut StdRng| -> f64 {
-                if config.noise > 0.0 {
-                    (p * (1.0 + rng.gen_range(-config.noise..config.noise))).max(1e-9)
-                } else {
-                    p
-                }
-            };
-            let a = jitter(config.a, &mut rng);
-            let b = jitter(config.b, &mut rng);
-            let c = jitter(config.c, &mut rng);
-            let d = jitter(config.d(), &mut rng);
-            let sum = a + b + c + d;
-            let roll: f64 = rng.gen_range(0.0..sum);
-            let mid_r = (lo_r + hi_r) / 2;
-            let mid_c = (lo_c + hi_c) / 2;
-            if roll < a {
-                hi_r = mid_r;
-                hi_c = mid_c;
-            } else if roll < a + b {
-                hi_r = mid_r;
-                lo_c = mid_c;
-            } else if roll < a + b + c {
-                lo_r = mid_r;
-                hi_c = mid_c;
+        let (mut row, mut col) = (0, 0);
+        for _ in 0..levels {
+            let [a, b, c, d] = if noise > 0.0 {
+                quadrants.map(|p| (p * (1.0 + rng.gen_range(-noise..noise))).max(1e-9))
             } else {
-                lo_r = mid_r;
-                lo_c = mid_c;
-            }
+                quadrants
+            };
+            let roll: f64 = rng.gen_range(0.0..a + b + c + d);
+            (row, col) = rmat_step(roll, [a, b, c], row, col);
         }
-        let src = scramble(lo_r);
-        let dst = scramble(lo_c);
-        let w = config.weights.sample(&mut rng);
-        sink(src, dst, w);
+        let (src, dst) = (rmat_scramble(row, n), rmat_scramble(col, n));
+        sink(src, dst, config.weights.sample(&mut rng));
     }
+}
+
+/// One level of the Graph500 quadrant walk: shifts `row` and `col` left and
+/// appends the bits of the quadrant `roll` falls in, where `[0, a)` is
+/// top-left, `[a, a + b)` top-right, `[a + b, a + b + c)` bottom-left and
+/// the rest bottom-right. The comparisons are the ones an `if roll < a /
+/// else if roll < a + b / else if roll < a + b + c` chain makes, with the
+/// sums in the same order, folded into bits instead of branches: a fresh
+/// roll is a coin the branch predictor cannot call.
+#[inline]
+pub fn rmat_step(roll: f64, [a, b, c]: [f64; 3], row: usize, col: usize) -> (usize, usize) {
+    let lt_a = roll < a;
+    let lt_ab = roll < a + b;
+    let lt_abc = roll < a + b + c;
+    (
+        row << 1 | usize::from(!lt_ab),
+        col << 1 | usize::from((!lt_a & lt_ab) | !lt_abc),
+    )
+}
+
+/// The fixed multiplicative scramble that maps a padded R-MAT id onto
+/// `0..vertices` while dispersing the hubs the walk clusters at low ids.
+#[inline]
+pub fn rmat_scramble(id: usize, vertices: u64) -> u32 {
+    ((id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % vertices) as u32
 }
 
 #[cfg(test)]
@@ -191,6 +203,69 @@ mod tests {
         for v in g.vertices() {
             for e in g.out_edges(v) {
                 assert!((1.0..4.0).contains(&e.weight));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "noise = NaN")]
+    fn nan_noise_rejected() {
+        let cfg = RmatConfig {
+            noise: f64::NAN,
+            ..RmatConfig::graph500(8, 8)
+        };
+        rmat_edges(&cfg, 0, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "noise = -0.1")]
+    fn negative_noise_rejected() {
+        let cfg = RmatConfig {
+            noise: -0.1,
+            ..RmatConfig::graph500(8, 8)
+        };
+        rmat_edges(&cfg, 0, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "noise = 1)")]
+    fn unit_noise_rejected() {
+        let cfg = RmatConfig {
+            noise: 1.0,
+            ..RmatConfig::graph500(8, 8)
+        };
+        rmat_edges(&cfg, 0, |_, _, _| {});
+    }
+
+    /// The step against the quadrant chain it replaced, on every roll that
+    /// sits on or beside a boundary, with empty quadrants included.
+    #[test]
+    fn step_matches_the_quadrant_chain() {
+        let chain = |roll: f64, a: f64, b: f64, c: f64| {
+            if roll < a {
+                (0, 0)
+            } else if roll < a + b {
+                (0, 1)
+            } else if roll < a + b + c {
+                (1, 0)
+            } else {
+                (1, 1)
+            }
+        };
+        for [a, b, c] in [
+            [0.57f64, 0.19, 0.19],
+            [0.6, 0.4, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.25, 0.0, 0.25],
+            [1e-9, 1e-9, 1e-9],
+        ] {
+            for edge in [0.0, a, a + b, a + b + c, 1.0] {
+                for roll in [edge, edge.next_down(), edge.next_up()] {
+                    let want = chain(roll, a, b, c);
+                    assert_eq!(rmat_step(roll, [a, b, c], 0, 0), want, "{roll} {a} {b} {c}");
+                    let shifted = rmat_step(roll, [a, b, c], 0b10, 0b01);
+                    assert_eq!(shifted, (0b100 | want.0, 0b010 | want.1));
+                }
             }
         }
     }

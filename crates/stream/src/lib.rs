@@ -52,7 +52,7 @@
 
 use gp_algorithms::engine::{initial_state, run_sequential_seeded};
 use gp_algorithms::{incremental_seeds_with, DeltaPool, IncrementalAlgorithm};
-use gp_graph::generators::WeightMode;
+use gp_graph::generators::{rmat_scramble, rmat_step, WeightMode};
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, EdgeUpdate, GraphView, OverlayGraph, VertexId};
 use gp_turbo::run_turbo_with;
@@ -368,33 +368,18 @@ impl UpdateStream {
         batch
     }
 
-    /// Samples one `(src, dst)` pair with the Graph500 quadrant walk and
-    /// the same multiplicative scramble the [`rmat`]
-    /// (gp_graph::generators::rmat) generator uses, so stream hot-spots
-    /// land on the base graph's hubs.
+    /// Samples one `(src, dst)` pair with the noiseless Graph500 quadrant
+    /// walk and scramble of the [`rmat`](gp_graph::generators::rmat)
+    /// generator, so stream hot-spots land on the base graph's hubs.
     fn rmat_pair(&mut self) -> (VertexId, VertexId) {
-        let (a, b, c) = (0.57, 0.19, 0.19);
-        let mut row = 0usize;
-        let mut col = 0usize;
+        let (mut row, mut col) = (0, 0);
         for _ in 0..self.levels {
             let roll = self.rng.gen_range(0.0..1.0f64);
-            row <<= 1;
-            col <<= 1;
-            if roll < a {
-                // top-left
-            } else if roll < a + b {
-                col |= 1;
-            } else if roll < a + b + c {
-                row |= 1;
-            } else {
-                row |= 1;
-                col |= 1;
-            }
+            (row, col) = rmat_step(roll, [0.57, 0.19, 0.19], row, col);
         }
         let n = self.vertices as u64;
-        let scramble = |v: usize| ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n) as u32;
-        let src = scramble(row);
-        let mut dst = scramble(col);
+        let src = rmat_scramble(row, n);
+        let mut dst = rmat_scramble(col, n);
         if src == dst {
             // The overlay refuses self-loops; nudge deterministically.
             dst = (dst + 1) % self.vertices as u32;

@@ -206,6 +206,15 @@ if grep -rnE 'sort(_unstable)?_by_key\(.*\((src, *dst|[a-z_]+\.0, *[a-z_]+\.1)\)
   echo "second canonicalization reintroduced: build CSR rows with builder::csr_rows (count, scatter, per-row stable sort)"; exit 1
 fi
 
+echo "== one R-MAT quadrant walk (generators::rmat_step and rmat_scramble) =="
+# rmat_edges and gp-stream's UpdateStream place an edge through the same
+# step and the same scramble, so the graphs and the update hot spots they
+# produce cannot drift apart. A second quadrant chain or scramble would.
+if grep -rnE 'roll < a \+ b|wrapping_mul\(0x9E37_79B9_7F4A_7C15\) %' crates src tests examples \
+    | grep -v '^crates/graph/src/generators/rmat\.rs:'; then
+  echo "second R-MAT quadrant walk reintroduced: call gp_graph::generators::{rmat_step, rmat_scramble}"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
