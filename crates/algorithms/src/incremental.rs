@@ -54,7 +54,6 @@ use std::collections::{BTreeSet, VecDeque};
 
 use gp_graph::{AppliedBatch, EdgeRef, GraphView, VertexId};
 
-use crate::engine::{run_sequential_seeded, EngineOutput};
 use crate::{DeltaAlgorithm, DeltaPool};
 
 /// How stranded values are detected after edge deletions (monotone
@@ -127,8 +126,8 @@ impl<D> SeedPlan<D> {
 /// [`OverlayGraph::apply`](gp_graph::OverlayGraph::apply)); `values` the
 /// state the algorithm had converged to **before** the batch. Invalidated
 /// entries of `values` are reset in place; feed the result straight into
-/// [`run_sequential_seeded`] (or the accelerator's seeded mode) to
-/// re-converge.
+/// [`run_sequential_seeded`](crate::engine::run_sequential_seeded) (or the
+/// accelerator's seeded mode) to re-converge.
 ///
 /// Accumulates in a fresh [`DeltaPool`]; a caller that streams batches
 /// keeps one and calls [`incremental_seeds_with`], which returns the same
@@ -206,19 +205,6 @@ fn deposit_seeds<A: IncrementalAlgorithm, G: GraphView>(
             monotone_seeds(algo, graph, values, batch, inv, &mut deposit)
         }
     }
-}
-
-/// Golden incremental re-convergence: seed plan + sequential seeded run.
-/// The reference every accelerator-backed incremental path is validated
-/// against (differentially, vs. a from-scratch run on the mutated graph).
-pub fn rerun_incremental<A: IncrementalAlgorithm, G: GraphView>(
-    algo: &A,
-    graph: &G,
-    values: &mut [A::Value],
-    batch: &AppliedBatch,
-) -> EngineOutput {
-    let plan = incremental_seeds(algo, graph, values, batch);
-    run_sequential_seeded(algo, graph, values, &plan.seeds)
 }
 
 fn delta_correction_seeds<A: IncrementalAlgorithm, G: GraphView>(
@@ -455,7 +441,7 @@ fn reachability_closure<A: IncrementalAlgorithm, G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{initial_state, run_sequential};
+    use crate::engine::{initial_state, run_sequential, run_sequential_seeded};
     use crate::{Bfs, ConnectedComponents, PageRankDelta, Sssp, Sswp};
     use gp_graph::generators::{erdos_renyi, WeightMode};
     use gp_graph::rng::{Rng, StdRng};
@@ -491,7 +477,8 @@ mod tests {
         for round in 0..6 {
             let updates = random_batch(&o, &mut rng, 12);
             let batch = o.apply(&updates);
-            let inc = rerun_incremental(algo, &o, &mut values, &batch);
+            let plan = incremental_seeds(algo, &o, &mut values, &batch);
+            let inc = run_sequential_seeded(algo, &o, &mut values, &plan.seeds);
             let scratch = run_sequential(algo, &o.to_csr());
             assert!(
                 crate::max_abs_diff(&inc.values, &scratch.values) <= tol,
@@ -758,7 +745,8 @@ mod tests {
                 dst: VertexId::new(4),
             },
         ]);
-        let inc = rerun_incremental(&algo, &o, &mut values, &batch);
+        let plan = incremental_seeds(&algo, &o, &mut values, &batch);
+        let inc = run_sequential_seeded(&algo, &o, &mut values, &plan.seeds);
         let scratch = run_sequential(&algo, &o.to_csr());
         assert_eq!(inc.values, scratch.values);
         assert_eq!(inc.values[..3], [2.0, 2.0, 2.0], "cycle must relabel");

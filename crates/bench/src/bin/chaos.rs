@@ -16,7 +16,7 @@
 //! Exits 0 when every scenario detected its fault and recovered to the
 //! fault-free reference, 1 otherwise, 2 on a bad invocation.
 
-use gp_bench::json::{Json, CHAOS_SCHEMA};
+use gp_bench::json::{Json, CHAOS};
 use gp_bench::write_output;
 use gp_chaos::{run_campaign, CampaignReport};
 
@@ -121,7 +121,7 @@ fn to_json(report: &CampaignReport) -> Json {
     ]);
 
     Json::obj([
-        ("schema", Json::Str(CHAOS_SCHEMA.into())),
+        ("schema", Json::Str(CHAOS.tag.into())),
         ("seed", Json::Num(report.seed as f64)),
         ("scenarios", Json::Arr(scenarios)),
         ("overhead", Json::Arr(overhead)),

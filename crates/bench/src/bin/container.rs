@@ -40,7 +40,7 @@ use std::time::Instant;
 use gp_algorithms::engine::run_sequential;
 use gp_algorithms::{max_abs_diff, with_algorithm, App, AppInputs, DeltaAlgorithm};
 use gp_bench::cli::{finish, Flags};
-use gp_bench::json::{Json, OUTOFCORE_SCHEMA};
+use gp_bench::json::{Json, OUTOFCORE};
 use gp_bench::write_output;
 use gp_graph::container::{build_streaming, StreamBuildOptions};
 use gp_graph::generators::{rmat_edges, RmatConfig, WeightMode};
@@ -63,7 +63,7 @@ Usage: container [--seed N] [--log2 L1,L2,...] [--edge-factor N]
 
 Builds on-disk GPC1 containers at each 2^L-vertex scale with the streaming
 builder (no resident graph), memory-maps them, and benchmarks the golden
-engine and turbo over the mapping. Writes a gp-bench/outofcore/v2 document.
+engine and turbo over the mapping. Writes a BENCH_outofcore.json record.
 
   --seed N            R-MAT seed (default 42)
   --log2 LIST         comma-separated log2 vertex counts (default 20,22)
@@ -380,7 +380,7 @@ fn main() {
     }
 
     let doc = Json::obj([
-        ("schema", Json::Str(OUTOFCORE_SCHEMA.into())),
+        ("schema", Json::Str(OUTOFCORE.tag.into())),
         ("seed", Json::Num(cfg.seed as f64)),
         ("edge_factor", Json::Num(cfg.edge_factor as f64)),
         ("budget_mb", Json::Num(cfg.budget_mb as f64)),

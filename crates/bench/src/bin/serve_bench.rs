@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gp_algorithms::{with_algorithm, App, AppInputs, DeltaAlgorithm};
-use gp_bench::json::{Json, SERVE_SCHEMA};
+use gp_bench::json::{Json, SERVE};
 use gp_bench::{cli, write_output};
 use gp_graph::generators::{rmat, RmatConfig, WeightMode};
 use gp_graph::rng::{Rng, StdRng};
@@ -469,7 +469,7 @@ fn main() {
     }
 
     let doc = Json::obj([
-        ("schema", Json::Str(SERVE_SCHEMA.into())),
+        ("schema", Json::Str(SERVE.tag.into())),
         ("seed", Json::Num(args.seed as f64)),
         ("vertices", Json::Num(args.vertices as f64)),
         ("edges", Json::Num(base_edges as f64)),

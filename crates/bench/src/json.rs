@@ -1,5 +1,5 @@
 //! JSON for machine-readable bench output: the `BENCH_*.json` files the
-//! bench binaries emit and the `bench_check` schema validator reads back.
+//! bench binaries emit and `bench_check` reads back.
 //!
 //! The workspace builds hermetically offline (no serde). The value type,
 //! its writer (two-space indent, keys in insertion order, so reruns diff
@@ -9,7 +9,16 @@
 //! depend on this one. This module adds the two checks a bench record
 //! wants on top — [`render`] refuses a non-finite number instead of writing
 //! `null`, [`parse`] refuses a duplicate key instead of letting
-//! [`Json::get`] shadow it — and the schema validators.
+//! [`Json::get`] shadow it — and the record schemas.
+//!
+//! Each record is described once, by a [`Schema`]: its tag and a table that
+//! lists every key with its kind (a number under a sign rule, text, a flag,
+//! a nested object, or a table of rows) and its role under `--against`
+//! (reproduced exactly by a rerun, wall time, or neither), plus one rule
+//! function per table for what a key's kind cannot state. Two walkers read
+//! the tables: [`Schema::validate`], which also refuses a key its table does
+//! not list, and [`compare_against`]. Extending a record is an edit to its
+//! table; [`SCHEMAS`] is the list `bench_check` looks a tag up in.
 
 #[allow(missing_docs)]
 #[path = "../../../benchmark/src/json.rs"]
@@ -59,25 +68,325 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(doc)
 }
 
-/// Schema tag `validate_chaos` requires.
-pub const CHAOS_SCHEMA: &str = "gp-bench/chaos/v1";
+/// One kind of bench record: its tag and the table for the document.
+pub struct Schema {
+    /// The `schema` value the record carries.
+    pub tag: &'static str,
+    table: Table,
+}
 
-/// Schema tag `validate_serve` requires.
-pub const SERVE_SCHEMA: &str = "gp-bench/serve/v3";
+/// The keys of one object, in the order they are checked, and its rule
+/// function for what a key's kind cannot state. The rules are called with
+/// each key once it has passed, the object and the whole document: a rule
+/// runs after the last key it reads.
+struct Table {
+    rules: fn(&str, &Json, &Json) -> Result<(), String>,
+    fields: &'static [Keys],
+}
 
-/// Schema tag `validate_outofcore` requires.
-pub const OUTOFCORE_SCHEMA: &str = "gp-bench/outofcore/v2";
+/// Listed keys that share a kind and a role under `--against`.
+struct Keys(&'static [&'static str], Kind, Role);
+
+/// What a listed key holds.
+enum Kind {
+    Num(Bound),
+    Text,
+    Flag,
+    /// A flag that must be true; when it is false, `why` it matters.
+    True(&'static str),
+    /// An object; its errors are prefixed `<key>: `. `--against` does not
+    /// look inside it.
+    Obj(Table),
+    /// A non-empty array of rows.
+    Rows(RowTable),
+}
+
+/// An array of rows, each held to `table`.
+struct RowTable {
+    /// Names a row in an error: `<label> <index>: `.
+    label: &'static str,
+    /// What an empty array means for the document.
+    empty: &'static str,
+    /// The key `--against` pairs rows by; `None` leaves the rows unpaired.
+    id: Option<&'static str>,
+    /// Whether a committed row the fresh record lacks is a mismatch (else a
+    /// note).
+    all: bool,
+    table: Table,
+}
 
 /// Sign rule a numeric field is held to.
-#[derive(Clone, Copy)]
 enum Bound {
     Positive,
     NonNegative,
     Any,
 }
 
+/// What `--against` does with a listed key.
+#[derive(Clone, Copy, PartialEq)]
+enum Role {
+    /// Reproduced exactly by a rerun of an unchanged program, whatever the
+    /// host: held equal.
+    Exact,
+    /// Wall time: printed beside the committed value.
+    Wall,
+    /// Neither: validated only.
+    Plain,
+}
+
+use Bound::{Any, NonNegative, Positive};
+use Kind::{Flag, Num, Obj, Rows, Text, True};
+use Role::{Exact, Plain, Wall};
+
+/// Every known record, in the order `bench_check` names them.
+pub static SCHEMAS: [&Schema; 3] = [&CHAOS, &SERVE, &OUTOFCORE];
+
+/// `BENCH_chaos.json`: the fault-injection campaign. Every scenario
+/// detected its fault and recovered to the reference (the "never silently
+/// wrong" contract), every fault-free overhead run is bit-exact, and the
+/// summary totals are the scenarios' sums.
+#[rustfmt::skip]
+pub static CHAOS: Schema = Schema { tag: "gp-bench/chaos/v1", table: Table { rules: chaos_rules, fields: &[
+    Keys(&["schema"], Text, Plain),
+    Keys(&["seed"], Num(Any), Plain),
+    Keys(&["scenarios"], Rows(RowTable {
+        label: "scenario", empty: "the campaign ran nothing", id: None, all: false,
+        table: Table { rules: scenario_rules, fields: &[
+            Keys(&["fault", "algo", "mode", "backend", "detector", "recovery"], Text, Plain),
+            Keys(&["detected", "detection_latency_epochs", "rollbacks"], Num(NonNegative), Plain),
+            Keys(&["wasted_events", "checkpoint_bytes", "max_abs_diff"], Num(NonNegative), Plain),
+            Keys(&["result_ok"], True("the recovered result diverged"), Plain),
+        ] },
+    }), Plain),
+    Keys(&["overhead"], Rows(RowTable {
+        label: "overhead", empty: "no fault-free baseline was measured", id: None, all: false,
+        table: Table { rules: overhead_rules, fields: &[
+            Keys(&["algo"], Text, Plain),
+            Keys(&["events_processed", "epochs", "checkpoints"], Num(Positive), Plain),
+            Keys(&["checkpoint_words", "checkpoint_bytes"], Num(Positive), Plain),
+            Keys(&["bitexact"], Flag, Plain),
+            Keys(&["checkpoint_bytes_per_event"], Num(NonNegative), Plain),
+        ] },
+    }), Plain),
+    Keys(&["summary"], Obj(Table { rules: |_, _, _| Ok(()), fields: &[
+        Keys(&["scenarios", "detections"], Num(NonNegative), Plain),
+        Keys(&["mean_detection_latency_epochs", "mean_rollbacks_per_recovery"], Num(NonNegative), Plain),
+        Keys(&["wasted_events_total", "checkpoint_bytes_total"], Num(NonNegative), Plain),
+    ] }), Plain),
+] } };
+
+/// `BENCH_serve.json`: one run per executor count of the sweep, each with
+/// a per-class latency table (ordered p50 ≤ p99 ≤ p999) that accounts for
+/// every served query, and the golden cross-check record: some samples
+/// verified, none diverged.
+#[rustfmt::skip]
+pub static SERVE: Schema = Schema { tag: "gp-bench/serve/v3", table: Table { rules: |_, _, _| Ok(()), fields: &[
+    Keys(&["schema"], Text, Plain),
+    Keys(&["seed"], Num(Any), Exact),
+    Keys(&["vertices", "edges"], Num(Positive), Exact),
+    Keys(&["tenants", "clients"], Num(Positive), Plain),
+    Keys(&["runs"], Rows(RowTable {
+        label: "run", empty: "the sweep ran no executor configuration", id: Some("executors"), all: false,
+        table: Table { rules: serve_run_rules, fields: &[
+            Keys(&["executors"], Num(Positive), Plain),
+            Keys(&["queries_total"], Num(Positive), Exact),
+            Keys(&["wall_secs"], Num(Positive), Wall),
+            Keys(&["throughput_qps"], Num(Positive), Plain),
+            Keys(&["rejected", "degraded", "epochs_published", "update_batches"], Num(NonNegative), Plain),
+            Keys(&["cold_runs", "warm_starts", "fused_runs"], Num(NonNegative), Exact),
+            // `path_warm_starts` moves by a few between runs of one binary.
+            Keys(&["path_cache_hits", "path_warm_starts"], Num(NonNegative), Plain),
+            Keys(&["verified_samples", "verify_failures"], Num(NonNegative), Plain),
+            Keys(&["classes"], Rows(RowTable {
+                label: "class", empty: "the bench served no query class", id: None, all: false,
+                table: Table { rules: class_rules, fields: &[
+                    Keys(&["class"], Text, Plain),
+                    Keys(&["served", "mean_us", "p50_us", "p99_us", "p999_us", "max_us"], Num(NonNegative), Plain),
+                ] },
+            }), Plain),
+        ] },
+    }), Plain),
+] } };
+
+/// `BENCH_outofcore.json`: per scale, the container geometry and the
+/// analytic fully-resident footprint beside the measured mapped working
+/// state; per algorithm, traffic accounting that balances
+/// (`bytes_moved = rowptr_bytes + edge_bytes`, `bytes_per_edge = bytes_moved
+/// / edges_read`) and turbo within the algorithm's tolerance of golden.
+/// Under a resident-memory budget (`budget_mb > 0`) every mapped working
+/// state fits and some resident footprint does not — otherwise the run
+/// demonstrated nothing about out-of-core execution.
+#[rustfmt::skip]
+pub static OUTOFCORE: Schema = Schema { tag: "gp-bench/outofcore/v2", table: Table { rules: outofcore_rules, fields: &[
+    Keys(&["schema"], Text, Plain),
+    Keys(&["seed"], Num(Any), Exact),
+    Keys(&["edge_factor"], Num(Positive), Exact),
+    Keys(&["budget_mb"], Num(NonNegative), Plain),
+    Keys(&["entries"], Rows(RowTable {
+        label: "entry", empty: "the bench measured no scale", id: Some("log2_vertices"), all: false,
+        table: Table { rules: entry_rules, fields: &[
+            Keys(&["log2_vertices", "vertices"], Num(Positive), Plain),
+            Keys(&["edges", "container_bytes"], Num(Positive), Exact),
+            Keys(&["resident_graph_bytes", "mapped_state_bytes"], Num(Positive), Plain),
+            Keys(&["build_secs"], Num(NonNegative), Wall),
+            Keys(&["weighted", "kernel_mapped"], Flag, Plain),
+            Keys(&["algos"], Rows(RowTable {
+                label: "algo", empty: "no algorithm was measured", id: Some("algo"), all: true,
+                table: Table { rules: algo_rules, fields: &[
+                    Keys(&["algo"], Text, Plain),
+                    Keys(&["events_processed"], Num(Positive), Exact),
+                    Keys(&["events_per_sec"], Num(Positive), Plain),
+                    Keys(&["edges_read", "bytes_moved"], Num(Positive), Exact),
+                    Keys(&["bytes_per_edge", "turbo_events_per_sec"], Num(Positive), Plain),
+                    Keys(&["wall_secs"], Num(NonNegative), Wall),
+                    Keys(&["rowptr_bytes", "edge_bytes"], Num(NonNegative), Exact),
+                    Keys(&["turbo_wall_secs"], Num(NonNegative), Wall),
+                    Keys(&["turbo_max_abs_diff"], Num(NonNegative), Exact),
+                    Keys(&["turbo_ok"], True("turbo over the mapping diverged from golden beyond tolerance"), Plain),
+                ] },
+            }), Plain),
+        ] },
+    }), Plain),
+] } };
+
+fn chaos_rules(key: &str, doc: &Json, _: &Json) -> Result<(), String> {
+    let Some(summary) = doc.get(key).filter(|_| key == "summary") else {
+        return Ok(());
+    };
+    let scenarios = items(doc.get("scenarios"));
+    let n = value(summary, "scenarios");
+    if n != scenarios.len() as f64 {
+        let listed = scenarios.len();
+        return Err(format!(
+            "summary.scenarios is {n} but {listed} scenarios are listed"
+        ));
+    }
+    for (total, per) in [
+        ("detections", "detected"),
+        ("wasted_events_total", "wasted_events"),
+        ("checkpoint_bytes_total", "checkpoint_bytes"),
+    ] {
+        let (t, s) = (value(summary, total), sum(scenarios, per));
+        if t != s {
+            return Err(format!(
+                "summary.{total} is {t} but the scenarios' {per} sum to {s}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn scenario_rules(key: &str, s: &Json, _: &Json) -> Result<(), String> {
+    if key == "max_abs_diff" && value(s, "detected") < 1.0 {
+        return Err("fault was never detected (detected < 1)".into());
+    }
+    Ok(())
+}
+
+fn overhead_rules(key: &str, o: &Json, _: &Json) -> Result<(), String> {
+    let per_event = value(o, "checkpoint_bytes") / value(o, "events_processed").max(1.0);
+    match key {
+        // Before `bitexact` is read as a flag: a missing one is not true.
+        "checkpoint_bytes" if o.get("bitexact") != Some(&Json::Bool(true)) => {
+            Err("bitexact is not true — the fault-free chaos run diverged".into())
+        }
+        "checkpoint_bytes_per_event" => {
+            near(o, key, per_event, "checkpoint_bytes / events_processed")
+        }
+        _ => Ok(()),
+    }
+}
+
+fn serve_run_rules(key: &str, run: &Json, _: &Json) -> Result<(), String> {
+    let (failures, total) = (value(run, "verify_failures"), value(run, "queries_total"));
+    let served_sum = sum(items(run.get("classes")), "served");
+    match key {
+        "verify_failures" if value(run, "verified_samples") < 1.0 => {
+            Err("verified_samples is 0 — no golden cross-checks ran".into())
+        }
+        "verify_failures" if failures != 0.0 => Err(format!(
+            "verify_failures is {failures} — sampled answers diverged from the golden recompute"
+        )),
+        "classes" if served_sum != total => Err(format!(
+            "per-class served totals sum to {served_sum} but queries_total is {total}"
+        )),
+        _ => Ok(()),
+    }
+}
+
+fn class_rules(key: &str, class: &Json, _: &Json) -> Result<(), String> {
+    let q = |key| value(class, key);
+    let (p50, p99, p999) = (q("p50_us"), q("p99_us"), q("p999_us"));
+    if key == "max_us" && (p50 > p99 || p99 > p999) {
+        return Err(format!(
+            "quantiles out of order: p50 {p50} p99 {p99} p999 {p999}"
+        ));
+    }
+    Ok(())
+}
+
+fn outofcore_rules(key: &str, doc: &Json, _: &Json) -> Result<(), String> {
+    let budget_mb = value(doc, "budget_mb");
+    let over = |e: &Json| value(e, "resident_graph_bytes") > budget_mb * MIB;
+    if key == "entries" && budget_mb > 0.0 && !items(doc.get(key)).iter().any(over) {
+        return Err(format!(
+            "budget_mb is {budget_mb} but no entry's resident_graph_bytes exceeds it \
+             — the budget demonstrates nothing"
+        ));
+    }
+    Ok(())
+}
+
+fn entry_rules(key: &str, entry: &Json, doc: &Json) -> Result<(), String> {
+    let (budget_mb, mapped_state) = (value(doc, "budget_mb"), value(entry, "mapped_state_bytes"));
+    if key == "kernel_mapped" && budget_mb > 0.0 && mapped_state > budget_mb * MIB {
+        return Err(format!(
+            "mapped_state_bytes {mapped_state} exceeds the {budget_mb} MiB budget \
+             — the out-of-core path did not fit"
+        ));
+    }
+    Ok(())
+}
+
+fn algo_rules(key: &str, a: &Json, _: &Json) -> Result<(), String> {
+    let moved = value(a, "bytes_moved");
+    let parts = value(a, "rowptr_bytes") + value(a, "edge_bytes");
+    match key {
+        "turbo_max_abs_diff" if moved != parts => Err(format!(
+            "bytes_moved is {moved} but rowptr_bytes + edge_bytes is {parts}"
+        )),
+        "turbo_max_abs_diff" => {
+            let per_edge = moved / value(a, "edges_read");
+            near(a, "bytes_per_edge", per_edge, "bytes_moved / edges_read")
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Bytes in a MiB, as `budget_mb` counts them.
+const MIB: f64 = (1u64 << 20) as f64;
+
+/// The number at `key`, which has passed its table.
+fn value(obj: &Json, key: &str) -> f64 {
+    obj.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
+}
+
+/// Holds the number at `key` to `expect` (`formula`) within 1e-9 relative.
+fn near(obj: &Json, key: &str, expect: f64, formula: &str) -> Result<(), String> {
+    let got = value(obj, key);
+    if (got - expect).abs() > 1e-9 * expect.max(1.0) {
+        return Err(format!("{key} is {got} but {formula} is {expect}"));
+    }
+    Ok(())
+}
+
+/// The sum of `key` over `rows`, which have passed their table.
+fn sum(rows: &[Json], key: &str) -> f64 {
+    rows.iter().fold(0.0, |s, row| s + value(row, key))
+}
+
 /// The number at `key`, held to `bound`.
-fn num(obj: &Json, key: &str, bound: Bound) -> Result<f64, String> {
+fn num(obj: &Json, key: &str, bound: &Bound) -> Result<f64, String> {
     let v = obj
         .get(key)
         .and_then(Json::as_f64)
@@ -87,12 +396,6 @@ fn num(obj: &Json, key: &str, bound: Bound) -> Result<f64, String> {
         Bound::NonNegative if v < 0.0 => Err(format!("{key} must be >= 0, got {v}")),
         _ => Ok(v),
     }
-}
-
-/// Holds every one of `keys` to `bound`, in order.
-fn nums(obj: &Json, keys: &[&str], bound: Bound) -> Result<(), String> {
-    keys.iter()
-        .try_for_each(|key| num(obj, key, bound).map(drop))
 }
 
 /// The string at `key`.
@@ -123,19 +426,6 @@ fn rows<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a [Json], String> 
     Ok(items)
 }
 
-/// Runs `check` over `items` in order; an error is prefixed with the row it
-/// came from (`<label> <index>: `).
-fn each(
-    items: &[Json],
-    label: &str,
-    mut check: impl FnMut(&Json) -> Result<(), String>,
-) -> Result<(), String> {
-    items
-        .iter()
-        .enumerate()
-        .try_for_each(|(i, item)| check(item).map_err(|e| format!("{label} {i}: {e}")))
-}
-
 /// Holds the document's `schema` tag to `want`.
 fn schema_is(doc: &Json, want: &str) -> Result<(), String> {
     let schema = text(doc, "schema")?;
@@ -145,371 +435,130 @@ fn schema_is(doc: &Json, want: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `BENCH_serve.json` document: schema tag, positive graph
-/// and traffic fields, and a non-empty `runs` sweep (one
-/// entry per executor count). Each run must carry a positive `executors`
-/// count, positive traffic totals, a non-empty per-class latency table
-/// with ordered p50 ≤ p99 ≤ p999 quantiles that accounts for every served
-/// query, and the golden cross-check record (some samples verified, zero
-/// failures — a serve bench that stopped checking its answers, or whose
-/// answers diverged from the golden recompute, fails here).
-///
-/// # Errors
-///
-/// Returns a readable description of the first violated rule.
-pub fn validate_serve(doc: &Json) -> Result<(), String> {
-    schema_is(doc, SERVE_SCHEMA)?;
-    num(doc, "seed", Bound::Any)?;
-    nums(
-        doc,
-        &["vertices", "edges", "tenants", "clients"],
-        Bound::Positive,
-    )?;
-    let runs = rows(doc, "runs", "the sweep ran no executor configuration")?;
-    each(runs, "run", validate_serve_run)
+/// The schema whose tag is `tag`.
+pub fn schema(tag: &str) -> Option<&'static Schema> {
+    SCHEMAS.iter().copied().find(|s| s.tag == tag)
 }
 
-/// Validates one executor-sweep entry of a serve document.
-fn validate_serve_run(run: &Json) -> Result<(), String> {
-    nums(
-        run,
-        &["executors", "queries_total", "wall_secs", "throughput_qps"],
-        Bound::Positive,
-    )?;
-    nums(
-        run,
-        &[
-            "rejected",
-            "degraded",
-            "epochs_published",
-            "update_batches",
-            "warm_starts",
-            "cold_runs",
-            "fused_runs",
-            "path_cache_hits",
-            "path_warm_starts",
-            "verified_samples",
-            "verify_failures",
-        ],
-        Bound::NonNegative,
-    )?;
-    if num(run, "verified_samples", Bound::Any)? < 1.0 {
-        return Err("verified_samples is 0 — no golden cross-checks ran".into());
-    }
-    let failures = num(run, "verify_failures", Bound::Any)?;
-    if failures != 0.0 {
-        return Err(format!(
-            "verify_failures is {failures} — sampled answers diverged from the golden recompute"
-        ));
+impl Schema {
+    /// Validates a document of this schema: its tag, then every key its
+    /// table lists, in the table's order, each followed by the rules that
+    /// read it. A key the table does not list is refused.
+    ///
+    /// # Errors
+    ///
+    /// Returns a readable description of the first violated rule, prefixed
+    /// with the row it is in (`run 1: class 0: `).
+    pub fn validate(&self, doc: &Json) -> Result<(), String> {
+        schema_is(doc, self.tag)?;
+        self.table.validate(doc, doc)
     }
 
-    let classes = rows(run, "classes", "the bench served no query class")?;
-    let mut served_sum = 0.0;
-    each(classes, "class", |class| {
-        text(class, "class")?;
-        served_sum += num(class, "served", Bound::NonNegative)?;
-        num(class, "mean_us", Bound::NonNegative)?;
-        let p50 = num(class, "p50_us", Bound::NonNegative)?;
-        let p99 = num(class, "p99_us", Bound::NonNegative)?;
-        let p999 = num(class, "p999_us", Bound::NonNegative)?;
-        num(class, "max_us", Bound::NonNegative)?;
-        if p50 > p99 || p99 > p999 {
-            return Err(format!(
-                "quantiles out of order: p50 {p50} p99 {p99} p999 {p999}"
-            ));
-        }
-        Ok(())
-    })?;
-    let total = num(run, "queries_total", Bound::Any)?;
-    if served_sum != total {
-        return Err(format!(
-            "per-class served totals sum to {served_sum} but queries_total is {total}"
-        ));
+    /// Whether `--against` applies: the document holds some key exactly.
+    pub fn compares(&self) -> bool {
+        self.table.keys().any(|(_, _, role)| role == Exact)
     }
-    Ok(())
+
+    /// The key of the document's first row table, the one `bench_check`
+    /// counts.
+    pub fn count_key(&self) -> &'static str {
+        let rows = self
+            .table
+            .keys()
+            .find(|(_, kind, _)| matches!(kind, Rows(_)));
+        rows.map_or("", |(key, _, _)| key)
+    }
 }
 
-/// Validates a `BENCH_chaos.json` document: schema tag, non-empty
-/// scenario list with the fault-injection campaign's invariants (every
-/// scenario detected its fault and recovered to the reference — the
-/// "never silently wrong" contract), per-algorithm checkpoint-overhead
-/// records, and the MTTR-style summary block.
-///
-/// # Errors
-///
-/// Returns a readable description of the first violated rule.
-pub fn validate_chaos(doc: &Json) -> Result<(), String> {
-    schema_is(doc, CHAOS_SCHEMA)?;
-    num(doc, "seed", Bound::Any)?;
-
-    let scenarios = rows(doc, "scenarios", "the campaign ran nothing")?;
-    each(scenarios, "scenario", |s| {
-        for key in ["fault", "algo", "mode", "backend", "detector", "recovery"] {
-            text(s, key)?;
-        }
-        nums(
-            s,
-            &[
-                "detected",
-                "detection_latency_epochs",
-                "rollbacks",
-                "wasted_events",
-                "checkpoint_bytes",
-                "max_abs_diff",
-            ],
-            Bound::NonNegative,
-        )?;
-        if num(s, "detected", Bound::Any)? < 1.0 {
-            return Err("fault was never detected (detected < 1)".into());
-        }
-        if !flag(s, "result_ok")? {
-            return Err("result_ok is false — the recovered result diverged".into());
-        }
-        Ok(())
-    })?;
-
-    let overhead = rows(doc, "overhead", "no fault-free baseline was measured")?;
-    each(overhead, "overhead", |o| {
-        text(o, "algo")?;
-        nums(
-            o,
-            &[
-                "events_processed",
-                "epochs",
-                "checkpoints",
-                "checkpoint_words",
-                "checkpoint_bytes",
-            ],
-            Bound::Positive,
-        )?;
-        if o.get("bitexact") != Some(&Json::Bool(true)) {
-            return Err("bitexact is not true — the fault-free chaos run diverged".into());
-        }
-        Ok(())
-    })?;
-
-    let summary = doc.get("summary").ok_or("missing object key \"summary\"")?;
-    nums(
-        summary,
-        &[
-            "scenarios",
-            "detections",
-            "mean_detection_latency_epochs",
-            "mean_rollbacks_per_recovery",
-            "wasted_events_total",
-            "checkpoint_bytes_total",
-        ],
-        Bound::NonNegative,
-    )
-    .map_err(|e| format!("summary: {e}"))?;
-    let n = num(summary, "scenarios", Bound::Any)?;
-    if n != scenarios.len() as f64 {
-        return Err(format!(
-            "summary.scenarios is {n} but {} scenarios are listed",
-            scenarios.len()
-        ));
+impl Table {
+    /// Every listed key, in order, with its kind and role.
+    fn keys(&self) -> impl Iterator<Item = (&'static str, &Kind, Role)> {
+        let groups = self.fields.iter();
+        groups.flat_map(|Keys(keys, kind, role)| keys.iter().map(move |key| (*key, kind, *role)))
     }
-    Ok(())
-}
 
-/// Validates a `BENCH_outofcore.json` document: schema tag, positive
-/// generator parameters, and a non-empty per-scale entry list. Every
-/// entry must carry the container geometry (positive vertex, edge, and
-/// byte counts), the analytic fully-resident footprint next to the
-/// measured mapped working state, and a non-empty per-algorithm table
-/// whose traffic accounting is internally consistent
-/// (`bytes_moved = rowptr_bytes + edge_bytes`,
-/// `bytes_per_edge = bytes_moved / edges_read`) with positive event
-/// throughput on both the golden engine and turbo, and turbo answers
-/// within the algorithm's tolerance of golden (`turbo_ok`). When a
-/// resident-memory budget was enforced (`budget_mb > 0`), every entry's
-/// mapped working state must fit under it and at least one entry's
-/// resident footprint must exceed it — otherwise the run demonstrated
-/// nothing about out-of-core execution.
-///
-/// # Errors
-///
-/// Returns a readable description of the first violated rule.
-pub fn validate_outofcore(doc: &Json) -> Result<(), String> {
-    schema_is(doc, OUTOFCORE_SCHEMA)?;
-    num(doc, "seed", Bound::Any)?;
-    num(doc, "edge_factor", Bound::Positive)?;
-    let budget_mb = num(doc, "budget_mb", Bound::NonNegative)?;
-    let budget_bytes = budget_mb * (1u64 << 20) as f64;
-
-    let entries = rows(doc, "entries", "the bench measured no scale")?;
-    let mut resident_over_budget = false;
-    each(entries, "entry", |entry| {
-        nums(
-            entry,
-            &[
-                "log2_vertices",
-                "vertices",
-                "edges",
-                "container_bytes",
-                "resident_graph_bytes",
-                "mapped_state_bytes",
-            ],
-            Bound::Positive,
-        )?;
-        num(entry, "build_secs", Bound::NonNegative)?;
-        flag(entry, "weighted")?;
-        flag(entry, "kernel_mapped")?;
-        if budget_mb > 0.0 {
-            let mapped_state = num(entry, "mapped_state_bytes", Bound::Any)?;
-            if mapped_state > budget_bytes {
-                return Err(format!(
-                    "mapped_state_bytes {mapped_state} exceeds the {budget_mb} MiB budget \
-                     — the out-of-core path did not fit"
-                ));
+    fn validate(&self, obj: &Json, doc: &Json) -> Result<(), String> {
+        for (key, kind, _) in self.keys() {
+            match kind {
+                Num(bound) => drop(num(obj, key, bound)?),
+                Text => drop(text(obj, key)?),
+                Flag => drop(flag(obj, key)?),
+                True(why) if !flag(obj, key)? => return Err(format!("{key} is false — {why}")),
+                True(_) => {}
+                Obj(table) => {
+                    let inner = obj.get(key).ok_or(format!("missing object key {key:?}"))?;
+                    table
+                        .validate(inner, doc)
+                        .map_err(|e| format!("{key}: {e}"))?;
+                }
+                Rows(r) => {
+                    for (i, row) in rows(obj, key, r.empty)?.iter().enumerate() {
+                        let row_error = |e| format!("{} {i}: {e}", r.label);
+                        r.table.validate(row, doc).map_err(row_error)?;
+                    }
+                }
             }
-            if num(entry, "resident_graph_bytes", Bound::Any)? > budget_bytes {
-                resident_over_budget = true;
+            (self.rules)(key, obj, doc)?;
+        }
+        let unlisted = |(k, _): &&(String, Json)| !self.keys().any(|(key, _, _)| key == k);
+        let pairs = obj.as_obj().unwrap_or(&[]);
+        pairs
+            .iter()
+            .find(unlisted)
+            .map_or(Ok(()), |(key, _)| Err(format!("unlisted key {key:?}")))
+    }
+
+    /// Holds `fresh` to `committed` on every key this table marks; `at`
+    /// names the object (empty for the document).
+    fn compare(&self, cmp: &mut Comparison, at: &str, fresh: &Json, committed: &Json) {
+        let here = if at.is_empty() { "record" } else { at };
+        for (key, kind, role) in self.keys() {
+            let (f, c) = (fresh.get(key), committed.get(key));
+            match (kind, role) {
+                (Rows(r), _) => cmp.rows(at, (items(f), items(c)), r, |cmp, at, f, c| {
+                    r.table.compare(cmp, at, f, c);
+                }),
+                (_, Exact) if f != c => cmp.mismatches.push(format!(
+                    "{here}: {key} is {} here but {} in the committed record",
+                    shown(f),
+                    shown(c)
+                )),
+                (_, Wall) => cmp.notes.push(format!(
+                    "{here}: {key} {} (committed {})",
+                    shown(f),
+                    shown(c)
+                )),
+                _ => {}
             }
         }
-        let algos = rows(entry, "algos", "no algorithm was measured")?;
-        each(algos, "algo", validate_outofcore_algo)
-    })?;
-    if budget_mb > 0.0 && !resident_over_budget {
-        return Err(format!(
-            "budget_mb is {budget_mb} but no entry's resident_graph_bytes exceeds it \
-             — the budget demonstrates nothing"
-        ));
     }
-    Ok(())
 }
 
-/// Validates one per-algorithm row of an out-of-core entry.
-fn validate_outofcore_algo(a: &Json) -> Result<(), String> {
-    text(a, "algo")?;
-    nums(
-        a,
-        &[
-            "events_processed",
-            "events_per_sec",
-            "edges_read",
-            "bytes_moved",
-            "bytes_per_edge",
-            "turbo_events_per_sec",
-        ],
-        Bound::Positive,
-    )?;
-    nums(
-        a,
-        &[
-            "wall_secs",
-            "rowptr_bytes",
-            "edge_bytes",
-            "turbo_wall_secs",
-            "turbo_max_abs_diff",
-        ],
-        Bound::NonNegative,
-    )?;
-    let moved = num(a, "bytes_moved", Bound::Any)?;
-    let parts = num(a, "rowptr_bytes", Bound::Any)? + num(a, "edge_bytes", Bound::Any)?;
-    if moved != parts {
-        return Err(format!(
-            "bytes_moved is {moved} but rowptr_bytes + edge_bytes is {parts}"
-        ));
-    }
-    let per_edge = num(a, "bytes_per_edge", Bound::Any)?;
-    let expect = moved / num(a, "edges_read", Bound::Any)?;
-    if (per_edge - expect).abs() > 1e-9 * expect.max(1.0) {
-        return Err(format!(
-            "bytes_per_edge is {per_edge} but bytes_moved / edges_read is {expect}"
-        ));
-    }
-    if !flag(a, "turbo_ok")? {
-        return Err(
-            "turbo_ok is false — turbo over the mapping diverged from golden beyond tolerance"
-                .into(),
-        );
-    }
-    Ok(())
-}
-
-/// Per out-of-core entry, the fields a rerun reproduces exactly.
-const OUTOFCORE_ENTRY_EXACT: [&str; 2] = ["edges", "container_bytes"];
-
-/// Per out-of-core algorithm row, the fields a rerun reproduces exactly.
-const OUTOFCORE_ALGO_EXACT: [&str; 6] = [
-    "events_processed",
-    "edges_read",
-    "rowptr_bytes",
-    "edge_bytes",
-    "bytes_moved",
-    "turbo_max_abs_diff",
-];
-
-/// Per serve run, the fields a rerun reproduces exactly. `path_warm_starts`
-/// is not one: it moves by a few between runs of one binary.
-const SERVE_RUN_EXACT: [&str; 4] = ["queries_total", "cold_runs", "warm_starts", "fused_runs"];
-
-/// Holds a fresh bench record to a committed one on the fields a rerun of
-/// an unchanged program reproduces exactly, whatever the host:
+/// Holds a fresh bench record to a committed one of the same schema on
+/// every key its table marks as reproduced exactly by a rerun of an
+/// unchanged program, whatever the host. Rows are paired by their table's
+/// id (out-of-core entries by `log2_vertices` and their algorithms by
+/// `algo`, serve runs by `executors`).
 ///
-/// * out-of-core: the `seed` and `edge_factor`; per entry, matched by
-///   `log2_vertices`, `edges` and `container_bytes`; per algorithm, matched
-///   by `algo`, every count (`events_processed`, `edges_read`,
-///   `rowptr_bytes`, `edge_bytes`, `bytes_moved`) and `turbo_max_abs_diff`;
-/// * serve: the `seed`, `vertices` and `edges`; per run, matched by
-///   `executors`, `queries_total`, `cold_runs`, `warm_starts` and
-///   `fused_runs`.
-///
-/// A committed entry the fresh record did not run is skipped; a fresh
-/// entry or algorithm the committed record lacks, or a committed
-/// algorithm the fresh entry lacks, is a mismatch.
+/// A committed row the fresh record did not run is skipped; a fresh row the
+/// committed record lacks, or a committed row the fresh one lacks where its
+/// table says every row must pair (out-of-core algorithms), is a mismatch.
 ///
 /// Returns one line per wall-clock field, fresh beside committed: those
 /// are reported, not held to anything.
 ///
 /// # Errors
 ///
-/// Returns every mismatch, one per line, each naming its entry and field;
-/// or one line when the records' schemas differ or have no such fields.
+/// Returns every mismatch, one per line, each naming its row and field;
+/// or one line when the records' schemas differ or hold nothing exactly.
 pub fn compare_against(fresh: &Json, committed: &Json) -> Result<Vec<String>, String> {
-    let schema = text(fresh, "schema")?;
-    schema_is(committed, schema)?;
+    let tag = text(fresh, "schema")?;
+    schema_is(committed, tag)?;
+    let schema = schema(tag)
+        .filter(|s| s.compares())
+        .ok_or_else(|| format!("{tag:?} records have no run-invariant fields to compare"))?;
     let mut cmp = Comparison::default();
-    match schema {
-        OUTOFCORE_SCHEMA => {
-            cmp.exact("record", fresh, committed, &["seed", "edge_factor"]);
-            cmp.rows(
-                "",
-                fresh,
-                committed,
-                ("entries", "log2_vertices"),
-                false,
-                |cmp, at, f, c| {
-                    cmp.exact(at, f, c, &OUTOFCORE_ENTRY_EXACT);
-                    cmp.wall(at, f, c, &["build_secs"]);
-                    cmp.rows(at, f, c, ("algos", "algo"), true, |cmp, at, f, c| {
-                        cmp.exact(at, f, c, &OUTOFCORE_ALGO_EXACT);
-                        cmp.wall(at, f, c, &["wall_secs", "turbo_wall_secs"]);
-                    });
-                },
-            );
-        }
-        SERVE_SCHEMA => {
-            cmp.exact("record", fresh, committed, &["seed", "vertices", "edges"]);
-            cmp.rows(
-                "",
-                fresh,
-                committed,
-                ("runs", "executors"),
-                false,
-                |cmp, at, f, c| {
-                    cmp.exact(at, f, c, &SERVE_RUN_EXACT);
-                    cmp.wall(at, f, c, &["wall_secs"]);
-                },
-            );
-        }
-        other => {
-            return Err(format!(
-                "{other:?} records have no run-invariant fields to compare"
-            ))
-        }
-    }
+    schema.table.compare(&mut cmp, "", fresh, committed);
     if cmp.mismatches.is_empty() {
         Ok(cmp.notes)
     } else {
@@ -529,55 +578,27 @@ fn shown(value: Option<&Json>) -> String {
     value.map_or_else(|| "missing".into(), Json::render)
 }
 
-/// The array at `key`, or none.
-fn items<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
-    doc.get(key).and_then(Json::as_arr).unwrap_or(&[])
+/// The rows of an array, or none.
+fn items(array: Option<&Json>) -> &[Json] {
+    array.and_then(Json::as_arr).unwrap_or(&[])
 }
 
 impl Comparison {
-    /// Requires each of `keys` to be equal in `fresh` and `committed`.
-    fn exact(&mut self, at: &str, fresh: &Json, committed: &Json, keys: &[&str]) {
-        for key in keys {
-            let (f, c) = (fresh.get(key), committed.get(key));
-            if f != c {
-                self.mismatches.push(format!(
-                    "{at}: {key} is {} here but {} in the committed record",
-                    shown(f),
-                    shown(c)
-                ));
-            }
-        }
-    }
-
-    /// Notes each of `keys` side by side.
-    fn wall(&mut self, at: &str, fresh: &Json, committed: &Json, keys: &[&str]) {
-        for key in keys {
-            let (f, c) = (shown(fresh.get(key)), shown(committed.get(key)));
-            self.notes.push(format!("{at}: {key} {f} (committed {c})"));
-        }
-    }
-
-    /// Pairs the rows of the `array` arrays by their `id` field and runs
-    /// `check` on each pair. A fresh row with no committed twin is a
-    /// mismatch; a committed row with no fresh twin is one only when
-    /// `all` is set, and otherwise a note.
+    /// Pairs the `fresh` and `committed` rows of `table` by its id and runs
+    /// `check` on each pair; rows without an id are not compared. A fresh
+    /// row with no committed twin is a mismatch; a committed row with no
+    /// fresh twin is one only when the table says every row must pair, and
+    /// otherwise a note.
     fn rows(
         &mut self,
         at: &str,
-        fresh: &Json,
-        committed: &Json,
-        (array, id): (&str, &str),
-        all: bool,
+        (fresh, committed): (&[Json], &[Json]),
+        table: &RowTable,
         mut check: impl FnMut(&mut Self, &str, &Json, &Json),
     ) {
-        let (fresh, committed) = (items(fresh, array), items(committed, array));
-        let label = |row: &Json| {
-            format!(
-                "{at}{}{id} {}",
-                if at.is_empty() { "" } else { " / " },
-                shown(row.get(id))
-            )
-        };
+        let Some(id) = table.id else { return };
+        let sep = if at.is_empty() { "" } else { " / " };
+        let label = |row: &Json| format!("{at}{sep}{id} {}", shown(row.get(id)));
         let twin = |rows: &[Json], row: &Json| rows.iter().position(|r| r.get(id) == row.get(id));
         for f in fresh {
             match twin(committed, f) {
@@ -588,13 +609,11 @@ impl Comparison {
             }
         }
         for c in committed.iter().filter(|c| twin(fresh, c).is_none()) {
-            if all {
-                self.mismatches
-                    .push(format!("{}: in the committed record only", label(c)));
-            } else {
-                self.notes
-                    .push(format!("{}: not run here, skipped", label(c)));
-            }
+            let (list, what) = match table.all {
+                true => (&mut self.mismatches, "in the committed record only"),
+                false => (&mut self.notes, "not run here, skipped"),
+            };
+            list.push(format!("{}: {what}", label(c)));
         }
     }
 }
@@ -647,7 +666,7 @@ mod tests {
 
     fn sample_chaos_doc() -> Json {
         Json::obj([
-            ("schema", Json::Str(CHAOS_SCHEMA.into())),
+            ("schema", Json::Str(CHAOS.tag.into())),
             ("seed", Json::Num(42.0)),
             (
                 "scenarios",
@@ -676,6 +695,7 @@ mod tests {
                     ("checkpoints", Json::Num(24.0)),
                     ("checkpoint_words", Json::Num(2600.0)),
                     ("checkpoint_bytes", Json::Num(21248.0)),
+                    ("checkpoint_bytes_per_event", Json::Num(53.12)),
                     ("bitexact", Json::Bool(true)),
                 ])]),
             ),
@@ -695,7 +715,7 @@ mod tests {
 
     #[test]
     fn chaos_validator_accepts_a_complete_document() {
-        validate_chaos(&sample_chaos_doc()).unwrap();
+        CHAOS.validate(&sample_chaos_doc()).unwrap();
     }
 
     fn sample_serve_class(name: &str, served: f64) -> Json {
@@ -739,7 +759,7 @@ mod tests {
 
     fn sample_serve_doc() -> Json {
         Json::obj([
-            ("schema", Json::Str(SERVE_SCHEMA.into())),
+            ("schema", Json::Str(SERVE.tag.into())),
             ("seed", Json::Num(42.0)),
             ("vertices", Json::Num(65536.0)),
             ("edges", Json::Num(262144.0)),
@@ -789,73 +809,81 @@ mod tests {
 
     #[test]
     fn serve_validator_accepts_a_complete_document() {
-        validate_serve(&sample_serve_doc()).unwrap();
+        SERVE.validate(&sample_serve_doc()).unwrap();
     }
 
     #[test]
     fn serve_validator_rejects_malformed_documents() {
-        let err = validate_serve(&with_serve_field(
-            sample_serve_doc(),
-            "schema",
-            Json::Str("other/v9".into()),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_serve_field(
+                sample_serve_doc(),
+                "schema",
+                Json::Str("other/v9".into()),
+            ))
+            .unwrap_err();
         assert!(err.contains("schema"), "{err}");
 
-        let err = validate_serve(&with_serve_field(
-            sample_serve_doc(),
-            "clients",
-            Json::Num(0.0),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_serve_field(
+                sample_serve_doc(),
+                "clients",
+                Json::Num(0.0),
+            ))
+            .unwrap_err();
         assert!(err.contains("clients must be positive"), "{err}");
 
-        let err = validate_serve(&with_serve_field(
-            sample_serve_doc(),
-            "runs",
-            Json::Arr(vec![]),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_serve_field(
+                sample_serve_doc(),
+                "runs",
+                Json::Arr(vec![]),
+            ))
+            .unwrap_err();
         assert!(err.contains("\"runs\" is empty"), "{err}");
 
-        let err = validate_serve(&with_run_field(
-            sample_serve_doc(),
-            "executors",
-            Json::Num(0.0),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_run_field(
+                sample_serve_doc(),
+                "executors",
+                Json::Num(0.0),
+            ))
+            .unwrap_err();
         assert!(err.contains("executors must be positive"), "{err}");
 
-        let err = validate_serve(&with_run_field(
-            sample_serve_doc(),
-            "verified_samples",
-            Json::Num(0.0),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_run_field(
+                sample_serve_doc(),
+                "verified_samples",
+                Json::Num(0.0),
+            ))
+            .unwrap_err();
         assert!(err.contains("no golden cross-checks ran"), "{err}");
 
-        let err = validate_serve(&with_run_field(
-            sample_serve_doc(),
-            "verify_failures",
-            Json::Num(2.0),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_run_field(
+                sample_serve_doc(),
+                "verify_failures",
+                Json::Num(2.0),
+            ))
+            .unwrap_err();
         assert!(err.contains("diverged from the golden recompute"), "{err}");
 
-        let err = validate_serve(&with_run_field(
-            sample_serve_doc(),
-            "throughput_qps",
-            Json::Num(0.0),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_run_field(
+                sample_serve_doc(),
+                "throughput_qps",
+                Json::Num(0.0),
+            ))
+            .unwrap_err();
         assert!(err.contains("throughput_qps must be positive"), "{err}");
 
-        let err = validate_serve(&with_run_field(
-            sample_serve_doc(),
-            "classes",
-            Json::Arr(vec![]),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_run_field(
+                sample_serve_doc(),
+                "classes",
+                Json::Arr(vec![]),
+            ))
+            .unwrap_err();
         assert!(err.contains("empty"), "{err}");
 
         // A missing run-level counter is named, with the run index.
@@ -871,19 +899,20 @@ mod tests {
                 }
             }
         }
-        let err = validate_serve(&doc).unwrap_err();
+        let err = SERVE.validate(&doc).unwrap_err();
         assert!(
             err.contains("run 1") && err.contains("path_warm_starts"),
             "{err}"
         );
 
         // Served totals must reconcile with queries_total.
-        let err = validate_serve(&with_run_field(
-            sample_serve_doc(),
-            "classes",
-            Json::Arr(vec![sample_serve_class("pagerank", 999.0)]),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_run_field(
+                sample_serve_doc(),
+                "classes",
+                Json::Arr(vec![sample_serve_class("pagerank", 999.0)]),
+            ))
+            .unwrap_err();
         assert!(err.contains("sum to 999"), "{err}");
 
         // Quantiles must be ordered.
@@ -895,12 +924,13 @@ mod tests {
                 }
             }
         }
-        let err = validate_serve(&with_run_field(
-            sample_serve_doc(),
-            "classes",
-            Json::Arr(vec![class]),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_run_field(
+                sample_serve_doc(),
+                "classes",
+                Json::Arr(vec![class]),
+            ))
+            .unwrap_err();
         assert!(err.contains("quantiles out of order"), "{err}");
 
         // A missing latency key is named in the error.
@@ -908,12 +938,13 @@ mod tests {
         if let Json::Obj(pairs) = &mut class {
             pairs.retain(|(k, _)| k != "p999_us");
         }
-        let err = validate_serve(&with_run_field(
-            sample_serve_doc(),
-            "classes",
-            Json::Arr(vec![class]),
-        ))
-        .unwrap_err();
+        let err = SERVE
+            .validate(&with_run_field(
+                sample_serve_doc(),
+                "classes",
+                Json::Arr(vec![class]),
+            ))
+            .unwrap_err();
         assert!(err.contains("p999_us"), "{err}");
     }
 
@@ -935,7 +966,7 @@ mod tests {
                 }
             }
         }
-        let err = validate_chaos(&doc).unwrap_err();
+        let err = CHAOS.validate(&doc).unwrap_err();
         assert!(err.contains("never detected"), "{err}");
 
         let mut doc = sample_chaos_doc();
@@ -954,19 +985,20 @@ mod tests {
                 }
             }
         }
-        let err = validate_chaos(&doc).unwrap_err();
+        let err = CHAOS.validate(&doc).unwrap_err();
         assert!(err.contains("diverged"), "{err}");
 
         let wrong_schema = Json::obj([
             ("schema", Json::Str("other/v9".into())),
             ("seed", Json::Num(1.0)),
         ]);
-        assert!(validate_chaos(&wrong_schema)
+        assert!(CHAOS
+            .validate(&wrong_schema)
             .unwrap_err()
             .contains("schema"));
 
         let missing_summary = Json::obj([
-            ("schema", Json::Str(CHAOS_SCHEMA.into())),
+            ("schema", Json::Str(CHAOS.tag.into())),
             ("seed", Json::Num(1.0)),
             (
                 "scenarios",
@@ -977,7 +1009,8 @@ mod tests {
                 sample_chaos_doc().get("overhead").unwrap().clone(),
             ),
         ]);
-        assert!(validate_chaos(&missing_summary)
+        assert!(CHAOS
+            .validate(&missing_summary)
             .unwrap_err()
             .contains("summary"));
     }
@@ -1002,7 +1035,7 @@ mod tests {
 
     fn sample_outofcore_doc(budget_mb: f64) -> Json {
         Json::obj([
-            ("schema", Json::Str(OUTOFCORE_SCHEMA.into())),
+            ("schema", Json::Str(OUTOFCORE.tag.into())),
             ("seed", Json::Num(42.0)),
             ("edge_factor", Json::Num(8.0)),
             ("budget_mb", Json::Num(budget_mb)),
@@ -1074,8 +1107,8 @@ mod tests {
     fn outofcore_validator_accepts_complete_documents() {
         // No budget, and a budget the resident footprint exceeds while the
         // mapped working state fits.
-        validate_outofcore(&sample_outofcore_doc(0.0)).unwrap();
-        validate_outofcore(&sample_outofcore_doc(64.0)).unwrap();
+        OUTOFCORE.validate(&sample_outofcore_doc(0.0)).unwrap();
+        OUTOFCORE.validate(&sample_outofcore_doc(64.0)).unwrap();
     }
 
     #[test]
@@ -1084,57 +1117,65 @@ mod tests {
             ("schema", Json::Str("other/v9".into())),
             ("seed", Json::Num(1.0)),
         ]);
-        assert!(validate_outofcore(&wrong_schema)
+        assert!(OUTOFCORE
+            .validate(&wrong_schema)
             .unwrap_err()
             .contains("schema"));
 
         // Traffic accounting must balance.
-        let err = validate_outofcore(&with_algo_field(
-            sample_outofcore_doc(0.0),
-            "bytes_moved",
-            Json::Num(80001.0),
-        ))
-        .unwrap_err();
+        let err = OUTOFCORE
+            .validate(&with_algo_field(
+                sample_outofcore_doc(0.0),
+                "bytes_moved",
+                Json::Num(80001.0),
+            ))
+            .unwrap_err();
         assert!(err.contains("rowptr_bytes + edge_bytes"), "{err}");
 
         // bytes_per_edge must be bytes_moved / edges_read.
-        let err = validate_outofcore(&with_algo_field(
-            sample_outofcore_doc(0.0),
-            "bytes_per_edge",
-            Json::Num(11.0),
-        ))
-        .unwrap_err();
+        let err = OUTOFCORE
+            .validate(&with_algo_field(
+                sample_outofcore_doc(0.0),
+                "bytes_per_edge",
+                Json::Num(11.0),
+            ))
+            .unwrap_err();
         assert!(err.contains("bytes_moved / edges_read"), "{err}");
 
         // A turbo divergence must fail the document.
-        let err = validate_outofcore(&with_algo_field(
-            sample_outofcore_doc(0.0),
-            "turbo_ok",
-            Json::Bool(false),
-        ))
-        .unwrap_err();
+        let err = OUTOFCORE
+            .validate(&with_algo_field(
+                sample_outofcore_doc(0.0),
+                "turbo_ok",
+                Json::Bool(false),
+            ))
+            .unwrap_err();
         assert!(err.contains("turbo_ok is false"), "{err}");
 
         // Under a budget, the mapped working state must fit...
-        let err = validate_outofcore(&with_entry_field(
-            sample_outofcore_doc(64.0),
-            "mapped_state_bytes",
-            Json::Num(128.0 * 1024.0 * 1024.0),
-        ))
-        .unwrap_err();
+        let err = OUTOFCORE
+            .validate(&with_entry_field(
+                sample_outofcore_doc(64.0),
+                "mapped_state_bytes",
+                Json::Num(128.0 * 1024.0 * 1024.0),
+            ))
+            .unwrap_err();
         assert!(err.contains("exceeds the 64 MiB budget"), "{err}");
 
         // ...and the budget must actually exclude the resident path.
-        let err = validate_outofcore(&sample_outofcore_doc(1024.0)).unwrap_err();
+        let err = OUTOFCORE
+            .validate(&sample_outofcore_doc(1024.0))
+            .unwrap_err();
         assert!(err.contains("demonstrates nothing"), "{err}");
 
         // An entry that measured no algorithm is a dead entry.
-        let err = validate_outofcore(&with_entry_field(
-            sample_outofcore_doc(0.0),
-            "algos",
-            Json::Arr(vec![]),
-        ))
-        .unwrap_err();
+        let err = OUTOFCORE
+            .validate(&with_entry_field(
+                sample_outofcore_doc(0.0),
+                "algos",
+                Json::Arr(vec![]),
+            ))
+            .unwrap_err();
         assert!(err.contains("\"algos\" is empty"), "{err}");
     }
 
@@ -1173,7 +1214,7 @@ mod tests {
             "log2_vertices 20 / algo \"pagerank-delta\": edges_read is 8001 here \
              but 8000 in the committed record"
         );
-        for key in OUTOFCORE_ALGO_EXACT {
+        for key in exact_keys(table_at(&OUTOFCORE.table, &["entries", "algos"])) {
             let moved = with_algo_field(record.clone(), key, Json::Num(0.25));
             let err = compare_against(&moved, &record).unwrap_err();
             assert!(err.contains(&format!(": {key} is 0.25 here")), "{err}");
@@ -1218,7 +1259,7 @@ mod tests {
         // record lacks is a mismatch.
         let notes = compare_against(
             &Json::obj([
-                ("schema", Json::Str(OUTOFCORE_SCHEMA.into())),
+                ("schema", Json::Str(OUTOFCORE.tag.into())),
                 ("seed", Json::Num(42.0)),
                 ("edge_factor", Json::Num(8.0)),
                 ("entries", Json::Arr(vec![])),
@@ -1250,5 +1291,142 @@ mod tests {
         let chaos = sample_chaos_doc();
         let err = compare_against(&chaos, &chaos).unwrap_err();
         assert!(err.contains("no run-invariant fields"), "{err}");
+    }
+
+    /// The keys `table` holds exactly under `--against`.
+    fn exact_keys(table: &Table) -> Vec<&'static str> {
+        let exact = table.keys().filter(|(_, _, role)| *role == Exact);
+        exact.map(|(key, _, _)| key).collect()
+    }
+
+    /// The table `path` leads to from `table`.
+    fn table_at(table: &'static Table, path: &[&str]) -> &'static Table {
+        path.iter()
+            .fold(table, |t, step| match t.keys().find(|k| k.0 == *step) {
+                Some((_, Obj(t), _)) => t,
+                Some((_, Rows(r), _)) => &r.table,
+                _ => panic!("{step} holds no table"),
+            })
+    }
+
+    /// Every object `table` describes, nested ones included: the keys that
+    /// lead to it from the document (a row table's first row), the prefix
+    /// its errors carry, and its table.
+    type Level = (Vec<&'static str>, String, &'static Table);
+    fn levels(
+        table: &'static Table,
+        path: Vec<&'static str>,
+        prefix: String,
+        out: &mut Vec<Level>,
+    ) {
+        for (key, kind, _) in table.keys() {
+            let below = [path.clone(), vec![key]].concat();
+            match kind {
+                Obj(t) => levels(t, below, format!("{prefix}{key}: "), out),
+                Rows(r) => levels(&r.table, below, format!("{prefix}{} 0: ", r.label), out),
+                _ => {}
+            }
+        }
+        out.push((path, prefix, table));
+    }
+
+    /// The object `path` leads to (through the first row of an array).
+    fn object_at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Vec<(String, Json)> {
+        let mut at = doc;
+        for key in path {
+            let Json::Obj(pairs) = at else {
+                panic!("{path:?} crosses a non-object")
+            };
+            at = match &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1 {
+                Json::Arr(rows) => &mut rows[0],
+                value => value,
+            };
+        }
+        match at {
+            Json::Obj(pairs) => pairs,
+            _ => panic!("no object at {path:?}"),
+        }
+    }
+
+    #[test]
+    fn committed_records_hold_to_their_tables() {
+        let records = [
+            (&CHAOS, include_str!("../../../BENCH_chaos.json")),
+            (&SERVE, include_str!("../../../BENCH_serve.json")),
+            (&OUTOFCORE, include_str!("../../../BENCH_outofcore.json")),
+        ];
+        for (schema, text) in records {
+            let record = parse(text).unwrap();
+            schema.validate(&record).unwrap();
+            let against = compare_against(&record, &record);
+            assert_eq!(
+                against.is_ok(),
+                schema.compares(),
+                "{}: {against:?}",
+                schema.tag
+            );
+            let mut all = Vec::new();
+            levels(&schema.table, Vec::new(), String::new(), &mut all);
+            for (path, prefix, table) in all {
+                let what = format!("{} at {path:?}", schema.tag);
+                for (key, _, role) in table.keys() {
+                    // Removing a listed key fails, naming it.
+                    let mut doc = record.clone();
+                    object_at(&mut doc, &path).retain(|(k, _)| k != key);
+                    let err = schema.validate(&doc).unwrap_err();
+                    assert!(
+                        err.starts_with(&prefix) && err.contains(key),
+                        "{what}: {err}"
+                    );
+                    if role != Exact {
+                        continue;
+                    }
+                    // Moving an exact key is a mismatch under --against.
+                    let mut fresh = record.clone();
+                    let pair = object_at(&mut fresh, &path)
+                        .iter_mut()
+                        .find(|(k, _)| k == key);
+                    let value = &mut pair.unwrap().1;
+                    *value = Json::Num(value.as_f64().unwrap() + 1.0);
+                    let moved = format!(": {key} is {} here", value.render());
+                    let err = compare_against(&fresh, &record).unwrap_err();
+                    assert!(err.contains(&moved), "{what}: {err}");
+                }
+                // A key the table does not list is refused, with its row.
+                let mut doc = record.clone();
+                object_at(&mut doc, &path).push(("unlisted".into(), Json::Num(0.0)));
+                let err = schema.validate(&doc).unwrap_err();
+                assert_eq!(err, format!("{prefix}unlisted key \"unlisted\""), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn chaos_totals_and_per_event_bytes_are_held_to_what_they_sum() {
+        let set = |doc: &mut Json, path: &[&str], key: &str, value: f64| {
+            let pair = object_at(doc, path).iter_mut().find(|(k, _)| k == key);
+            pair.unwrap().1 = Json::Num(value);
+        };
+        for (key, sum) in [
+            ("detections", "detected"),
+            ("wasted_events_total", "wasted_events"),
+            ("checkpoint_bytes_total", "checkpoint_bytes"),
+        ] {
+            let mut doc = sample_chaos_doc();
+            set(&mut doc, &["summary"], key, 99.0);
+            let err = CHAOS.validate(&doc).unwrap_err();
+            assert!(
+                err.starts_with(&format!("summary.{key} is 99 but the scenarios' {sum}")),
+                "{err}"
+            );
+        }
+        let mut doc = sample_chaos_doc();
+        set(&mut doc, &["overhead"], "checkpoint_bytes_per_event", 53.2);
+        let err = CHAOS.validate(&doc).unwrap_err();
+        assert_eq!(
+            err,
+            "overhead 0: checkpoint_bytes_per_event is 53.2 but \
+             checkpoint_bytes / events_processed is 53.12"
+        );
     }
 }

@@ -43,6 +43,7 @@ pub mod json;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use gp_algorithms::DeltaAlgorithm;
 use gp_algorithms::{normalize_inbound, with_algorithm, AdsorptionParams, App, AppInputs};
 use gp_baselines::graphicionado::{self, GraphicionadoConfig};
 use gp_baselines::ligra::{apps as ligra_apps, LigraConfig, LigraOutput};
@@ -417,14 +418,15 @@ pub struct Grid {
     pub cells: Vec<Cell>,
 }
 
-/// Panics unless `values` agree with the software framework's result.
-fn cross_check(app: App, workload: Workload, engine: &str, values: &[f64], software: &[f64]) {
-    let diff = gp_algorithms::max_abs_diff(values, software);
+/// Panics unless `values` agree with the software framework's result `sw`
+/// within `tol`, the app's `comparison_tolerance` (the oracle's rule).
+fn cross_check(app: App, wl: Workload, tol: f64, engine: &str, values: &[f64], sw: &[f64]) {
+    let diff = gp_algorithms::max_abs_diff(values, sw);
     assert!(
-        diff < 1e-2,
-        "{engine} diverged from the software result on {}/{}: max |diff| {diff}",
+        diff <= tol,
+        "{engine} diverged from the software result on {}/{}: max |diff| {diff} > {tol}",
         app.label(),
-        workload.abbrev()
+        wl.abbrev()
     );
 }
 
@@ -450,9 +452,10 @@ pub fn evaluate(cfg: &HarnessConfig) -> Grid {
             let opt = cfg.run_accelerator(app, &prepared, &gp_config(workload, graph, true));
             let base = cfg.run_accelerator(app, &prepared, &gp_config(workload, graph, false));
             let mut hw = run_graphicionado(app, &prepared, &GraphicionadoConfig::default());
-            cross_check(app, workload, "GP+opt", &opt.values, &sw.values);
-            cross_check(app, workload, "GP-base", &base.values, &sw.values);
-            cross_check(app, workload, "Graphicionado", &hw.values, &sw.values);
+            let tol = with_algorithm!(app, &prepared.inputs(), |algo| algo.comparison_tolerance());
+            cross_check(app, workload, tol, "GP+opt", &opt.values, &sw.values);
+            cross_check(app, workload, tol, "GP-base", &base.values, &sw.values);
+            cross_check(app, workload, tol, "Graphicionado", &hw.values, &sw.values);
             hw.values = Vec::new();
             cells.push(Cell {
                 app,
@@ -725,6 +728,7 @@ mod tests {
         cross_check(
             App::Bfs,
             Workload::WebGoogle,
+            0.0,
             "GP+opt",
             &software,
             &software,
@@ -732,6 +736,7 @@ mod tests {
         cross_check(
             App::Bfs,
             Workload::WebGoogle,
+            0.0,
             "GP-base",
             &[0.0, 2.0],
             &software,

@@ -277,7 +277,7 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("gp-bench-cli-{}-{name}", std::process::id()))
 }
 
-/// A hand-written document that satisfies every `validate_serve` rule;
+/// A hand-written document that satisfies every rule of `json::SERVE`;
 /// the malformed variants below each break exactly one of them.
 const VALID_SERVE_DOC: &str = r#"{"schema":"gp-bench/serve/v3","seed":1,"vertices":64,
 "edges":256,"tenants":1,"clients":1,

@@ -215,6 +215,22 @@ if grep -rnE 'roll < a \+ b|wrapping_mul\(0x9E37_79B9_7F4A_7C15\) %' crates src 
   echo "second R-MAT quadrant walk reintroduced: call gp_graph::generators::{rmat_step, rmat_scramble}"; exit 1
 fi
 
+echo "== one description per bench record (gp_bench::json::SCHEMAS) =="
+# A bench record's shape is its Schema table in crates/bench/src/json.rs:
+# validation, --against's exact fields and row pairing, and bench_check's
+# tag lookup all walk it. A per-schema validator, a hand-kept exact-field
+# list or a schema tag spelled outside the table would be a second copy of
+# the record to keep in step with the first. Lines from the first
+# #[cfg(test)] of a file on are test code and may spell tags.
+if grep -rnE --include='*.rs' 'fn validate_(serve|chaos|outofcore)|_EXACT: \[|"gp-bench/' crates/bench/src \
+    | grep -vE '^crates/bench/src/json\.rs:[0-9]+:pub static [A-Z]+: Schema = Schema \{ tag: "gp-bench/' \
+    | while IFS=: read -r file line _; do
+        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
+        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
+      done | grep .; then
+  echo "second description of a bench record: extend its table in gp_bench::json (SCHEMAS)"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
