@@ -14,11 +14,11 @@ use gp_graph::generators::{erdos_renyi, WeightMode};
 use gp_graph::{CsrGraph, VertexId};
 use gp_mem::integrity::{mix64, Storable};
 use gp_turbo::StaleFault;
-use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelChaos, ParallelConfig};
+use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelConfig};
 
 use crate::engine::{run_chaos, ChaosConfig, ChaosOutcome};
 use crate::guard::{run_parallel_guarded, run_turbo_guarded, GuardedOutcome};
-use crate::plan::{FaultKind, FaultPlan};
+use crate::plan::{stall_past, FaultKind, FaultPlan};
 
 /// One campaign scenario's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -337,12 +337,7 @@ where
     let clean_parallel = gp
         .run_parallel(graph, algo)
         .expect("clean parallel run must succeed");
-    let budget = clean_parallel.epochs + 8;
-    let chaos = ParallelChaos {
-        stall: Some((0, budget + 32)),
-        epoch_budget: Some(budget),
-    };
-    let out = run_parallel_guarded(&gp, algo, graph, chaos, 1, 3)
+    let out = run_parallel_guarded(&gp, algo, graph, stall_past(clean_parallel.epochs), 1, 3)
         .unwrap_or_else(|e| panic!("parallel scenario failed to run: {e}"));
     report.records.push(CampaignRecord::from_guarded(
         CampaignRecord::blank(FaultKind::ShardStall, name, false, "parallel"),
@@ -431,15 +426,11 @@ where
     // Persistent shard stall: every retry trips the watchdog, the guard
     // degrades to the golden engine.
     let gp = campaign_machine();
-    let clean_parallel = gp
+    let clean_epochs = gp
         .run_parallel(graph, algo)
-        .expect("clean parallel run must succeed");
-    let budget = clean_parallel.epochs + 8;
-    let chaos = ParallelChaos {
-        stall: Some((0, budget + 32)),
-        epoch_budget: Some(budget),
-    };
-    let out = run_parallel_guarded(&gp, algo, graph, chaos, u32::MAX, 2)
+        .expect("clean parallel run must succeed")
+        .epochs;
+    let out = run_parallel_guarded(&gp, algo, graph, stall_past(clean_epochs), u32::MAX, 2)
         .expect("guarded parallel must not hit config errors");
     report.records.push(CampaignRecord::from_guarded(
         CampaignRecord::blank(FaultKind::ShardStall, name, true, "parallel"),

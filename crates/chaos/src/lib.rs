@@ -43,4 +43,4 @@ pub mod plan;
 pub use campaign::{run_campaign, CampaignRecord, CampaignReport, OverheadRecord};
 pub use engine::{run_chaos, ChaosConfig, ChaosOutcome, Detection, Detector};
 pub use guard::{run_parallel_guarded, run_turbo_guarded, GuardedOutcome};
-pub use plan::{FaultKind, FaultPlan};
+pub use plan::{stall_past, FaultKind, FaultPlan};

@@ -1,6 +1,7 @@
 //! The fault taxonomy and deterministic fault plans.
 
 use gp_mem::integrity::mix64;
+use graphpulse_core::ParallelChaos;
 
 /// Every injectable fault kind, spanning the execution stack.
 ///
@@ -143,6 +144,19 @@ impl FaultPlan {
     #[must_use]
     pub fn flip_epoch(&self) -> u64 {
         mix64(self.seed ^ 0xF11F) % 4
+    }
+}
+
+/// The shard-stall scenario for a run that converges cleanly in
+/// `clean_epochs` barriers: a watchdog budget of 8 barriers beyond that,
+/// and shard 0's egress held for 32 barriers beyond the budget, so a stall
+/// that is never retried away always trips the watchdog.
+#[must_use]
+pub fn stall_past(clean_epochs: u64) -> ParallelChaos {
+    let budget = clean_epochs + 8;
+    ParallelChaos {
+        stall: Some((0, budget + 32)),
+        epoch_budget: Some(budget),
     }
 }
 

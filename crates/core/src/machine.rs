@@ -261,7 +261,9 @@ pub(crate) struct Machine<'a, A: DeltaAlgorithm, G: GraphView> {
     /// cross-shard events coalesce at the sender exactly as the queue
     /// would coalesce them at the receiver (the merge is commutative, so
     /// the receiver's state is unchanged while the exchange volume drops
-    /// from O(events) to O(touched vertices) per epoch).
+    /// from O(events) to O(touched vertices) per epoch). Each merge counts
+    /// as coalesced, as a bin's does; it is not a queue write, so
+    /// `activity.coalesce_ops` leaves it out.
     outbox_index: Vec<HashMap<u32, usize>>,
     out_seq: u64,
 
@@ -1357,6 +1359,8 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
             outbox,
             outbox_index,
             out_seq,
+            events_coalesced,
+            current_round,
             ..
         } = self;
         xbar.tick(cycle, |flit| match flit.route {
@@ -1376,6 +1380,8 @@ impl<'a, A: DeltaAlgorithm, G: GraphView> Machine<'a, A, G> {
                             let existing = &mut outbox[slice][*at.get()].event;
                             existing.delta = algo.coalesce(existing.delta, flit.event.delta);
                             existing.meta = existing.meta.merge(flit.event.meta);
+                            *events_coalesced += 1;
+                            current_round.coalesced_away += 1;
                         }
                         std::collections::hash_map::Entry::Vacant(at) => {
                             at.insert(outbox[slice].len());

@@ -72,7 +72,8 @@ pub struct RoundMetrics {
     pub round: u64,
     /// Events generated during the round, before coalescing.
     pub produced: u64,
-    /// Events merged into an existing queue slot during the round.
+    /// Events merged into an existing queue slot, or in shard mode into a
+    /// pending outbox entry, during the round.
     pub coalesced_away: u64,
     /// Events drained from the queue (issued to processors).
     pub drained: u64,
@@ -142,7 +143,8 @@ pub struct ExecutionReport {
     pub events_processed: u64,
     /// Events generated, before coalescing.
     pub events_generated: u64,
-    /// Events eliminated by in-queue coalescing.
+    /// Events eliminated by coalescing (in the queue, or in a shard's
+    /// outbox).
     pub events_coalesced: u64,
     /// Events spilled off-chip to other slices.
     pub events_spilled: u64,
@@ -205,7 +207,8 @@ impl ExecutionReport {
     }
 
     /// Fraction of generated events that were eliminated by coalescing
-    /// (the paper reports >90% for PageRank on LiveJournal).
+    /// (the paper reports >90% for PageRank on LiveJournal): in the queue,
+    /// and in a shard's outbox on a merged shard-parallel report.
     pub fn coalesce_rate(&self) -> f64 {
         if self.events_generated == 0 {
             0.0
@@ -214,28 +217,22 @@ impl ExecutionReport {
         }
     }
 
-    /// Event-conservation debug check: [`EventCounts::check_within`] of
-    /// the run's counters, with every spilled event allowed in flight
-    /// unless `strict`.
-    ///
-    /// For a single machine (sequential and sliced runs) the accounting is
-    /// exact — spilled events re-enter the queue on a later slice pass and
-    /// are eventually processed or coalesced, so pass `strict = true` and
-    /// require `generated == processed + coalesced`. A merged shard-parallel
-    /// report coalesces cross-shard events inside per-shard outboxes without
-    /// incrementing `events_coalesced`, so there pass `strict = false`,
-    /// which only requires the deficit to stay within `events_spilled`.
+    /// Event-conservation check: [`EventCounts::check`] of the run's
+    /// counters, `generated == processed + coalesced` exactly. It holds for
+    /// every run — sequential, sliced (spilled events re-enter the queue on
+    /// a later slice pass) and merged shard-parallel (a cross-shard event
+    /// merged into a pending outbox entry counts as coalesced).
     ///
     /// # Errors
     ///
     /// Returns a description of the violated balance equation.
-    pub fn check_event_conservation(&self, strict: bool) -> Result<(), String> {
-        let counts = EventCounts {
+    pub fn check_event_conservation(&self) -> Result<(), String> {
+        EventCounts {
             generated: self.events_generated,
             coalesced: self.events_coalesced,
             processed: self.events_processed,
-        };
-        counts.check_within(if strict { 0 } else { self.events_spilled })
+        }
+        .check()
     }
 
     /// Aggregate lookahead distribution over all rounds.
@@ -252,12 +249,7 @@ impl ExecutionReport {
 mod tests {
     use super::*;
 
-    fn report_with(
-        generated: u64,
-        processed: u64,
-        coalesced: u64,
-        spilled: u64,
-    ) -> ExecutionReport {
+    fn report_with(generated: u64, processed: u64, coalesced: u64) -> ExecutionReport {
         ExecutionReport {
             cycles: 0,
             seconds: 0.0,
@@ -267,7 +259,7 @@ mod tests {
             events_processed: processed,
             events_generated: generated,
             events_coalesced: coalesced,
-            events_spilled: spilled,
+            events_spilled: 0,
             rounds_log: Vec::new(),
             stages: StageAverages::default(),
             proc_timeline: StateTimeline::new(&PROC_STATES),
@@ -287,23 +279,14 @@ mod tests {
 
     #[test]
     fn conservation_accepts_balanced_counters() {
-        report_with(10, 6, 4, 0)
-            .check_event_conservation(true)
-            .unwrap();
-        report_with(10, 6, 4, 0)
-            .check_event_conservation(false)
-            .unwrap();
-        // Bounded mode tolerates a deficit covered by spills.
-        report_with(10, 5, 3, 2)
-            .check_event_conservation(false)
-            .unwrap();
+        report_with(10, 6, 4).check_event_conservation().unwrap();
     }
 
     #[test]
     fn strict_conservation_fires_on_a_deficit() {
         // A dropped event: generated but neither processed nor coalesced.
-        let err = report_with(10, 5, 4, 0)
-            .check_event_conservation(true)
+        let err = report_with(10, 5, 4)
+            .check_event_conservation()
             .unwrap_err();
         assert!(err.contains("event conservation violated"), "{err}");
         assert!(err.contains("deficit 1"), "{err}");
@@ -313,25 +296,12 @@ mod tests {
     #[test]
     fn conservation_fires_on_surplus_in_both_modes() {
         // A duplicated event: absorbed without ever being generated.
-        for strict in [true, false] {
-            let err = report_with(10, 7, 4, 0)
-                .check_event_conservation(strict)
-                .unwrap_err();
-            assert!(err.contains("absorbed more events than generated"), "{err}");
-            assert!(
-                err.contains("processed 7 + coalesced 4 > generated 10"),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_conservation_fires_when_deficit_exceeds_spills() {
-        let err = report_with(10, 4, 3, 2)
-            .check_event_conservation(false)
+        let err = report_with(10, 7, 4)
+            .check_event_conservation()
             .unwrap_err();
+        assert!(err.contains("absorbed more events than generated"), "{err}");
         assert!(
-            err.contains("event deficit 3 exceeds spilled count 2"),
+            err.contains("processed 7 + coalesced 4 > generated 10"),
             "{err}"
         );
     }

@@ -1,13 +1,13 @@
 //! Tests of the shard-parallel execution engine: bit-determinism across
-//! worker counts (the engine's core guarantee) and differential
-//! equivalence against the golden reference solvers on seeded random
-//! graphs.
+//! worker counts (the engine's core guarantee), differential equivalence
+//! against the golden reference solvers on seeded random graphs, and the
+//! exact event ledger of a merged report.
 
 use gp_algorithms::{max_abs_diff, reference, Bfs, ConnectedComponents, PageRankDelta, Sssp};
 use gp_graph::generators::{erdos_renyi, rmat, RmatConfig, WeightMode};
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, VertexId};
-use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelOutcome, QueueConfig};
+use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelChaos, ParallelOutcome, QueueConfig};
 
 /// A small machine whose queue holds 64 vertices per slice, so even tiny
 /// graphs split into several shards.
@@ -208,4 +208,56 @@ fn oversubscribed_forced_shards_are_rejected() {
         .run_parallel(&g, &PageRankDelta::new(0.85, 1e-7))
         .unwrap_err();
     assert!(matches!(err, graphpulse_core::RunError::InvalidConfig(_)));
+}
+
+/// Asserts the exact ledger of one merged report, naming the run.
+fn assert_ledger(what: &str, out: &ParallelOutcome) {
+    let r = &out.report;
+    assert!(r.events_spilled > 0, "{what}: no cross-shard event");
+    assert_eq!(
+        r.events_generated,
+        r.events_processed + r.events_coalesced,
+        "{what}: generated != processed + coalesced"
+    );
+    r.check_event_conservation()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+}
+
+#[test]
+fn a_merged_report_accounts_for_every_event() {
+    let g = erdos_renyi(240, 1_440, WeightMode::Uniform(1.0, 9.0), 0x39);
+    let config = |shards, workers| {
+        let mut cfg = AcceleratorConfig::small_test();
+        cfg.parallel.shards = shards;
+        cfg.parallel.workers = workers;
+        GraphPulse::new(cfg)
+    };
+    let prd = PageRankDelta::new(0.85, 1e-7);
+    let sssp = Sssp::new(VertexId::new(0));
+    let cc = ConnectedComponents::new();
+    for shards in [2, 3] {
+        for workers in [1, 4] {
+            let gp = config(shards, workers);
+            let what = |algo| format!("{algo} at {shards} shards, {workers} workers");
+            assert_ledger(&what("prd"), &gp.run_parallel(&g, &prd).expect("run"));
+            assert_ledger(&what("sssp"), &gp.run_parallel(&g, &sssp).expect("run"));
+            assert_ledger(&what("cc"), &gp.run_parallel(&g, &cc).expect("run"));
+        }
+    }
+
+    // Shard 0's egress held for four barriers, released well inside the
+    // watchdog's budget: the held events are delivered late, not lost.
+    let gp = config(3, 2);
+    let clean = gp.run_parallel(&g, &prd).expect("clean run");
+    let stalled = gp
+        .run_parallel_chaos(
+            &g,
+            &prd,
+            ParallelChaos {
+                stall: Some((0, 4)),
+                epoch_budget: Some(clean.epochs + 16),
+            },
+        )
+        .expect("a stall shorter than the budget recovers");
+    assert_ledger("prd stalled for 4 barriers", &stalled);
 }

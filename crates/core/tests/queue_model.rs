@@ -133,7 +133,7 @@ fn event_conservation_check_passes_strict_on_single_machines() {
         let algo = Sssp::new(VertexId::new(0));
         let out = machine(queue).run(&g, &algo).expect("run");
         out.report
-            .check_event_conservation(true)
+            .check_event_conservation()
             .expect("sequential/sliced runs balance exactly");
     }
 }

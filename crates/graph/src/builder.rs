@@ -153,17 +153,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Bulk-adds unweighted edges (weight `1.0`).
-    pub fn extend_unweighted<I>(&mut self, edges: I) -> &mut Self
-    where
-        I: IntoIterator<Item = (VertexId, VertexId)>,
-    {
-        for (s, d) in edges {
-            self.add_edge(s, d, 1.0);
-        }
-        self
-    }
-
     /// Whether to remove parallel edges (default `true`).
     pub fn dedup(&mut self, yes: bool) -> &mut Self {
         self.dedup = yes;
@@ -186,11 +175,6 @@ impl GraphBuilder {
     pub fn weighted(&mut self, yes: bool) -> &mut Self {
         self.weighted = yes;
         self
-    }
-
-    /// Number of edges currently accumulated (before dedup/symmetrize).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Sorts, optionally deduplicates and symmetrizes, and assembles the CSR.
@@ -297,15 +281,5 @@ mod tests {
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
         g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn extend_unweighted_defaults_weight_one() {
-        let mut b = GraphBuilder::new(3);
-        b.extend_unweighted([(VertexId::new(0), VertexId::new(1))]);
-        let g = b.build();
-        let e: Vec<_> = g.out_edges(VertexId::new(0)).collect();
-        assert_eq!(e[0].weight, 1.0);
-        assert!(!g.is_weighted());
     }
 }

@@ -212,15 +212,6 @@ impl CsrGraph {
         (&self.in_offsets, &self.in_neighbors, &self.in_weights)
     }
 
-    /// Sum of out-degrees over `lo..hi` — edge work in a vertex range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn edges_in_range(&self, lo: VertexId, hi: VertexId) -> usize {
-        (self.out_offsets[hi.index()] - self.out_offsets[lo.index()]) as usize
-    }
-
     /// Validates structural invariants; exercised by tests and `proptest`.
     ///
     /// Checks: offsets are monotone and bounded, in/out edge counts agree,
@@ -605,14 +596,6 @@ mod tests {
         let edges: Vec<_> = it.collect();
         assert_eq!(edges[0].other, VertexId::new(1));
         assert_eq!(edges[0].weight, 1.0);
-    }
-
-    #[test]
-    fn edges_in_range_counts_row_sums() {
-        let g = diamond();
-        assert_eq!(g.edges_in_range(VertexId::new(0), VertexId::new(2)), 3);
-        assert_eq!(g.edges_in_range(VertexId::new(0), VertexId::new(4)), 4);
-        assert_eq!(g.edges_in_range(VertexId::new(3), VertexId::new(4)), 0);
     }
 
     #[test]

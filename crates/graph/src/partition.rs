@@ -141,21 +141,6 @@ impl Partition {
             Err(_) => panic!("{v} outside every slice"),
         }
     }
-
-    /// Number of edges crossing slice boundaries (inter-slice event traffic).
-    pub fn cut_edges<G: GraphView + ?Sized>(&self, graph: &G) -> usize {
-        let mut cut = 0;
-        for slice in &self.slices {
-            for v in slice.start.get()..slice.end.get() {
-                let v = VertexId::new(v);
-                cut += graph
-                    .out_edges(v)
-                    .filter(|e| !slice.contains(e.other))
-                    .count();
-            }
-        }
-        cut
-    }
 }
 
 #[cfg(test)]
@@ -205,16 +190,6 @@ mod tests {
         let p = Partition::whole(&g);
         assert_eq!(p.len(), 1);
         assert_eq!(p.slices()[0].len(), g.num_vertices());
-        assert_eq!(p.cut_edges(&g), 0);
-    }
-
-    #[test]
-    fn cut_edges_bounded_by_total() {
-        let g = graph();
-        let p = Partition::contiguous(&g, 25);
-        let cut = p.cut_edges(&g);
-        assert!(cut > 0, "random graph should cut something");
-        assert!(cut <= g.num_edges());
     }
 
     #[test]

@@ -18,11 +18,6 @@ impl CacheConfig {
         // 32 KiB: 128 sets × 4 ways × 64 B.
         CacheConfig { sets: 128, ways: 4 }
     }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * LINE_BYTES
-    }
 }
 
 /// A tag no line can have: tags are line numbers (`addr / 64`), so the
@@ -156,16 +151,6 @@ impl Cache {
         self.misses
     }
 
-    /// Hit rate over all probes.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// The geometry.
     pub fn config(&self) -> CacheConfig {
         self.config
@@ -245,7 +230,6 @@ mod tests {
         assert!(!c.probe(0x1040));
         assert_eq!(c.hits(), 2);
         assert_eq!(c.misses(), 1);
-        assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl MemRequest {
         self.useful_bytes
     }
 
-    /// Whether this is a write.
-    pub fn is_write(&self) -> bool {
-        self.write
-    }
-
     /// Traffic class tag.
     pub fn class(&self) -> TrafficClass {
         self.class
@@ -161,10 +156,8 @@ mod tests {
 
     #[test]
     fn constructors_set_direction() {
-        let r = MemRequest::read(0x100, 64, TrafficClass::VertexRead);
-        assert!(!r.is_write());
         let w = MemRequest::write(0x100, 8, TrafficClass::VertexWrite);
-        assert!(w.is_write());
+        assert_ne!(w, MemRequest::read(0x100, 8, TrafficClass::VertexWrite));
         assert_eq!(w.bytes(), 8);
         assert_eq!(w.useful_bytes(), 8);
     }

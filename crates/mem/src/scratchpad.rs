@@ -85,11 +85,6 @@ impl Scratchpad {
         self.entries.is_empty()
     }
 
-    /// Whether an insert of a new key would be rejected.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
     /// High-water mark of occupancy (for sizing reports).
     pub fn peak(&self) -> usize {
         self.peak
@@ -111,7 +106,7 @@ mod tests {
         assert!(pad.insert(4));
         assert!(pad.insert(4));
         assert_eq!(pad.len(), 1);
-        assert!(pad.is_full());
+        assert!(!pad.insert(5), "a new key is refused when full");
     }
 
     #[test]

@@ -45,18 +45,6 @@ impl Cycle {
     pub const fn next(self) -> Self {
         Cycle(self.0 + 1)
     }
-
-    /// Saturating conversion of this cycle count to seconds at `freq_hz`.
-    ///
-    /// ```
-    /// use gp_sim::Cycle;
-    /// let t = Cycle::new(2_000_000_000);
-    /// assert!((t.as_seconds(1.0e9) - 2.0).abs() < 1e-12);
-    /// ```
-    #[inline]
-    pub fn as_seconds(self, freq_hz: f64) -> f64 {
-        self.0 as f64 / freq_hz
-    }
 }
 
 impl fmt::Display for Cycle {
@@ -126,10 +114,5 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert_eq!(Cycle::new(3).to_string(), "cycle 3");
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        assert!((Cycle::new(1_000).as_seconds(1.0e9) - 1.0e-6).abs() < 1e-18);
     }
 }

@@ -21,23 +21,23 @@
 //! permutation; for connected components, the partition does), edge-order
 //! permutation (builder canonicalization makes the CSR identical), and
 //! slice-count invariance (an undersized queue forcing `>= 2` slices must
-//! not change the fixed point). Micro-invariants: strict event
-//! conservation on single machines, bounded conservation on merged
-//! parallel reports.
+//! not change the fixed point). Micro-invariant: exact event conservation
+//! (`generated == processed + coalesced`) on every accelerator report —
+//! single machine, sliced, and merged shard-parallel alike.
 
 use gp_algorithms::engine::{run_sequential, EngineOutput};
 use gp_algorithms::{
     max_abs_diff, same_bits, same_run, with_algorithm, AdsorptionParams, App, AppInputs,
     DeltaAlgorithm, IncrementalAlgorithm,
 };
-use gp_chaos::{run_chaos, ChaosConfig, FaultPlan};
+use gp_chaos::{run_chaos, stall_past, ChaosConfig, FaultPlan};
 use gp_graph::container::write_container;
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, GraphBuilder, MappedCsr, VertexId};
 use gp_mem::integrity::Storable;
 use gp_stream::{IncrementalEngine, StreamConfig};
 use gp_turbo::{run_turbo, StaleFault, TurboConfig};
-use graphpulse_core::{AcceleratorConfig, GraphPulse, ParallelChaos, RunError};
+use graphpulse_core::{AcceleratorConfig, GraphPulse, RunError};
 
 use crate::case::TestCase;
 
@@ -248,10 +248,10 @@ where
         .map_err(|e| fail("accelerator-determinism", e))?;
     first
         .report
-        .check_event_conservation(true)
+        .check_event_conservation()
         .map_err(|e| fail("event-conservation", format!("accelerator: {e}")))?;
 
-    // Shard-parallel at 1/2/4 workers: within tolerance of golden, bounded
+    // Shard-parallel at 1/2/4 workers: within tolerance of golden, exact
     // conservation, and the same run as each other.
     let parallel_cfg = parallel_config(case, g);
     let mut outcomes = Vec::new();
@@ -278,7 +278,7 @@ where
             tol,
         )?;
         out.report
-            .check_event_conservation(false)
+            .check_event_conservation()
             .map_err(|e| fail("event-conservation", format!("parallel merge: {e}")))?;
         outcomes.push((workers, out));
     }
@@ -317,7 +317,7 @@ where
             tol,
         )?;
         out.report
-            .check_event_conservation(true)
+            .check_event_conservation()
             .map_err(|e| fail("event-conservation", format!("sliced run: {e}")))?;
     }
     Ok(())
@@ -468,12 +468,7 @@ where
                 .run_parallel(g, algo)
                 .map_err(|e| fail("parallel-run", format!("clean run for stall leg: {e}")))?
                 .epochs;
-            let budget = clean_epochs + 8;
-            let chaos = ParallelChaos {
-                stall: Some((0, budget + 32)),
-                epoch_budget: Some(budget),
-            };
-            match gp.run_parallel_chaos(g, algo, chaos) {
+            match gp.run_parallel_chaos(g, algo, stall_past(clean_epochs)) {
                 Err(RunError::EpochBudget(b)) => Err(fail(
                     "chaos-detection",
                     format!(

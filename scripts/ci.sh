@@ -144,22 +144,31 @@ fi
 
 echo "== one conservation identity (gp_algorithms::engine::EventCounts) =="
 # Every generated event is coalesced or processed: turbo, the chaos
-# executor and the cycle model test that through EventCounts::check_within,
-# the one place the identity and its messages live. A second copy of it,
-# the zeroed report once faked to reach it, chaos's own counter struct and
-# the trait hooks no engine read (progress, global_threshold,
-# needs_weights) may not come back. Lines from the first #[cfg(test)] of a
-# file on are test code and may quote the messages.
+# executor and the cycle model test that through EventCounts::check, the
+# one place the identity and its messages live. It holds exactly for every
+# engine, a merged shard-parallel report included (its outbox merges count
+# as coalesced), so no in-flight allowance or strict/bounded switch may
+# come back. Nor may a second copy of the identity, the zeroed report once
+# faked to reach it, chaos's own counter struct or the trait hooks no
+# engine read (progress, global_threshold, needs_weights). Lines from the
+# first #[cfg(test)] of a file on are test code and may quote the messages.
 identity_lines=$(grep -rn --include='*.rs' 'absorbed more events than generated' crates/*/src \
     | while IFS=: read -r file line _; do
         first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
         if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
       done | wc -l || true)
 if [ "$identity_lines" -ne 1 ]; then
-  echo "the conservation identity is written $identity_lines times under crates/*/src: check through EventCounts::check_within"; exit 1
+  echo "the conservation identity is written $identity_lines times under crates/*/src: check through EventCounts::check"; exit 1
 fi
 if grep -rnE 'from_event_counters|struct Totals|global_threshold|progress_accum|fn progress\(|fn needs_weights' crates/*/src; then
-  echo "deleted conservation twin or unread trait hook reintroduced: count in EventCounts, check with check_within"; exit 1
+  echo "deleted conservation twin or unread trait hook reintroduced: count in EventCounts, check with EventCounts::check"; exit 1
+fi
+if grep -rnE --include='*.rs' 'check_within|check_event_conservation\((true|false)\)' crates/*/src \
+    | while IFS=: read -r file line _; do
+        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
+        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
+      done | grep .; then
+  echo "bounded conservation mode reintroduced: every report balances exactly, check it with EventCounts::check"; exit 1
 fi
 
 echo "== a run is compared whole (gp_algorithms::same_run) =="
