@@ -76,7 +76,7 @@ pub use table::{App, AppInputs};
 /// entries compare equal to each other, and a NaN difference counts as
 /// `f64::INFINITY`, so no tolerance accepts a NaN.
 ///
-/// Convenience for tests that compare a backend against a golden reference.
+/// A measurement; [`accept`] is the verdict.
 ///
 /// ```
 /// let a = [1.0, f64::INFINITY];
@@ -92,19 +92,62 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "value vector length mismatch");
     a.iter()
         .zip(b)
-        .map(|(x, y)| {
-            if x.is_infinite() && y.is_infinite() && x.signum() == y.signum() {
-                0.0
-            } else {
-                let d = (x - y).abs();
-                if d.is_nan() {
-                    f64::INFINITY
-                } else {
-                    d
-                }
-            }
-        })
+        .map(|(&x, &y)| abs_diff(x, y))
         .fold(0.0, f64::max)
+}
+
+/// One vertex's term of [`max_abs_diff`].
+fn abs_diff(x: f64, y: f64) -> f64 {
+    if x.is_infinite() && y.is_infinite() && x.signum() == y.signum() {
+        0.0
+    } else {
+        let d = (x - y).abs();
+        if d.is_nan() {
+            f64::INFINITY
+        } else {
+            d
+        }
+    }
+}
+
+/// The acceptance rule: whether a backend's values `got` are a right answer
+/// for `algo` against the reference run's `golden`. They must be as many,
+/// and within the algorithm's
+/// [`comparison_tolerance`](DeltaAlgorithm::comparison_tolerance) by
+/// [`max_abs_diff`] — exact for the monotone algorithms, a threshold-derived
+/// epsilon for the accumulative ones (§II-B's reordering holds only up to
+/// rounding). Every backend-vs-reference verdict in the workspace is this
+/// function. On acceptance it returns the max |diff|.
+///
+/// # Errors
+///
+/// `length A vs golden B`, or `max |diff| D > tolerance T (first at vertex
+/// v: got x, golden y)` naming the first vertex beyond the tolerance.
+///
+/// # Examples
+///
+/// ```
+/// use gp_algorithms::{accept, Bfs};
+/// use gp_graph::VertexId;
+///
+/// let bfs = Bfs::new(VertexId::new(0));
+/// assert_eq!(accept(&bfs, &[0.0, 1.0], &[0.0, 1.0]), Ok(0.0));
+/// let err = accept(&bfs, &[0.0, 2.0], &[0.0, 1.0]).unwrap_err();
+/// assert_eq!(err, "max |diff| 1e0 > tolerance 0e0 (first at vertex 1: got 2, golden 1)");
+/// ```
+pub fn accept<A: DeltaAlgorithm>(algo: &A, got: &[f64], golden: &[f64]) -> Result<f64, String> {
+    if got.len() != golden.len() {
+        return Err(format!("length {} vs golden {}", got.len(), golden.len()));
+    }
+    let tol = algo.comparison_tolerance();
+    let diff = max_abs_diff(got, golden);
+    match (0..got.len()).find(|&v| abs_diff(got[v], golden[v]) > tol) {
+        None => Ok(diff),
+        Some(v) => Err(format!(
+            "max |diff| {diff:e} > tolerance {tol:e} (first at vertex {v}: got {}, golden {})",
+            got[v], golden[v]
+        )),
+    }
 }
 
 /// Whether two value vectors are the same length and bit-identical, element
@@ -154,5 +197,54 @@ pub fn same_run<T: std::fmt::Debug>(what: &str, a: &T, b: &T) -> Result<(), Stri
             a.get(i).map_or("<end>", |l| l.trim()),
             b.get(i).map_or("<end>", |l| l.trim())
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gp_graph::VertexId;
+
+    /// The rule on every row of the table: its boundary, infinities, NaN, a
+    /// length mismatch, and the vertex the refusal names.
+    #[test]
+    fn accept_holds_every_row_to_its_tolerance() {
+        let params = AdsorptionParams::random(4, 1);
+        for threshold in [1e-7, 0.1] {
+            let inputs = AppInputs {
+                root: VertexId::new(0),
+                threshold,
+                adsorption: Some(&params),
+            };
+            for app in App::ALL {
+                let tol = match app {
+                    App::PageRank | App::Adsorption => threshold * 1e4,
+                    _ => 0.0,
+                };
+                let (inf, at) = (f64::INFINITY, tol);
+                let golden = [0.0, 1.0, inf, -inf];
+                with_algorithm!(app, &inputs, |algo| {
+                    assert_eq!(accept(algo, &golden, &golden), Ok(0.0), "{app:?}");
+                    assert_eq!(accept(algo, &[at, 1.0, inf, -inf], &golden), Ok(tol));
+                    let past = accept(algo, &[at.next_up(), 1.0, inf, -inf], &golden);
+                    assert!(past.is_err(), "{app:?} at {tol:e}: {past:?}");
+                    let flipped = accept(algo, &[0.0, 1.0, -inf, -inf], &golden).unwrap_err();
+                    assert!(flipped.contains("first at vertex 2: got -inf"), "{flipped}");
+                    let nan = accept(algo, &[0.0, f64::NAN, inf, -inf], &golden).unwrap_err();
+                    assert!(nan.contains("first at vertex 1: got NaN"), "{nan}");
+                    assert_eq!(
+                        accept(algo, &[0.0], &golden),
+                        Err("length 1 vs golden 4".to_string())
+                    );
+                    assert_eq!(
+                        accept(algo, &[at, 1e6, inf, 5.0], &golden),
+                        Err(format!(
+                            "max |diff| inf > tolerance {tol:e} \
+                             (first at vertex 1: got 1000000, golden 1)"
+                        ))
+                    );
+                });
+            }
+        }
     }
 }

@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gp_algorithms::engine::run_sequential;
-use gp_algorithms::{max_abs_diff, with_algorithm, App, AppInputs, DeltaAlgorithm};
+use gp_algorithms::{accept, max_abs_diff, with_algorithm, App, AppInputs, DeltaAlgorithm};
 use gp_bench::cli::{finish, Flags};
 use gp_bench::json::{Json, OUTOFCORE};
 use gp_bench::write_output;
@@ -178,8 +178,7 @@ struct AlgoRow {
 }
 
 /// Golden over the metered mapping, turbo over the raw mapping; turbo is
-/// accepted within the algorithm's
-/// [`comparison_tolerance`](DeltaAlgorithm::comparison_tolerance).
+/// judged against golden by [`accept`], its max |diff| recorded beside.
 fn measure<A: DeltaAlgorithm>(label: &'static str, algo: &A, mapped: &MappedCsr) -> AlgoRow {
     let metered = MeteredView::new(mapped);
     let t = Instant::now();
@@ -191,7 +190,7 @@ fn measure<A: DeltaAlgorithm>(label: &'static str, algo: &A, mapped: &MappedCsr)
     let turbo = run_turbo(algo, mapped, &TurboConfig::default());
     let turbo_wall = t.elapsed().as_secs_f64();
     let diff = max_abs_diff(&turbo.values, &golden.values);
-    let turbo_ok = diff <= algo.comparison_tolerance();
+    let turbo_ok = accept(algo, &turbo.values, &golden.values).is_ok();
 
     let eps = golden.events_processed as f64 / wall.max(1e-9);
     let turbo_eps = turbo.events_processed as f64 / turbo_wall.max(1e-9);

@@ -50,13 +50,20 @@ pub fn render(doc: &Json) -> String {
     doc.render_pretty()
 }
 
+/// Deepest nesting [`parse`] reads. The parser recurses once per level, so
+/// a deep enough file would overflow the stack; the committed records nest
+/// at most 4 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete bench record (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a message naming the first problem: malformed JSON (with its
-/// byte offset) or an object with a duplicate key.
+/// Returns a message naming the first problem: nesting deeper than
+/// [`MAX_DEPTH`] or malformed JSON (each with its byte offset), or an
+/// object with a duplicate key.
 pub fn parse(text: &str) -> Result<Json, String> {
+    check_depth(text)?;
     let doc = Json::parse(text)?;
     let duplicate_key = |j: &Json| match j {
         Json::Obj(pairs) => (1..pairs.len()).any(|i| pairs[..i].iter().any(|p| p.0 == pairs[i].0)),
@@ -66,6 +73,29 @@ pub fn parse(text: &str) -> Result<Json, String> {
         return Err("an object repeats a key".into());
     }
     Ok(doc)
+}
+
+/// Refuses nesting deeper than [`MAX_DEPTH`] before the recursive parser
+/// sees it. Brackets inside strings, escaped quotes included, do not count.
+fn check_depth(text: &str) -> Result<(), String> {
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    for (i, b) in text.bytes().enumerate() {
+        match b {
+            _ if escaped => escaped = false,
+            b'\\' if in_string => escaped = true,
+            b'"' => in_string = !in_string,
+            _ if in_string => {}
+            b'[' | b'{' if depth == MAX_DEPTH => {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {i}"
+                ));
+            }
+            b'[' | b'{' => depth += 1,
+            b']' | b'}' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// One kind of bench record: its tag and the table for the document.
@@ -662,6 +692,22 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_parser_recurses() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 levels at byte 128");
+        // Brackets in a string are text, an escaped quote included.
+        assert!(parse(r#"{"a": "[[[["}"#).is_ok());
+        let text = format!(r#"{{"a": "{}\"{}"}}"#, "[".repeat(200), "{".repeat(200));
+        assert!(parse(&text).is_ok());
+        let deep_object = format!("{}1{}", r#"{"k": "#.repeat(200), "}".repeat(200));
+        assert!(parse(&deep_object)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
     }
 
     fn sample_chaos_doc() -> Json {

@@ -419,15 +419,19 @@ pub struct Grid {
 }
 
 /// Panics unless `values` agree with the software framework's result `sw`
-/// within `tol`, the app's `comparison_tolerance` (the oracle's rule).
-fn cross_check(app: App, wl: Workload, tol: f64, engine: &str, values: &[f64], sw: &[f64]) {
-    let diff = gp_algorithms::max_abs_diff(values, sw);
-    assert!(
-        diff <= tol,
-        "{engine} diverged from the software result on {}/{}: max |diff| {diff} > {tol}",
-        app.label(),
-        wl.abbrev()
-    );
+/// by [`gp_algorithms::accept`] (the oracle's rule).
+fn cross_check<A: DeltaAlgorithm>(
+    algo: &A,
+    app: App,
+    wl: Workload,
+    engine: &str,
+    values: &[f64],
+    sw: &[f64],
+) {
+    if let Err(e) = gp_algorithms::accept(algo, values, sw) {
+        let cell = format!("{}/{}", app.label(), wl.abbrev());
+        panic!("{engine} diverged from the software result on {cell}: {e}");
+    }
 }
 
 /// Runs the evaluation sweep: every engine once per (app, workload), each
@@ -452,10 +456,11 @@ pub fn evaluate(cfg: &HarnessConfig) -> Grid {
             let opt = cfg.run_accelerator(app, &prepared, &gp_config(workload, graph, true));
             let base = cfg.run_accelerator(app, &prepared, &gp_config(workload, graph, false));
             let mut hw = run_graphicionado(app, &prepared, &GraphicionadoConfig::default());
-            let tol = with_algorithm!(app, &prepared.inputs(), |algo| algo.comparison_tolerance());
-            cross_check(app, workload, tol, "GP+opt", &opt.values, &sw.values);
-            cross_check(app, workload, tol, "GP-base", &base.values, &sw.values);
-            cross_check(app, workload, tol, "Graphicionado", &hw.values, &sw.values);
+            with_algorithm!(app, &prepared.inputs(), |algo| {
+                cross_check(algo, app, workload, "GP+opt", &opt.values, &sw.values);
+                cross_check(algo, app, workload, "GP-base", &base.values, &sw.values);
+                cross_check(algo, app, workload, "Graphicionado", &hw.values, &sw.values);
+            });
             hw.values = Vec::new();
             cells.push(Cell {
                 app,
@@ -722,25 +727,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "GP-base diverged from the software result on BFS/WG: max |diff| 1")]
+    #[should_panic(expected = "GP-base diverged from the software result on BFS/WG: \
+                               max |diff| 1e0 > tolerance 0e0 (first at vertex 1: got 2, golden 1)")]
     fn a_diverging_engine_is_named_with_its_cell() {
         let software = [0.0, 1.0];
-        cross_check(
-            App::Bfs,
-            Workload::WebGoogle,
-            0.0,
-            "GP+opt",
-            &software,
-            &software,
-        );
-        cross_check(
-            App::Bfs,
-            Workload::WebGoogle,
-            0.0,
-            "GP-base",
-            &[0.0, 2.0],
-            &software,
-        );
+        let inputs = AppInputs {
+            root: VertexId::new(0),
+            threshold: 0.0,
+            adsorption: None,
+        };
+        let (app, wl) = (App::Bfs, Workload::WebGoogle);
+        with_algorithm!(app, &inputs, |bfs| {
+            cross_check(bfs, app, wl, "GP+opt", &software, &software);
+            cross_check(bfs, app, wl, "GP-base", &[0.0, 2.0], &software);
+        });
     }
 
     #[test]

@@ -547,3 +547,25 @@ fn bench_check_accepts_valid_serve_doc_and_rejects_tampered_one() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("diverged"));
     std::fs::remove_file(&bad).ok();
 }
+
+/// A deeply nested file is refused before the recursive parser can
+/// overflow the stack — bare and under a record's key: exit 2 naming the
+/// cap, not an abort.
+#[test]
+fn bench_check_refuses_a_deeply_nested_file() {
+    let depth = 100_000;
+    let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let keyed = format!(r#"{{"schema": "gp-bench/serve/v3", "runs": {nested}}}"#);
+    for (name, text) in [("deep-bare.json", &nested), ("deep-keyed.json", &keyed)] {
+        let path = temp_path(name);
+        std::fs::write(&path, text).unwrap();
+        let out = run(env!("CARGO_BIN_EXE_bench_check"), &[path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.contains("is not valid JSON: nesting deeper than 128 levels at byte"),
+            "{name}: {stderr}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}

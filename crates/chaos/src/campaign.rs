@@ -8,7 +8,7 @@
 
 use gp_algorithms::engine::run_sequential;
 use gp_algorithms::{
-    max_abs_diff, with_algorithm, AdsorptionParams, App, AppInputs, DeltaAlgorithm,
+    accept, max_abs_diff, with_algorithm, AdsorptionParams, App, AppInputs, DeltaAlgorithm,
 };
 use gp_graph::generators::{erdos_renyi, WeightMode};
 use gp_graph::{CsrGraph, VertexId};
@@ -48,8 +48,8 @@ pub struct CampaignRecord {
     pub checkpoint_bytes: u64,
     /// Max |recovered − reference| over all vertices.
     pub max_diff: f64,
-    /// Whether the recovered result matched the fault-free reference
-    /// within the algorithm's comparison tolerance.
+    /// Whether the recovered result matched the fault-free reference by
+    /// [`accept`].
     pub result_ok: bool,
 }
 
@@ -84,14 +84,14 @@ impl CampaignRecord {
         }
     }
 
-    /// A fault the chaos executor ran under `plan`, judged against the
-    /// fault-free `reference` within `tol`.
-    fn from_chaos(
+    /// The chaos executor's run of `rule` under the fault `plan`, judged
+    /// against the fault-free `reference` by [`accept`].
+    fn from_chaos<A: DeltaAlgorithm>(
+        rule: &A,
         plan: FaultPlan,
         algo: &'static str,
         out: &ChaosOutcome,
         reference: &[f64],
-        tol: f64,
     ) -> CampaignRecord {
         let first = out.detections.first();
         let diff = max_abs_diff(&out.values, reference);
@@ -110,20 +110,21 @@ impl CampaignRecord {
             wasted_events: out.wasted_events,
             checkpoint_bytes: out.checkpoint_bytes,
             max_diff: diff,
-            result_ok: out.unrecovered.is_none() && diff <= tol,
+            result_ok: out.unrecovered.is_none() && accept(rule, &out.values, reference).is_ok(),
             ..Self::blank(plan.kind, algo, plan.repeats == u32::MAX, "chaos-exec")
         }
     }
 
-    /// A guarded backend run whose watchdog is `detector`, judged against
-    /// the fault-free `reference` within `tol`. A persistent fault fires
-    /// on every attempt, so the only right way out of it is degradation.
-    fn from_guarded(
+    /// A guarded backend run of `rule` whose watchdog is `detector`, judged
+    /// against the fault-free `reference` by [`accept`]. A persistent fault
+    /// fires on every attempt, so the only right way out of it is
+    /// degradation.
+    fn from_guarded<A: DeltaAlgorithm>(
+        rule: &A,
         blank: CampaignRecord,
         detector: &str,
         out: &GuardedOutcome,
         reference: &[f64],
-        tol: f64,
     ) -> CampaignRecord {
         let diff = max_abs_diff(&out.values, reference);
         CampaignRecord {
@@ -135,7 +136,8 @@ impl CampaignRecord {
             },
             recovery: if out.degraded { "degrade" } else { "retry" },
             max_diff: diff,
-            result_ok: (out.degraded || blank.mode == "transient") && diff <= tol,
+            result_ok: (out.degraded || blank.mode == "transient")
+                && accept(rule, &out.values, reference).is_ok(),
             ..blank
         }
     }
@@ -282,7 +284,6 @@ where
     A::Value: Storable,
 {
     let (seed, name) = (report.seed, app.name());
-    let tol = algo.comparison_tolerance();
     let reference = run_sequential(algo, graph);
 
     // Fault-free overhead: checkpointing + detection enabled, no fault.
@@ -307,11 +308,11 @@ where
         let plan = FaultPlan::transient(kind, seed ^ mix64(kind.label().len() as u64));
         let out = run_chaos(algo, graph, Some(plan), &clean_cfg);
         report.records.push(CampaignRecord::from_chaos(
+            algo,
             plan,
             name,
             &out,
             &reference.values,
-            tol,
         ));
     }
 
@@ -324,11 +325,11 @@ where
     };
     let out = run_chaos(algo, graph, Some(flip_plan), &flip_cfg);
     report.records.push(CampaignRecord::from_chaos(
+        algo,
         flip_plan,
         name,
         &out,
         &reference.values,
-        tol,
     ));
 
     // Shard stall, transient: caught by the epoch-budget watchdog,
@@ -340,11 +341,11 @@ where
     let out = run_parallel_guarded(&gp, algo, graph, stall_past(clean_parallel.epochs), 1, 3)
         .unwrap_or_else(|e| panic!("parallel scenario failed to run: {e}"));
     report.records.push(CampaignRecord::from_guarded(
+        algo,
         CampaignRecord::blank(FaultKind::ShardStall, name, false, "parallel"),
         "epoch-budget",
         &out,
         &reference.values,
-        tol,
     ));
 
     // Turbo scheduling-bit corruption, transient: a cleared `active` bit
@@ -352,11 +353,11 @@ where
     // retry recovers.
     let out = run_turbo_guarded(algo, graph, Some(STALE), 1, 3);
     report.records.push(CampaignRecord::from_guarded(
+        algo,
         CampaignRecord::blank(FaultKind::WheelStale, name, false, "turbo"),
         "lost-event",
         &out,
         &reference.values,
-        tol,
     ));
 
     // Merge-order skew: the legacy fault. It corrupts a backend's output
@@ -375,16 +376,14 @@ where
             break;
         }
     }
-    let skew_diff = max_abs_diff(&skewed, &reference.values);
-    let detected = skew_diff > tol;
+    let detected = accept(algo, &skewed, &reference.values).is_err();
     let recomputed = run_sequential(algo, graph);
-    let diff = max_abs_diff(&recomputed.values, &reference.values);
     report.records.push(CampaignRecord {
         detected: u32::from(detected),
         detector: "differential".to_string(),
         recovery: "recompute",
-        max_diff: diff,
-        result_ok: detected && diff <= tol,
+        max_diff: max_abs_diff(&recomputed.values, &reference.values),
+        result_ok: detected && accept(algo, &recomputed.values, &reference.values).is_ok(),
         ..CampaignRecord::blank(FaultKind::MergeSkew, name, false, "parallel")
     });
 }
@@ -404,7 +403,6 @@ where
     A::Value: Storable,
 {
     let (seed, name) = (report.seed, app.name());
-    let tol = algo.comparison_tolerance();
     let reference = run_sequential(algo, graph);
     let cfg = ChaosConfig {
         max_retries: 2,
@@ -416,11 +414,11 @@ where
     let plan = FaultPlan::persistent(FaultKind::DropEvent, seed ^ 0xD0D);
     let out = run_chaos(algo, graph, Some(plan), &cfg);
     report.records.push(CampaignRecord::from_chaos(
+        algo,
         plan,
         name,
         &out,
         &reference.values,
-        tol,
     ));
 
     // Persistent shard stall: every retry trips the watchdog, the guard
@@ -433,22 +431,22 @@ where
     let out = run_parallel_guarded(&gp, algo, graph, stall_past(clean_epochs), u32::MAX, 2)
         .expect("guarded parallel must not hit config errors");
     report.records.push(CampaignRecord::from_guarded(
+        algo,
         CampaignRecord::blank(FaultKind::ShardStall, name, true, "parallel"),
         "epoch-budget",
         &out,
         &reference.values,
-        tol,
     ));
 
     // Persistent turbo corruption: every attempt loses a delta, the guard
     // degrades to the golden engine.
     let out = run_turbo_guarded(algo, graph, Some(STALE), u32::MAX, 2);
     report.records.push(CampaignRecord::from_guarded(
+        algo,
         CampaignRecord::blank(FaultKind::WheelStale, name, true, "turbo"),
         "lost-event",
         &out,
         &reference.values,
-        tol,
     ));
 }
 

@@ -11,7 +11,8 @@
 //! * [`Cache`] — a set-associative LRU cache model (the edge cache of §V),
 //! * [`Scratchpad`] — a small keyed buffer (the vertex-property scratchpad
 //!   that the prefetcher fills, §V),
-//! * [`prefetch`] — address helpers and the N-block edge prefetcher.
+//! * [`prefetch`] — line-address helpers for block reads (the N-block edge
+//!   prefetch is the cycle model's, in `graphpulse-core`).
 //!
 //! The paper's configuration (Table III) is 4 × DDR3 channels at 17 GB/s;
 //! [`DramConfig::paper`] reproduces it for a 1 GHz accelerator clock.

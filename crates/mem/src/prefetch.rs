@@ -1,17 +1,14 @@
-//! Prefetch address generation.
-//!
-//! Two pieces of §V of the paper live here: the line-granular address math
-//! used by the vertex-property block prefetcher, and the degree-hinted
-//! N-block stream prefetcher that feeds the edge cache of the generation
-//! units.
+//! Prefetch address generation: line-granular address math for block
+//! reads. The generation units' degree-hinted N-block edge prefetch (§V)
+//! is the cycle model's own (`Machine::issue_edge_prefetch` in
+//! `graphpulse-core`).
 
 use crate::{line_base, LINE_BYTES};
 
 /// The line addresses covering the byte range `[addr, addr + bytes)`.
 ///
-/// Used by the block prefetcher: when a queue row is drained, the vertex
-/// properties of its (consecutive) vertices are fetched as whole lines so a
-/// DRAM page is streamed with large, sequential bursts (§V).
+/// Used for block reads that stream a DRAM page in whole lines, such as the
+/// Graphicionado model's edge-list reads.
 ///
 /// ```
 /// let lines: Vec<u64> = gp_mem::prefetch::lines_covering(100, 100).collect();
@@ -27,79 +24,6 @@ pub fn lines_covering(addr: u64, bytes: u64) -> impl Iterator<Item = u64> {
     (first..=last).step_by(LINE_BYTES as usize)
 }
 
-/// Degree-hinted N-block stream prefetcher for edge lists (§V).
-///
-/// When a generation stream starts reading a vertex's edge list, the
-/// prefetcher is armed with the list's byte extent (known exactly from the
-/// CSR offsets — the "degree hint" of the paper) and issues up to
-/// `depth` line fetches ahead of the consumer, never beyond the list's end
-/// "to avoid unnecessary memory traffic for low degree vertices".
-#[derive(Debug, Clone)]
-pub struct StreamPrefetcher {
-    depth: u64,
-    /// Next line to prefetch.
-    next_line: u64,
-    /// One past the last line of the armed stream.
-    end_line: u64,
-    /// Lines handed out but not yet consumed.
-    outstanding: u64,
-}
-
-impl StreamPrefetcher {
-    /// Creates an idle prefetcher that runs `depth` lines ahead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn new(depth: u64) -> Self {
-        assert!(depth > 0, "prefetch depth must be nonzero");
-        StreamPrefetcher {
-            depth,
-            next_line: 0,
-            end_line: 0,
-            outstanding: 0,
-        }
-    }
-
-    /// Arms the prefetcher for the byte range `[addr, addr + bytes)`.
-    pub fn arm(&mut self, addr: u64, bytes: u64) {
-        self.next_line = line_base(addr);
-        self.end_line = if bytes == 0 {
-            self.next_line
-        } else {
-            line_base(addr + bytes - 1) + LINE_BYTES
-        };
-        self.outstanding = 0;
-    }
-
-    /// The next line address to fetch, if the prefetcher wants one.
-    pub fn next_fetch(&mut self) -> Option<u64> {
-        if self.next_line < self.end_line && self.outstanding < self.depth {
-            let line = self.next_line;
-            self.next_line += LINE_BYTES;
-            self.outstanding += 1;
-            Some(line)
-        } else {
-            None
-        }
-    }
-
-    /// Tells the prefetcher one fetched line was consumed, freeing a slot.
-    pub fn consumed(&mut self) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-    }
-
-    /// Whether every line of the armed stream has been issued.
-    pub fn exhausted(&self) -> bool {
-        self.next_line >= self.end_line
-    }
-
-    /// The configured lookahead depth.
-    pub fn depth(&self) -> u64 {
-        self.depth
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,40 +36,5 @@ mod tests {
         assert_eq!(v, vec![0, 64]);
         let v: Vec<u64> = lines_covering(128, 0).collect();
         assert_eq!(v, vec![128]);
-    }
-
-    #[test]
-    fn stream_respects_depth_and_end() {
-        let mut p = StreamPrefetcher::new(2);
-        p.arm(0, 256); // 4 lines
-        assert_eq!(p.next_fetch(), Some(0));
-        assert_eq!(p.next_fetch(), Some(64));
-        assert_eq!(p.next_fetch(), None); // depth reached
-        p.consumed();
-        assert_eq!(p.next_fetch(), Some(128));
-        p.consumed();
-        p.consumed();
-        assert_eq!(p.next_fetch(), Some(192));
-        assert!(p.exhausted());
-        p.consumed();
-        assert_eq!(p.next_fetch(), None); // stream done
-    }
-
-    #[test]
-    fn low_degree_vertex_fetches_one_line() {
-        let mut p = StreamPrefetcher::new(4);
-        p.arm(96, 8); // tiny edge list inside one line
-        assert_eq!(p.next_fetch(), Some(64));
-        assert_eq!(p.next_fetch(), None);
-        assert!(p.exhausted());
-    }
-
-    #[test]
-    fn rearming_resets_state() {
-        let mut p = StreamPrefetcher::new(1);
-        p.arm(0, 64);
-        assert_eq!(p.next_fetch(), Some(0));
-        p.arm(1024, 64);
-        assert_eq!(p.next_fetch(), Some(1024));
     }
 }

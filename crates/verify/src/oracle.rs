@@ -1,17 +1,22 @@
-//! The differential oracle: five backends, three metamorphic checks, and
-//! the micro-architectural invariants, applied to one [`TestCase`].
+//! The differential oracle: seven legs, three metamorphic checks, and the
+//! micro-architectural invariants, applied to one [`TestCase`].
 //!
-//! Backends compared (all must agree within the algorithm's
-//! [`comparison_tolerance`](gp_algorithms::DeltaAlgorithm::comparison_tolerance)):
+//! Legs run (every backend is judged against the golden run by
+//! [`gp_algorithms::accept`], the workspace's one acceptance rule):
 //!
-//! 1. the sequential golden engine (Algorithm 1 of the paper),
+//! 1. the sequential golden engine (Algorithm 1 of the paper), the
+//!    reference the other six are judged against,
 //! 2. the cycle-level accelerator, run twice to also pin determinism,
 //! 3. the shard-parallel engine at 1, 2, and 4 workers — which must be not
-//!    just within tolerance of golden but the **same run** as each other,
+//!    just accepted against golden but the **same run** as each other,
 //! 4. the incremental engine over the overlay, after every update batch,
 //!    against a from-scratch golden run on the updated graph,
 //! 5. the turbo engine (speed-first, vertex-order sweeps), run
-//!    twice to also pin its determinism.
+//!    twice to also pin its determinism,
+//! 6. the chaos executor with recovery disabled: clean, the golden run;
+//!    under an injected fault, an in-engine detection,
+//! 7. golden and turbo over a memory-mapped on-disk container: the same
+//!    runs as over the resident graph.
 //!
 //! Every identity check — determinism, worker invariance, out-of-core —
 //! compares whole records through [`same_run`] plus [`same_bits`] on the
@@ -27,8 +32,8 @@
 
 use gp_algorithms::engine::{run_sequential, EngineOutput};
 use gp_algorithms::{
-    max_abs_diff, same_bits, same_run, with_algorithm, AdsorptionParams, App, AppInputs,
-    DeltaAlgorithm, IncrementalAlgorithm,
+    accept, same_bits, same_run, with_algorithm, AdsorptionParams, App, AppInputs, DeltaAlgorithm,
+    IncrementalAlgorithm,
 };
 use gp_chaos::{run_chaos, stall_past, ChaosConfig, FaultPlan};
 use gp_graph::container::write_container;
@@ -120,46 +125,6 @@ pub fn run_case(case: &TestCase, fault: Option<Fault>) -> Result<(), Failure> {
     check_edge_order(case, &g)
 }
 
-/// Compares `got` against `want` within `tol`, `INFINITY`-aware.
-fn compare_values(
-    check: &'static str,
-    leg: &str,
-    got: &[f64],
-    want: &[f64],
-    tol: f64,
-) -> Result<(), Failure> {
-    if got.len() != want.len() {
-        return Err(fail(
-            check,
-            format!("{leg}: length {} vs golden {}", got.len(), want.len()),
-        ));
-    }
-    let diff = max_abs_diff(got, want);
-    if diff > tol {
-        let v = (0..got.len())
-            .find(|&i| {
-                if got[i].is_infinite()
-                    && want[i].is_infinite()
-                    && got[i].signum() == want[i].signum()
-                {
-                    return false;
-                }
-                let d = (got[i] - want[i]).abs();
-                d.is_nan() || d > tol
-            })
-            .unwrap_or(0);
-        return Err(fail(
-            check,
-            format!(
-                "{leg}: max |diff| {diff:e} > tolerance {tol:e} \
-                 (first at vertex {v}: got {}, golden {})",
-                got[v], want[v]
-            ),
-        ));
-    }
-    Ok(())
-}
-
 /// Two records that must be the same run: [`same_run`] over the whole
 /// record, and [`same_bits`] over its values, whose NaN payloads `{:#?}`
 /// prints alike.
@@ -200,7 +165,6 @@ where
     A: DeltaAlgorithm,
     A::Value: Storable,
 {
-    let tol = algo.comparison_tolerance();
     let golden = run_sequential(algo, g);
 
     // Out-of-core (oracle leg 7): the same engines over a mapped on-disk
@@ -216,13 +180,8 @@ where
     let turbo_cfg = TurboConfig::default();
     let t1 = run_turbo(algo, g, &turbo_cfg);
     let t2 = run_turbo(algo, g, &turbo_cfg);
-    compare_values(
-        "differential-turbo",
-        "turbo",
-        &t1.values,
-        &golden.values,
-        tol,
-    )?;
+    accept(algo, &t1.values, &golden.values)
+        .map_err(|e| fail("differential-turbo", format!("turbo: {e}")))?;
     t1.check_lost_events()
         .map_err(|e| fail("differential-turbo", e))?;
     same_record("two identical turbo runs", &t1, &t2, |o| &o.values)
@@ -237,13 +196,8 @@ where
     };
     let first = run("first run")?;
     let second = run("second run")?;
-    compare_values(
-        "differential-accelerator",
-        "accelerator",
-        &first.values,
-        &golden.values,
-        tol,
-    )?;
+    accept(algo, &first.values, &golden.values)
+        .map_err(|e| fail("differential-accelerator", format!("accelerator: {e}")))?;
     same_record("two identical runs", &first, &second, |o| &o.values)
         .map_err(|e| fail("accelerator-determinism", e))?;
     first
@@ -270,13 +224,12 @@ where
                 0.0
             };
         }
-        compare_values(
-            "differential-parallel",
-            &format!("parallel ({workers} workers)"),
-            &out.values,
-            &golden.values,
-            tol,
-        )?;
+        accept(algo, &out.values, &golden.values).map_err(|e| {
+            fail(
+                "differential-parallel",
+                format!("parallel ({workers} workers): {e}"),
+            )
+        })?;
         out.report
             .check_event_conservation()
             .map_err(|e| fail("event-conservation", format!("parallel merge: {e}")))?;
@@ -309,13 +262,12 @@ where
                 ),
             ));
         }
-        compare_values(
-            "metamorphic-slice-count",
-            &format!("{} slices", out.report.slices),
-            &out.values,
-            &golden.values,
-            tol,
-        )?;
+        accept(algo, &out.values, &golden.values).map_err(|e| {
+            fail(
+                "metamorphic-slice-count",
+                format!("{} slices: {e}", out.report.slices),
+            )
+        })?;
         out.report
             .check_event_conservation()
             .map_err(|e| fail("event-conservation", format!("sliced run: {e}")))?;
@@ -414,7 +366,6 @@ where
     A: DeltaAlgorithm,
     A::Value: Storable,
 {
-    let tol = algo.comparison_tolerance();
     let cfg = ChaosConfig {
         max_retries: 0,
         degrade: false,
@@ -436,7 +387,9 @@ where
         .check_golden(golden)
         .map_err(|e| fail("differential-chaos", e))?;
 
-    match fault {
+    // A fault that never fired, or healed, must leave the fixed point
+    // untouched: silent corruption is the one unacceptable outcome.
+    let (leg, values) = match fault {
         Some(
             kind @ (Fault::DropEvent | Fault::DuplicateEvent | Fault::DelayEvent | Fault::BitFlip),
         ) => {
@@ -452,15 +405,8 @@ where
                     ),
                 ));
             }
-            // The trigger landed beyond the run (tiny case): the fault
-            // never fired, so the fixed point must be untouched.
-            compare_values(
-                "chaos-silent-corruption",
-                &format!("undetected {kind}"),
-                &out.values,
-                &golden.values,
-                tol,
-            )
+            // The trigger landed beyond the run (tiny case).
+            (format!("undetected {kind}"), out.values)
         }
         Some(Fault::ShardStall) => {
             let gp = GraphPulse::new(parallel_config(case, g));
@@ -469,21 +415,12 @@ where
                 .map_err(|e| fail("parallel-run", format!("clean run for stall leg: {e}")))?
                 .epochs;
             match gp.run_parallel_chaos(g, algo, stall_past(clean_epochs)) {
-                Err(RunError::EpochBudget(b)) => Err(fail(
-                    "chaos-detection",
-                    format!(
-                        "injected shard-stall detected: {}",
-                        RunError::EpochBudget(b)
-                    ),
-                )),
-                Err(e) => Err(fail("parallel-run", format!("stalled run: {e}"))),
-                Ok(out) => compare_values(
-                    "chaos-silent-corruption",
-                    "undetected shard-stall",
-                    &out.values,
-                    &golden.values,
-                    tol,
-                ),
+                Err(e @ RunError::EpochBudget(_)) => {
+                    let detail = format!("injected shard-stall detected: {e}");
+                    return Err(fail("chaos-detection", detail));
+                }
+                Err(e) => return Err(fail("parallel-run", format!("stalled run: {e}"))),
+                Ok(out) => ("undetected shard-stall".to_string(), out.values),
             }
         }
         Some(Fault::WheelStale) => {
@@ -496,24 +433,21 @@ where
                 }),
             };
             let out = run_turbo(algo, g, &faulted);
-            match out.check_lost_events() {
-                Err(msg) => Err(fail(
+            if let Err(msg) = out.check_lost_events() {
+                return Err(fail(
                     "chaos-detection",
                     format!("injected wheel-stale detected: {msg}"),
-                )),
-                // The run had converged by the trigger sweep, so there was
-                // no bit to clear: the fixed point must be untouched.
-                Ok(()) => compare_values(
-                    "chaos-silent-corruption",
-                    "unfired wheel-stale",
-                    &out.values,
-                    &golden.values,
-                    tol,
-                ),
+                ));
             }
+            // The run had converged by the trigger sweep, so there was no
+            // bit to clear.
+            ("unfired wheel-stale".to_string(), out.values)
         }
-        Some(Fault::MergeSkew) | None => Ok(()),
-    }
+        Some(Fault::MergeSkew) | None => return Ok(()),
+    };
+    accept(algo, &values, &golden.values)
+        .map_err(|e| fail("chaos-silent-corruption", format!("{leg}: {e}")))?;
+    Ok(())
 }
 
 /// Vertex-relabeling invariance: running `app` — rooted at the permuted
@@ -567,17 +501,12 @@ fn check_relabel(app: App, inputs: &AppInputs, g: &CsrGraph, perm: &[u32]) -> Re
         }
         return Ok(());
     }
-    let tol = with_algorithm!(app, inputs, |algo| algo.comparison_tolerance());
     let pulled: Vec<f64> = (0..golden.len())
         .map(|v| relabeled[perm[v] as usize])
         .collect();
-    compare_values(
-        "metamorphic-relabel",
-        "relabeled run",
-        &pulled,
-        &golden,
-        tol,
-    )
+    with_algorithm!(app, inputs, |algo| accept(algo, &pulled, &golden))
+        .map_err(|e| fail("metamorphic-relabel", format!("relabeled run: {e}")))?;
+    Ok(())
 }
 
 /// Edge-order-permutation invariance: the builder canonicalizes adjacency,
@@ -608,29 +537,24 @@ fn check_incremental<A>(case: &TestCase, g: &CsrGraph, algo: &A) -> Result<(), F
 where
     A: IncrementalAlgorithm + Clone,
 {
-    let tol = algo.comparison_tolerance();
     let (mut engine, _) =
         IncrementalEngine::new(algo.clone(), g.clone(), StreamConfig::golden(0.25))
             .map_err(|e| fail("incremental-run", format!("initial run: {e}")))?;
-    compare_values(
-        "differential-incremental",
-        "initial convergence",
-        &engine.values(),
-        &run_sequential(algo, g).values,
-        tol,
-    )?;
+    accept(algo, &engine.values(), &run_sequential(algo, g).values).map_err(|e| {
+        fail(
+            "differential-incremental",
+            format!("initial convergence: {e}"),
+        )
+    })?;
     for (i, batch) in case.update_batches().into_iter().enumerate() {
         engine
             .apply_batch(&batch)
             .map_err(|e| fail("incremental-run", format!("batch {i}: {e}")))?;
         let scratch = run_sequential(algo, &engine.graph().to_csr());
-        compare_values(
-            "differential-incremental",
-            &format!("after batch {i} ({} updates)", batch.len()),
-            &engine.values(),
-            &scratch.values,
-            tol,
-        )?;
+        accept(algo, &engine.values(), &scratch.values).map_err(|e| {
+            let leg = format!("after batch {i} ({} updates): {e}", batch.len());
+            fail("differential-incremental", leg)
+        })?;
     }
     // Tie the incremental leg back to the cycle-level model: the
     // accelerator on the final graph must agree with the warm state.
@@ -638,13 +562,13 @@ where
     let out = GraphPulse::new(case.machine.to_config())
         .run(&final_graph, algo)
         .map_err(|e| fail("accelerator-run", format!("post-update run: {e}")))?;
-    compare_values(
-        "differential-incremental",
-        "accelerator on updated graph",
-        &out.values,
-        &engine.values(),
-        tol,
-    )
+    accept(algo, &out.values, &engine.values()).map_err(|e| {
+        fail(
+            "differential-incremental",
+            format!("accelerator on updated graph: {e}"),
+        )
+    })?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -668,21 +592,32 @@ mod tests {
             let failure = run_case(&case, Some(Fault::MergeSkew))
                 .expect_err("fault injection must be detected");
             assert_eq!(failure.check, "differential-parallel");
+            if seed == 1 {
+                // The whole detail, as the fuzz and shrinker logs print it.
+                assert_eq!(
+                    failure.detail,
+                    "parallel (1 workers): max |diff| 1e0 > tolerance 0e0 \
+                     (first at vertex 0: got 41, golden 40)"
+                );
+            }
         }
     }
 
-    /// A NaN difference is never within tolerance, however loose.
+    /// A NaN difference is never within tolerance, however loose: here a
+    /// PageRank at threshold 0.1, whose tolerance is 1e3.
     #[test]
     fn a_nan_value_fails_compare_values() {
-        let failure = compare_values(
-            "differential-turbo",
-            "turbo",
-            &[1.0, f64::NAN],
-            &[1.0, 2.0],
-            1e3,
-        )
+        let inputs = AppInputs {
+            root: VertexId::new(0),
+            threshold: 0.1,
+            adsorption: None,
+        };
+        let err = with_algorithm!(App::PageRank, &inputs, |pr| {
+            accept(pr, &[1.0, f64::NAN], &[1.0, 2.0])
+        })
         .expect_err("a NaN value must fail the tolerance check");
-        assert!(failure.detail.contains("first at vertex 1"), "{failure}");
+        assert!(err.contains("tolerance 1e3"), "{err}");
+        assert!(err.contains("first at vertex 1"), "{err}");
     }
 
     #[test]

@@ -4,6 +4,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Reads `grep -n` matches (file:line:text) and prints file:line for each
+# one in non-test code: outside a tests/ directory and before its file's
+# first #[cfg(test)] (lines from there on are test code).
+non_test_lines() {
+  while IFS=: read -r file line _; do
+    case "$file" in */tests/*) continue ;; esac
+    first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
+    if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
+  done
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -134,11 +145,7 @@ echo "== one event step (Algorithm 1 written once, in gp_algorithms::engine) =="
 # test code and may call it directly.
 if grep -rn --include='*.rs' '\.propagation_basis(' crates \
     | grep -v '^crates/algorithms/src/engine.rs:' \
-    | while IFS=: read -r file line _; do
-        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
-        case "$file" in */tests/*) continue ;; esac
-        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
-      done | grep .; then
+    | non_test_lines | grep .; then
   echo "a second event step: reach reduce / local termination through gp_algorithms::engine::apply_event"; exit 1
 fi
 
@@ -153,10 +160,7 @@ echo "== one conservation identity (gp_algorithms::engine::EventCounts) =="
 # engine read (progress, global_threshold, needs_weights). Lines from the
 # first #[cfg(test)] of a file on are test code and may quote the messages.
 identity_lines=$(grep -rn --include='*.rs' 'absorbed more events than generated' crates/*/src \
-    | while IFS=: read -r file line _; do
-        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
-        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
-      done | wc -l || true)
+    | non_test_lines | wc -l || true)
 if [ "$identity_lines" -ne 1 ]; then
   echo "the conservation identity is written $identity_lines times under crates/*/src: check through EventCounts::check"; exit 1
 fi
@@ -164,10 +168,7 @@ if grep -rnE 'from_event_counters|struct Totals|global_threshold|progress_accum|
   echo "deleted conservation twin or unread trait hook reintroduced: count in EventCounts, check with EventCounts::check"; exit 1
 fi
 if grep -rnE --include='*.rs' 'check_within|check_event_conservation\((true|false)\)' crates/*/src \
-    | while IFS=: read -r file line _; do
-        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
-        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
-      done | grep .; then
+    | non_test_lines | grep .; then
   echo "bounded conservation mode reintroduced: every report balances exactly, check it with EventCounts::check"; exit 1
 fi
 
@@ -175,7 +176,7 @@ echo "== a run is compared whole (gp_algorithms::same_run) =="
 # Two runs that must reproduce each other are compared as whole records
 # ({:#?} through same_run), so a field added to a record is compared
 # without a hand-written field list to extend; turbo-vs-golden acceptance
-# is one bound, comparison_tolerance, with no degree-scaled widening. The
+# is the one rule below, with no degree-scaled widening. The
 # oracle's turbo comparator, turbo's rendered log and the out-of-core
 # bench's residue bound may not come back.
 if [ "$(grep -rn --include='*.rs' 'fn same_run' crates/*/src | wc -l)" -ne 1 ]; then
@@ -184,7 +185,7 @@ fi
 if grep -rn 'fn same_turbo_outcome' crates/*/src \
     || grep -rn 'fn render_log' crates/turbo/src \
     || grep -rn 'residue_bound' crates/bench/src; then
-  echo "hand-picked run comparison or second acceptance bound reintroduced: compare records with same_run, accept within comparison_tolerance"; exit 1
+  echo "hand-picked run comparison or second acceptance bound reintroduced: compare records with same_run, judge values with gp_algorithms::accept"; exit 1
 fi
 
 echo "== the read path never rebuilds an epoch (gp-serve replays read deltas) =="
@@ -196,10 +197,7 @@ echo "== the read path never rebuilds an epoch (gp-serve replays read deltas) ==
 # #[cfg(test)] of a file on are test code and may look epochs up.
 if grep -rn --include='*.rs' '\.epoch(' crates/serve/src \
     | grep -v '^crates/serve/src/snapshot.rs:' \
-    | while IFS=: read -r file line _; do
-        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
-        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
-      done | grep .; then
+    | non_test_lines | grep .; then
   echo "epoch lookup on the gp-serve read path: read a chain's deltas with SnapshotStore::deltas"; exit 1
 fi
 
@@ -233,11 +231,26 @@ echo "== one description per bench record (gp_bench::json::SCHEMAS) =="
 # #[cfg(test)] of a file on are test code and may spell tags.
 if grep -rnE --include='*.rs' 'fn validate_(serve|chaos|outofcore)|_EXACT: \[|"gp-bench/' crates/bench/src \
     | grep -vE '^crates/bench/src/json\.rs:[0-9]+:pub static [A-Z]+: Schema = Schema \{ tag: "gp-bench/' \
-    | while IFS=: read -r file line _; do
-        first_test=$(grep -n '#\[cfg(test)\]' "$file" | head -1 | cut -d: -f1)
-        if [ -z "$first_test" ] || [ "$line" -lt "$first_test" ]; then echo "$file:$line"; fi
-      done | grep .; then
+    | non_test_lines | grep .; then
   echo "second description of a bench record: extend its table in gp_bench::json (SCHEMAS)"; exit 1
+fi
+
+echo "== one acceptance rule (gp_algorithms::accept) =="
+# Every backend-vs-reference verdict — the oracle's legs, the evaluation's
+# cross-check, the out-of-core bench, the chaos campaign and serve_bench's
+# PageRank samples — is gp_algorithms::accept, the one non-test reader of
+# comparison_tolerance(). A second reader, or a comparator handed the
+# tolerance as a parameter, is a second rule to keep in step when the bound
+# changes. Test code may read the tolerance.
+tolerance_reads=$(grep -rn --include='*.rs' 'comparison_tolerance()' crates/*/src src/bin \
+    | grep -v 'fn comparison_tolerance' | non_test_lines || true)
+if grep -v '^crates/algorithms/src/lib.rs:' <<< "$tolerance_reads" | grep . \
+    || [ "$(grep -c . <<< "$tolerance_reads")" -ne 1 ]; then
+  echo "comparison_tolerance() read outside gp_algorithms::accept: judge values with accept"; exit 1
+fi
+if grep -rnE --include='*.rs' 'fn compare_values|\b(tol|tolerance): f64' crates/*/src src/bin \
+    | non_test_lines | grep .; then
+  echo "second comparator reintroduced: judge values with gp_algorithms::accept"; exit 1
 fi
 
 echo "== cargo clippy (warnings denied) =="
