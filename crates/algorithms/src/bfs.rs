@@ -102,10 +102,6 @@ impl crate::IncrementalAlgorithm for Bfs {
     fn strategy(&self) -> crate::SeedingStrategy {
         crate::SeedingStrategy::Monotone(crate::Invalidation::SupportTest)
     }
-
-    fn basis_of(&self, value: u32) -> u32 {
-        value
-    }
 }
 
 #[cfg(test)]

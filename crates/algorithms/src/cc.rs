@@ -89,10 +89,6 @@ impl crate::IncrementalAlgorithm for ConnectedComponents {
     fn strategy(&self) -> crate::SeedingStrategy {
         crate::SeedingStrategy::Monotone(crate::Invalidation::Reachability)
     }
-
-    fn basis_of(&self, value: i64) -> i64 {
-        value
-    }
 }
 
 #[cfg(test)]

@@ -49,11 +49,20 @@
 //! ([`incremental_seeds_with`]) and each plan costs the deposits it takes
 //! plus one pass over the `n / 64` bitmap words;
 //! [`incremental_seeds`] builds a fresh one per call.
+//!
+//! # Residual
+//!
+//! [`residual_seeds_with`] needs no batch: it seeds a state's residual
+//! `F(x) − x` on the current graph, which an invertible reduce converges
+//! from whatever graph `x` was computed on. It is how `gp-serve` brings a
+//! stale PageRank column to the pinned epoch without reading the chain
+//! of batches it missed.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use gp_graph::{AppliedBatch, EdgeRef, GraphView, VertexId};
 
+use crate::engine::for_each_propagated;
 use crate::{DeltaAlgorithm, DeltaPool};
 
 /// How stranded values are detected after edge deletions (monotone
@@ -80,18 +89,12 @@ pub enum SeedingStrategy {
 
 /// A [`DeltaAlgorithm`] that supports incremental recomputation.
 ///
-/// The extra hooks recover, from a *converged* vertex value, what the
-/// vertex has been telling its neighbors — which is what edge updates
-/// perturb.
-pub trait IncrementalAlgorithm: DeltaAlgorithm {
+/// Its delta is its value type: a *converged* vertex value is the basis
+/// the vertex has propagated (delta-correction) or would propagate to
+/// support a neighbor (monotone) — what edge updates perturb.
+pub trait IncrementalAlgorithm: DeltaAlgorithm<Delta = <Self as DeltaAlgorithm>::Value> {
     /// Which seeding rule applies to this algorithm.
     fn strategy(&self) -> SeedingStrategy;
-
-    /// The propagation basis corresponding to a converged `value`: the
-    /// total a vertex holding `value` has propagated (delta-correction) or
-    /// would propagate to support a neighbor (monotone). For every Table
-    /// II algorithm this is the value itself.
-    fn basis_of(&self, value: Self::Value) -> Self::Delta;
 
     /// Inverse of `delta` under [`coalesce`](DeltaAlgorithm::coalesce):
     /// `coalesce(d, negate(d))` must be the identity. Only invoked for
@@ -162,8 +165,60 @@ pub fn incremental_seeds_with<A: IncrementalAlgorithm, G: GraphView>(
     values: &mut [A::Value],
     batch: &AppliedBatch,
 ) -> SeedPlan<A::Delta> {
-    let n = graph.num_vertices();
-    assert_eq!(values.len(), n, "state length must match the vertex count");
+    check_sizes(pool, graph.num_vertices(), values.len());
+    let invalidated = deposit_seeds(algo, graph, values, batch, |t, d| {
+        pool.deposit(algo, t.get(), d);
+    });
+    let seeds = drain(pool, algo, values);
+    SeedPlan { seeds, invalidated }
+}
+
+/// The seed plan that takes *any* state `values` to `graph`'s fixed point:
+/// its residual `F(x) − x` on `graph`, the deltas §II-B's accumulative
+/// form adds to `x`. For each vertex `v` in ascending order it deposits
+/// `negate(x_v)`, then `v`'s initial delta, then `v`'s out-shares of
+/// `x_v`, and drains the pool through the same no-op filter as
+/// [`incremental_seeds_with`]. `values` is not touched.
+///
+/// For an invertible reduce ([`SeedingStrategy::DeltaCorrection`]) a
+/// seeded run from this plan converges from any `x` on any graph, since
+/// `(I − αPᵀ)(x* − x) = r`: a stale column needs no chain of the deltas
+/// it missed, and the run ends as close to the fixed point as a cold run
+/// does, where chained corrections add up each batch's drift. On
+/// `initial_state` values the plan is that function's seed list, so a
+/// cold run is its special case. It costs one deposit per edge and
+/// vertex, where a correction plan costs the batch's rows.
+///
+/// # Panics
+///
+/// Panics if `values.len()` or `pool.num_vertices()` differs from
+/// `graph.num_vertices()`.
+pub fn residual_seeds_with<A: IncrementalAlgorithm, G: GraphView>(
+    pool: &mut DeltaPool<A>,
+    algo: &A,
+    graph: &G,
+    values: &[A::Value],
+) -> SeedPlan<A::Delta> {
+    check_sizes(pool, graph.num_vertices(), values.len());
+    for v in graph.vertex_ids() {
+        let x = values[v.index()];
+        pool.deposit(algo, v.get(), algo.negate(x));
+        if let Some(d) = algo.initial_delta(v) {
+            pool.deposit(algo, v.get(), d);
+        }
+        for_each_propagated(algo, graph, v, x, |t, d| pool.deposit(algo, t.get(), d));
+    }
+    let seeds = drain(pool, algo, values);
+    SeedPlan {
+        seeds,
+        invalidated: Vec::new(),
+    }
+}
+
+/// The size checks of a seed plan for `values` in a caller's pool on an
+/// `n`-vertex graph.
+fn check_sizes<A: DeltaAlgorithm>(pool: &DeltaPool<A>, n: usize, values: usize) {
+    assert_eq!(values, n, "state length must match the vertex count");
     assert_eq!(
         pool.num_vertices(),
         n,
@@ -171,11 +226,16 @@ pub fn incremental_seeds_with<A: IncrementalAlgorithm, G: GraphView>(
         pool.num_vertices()
     );
     debug_assert!(!pool.has_active(), "seed pool holds a stale delta");
-    let invalidated = deposit_seeds(algo, graph, values, batch, |t, d| {
-        pool.deposit(algo, t.get(), d);
-    });
-    // Drop seeds the reduce operator would ignore; what survives is exactly
-    // the dirty frontier.
+}
+
+/// Drains `pool` into a plan's seeds, leaving it empty. Seeds the reduce
+/// operator would ignore are dropped; what survives is exactly the dirty
+/// frontier.
+fn drain<A: DeltaAlgorithm>(
+    pool: &mut DeltaPool<A>,
+    algo: &A,
+    values: &[A::Value],
+) -> Vec<(VertexId, A::Delta)> {
     let mut seeds = Vec::new();
     pool.sweep(|_, t, d| {
         if algo.reduce(values[t], d) != values[t] {
@@ -183,7 +243,7 @@ pub fn incremental_seeds_with<A: IncrementalAlgorithm, G: GraphView>(
         }
     });
     pool.take_counts();
-    SeedPlan { seeds, invalidated }
+    seeds
 }
 
 /// Generates every seed event of `batch` into `deposit`, in the order
@@ -214,24 +274,18 @@ fn delta_correction_seeds<A: IncrementalAlgorithm, G: GraphView>(
     batch: &AppliedBatch,
     deposit: &mut impl FnMut(VertexId, A::Delta),
 ) {
-    for (u, old_edges) in &batch.old_out {
-        let basis = algo.basis_of(values[u.index()]);
+    for &(u, ref old_edges) in &batch.old_out {
+        let basis = values[u.index()];
         // Retract what `u` sent under its old list and degree...
         let old_deg = old_edges.len() as u32;
         for &e in old_edges {
-            if let Some(share) = algo.propagate(basis, *u, old_deg, e) {
+            if let Some(share) = algo.propagate(basis, u, old_deg, e) {
                 deposit(e.other, algo.negate(share));
             }
         }
         // ...and grant what it sends under the new ones. Unchanged targets
         // still shift when the degree changes (the share is `α·v/deg`).
-        let new_row = graph.out_edges(*u);
-        let new_deg = new_row.len() as u32;
-        new_row.for_each(|e| {
-            if let Some(share) = algo.propagate(basis, *u, new_deg, e) {
-                deposit(e.other, share);
-            }
-        });
+        for_each_propagated(algo, graph, u, basis, &mut *deposit);
     }
 }
 
@@ -265,7 +319,7 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
             other: t,
             weight: w,
         };
-        if let Some(c) = algo.propagate(algo.basis_of(values[u.index()]), u, old_deg, edge) {
+        if let Some(c) = algo.propagate(values[u.index()], u, old_deg, edge) {
             if algo.reduce(algo.init_value(t), c) == values[t.index()] {
                 suspects.insert(t.get());
             }
@@ -299,9 +353,7 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
                 other: t,
                 weight: e.weight,
             };
-            if let Some(c) =
-                algo.propagate(algo.basis_of(values[s.index()]), s, graph.out_degree(s), se)
-            {
+            if let Some(c) = algo.propagate(values[s.index()], s, graph.out_degree(s), se) {
                 deposit(t, c);
             }
         });
@@ -319,12 +371,7 @@ fn monotone_seeds<A: IncrementalAlgorithm, G: GraphView>(
             other: t,
             weight: w,
         };
-        if let Some(c) = algo.propagate(
-            algo.basis_of(values[u.index()]),
-            u,
-            graph.out_degree(u),
-            edge,
-        ) {
+        if let Some(c) = algo.propagate(values[u.index()], u, graph.out_degree(u), edge) {
             deposit(t, c);
         }
     }
@@ -356,9 +403,7 @@ fn is_supported<A: IncrementalAlgorithm, G: GraphView>(
             other: t,
             weight: e.weight,
         };
-        if let Some(c) =
-            algo.propagate(algo.basis_of(values[s.index()]), s, graph.out_degree(s), se)
-        {
+        if let Some(c) = algo.propagate(values[s.index()], s, graph.out_degree(s), se) {
             if algo.reduce(init, c) == values[t.index()] {
                 return true;
             }
@@ -392,7 +437,7 @@ fn support_test_closure<A: IncrementalAlgorithm, G: GraphView>(
         // greatest fixpoint of "supported").
         let row = graph.out_edges(tid);
         let deg = row.len() as u32;
-        let basis = algo.basis_of(values[tid.index()]);
+        let basis = values[tid.index()];
         row.for_each(|e| {
             let w = e.other;
             if invalid.contains(&w.get()) || values[w.index()] == algo.init_value(w) {
@@ -421,7 +466,7 @@ fn reachability_closure<A: IncrementalAlgorithm, G: GraphView>(
         let tid = VertexId::new(t);
         let row = graph.out_edges(tid);
         let deg = row.len() as u32;
-        let basis = algo.basis_of(values[tid.index()]);
+        let basis = values[tid.index()];
         row.for_each(|e| {
             let w = e.other;
             if invalid.contains(&w.get()) || values[w.index()] == algo.init_value(w) {
@@ -712,6 +757,125 @@ mod tests {
             &mut values,
             &batch,
         );
+    }
+
+    /// An `n`-vertex graph of three random out-edges a vertex. With
+    /// `dangling` every fourth vertex has none; with `self_loops` every
+    /// fifth keeps a loop (and so do random edges that land on their
+    /// source).
+    fn residual_graph(
+        n: usize,
+        dangling: bool,
+        self_loops: bool,
+        rng: &mut StdRng,
+    ) -> gp_graph::CsrGraph {
+        let mut b = gp_graph::GraphBuilder::new(n);
+        b.drop_self_loops(!self_loops);
+        let v = VertexId::new;
+        for s in 0..n as u32 {
+            if dangling && s % 4 == 1 {
+                continue;
+            }
+            if self_loops && s % 5 == 0 {
+                b.add_edge(v(s), v(s), 1.0);
+            }
+            for _ in 0..3 {
+                b.add_edge(v(s), v(rng.gen_range(0..n as u32)), 1.0);
+            }
+        }
+        b.build()
+    }
+
+    /// Every shape the residual tests run: `n` at the bitmap word edges,
+    /// with and without dangling vertices and self loops.
+    fn residual_cases() -> impl Iterator<Item = (usize, bool, bool)> {
+        [1usize, 63, 64, 65].into_iter().flat_map(|n| {
+            [(false, false), (true, false), (false, true), (true, true)]
+                .map(|(dangling, self_loops)| (n, dangling, self_loops))
+        })
+    }
+
+    /// Classic PageRank and PageRank personalized to every third vertex.
+    fn residual_algos(n: usize) -> [PageRankDelta; 2] {
+        let sources: Vec<VertexId> = (0..n as u32).step_by(3).map(VertexId::new).collect();
+        [
+            PageRankDelta::new(0.85, 1e-9),
+            PageRankDelta::personalized(0.85, 1e-9, n, &sources),
+        ]
+    }
+
+    fn seed_bits(seeds: &[(VertexId, f64)]) -> Vec<(u32, u64)> {
+        seeds.iter().map(|&(v, d)| (v.get(), d.to_bits())).collect()
+    }
+
+    /// On the init values the residual is the initial deltas, bit for bit:
+    /// a cold run is the residual plan's special case.
+    #[test]
+    fn a_residual_plan_on_initial_state_is_the_cold_seed_list() {
+        for (n, dangling, self_loops) in residual_cases() {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let g = residual_graph(n, dangling, self_loops, &mut rng);
+            for (i, algo) in residual_algos(n).iter().enumerate() {
+                let label = format!("n={n} dangling={dangling} self_loops={self_loops} algo {i}");
+                let (values, cold) = initial_state(algo, &g);
+                let mut pool = DeltaPool::new(algo, n);
+                let plan = residual_seeds_with(&mut pool, algo, &g, &values);
+                assert_eq!(seed_bits(&plan.seeds), seed_bits(&cold), "{label}");
+                assert!(plan.invalidated.is_empty(), "{label}");
+                assert!(!pool.has_active(), "{label}: the drain left a bit set");
+                assert_eq!(pool.take_counts(), (0, 0), "{label}");
+            }
+        }
+    }
+
+    /// A column left behind by one to three mixed batches, caught up by
+    /// its residual on the new graph alone, is the new graph's PageRank:
+    /// no chain of the missed batches is read.
+    #[test]
+    fn residual_seeds_take_a_stale_state_to_the_new_fixed_point() {
+        for (n, dangling, self_loops) in residual_cases() {
+            let mut rng = StdRng::seed_from_u64(0x5eed ^ n as u64);
+            let g = residual_graph(n, dangling, self_loops, &mut rng);
+            for (i, algo) in residual_algos(n).iter().enumerate() {
+                let mut o = OverlayGraph::new(g.clone());
+                let mut values = run_sequential(algo, &o).values;
+                let mut pool = DeltaPool::new(algo, n);
+                for round in 0..6 {
+                    for _ in 0..=round % 3 {
+                        let updates =
+                            property_batch(&o, 0, round, WeightMode::Unweighted, &mut rng);
+                        o.apply(&updates);
+                    }
+                    let label = format!(
+                        "n={n} dangling={dangling} self_loops={self_loops} algo {i} round {round}"
+                    );
+                    let plan = residual_seeds_with(&mut pool, algo, &o, &values);
+                    assert!(!pool.has_active(), "{label}: the drain left a bit set");
+                    let got = run_sequential_seeded(algo, &o, &mut values, &plan.seeds);
+                    let scratch = run_sequential(algo, &o);
+                    if let Err(e) = crate::accept(algo, &got.values, &scratch.values) {
+                        panic!("{label}: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "seed pool sized for 8 vertices, graph has 30")]
+    fn a_residual_plan_refuses_a_pool_of_the_wrong_size() {
+        let g = erdos_renyi(30, 120, WeightMode::Unweighted, 3);
+        let algo = PageRankDelta::new(0.85, 1e-9);
+        let (values, _) = initial_state(&algo, &g);
+        residual_seeds_with(&mut DeltaPool::new(&algo, 8), &algo, &g, &values);
+    }
+
+    #[test]
+    #[should_panic(expected = "state length must match the vertex count")]
+    fn a_residual_plan_refuses_state_of_the_wrong_length() {
+        let g = erdos_renyi(30, 120, WeightMode::Unweighted, 3);
+        let algo = PageRankDelta::new(0.85, 1e-9);
+        residual_seeds_with(&mut DeltaPool::new(&algo, 30), &algo, &g, &[0.0; 8]);
     }
 
     /// The textbook CC failure mode for support-test invalidation: a cycle

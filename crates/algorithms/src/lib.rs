@@ -62,8 +62,8 @@ pub use bfs::Bfs;
 pub use cc::ConnectedComponents;
 pub use delta::DeltaAlgorithm;
 pub use incremental::{
-    incremental_seeds, incremental_seeds_with, IncrementalAlgorithm, Invalidation, SeedPlan,
-    SeedingStrategy,
+    incremental_seeds, incremental_seeds_with, residual_seeds_with, IncrementalAlgorithm,
+    Invalidation, SeedPlan, SeedingStrategy,
 };
 pub use pagerank::PageRankDelta;
 pub use pool::DeltaPool;

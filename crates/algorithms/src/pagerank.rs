@@ -161,12 +161,6 @@ impl crate::IncrementalAlgorithm for PageRankDelta {
         crate::SeedingStrategy::DeltaCorrection
     }
 
-    /// A converged rank *is* the total mass the vertex has propagated
-    /// (modulo sub-threshold residue).
-    fn basis_of(&self, value: f64) -> f64 {
-        value
-    }
-
     fn negate(&self, delta: f64) -> f64 {
         -delta
     }

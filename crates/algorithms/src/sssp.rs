@@ -94,10 +94,6 @@ impl crate::IncrementalAlgorithm for Sssp {
     fn strategy(&self) -> crate::SeedingStrategy {
         crate::SeedingStrategy::Monotone(crate::Invalidation::SupportTest)
     }
-
-    fn basis_of(&self, value: f64) -> f64 {
-        value
-    }
 }
 
 #[cfg(test)]

@@ -97,10 +97,6 @@ impl crate::IncrementalAlgorithm for Sswp {
     fn strategy(&self) -> crate::SeedingStrategy {
         crate::SeedingStrategy::Monotone(crate::Invalidation::Reachability)
     }
-
-    fn basis_of(&self, value: f64) -> f64 {
-        value
-    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,8 @@
 //! column is created, advanced, read and dropped by exactly one thread.
 //! Nothing is shared between lanes and nothing is locked.
 //!
-//! All five classes are one generic `Class` — one algorithm type and a
-//! `Policy` of three numbers — and go through the same three steps per
-//! sweep:
+//! All five classes are one generic `Class` — a class differs only in its
+//! algorithm — and go through the same three steps per sweep:
 //!
 //! * **Usable or behind.** A column at the pinned epoch answers as is. A
 //!   column behind the pin still answers — flagged
@@ -30,30 +29,34 @@
 //!   a whole-graph convergence costs seconds on large graphs, and chasing
 //!   every published epoch would starve the microsecond-scale reads
 //!   queued behind it. Path columns always chase the head.
-//! * **Replay.** A column that is behind re-converges **in place**, in
-//!   one step whatever the chain's length: the chain's net delta — the
-//!   stored delta for a chain of one, else
-//!   [`AppliedBatch::between`] the column's own snapshot and the pin over
-//!   every source a link touched — goes through one
-//!   [`incremental_seeds_with`] plan and one [`run_turbo_with`] run, which
-//!   processes only the events the perturbation triggers: converged state
-//!   plus a perturbation, the GraphPulse model. Path columns replay
-//!   chains of up to `MAX_WARM_CHAIN` deltas (monotone re-convergence is
-//!   bit-identical to a cold run). A PageRank column replays the
-//!   `refresh_lag` deltas a refresh finds it behind, until `WARM_LIMIT`
-//!   deltas have been merged since its last cold run — the bound on
-//!   PageRank's incremental drift. A CC column never replays: a deletion
-//!   invalidates the reachability closure of its source, which on a
-//!   giant component costs more than the cold run. A chain with a link
-//!   missing from the snapshot history is not replayed.
-//! * **Cold.** Whatever could not be replayed runs from
-//!   [`initial_state`] with the class's own algorithm: one turbo run per
-//!   cold column, path source or whole graph alike — the run `gp-stream`
-//!   and every golden check make.
+//! * **Catch up.** A column that is behind re-converges **in place**
+//!   with one seed plan and one [`run_turbo_with`] run, which processes
+//!   only the events the plan triggers: converged state plus a
+//!   perturbation, the GraphPulse model. Which plan is one `match` on
+//!   the algorithm:
+//!   - an invertible reduce (PageRank) seeds its residual on the pinned
+//!     graph ([`residual_seeds_with`]). The residual takes any state to
+//!     the new fixed point, so a column catches up from however far
+//!     behind, over any chain, with nothing but its values: no missed
+//!     delta is read and no drift carries from one catch-up to the
+//!     next, so the class runs cold only for a new column;
+//!   - a path class replays the chain's net delta through
+//!     [`incremental_seeds_with`] — the stored delta for a chain of one,
+//!     else [`AppliedBatch::between`] the column's own snapshot and the
+//!     pin over every source a link touched — for chains of up to
+//!     `MAX_WARM_CHAIN` deltas whose every link is still retained
+//!     (monotone re-convergence is bit-identical to a cold run);
+//!   - CC runs cold: a deletion invalidates the reachability closure of
+//!     its source, which on a giant component costs more than the cold
+//!     run.
+//! * **Cold.** Whatever could not catch up runs from [`initial_state`]
+//!   with the class's own algorithm: one turbo run per cold column, path
+//!   source or whole graph alike — the run `gp-stream` and every golden
+//!   check make.
 //!
-//! Every replay and cold run of a class goes through the class's one
+//! Every catch-up and cold run of a class goes through the class's one
 //! [`DeltaPool`], built at its first run and kept for the lane's life: a
-//! replay's seed plan and turbo run take turns in it. It is `n`-length,
+//! catch-up's seed plan and turbo run take turns in it. It is `n`-length,
 //! every plan and every run leaves it empty, and the vertex count never
 //! changes between epochs, so a path replay of a few seeds costs those
 //! seeds and a pass over the bitmap words, not an `n`-length allocation
@@ -70,8 +73,8 @@ use std::sync::Arc;
 
 use gp_algorithms::engine::initial_state;
 use gp_algorithms::{
-    incremental_seeds_with, Bfs, ConnectedComponents, DeltaPool, IncrementalAlgorithm,
-    PageRankDelta, Sssp, Sswp,
+    incremental_seeds_with, residual_seeds_with, Bfs, ConnectedComponents, DeltaPool,
+    IncrementalAlgorithm, PageRankDelta, SeedingStrategy, Sssp, Sswp,
 };
 use gp_graph::{AppliedBatch, GraphSnapshot, VertexId};
 use gp_turbo::{run_turbo_with, TurboConfig};
@@ -79,7 +82,7 @@ use gp_turbo::{run_turbo_with, TurboConfig};
 use crate::snapshot::Epoch;
 use crate::{
     QueryClass, QueryResponse, Request, ServeConfig, ServeStats, Shared, BATCH_WINDOW, DEGRADE_LAG,
-    MAX_BATCH, PATH_CACHE_SOURCES, WARM_LIMIT,
+    MAX_BATCH, PATH_CACHE_SOURCES,
 };
 
 /// Longest epoch-delta chain a path column replays before the lane falls
@@ -107,27 +110,13 @@ pub(crate) fn run(shared: &Shared, lane: usize) {
 struct Column<V> {
     /// Epoch `values` is exact for.
     epoch: u64,
-    /// That epoch's adjacency: the old end of a replay's net delta.
+    /// That epoch's adjacency: the old end of a path replay's net delta.
     graph: GraphSnapshot,
     values: Vec<V>,
-    /// Deltas merged by replays since the last cold run.
-    warm_streak: u64,
 }
 
 /// One read of a column: `(key, vertex read, where the answer goes)`.
 type Read = (u32, u32, Sender<QueryResponse>);
-
-/// How far a class's columns may trail the pin and how they catch up.
-#[derive(Clone, Copy)]
-struct Policy {
-    /// Epochs a column may trail the pin by and still answer. (A lane's
-    /// pins only move forward, so no column is ever ahead of one.)
-    window: u64,
-    /// Longest delta chain a column replays; a longer one runs cold.
-    max_chain: u64,
-    /// Most deltas a column merges by replay between cold runs.
-    warm_limit: u64,
-}
 
 /// One query class of one lane: its columns, how to build the algorithm
 /// behind them, and the resident pool every run of the class shares.
@@ -135,7 +124,6 @@ struct Class<A: IncrementalAlgorithm> {
     class: QueryClass,
     /// Builds the algorithm for a column key.
     algo: fn(&ServeConfig, VertexId) -> A,
-    policy: Policy,
     /// Path source (`0` for a whole-graph class) → column.
     columns: HashMap<u32, Column<A::Value>>,
     /// The pool every seed plan and turbo run of the class takes turns
@@ -145,30 +133,34 @@ struct Class<A: IncrementalAlgorithm> {
 }
 
 impl<A: IncrementalAlgorithm> Class<A> {
-    fn new(class: QueryClass, algo: fn(&ServeConfig, VertexId) -> A, policy: Policy) -> Self {
+    fn new(class: QueryClass, algo: fn(&ServeConfig, VertexId) -> A) -> Self {
         Class {
             class,
             algo,
-            policy,
             columns: HashMap::new(),
             pool: None,
         }
     }
 
     /// Answers `reads` against the pinned `epoch`: bring every column that
-    /// is not usable as it stands to the pin (replay if possible, cold
+    /// is not usable as it stands to the pin (catch up if possible, cold
     /// otherwise), then reply from the columns.
     fn serve(&mut self, shared: &Shared, reads: Vec<Read>, epoch: &Epoch, degraded_mode: bool) {
         let stats = &shared.stats;
         // The counters, not the work, are what differ by kind of class.
         let path = self.class.is_path();
+        // Epochs a column may trail the pin by and still answer. (A
+        // lane's pins only move forward, so no column is ever ahead.)
+        let window = if path {
+            1
+        } else {
+            shared.config.refresh_lag as u64
+        };
         // Each behind column is brought to the pin once, in key order.
         let mut behind: BTreeSet<u32> = BTreeSet::new();
         for &(key, ..) in &reads {
             match self.columns.get(&key) {
-                Some(column)
-                    if degraded_mode || epoch.number - column.epoch < self.policy.window =>
-                {
+                Some(column) if degraded_mode || epoch.number - column.epoch < window => {
                     if path {
                         ServeStats::count(&stats.path_cache_hits);
                     }
@@ -180,11 +172,11 @@ impl<A: IncrementalAlgorithm> Class<A> {
         }
 
         for key in behind {
-            let replayed = self.replay(shared, key, epoch);
-            if !replayed {
+            let warm = self.catch_up(shared, key, epoch);
+            if !warm {
                 self.run_cold(shared, key, epoch);
             }
-            ServeStats::count(match (replayed, path) {
+            ServeStats::count(match (warm, path) {
                 (true, true) => &stats.path_warm_starts,
                 (true, false) => &stats.warm_starts,
                 (false, true) => &stats.fused_runs,
@@ -206,56 +198,35 @@ impl<A: IncrementalAlgorithm> Class<A> {
     }
 
     /// Re-converges `key`'s column to `epoch` in place with one seed plan
-    /// and one turbo run on the net delta of the chain between its epoch
-    /// and the pin. `false` — column untouched, the caller runs cold —
-    /// when there is no column, the chain is longer than the class
-    /// replays, merging it would take the column past `warm_limit` deltas
-    /// since its last cold run, or any link is missing (epoch evicted from
-    /// history, or published without a delta).
-    fn replay(&mut self, shared: &Shared, key: u32, epoch: &Epoch) -> bool {
+    /// and one turbo run: PageRank's plan is its residual on the pinned
+    /// graph, a path class's the net delta of the chain between the
+    /// column's epoch and the pin. `false` — column untouched, the caller
+    /// runs cold — when there is no column, the class is CC, or a path
+    /// chain cannot be replayed (see [`net_delta`]).
+    fn catch_up(&mut self, shared: &Shared, key: u32, epoch: &Epoch) -> bool {
         let Some(column) = self.columns.get_mut(&key) else {
             return false;
-        };
-        let behind = epoch.number - column.epoch;
-        if behind > self.policy.max_chain || column.warm_streak + behind > self.policy.warm_limit {
-            return false;
-        }
-        // Verify the whole chain is replayable before doing any work. The
-        // chain is read as deltas: no graph is rebuilt for it.
-        let Some(mut deltas) = shared.store.deltas(column.epoch + 1..epoch.number) else {
-            return false;
-        };
-        let Some(last) = &epoch.delta else {
-            return false;
-        };
-        deltas.push(Arc::clone(last));
-        // A chain of one is its own net delta. A longer one is the diff of
-        // its two ends over every source a link changed: no other row
-        // differs between them.
-        let net;
-        let delta = match &deltas[..] {
-            [delta] => &**delta,
-            _ => {
-                let mut sources: Vec<VertexId> = deltas
-                    .iter()
-                    .flat_map(|d| d.old_out.iter().map(|&(u, _)| u))
-                    .collect();
-                sources.sort_unstable();
-                sources.dedup();
-                net = AppliedBatch::between(&column.graph, &epoch.graph, &sources);
-                &net
-            }
         };
         let algo = (self.algo)(&shared.config, VertexId::new(key));
         let n = shared.num_vertices;
         let pool = self.pool.get_or_insert_with(|| DeltaPool::new(&algo, n));
+        let graph = &epoch.graph;
+        let plan = match algo.strategy() {
+            SeedingStrategy::DeltaCorrection => {
+                residual_seeds_with(pool, &algo, graph, &column.values)
+            }
+            SeedingStrategy::Monotone(_) if self.class.is_path() => {
+                let Some(delta) = net_delta(shared, column, epoch) else {
+                    return false;
+                };
+                incremental_seeds_with(pool, &algo, graph, &mut column.values, &delta)
+            }
+            SeedingStrategy::Monotone(_) => return false,
+        };
         let cfg = TurboConfig::default();
-        let values = &mut column.values;
-        let plan = incremental_seeds_with(pool, &algo, &epoch.graph, values, delta);
-        run_turbo_with(pool, &algo, &epoch.graph, values, &plan.seeds, &cfg);
+        run_turbo_with(pool, &algo, graph, &mut column.values, &plan.seeds, &cfg);
         column.epoch = epoch.number;
         column.graph = epoch.graph.clone();
-        column.warm_streak += behind;
         true
     }
 
@@ -271,7 +242,6 @@ impl<A: IncrementalAlgorithm> Class<A> {
             epoch: epoch.number,
             graph: epoch.graph.clone(),
             values,
-            warm_streak: 0,
         };
         self.columns.insert(key, column);
     }
@@ -280,6 +250,31 @@ impl<A: IncrementalAlgorithm> Class<A> {
     fn evict(&mut self, keep: Option<u64>) {
         self.columns.retain(|_, c| Some(c.epoch) == keep);
     }
+}
+
+/// The net delta of the chain from `column`'s epoch to the pinned
+/// `epoch`: the stored delta for a chain of one, else the diff of its two
+/// ends over every source a link changed — no other row differs between
+/// them. `None` when the chain is longer than `MAX_WARM_CHAIN` or any link
+/// is missing (epoch evicted from history, or published without a
+/// delta). The chain is read as deltas: no graph is rebuilt for it.
+fn net_delta<V>(shared: &Shared, column: &Column<V>, epoch: &Epoch) -> Option<Arc<AppliedBatch>> {
+    if epoch.number - column.epoch > MAX_WARM_CHAIN {
+        return None;
+    }
+    let mut deltas = shared.store.deltas(column.epoch + 1..epoch.number)?;
+    deltas.push(Arc::clone(epoch.delta.as_ref()?));
+    if let [delta] = &deltas[..] {
+        return Some(Arc::clone(delta));
+    }
+    let mut sources: Vec<VertexId> = deltas
+        .iter()
+        .flat_map(|d| d.old_out.iter().map(|&(u, _)| u))
+        .collect();
+    sources.sort_unstable();
+    sources.dedup();
+    let net = AppliedBatch::between(&column.graph, &epoch.graph, &sources);
+    Some(Arc::new(net))
 }
 
 /// Everything one executor lane owns: one [`Class`] per query class.
@@ -294,49 +289,17 @@ struct Executor<'a> {
 
 impl<'a> Executor<'a> {
     fn new(shared: &'a Shared) -> Self {
-        // A whole-graph convergence is the expensive one: its column
-        // answers for a `refresh_lag` window. PageRank then replays the
-        // window's deltas in one step, and runs cold once `WARM_LIMIT`
-        // deltas have been merged since the last cold run, to bound its
-        // incremental drift. CC always runs cold: its replay invalidates
-        // the closure of every deleted edge's source, and on a giant
-        // component that costs several cold runs. A path column chases the
-        // head, and monotone re-convergence is bit-identical to a cold
-        // run, so its streak is unbounded.
-        let refresh_lag = shared.config.refresh_lag as u64;
-        let pagerank = Policy {
-            window: refresh_lag,
-            max_chain: refresh_lag,
-            warm_limit: u64::from(WARM_LIMIT),
-        };
-        let components = Policy {
-            window: refresh_lag,
-            max_chain: 0,
-            warm_limit: 0,
-        };
-        let path = Policy {
-            window: 1,
-            max_chain: MAX_WARM_CHAIN,
-            warm_limit: u64::MAX,
-        };
         Executor {
             shared,
-            pagerank: Class::new(
-                QueryClass::PageRank,
-                |c, _| PageRankDelta::new(c.pagerank_damping, c.pagerank_threshold),
-                pagerank,
-            ),
-            components: Class::new(
-                QueryClass::Components,
-                |_, _| ConnectedComponents::new(),
-                components,
-            ),
-            sssp: Class::new(QueryClass::Sssp, |_, s| Sssp::new(s), path),
-            bfs: Class::new(QueryClass::Bfs, |_, s| Bfs::new(s), path),
-            sswp: Class::new(QueryClass::Sswp, |_, s| Sswp::new(s), path),
+            pagerank: Class::new(QueryClass::PageRank, |c, _| {
+                PageRankDelta::new(c.pagerank_damping, c.pagerank_threshold)
+            }),
+            components: Class::new(QueryClass::Components, |_, _| ConnectedComponents::new()),
+            sssp: Class::new(QueryClass::Sssp, |_, s| Sssp::new(s)),
+            bfs: Class::new(QueryClass::Bfs, |_, s| Bfs::new(s)),
+            sswp: Class::new(QueryClass::Sswp, |_, s| Sswp::new(s)),
         }
     }
-
     fn serve_sweep(&mut self, batch: Vec<Request>) {
         let shared = self.shared;
         ServeStats::count(&shared.stats.sweeps);

@@ -28,21 +28,23 @@
 //!   `0` for PageRank and CC). Queries route to lanes by the same pair,
 //!   so a column is owned by the one lane its key hashes to — no shared
 //!   caches, no locks, no cross-thread coherence. All five classes bring
-//!   a column to the pinned epoch the same way: replay the net delta of
-//!   the overlay chain it is behind by in place, in one step
-//!   ([`incremental_seeds_with`](gp_algorithms::incremental_seeds_with) +
-//!   a [`run_turbo_with`](gp_turbo::run_turbo_with) run on the same pool —
-//!   converged state plus a perturbation processes only the events the
-//!   perturbation triggers),
-//!   or run cold — one
+//!   a column to the pinned epoch the same way: one seed plan and one
+//!   [`run_turbo_with`](gp_turbo::run_turbo_with) run on the class's
+//!   pool, in place — converged state plus a perturbation processes only
+//!   the events the perturbation triggers. PageRank seeds its residual on
+//!   the pinned graph
+//!   ([`residual_seeds_with`](gp_algorithms::residual_seeds_with)), which
+//!   needs nothing but the column; a path class replays the net delta of
+//!   the overlay chain it is behind by
+//!   ([`incremental_seeds_with`](gp_algorithms::incremental_seeds_with)).
+//!   A column runs cold — one
 //!   [`initial_state`](gp_algorithms::engine::initial_state) + turbo run
-//!   of the class's own algorithm per column — when the chain is too long
-//!   or broken. Each class keeps one seed accumulator and one turbo engine
-//!   resident for all of its runs. A class differs from another only
-//!   in its algorithm and three numbers: how far a column may trail, how
-//!   long a chain it replays, how many deltas it merges between cold
-//!   runs. The four monotone classes are bit-exact with golden; a
-//!   PageRank response is within the algorithm's tolerance of it.
+//!   of the class's own algorithm — when it is new, when it is CC's, or
+//!   when a path chain is too long or broken. Each class keeps one seed
+//!   accumulator and one turbo engine resident for all of its runs. A
+//!   class differs from another only in its algorithm. The four monotone
+//!   classes are bit-exact with golden; a PageRank response is within the
+//!   algorithm's tolerance of it.
 //! * **Admission control** ([`admission`]): bounded per-tenant queues, a
 //!   global overload ceiling, typed [`Rejection`]s, and graceful
 //!   degradation — when the update pipeline lags four batches or more
@@ -51,7 +53,7 @@
 //!   instead of stalling on recomputes.
 //! * **Constants, not knobs**: [`ServeConfig`] holds the seven values a
 //!   caller in this repository sets. Queue bounds, the batching window,
-//!   the degradation threshold, the replay limits and the path-column
+//!   the degradation threshold, the path replay limit and the path-column
 //!   bound are documented constants beside it.
 //! * **Front ends**: the in-process [`ServeHandle`] / [`ServeClient`]
 //!   API here, and a line-oriented TCP protocol in [`net`].
@@ -278,12 +280,12 @@ pub struct ServeConfig {
     /// chasing every published epoch lets write churn starve read
     /// throughput; this bounds that staleness at a fixed number of
     /// epochs instead. `1` chases every epoch. Minimum 1. A PageRank
-    /// refresh replays the window's net delta in one step while at most
-    /// `WARM_LIMIT` deltas have been merged since its last cold run
-    /// (twice at the default), and runs cold otherwise; a CC refresh is
-    /// always cold. The default matches the longest path-column replay
-    /// chain (`MAX_WARM_CHAIN`), so one whole-graph refresh spans the
-    /// same epoch window as the deepest path replay.
+    /// refresh seeds the column's residual on the pinned graph and runs
+    /// once, however many epochs it trails by, so PageRank runs cold
+    /// only for its first column; a CC refresh is always cold. The
+    /// default matches the longest path-column replay chain
+    /// (`MAX_WARM_CHAIN`), so one whole-graph refresh spans the same
+    /// epoch window as the deepest path replay.
     pub refresh_lag: usize,
     /// Overlay compaction threshold (pool fraction of base edges), applied
     /// off the read path after each publish.
@@ -329,10 +331,6 @@ const UPDATE_QUEUE: usize = 8;
 /// a lane already holds instead of recomputing — the service sheds
 /// *freshness*, not availability, when writes outpace it.
 pub(crate) const DEGRADE_LAG: usize = 4;
-/// Most deltas a PageRank column merges by replay between cold runs,
-/// bounding its incremental drift: a replay that would take it past this
-/// many runs cold instead.
-pub(crate) const WARM_LIMIT: u32 = 16;
 /// Path columns one lane holds across its three path classes before the
 /// stale ones (then all of them) are dropped.
 pub(crate) const PATH_CACHE_SOURCES: usize = 128;
@@ -369,8 +367,8 @@ pub struct StatsSnapshot {
     pub epochs_published: u64,
     /// Update batches applied by the writer.
     pub update_batches: u64,
-    /// PageRank/CC re-convergences warm-started from an earlier epoch by
-    /// one replay of the net delta between them.
+    /// PageRank re-convergences warm-started from an earlier epoch's
+    /// column by one run on its residual (CC never warm-starts).
     pub warm_starts: u64,
     /// PageRank/CC cold (from-scratch) runs.
     pub cold_runs: u64,

@@ -8,9 +8,9 @@
 //! a delta chain, which run cold, which are flagged degraded — is a
 //! function of the script alone: the same at 1 and 3 executors, and
 //! different between `refresh_lag` 8 (whole-graph columns refresh every
-//! eighth epoch, PageRank by replaying the window's net delta) and 1
-//! (they chase every epoch, PageRank warm until `WARM_LIMIT` deltas force
-//! a cold run). CC runs cold at every refresh under both. A change to how
+//! eighth epoch) and 1 (they chase every epoch). PageRank catches up by
+//! its residual at every refresh after its first, cold run; CC runs cold
+//! at every refresh under both. A change to how
 //! columns are cached, replayed or evicted that is meant to keep
 //! behaviour leaves these literals untouched.
 
@@ -128,25 +128,25 @@ fn assert_schedule(refresh_lag: usize, want: Counts, want_fold: u64) {
 fn whole_graph_columns_refresh_every_eighth_epoch() {
     // 3 whole-graph reads x 21 rounds inside a refresh window are degraded.
     // Refreshes at epochs 0, 8, 16: CC runs cold at all three; PageRank
-    // runs cold at 0 and replays the eight-delta window in one step at 8
-    // and 16 (16 deltas merged, exactly `WARM_LIMIT`). Path columns replay
-    // one delta per round (9 x 23) and run cold only at first sight (9 +
-    // source 39) or eleven epochs on (source 39 twice more).
+    // runs cold at 0 and catches up by its residual at 8 and 16. Path
+    // columns replay one delta per round (9 x 23) and run cold only at
+    // first sight (9 + source 39) or eleven epochs on (source 39 twice
+    // more).
     assert_schedule(
         8,
         [48, 24, 99, 72, 72, 63, 4, 2, 12, 24, 207, 315],
-        0x8694_f6eb_0cd3_283b,
+        0x0295_3334_0a82_8224,
     );
 }
 
 #[test]
 fn whole_graph_columns_chase_every_epoch_warm_until_the_streak_cap() {
-    // PageRank: cold at epoch 0, sixteen one-delta replays, a forced cold
-    // run at epoch 17 (a seventeenth delta would pass `WARM_LIMIT`), six
-    // more replays: 16 + 6 warm, 2 cold. CC: cold at all 24 epochs.
+    // PageRank: cold at epoch 0, then a residual catch-up at each of the
+    // 23 epochs after it, with no streak cap: 23 warm, 1 cold. CC: cold
+    // at all 24 epochs.
     assert_schedule(
         1,
-        [48, 24, 99, 72, 72, 0, 26, 22, 12, 24, 207, 315],
-        0x3b43_c751_b1ce_7a70,
+        [48, 24, 99, 72, 72, 0, 25, 23, 12, 24, 207, 315],
+        0xc6cf_08e2_c04c_067e,
     );
 }

@@ -44,7 +44,14 @@ echo "== one kind of thing cached in gp-serve (lane-local typed columns, constan
 # to an epoch one way; the shared mutex-guarded caches, the projected f64
 # copies and the eight never-set ServeConfig fields may not come back.
 if grep -rnE 'SharedCaches|struct ClassCache|fn warm_step|Arc<Vec<f64>>' crates/serve/src; then
-  echo "second cache mechanism reintroduced: keep state in executor::Column and advance it through Class::replay"; exit 1
+  echo "second cache mechanism reintroduced: keep state in executor::Column and advance it through Class::catch_up"; exit 1
+fi
+# A PageRank column catches up by its residual, which takes any state to
+# the pinned graph's fixed point, so nothing counts the deltas it merged
+# and no class carries numbers of its own: the drift cap, its streak and
+# the per-class Policy may not come back.
+if grep -rnE 'warm_streak|WARM_LIMIT|struct Policy' crates/serve/src; then
+  echo "PageRank drift cap reintroduced: a behind PageRank column catches up by residual_seeds_with, with no cap"; exit 1
 fi
 if grep -nE 'pub (queue_capacity|global_capacity|max_batch|batch_window|update_queue|degrade_lag|warm_limit|path_cache_sources)' crates/serve/src/lib.rs; then
   echo "never-set ServeConfig field reintroduced: it is a constant beside the struct until two callers need different values"; exit 1
@@ -74,6 +81,11 @@ if grep -rnE 'run_turbo_seeded\(|incremental_seeds\(' crates/stream/src crates/s
 fi
 if grep -rnE 'fn coalesce_into|fn into_plan' crates/algorithms/src; then
   echo "BTreeMap seed accumulator reintroduced: seeds coalesce in a DeltaPool"; exit 1
+fi
+# An incremental algorithm's delta is its value type, so a converged value
+# is its propagation basis and needs no conversion hook.
+if grep -rn 'fn basis_of' crates/algorithms/src; then
+  echo "basis_of reintroduced: IncrementalAlgorithm has Delta = Value; read the value"; exit 1
 fi
 
 echo "== one pool in gp-turbo (no vertex shards, no threads, no shard-count knob) =="
@@ -345,8 +357,8 @@ echo "== serve smoke (executor pool, every sample vs golden) =="
 # epoch the response named — bit-exact for the monotone classes, within
 # tolerance for PageRank. Exit 1 on any mismatch. Sixteen batches close
 # at least one eight-epoch refresh window mid-run, so the PageRank column
-# catches up by a net-delta replay that the check then covers; a run
-# with no warm start did not exercise it. The store keeps a graph only for
+# catches up by its residual on the pinned graph, which the check then
+# covers; a run with no warm start did not exercise it. The store keeps a graph only for
 # epochs someone holds, so most samples are checked on an epoch the
 # store rebuilt from its undo records: the check covers the rebuild too.
 cargo run --release -q -p gp-bench --bin serve_bench -- \
