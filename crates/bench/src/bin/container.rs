@@ -7,7 +7,7 @@
 //!
 //! 1. streams a seeded R-MAT edge list straight into [`build_streaming`]
 //!    — resident memory during the build is one spill bucket, not the
-//!    graph,
+//!    graph; the container numbers its vertices hub-first,
 //! 2. opens the container with [`MappedCsr::open_verified`] (full segment
 //!    checksum verification) and picks the highest-out-degree root,
 //! 3. for each of PRD, SSSP, BFS, CC, and SSWP, runs the golden engine
@@ -43,7 +43,7 @@ use gp_bench::cli::{finish, Flags};
 use gp_bench::json::{Json, OUTOFCORE};
 use gp_bench::write_output;
 use gp_graph::container::{build_streaming, StreamBuildOptions};
-use gp_graph::generators::{rmat_edges, RmatConfig, WeightMode};
+use gp_graph::generators::{rmat, rmat_edges, RmatConfig, WeightMode};
 use gp_graph::stats::max_out_degree_vertex;
 use gp_graph::{GraphView, MappedCsr, MeteredView};
 use gp_turbo::{run_turbo, TurboConfig};
@@ -71,9 +71,11 @@ engine and turbo over the mapping. Writes a BENCH_outofcore.json record.
   --bucket-vertices N vertices per streaming spill bucket (default 262144)
   --budget-mb N       resident-memory budget; the mapped working state must
                       fit under it (0 = no budget, the default)
-  --check-resident    also materialize each graph in RAM and require golden
-                      and turbo over the mapping to be bit-identical to the
-                      fully-resident runs (CI smoke; defeats the budget)
+  --check-resident    also build each graph in RAM from the same stream,
+                      require the container to be it relabeled by the
+                      container's ranks, and require golden and turbo over
+                      the mapping to be bit-identical to the fully-resident
+                      runs (CI smoke; defeats the budget)
   --unweighted        drop the weight segments (default: weighted)
   --dir PATH          scratch directory for containers (default: temp dir)
   --out PATH          output JSON path (default BENCH_outofcore.json)";
@@ -293,7 +295,20 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
         adsorption: None,
     };
     if cfg.check_resident {
-        let resident = mapped.to_csr();
+        // An independent build: the same seeded stream through
+        // GraphBuilder, renamed by the container's ranks.
+        let built = rmat(&rcfg, cfg.seed);
+        let rank: Vec<u32> = built
+            .vertices()
+            .map(|s| mapped.container_id(s).get())
+            .collect();
+        let resident = built.relabel(&rank);
+        drop(built);
+        if mapped.to_csr() != resident {
+            return Err(format!(
+                "2^{lg}: the container is not the resident build relabeled by its ranks"
+            ));
+        }
         for app in table.clone() {
             with_algorithm!(app, &inputs, |algo| check_mapped(algo, &resident, &mapped))
                 .map_err(|e| format!("2^{lg}: {}: {e}", record_name(app)))?;

@@ -2,8 +2,9 @@
 //! *unmodified* over a disk-resident graph: every backend in this crate is
 //! generic over `GraphView`, so a [`MappedCsr`] opened from an on-disk
 //! container must produce bit-identical outcomes to the same machine over
-//! the resident [`CsrGraph`] — including when the queue is undersized and
-//! the §IV-F slicing path does the work.
+//! the resident [`CsrGraph`] it holds (the written graph relabeled by the
+//! container's ranks) — including when the queue is undersized and the
+//! §IV-F slicing path does the work.
 
 use std::fs;
 use std::path::PathBuf;
@@ -41,7 +42,9 @@ fn fixture(scratch: &Scratch, weighted: bool) -> (CsrGraph, MappedCsr) {
     let g = rmat(&cfg, 21);
     let path = scratch.0.join(format!("fixture-{weighted}.gpc"));
     write_container(&g, &path).unwrap();
-    (g, MappedCsr::open_verified(&path).unwrap())
+    let mapped = MappedCsr::open_verified(&path).unwrap();
+    let rank: Vec<u32> = g.vertices().map(|s| mapped.container_id(s).get()).collect();
+    (g.relabel(&rank), mapped)
 }
 
 /// A machine whose queue holds far fewer vertices than the graph, forcing

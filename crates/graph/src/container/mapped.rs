@@ -5,8 +5,9 @@ use std::path::Path;
 
 use super::mmap::Mapping;
 use super::{
-    digest_of, Header, HEADER_BYTES, SEGMENT_ALIGN, SEG_COUNT, SEG_IN_NEIGHBORS, SEG_IN_ROWPTR,
-    SEG_IN_WEIGHTS, SEG_NAMES, SEG_OUT_NEIGHBORS, SEG_OUT_ROWPTR, SEG_OUT_WEIGHTS,
+    digest_of, segment_lens, Header, HEADER_BYTES, SEGMENT_ALIGN, SEG_COUNT, SEG_IN_NEIGHBORS,
+    SEG_IN_ROWPTR, SEG_IN_WEIGHTS, SEG_NAMES, SEG_ORDER, SEG_OUT_NEIGHBORS, SEG_OUT_ROWPTR,
+    SEG_OUT_WEIGHTS, SEG_RANK,
 };
 use crate::csr::u32_at;
 use crate::io::ReadGraphError;
@@ -24,9 +25,14 @@ use crate::{CsrGraph, GraphView, OutEdges, VertexId};
 /// pages the OS keeps warm; the golden engines, the slice-swapping
 /// machinery, and turbo all run against it unmodified.
 ///
+/// Its ids are container ids: the graph it was written from, numbered
+/// hub-first (see the [module docs](super)). [`MappedCsr::stream_id`] and
+/// [`MappedCsr::container_id`] translate.
+///
 /// [`MappedCsr::open`] performs *structural* validation: magic, version,
-/// header digest, segment alignment and extents, and row-pointer
-/// monotonicity for both directions. It does **not** read
+/// header digest, segment alignment and extents, row-pointer
+/// monotonicity for both directions, and that `order` and `rank` are
+/// inverse permutations of `0..n`. It does **not** read
 /// the edge segments (that would fault in the whole file);
 /// [`MappedCsr::open_verified`] additionally recomputes every segment
 /// digest for end-to-end integrity at the cost of one full scan.
@@ -85,10 +91,7 @@ impl MappedCsr {
         let n = n64 as usize;
         let m = m64 as usize;
 
-        // Expected byte length of each segment, in file order.
-        let wlen = if header.weighted { m64 * 4 } else { 0 };
-        let expected_len: [u64; SEG_COUNT] =
-            [(n64 + 1) * 4, m64 * 4, wlen, (n64 + 1) * 4, m64 * 4, wlen];
+        let expected_len = segment_lens(n64, m64, header.weighted);
 
         let mut seg_bounds = [(0usize, 0usize); SEG_COUNT];
         let mut seg_digests = [0u64; SEG_COUNT];
@@ -161,6 +164,23 @@ impl MappedCsr {
             }
         }
 
+        // Every entry below n and rank[order[v]] == v: order is injective
+        // on 0..n, so both are permutations and rank is order's inverse.
+        let (order, rank) = (graph.seg(SEG_ORDER), graph.seg(SEG_RANK));
+        for v in 0..n {
+            let (s, r) = (u32_at(order, v), u32_at(rank, v));
+            if s as usize >= n || r as usize >= n {
+                return Err(ReadGraphError::Corrupt(format!(
+                    "order / rank entry {s} / {r} at {v} out of range for {n} vertices"
+                )));
+            }
+            if u32_at(rank, s as usize) as usize != v {
+                return Err(ReadGraphError::Corrupt(format!(
+                    "order and rank are not inverse permutations: rank[order[{v}]] != {v}"
+                )));
+            }
+        }
+
         Ok(graph)
     }
 
@@ -198,9 +218,29 @@ impl MappedCsr {
         self.map.is_mapped()
     }
 
+    /// The stream id of container vertex `v`: its id in the graph or edge
+    /// stream the container was written from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a vertex of the container.
+    pub fn stream_id(&self, v: VertexId) -> VertexId {
+        VertexId::new(u32_at(self.seg(SEG_ORDER), v.index()))
+    }
+
+    /// The container id of stream vertex `stream`; the inverse of
+    /// [`MappedCsr::stream_id`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is not a vertex of the container.
+    pub fn container_id(&self, stream: VertexId) -> VertexId {
+        VertexId::new(u32_at(self.seg(SEG_RANK), stream.index()))
+    }
+
     /// Materializes a fully-resident [`CsrGraph`] with identical topology
-    /// and weights — the bridge the differential oracle uses to pin
-    /// mapped ≡ resident.
+    /// and weights, in container order — the bridge the differential
+    /// oracle uses to pin mapped ≡ resident.
     pub fn to_csr(&self) -> CsrGraph {
         let n = self.num_vertices;
         let m = self.num_edges;

@@ -8,14 +8,27 @@
 //! shard-parallel engine, turbo — runs unmodified against disk-resident
 //! graphs, with the OS page cache deciding what is hot.
 //!
-//! # Layout (`GPC1`, version 2, little-endian)
+//! # Vertex ids
+//!
+//! A container numbers its vertices hub-first: container vertex `v` is
+//! vertex `order[v]` of the graph or stream it was written from, where
+//! [`hub_first`] sorts by in-degree, highest first, ties by the original
+//! id. Every engine keeps its per-vertex state (value, pending delta)
+//! direct-mapped by id, so the vertices most deposits land on share cache
+//! lines at the low ids instead of being scattered over the whole range
+//! (EXPERIMENTS.md, "Vertex order"). The mapped graph *is* the relabeled
+//! graph — every [`GraphView`](crate::GraphView) call speaks container
+//! ids — and the two stored permutations translate at the edges:
+//! [`MappedCsr::stream_id`] and [`MappedCsr::container_id`].
+//!
+//! # Layout (`GPC1`, version 3, little-endian)
 //!
 //! ```text
 //! offset 0    fixed 256-byte header:
 //!               magic "GPC1" · version u16 · flags u16 (bit 0: weighted)
 //!               num_vertices u64 · num_edges u64 · 8 reserved zero bytes
-//!               6 segment descriptors (offset u64, len u64, digest u64)
-//!               zero padding · header digest u64 over bytes [0, 200) at 200
+//!               8 segment descriptors (offset u64, len u64, digest u64)
+//!               header digest u64 over bytes [0, 224) at 224
 //!               · zero padding
 //! then        segments, each 64-byte aligned, in this order:
 //!               out_rowptr   (num_vertices + 1) × u32
@@ -24,6 +37,8 @@
 //!               in_rowptr    (num_vertices + 1) × u32
 //!               in_neighbors   num_edges × u32
 //!               in_weights     num_edges × f32   (empty when unweighted)
+//!               order          num_vertices × u32 (container id -> stream id)
+//!               rank           num_vertices × u32 (stream id -> container id)
 //! ```
 //!
 //! Design rationale, following the Dann et al. access-pattern studies (the
@@ -44,18 +59,22 @@
 //! [`slot_digest`]`(word_index, word)` to a
 //! wrapping sum, so a flipped bit, a swapped word, or a resized segment all
 //! change the digest. [`MappedCsr::open`] validates structure (magic,
-//! version, alignment, extents, row-pointer monotonicity);
+//! version, alignment, extents, row-pointer monotonicity, `order` and
+//! `rank` inverse permutations);
 //! [`MappedCsr::open_verified`] additionally recomputes every digest.
 //!
 //! Containers are produced two ways:
 //!
-//! * [`write_container`] serializes a resident [`CsrGraph`](crate::CsrGraph)
-//!   — the path the differential oracle uses to pin mapped ≡ resident;
+//! * [`write_container`] serializes a resident [`CsrGraph`](crate::CsrGraph),
+//!   relabeled hub-first — the path the differential oracle uses to pin
+//!   mapped ≡ resident;
 //! * [`build_streaming`] assembles a container from an *edge stream*
 //!   (e.g. [`rmat_edges`](crate::generators::rmat_edges)) without ever
 //!   materializing the graph: edges spill to bucketed temporary files,
-//!   each bucket is stable-sorted and deduplicated independently, and the
-//!   result is bit-identical to the resident build of the same stream.
+//!   each bucket is stable-sorted and deduplicated independently, the
+//!   kept edges are replayed under the hub-first ranks, and the result is
+//!   bit-identical to `write_container` over the resident build of the
+//!   same stream.
 
 mod mapped;
 #[allow(unsafe_code)]
@@ -77,7 +96,7 @@ use crate::io::ReadGraphError;
 pub const CONTAINER_MAGIC: u32 = u32::from_le_bytes(*b"GPC1");
 
 /// Format version this build reads and writes.
-pub const CONTAINER_VERSION: u16 = 2;
+pub const CONTAINER_VERSION: u16 = 3;
 
 /// Required alignment of every segment, matching the DRAM transfer granule
 /// the memory models assume (`gp_mem::LINE_BYTES`).
@@ -90,7 +109,7 @@ pub const HEADER_BYTES: u64 = 256;
 const FLAG_WEIGHTED: u16 = 1;
 
 /// Number of segments in a container, in file order.
-pub(crate) const SEG_COUNT: usize = 6;
+pub(crate) const SEG_COUNT: usize = 8;
 
 /// Segment indexes into [`Header::segments`].
 pub(crate) const SEG_OUT_ROWPTR: usize = 0;
@@ -99,6 +118,8 @@ pub(crate) const SEG_OUT_WEIGHTS: usize = 2;
 pub(crate) const SEG_IN_ROWPTR: usize = 3;
 pub(crate) const SEG_IN_NEIGHBORS: usize = 4;
 pub(crate) const SEG_IN_WEIGHTS: usize = 5;
+pub(crate) const SEG_ORDER: usize = 6;
+pub(crate) const SEG_RANK: usize = 7;
 
 /// Human-readable segment names, indexed like [`Header::segments`].
 pub(crate) const SEG_NAMES: [&str; SEG_COUNT] = [
@@ -108,11 +129,56 @@ pub(crate) const SEG_NAMES: [&str; SEG_COUNT] = [
     "in_rowptr",
     "in_neighbors",
     "in_weights",
+    "order",
+    "rank",
 ];
 
-/// Byte offset of the header digest; it covers bytes `[0, HEADER_DIGEST_AT)`.
-/// Public so corruption tests can re-seal a deliberately patched header.
-pub const HEADER_DIGEST_AT: usize = 200;
+/// Byte offset of the header digest, just past the last segment
+/// descriptor; it covers bytes `[0, HEADER_DIGEST_AT)`. Public so
+/// corruption tests can re-seal a deliberately patched header.
+pub const HEADER_DIGEST_AT: usize = 32 + SEG_COUNT * 24;
+
+const _: () = assert!(HEADER_DIGEST_AT + 8 <= HEADER_BYTES as usize);
+
+/// The container's vertex order: `order[v]` is the original id of
+/// container vertex `v`, given each original vertex's in-degree. Highest
+/// in-degree first, ties by original id ascending. Both writers call it
+/// on the in-degrees of the graph the container holds.
+#[must_use]
+pub fn hub_first(in_degrees: &[u32]) -> Vec<u32> {
+    // Complemented degree above the id: one ascending sort of unique keys.
+    let mut keys: Vec<u64> = (0u32..)
+        .zip(in_degrees)
+        .map(|(v, &d)| u64::from(!d) << 32 | u64::from(v))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| k as u32).collect()
+}
+
+/// The inverse of a permutation: `inverse(order)[order[v]] == v`.
+pub(crate) fn inverse(order: &[u32]) -> Vec<u32> {
+    let mut rank = vec![0u32; order.len()];
+    for (v, &s) in (0u32..).zip(order) {
+        rank[s as usize] = v;
+    }
+    rank
+}
+
+/// Byte length of each segment, in file order, of a container with `n`
+/// vertices and `m` edges.
+pub(crate) fn segment_lens(n: u64, m: u64, weighted: bool) -> [u64; SEG_COUNT] {
+    let wlen = if weighted { m * 4 } else { 0 };
+    [
+        (n + 1) * 4,
+        m * 4,
+        wlen,
+        (n + 1) * 4,
+        m * 4,
+        wlen,
+        n * 4,
+        n * 4,
+    ]
+}
 
 /// Rounds `off` up to the next [`SEGMENT_ALIGN`] boundary.
 pub(crate) fn align_up(off: u64) -> u64 {
@@ -330,6 +396,13 @@ mod tests {
         };
         let bytes = h.encode();
         assert_eq!(Header::decode(&bytes).unwrap(), h);
+    }
+
+    #[test]
+    fn hub_first_ranks_by_in_degree_then_id() {
+        assert_eq!(hub_first(&[1, 3, 0, 3, 2]), [1, 3, 4, 0, 2]);
+        assert_eq!(inverse(&[1, 3, 4, 0, 2]), [3, 0, 4, 1, 2]);
+        assert_eq!(hub_first(&[u32::MAX, 0, u32::MAX]), [0, 2, 1]);
     }
 
     #[test]

@@ -1,30 +1,43 @@
 //! External-memory container construction from an edge stream.
 //!
 //! [`build_streaming`] assembles a container without ever materializing
-//! the graph: the edge stream spills to per-source-bucket temporary files
-//! (12 bytes per edge), and each bucket becomes canonical CSR rows through
-//! the counting sort [`GraphBuilder`](crate::GraphBuilder) uses
-//! (`builder::csr_rows`: count, scatter in stream order, sort each row
-//! stably by destination, keep the first of a repeated one), reading its
-//! file twice instead of loading it. The CSR segments stream out as
-//! buckets resolve. A second bucketed spill of `(dst, src, weight)`
-//! records builds the in-adjacency mirror the same way. Peak resident
-//! memory is ≈ 8 bytes per edge of one bucket (its destinations and
-//! weight bits) plus the row-pointer arrays, independent of total edge
-//! count, so graphs whose resident CSR would not fit in RAM can still be
-//! built.
+//! the graph. It runs in five steps:
+//!
+//! 1. the edge stream spills to per-source-bucket temporary files (12
+//!    bytes per edge);
+//! 2. each bucket becomes canonical CSR rows through the counting sort
+//!    [`GraphBuilder`](crate::GraphBuilder) uses (`builder::csr_rows`:
+//!    count, scatter in stream order, sort each row stably by
+//!    destination, keep the first of a repeated one), reading its file
+//!    twice instead of loading it; every kept edge counts toward its
+//!    destination's in-degree and is re-spilled (a one-bucket build keeps
+//!    its rows in memory instead);
+//! 3. [`hub_first`] over those in-degrees gives `order` and its inverse
+//!    `rank`;
+//! 4. the kept edges replay as `(rank[src], rank[dst], weight)` into
+//!    per-container-source-bucket files;
+//! 5. each of those buckets becomes rows the same way and streams out to
+//!    the out-segments, re-spilling every edge as `(dst, src, weight)`; a
+//!    second bucketed pass builds the in-adjacency mirror from those.
+//!
+//! Peak resident memory is ≈ 8 bytes per edge of one bucket (its
+//! destinations and weight bits) plus four `n`-length `u32` arrays (the
+//! two row-pointer arrays, `order` and `rank`; the in-degree counts are
+//! dropped once ranked), independent of total edge count, so graphs whose
+//! resident CSR would not fit in RAM can still be built.
 //!
 //! Because each bucket covers a contiguous source range and is replayed
 //! in stream order, its rows are exactly the resident build's rows, and
-//! the output is bit-identical to `GraphBuilder::build` over the same
-//! stream (defaults: dedup on, self-loops dropped, no symmetrization).
+//! the output is bit-identical to [`write_container`](super::write_container)
+//! over `GraphBuilder::build` of the same stream (defaults: dedup on,
+//! self-loops dropped, no symmetrization).
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use super::write::{layout, rowptr_bytes, ContainerSummary, ContainerWriteError, CountingWriter};
-use super::{digest_of, Header, SegmentDigest, SEG_COUNT};
+use super::{digest_of, hub_first, inverse, segment_lens, Header, SegmentDigest, SEG_COUNT};
 use crate::builder::csr_rows;
 
 /// Tuning and semantics knobs for [`build_streaming`].
@@ -35,7 +48,7 @@ pub struct StreamBuildOptions {
     pub weighted: bool,
     /// Vertices per spill bucket — the unit of resident memory during the
     /// build (one bucket's rows, ≈ 8 bytes per edge, are in RAM at a
-    /// time). Default `1 << 18`.
+    /// time, beside four `n`-length `u32` arrays). Default `1 << 18`.
     pub bucket_vertices: usize,
 }
 
@@ -80,7 +93,6 @@ impl Drop for SpillDir {
 struct DigestingWriter {
     w: BufWriter<File>,
     digest: SegmentDigest,
-    len: u64,
     path: PathBuf,
 }
 
@@ -89,7 +101,6 @@ impl DigestingWriter {
         Ok(DigestingWriter {
             w: BufWriter::new(File::create(&path)?),
             digest: SegmentDigest::new(),
-            len: 0,
             path,
         })
     }
@@ -97,14 +108,13 @@ impl DigestingWriter {
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.w.write_all(bytes)?;
         self.digest.update(bytes);
-        self.len += bytes.len() as u64;
         Ok(())
     }
 
-    /// Flushes and returns `(path, byte_len, digest)`.
-    fn finish(mut self) -> io::Result<(PathBuf, u64, u64)> {
+    /// Flushes and returns `(path, digest)`.
+    fn finish(mut self) -> io::Result<(PathBuf, u64)> {
         self.w.flush()?;
-        Ok((self.path, self.len, self.digest.finish()))
+        Ok((self.path, self.digest.finish()))
     }
 }
 
@@ -132,6 +142,21 @@ fn replay(path: &Path, sink: &mut dyn FnMut(u32, u32, u32)) -> io::Result<()> {
     Ok(())
 }
 
+/// Calls `f(row, col, payload)` for every entry of canonical rows whose
+/// first row is `lo`, in row order.
+fn for_each_entry<E>(
+    lo: usize,
+    (offsets, cols, payload): &(Vec<u32>, Vec<u32>, Vec<u32>),
+    mut f: impl FnMut(u32, u32, u32) -> Result<(), E>,
+) -> Result<(), E> {
+    for (v, run) in (lo as u32..).zip(offsets.windows(2)) {
+        for e in run[0] as usize..run[1] as usize {
+            f(v, cols[e], payload[e])?;
+        }
+    }
+    Ok(())
+}
+
 fn open_bucket_writers(
     dir: &SpillDir,
     prefix: &str,
@@ -154,9 +179,10 @@ fn open_bucket_writers(
 /// [`rmat_edges`](crate::generators::rmat_edges) or parsing an edge-list
 /// file line by line. Semantics match `GraphBuilder` defaults: self loops
 /// dropped, parallel edges deduplicated keeping the first-streamed weight.
-/// The resulting file is byte-identical to
-/// [`write_container`](super::write_container) over the resident build of
-/// the same stream.
+/// The container numbers its vertices hub-first over the in-degrees of
+/// that deduplicated graph (see the module docs). The resulting file is
+/// byte-identical to [`write_container`](super::write_container) over the
+/// resident build of the same stream.
 ///
 /// # Errors
 ///
@@ -188,7 +214,7 @@ where
     let bucket = |b: usize| b * opts.bucket_vertices..n.min((b + 1) * opts.bucket_vertices);
     let dir = SpillDir::create(path)?;
 
-    // Phase A: spill the raw stream into per-source-bucket files.
+    // Step 1: spill the raw stream into per-source-bucket files.
     let mut out_spill = open_bucket_writers(&dir, "out", buckets)?;
     let mut io_err: Option<io::Error> = None;
     let mut bad_edge: Option<String> = None;
@@ -222,13 +248,83 @@ where
     }
     drop(out_spill);
 
-    // Phases B and C, one direction each: every bucket becomes canonical
-    // rows (csr_rows, reading its spill file twice) that stream out to the
-    // direction's segments. The out pass re-spills each edge as
-    // (dst, src, weight); an in-bucket thus lists every row's sources
-    // ascending, the transpose order CsrGraph::from_parts produces.
+    // Step 2: every bucket's kept edges, counted by destination. They are
+    // re-spilled in stream ids; a one-bucket build keeps its rows instead.
+    let mut in_degrees = vec![0u32; n];
+    let mut kept_rows = None;
+    let mut kept = (buckets > 1)
+        .then(|| File::create(dir.file("kept")).map(BufWriter::new))
+        .transpose()?;
+    let mut m = 0u64;
+    for b in 0..buckets {
+        let rows = bucket(b);
+        let spill = dir.file(&format!("out{b}"));
+        let bucket_rows = csr_rows(rows.clone(), true, |sink| replay(&spill, sink))?;
+        std::fs::remove_file(&spill)?;
+        m += bucket_rows.1.len() as u64;
+        if m > u64::from(u32::MAX) {
+            return Err(ContainerWriteError::Invalid(format!(
+                "deduplicated edge count exceeds u32::MAX at bucket {b}"
+            )));
+        }
+        for_each_entry(rows.start, &bucket_rows, |s, d, wbits| {
+            in_degrees[d as usize] += 1;
+            match kept.as_mut() {
+                Some(w) => push_record(w, s, d, wbits),
+                None => Ok(()),
+            }
+        })?;
+        if kept.is_none() {
+            kept_rows = Some(bucket_rows);
+        }
+    }
+    if let Some(w) = kept.as_mut() {
+        w.flush()?;
+    }
+    drop(kept);
+
+    // Step 3: the container's vertex order.
+    let order = hub_first(&in_degrees);
+    drop(in_degrees);
+    let rank = inverse(&order);
+
+    // Step 4: the kept edges, renamed, into container-source buckets.
+    let mut out_spill = open_bucket_writers(&dir, "out", buckets)?;
+    let mut renamed = |s: u32, d: u32, wbits: u32| {
+        let (s, d) = (rank[s as usize], rank[d as usize]);
+        push_record(
+            &mut out_spill[s as usize / opts.bucket_vertices],
+            s,
+            d,
+            wbits,
+        )
+    };
+    match kept_rows.take() {
+        Some(rows) => for_each_entry(0, &rows, &mut renamed)?,
+        None if buckets == 0 => {} // no vertices, so no edges
+        None => {
+            let mut failed = Ok(());
+            replay(&dir.file("kept"), &mut |s, d, wbits| {
+                if failed.is_ok() {
+                    failed = renamed(s, d, wbits);
+                }
+            })?;
+            failed?;
+            std::fs::remove_file(dir.file("kept"))?;
+        }
+    }
+    for w in &mut out_spill {
+        w.flush()?;
+    }
+    drop(out_spill);
+
+    // Step 5, one direction per pass: every bucket becomes canonical rows
+    // (csr_rows, reading its spill file twice) that stream out to the
+    // direction's segments. The edges are unique by now, so neither pass
+    // deduplicates. The out pass re-spills each edge as (dst, src,
+    // weight); an in-bucket thus lists every row's sources ascending, the
+    // transpose order CsrGraph::from_parts produces.
     let emit_rows = |prefix: &str,
-                     dedup: bool,
                      mut in_spill: Option<&mut Vec<BufWriter<File>>>|
      -> Result<_, ContainerWriteError> {
         let mut rowptr: Vec<u32> = vec![0; n + 1];
@@ -237,14 +333,9 @@ where
         for b in 0..buckets {
             let rows = bucket(b);
             let spill = dir.file(&format!("{prefix}{b}"));
-            let (offsets, ids, wbits) = csr_rows(rows.clone(), dedup, |sink| replay(&spill, sink))?;
+            let (offsets, ids, wbits) = csr_rows(rows.clone(), false, |sink| replay(&spill, sink))?;
             std::fs::remove_file(&spill)?;
             let base = rowptr[rows.start];
-            if u64::from(base) + ids.len() as u64 > u64::from(u32::MAX) {
-                return Err(ContainerWriteError::Invalid(format!(
-                    "deduplicated edge count exceeds u32::MAX at bucket {b}"
-                )));
-            }
             for (v, run) in rows.zip(offsets.windows(2)) {
                 rowptr[v + 1] = base + run[1];
                 for e in run[0] as usize..run[1] as usize {
@@ -267,37 +358,33 @@ where
         Ok((rowptr, neigh, weights))
     };
     let mut in_spill = open_bucket_writers(&dir, "in", buckets)?;
-    let (out_rowptr, out_neigh, out_weights) = emit_rows("out", true, Some(&mut in_spill))?;
+    let (out_rowptr, out_neigh, out_weights) = emit_rows("out", Some(&mut in_spill))?;
     for w in &mut in_spill {
         w.flush()?;
     }
     drop(in_spill);
-    let (in_rowptr, in_neigh, in_weights) = emit_rows("in", false, None)?;
-    let m = u64::from(out_rowptr[n]);
+    let (in_rowptr, in_neigh, in_weights) = emit_rows("in", None)?;
+    debug_assert_eq!(u64::from(out_rowptr[n]), m);
 
     // Assemble the container: all digests are known before the header is
     // written, so the file streams out front to back.
     let out_rowptr_bytes = rowptr_bytes(&out_rowptr);
     let in_rowptr_bytes = rowptr_bytes(&in_rowptr);
+    let order_bytes = rowptr_bytes(&order);
+    let rank_bytes = rowptr_bytes(&rank);
     drop(out_rowptr);
     drop(in_rowptr);
+    drop(order);
+    drop(rank);
 
-    let (out_neigh_path, out_neigh_len, out_neigh_digest) = out_neigh.finish()?;
-    let (out_w_path, out_w_len, out_w_digest) = out_weights.finish()?;
-    let (in_neigh_path, in_neigh_len, in_neigh_digest) = in_neigh.finish()?;
-    let (in_w_path, in_w_len, in_w_digest) = in_weights.finish()?;
-    debug_assert_eq!(out_neigh_len, m * 4);
-    debug_assert_eq!(in_neigh_len, m * 4);
+    let (out_neigh_path, out_neigh_digest) = out_neigh.finish()?;
+    let (out_w_path, out_w_digest) = out_weights.finish()?;
+    let (in_neigh_path, in_neigh_digest) = in_neigh.finish()?;
+    let (in_w_path, in_w_digest) = in_weights.finish()?;
 
-    let seg_lens = [
-        out_rowptr_bytes.len() as u64,
-        out_neigh_len,
-        out_w_len,
-        in_rowptr_bytes.len() as u64,
-        in_neigh_len,
-        in_w_len,
-    ];
-    let (mut segs, file_bytes) = layout(&seg_lens);
+    // Each segment's length is checked against this layout as it is
+    // copied in below.
+    let (mut segs, file_bytes) = layout(&segment_lens(n as u64, m, opts.weighted));
     let digests = [
         digest_of(&out_rowptr_bytes),
         out_neigh_digest,
@@ -305,6 +392,8 @@ where
         digest_of(&in_rowptr_bytes),
         in_neigh_digest,
         in_w_digest,
+        digest_of(&order_bytes),
+        digest_of(&rank_bytes),
     ];
     for (seg, d) in segs.iter_mut().zip(digests) {
         seg.digest = d;
@@ -325,6 +414,8 @@ where
         None, // in_rowptr: in memory
         Some(&in_neigh_path),
         Some(&in_w_path),
+        None,
+        None,
     ];
     let in_memory = [
         Some(&out_rowptr_bytes),
@@ -333,6 +424,8 @@ where
         Some(&in_rowptr_bytes),
         None,
         None,
+        Some(&order_bytes),
+        Some(&rank_bytes),
     ];
     for i in 0..SEG_COUNT {
         w.pad_to(segs[i].offset)?;

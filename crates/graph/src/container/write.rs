@@ -5,7 +5,10 @@ use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use super::{align_up, digest_of, Header, SegmentDesc, HEADER_BYTES, SEG_COUNT};
+use super::{
+    align_up, digest_of, hub_first, inverse, segment_lens, Header, SegmentDesc, HEADER_BYTES,
+    SEG_COUNT,
+};
 use crate::{CsrGraph, VertexId};
 
 /// Failure writing a container.
@@ -48,7 +51,7 @@ impl From<io::Error> for ContainerWriteError {
 pub struct ContainerSummary {
     /// Vertices in the written graph.
     pub vertices: u64,
-    /// Deduplicated directed edges.
+    /// Directed edges written (deduplicated, for a streamed build).
     pub edges: u64,
     /// Whether weight segments were written.
     pub weighted: bool,
@@ -116,7 +119,7 @@ pub(crate) fn layout(seg_lens: &[u64; SEG_COUNT]) -> ([SegmentDesc; SEG_COUNT], 
     (segs, off)
 }
 
-/// Serializes a `u32` slice little-endian.
+/// Serializes a `u32` slice (row pointers, a permutation) little-endian.
 pub(crate) fn rowptr_bytes(rowptr: &[u32]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(rowptr.len() * 4);
     for v in rowptr {
@@ -141,11 +144,14 @@ fn weight_bytes(weights: &[f32]) -> Vec<u8> {
     buf
 }
 
-/// Writes `graph` as a container at `path`.
+/// Writes `graph` as a container at `path`, numbered hub-first: the
+/// container holds `graph.relabel(&rank)` where `rank` inverts
+/// [`hub_first`] over `graph`'s in-degrees, and stores `order` and `rank`
+/// beside it. Every edge is kept, self loops and parallel edges included.
 ///
-/// The segments are serialized one at a time (peak transient memory is one
-/// segment, not a second copy of the graph), with the header back-patched
-/// once all digests are known.
+/// The relabeled copy is resident for the whole write (a second copy of
+/// the graph); its segments are then serialized one at a time, with the
+/// header back-patched once all digests are known.
 ///
 /// # Errors
 ///
@@ -154,15 +160,18 @@ pub fn write_container(
     graph: &CsrGraph,
     path: &Path,
 ) -> Result<ContainerSummary, ContainerWriteError> {
+    let (in_off, _, _) = graph.in_parts();
+    let in_degrees: Vec<u32> = in_off.windows(2).map(|w| w[1] - w[0]).collect();
+    let order = hub_first(&in_degrees);
+    let rank = inverse(&order);
+    let graph = graph.relabel(&rank);
     let (out_off, out_nei, out_w) = graph.out_parts();
     let (in_off, in_nei, in_w) = graph.in_parts();
     let weighted = graph.is_weighted();
 
     let n = graph.num_vertices() as u64;
     let m = graph.num_edges() as u64;
-    let wlen = if weighted { m * 4 } else { 0 };
-    let seg_lens = [(n + 1) * 4, m * 4, wlen, (n + 1) * 4, m * 4, wlen];
-    let (mut segs, file_bytes) = layout(&seg_lens);
+    let (mut segs, file_bytes) = layout(&segment_lens(n, m, weighted));
 
     let file = File::create(path)?;
     let mut w = CountingWriter::new(BufWriter::new(file));
@@ -185,6 +194,8 @@ pub fn write_container(
         } else {
             Vec::new()
         },
+        rowptr_bytes(&order),
+        rowptr_bytes(&rank),
     ];
     for (desc, payload) in segs.iter_mut().zip(payloads) {
         w.pad_to(desc.offset)?;

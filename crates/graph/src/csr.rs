@@ -290,11 +290,13 @@ impl CsrGraph {
 
     /// The isomorphic graph in which vertex `v` is renamed `perm[v]`.
     ///
-    /// `perm` must be a bijection of `0..num_vertices()`. Because
+    /// `perm` must be a bijection of `0..num_vertices()`. Every edge is
+    /// kept, self loops and parallel edges included, and
     /// [`GraphBuilder`](crate::GraphBuilder) canonicalizes adjacency order,
-    /// relabeling and then inverting the relabeling reproduces the original
-    /// graph exactly; verification harnesses use this for metamorphic
-    /// label-invariance checks.
+    /// so relabeling and then inverting the relabeling reproduces the
+    /// original graph exactly; verification harnesses use this for
+    /// metamorphic label-invariance checks, and a container holds its
+    /// graph relabeled hub-first.
     ///
     /// # Panics
     ///
@@ -311,7 +313,9 @@ impl CsrGraph {
             seen[p as usize] = true;
         }
         let mut b = crate::GraphBuilder::new(n);
-        b.weighted(self.weighted);
+        b.weighted(self.weighted)
+            .dedup(false)
+            .drop_self_loops(false);
         for v in self.vertices() {
             for e in self.out_edges(v) {
                 b.add_edge(
@@ -625,6 +629,28 @@ mod tests {
             inv[new as usize] = old as u32;
         }
         assert_eq!(r.relabel(&inv), g);
+    }
+
+    #[test]
+    fn relabel_keeps_self_loops_and_parallel_edges() {
+        for n in [0usize, 1, 64, 65] {
+            let mut b = crate::GraphBuilder::new(n);
+            b.weighted(true).dedup(false).drop_self_loops(false);
+            if n > 0 {
+                let (a, z) = (VertexId::new(0), VertexId::new(n as u32 - 1));
+                b.add_edge(z, z, 1.5) // a self loop
+                    .add_edge(a, z, 2.0) // a parallel pair, weights apart
+                    .add_edge(a, z, 3.0)
+                    .add_edge(z, a, 4.0);
+            }
+            let g = b.build();
+            let perm: Vec<u32> = (0..n as u32).rev().collect();
+            let r = g.relabel(&perm);
+            r.check_invariants().unwrap();
+            assert_eq!(r.num_edges(), g.num_edges(), "n {n}");
+            // The reversal is its own inverse.
+            assert_eq!(r.relabel(&perm), g, "n {n}");
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Out-of-core container tests: encode → write → mmap-decode must be
-//! bit-identical to the resident [`CsrGraph`] across seeded generator
-//! graphs (including empty graphs, zero-degree vertices, and both weight
-//! modes), the streaming builder must reproduce the resident build
-//! byte-for-byte, and every corruption class must come back as a typed
-//! [`ReadGraphError`] — never a panic.
+//! bit-identical to the resident [`CsrGraph`] relabeled hub-first across
+//! seeded generator graphs (including empty graphs, zero-degree vertices,
+//! self loops, parallel edges and both weight modes), the streaming
+//! builder must reproduce the resident build byte-for-byte, and every
+//! corruption class must come back as a typed [`ReadGraphError`] — never
+//! a panic.
 
 use std::fs;
 use std::path::PathBuf;
 
 use gp_graph::container::{
-    build_streaming, write_container, SegmentDigest, StreamBuildOptions, HEADER_DIGEST_AT,
+    build_streaming, hub_first, write_container, SegmentDigest, StreamBuildOptions,
+    HEADER_DIGEST_AT,
 };
 use gp_graph::generators::{
     barabasi_albert, erdos_renyi, rmat, rmat_edges, RmatConfig, WeightMode,
@@ -45,12 +47,26 @@ fn same_row(a: OutEdges<'_>, b: OutEdges<'_>) -> bool {
     a.len() == b.len() && a.map(bits).eq(b.map(bits))
 }
 
-/// Asserts that `mapped` serves bit-identical adjacency to `resident`
+/// The container's ranks: `rank[s]` is stream vertex `s`'s container id.
+fn ranks(mapped: &MappedCsr) -> Vec<u32> {
+    (0..mapped.num_vertices() as u32)
+        .map(|s| mapped.container_id(VertexId::new(s)).get())
+        .collect()
+}
+
+/// Asserts that `mapped` numbers `resident`'s vertices hub-first and
+/// serves bit-identical adjacency to `resident` relabeled by its ranks
 /// through every `GraphView` accessor, and that re-materializing equals
-/// the original. (`storage_equivalence.rs` holds the row contract itself —
-/// `get`, `nth`, metering — over every storage.)
+/// that relabeling. (`storage_equivalence.rs` holds the row contract
+/// itself — `get`, `nth`, metering — over every storage.)
 fn assert_bit_identical(resident: &CsrGraph, mapped: &MappedCsr) {
     assert_eq!(mapped.num_vertices(), resident.num_vertices());
+    let in_degrees: Vec<u32> = resident.vertices().map(|v| resident.in_degree(v)).collect();
+    for (v, s) in (0u32..).zip(hub_first(&in_degrees)) {
+        assert_eq!(mapped.stream_id(VertexId::new(v)).get(), s);
+        assert_eq!(mapped.container_id(VertexId::new(s)).get(), v);
+    }
+    let resident = &resident.relabel(&ranks(mapped));
     assert_eq!(GraphView::num_edges(mapped), resident.num_edges());
     assert_eq!(mapped.is_weighted(), resident.is_weighted());
     for v in resident.vertices() {
@@ -168,6 +184,62 @@ fn streaming_build_matches_resident_container_bytewise() {
 }
 
 #[test]
+fn write_container_keeps_self_loops_and_parallel_edges() {
+    let scratch = Scratch::new("multi");
+    let mut b = GraphBuilder::new(5);
+    b.weighted(true).dedup(false).drop_self_loops(false);
+    for (s, d, w) in [
+        (0, 3, 1.0),
+        (0, 3, 2.0),
+        (3, 3, 3.0),
+        (1, 3, 4.0),
+        (4, 2, 5.0),
+    ] {
+        b.add_edge(VertexId::new(s), VertexId::new(d), w);
+    }
+    let g = b.build();
+    assert_eq!(g.num_edges(), 5);
+    let path = scratch.path("multi.gpc");
+    assert_eq!(write_container(&g, &path).unwrap().edges, 5);
+    let mapped = MappedCsr::open_verified(&path).unwrap();
+    // Vertex 3 holds four in-edges, the loop and the pair among them.
+    assert_eq!(mapped.stream_id(VertexId::new(0)), VertexId::new(3));
+    assert_bit_identical(&g, &mapped);
+}
+
+#[test]
+fn hub_first_orders_by_in_degree_then_stream_id() {
+    let mut rng = StdRng::seed_from_u64(0x0D3);
+    for n in [0usize, 1, 63, 64, 65] {
+        // Few distinct degrees, so most vertices tie.
+        let degrees: Vec<u32> = (0..n).map(|_| rng.gen_range(0..4u32)).collect();
+        let order = hub_first(&degrees);
+        let mut seen = vec![false; n];
+        for &s in &order {
+            assert!(!std::mem::replace(&mut seen[s as usize], true), "n {n}");
+        }
+        assert!(seen.iter().all(|&x| x), "n {n}: not a permutation");
+        for pair in order.windows(2) {
+            let key = |s: u32| (std::cmp::Reverse(degrees[s as usize]), s);
+            assert!(key(pair[0]) < key(pair[1]), "n {n}: {pair:?}");
+        }
+        // Equal degrees: the stream's order.
+        let identity: Vec<u32> = (0..n as u32).collect();
+        assert_eq!(hub_first(&vec![7; n]), identity, "n {n}");
+        // A star into a middle vertex: the hub first, the rest in order.
+        if n > 0 {
+            let hub = n as u32 / 2;
+            let mut star = vec![0; n];
+            star[hub as usize] = n as u32 - 1;
+            let want: Vec<u32> = std::iter::once(hub)
+                .chain((0..n as u32).filter(|&s| s != hub))
+                .collect();
+            assert_eq!(hub_first(&star), want, "n {n}");
+        }
+    }
+}
+
+#[test]
 fn streaming_build_rejects_out_of_range_edges() {
     let scratch = Scratch::new("streambad");
     let err = build_streaming(
@@ -258,6 +330,11 @@ fn wrong_version_is_typed() {
     reseal_header(&mut bytes);
     let err = open_patched(&scratch, "v1.gpc", &bytes).unwrap_err();
     assert!(matches!(err, ReadGraphError::BadVersion(1)), "{err}");
+    // Nor is version 2 (six segments, stream ids).
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    reseal_header(&mut bytes);
+    let err = open_patched(&scratch, "v2.gpc", &bytes).unwrap_err();
+    assert!(matches!(err, ReadGraphError::BadVersion(2)), "{err}");
 }
 
 #[test]
@@ -333,4 +410,80 @@ fn non_monotone_rowptr_is_typed() {
     bytes[rowptr_off + 4..rowptr_off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
     let err = open_patched(&scratch, "bad.gpc", &bytes).unwrap_err();
     assert!(matches!(err, ReadGraphError::Corrupt(_)), "{err}");
+}
+
+/// Byte offset of segment `i`'s payload, read from its descriptor.
+fn segment_at(bytes: &[u8], i: usize) -> usize {
+    u64_at(bytes, 32 + i * 24) as usize
+}
+
+const ORDER: usize = 6;
+const RANK: usize = 7;
+
+#[test]
+fn order_and_rank_that_are_not_inverse_permutations_are_corrupt() {
+    let scratch = Scratch::new("perm");
+    let (_, healthy) = healthy_container(&scratch, "ok.gpc");
+    let n = u64_at(&healthy, 8) as usize;
+    let entry = |seg: usize, v: usize| segment_at(&healthy, seg) + 4 * v;
+    // A flipped byte in either segment; an entry past n; order's two
+    // first entries swapped, rank left as it was. The segment digests
+    // are stale in every case, but open() reads none of them.
+    let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
+    for (name, seg) in [("order", ORDER), ("rank", RANK)] {
+        let mut flipped = healthy.clone();
+        flipped[entry(seg, n / 2)] ^= 0x01;
+        cases.push((name, flipped));
+        let mut past = healthy.clone();
+        past[entry(seg, 0)..entry(seg, 1)].copy_from_slice(&(n as u32).to_le_bytes());
+        cases.push((name, past));
+    }
+    let mut swapped = healthy.clone();
+    let (a, b) = (entry(ORDER, 0), entry(ORDER, 1));
+    let first: [u8; 4] = swapped[a..a + 4].try_into().unwrap();
+    swapped.copy_within(b..b + 4, a);
+    swapped[b..b + 4].copy_from_slice(&first);
+    cases.push(("order", swapped));
+    for (i, (name, bytes)) in cases.iter().enumerate() {
+        let err = open_patched(&scratch, &format!("bad{i}.gpc"), bytes).unwrap_err();
+        assert!(
+            matches!(err, ReadGraphError::Corrupt(_)),
+            "{name} {i}: {err}"
+        );
+    }
+}
+
+#[test]
+fn order_and_rank_are_digested() {
+    let scratch = Scratch::new("perm-digest");
+    let (_, mut bytes) = healthy_container(&scratch, "ok.gpc");
+    // Swap two vertices consistently in both permutations: still inverse,
+    // so open() accepts it, but both digests are stale.
+    let u32_at =
+        |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let (order, rank) = (segment_at(&bytes, ORDER), segment_at(&bytes, RANK));
+    let (s0, s1) = (u32_at(&bytes, order), u32_at(&bytes, order + 4));
+    bytes[order..order + 4].copy_from_slice(&s1.to_le_bytes());
+    bytes[order + 4..order + 8].copy_from_slice(&s0.to_le_bytes());
+    let (r0, r1) = (rank + 4 * s0 as usize, rank + 4 * s1 as usize);
+    bytes[r0..r0 + 4].copy_from_slice(&1u32.to_le_bytes());
+    bytes[r1..r1 + 4].copy_from_slice(&0u32.to_le_bytes());
+    let named = |bytes: &[u8], want: &str| {
+        let path = scratch.path(&format!("swapped-{want}.gpc"));
+        fs::write(&path, bytes).unwrap();
+        MappedCsr::open(&path).expect("still inverse permutations");
+        match MappedCsr::open_verified(&path) {
+            Err(ReadGraphError::ChecksumMismatch(what)) => assert!(what.contains(want), "{what}"),
+            other => panic!("expected a {want} checksum mismatch, got {other:?}"),
+        }
+    };
+    named(&bytes, "order");
+    // With order's digest re-stamped, rank's is the one left to fail.
+    let len = u64_at(&bytes, 32 + ORDER * 24 + 8) as usize;
+    let mut d = SegmentDigest::new();
+    d.update(&bytes[order..order + len]);
+    let at = 32 + ORDER * 24 + 16;
+    bytes[at..at + 8].copy_from_slice(&d.finish().to_le_bytes());
+    reseal_header(&mut bytes);
+    named(&bytes, "rank");
 }

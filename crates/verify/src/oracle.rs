@@ -278,11 +278,12 @@ where
 /// The out-of-core oracle leg (`differential-outofcore`): the case's graph
 /// is serialized to an on-disk container, reopened through [`MappedCsr`]
 /// with full checksum verification, and the golden engine and turbo are
-/// re-run against the mapping. Because the mapped segments are
-/// bit-identical to the resident arrays and both engines are generic over
-/// `GraphView`, the comparison is **bit-exact** — values and event
-/// counters — not merely within tolerance; any divergence means the
-/// container codec, the mapping, or its accessors corrupted adjacency.
+/// re-run against the mapping and against `g` relabeled by the
+/// container's ranks. The container holds exactly that relabeling, and
+/// both engines are generic over `GraphView`, so the comparison is
+/// **bit-exact** — values and event counters — not merely within
+/// tolerance; any divergence means the container codec, the mapping, or
+/// its accessors corrupted adjacency.
 fn check_outofcore<A>(g: &CsrGraph, algo: &A) -> Result<(), Failure>
 where
     A: DeltaAlgorithm,
@@ -306,19 +307,21 @@ where
         .map_err(|e| fail("differential-outofcore", format!("write failed: {e}")))?;
     let mapped = MappedCsr::open_verified(&path)
         .map_err(|e| fail("differential-outofcore", format!("open failed: {e}")))?;
-    if mapped.to_csr() != *g {
+    let rank: Vec<u32> = g.vertices().map(|s| mapped.container_id(s).get()).collect();
+    let relabeled = g.relabel(&rank);
+    if mapped.to_csr() != relabeled {
         return Err(fail(
             "differential-outofcore",
             "re-materialized container is not the resident graph".into(),
         ));
     }
 
-    check_mapped(algo, g, &mapped).map_err(|e| fail("differential-outofcore", e))
+    check_mapped(algo, &relabeled, &mapped).map_err(|e| fail("differential-outofcore", e))
 }
 
 /// Checks that the golden engine and turbo over a memory-mapped container
-/// are the same runs as on the fully-resident graph: value bits and every
-/// field of each outcome. The oracle's out-of-core leg and `container
+/// are the same runs as on the fully-resident graph it holds (in container
+/// ids): value bits and every field of each outcome. The oracle's out-of-core leg and `container
 /// --check-resident` both call it.
 ///
 /// # Errors

@@ -234,10 +234,10 @@ fn outofcore_corruption_classes_stay_typed_on_corpus_graph() {
     ));
 
     let mut version = healthy.clone();
-    version[4..6].copy_from_slice(&3u16.to_le_bytes());
+    version[4..6].copy_from_slice(&2u16.to_le_bytes());
     assert!(matches!(
         reopen(&path, &version),
-        Err(ReadGraphError::BadVersion(3))
+        Err(ReadGraphError::BadVersion(2))
     ));
 
     let mut skewed = healthy.clone();

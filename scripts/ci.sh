@@ -378,10 +378,14 @@ echo "== out-of-core smoke (streamed container, mapped vs resident bit-compare) 
 # streaming external-memory builder (the graph is never resident during
 # the build), memory-maps it, and runs golden + turbo over the mapping
 # under a 4 MiB working-state budget the fully-resident graph (~8 MiB
-# both-direction CSR) cannot meet. --check-resident additionally
-# materializes the graph and requires golden and turbo over the mapping
-# to be bit-identical (values and every event counter) to the fully
-# resident runs; the binary exits non-zero on any divergence. The emitted
+# both-direction CSR) cannot meet. --check-resident additionally builds
+# the graph in RAM from the same stream through GraphBuilder, requires the
+# container to be it relabeled by the container's hub-first ranks, and
+# requires golden and turbo over the mapping to be bit-identical (values
+# and every event counter) to the fully resident runs; the binary exits
+# non-zero on any divergence. --bucket-vertices 8192 spreads the build
+# over 8 buckets, so the kept-edge spill and the relabel replay cross
+# bucket boundaries. The emitted
 # JSON plus the committed sweep must both satisfy gp-bench/outofcore/v2
 # (v1 minus the top-level slice-index cap, which went with the index).
 # (The differential-outofcore oracle leg inside the fuzz smokes above
@@ -389,7 +393,8 @@ echo "== out-of-core smoke (streamed container, mapped vs resident bit-compare) 
 GP_OOC_DIR=$(mktemp -d /tmp/gp-ooc-smoke.XXXXXX)
 trap 'rm -rf "$GP_OOC_DIR"' EXIT
 cargo run --release -q -p gp-bench --bin container -- \
-  --seed 7 --log2 16 --budget-mb 4 --check-resident --dir "$GP_OOC_DIR" \
+  --seed 7 --log2 16 --budget-mb 4 --check-resident --bucket-vertices 8192 \
+  --dir "$GP_OOC_DIR" \
   --out /tmp/gp-ooc-smoke.json
 cargo run --release -q -p gp-bench --bin bench_check -- \
   /tmp/gp-ooc-smoke.json BENCH_outofcore.json
