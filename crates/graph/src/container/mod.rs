@@ -63,18 +63,17 @@
 //! `rank` inverse permutations);
 //! [`MappedCsr::open_verified`] additionally recomputes every digest.
 //!
-//! Containers are produced two ways:
-//!
-//! * [`write_container`] serializes a resident [`CsrGraph`](crate::CsrGraph),
-//!   relabeled hub-first — the path the differential oracle uses to pin
-//!   mapped ≡ resident;
-//! * [`build_streaming`] assembles a container from an *edge stream*
-//!   (e.g. [`rmat_edges`](crate::generators::rmat_edges)) without ever
-//!   materializing the graph: edges spill to bucketed temporary files,
-//!   each bucket is stable-sorted and deduplicated independently, the
-//!   kept edges are replayed under the hub-first ranks, and the result is
-//!   bit-identical to `write_container` over the resident build of the
-//!   same stream.
+//! Containers are produced one way: [`build_streaming`] assembles a
+//! container from an *edge stream* (e.g.
+//! [`rmat_edges`](crate::generators::rmat_edges)) without ever
+//! materializing the graph — edges spill to bucketed temporary files, each
+//! bucket is stable-sorted and deduplicated independently, the kept edges
+//! are replayed under the hub-first ranks, and each segment streams
+//! straight into its place in the file. [`write_container`] streams a
+//! resident [`CsrGraph`](crate::CsrGraph)'s rows through it; the
+//! differential oracle uses that path to pin mapped ≡ resident. A container
+//! holds its graph as `GraphBuilder` defaults build it: no self loops, no
+//! parallel edges.
 
 mod mapped;
 #[allow(unsafe_code)]
@@ -142,8 +141,8 @@ const _: () = assert!(HEADER_DIGEST_AT + 8 <= HEADER_BYTES as usize);
 
 /// The container's vertex order: `order[v]` is the original id of
 /// container vertex `v`, given each original vertex's in-degree. Highest
-/// in-degree first, ties by original id ascending. Both writers call it
-/// on the in-degrees of the graph the container holds.
+/// in-degree first, ties by original id ascending. The container builder
+/// calls it on the in-degrees of the graph the container holds.
 #[must_use]
 pub fn hub_first(in_degrees: &[u32]) -> Vec<u32> {
     // Complemented degree above the id: one ascending sort of unique keys.

@@ -1,7 +1,9 @@
 //! External-memory container construction from an edge stream.
 //!
-//! [`build_streaming`] assembles a container without ever materializing
-//! the graph. It runs in five steps:
+//! [`build_streaming`] is the one container writer
+//! ([`write_container`](super::write_container) streams a resident
+//! graph's rows through it). It assembles a container without ever
+//! materializing the graph, in five steps:
 //!
 //! 1. the edge stream spills to per-source-bucket temporary files (12
 //!    bytes per edge);
@@ -16,28 +18,35 @@
 //!    `rank`;
 //! 4. the kept edges replay as `(rank[src], rank[dst], weight)` into
 //!    per-container-source-bucket files;
-//! 5. each of those buckets becomes rows the same way and streams out to
-//!    the out-segments, re-spilling every edge as `(dst, src, weight)`; a
-//!    second bucketed pass builds the in-adjacency mirror from those.
+//! 5. the container is created at its final size, and each of those
+//!    buckets becomes rows the same way that stream straight into the
+//!    out-segments at their offsets, re-spilling every edge as
+//!    `(dst, src, weight)`; a second bucketed pass writes the in-adjacency
+//!    mirror from those, then `order`, `rank` and, last, the header.
 //!
-//! Peak resident memory is ≈ 8 bytes per edge of one bucket (its
-//! destinations and weight bits) plus four `n`-length `u32` arrays (the
-//! two row-pointer arrays, `order` and `rank`; the in-degree counts are
-//! dropped once ranked), independent of total edge count, so graphs whose
-//! resident CSR would not fit in RAM can still be built.
+//! Every container byte is written once, in place: there is no temporary
+//! segment file and no copy pass, so peak disk use is the spill files
+//! plus the container. Peak resident memory is ≈ 8 bytes per edge of one
+//! bucket (its destinations and weight bits) plus two `n`-length `u32`
+//! arrays (`order` and `rank`; the in-degree counts are dropped once
+//! ranked), independent of total edge count, so graphs whose resident CSR
+//! would not fit in RAM can still be built.
 //!
 //! Because each bucket covers a contiguous source range and is replayed
-//! in stream order, its rows are exactly the resident build's rows, and
-//! the output is bit-identical to [`write_container`](super::write_container)
-//! over `GraphBuilder::build` of the same stream (defaults: dedup on,
-//! self-loops dropped, no symmetrization).
+//! in stream order, its rows are exactly the resident build's rows: the
+//! container holds `GraphBuilder::build` of the same stream under its
+//! defaults (dedup on, self loops dropped, no symmetrization), relabeled
+//! hub-first.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use super::write::{layout, rowptr_bytes, ContainerSummary, ContainerWriteError, CountingWriter};
-use super::{digest_of, hub_first, inverse, segment_lens, Header, SegmentDigest, SEG_COUNT};
+use super::write::{ContainerSummary, ContainerWriteError};
+use super::{
+    align_up, hub_first, inverse, segment_lens, Header, SegmentDesc, SegmentDigest, HEADER_BYTES,
+    SEG_COUNT, SEG_IN_ROWPTR, SEG_NAMES, SEG_ORDER, SEG_OUT_ROWPTR, SEG_RANK,
+};
 use crate::builder::csr_rows;
 
 /// Tuning and semantics knobs for [`build_streaming`].
@@ -48,7 +57,7 @@ pub struct StreamBuildOptions {
     pub weighted: bool,
     /// Vertices per spill bucket — the unit of resident memory during the
     /// build (one bucket's rows, ≈ 8 bytes per edge, are in RAM at a
-    /// time, beside four `n`-length `u32` arrays). Default `1 << 18`.
+    /// time, beside two `n`-length `u32` arrays). Default `1 << 18`.
     pub bucket_vertices: usize,
 }
 
@@ -65,6 +74,8 @@ impl Default for StreamBuildOptions {
 struct SpillDir(PathBuf);
 
 impl SpillDir {
+    /// Creates the hidden sibling `.{name}.spill-{pid}` of `container`;
+    /// a missing parent directory is an error, and is not created.
     fn create(container: &Path) -> io::Result<SpillDir> {
         let name = container
             .file_name()
@@ -74,8 +85,10 @@ impl SpillDir {
             .parent()
             .unwrap_or_else(|| Path::new("."))
             .join(format!(".{name}.spill-{}", std::process::id()));
-        std::fs::create_dir_all(&dir)?;
-        Ok(SpillDir(dir))
+        match std::fs::create_dir(&dir) {
+            Err(e) if e.kind() != io::ErrorKind::AlreadyExists => Err(e),
+            _ => Ok(SpillDir(dir)),
+        }
     }
 
     fn file(&self, name: &str) -> PathBuf {
@@ -89,32 +102,62 @@ impl Drop for SpillDir {
     }
 }
 
-/// A segment temp file that digests everything written through it.
-struct DigestingWriter {
-    w: BufWriter<File>,
-    digest: SegmentDigest,
-    path: PathBuf,
+/// Computes the aligned segment layout for the given byte lengths and
+/// returns `(descriptors-with-zero-digests, total_file_bytes)`.
+fn layout(seg_lens: &[u64; SEG_COUNT]) -> ([SegmentDesc; SEG_COUNT], u64) {
+    let mut segs = [SegmentDesc::default(); SEG_COUNT];
+    let mut off = HEADER_BYTES;
+    for (desc, &len) in segs.iter_mut().zip(seg_lens) {
+        off = align_up(off);
+        desc.offset = off;
+        desc.len = len;
+        off += len;
+    }
+    (segs, off)
 }
 
-impl DigestingWriter {
-    fn create(path: PathBuf) -> io::Result<DigestingWriter> {
-        Ok(DigestingWriter {
-            w: BufWriter::new(File::create(&path)?),
+/// One segment streaming into its place in the container file, digesting
+/// and counting what it writes. Each sits on its own handle: handles from
+/// `try_clone` share one file position.
+struct SegmentWriter {
+    seg: usize,
+    w: BufWriter<File>,
+    digest: SegmentDigest,
+    written: u64,
+}
+
+impl SegmentWriter {
+    fn open(path: &Path, segs: &[SegmentDesc; SEG_COUNT], seg: usize) -> io::Result<Self> {
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        file.seek(SeekFrom::Start(segs[seg].offset))?;
+        Ok(SegmentWriter {
+            seg,
+            w: BufWriter::new(file),
             digest: SegmentDigest::new(),
-            path,
+            written: 0,
         })
     }
 
-    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.w.write_all(bytes)?;
-        self.digest.update(bytes);
-        Ok(())
+    fn put(&mut self, word: u32) -> io::Result<()> {
+        let bytes = word.to_le_bytes();
+        self.digest.update(&bytes);
+        self.written += bytes.len() as u64;
+        self.w.write_all(&bytes)
     }
 
-    /// Flushes and returns `(path, digest)`.
-    fn finish(mut self) -> io::Result<(PathBuf, u64)> {
+    /// Flushes and records the segment's digest in `segs`; a length other
+    /// than the layout's is an error.
+    fn finish(mut self, segs: &mut [SegmentDesc; SEG_COUNT]) -> Result<(), ContainerWriteError> {
         self.w.flush()?;
-        Ok((self.path, self.digest.finish()))
+        let desc = &mut segs[self.seg];
+        if self.written != desc.len {
+            return Err(ContainerWriteError::Invalid(format!(
+                "segment {} wrote {} bytes, layout expected {}",
+                SEG_NAMES[self.seg], self.written, desc.len
+            )));
+        }
+        desc.digest = self.digest.finish();
+        Ok(())
     }
 }
 
@@ -180,15 +223,16 @@ fn open_bucket_writers(
 /// file line by line. Semantics match `GraphBuilder` defaults: self loops
 /// dropped, parallel edges deduplicated keeping the first-streamed weight.
 /// The container numbers its vertices hub-first over the in-degrees of
-/// that deduplicated graph (see the module docs). The resulting file is
-/// byte-identical to [`write_container`](super::write_container) over the
-/// resident build of the same stream.
+/// that deduplicated graph (see the module docs). `path` is created only
+/// once the stream has been spilled and ranked, so a build refused before
+/// that leaves no file and truncates no existing one.
 ///
 /// # Errors
 ///
 /// [`ContainerWriteError::Invalid`] when an edge references a vertex
 /// `>= num_vertices` or the deduplicated edge count exceeds `u32::MAX`;
-/// [`ContainerWriteError::Io`] on filesystem failure. Spill files live in
+/// [`ContainerWriteError::Io`] on filesystem failure, a missing parent
+/// directory of `path` included (it is not created). Spill files live in
 /// a hidden sibling directory of `path` and are removed on all paths.
 ///
 /// # Panics
@@ -210,12 +254,11 @@ where
             "{n} vertices exceed the u32 id space"
         )));
     }
-    let buckets = n.div_ceil(opts.bucket_vertices);
-    let bucket = |b: usize| b * opts.bucket_vertices..n.min((b + 1) * opts.bucket_vertices);
     let dir = SpillDir::create(path)?;
 
-    // Step 1: spill the raw stream into per-source-bucket files.
-    let mut out_spill = open_bucket_writers(&dir, "out", buckets)?;
+    // Step 1: spill the raw stream into per-source-bucket files. Only this
+    // step is generic over `feed`; the rest is `assemble`.
+    let mut out_spill = open_bucket_writers(&dir, "out", n.div_ceil(opts.bucket_vertices))?;
     let mut io_err: Option<io::Error> = None;
     let mut bad_edge: Option<String> = None;
     {
@@ -247,6 +290,20 @@ where
         w.flush()?;
     }
     drop(out_spill);
+    assemble(path, &dir, n, opts)
+}
+
+/// Steps 2–5 of [`build_streaming`], from the spilled stream to the
+/// finished container. Not generic, so it is compiled once rather than
+/// once per `feed` type, and the generic shell holds only step 1's loop.
+fn assemble(
+    path: &Path,
+    dir: &SpillDir,
+    n: usize,
+    opts: &StreamBuildOptions,
+) -> Result<ContainerSummary, ContainerWriteError> {
+    let buckets = n.div_ceil(opts.bucket_vertices);
+    let bucket = |b: usize| b * opts.bucket_vertices..n.min((b + 1) * opts.bucket_vertices);
 
     // Step 2: every bucket's kept edges, counted by destination. They are
     // re-spilled in stream ids; a one-bucket build keeps its rows instead.
@@ -289,7 +346,7 @@ where
     let rank = inverse(&order);
 
     // Step 4: the kept edges, renamed, into container-source buckets.
-    let mut out_spill = open_bucket_writers(&dir, "out", buckets)?;
+    let mut out_spill = open_bucket_writers(dir, "out", buckets)?;
     let mut renamed = |s: u32, d: u32, wbits: u32| {
         let (s, d) = (rank[s as usize], rank[d as usize]);
         push_record(
@@ -318,30 +375,36 @@ where
     }
     drop(out_spill);
 
-    // Step 5, one direction per pass: every bucket becomes canonical rows
-    // (csr_rows, reading its spill file twice) that stream out to the
-    // direction's segments. The edges are unique by now, so neither pass
-    // deduplicates. The out pass re-spills each edge as (dst, src,
-    // weight); an in-bucket thus lists every row's sources ascending, the
-    // transpose order CsrGraph::from_parts produces.
-    let emit_rows = |prefix: &str,
-                     mut in_spill: Option<&mut Vec<BufWriter<File>>>|
-     -> Result<_, ContainerWriteError> {
-        let mut rowptr: Vec<u32> = vec![0; n + 1];
-        let mut neigh = DigestingWriter::create(dir.file(&format!("{prefix}_neigh.seg")))?;
-        let mut weights = DigestingWriter::create(dir.file(&format!("{prefix}_weights.seg")))?;
+    // Step 5: the container, created only now and at its final size, so
+    // the padding between segments reads as zeros. One direction per
+    // pass: every bucket becomes canonical rows (csr_rows, reading its
+    // spill file twice) that stream into the direction's row-pointer,
+    // neighbor and weight segments. The edges are unique by now, so
+    // neither pass deduplicates. The out pass re-spills each edge as
+    // (dst, src, weight); an in-bucket thus lists every row's sources
+    // ascending, the transpose order CsrGraph::from_parts produces.
+    let (mut segs, file_bytes) = layout(&segment_lens(n as u64, m, opts.weighted));
+    let mut file = File::create(path)?;
+    file.set_len(file_bytes)?;
+    let mut emit_rows = |prefix: &str,
+                         first: usize,
+                         mut in_spill: Option<&mut Vec<BufWriter<File>>>|
+     -> Result<(), ContainerWriteError> {
+        let mut rowptr = SegmentWriter::open(path, &segs, first)?;
+        let mut neigh = SegmentWriter::open(path, &segs, first + 1)?;
+        let mut weights = SegmentWriter::open(path, &segs, first + 2)?;
+        rowptr.put(0)?;
+        let mut base = 0u32;
         for b in 0..buckets {
             let rows = bucket(b);
             let spill = dir.file(&format!("{prefix}{b}"));
             let (offsets, ids, wbits) = csr_rows(rows.clone(), false, |sink| replay(&spill, sink))?;
             std::fs::remove_file(&spill)?;
-            let base = rowptr[rows.start];
             for (v, run) in rows.zip(offsets.windows(2)) {
-                rowptr[v + 1] = base + run[1];
                 for e in run[0] as usize..run[1] as usize {
-                    neigh.put(&ids[e].to_le_bytes())?;
+                    neigh.put(ids[e])?;
                     if opts.weighted {
-                        weights.put(&wbits[e].to_le_bytes())?;
+                        weights.put(wbits[e])?;
                     }
                     if let Some(spill) = in_spill.as_deref_mut() {
                         let d = ids[e];
@@ -353,102 +416,40 @@ where
                         )?;
                     }
                 }
+                rowptr.put(base + run[1])?;
             }
+            base += ids.len() as u32;
         }
-        Ok((rowptr, neigh, weights))
+        for w in [rowptr, neigh, weights] {
+            w.finish(&mut segs)?;
+        }
+        Ok(())
     };
-    let mut in_spill = open_bucket_writers(&dir, "in", buckets)?;
-    let (out_rowptr, out_neigh, out_weights) = emit_rows("out", Some(&mut in_spill))?;
+    let mut in_spill = open_bucket_writers(dir, "in", buckets)?;
+    emit_rows("out", SEG_OUT_ROWPTR, Some(&mut in_spill))?;
     for w in &mut in_spill {
         w.flush()?;
     }
     drop(in_spill);
-    let (in_rowptr, in_neigh, in_weights) = emit_rows("in", None)?;
-    debug_assert_eq!(u64::from(out_rowptr[n]), m);
-
-    // Assemble the container: all digests are known before the header is
-    // written, so the file streams out front to back.
-    let out_rowptr_bytes = rowptr_bytes(&out_rowptr);
-    let in_rowptr_bytes = rowptr_bytes(&in_rowptr);
-    let order_bytes = rowptr_bytes(&order);
-    let rank_bytes = rowptr_bytes(&rank);
-    drop(out_rowptr);
-    drop(in_rowptr);
-    drop(order);
-    drop(rank);
-
-    let (out_neigh_path, out_neigh_digest) = out_neigh.finish()?;
-    let (out_w_path, out_w_digest) = out_weights.finish()?;
-    let (in_neigh_path, in_neigh_digest) = in_neigh.finish()?;
-    let (in_w_path, in_w_digest) = in_weights.finish()?;
-
-    // Each segment's length is checked against this layout as it is
-    // copied in below.
-    let (mut segs, file_bytes) = layout(&segment_lens(n as u64, m, opts.weighted));
-    let digests = [
-        digest_of(&out_rowptr_bytes),
-        out_neigh_digest,
-        out_w_digest,
-        digest_of(&in_rowptr_bytes),
-        in_neigh_digest,
-        in_w_digest,
-        digest_of(&order_bytes),
-        digest_of(&rank_bytes),
-    ];
-    for (seg, d) in segs.iter_mut().zip(digests) {
-        seg.digest = d;
+    emit_rows("in", SEG_IN_ROWPTR, None)?;
+    for (seg, words) in [(SEG_ORDER, &order), (SEG_RANK, &rank)] {
+        let mut w = SegmentWriter::open(path, &segs, seg)?;
+        for &word in words {
+            w.put(word)?;
+        }
+        w.finish(&mut segs)?;
     }
+
+    // The header goes last, once every digest is known; the handle that
+    // created the file still sits at offset 0.
     let header = Header {
         num_vertices: n as u64,
         num_edges: m,
         weighted: opts.weighted,
         segments: segs,
     };
-
-    let mut w = CountingWriter::new(BufWriter::new(File::create(path)?));
-    w.write_all(&header.encode())?;
-    let sources: [Option<&Path>; SEG_COUNT] = [
-        None, // out_rowptr: in memory
-        Some(&out_neigh_path),
-        Some(&out_w_path),
-        None, // in_rowptr: in memory
-        Some(&in_neigh_path),
-        Some(&in_w_path),
-        None,
-        None,
-    ];
-    let in_memory = [
-        Some(&out_rowptr_bytes),
-        None,
-        None,
-        Some(&in_rowptr_bytes),
-        None,
-        None,
-        Some(&order_bytes),
-        Some(&rank_bytes),
-    ];
-    for i in 0..SEG_COUNT {
-        w.pad_to(segs[i].offset)?;
-        if let Some(bytes) = in_memory[i] {
-            w.write_all(bytes)?;
-        } else if let Some(src) = sources[i] {
-            io::copy(&mut BufReader::new(File::open(src)?), &mut w)?;
-        }
-        if w.pos() != segs[i].offset + segs[i].len {
-            return Err(ContainerWriteError::Invalid(format!(
-                "segment {i} wrote {} bytes, layout expected {}",
-                w.pos() - segs[i].offset,
-                segs[i].len
-            )));
-        }
-    }
-    debug_assert_eq!(w.pos(), file_bytes);
-    let mut inner = w.into_inner();
-    inner.flush()?;
-    inner
-        .into_inner()
-        .map_err(io::IntoInnerError::into_error)?
-        .sync_all()?;
+    file.write_all(&header.encode())?;
+    file.sync_all()?;
 
     Ok(ContainerSummary {
         vertices: n as u64,

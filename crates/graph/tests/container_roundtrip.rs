@@ -1,17 +1,18 @@
 //! Out-of-core container tests: encode → write → mmap-decode must be
 //! bit-identical to the resident [`CsrGraph`] relabeled hub-first across
-//! seeded generator graphs (including empty graphs, zero-degree vertices,
-//! self loops, parallel edges and both weight modes), the streaming
-//! builder must reproduce the resident build byte-for-byte, and every
-//! corruption class must come back as a typed [`ReadGraphError`] — never
-//! a panic.
+//! seeded generator graphs (including empty graphs, zero-degree vertices
+//! and both weight modes), a multigraph must come back as the simple graph
+//! `GraphBuilder` defaults build from its edges, [`write_container`] must
+//! be the streaming builder byte-for-byte, a refused build must leave
+//! nothing behind, and every corruption class must come back as a typed
+//! [`ReadGraphError`] — never a panic.
 
 use std::fs;
 use std::path::PathBuf;
 
 use gp_graph::container::{
-    build_streaming, hub_first, write_container, SegmentDigest, StreamBuildOptions,
-    HEADER_DIGEST_AT,
+    build_streaming, hub_first, write_container, ContainerWriteError, SegmentDigest,
+    StreamBuildOptions, HEADER_DIGEST_AT,
 };
 use gp_graph::generators::{
     barabasi_albert, erdos_renyi, rmat, rmat_edges, RmatConfig, WeightMode,
@@ -184,27 +185,43 @@ fn streaming_build_matches_resident_container_bytewise() {
 }
 
 #[test]
-fn write_container_keeps_self_loops_and_parallel_edges() {
+fn a_multigraph_is_written_as_its_simple_graph() {
     let scratch = Scratch::new("multi");
-    let mut b = GraphBuilder::new(5);
-    b.weighted(true).dedup(false).drop_self_loops(false);
-    for (s, d, w) in [
+    let edges = [
         (0, 3, 1.0),
         (0, 3, 2.0),
         (3, 3, 3.0),
         (1, 3, 4.0),
         (4, 2, 5.0),
-    ] {
-        b.add_edge(VertexId::new(s), VertexId::new(d), w);
-    }
-    let g = b.build();
+    ];
+    let add_all = |b: &mut GraphBuilder| {
+        for (s, d, w) in edges {
+            b.add_edge(VertexId::new(s), VertexId::new(d), w);
+        }
+    };
+    let mut multi = GraphBuilder::new(5);
+    multi.weighted(true).dedup(false).drop_self_loops(false);
+    add_all(&mut multi);
+    let g = multi.build();
     assert_eq!(g.num_edges(), 5);
     let path = scratch.path("multi.gpc");
-    assert_eq!(write_container(&g, &path).unwrap().edges, 5);
-    let mapped = MappedCsr::open_verified(&path).unwrap();
-    // Vertex 3 holds four in-edges, the loop and the pair among them.
-    assert_eq!(mapped.stream_id(VertexId::new(0)), VertexId::new(3));
-    assert_bit_identical(&g, &mapped);
+    // The loop goes, and of the pair the first (weight 1.0) stays.
+    assert_eq!(write_container(&g, &path).unwrap().edges, 3);
+    let mut simple = GraphBuilder::new(5);
+    simple.weighted(true);
+    add_all(&mut simple);
+    assert_bit_identical(&simple.build(), &MappedCsr::open_verified(&path).unwrap());
+
+    let streamed = scratch.path("streamed.gpc");
+    let opts = StreamBuildOptions {
+        weighted: true,
+        bucket_vertices: 1,
+    };
+    build_streaming(&streamed, 5, &opts, |sink| {
+        edges.iter().for_each(|&(s, d, w)| sink(s, d, w));
+    })
+    .unwrap();
+    assert!(fs::read(&path).unwrap() == fs::read(&streamed).unwrap());
 }
 
 #[test]
@@ -242,14 +259,39 @@ fn hub_first_orders_by_in_degree_then_stream_id() {
 #[test]
 fn streaming_build_rejects_out_of_range_edges() {
     let scratch = Scratch::new("streambad");
-    let err = build_streaming(
-        &scratch.path("bad.gpc"),
-        4,
-        &StreamBuildOptions::default(),
-        |sink| sink(1, 9, 1.0),
-    )
+    let path = scratch.path("bad.gpc");
+    let err = build_streaming(&path, 4, &StreamBuildOptions::default(), |sink| {
+        sink(1, 9, 1.0)
+    })
     .unwrap_err();
     assert!(err.to_string().contains("out of range"), "got: {err}");
+    // The container is created only once the stream is ranked, and the
+    // spill directory goes on every path.
+    assert!(!path.exists());
+    let left: Vec<_> = fs::read_dir(&scratch.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
+}
+
+#[test]
+fn a_build_into_a_missing_directory_creates_nothing() {
+    let scratch = Scratch::new("nodir");
+    let missing = scratch.path("missing");
+    let path = missing.join("x.gpc");
+    let g = rmat(&RmatConfig::graph500(16, 64), 3);
+    let written = write_container(&g, &path);
+    let streamed = build_streaming(&path, 16, &StreamBuildOptions::default(), |sink| {
+        sink(0, 1, 1.0)
+    });
+    for result in [written, streamed] {
+        assert!(
+            matches!(result, Err(ContainerWriteError::Io(_))),
+            "got: {result:?}"
+        );
+        assert!(!missing.exists());
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -276,14 +276,16 @@ where
 }
 
 /// The out-of-core oracle leg (`differential-outofcore`): the case's graph
-/// is serialized to an on-disk container, reopened through [`MappedCsr`]
-/// with full checksum verification, and the golden engine and turbo are
-/// re-run against the mapping and against `g` relabeled by the
-/// container's ranks. The container holds exactly that relabeling, and
-/// both engines are generic over `GraphView`, so the comparison is
-/// **bit-exact** — values and event counters — not merely within
-/// tolerance; any divergence means the container codec, the mapping, or
-/// its accessors corrupted adjacency.
+/// (built with `GraphBuilder` defaults, so simple) streams through
+/// [`write_container`], the container builder every program runs, into an
+/// on-disk container, which is reopened through [`MappedCsr`] with full
+/// checksum verification; the golden engine and turbo are then re-run
+/// against the mapping and against `g` relabeled by the container's ranks.
+/// The container holds exactly that relabeling, and both engines are
+/// generic over `GraphView`, so the comparison is **bit-exact** — values
+/// and event counters — not merely within tolerance; any divergence means
+/// the container builder, the mapping, or its accessors corrupted
+/// adjacency.
 fn check_outofcore<A>(g: &CsrGraph, algo: &A) -> Result<(), Failure>
 where
     A: DeltaAlgorithm,

@@ -265,6 +265,18 @@ if grep -rnE --include='*.rs' 'fn compare_values|\b(tol|tolerance): f64' crates/
   echo "second comparator reintroduced: judge values with gp_algorithms::accept"; exit 1
 fi
 
+echo "== one container serializer (build_streaming writes every segment in place) =="
+# write_container streams a resident graph's rows through build_streaming,
+# and step 5 of the builder writes each segment once, straight into the
+# container. A second serializer (a relabeled resident copy, per-segment
+# byte buffers, a position-counting writer) or temporary segment files
+# copied into place would be a second writer to keep in step with the
+# format, and a copy pass over every edge byte.
+if grep -rnE 'io::[c]opy|Counting[W]riter|fn (neighbor|weight)_[b]ytes|\.relabel[(]|_(neigh|weights)[.]seg' \
+    crates/graph/src/container/; then
+  echo "second container serializer reintroduced: write through build_streaming, one SegmentWriter per segment"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -389,7 +401,8 @@ echo "== out-of-core smoke (streamed container, mapped vs resident bit-compare) 
 # JSON plus the committed sweep must both satisfy gp-bench/outofcore/v2
 # (v1 minus the top-level slice-index cap, which went with the index).
 # (The differential-outofcore oracle leg inside the fuzz smokes above
-# additionally bit-compares mapped vs resident runs on every corpus case.)
+# additionally bit-compares mapped vs resident runs on every corpus case;
+# it writes its containers through the same streaming builder.)
 GP_OOC_DIR=$(mktemp -d /tmp/gp-ooc-smoke.XXXXXX)
 trap 'rm -rf "$GP_OOC_DIR"' EXIT
 cargo run --release -q -p gp-bench --bin container -- \
