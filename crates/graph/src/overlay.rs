@@ -76,21 +76,6 @@ impl AppliedBatch {
         self.inserts.is_empty() && self.deletes.is_empty()
     }
 
-    /// The net diff `old -> new` over `sources` (ascending, each once):
-    /// what one [`OverlayGraph::apply`] of every update between the two
-    /// graphs would report, provided `sources` holds every vertex whose
-    /// out-row differs between them — for a chain of batches, the union
-    /// of their `old_out` sources. A source whose rows match reports
-    /// nothing, so churn that cancels across the chain leaves no trace.
-    pub fn between(old: &impl GraphView, new: &impl GraphView, sources: &[VertexId]) -> Self {
-        debug_assert!(sources.windows(2).all(|w| w[0] < w[1]), "sources unsorted");
-        let mut batch = AppliedBatch::default();
-        for &u in sources {
-            batch.push_row_diff(u, old.out_edges(u).collect(), new.out_edges(u));
-        }
-        batch
-    }
-
     /// The in-rows, read from `parent` — the graph the batch was applied
     /// to — of every destination the batch touched, ascending. With
     /// [`old_out`](Self::old_out) this is every row the batch changed, as

@@ -40,12 +40,12 @@
 //!     behind, over any chain, with nothing but its values: no missed
 //!     delta is read and no drift carries from one catch-up to the
 //!     next, so the class runs cold only for a new column;
-//!   - a path class replays the chain's net delta through
-//!     [`incremental_seeds_with`] — the stored delta for a chain of one,
-//!     else [`AppliedBatch::between`] the column's own snapshot and the
-//!     pin over every source a link touched — for chains of up to
-//!     `MAX_WARM_CHAIN` deltas whose every link is still retained
-//!     (monotone re-convergence is bit-identical to a cold run);
+//!   - a path column exactly one epoch behind replays the pinned epoch's
+//!     stored delta through [`incremental_seeds_with`] (monotone
+//!     re-convergence is bit-identical to a cold run). A path column
+//!     further behind runs cold: on every serve workload measured, path
+//!     columns trail by more than one epoch in well under 1 % of
+//!     catch-ups, too rarely to keep a chain replay for;
 //!   - CC runs cold: a deletion invalidates the reachability closure of
 //!     its source, which on a giant component costs more than the cold
 //!     run.
@@ -53,6 +53,10 @@
 //!   with the class's own algorithm: one turbo run per cold column, path
 //!   source or whole graph alike — the run `gp-stream` and every golden
 //!   check make.
+//!
+//! A lane reads nothing from the store but the pinned [`Epoch`]: its
+//! graph and its delta. A column holds its values and the epoch they are
+//! exact for, never a graph, so no column keeps an old base alive.
 //!
 //! Every catch-up and cold run of a class goes through the class's one
 //! [`DeltaPool`], built at its first run and kept for the lane's life: a
@@ -69,14 +73,13 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
 
 use gp_algorithms::engine::initial_state;
 use gp_algorithms::{
     incremental_seeds_with, residual_seeds_with, Bfs, ConnectedComponents, DeltaPool,
     IncrementalAlgorithm, PageRankDelta, SeedingStrategy, Sssp, Sswp,
 };
-use gp_graph::{AppliedBatch, GraphSnapshot, VertexId};
+use gp_graph::VertexId;
 use gp_turbo::{run_turbo_with, TurboConfig};
 
 use crate::snapshot::Epoch;
@@ -84,11 +87,6 @@ use crate::{
     QueryClass, QueryResponse, Request, ServeConfig, ServeStats, Shared, BATCH_WINDOW, DEGRADE_LAG,
     MAX_BATCH, PATH_CACHE_SOURCES,
 };
-
-/// Longest epoch-delta chain a path column replays before the lane falls
-/// back to a cold run. Bounds worst-case replay work for a source that
-/// went cold for many epochs.
-const MAX_WARM_CHAIN: u64 = 8;
 
 /// Executor thread body for one lane: sweep until the queues are closed
 /// and the lane is drained.
@@ -110,8 +108,6 @@ pub(crate) fn run(shared: &Shared, lane: usize) {
 struct Column<V> {
     /// Epoch `values` is exact for.
     epoch: u64,
-    /// That epoch's adjacency: the old end of a path replay's net delta.
-    graph: GraphSnapshot,
     values: Vec<V>,
 }
 
@@ -199,10 +195,9 @@ impl<A: IncrementalAlgorithm> Class<A> {
 
     /// Re-converges `key`'s column to `epoch` in place with one seed plan
     /// and one turbo run: PageRank's plan is its residual on the pinned
-    /// graph, a path class's the net delta of the chain between the
-    /// column's epoch and the pin. `false` — column untouched, the caller
-    /// runs cold — when there is no column, the class is CC, or a path
-    /// chain cannot be replayed (see [`net_delta`]).
+    /// graph, a path class's the pinned epoch's delta. `false` — column
+    /// untouched, the caller runs cold — when there is no column, the
+    /// class is CC, or a path column is not exactly one epoch behind.
     fn catch_up(&mut self, shared: &Shared, key: u32, epoch: &Epoch) -> bool {
         let Some(column) = self.columns.get_mut(&key) else {
             return false;
@@ -215,18 +210,17 @@ impl<A: IncrementalAlgorithm> Class<A> {
             SeedingStrategy::DeltaCorrection => {
                 residual_seeds_with(pool, &algo, graph, &column.values)
             }
-            SeedingStrategy::Monotone(_) if self.class.is_path() => {
-                let Some(delta) = net_delta(shared, column, epoch) else {
-                    return false;
-                };
-                incremental_seeds_with(pool, &algo, graph, &mut column.values, &delta)
+            SeedingStrategy::Monotone(_)
+                if self.class.is_path() && column.epoch + 1 == epoch.number =>
+            {
+                let delta = epoch.delta.as_ref().expect("only epoch 0 has no delta");
+                incremental_seeds_with(pool, &algo, graph, &mut column.values, delta)
             }
             SeedingStrategy::Monotone(_) => return false,
         };
         let cfg = TurboConfig::default();
         run_turbo_with(pool, &algo, graph, &mut column.values, &plan.seeds, &cfg);
         column.epoch = epoch.number;
-        column.graph = epoch.graph.clone();
         true
     }
 
@@ -240,7 +234,6 @@ impl<A: IncrementalAlgorithm> Class<A> {
         run_turbo_with(pool, &algo, &epoch.graph, &mut values, &seeds, &cfg);
         let column = Column {
             epoch: epoch.number,
-            graph: epoch.graph.clone(),
             values,
         };
         self.columns.insert(key, column);
@@ -250,31 +243,6 @@ impl<A: IncrementalAlgorithm> Class<A> {
     fn evict(&mut self, keep: Option<u64>) {
         self.columns.retain(|_, c| Some(c.epoch) == keep);
     }
-}
-
-/// The net delta of the chain from `column`'s epoch to the pinned
-/// `epoch`: the stored delta for a chain of one, else the diff of its two
-/// ends over every source a link changed — no other row differs between
-/// them. `None` when the chain is longer than `MAX_WARM_CHAIN` or any link
-/// is missing (epoch evicted from history, or published without a
-/// delta). The chain is read as deltas: no graph is rebuilt for it.
-fn net_delta<V>(shared: &Shared, column: &Column<V>, epoch: &Epoch) -> Option<Arc<AppliedBatch>> {
-    if epoch.number - column.epoch > MAX_WARM_CHAIN {
-        return None;
-    }
-    let mut deltas = shared.store.deltas(column.epoch + 1..epoch.number)?;
-    deltas.push(Arc::clone(epoch.delta.as_ref()?));
-    if let [delta] = &deltas[..] {
-        return Some(Arc::clone(delta));
-    }
-    let mut sources: Vec<VertexId> = deltas
-        .iter()
-        .flat_map(|d| d.old_out.iter().map(|&(u, _)| u))
-        .collect();
-    sources.sort_unstable();
-    sources.dedup();
-    let net = AppliedBatch::between(&column.graph, &epoch.graph, &sources);
-    Some(Arc::new(net))
 }
 
 /// Everything one executor lane owns: one [`Class`] per query class.

@@ -34,13 +34,15 @@
 //!   the events the perturbation triggers. PageRank seeds its residual on
 //!   the pinned graph
 //!   ([`residual_seeds_with`](gp_algorithms::residual_seeds_with)), which
-//!   needs nothing but the column; a path class replays the net delta of
-//!   the overlay chain it is behind by
+//!   needs nothing but the column; a path column one epoch behind replays
+//!   the pinned epoch's stored delta
 //!   ([`incremental_seeds_with`](gp_algorithms::incremental_seeds_with)).
 //!   A column runs cold — one
 //!   [`initial_state`](gp_algorithms::engine::initial_state) + turbo run
 //!   of the class's own algorithm — when it is new, when it is CC's, or
-//!   when a path chain is too long or broken. Each class keeps one seed
+//!   when it is a path column more than one epoch behind. A column holds
+//!   values and an epoch number, never a graph, and a lane reads nothing
+//!   of the store but the epoch it pinned. Each class keeps one seed
 //!   accumulator and one turbo engine resident for all of its runs. A
 //!   class differs from another only in its algorithm. The four monotone
 //!   classes are bit-exact with golden; a PageRank response is within the
@@ -283,16 +285,18 @@ pub struct ServeConfig {
     /// refresh seeds the column's residual on the pinned graph and runs
     /// once, however many epochs it trails by, so PageRank runs cold
     /// only for its first column; a CC refresh is always cold. The
-    /// default matches the longest path-column replay chain
-    /// (`MAX_WARM_CHAIN`), so one whole-graph refresh spans the same
-    /// epoch window as the deepest path replay.
+    /// default is 8 because the serve tests and the repo benchmark's
+    /// serve workload, which publishes eight batches per pass and so
+    /// refreshes once per pass, are sized on it.
     pub refresh_lag: usize,
     /// Overlay compaction threshold (pool fraction of base edges), applied
     /// off the read path after each publish.
     pub compact_fraction: f64,
     /// Recent epochs retained for [`SnapshotStore::epoch`] lookups
-    /// (offline verification recomputes on exactly the served epoch). A
-    /// retained epoch nobody holds costs its delta, not a graph.
+    /// (offline verification recomputes on exactly the served epoch).
+    /// Serving reads none of this history: an executor reads only the
+    /// epoch it pinned. A retained epoch nobody holds costs its delta,
+    /// not a graph.
     pub retain_epochs: usize,
     /// PageRank damping factor.
     pub pagerank_damping: f64,
@@ -380,8 +384,8 @@ pub struct StatsSnapshot {
     pub fused_runs: u64,
     /// Path queries answered from the per-source result cache.
     pub path_cache_hits: u64,
-    /// Cached path columns re-converged to a newer epoch by replaying
-    /// overlay deltas incrementally instead of running cold.
+    /// Cached path columns one epoch behind re-converged to the pin by
+    /// replaying the pinned epoch's delta instead of running cold.
     pub path_warm_starts: u64,
     /// Executor batching sweeps that served at least one query.
     pub sweeps: u64,

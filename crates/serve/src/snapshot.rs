@@ -23,11 +23,10 @@
 //! batches, and a full snapshot per epoch would pin one CSR base per
 //! compaction. [`epoch`](SnapshotStore::epoch) rebuilds an epoch nobody
 //! holds from the nearest newer one somebody does, restoring the undo
-//! rows newest-first; the executors' replays read only the deltas
-//! ([`deltas`](SnapshotStore::deltas)) and never rebuild a graph.
+//! rows newest-first. Serving reads none of the history: an executor
+//! reads only the epoch it pinned, graph and delta.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use gp_graph::{AppliedBatch, EdgeRef, GraphSnapshot, OverlayGraph, VertexId};
@@ -37,18 +36,15 @@ use gp_graph::{AppliedBatch, EdgeRef, GraphSnapshot, OverlayGraph, VertexId};
 pub struct Epoch {
     /// Monotonically increasing epoch number; the base graph is epoch 0.
     pub number: u64,
-    /// The epoch this one was derived from (`number - 1` in the current
-    /// single-writer design; epoch 0 is its own parent).
-    pub parent: u64,
     /// Immutable adjacency at this epoch. An epoch [`SnapshotStore::epoch`]
     /// rebuilt has the published adjacency row for row, but not its pool
     /// layout (`out_edge_base`, `edge_span`), which nothing that reads a
     /// retained epoch uses.
     pub graph: GraphSnapshot,
-    /// The net edge diff `parent -> this`, when this epoch was produced by
-    /// one update batch — exactly what
+    /// The net edge diff from epoch `number - 1` to this one, when this
+    /// epoch was produced by one update batch — exactly what
     /// [`incremental_seeds`](gp_algorithms::incremental_seeds) needs to
-    /// warm-start from parent-epoch state. `None` for epoch 0.
+    /// warm-start from the previous epoch's state. `None` for epoch 0.
     pub delta: Option<Arc<AppliedBatch>>,
 }
 
@@ -91,7 +87,6 @@ impl SnapshotStore {
     pub fn new(base: GraphSnapshot, retain: usize) -> Self {
         let epoch0 = Arc::new(Epoch {
             number: 0,
-            parent: 0,
             graph: base,
             delta: None,
         });
@@ -131,7 +126,6 @@ impl SnapshotStore {
             let mut current = self.current.write().expect("snapshot lock poisoned");
             let next = Arc::new(Epoch {
                 number: current.number + 1,
-                parent: current.number,
                 graph,
                 delta: Some(Arc::clone(&delta)),
             });
@@ -160,10 +154,10 @@ impl SnapshotStore {
     /// Looks up a recent epoch by number, if still retained. An epoch
     /// someone holds comes back as that same `Arc`; any other is rebuilt
     /// from the nearest newer one held, by restoring the undo rows of the
-    /// epochs between them newest-first — O(their deltas), not a read path
-    /// operation (the executors read [`deltas`](SnapshotStore::deltas)).
-    /// The rebuild holds one graph beyond what callers hold: the one it
-    /// returns.
+    /// epochs between them newest-first — O(their deltas). Offline
+    /// verification is its only caller: the executors read nothing but
+    /// the pinned epoch. The rebuild holds one graph beyond what callers
+    /// hold: the one it returns.
     pub fn epoch(&self, number: u64) -> Option<Arc<Epoch>> {
         let (newer, undos, delta) = {
             let history = self.history.lock().expect("history lock poisoned");
@@ -192,7 +186,6 @@ impl SnapshotStore {
         }
         let epoch = Arc::new(Epoch {
             number,
-            parent: number.saturating_sub(1),
             graph: overlay.freeze(),
             delta,
         });
@@ -205,19 +198,6 @@ impl SnapshotStore {
             }
         }
         Some(epoch)
-    }
-
-    /// The deltas that made each epoch in `numbers`, in order, or `None`
-    /// if one is not retained or has no delta (epoch 0). Builds no graph:
-    /// this is what a replay reads of its chain.
-    pub fn deltas(&self, numbers: Range<u64>) -> Option<Vec<Arc<AppliedBatch>>> {
-        let history = self.history.lock().expect("history lock poisoned");
-        numbers
-            .map(|n| {
-                let r = history.iter().find(|r| r.number == n)?;
-                r.undo.as_ref().map(|u| Arc::clone(&u.delta))
-            })
-            .collect()
     }
 }
 
@@ -246,7 +226,7 @@ mod tests {
         assert!(store.epoch(5).is_some());
         assert!(store.epoch(3).is_some());
         assert!(store.epoch(1).is_none(), "history must be bounded");
-        assert_eq!(store.epoch(4).unwrap().parent, 3);
+        assert_eq!(store.epoch(4).unwrap().number, 4);
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //!
 //! One query is in flight at a time, so every sweep serves exactly one
 //! query and the schedule — which reads hit a cached column, which replay
-//! a delta chain, which run cold, which are flagged degraded — is a
-//! function of the script alone: the same at 1 and 3 executors, and
+//! the pinned epoch's delta, which run cold, which are flagged degraded —
+//! is a function of the script alone: the same at 1 and 3 executors, and
 //! different between `refresh_lag` 8 (whole-graph columns refresh every
 //! eighth epoch) and 1 (they chase every epoch). PageRank catches up by
 //! its residual at every refresh after its first, cold run; CC runs cold
-//! at every refresh under both. A change to how
-//! columns are cached, replayed or evicted that is meant to keep
-//! behaviour leaves these literals untouched.
+//! at every refresh under both. A change to how columns are cached,
+//! replayed or evicted that is meant to keep behaviour leaves these
+//! literals untouched.
 
 use std::time::{Duration, Instant};
 
@@ -40,7 +40,7 @@ fn script(round: u32) -> Vec<Query> {
         queries.push(Query::Sswp { src, dst });
     }
     if round.is_multiple_of(11) {
-        // Re-read eleven epochs apart: past the longest replay chain.
+        // Re-read eleven epochs apart: more than one epoch behind, so cold.
         queries.push(Query::Sssp { src: v(39), dst });
     }
     // Hits on columns the round already brought to the current epoch.

@@ -210,7 +210,7 @@ fn every_retained_epoch_reads_back_as_published() {
             match store.epoch(n) {
                 Some(epoch) => {
                     assert!(round - n < RETAIN as u64, "epoch {n} outlived the window");
-                    assert_eq!((epoch.number, epoch.parent), (n, n.saturating_sub(1)));
+                    assert_eq!(epoch.number, n);
                     assert_eq!(epoch.delta.is_some(), n > 0);
                     assert_same_graph(&epoch.graph, graph, &format!("epoch {n} at {round}"));
                 }

@@ -200,17 +200,28 @@ if grep -rn 'fn same_turbo_outcome' crates/*/src \
   echo "hand-picked run comparison or second acceptance bound reintroduced: compare records with same_run, judge values with gp_algorithms::accept"; exit 1
 fi
 
-echo "== the read path never rebuilds an epoch (gp-serve replays read deltas) =="
+echo "== the read path never rebuilds an epoch (an executor reads its pinned epoch) =="
 # A retained epoch nobody holds is an undo record, and SnapshotStore::epoch
 # rebuilds its graph from the nearest newer held one at the cost of every
-# delta between them. An executor pins the current epoch and reads a
-# replay chain through SnapshotStore::deltas; a lookup anywhere else in
-# gp-serve would put a rebuild on the read path. Lines from the first
-# #[cfg(test)] of a file on are test code and may look epochs up.
+# delta between them. An executor reads the epoch it pinned and that
+# epoch's delta, nothing else; a lookup anywhere else in gp-serve would
+# put a rebuild on the read path. Lines from the first #[cfg(test)] of a
+# file on are test code and may look epochs up.
 if grep -rn --include='*.rs' '\.epoch(' crates/serve/src \
     | grep -v '^crates/serve/src/snapshot.rs:' \
     | non_test_lines | grep .; then
-  echo "epoch lookup on the gp-serve read path: read a chain's deltas with SnapshotStore::deltas"; exit 1
+  echo "epoch lookup on the gp-serve read path: serve from the pinned epoch and its delta"; exit 1
+fi
+
+echo "== a path column replays one epoch (no chain replay, no graph per column) =="
+# A path column exactly one epoch behind the pin replays the pinned
+# epoch's stored delta; one further behind runs cold. A chain bound, a
+# ranged delta lookup or a net diff between two graphs would bring back
+# the chain replay, and a graph held by a column keeps an old base alive.
+if grep -rnE --include='*.rs' 'MAX_WARM_CHAIN|fn deltas\(|\.deltas\(|fn between\(|::between\(' \
+    crates/serve/src crates/graph/src | non_test_lines | grep . \
+  || grep -Hn 'GraphSnapshot' crates/serve/src/executor.rs | non_test_lines | grep .; then
+  echo "chain replay or a per-column graph reintroduced: a path column replays the pinned epoch's delta or runs cold"; exit 1
 fi
 
 echo "== one canonicalization (an edge stream becomes CSR rows through one counting sort) =="
