@@ -76,26 +76,6 @@ impl AppliedBatch {
         self.inserts.is_empty() && self.deletes.is_empty()
     }
 
-    /// The in-rows, read from `parent` — the graph the batch was applied
-    /// to — of every destination the batch touched, ascending. With
-    /// [`old_out`](Self::old_out) this is every row the batch changed, as
-    /// it was before: what [`OverlayGraph::restore_rows`] needs to undo it.
-    pub fn old_in_rows(&self, parent: &impl GraphView) -> Vec<(VertexId, Vec<EdgeRef>)> {
-        let mut dsts: Vec<VertexId> = (self.inserts.iter().chain(&self.deletes))
-            .map(|&(_, d, _)| d)
-            .collect();
-        dsts.sort_unstable();
-        dsts.dedup();
-        dsts.into_iter()
-            .map(|d| {
-                let row = parent.in_edges(d);
-                let mut list = Vec::with_capacity(row.len());
-                row.for_each(|e| list.push(e));
-                (d, list)
-            })
-            .collect()
-    }
-
     /// Appends `u`'s net change from `old` to `new` — a two-pointer diff
     /// of the neighbor-sorted rows; a re-weighted edge is a delete plus an
     /// insert — and `old` as its `old_out` row if anything changed. Calls
@@ -345,39 +325,65 @@ impl OverlayGraph {
         batch
     }
 
-    /// Sets each listed vertex's out-row (`out`) and in-row (`inn`) to the
-    /// given list, verbatim, and moves [`num_edges`](GraphView::num_edges)
-    /// by the out-rows' change in length. Given a batch's
-    /// [`old_out`](AppliedBatch::old_out) and
-    /// [`old_in_rows`](AppliedBatch::old_in_rows), it undoes the batch:
-    /// the adjacency becomes, row for row, the one the batch was applied
-    /// to, self loops and parallel edges included. The caller keeps the
-    /// two directions each other's mirror.
+    /// Undoes `batch`, the last batch applied to this adjacency (or to
+    /// the one it was frozen from): the adjacency becomes, row for row,
+    /// the one the batch was applied to, self loops and parallel edges
+    /// included.
+    ///
+    /// Each changed source gets its [`old_out`](AppliedBatch::old_out) row
+    /// back. A touched destination's old in-row is derived, not stored: it
+    /// keeps its current entries from every source whose edges to it the
+    /// batch left alone, and takes each other source's entries from that
+    /// source's old row, in row order. The in-rows are the transpose of
+    /// the out-rows, order included (the rule
+    /// [`CsrGraph::check_invariants`] checks, and `apply` keeps), so an
+    /// in-row ascends by source and a parallel run in it keeps its out-row
+    /// order: one merge walk per destination splices each changed source's
+    /// old entries in at that source's place, with no sort of the row.
     ///
     /// Every restored out-row takes a fresh pool region, so the result's
     /// pool layout ([`out_edge_base`](GraphView::out_edge_base),
-    /// [`edge_span`](GraphView::edge_span)) is not the one the rows were
-    /// read from; only the adjacency is.
-    pub fn restore_rows(
-        &mut self,
-        out: &[(VertexId, Vec<EdgeRef>)],
-        inn: &[(VertexId, Vec<EdgeRef>)],
-    ) {
-        let list = |row: &[EdgeRef]| row.iter().map(|e| (e.other.get(), e.weight)).collect();
+    /// [`edge_span`](GraphView::edge_span)) is not the one the batch was
+    /// applied to; only the adjacency is.
+    pub fn undo(&mut self, batch: &AppliedBatch) {
         let snap = &mut self.snap;
-        for (v, row) in out {
+        // Every changed edge as `(dst, src)`, by destination, then source,
+        // once (a re-weighted edge is in both lists).
+        let mut changed: Vec<(VertexId, VertexId)> = (batch.inserts.iter().chain(&batch.deletes))
+            .map(|&(s, d, _)| (d, s))
+            .collect();
+        changed.sort_unstable();
+        changed.dedup();
+        for edges in changed.chunk_by(|a, b| a.0 == b.0) {
+            let d = edges[0].0;
+            let row = snap.in_edges(d);
+            let mut now = Vec::with_capacity(row.len());
+            row.for_each(|e| now.push((e.other.get(), e.weight)));
+            let mut list = Vec::with_capacity(now.len());
+            let mut rest = now.as_slice();
+            for &(_, s) in edges {
+                let below = rest.partition_point(|&(v, _)| v < s.get());
+                let past = rest.partition_point(|&(v, _)| v <= s.get());
+                list.extend_from_slice(&rest[..below]);
+                rest = &rest[past..];
+                let (_, old) = &batch.old_out[batch.old_out.partition_point(|(v, _)| *v < s)];
+                let from = old.partition_point(|e| e.other < d);
+                let old = old[from..].iter().take_while(|e| e.other == d);
+                list.extend(old.map(|e| (s.get(), e.weight)));
+            }
+            list.extend_from_slice(rest);
+            Arc::make_mut(&mut snap.in_patch).insert(d.get(), list);
+        }
+        for (v, row) in &batch.old_out {
             snap.live_edges = snap.live_edges - snap.out_degree(*v) as usize + row.len();
             let cap = pool_region(row.len());
             let patch = PatchList {
-                edges: list(row),
+                edges: row.iter().map(|e| (e.other.get(), e.weight)).collect(),
                 base_addr: snap.pool_len,
                 cap,
             };
             snap.pool_len += cap;
             Arc::make_mut(&mut snap.out_patch).insert(v.get(), patch);
-        }
-        for (v, row) in inn {
-            Arc::make_mut(&mut snap.in_patch).insert(v.get(), list(row));
         }
     }
 

@@ -1,21 +1,19 @@
-//! [`OverlayGraph::restore_rows`] undoes a batch: restoring each batch's
-//! [`old_out`](AppliedBatch::old_out) and
-//! [`old_in_rows`](AppliedBatch::old_in_rows) newest-first, from the
-//! latest state, walks back through the snapshot frozen after every
-//! earlier batch — every out-row and in-row in order with weights
+//! [`OverlayGraph::undo`] undoes a batch: undoing each batch newest-first,
+//! from the latest state, walks back through the snapshot frozen after
+//! every earlier batch — every out-row and in-row in order with weights
 //! compared bitwise, the edge count and the weightedness. The streams
 //! churn a few hot edges across batches, throw in self loops the overlay
 //! refuses, and compact the overlay between batches, so the undo crosses
 //! bases; one family of bases keeps self loops and parallel edges.
 //!
 //! A rebuilt graph's pool layout (`out_edge_base`, `edge_span`) is not
-//! the published one — every restored row takes a fresh pool region — and
-//! is not compared: nothing that reads a retained epoch uses it.
+//! the published one — every restored out-row takes a fresh pool region
+//! — and is not compared: nothing that reads a retained epoch uses it.
 
 use gp_graph::generators::{erdos_renyi, WeightMode};
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{
-    AppliedBatch, CsrGraph, EdgeRef, EdgeUpdate, GraphBuilder, GraphSnapshot, GraphView, OutEdges,
+    AppliedBatch, CsrGraph, EdgeUpdate, GraphBuilder, GraphSnapshot, GraphView, OutEdges,
     OverlayGraph, VertexId,
 };
 
@@ -102,9 +100,6 @@ fn has_loops_and_parallels(g: &CsrGraph) -> bool {
     looped && parallel
 }
 
-/// The undo record of one batch: its pre-batch out- and in-rows.
-type Undo = (AppliedBatch, Vec<(VertexId, Vec<EdgeRef>)>);
-
 #[test]
 fn undo_rows_restored_newest_first_reproduce_every_earlier_snapshot() {
     let mut rng = StdRng::seed_from_u64(0x0B5E7);
@@ -123,12 +118,9 @@ fn undo_rows_restored_newest_first_reproduce_every_earlier_snapshot() {
                     let label = format!("n={n} {weights:?} multi={multi} trial {trial} k={k}");
                     let mut o = OverlayGraph::new(base);
                     let mut frozen: Vec<GraphSnapshot> = vec![o.freeze()];
-                    let mut undos: Vec<Undo> = Vec::new();
+                    let mut batches: Vec<AppliedBatch> = Vec::new();
                     for _ in 0..k {
-                        let parent = o.freeze();
-                        let batch = o.apply(&churn(&o, &mut rng));
-                        let old_in = batch.old_in_rows(&parent);
-                        undos.push((batch, old_in));
+                        batches.push(o.apply(&churn(&o, &mut rng)));
                         frozen.push(o.freeze());
                         if rng.gen_range(0..3u32) == 0 {
                             o.compact();
@@ -138,11 +130,11 @@ fn undo_rows_restored_newest_first_reproduce_every_earlier_snapshot() {
 
                     let mut back = OverlayGraph::from(o.freeze());
                     assert_same_graph(&back, &frozen[k], &format!("{label}: latest"));
-                    for (i, (batch, old_in)) in undos.iter().enumerate().rev() {
-                        back.restore_rows(&batch.old_out, old_in);
+                    for (i, batch) in batches.iter().enumerate().rev() {
+                        back.undo(batch);
                         assert_same_graph(&back, &frozen[i], &format!("{label}: undo to {i}"));
                     }
-                    // Restoring never touched the state it started from.
+                    // Undoing never touched the state it started from.
                     assert_same_graph(&o, &frozen[k], &format!("{label}: source intact"));
                 }
             }

@@ -295,8 +295,8 @@ pub struct ServeConfig {
     /// Recent epochs retained for [`SnapshotStore::epoch`] lookups
     /// (offline verification recomputes on exactly the served epoch).
     /// Serving reads none of this history: an executor reads only the
-    /// epoch it pinned. A retained epoch nobody holds costs its delta,
-    /// not a graph.
+    /// epoch it pinned. A retained epoch costs its delta, not a graph; a
+    /// lookup rebuilds from the current epoch.
     pub retain_epochs: usize,
     /// PageRank damping factor.
     pub pagerank_damping: f64,

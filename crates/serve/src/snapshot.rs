@@ -14,22 +14,20 @@
 //!
 //! A bounded history of recent epochs is retained so offline verification
 //! (the load generator's golden cross-check) can recompute on exactly the
-//! epoch a query was served from. The history holds a graph only for the
-//! current epoch and for epochs someone still holds (found through a
-//! `Weak`); every other retained epoch is an **undo record** — the batch
-//! that made it, whose `old_out` holds its parent's out-rows, plus its
-//! parent's in-rows of the destinations the batch touched. A retained
-//! epoch costs its delta, not a graph: the writer compacts every few
-//! batches, and a full snapshot per epoch would pin one CSR base per
-//! compaction. [`epoch`](SnapshotStore::epoch) rebuilds an epoch nobody
-//! holds from the nearest newer one somebody does, restoring the undo
-//! rows newest-first. Serving reads none of the history: an executor
+//! epoch a query was served from. A retained epoch costs its delta: the
+//! history holds a graph only for the current epoch, and of every other
+//! retained epoch just the [`AppliedBatch`] that made it, which its epoch
+//! holds anyway — the writer compacts every few batches, and a full
+//! snapshot per epoch would pin one CSR base per compaction. A lookup
+//! ([`epoch`](SnapshotStore::epoch)) rebuilds from the current epoch,
+//! undoing the later epochs' batches newest-first
+//! ([`OverlayGraph::undo`]). Serving reads none of the history: an executor
 //! reads only the epoch it pinned, graph and delta.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock};
 
-use gp_graph::{AppliedBatch, EdgeRef, GraphSnapshot, OverlayGraph, VertexId};
+use gp_graph::{AppliedBatch, GraphSnapshot, OverlayGraph};
 
 /// One published, immutable version of the graph.
 #[derive(Debug, Clone)]
@@ -48,35 +46,14 @@ pub struct Epoch {
     pub delta: Option<Arc<AppliedBatch>>,
 }
 
-/// What the store keeps of one retained epoch.
-#[derive(Debug)]
-struct Retained {
-    number: u64,
-    /// The epoch itself, while anyone holds it (the current one always).
-    live: Weak<Epoch>,
-    /// How to turn this epoch's graph back into its parent's; `None` for
-    /// epoch 0.
-    undo: Option<Arc<Undo>>,
-}
-
-/// The rows one batch changed, as they were before it.
-#[derive(Debug)]
-struct Undo {
-    /// The batch, shared with its epoch; its `old_out` holds the parent's
-    /// out-row of every source it changed.
-    delta: Arc<AppliedBatch>,
-    /// The parent's in-row of every destination it touched.
-    old_in: Vec<(VertexId, Vec<EdgeRef>)>,
-}
-
 /// Atomically publishable store of the current [`Epoch`] plus a bounded
 /// history of recent ones.
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RwLock<Arc<Epoch>>,
-    /// The last `retain` epochs, ascending and dense; the last entry is
-    /// the current epoch.
-    history: Mutex<VecDeque<Retained>>,
+    /// The deltas of the last `retain` epochs, ascending and dense; the
+    /// last entry is the current epoch's, and epoch 0's is `None`.
+    deltas: Mutex<VecDeque<Option<Arc<AppliedBatch>>>>,
     retain: usize,
 }
 
@@ -85,19 +62,13 @@ impl SnapshotStore {
     /// retaining up to `retain` recent epochs (minimum 1) for
     /// [`epoch`](SnapshotStore::epoch) lookups.
     pub fn new(base: GraphSnapshot, retain: usize) -> Self {
-        let epoch0 = Arc::new(Epoch {
-            number: 0,
-            graph: base,
-            delta: None,
-        });
-        let history = VecDeque::from([Retained {
-            number: 0,
-            live: Arc::downgrade(&epoch0),
-            undo: None,
-        }]);
         SnapshotStore {
-            current: RwLock::new(epoch0),
-            history: Mutex::new(history),
+            current: RwLock::new(Arc::new(Epoch {
+                number: 0,
+                graph: base,
+                delta: None,
+            })),
+            deltas: Mutex::new(VecDeque::from([None])),
             retain: retain.max(1),
         }
     }
@@ -114,90 +85,61 @@ impl SnapshotStore {
     }
 
     /// Publishes the next epoch derived from the current one by `delta`,
-    /// returning its number. Single pointer swap on the read path; the
-    /// new epoch's undo record is read off the epoch it replaced after the
-    /// swap.
+    /// returning its number. Single pointer swap on the read path.
     pub fn publish(&self, graph: GraphSnapshot, delta: AppliedBatch) -> u64 {
-        // The history lock orders publishes, and keeps lookups out until
-        // the new epoch's record is in.
-        let mut history = self.history.lock().expect("history lock poisoned");
+        // The history lock orders publishes, and keeps lookups from seeing
+        // a current epoch whose delta is not in yet.
+        let mut deltas = self.deltas.lock().expect("history lock poisoned");
         let delta = Arc::new(delta);
-        let (next, parent) = {
+        let parent = {
             let mut current = self.current.write().expect("snapshot lock poisoned");
             let next = Arc::new(Epoch {
                 number: current.number + 1,
                 graph,
                 delta: Some(Arc::clone(&delta)),
             });
-            let parent = std::mem::replace(&mut *current, Arc::clone(&next));
-            (next, parent)
+            std::mem::replace(&mut *current, next)
         };
-        let undo = Undo {
-            old_in: delta.old_in_rows(&parent.graph),
-            delta,
-        };
-        history.push_back(Retained {
-            number: next.number,
-            live: Arc::downgrade(&next),
-            undo: Some(Arc::new(undo)),
-        });
-        while history.len() > self.retain {
-            history.pop_front();
+        let number = parent.number + 1;
+        deltas.push_back(Some(delta));
+        while deltas.len() > self.retain {
+            deltas.pop_front();
         }
-        drop(history);
+        drop(deltas);
         // Unless a reader holds it, the replaced epoch is freed here — with
         // the last base it pinned, after a compaction — outside both locks.
         drop(parent);
-        next.number
+        number
     }
 
-    /// Looks up a recent epoch by number, if still retained. An epoch
-    /// someone holds comes back as that same `Arc`; any other is rebuilt
-    /// from the nearest newer one held, by restoring the undo rows of the
-    /// epochs between them newest-first — O(their deltas). Offline
-    /// verification is its only caller: the executors read nothing but
-    /// the pinned epoch. The rebuild holds one graph beyond what callers
-    /// hold: the one it returns.
+    /// Looks up a recent epoch by number, if still retained. The current
+    /// epoch comes back as the current `Arc`; an older one is rebuilt from
+    /// it by undoing the deltas of the epochs after it newest-first —
+    /// O(their deltas and the in-rows they touched) — and is the caller's
+    /// alone. Offline verification is its only caller: the executors read
+    /// nothing but the pinned epoch.
     pub fn epoch(&self, number: u64) -> Option<Arc<Epoch>> {
-        let (newer, undos, delta) = {
-            let history = self.history.lock().expect("history lock poisoned");
-            let at = history.iter().position(|r| r.number == number)?;
-            if let Some(epoch) = history[at].live.upgrade() {
-                return Some(epoch);
+        let (current, deltas) = {
+            let deltas = self.deltas.lock().expect("history lock poisoned");
+            let current = self.pin();
+            let back = usize::try_from(current.number.checked_sub(number)?).ok()?;
+            if back == 0 {
+                return Some(current);
             }
-            let mut undos = Vec::new();
-            let mut newer = None;
-            for r in history.range(at + 1..) {
-                undos.push(Arc::clone(
-                    r.undo.as_ref().expect("only epoch 0 has no parent"),
-                ));
-                newer = r.live.upgrade();
-                if newer.is_some() {
-                    break;
-                }
-            }
-            let delta = history[at].undo.as_ref().map(|u| Arc::clone(&u.delta));
-            (newer.expect("the current epoch is held"), undos, delta)
+            // `number`'s own delta, then those of every later epoch.
+            let from = deltas.len().checked_sub(back + 1)?;
+            (current, deltas.range(from..).cloned().collect::<Vec<_>>())
         };
-        let mut overlay = OverlayGraph::from(newer.graph.clone());
-        drop(newer);
-        for undo in undos.iter().rev() {
-            overlay.restore_rows(&undo.delta.old_out, &undo.old_in);
+        let mut overlay = OverlayGraph::from(current.graph.clone());
+        drop(current);
+        for delta in deltas[1..].iter().rev() {
+            overlay.undo(delta.as_deref().expect("only epoch 0 has no delta"));
         }
-        let epoch = Arc::new(Epoch {
+        Some(Arc::new(Epoch {
             number,
             graph: overlay.freeze(),
-            delta,
-        });
-        // Later lookups share this rebuild while its caller holds it.
-        let mut history = self.history.lock().expect("history lock poisoned");
-        if let Some(r) = history.iter_mut().find(|r| r.number == number) {
-            match r.live.upgrade() {
-                Some(raced) => return Some(raced),
-                None => r.live = Arc::downgrade(&epoch),
-            }
-        }
-        Some(epoch)
+            delta: deltas.into_iter().next().flatten(),
+        }))
     }
 }
 

@@ -185,8 +185,8 @@ fn assert_same_graph(got: &impl GraphView, want: &impl GraphView, label: &str) {
     }
 }
 
-/// The history keeps undo records, not graphs, yet every retained epoch
-/// reads back as published: after each of `3 × retain` publishes (the
+/// The history keeps deltas, not graphs, yet every retained epoch reads
+/// back as published: after each of `3 × retain` publishes (the
 /// master compacted after every third), every epoch in the window equals
 /// the snapshot frozen for it, row for row, and every older one is gone.
 #[test]
@@ -220,11 +220,12 @@ fn every_retained_epoch_reads_back_as_published() {
     }
 }
 
-/// An epoch someone holds comes back as the `Arc` they hold, and one
-/// nobody holds is not kept: after every publish only the current epoch
-/// is alive, rebuilt epochs included once their callers drop them.
+/// The store keeps no graph but the current epoch's: after every publish
+/// only the current epoch (and whatever a caller holds) is alive, and a
+/// rebuilt epoch is its caller's alone — it reads back as published and
+/// dies with its last holder.
 #[test]
-fn held_epochs_come_back_shared_and_the_store_keeps_only_the_current_one() {
+fn the_store_keeps_only_the_current_epoch_alive() {
     let (mut overlay, mut stream) = setup(59);
     let store = SnapshotStore::new(overlay.freeze(), 16);
     let pinned = store.pin();
@@ -243,15 +244,20 @@ fn held_epochs_come_back_shared_and_the_store_keeps_only_the_current_one() {
         .filter_map(|w| w.upgrade().map(|e| e.number))
         .collect();
     assert_eq!(alive, [0, 12], "only the pin and the current epoch live");
-    assert!(Arc::ptr_eq(&store.epoch(0).expect("retained"), &pinned));
+    let epoch0 = store.epoch(0).expect("retained");
+    assert_same_graph(&epoch0.graph, &pinned.graph, "epoch 0 against the pin");
+    drop(epoch0);
     assert!(Arc::ptr_eq(
         &store.epoch(12).expect("retained"),
         &store.pin()
     ));
 
-    // A rebuild is shared while held, and dropped with its last holder.
+    // A rebuild reads back the same each time, and is dropped with its
+    // last holder.
     let rebuilt = store.epoch(5).expect("retained");
-    assert!(Arc::ptr_eq(&store.epoch(5).expect("retained"), &rebuilt));
+    let again = store.epoch(5).expect("retained");
+    assert_same_graph(&again.graph, &rebuilt.graph, "epoch 5 looked up twice");
+    drop(again);
     let held = Arc::downgrade(&rebuilt);
     drop(rebuilt);
     assert!(held.upgrade().is_none(), "the store kept a rebuilt epoch");

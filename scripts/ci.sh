@@ -201,12 +201,12 @@ if grep -rn 'fn same_turbo_outcome' crates/*/src \
 fi
 
 echo "== the read path never rebuilds an epoch (an executor reads its pinned epoch) =="
-# A retained epoch nobody holds is an undo record, and SnapshotStore::epoch
-# rebuilds its graph from the nearest newer held one at the cost of every
-# delta between them. An executor reads the epoch it pinned and that
-# epoch's delta, nothing else; a lookup anywhere else in gp-serve would
-# put a rebuild on the read path. Lines from the first #[cfg(test)] of a
-# file on are test code and may look epochs up.
+# The store keeps a graph only for the current epoch; SnapshotStore::epoch
+# rebuilds any older one from it by undoing the delta of every epoch in
+# between. An executor reads the epoch it pinned and that epoch's delta,
+# nothing else; a lookup anywhere else in gp-serve would put a rebuild on
+# the read path. Lines from the first #[cfg(test)] of a file on are test
+# code and may look epochs up.
 if grep -rn --include='*.rs' '\.epoch(' crates/serve/src \
     | grep -v '^crates/serve/src/snapshot.rs:' \
     | non_test_lines | grep .; then
@@ -222,6 +222,17 @@ if grep -rnE --include='*.rs' 'MAX_WARM_CHAIN|fn deltas\(|\.deltas\(|fn between\
     crates/serve/src crates/graph/src | non_test_lines | grep . \
   || grep -Hn 'GraphSnapshot' crates/serve/src/executor.rs | non_test_lines | grep .; then
   echo "chain replay or a per-column graph reintroduced: a path column replays the pinned epoch's delta or runs cold"; exit 1
+fi
+
+echo "== a retained epoch is its delta (no stored rows, no shared rebuilds) =="
+# A retained epoch costs the batch that made it, which its epoch holds
+# anyway; OverlayGraph::undo derives the touched in-rows from the newer
+# graph when a lookup rebuilds. Stored pre-batch in-rows, an undo record
+# beside the batch or a Weak handle to share rebuilds would bring back the
+# per-epoch copy this replaced.
+if grep -rnE --include='*.rs' 'old_in_rows|restore_rows|struct Undo|Weak<' \
+    crates/serve/src crates/graph/src | non_test_lines | grep .; then
+  echo "stored undo rows reintroduced: keep each epoch's delta and rebuild with OverlayGraph::undo"; exit 1
 fi
 
 echo "== one canonicalization (an edge stream becomes CSR rows through one counting sort) =="
@@ -381,9 +392,10 @@ echo "== serve smoke (executor pool, every sample vs golden) =="
 # tolerance for PageRank. Exit 1 on any mismatch. Sixteen batches close
 # at least one eight-epoch refresh window mid-run, so the PageRank column
 # catches up by its residual on the pinned graph, which the check then
-# covers; a run with no warm start did not exercise it. The store keeps a graph only for
-# epochs someone holds, so most samples are checked on an epoch the
-# store rebuilt from its undo records: the check covers the rebuild too.
+# covers; a run with no warm start did not exercise it. The store keeps a
+# graph only for the current epoch, so most samples are checked on an
+# epoch the store rebuilt from it by undoing the later epochs' deltas: the
+# check covers the rebuild too.
 cargo run --release -q -p gp-bench --bin serve_bench -- \
   --seed 11 --vertices 16384 --queries 20000 --batches 16 \
   --executors 2 --sample-every 64 --verify-all --out /tmp/gp-serve-smoke.json
