@@ -10,9 +10,12 @@
 //! it: every listed key present, of its kind and sign, the table's
 //! cross-field rules (a chaos scenario detected and recovered, a serve run's
 //! golden cross-checks ran and passed, an out-of-core algorithm's traffic
-//! accounting balances, …), and no key the table does not list. CI runs
-//! this so the bench binaries can never silently stop emitting
-//! measurements.
+//! accounting balances, …), and no key the table does not list. The
+//! producers (`chaos`, `serve_bench`, `container`) run the same
+//! `Schema::validate` on the record they write and exit 1 when it refuses,
+//! so a fresh record that reaches this checker has passed it once already;
+//! CI runs it on the fresh and the committed records alike, so neither can
+//! silently stop carrying a measurement.
 //!
 //! ```text
 //! cargo run -p gp-bench --bin bench_check -- fresh.json --against BENCH_outofcore.json

@@ -5,16 +5,18 @@
 //! ```
 //!
 //! Runs the full [`gp_chaos::run_campaign`] sweep — every fault kind ×
-//! all six algorithms, transient and persistent modes — prints the
-//! deterministic campaign log, and writes `BENCH_chaos.json`
-//! (`gp-bench/chaos/v1`, checked by `bench_check`): per-scenario
-//! detection latency, recovery kind, rollback count, wasted events, and
-//! checkpoint traffic, plus per-algorithm fault-free checkpointing
-//! overhead and an MTTR-style summary. Everything is derived from the
-//! seed — no wall clock enters the output, so reruns are byte-identical.
+//! all six algorithms, transient and persistent modes — and writes
+//! `BENCH_chaos.json` (`gp-bench/chaos/v1`), printing the same record on
+//! stdout: per-scenario detection latency, recovery kind, rollback count,
+//! wasted events, and checkpoint traffic, plus per-algorithm fault-free
+//! checkpointing overhead and an MTTR-style summary. Everything is derived
+//! from the seed — no wall clock enters the output, so reruns are
+//! byte-identical.
 //!
-//! Exits 0 when every scenario detected its fault and recovered to the
-//! fault-free reference, 1 otherwise, 2 on a bad invocation.
+//! The record is then held to its schema, [`CHAOS`]: exits 0 when it
+//! passes (every scenario detected its fault and recovered to the
+//! fault-free reference, every fault-free run bit-exact), 1 with the
+//! schema's message when it does not, 2 on a bad invocation.
 
 use gp_bench::json::{Json, CHAOS};
 use gp_bench::write_output;
@@ -26,8 +28,9 @@ Usage: chaos [flags]
   --out PATH  JSON output path (default BENCH_chaos.json)
   --help      print this reference and exit
 
-Exit status: 0 when every scenario detected its fault and recovered
-bit-exactly, 1 on a campaign failure, 2 on a bad invocation.";
+Exit status: 0 when the record passes its schema (every scenario detected
+its fault and recovered bit-exactly), 1 when it fails it or cannot be
+written, 2 on a bad invocation.";
 
 struct Args {
     seed: u64,
@@ -131,14 +134,18 @@ fn to_json(report: &CampaignReport) -> Json {
 
 fn main() {
     let args = gp_bench::cli::finish(parse(std::env::args().skip(1)), USAGE);
-    let report = run_campaign(args.seed);
-    print!("{}", report.render_log());
-    if let Err(e) = write_output(&args.out, &gp_bench::json::render(&to_json(&report))) {
+    let doc = to_json(&run_campaign(args.seed));
+    let record = gp_bench::json::render(&doc);
+    print!("{record}");
+    let verdict = write_output(&args.out, &record).and_then(|()| {
+        println!("wrote {}", args.out.display());
+        let out = args.out.display();
+        CHAOS
+            .validate(&doc)
+            .map_err(|e| format!("`{out}` failed schema check: {e}"))
+    });
+    if let Err(e) = verdict {
         eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {}", args.out.display());
-    if !report.failures().is_empty() {
         std::process::exit(1);
     }
 }

@@ -27,12 +27,17 @@
 //! (both CSR directions: `2*4*(n+1)` row-pointer plus `2*4*m` neighbor
 //! and, when weighted, `2*4*m` weight bytes) and a conservative bound on
 //! the mapped run's heap working state (48 B/vertex for values, pending
-//! deltas, and scheduler entries). The run
-//! fails unless the working state fits under the budget; the validator
-//! additionally requires at least one scale whose resident footprint
-//! exceeds it — i.e. a graph the fully-resident path could not have
-//! loaded under the same budget. Mapped file pages are excluded by
+//! deltas, and scheduler entries). Mapped file pages are excluded by
 //! design: they are clean, evictable page cache, not committed memory.
+//!
+//! The record is written, then held to its schema, [`OUTOFCORE`], which
+//! is the bench's verdict: every mapped working state fits under the
+//! budget, at least one scale's resident footprint exceeds it (a graph the
+//! fully-resident path could not have loaded under the same budget), and
+//! turbo is within tolerance of golden everywhere. Exit status: 0 when the
+//! record passes, 1 with the schema's message when it does not (or when a
+//! build, a `--check-resident` comparison or the write fails), 2 on a bad
+//! invocation.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -47,7 +52,7 @@ use gp_graph::generators::{rmat, rmat_edges, RmatConfig, WeightMode};
 use gp_graph::stats::max_out_degree_vertex;
 use gp_graph::{GraphView, MappedCsr, MeteredView};
 use gp_turbo::{run_turbo, TurboConfig};
-use gp_verify::oracle::check_mapped;
+use gp_verify::oracle::{check_mapped, check_relabeled};
 
 /// PageRank-Delta convergence threshold — the same `1e-3` the end-to-end
 /// trajectory uses at scale. PRD's comparison tolerance scales with its
@@ -268,22 +273,15 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
         mapped_state_bytes >> 20,
     );
     if cfg.budget_mb > 0 {
-        let budget = cfg.budget_mb << 20;
-        if mapped_state_bytes > budget {
-            return Err(format!(
-                "2^{lg}: mapped working state ({mapped_state_bytes} B) exceeds the \
-                 {} MiB budget",
-                cfg.budget_mb
-            ));
-        }
+        let fit = |bytes| match bytes > cfg.budget_mb << 20 {
+            true => "does NOT fit",
+            false => "fits",
+        };
         println!(
-            "[2^{lg}] budget {} MiB: mapped state fits; fully-resident graph {}",
+            "[2^{lg}] budget {} MiB: mapped state {}; fully-resident graph {}",
             cfg.budget_mb,
-            if resident_graph_bytes > budget {
-                "would NOT fit"
-            } else {
-                "would also fit"
-            },
+            fit(mapped_state_bytes),
+            fit(resident_graph_bytes),
         );
     }
 
@@ -297,18 +295,8 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
     if cfg.check_resident {
         // An independent build: the same seeded stream through
         // GraphBuilder, renamed by the container's ranks.
-        let built = rmat(&rcfg, cfg.seed);
-        let rank: Vec<u32> = built
-            .vertices()
-            .map(|s| mapped.container_id(s).get())
-            .collect();
-        let resident = built.relabel(&rank);
-        drop(built);
-        if mapped.to_csr() != resident {
-            return Err(format!(
-                "2^{lg}: the container is not the resident build relabeled by its ranks"
-            ));
-        }
+        let resident =
+            check_relabeled(&rmat(&rcfg, cfg.seed), &mapped).map_err(|e| format!("2^{lg}: {e}"))?;
         for app in table.clone() {
             with_algorithm!(app, &inputs, |algo| check_mapped(algo, &resident, &mapped))
                 .map_err(|e| format!("2^{lg}: {}: {e}", record_name(app)))?;
@@ -336,13 +324,6 @@ fn run_scale(cfg: &Config, dir: &std::path::Path, lg: u32) -> Result<Json, Strin
             row.turbo_ok,
         );
     }
-    if let Some(bad) = rows.iter().find(|r| !r.turbo_ok) {
-        return Err(format!(
-            "2^{lg}: turbo diverged from golden beyond tolerance on {}",
-            bad.label
-        ));
-    }
-
     std::fs::remove_file(&path).ok();
     Ok(Json::obj([
         ("log2_vertices", Json::Num(f64::from(lg))),
@@ -400,9 +381,15 @@ fn main() {
         ("budget_mb", Json::Num(cfg.budget_mb as f64)),
         ("entries", Json::Arr(entries)),
     ]);
-    if let Err(e) = write_output(&cfg.out, &gp_bench::json::render(&doc)) {
+    let verdict = write_output(&cfg.out, &gp_bench::json::render(&doc)).and_then(|()| {
+        println!("wrote {}", cfg.out.display());
+        let out = cfg.out.display();
+        OUTOFCORE
+            .validate(&doc)
+            .map_err(|e| format!("`{out}` failed schema check: {e}"))
+    });
+    if let Err(e) = verdict {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("wrote {}", cfg.out.display());
 }

@@ -24,8 +24,10 @@
 //! comparison tolerance for PageRank. `--verify-all` lifts the golden-run
 //! budget and checks every sampled response — CI's smoke mode.
 //!
-//! Exit status: 0 on success, 1 when any cross-check diverges (or the
-//! output cannot be written), 2 on a bad invocation.
+//! The record is then held to its schema, [`SERVE`]: exit status 0 when it
+//! passes, 1 with the schema's message when it does not (some sampled
+//! response diverged, or no sample was checked) or the output cannot be
+//! written, 2 on a bad invocation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,8 +62,9 @@ Usage: serve_bench [flags]
   --out PATH       JSON output path (default BENCH_serve.json)
   --help           print this reference and exit
 
-Exit status: 0 on success, 1 when any sampled response diverges from the
-golden recompute on its epoch, 2 on a bad invocation.";
+Exit status: 0 when the record passes its schema, 1 when it fails it
+(a sampled response diverged from the golden recompute on its epoch, or no
+sample was checked) or cannot be written, 2 on a bad invocation.";
 
 #[derive(Clone)]
 struct Args {
@@ -254,10 +257,9 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Runs the full workload against a fresh server with `executors`
-/// executor threads and returns the sweep entry plus the cross-check
-/// failure count.
+/// executor threads and returns the sweep entry.
 #[allow(clippy::too_many_lines)]
-fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> (Json, u64) {
+fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> Json {
     println!(
         "serve_bench: {} executor(s), {} queries on {} client(s), {} update batch(es)",
         executors, args.queries, args.clients, args.batches
@@ -427,7 +429,7 @@ fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> (Json, u6
         ]));
     }
 
-    let entry = Json::obj([
+    Json::obj([
         ("executors", Json::Num(executors as f64)),
         ("queries_total", Json::Num(stats.served as f64)),
         ("wall_secs", Json::Num(wall_secs)),
@@ -444,8 +446,7 @@ fn run_sweep_entry(args: &Args, graph: &CsrGraph, executors: usize) -> (Json, u6
         ("verified_samples", Json::Num(verified as f64)),
         ("verify_failures", Json::Num(failures as f64)),
         ("classes", Json::Arr(classes)),
-    ]);
-    (entry, failures)
+    ])
 }
 
 fn main() {
@@ -463,13 +464,8 @@ fn main() {
     );
     let base_edges = graph.num_edges();
 
-    let mut entries = Vec::new();
-    let mut total_failures = 0u64;
-    for &executors in &args.executors {
-        let (entry, failures) = run_sweep_entry(&args, &graph, executors);
-        entries.push(entry);
-        total_failures += failures;
-    }
+    let sweep = args.executors.iter();
+    let runs: Vec<Json> = sweep.map(|&e| run_sweep_entry(&args, &graph, e)).collect();
 
     let doc = Json::obj([
         ("schema", Json::Str(SERVE.tag.into())),
@@ -478,14 +474,17 @@ fn main() {
         ("edges", Json::Num(base_edges as f64)),
         ("tenants", Json::Num(args.tenants as f64)),
         ("clients", Json::Num(args.clients as f64)),
-        ("runs", Json::Arr(entries)),
+        ("runs", Json::Arr(runs)),
     ]);
-    if let Err(e) = write_output(&args.out, &gp_bench::json::render(&doc)) {
+    let verdict = write_output(&args.out, &gp_bench::json::render(&doc)).and_then(|()| {
+        println!("wrote {}", args.out.display());
+        let out = args.out.display();
+        SERVE
+            .validate(&doc)
+            .map_err(|e| format!("`{out}` failed schema check: {e}"))
+    });
+    if let Err(e) = verdict {
         eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {}", args.out.display());
-    if total_failures > 0 {
         std::process::exit(1);
     }
 }

@@ -113,6 +113,27 @@ fn chaos_campaign_reproduces_the_committed_record() {
     assert_eq!(fresh, committed, "same lines, different bytes");
 }
 
+/// The campaign log is the record itself: stdout, minus the final `wrote`
+/// line, is the file byte for byte, so a log diff covers every field.
+#[test]
+fn chaos_prints_the_record_it_writes() {
+    let out_path = temp_path("chaos-log.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_chaos"),
+        &["--seed", "42", "--out", out_path.to_str().unwrap()],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read_to_string(&out_path).expect("chaos wrote its record");
+    std::fs::remove_file(&out_path).ok();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let wrote = format!("wrote {}\n", out_path.display());
+    assert_eq!(stdout.strip_suffix(&wrote), Some(written.as_str()));
+}
+
 /// A flag value a run cannot use is refused by the shared parser with the
 /// usage status, one `error:` line and the flag reference — not passed on
 /// to panic somewhere downstream.
@@ -504,6 +525,28 @@ fn container_refuses_a_budget_past_the_byte_count() {
     assert!(stderr.starts_with("error: --budget-mb "), "{stderr}");
     assert!(stderr.contains("Usage: container"), "{stderr}");
     assert!(out.stdout.is_empty(), "the run started:\n{stderr}");
+}
+
+/// The out-of-core record's schema is the bench's verdict: a run whose
+/// mapped working state (48 B a vertex, 1.5 MiB at 2^15) is past the budget
+/// writes its record and exits 1 with the schema's message.
+#[test]
+fn container_exits_1_when_the_mapped_state_exceeds_the_budget() {
+    let out_path = temp_path("over-budget.json");
+    let args = ["--log2", "15", "--edge-factor", "1", "--budget-mb", "1"];
+    let out_arg = ["--out", out_path.to_str().unwrap()];
+    let out = run(
+        env!("CARGO_BIN_EXE_container"),
+        &[&args[..], &out_arg].concat(),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("mapped_state_bytes 1572864 exceeds the 1 MiB budget"),
+        "{stderr}"
+    );
+    assert!(out_path.exists(), "the refused record was not written");
+    std::fs::remove_file(&out_path).ok();
 }
 
 #[test]

@@ -23,8 +23,9 @@
 //!   ([`gp_turbo::TurboOutcome::check_lost_events`] and the parallel
 //!   engine's epoch-budget abort);
 //! * [`run_campaign`] ([`campaign`]) — the full sweep: every fault kind ×
-//!   all six algorithms, asserting detect → recover → match-the-fault-free
-//!   reference, reported with detection latency and recovery overhead.
+//!   all six algorithms, recording detect → recover → match-the-fault-free
+//!   reference with detection latency and recovery overhead; the `chaos`
+//!   bench binary holds the record to the `BENCH_chaos.json` schema.
 //!
 //! The invariant the whole plane defends: **never silently wrong**. Every
 //! injected fault is either healed by the engine's own semantics (and

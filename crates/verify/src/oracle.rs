@@ -309,16 +309,25 @@ where
         .map_err(|e| fail("differential-outofcore", format!("write failed: {e}")))?;
     let mapped = MappedCsr::open_verified(&path)
         .map_err(|e| fail("differential-outofcore", format!("open failed: {e}")))?;
+    let relabeled = check_relabeled(g, &mapped).map_err(|e| fail("differential-outofcore", e))?;
+    check_mapped(algo, &relabeled, &mapped).map_err(|e| fail("differential-outofcore", e))
+}
+
+/// Checks that `mapped` holds `g` relabeled by the container's ranks — the
+/// graph a container built from `g`'s edges must be — and returns that
+/// relabeling, the resident graph [`check_mapped`] runs against. The
+/// oracle's out-of-core leg and `container --check-resident` both call it.
+///
+/// # Errors
+///
+/// Returns why when the re-materialized container is any other graph.
+pub fn check_relabeled(g: &CsrGraph, mapped: &MappedCsr) -> Result<CsrGraph, String> {
     let rank: Vec<u32> = g.vertices().map(|s| mapped.container_id(s).get()).collect();
     let relabeled = g.relabel(&rank);
     if mapped.to_csr() != relabeled {
-        return Err(fail(
-            "differential-outofcore",
-            "re-materialized container is not the resident graph".into(),
-        ));
+        return Err("the container is not the resident graph relabeled by its ranks".into());
     }
-
-    check_mapped(algo, &relabeled, &mapped).map_err(|e| fail("differential-outofcore", e))
+    Ok(relabeled)
 }
 
 /// Checks that the golden engine and turbo over a memory-mapped container

@@ -299,6 +299,17 @@ if grep -rnE 'io::[c]opy|Counting[W]riter|fn (neighbor|weight)_[b]ytes|\.relabel
   echo "second container serializer reintroduced: write through build_streaming, one SegmentWriter per segment"; exit 1
 fi
 
+echo "== one verdict per bench record (each producer runs its Schema::validate) =="
+# chaos, serve_bench and container write their record, then hold it to its
+# own table in gp_bench::json and exit 1 with the schema's message. A
+# campaign failure list or text log beside the record, a failure tally or a
+# turbo early exit in a producer would be a second verdict to keep in step
+# with the table. Test code may keep its own checks.
+if grep -rnE 'fn (failures|render_log)[(]' crates/chaos/src | non_test_lines | grep . \
+  || grep -rnE 'total_[f]ailures|![r][.]turbo_ok' crates/bench/src/bin | non_test_lines | grep .; then
+  echo "second verdict on a bench record: let the producer's Schema::validate judge it"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -361,14 +372,15 @@ grep -q "minimal repro (ready-to-paste regression test):" /tmp/gp-fuzz-fault.log
 echo "== chaos smoke (every fault kind, detect/recover/verify, byte-deterministic) =="
 # Fixed-seed fault-injection campaign: every fault kind x algorithm across
 # the chaos executor, the shard-parallel engine, and the turbo backend.
-# The binary exits non-zero if any scenario goes undetected or recovers to
-# the wrong answer; two runs must be byte-identical (log and JSON).
+# The binary prints the record it writes and exits non-zero when the record
+# fails its gp-bench/chaos/v1 schema (a scenario undetected or recovered to
+# the wrong answer); two runs must be byte-identical (log and JSON).
 cargo run --release -q -p gp-bench --bin chaos -- \
   --seed 42 --out /tmp/gp-chaos-a.json > /tmp/gp-chaos-a.log
 cargo run --release -q -p gp-bench --bin chaos -- \
   --seed 42 --out /tmp/gp-chaos-b.json > /tmp/gp-chaos-b.log
 # The final "wrote <path>" line names the per-run output file; everything
-# above it (the campaign log proper) must be byte-identical.
+# above it (the rendered record) must be byte-identical.
 diff <(grep -v '^wrote ' /tmp/gp-chaos-a.log) \
      <(grep -v '^wrote ' /tmp/gp-chaos-b.log) \
   || { echo "chaos campaign log not deterministic"; exit 1; }
@@ -389,15 +401,19 @@ echo "== serve smoke (executor pool, every sample vs golden) =="
 # two-executor pool. --verify-all makes the bench cross-check every
 # sampled response against a sequential golden recompute on the exact
 # epoch the response named — bit-exact for the monotone classes, within
-# tolerance for PageRank. Exit 1 on any mismatch. Sixteen batches close
-# at least one eight-epoch refresh window mid-run, so the PageRank column
-# catches up by its residual on the pinned graph, which the check then
-# covers; a run with no warm start did not exercise it. The store keeps a
+# tolerance for PageRank. Exit 1 on any mismatch (the record's
+# gp-bench/serve/v3 schema, which serve_bench holds its own output to).
+# Forty-eight batches close several eight-epoch refresh windows on each
+# executor lane, so the PageRank columns catch up by their residual on the
+# pinned graph, which the check then covers; a run with no warm start did
+# not exercise it. Sixteen batches closed one or two windows in all, so
+# the count read 1 or 2 by thread schedule; 48 read 5 or 6 over twelve
+# reruns, and a catch-up that never succeeds reads 0. The store keeps a
 # graph only for the current epoch, so most samples are checked on an
 # epoch the store rebuilt from it by undoing the later epochs' deltas: the
 # check covers the rebuild too.
 cargo run --release -q -p gp-bench --bin serve_bench -- \
-  --seed 11 --vertices 16384 --queries 20000 --batches 16 \
+  --seed 11 --vertices 16384 --queries 20000 --batches 48 \
   --executors 2 --sample-every 64 --verify-all --out /tmp/gp-serve-smoke.json
 warm=$(grep -o '"warm_starts": *[0-9]*' /tmp/gp-serve-smoke.json | grep -o '[0-9]*$')
 [ "${warm:-0}" -ge 1 ] \
