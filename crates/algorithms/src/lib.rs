@@ -52,7 +52,6 @@ pub mod incremental;
 mod pagerank;
 pub mod pool;
 pub mod reference;
-mod solver;
 mod sssp;
 mod sswp;
 mod table;
@@ -67,7 +66,6 @@ pub use incremental::{
 };
 pub use pagerank::PageRankDelta;
 pub use pool::DeltaPool;
-pub use solver::{scale_for_convergence, LinearSolver};
 pub use sssp::Sssp;
 pub use sswp::Sswp;
 pub use table::{App, AppInputs};

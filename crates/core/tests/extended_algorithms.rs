@@ -1,11 +1,9 @@
-//! The accelerator runs the extended algorithm family too: SSWP (max-min
-//! semiring), the asynchronous linear-equation solver, and personalized
-//! PageRank — all beyond the paper's five apps, all validated against
-//! their classic references.
+//! The accelerator runs the workspace's two extensions beyond the paper's
+//! five apps: SSWP (max-min semiring; a row of the application table) and
+//! personalized PageRank (`gpulse --app ppr`), each validated against its
+//! classic reference.
 
-use gp_algorithms::{
-    max_abs_diff, reference, scale_for_convergence, LinearSolver, PageRankDelta, Sswp,
-};
+use gp_algorithms::{max_abs_diff, reference, PageRankDelta, Sswp};
 use gp_graph::generators::{erdos_renyi, WeightMode};
 use gp_graph::VertexId;
 use graphpulse_core::{AcceleratorConfig, GraphPulse, QueueConfig};
@@ -29,19 +27,6 @@ fn sswp_matches_widest_path_reference() {
     assert!(max_abs_diff(&out.values, &golden) < 1e-6);
     // max-coalescing applies here exactly as for CC.
     assert!(out.report.events_generated > 0);
-}
-
-#[test]
-fn linear_solver_matches_jacobi_on_the_accelerator() {
-    let raw = erdos_renyi(150, 900, WeightMode::Uniform(0.5, 3.0), 2);
-    let w = scale_for_convergence(&raw, 0.75);
-    let b: Vec<f64> = (0..150).map(|i| 0.2 + (i % 5) as f64 * 0.15).collect();
-    let solver = LinearSolver::new(b.clone(), 1e-10);
-    let out = accel().run(&w, &solver).expect("run");
-    // Compare against the sequential golden engine (itself validated
-    // against dense Jacobi in the algorithms crate).
-    let golden = gp_algorithms::engine::run_sequential(&solver, &w);
-    assert!(max_abs_diff(&out.values, &golden.values) < 1e-5);
 }
 
 #[test]

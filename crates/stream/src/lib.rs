@@ -51,7 +51,9 @@
 #![warn(missing_docs)]
 
 use gp_algorithms::engine::{initial_state, run_sequential_seeded};
-use gp_algorithms::{incremental_seeds_with, DeltaPool, IncrementalAlgorithm};
+use gp_algorithms::{
+    incremental_seeds_with, residual_seeds_with, DeltaPool, IncrementalAlgorithm, SeedingStrategy,
+};
 use gp_graph::generators::{rmat_scramble, rmat_step, WeightMode};
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, EdgeUpdate, GraphView, OverlayGraph, VertexId};
@@ -78,9 +80,7 @@ pub enum Backend {
     /// the only engine fast enough to sit behind interactive traffic,
     /// which is what `gp-serve` does.
     /// Bit-exact vs [`Backend::Golden`] for the monotone algorithms; for
-    /// PageRank-delta within `comparison_tolerance` of golden fed the same
-    /// batches, both drifting alike from a from-scratch run (see
-    /// [`IncrementalEngine`]).
+    /// PageRank-delta within `comparison_tolerance` of a from-scratch run.
     Turbo(gp_turbo::TurboConfig),
 }
 
@@ -147,18 +147,14 @@ pub struct BatchReport {
 /// every batch is exactly what a from-scratch run on the mutated graph
 /// produces — the property the differential test suite pins.
 ///
-/// PageRank-delta is not held to that. Its delta correction retracts and
-/// re-grants each touched source's value, sub-threshold residue included,
-/// so the state drifts from the from-scratch fixed point a little with
-/// every batch and the drift accumulates: at 2^16, threshold 1e-3 and
-/// 96-update batches (the repo benchmark's `stream-r16`) its max-abs
-/// distance to golden is ≈ 1.75 after 25 batches, ≈ 7 after 100 and
-/// passes the tolerance of 10 near batch 150 — about 7 % of the
-/// tolerance per ten batches. A caller that needs a from-scratch answer
-/// catches up by the residual instead
-/// ([`residual_seeds_with`](gp_algorithms::residual_seeds_with)), as
-/// `gp-serve`'s PageRank columns do; per batch it costs an edge pass
-/// where the correction costs the batch's rows.
+/// PageRank-delta is held to its `comparison_tolerance` instead. Its
+/// delta correction seeds what a batch changes in the residual, at the
+/// cost of the batch's rows, but never the sub-threshold residue each run
+/// parks in the values, which adds up over batches. So every 32nd batch
+/// that changes the graph seeds the whole residual on the current graph
+/// instead ([`residual_seeds_with`]), as `gp-serve`'s PageRank columns do
+/// on every refresh: an edge pass that takes any state back to a cold
+/// run's distance from the fixed point.
 ///
 /// The per-batch machinery is resident: one [`DeltaPool`], kept across
 /// batches, takes each seed plan and then the turbo backend's run, and
@@ -174,7 +170,18 @@ pub struct IncrementalEngine<A: IncrementalAlgorithm> {
     /// Coalesces each batch's seed plan, then carries the turbo run;
     /// every plan and every run drains it empty.
     pool: DeltaPool<A>,
+    /// Batches that changed the graph, which time the residual catch-up.
+    changed: u64,
 }
+
+/// A delta-correction engine seeds its whole residual on every this-many
+/// batches that change the graph: the largest power of two that keeps
+/// PageRank-delta's worst distance to a from-scratch run at or below 60 %
+/// of its tolerance over 1 000 `stream-r16`-shaped batches (96 updates,
+/// half deletions, threshold 1e-3) at 2^13, 2^14 and 2^16 vertices. At
+/// 2^16 a catch-up costs about seven correction batches (EXPERIMENTS.md,
+/// "PageRank drift over a long stream").
+const CATCH_UP_EVERY: u64 = 32;
 
 impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
     /// Builds the engine and fully converges on the base graph through
@@ -197,6 +204,7 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
             graph: OverlayGraph::new(base),
             values: Vec::new(),
             config,
+            changed: 0,
         };
         let (values, seeds) = initial_state(&engine.algo, &engine.graph);
         engine.values = values;
@@ -211,7 +219,10 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
     /// Updates are applied in order with net-effect semantics (an edge
     /// inserted then deleted within one batch is a no-op; a weight change
     /// is a delete + insert pair). A batch with no net effect skips the
-    /// engine entirely.
+    /// engine entirely. Every 32nd batch with an effect seeds a
+    /// delta-correction algorithm's whole residual (see
+    /// [`IncrementalEngine`]), so its report counts the residual's seeds
+    /// as dirty vertices.
     ///
     /// # Errors
     ///
@@ -223,13 +234,15 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
         if applied.is_empty() {
             return Ok(BatchReport::default());
         }
-        let plan = incremental_seeds_with(
-            &mut self.pool,
-            &self.algo,
-            &self.graph,
-            &mut self.values,
-            &applied,
-        );
+        self.changed += 1;
+        let (pool, algo, graph) = (&mut self.pool, &self.algo, &self.graph);
+        let plan = if algo.strategy() == SeedingStrategy::DeltaCorrection
+            && self.changed.is_multiple_of(CATCH_UP_EVERY)
+        {
+            residual_seeds_with(pool, algo, graph, &self.values)
+        } else {
+            incremental_seeds_with(pool, algo, graph, &mut self.values, &applied)
+        };
         let mut report = self.run_backend(&plan.seeds)?;
         report.inserts = applied.inserts.len();
         report.deletes = applied.deletes.len();

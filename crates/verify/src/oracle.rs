@@ -22,10 +22,11 @@
 //! compares whole records through [`same_run`] plus [`same_bits`] on the
 //! values, so a field added to a record is compared without a change here.
 //!
-//! Metamorphic checks: vertex relabeling (values commute with the
-//! permutation; for connected components, the partition does), edge-order
-//! permutation (builder canonicalization makes the CSR identical), and
-//! slice-count invariance (an undersized queue forcing `>= 2` slices must
+//! Metamorphic checks: vertex relabeling (golden's and turbo's values on a
+//! shuffled and on a hub-first numbering commute with the permutation; for
+//! connected components, the partition does), edge-order permutation
+//! (builder canonicalization makes the CSR identical), and slice-count
+//! invariance (an undersized queue forcing `>= 2` slices must
 //! not change the fixed point). Micro-invariant: exact event conservation
 //! (`generated == processed + coalesced`) on every accelerator report —
 //! single machine, sliced, and merged shard-parallel alike.
@@ -36,7 +37,7 @@ use gp_algorithms::{
     IncrementalAlgorithm,
 };
 use gp_chaos::{run_chaos, stall_past, ChaosConfig, FaultPlan};
-use gp_graph::container::write_container;
+use gp_graph::container::{hub_first, write_container};
 use gp_graph::rng::{Rng, StdRng};
 use gp_graph::{CsrGraph, GraphBuilder, MappedCsr, VertexId};
 use gp_mem::integrity::Storable;
@@ -464,12 +465,21 @@ where
     Ok(())
 }
 
-/// Vertex-relabeling invariance: running `app` — rooted at the permuted
-/// root — on the isomorphic graph must commute with the permutation, by
-/// value for every application except the two singled out below.
-fn check_relabel(app: App, inputs: &AppInputs, g: &CsrGraph, perm: &[u32]) -> Result<(), Failure> {
+/// Vertex-relabeling invariance: golden and turbo, run on `g` relabeled by
+/// the case's seeded shuffle and by hub-first rank (in-degree descending,
+/// the order a container numbers its vertices in) and rooted at the
+/// permuted root, must commute with the permutation. The path
+/// applications give golden's values on `g` bit for bit, PageRank passes
+/// [`accept`] against them, and connected components keep the partition
+/// (see below).
+fn check_relabel(
+    app: App,
+    inputs: &AppInputs,
+    g: &CsrGraph,
+    shuffle: &[u32],
+) -> Result<(), Failure> {
     let symmetric;
-    let (g, as_partition) = match app {
+    let g = match app {
         // No relabel leg: the per-vertex parameters cannot be permuted
         // alongside the vertices from outside the algorithm.
         App::Adsorption => return Ok(()),
@@ -484,43 +494,72 @@ fn check_relabel(app: App, inputs: &AppInputs, g: &CsrGraph, perm: &[u32]) -> Re
         // is permutation-invariant.
         App::Cc => {
             symmetric = symmetrize(g);
-            (&symmetric, true)
+            &symmetric
         }
-        _ => (g, false),
-    };
-    let relabeled_inputs = AppInputs {
-        root: VertexId::new(perm[inputs.root.index()]),
-        ..*inputs
+        _ => g,
     };
     let golden = app.golden_values(inputs, g);
-    let relabeled = app.golden_values(&relabeled_inputs, &g.relabel(perm));
-    if as_partition {
-        // label(v) == label(w)  <=>  label'(perm(v)) == label'(perm(w)):
-        // the value map golden -> relabeled must be a bijection.
-        let mut forward: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        let mut backward: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for v in 0..golden.len() {
-            let a = golden[v].to_bits();
-            let b = relabeled[perm[v] as usize].to_bits();
-            if *forward.entry(a).or_insert(b) != b || *backward.entry(b).or_insert(a) != a {
-                return Err(fail(
-                    "metamorphic-relabel",
-                    format!(
-                        "partition differs at vertex {v}: label {} maps to {} \
-                         inconsistently",
-                        golden[v], relabeled[perm[v] as usize]
-                    ),
-                ));
-            }
-        }
-        return Ok(());
+    let in_degrees: Vec<u32> = g.vertices().map(|v| g.in_degree(v)).collect();
+    let mut hubs = vec![0; g.num_vertices()];
+    for (rank, v) in (0u32..).zip(hub_first(&in_degrees)) {
+        hubs[v as usize] = rank;
     }
-    let pulled: Vec<f64> = (0..golden.len())
-        .map(|v| relabeled[perm[v] as usize])
-        .collect();
-    with_algorithm!(app, inputs, |algo| accept(algo, &pulled, &golden))
-        .map_err(|e| fail("metamorphic-relabel", format!("relabeled run: {e}")))?;
+    for (ids, perm) in [("shuffled", shuffle), ("hub-first", &hubs)] {
+        let inputs = AppInputs {
+            root: VertexId::new(perm[inputs.root.index()]),
+            ..*inputs
+        };
+        let h = g.relabel(perm);
+        let runs = [
+            ("golden", app.golden_values(&inputs, &h)),
+            (
+                "turbo",
+                with_algorithm!(app, &inputs, |algo| {
+                    run_turbo(algo, &h, &TurboConfig::default()).values
+                }),
+            ),
+        ];
+        for (engine, relabeled) in runs {
+            let pulled: Vec<f64> = perm.iter().map(|&p| relabeled[p as usize]).collect();
+            match app {
+                App::Cc => same_partition(&golden, &pulled),
+                App::PageRank => {
+                    with_algorithm!(app, &inputs, |algo| accept(algo, &pulled, &golden)).map(drop)
+                }
+                _ => same_values(&golden, &pulled),
+            }
+            .map_err(|e| fail("metamorphic-relabel", format!("{engine} on {ids} ids: {e}")))?;
+        }
+    }
     Ok(())
+}
+
+/// Whether `got` labels the vertices into the same classes as `golden`:
+/// the value map golden -> got is a bijection.
+fn same_partition(golden: &[f64], got: &[f64]) -> Result<(), String> {
+    let mut forward: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut backward: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    for (v, (a, b)) in golden.iter().zip(got).enumerate() {
+        let (x, y) = (a.to_bits(), b.to_bits());
+        if *forward.entry(x).or_insert(y) != y || *backward.entry(y).or_insert(x) != x {
+            return Err(format!(
+                "partition differs at vertex {v}: label {a} maps to {b} inconsistently"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Whether `got` is `golden` bit for bit, naming the first vertex that is
+/// not.
+fn same_values(golden: &[f64], got: &[f64]) -> Result<(), String> {
+    match (0..golden.len()).find(|&v| golden[v].to_bits() != got[v].to_bits()) {
+        None => Ok(()),
+        Some(v) => Err(format!(
+            "values differ at vertex {v}: got {}, golden {}",
+            got[v], golden[v]
+        )),
+    }
 }
 
 /// Edge-order-permutation invariance: the builder canonicalizes adjacency,
@@ -596,6 +635,38 @@ mod tests {
             let case = generate(seed);
             run_case(&case, None)
                 .unwrap_or_else(|f| panic!("seed {seed} ({}) failed: {f}", case.algo.name()));
+        }
+    }
+
+    /// The relabel leg on two components, where both orders move the root
+    /// and the shuffle moves each component's largest id: a leg that forgot
+    /// to map the root, or that compared component labels as values, fails
+    /// here.
+    #[test]
+    fn relabel_leg_maps_the_root_and_compares_partitions() {
+        let mut b = GraphBuilder::new(8);
+        b.weighted(true);
+        for (u, v, w) in [
+            (0, 1, 2.0),
+            (1, 2, 1.0),
+            (2, 3, 3.0),
+            (0, 2, 5.0),
+            (4, 5, 1.0),
+            (5, 6, 2.0),
+            (6, 7, 1.0),
+            (7, 4, 4.0),
+        ] {
+            b.add_edge(VertexId::new(u), VertexId::new(v), w);
+        }
+        let g = b.build();
+        let inputs = AppInputs {
+            root: VertexId::new(0),
+            threshold: ORACLE_THRESHOLD,
+            adsorption: None,
+        };
+        for app in App::ALL {
+            check_relabel(app, &inputs, &g, &[5, 2, 7, 0, 3, 6, 1, 4])
+                .unwrap_or_else(|f| panic!("{app:?}: {f}"));
         }
     }
 

@@ -140,6 +140,17 @@ if grep -rnE 'enum (App|AlgoKind)\b' --include='*.rs' src crates examples tests 
   echo "second application enum: add the row to gp_algorithms::App (crates/algorithms/src/table.rs)"; exit 1
 fi
 
+echo "== gp-algorithms holds what the App table runs (no algorithm outside it) =="
+# Every algorithm a front end, bench, service or example runs is a row of
+# gp_algorithms::App and is judged by accept. The general linear solver and
+# its damping helper sat outside both: no row, flag, bench binary or serve
+# class ran them, and accept would have refused any inexact run of theirs.
+# Test code may name them.
+if grep -rnE --include='*.rs' '[L]inearSolver|[s]cale_for_convergence' crates/*/src src examples \
+    | non_test_lines | grep .; then
+  echo "algorithm outside the application table: make it a row of gp_algorithms::App, or leave it out"; exit 1
+fi
+
 echo "== one place decides where a slice ends (the container holds the graph only) =="
 # Slicing is a run-time property of the machine's queue capacity (§IV-F):
 # Partition::contiguous cuts any GraphView, a mapped container included.
