@@ -13,7 +13,10 @@
 //! The overlay maintains both out- and in-adjacency so incremental
 //! recomputation can walk the *reverse* graph of the mutated topology
 //! (needed to re-derive a vertex's value from its in-neighbors after a
-//! deletion invalidates it).
+//! deletion invalidates it). Updates write out-rows only; an in-row is
+//! derived, never edited: [`OverlayGraph::apply`] and
+//! [`OverlayGraph::undo`] rebuild the in-row of each destination a batch
+//! changed from the out-rows, once per batch, through one shared routine.
 //!
 //! All iteration orders are deterministic: patch tables are `BTreeMap`s
 //! and patched lists stay sorted by neighbor id, matching the CSR's
@@ -197,91 +200,21 @@ impl OverlayGraph {
         self.snap.pool_len as f64 / self.snap.base.num_edges().max(1) as f64
     }
 
-    /// Whether edge `src -> dst` currently exists.
-    pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.weight_of(src, dst).is_some()
-    }
-
-    /// Weight of edge `src -> dst`, or `None` if absent. A binary search:
+    /// Whether edge `src -> dst` currently exists. A binary search:
     /// patched lists and the builder's CSR rows are both neighbor-sorted.
-    pub fn weight_of(&self, src: VertexId, dst: VertexId) -> Option<f32> {
+    pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
         match self.snap.out_patch.get(&src.get()) {
             Some(patch) => patch
                 .edges
                 .binary_search_by_key(&dst.get(), |&(n, _)| n)
-                .ok()
-                .map(|i| patch.edges[i].1),
-            None => {
-                let base = &self.snap.base;
-                let row = base.out_neighbors(src);
-                let i = row.partition_point(|&n| n < dst);
-                let hit = row.get(i) == Some(&dst);
-                hit.then(|| base.out_edges(src).get(i).expect("same row").weight)
-            }
+                .is_ok(),
+            None => self
+                .snap
+                .base
+                .out_neighbors(src)
+                .binary_search(&dst)
+                .is_ok(),
         }
-    }
-
-    /// Inserts edge `src -> dst`; returns `false` (and changes nothing) if
-    /// the edge already exists or is a self loop (the builder drops self
-    /// loops, so the overlay refuses to reintroduce them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn insert_edge(&mut self, src: VertexId, dst: VertexId, weight: f32) -> bool {
-        self.check_endpoints(src, dst);
-        if src == dst {
-            return false;
-        }
-        let snap = &mut self.snap;
-        let patch = ensure_out_patch(&snap.base, &mut snap.out_patch, &mut snap.pool_len, src);
-        match patch.edges.binary_search_by_key(&dst.get(), |&(n, _)| n) {
-            Ok(_) => return false,
-            Err(at) => patch.edges.insert(at, (dst.get(), weight)),
-        }
-        // Log-structured append: a list that outgrew its reservation moves
-        // to a fresh pool region, and the old one leaks until compaction.
-        if patch.edges.len() > patch.cap {
-            patch.cap = pool_region(patch.edges.len());
-            patch.base_addr = snap.pool_len;
-            snap.pool_len += patch.cap;
-        }
-        let in_list = ensure_in_patch(&snap.base, &mut snap.in_patch, dst);
-        let at = in_list
-            .binary_search_by_key(&src.get(), |&(n, _)| n)
-            .expect_err("out-list said the edge was absent");
-        in_list.insert(at, (src.get(), weight));
-        snap.live_edges += 1;
-        true
-    }
-
-    /// Deletes edge `src -> dst`; returns the removed weight, or `None`
-    /// (changing nothing) if the edge is absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn delete_edge(&mut self, src: VertexId, dst: VertexId) -> Option<f32> {
-        self.check_endpoints(src, dst);
-        let snap = &mut self.snap;
-        let patch = ensure_out_patch(&snap.base, &mut snap.out_patch, &mut snap.pool_len, src);
-        // The first of a parallel run (a base may carry them) in both
-        // lists, so the out- and in-side stay each other's mirror.
-        let at = patch.edges.partition_point(|&(n, _)| n < dst.get());
-        if patch.edges.get(at).is_none_or(|&(n, _)| n != dst.get()) {
-            return None;
-        }
-        let (_, weight) = patch.edges.remove(at);
-        let in_list = ensure_in_patch(&snap.base, &mut snap.in_patch, dst);
-        let at = in_list.partition_point(|&(n, _)| n < src.get());
-        assert_eq!(
-            in_list.get(at).map(|&(n, _)| n),
-            Some(src.get()),
-            "in-list out of sync with out-list"
-        );
-        in_list.remove(at);
-        snap.live_edges -= 1;
-        Some(weight)
     }
 
     /// Applies a batch of updates in order and returns the **net**
@@ -291,29 +224,55 @@ impl OverlayGraph {
     /// same weight, insert-then-delete — is not reported: seeding rules
     /// must see only what actually changed between the pre- and post-batch
     /// graphs.
+    ///
+    /// The updates write out-rows only: an insert goes in at its
+    /// neighbor-sorted place (the builder drops self loops, so the overlay
+    /// refuses to insert one), and a delete removes the first of a
+    /// parallel run. Each destination the net diff touches then has its
+    /// in-row rebuilt from the out-rows, once, by the routine
+    /// [`undo`](Self::undo) calls too.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything changes, if an update names a vertex out of
+    /// range; the message names the update and the vertex count.
     pub fn apply(&mut self, updates: &[EdgeUpdate]) -> AppliedBatch {
+        let n = self.snap.num_vertices();
+        for u in updates {
+            let (EdgeUpdate::Insert { src, dst, .. } | EdgeUpdate::Delete { src, dst }) = *u;
+            assert!(
+                src.index() < n && dst.index() < n,
+                "{u:?} out of range for {n} vertices"
+            );
+        }
         let mut captured: BTreeMap<u32, Vec<EdgeRef>> = BTreeMap::new();
         for &u in updates {
+            let (EdgeUpdate::Insert { src, dst, .. } | EdgeUpdate::Delete { src, dst }) = u;
+            let present = self.contains_edge(src, dst);
             match u {
-                EdgeUpdate::Insert { src, dst, weight } => {
-                    if src == dst || self.contains_edge(src, dst) {
-                        continue;
-                    }
-                    captured
-                        .entry(src.get())
-                        .or_insert_with(|| self.snap.out_edges(src).collect());
-                    let inserted = self.insert_edge(src, dst, weight);
-                    debug_assert!(inserted);
-                }
-                EdgeUpdate::Delete { src, dst } => {
-                    if !self.contains_edge(src, dst) {
-                        continue;
-                    }
-                    captured
-                        .entry(src.get())
-                        .or_insert_with(|| self.snap.out_edges(src).collect());
-                    self.delete_edge(src, dst);
-                }
+                EdgeUpdate::Insert { .. } if present || src == dst => continue,
+                EdgeUpdate::Delete { .. } if !present => continue,
+                _ => {}
+            }
+            captured
+                .entry(src.get())
+                .or_insert_with(|| self.snap.out_edges(src).collect());
+            let snap = &mut self.snap;
+            let patch = ensure_out_patch(&snap.base, &mut snap.out_patch, &mut snap.pool_len, src);
+            let at = patch.edges.partition_point(|&(n, _)| n < dst.get());
+            let EdgeUpdate::Insert { weight, .. } = u else {
+                patch.edges.remove(at);
+                snap.live_edges -= 1;
+                continue;
+            };
+            patch.edges.insert(at, (dst.get(), weight));
+            snap.live_edges += 1;
+            // Log-structured append: a list that outgrew its reservation moves
+            // to a fresh pool region, and the old one leaks until compaction.
+            if patch.edges.len() > patch.cap {
+                patch.cap = pool_region(patch.edges.len());
+                patch.base_addr = snap.pool_len;
+                snap.pool_len += patch.cap;
             }
         }
 
@@ -322,6 +281,7 @@ impl OverlayGraph {
             let u = VertexId::new(u);
             batch.push_row_diff(u, old, self.snap.out_edges(u));
         }
+        self.snap.rebuild_in_rows(&batch);
         batch
     }
 
@@ -331,15 +291,8 @@ impl OverlayGraph {
     /// included.
     ///
     /// Each changed source gets its [`old_out`](AppliedBatch::old_out) row
-    /// back. A touched destination's old in-row is derived, not stored: it
-    /// keeps its current entries from every source whose edges to it the
-    /// batch left alone, and takes each other source's entries from that
-    /// source's old row, in row order. The in-rows are the transpose of
-    /// the out-rows, order included (the rule
-    /// [`CsrGraph::check_invariants`] checks, and `apply` keeps), so an
-    /// in-row ascends by source and a parallel run in it keeps its out-row
-    /// order: one merge walk per destination splices each changed source's
-    /// old entries in at that source's place, with no sort of the row.
+    /// back, and each touched destination's in-row is rebuilt from the
+    /// restored out-rows by the routine [`apply`](Self::apply) calls too.
     ///
     /// Every restored out-row takes a fresh pool region, so the result's
     /// pool layout ([`out_edge_base`](GraphView::out_edge_base),
@@ -347,33 +300,6 @@ impl OverlayGraph {
     /// applied to; only the adjacency is.
     pub fn undo(&mut self, batch: &AppliedBatch) {
         let snap = &mut self.snap;
-        // Every changed edge as `(dst, src)`, by destination, then source,
-        // once (a re-weighted edge is in both lists).
-        let mut changed: Vec<(VertexId, VertexId)> = (batch.inserts.iter().chain(&batch.deletes))
-            .map(|&(s, d, _)| (d, s))
-            .collect();
-        changed.sort_unstable();
-        changed.dedup();
-        for edges in changed.chunk_by(|a, b| a.0 == b.0) {
-            let d = edges[0].0;
-            let row = snap.in_edges(d);
-            let mut now = Vec::with_capacity(row.len());
-            row.for_each(|e| now.push((e.other.get(), e.weight)));
-            let mut list = Vec::with_capacity(now.len());
-            let mut rest = now.as_slice();
-            for &(_, s) in edges {
-                let below = rest.partition_point(|&(v, _)| v < s.get());
-                let past = rest.partition_point(|&(v, _)| v <= s.get());
-                list.extend_from_slice(&rest[..below]);
-                rest = &rest[past..];
-                let (_, old) = &batch.old_out[batch.old_out.partition_point(|(v, _)| *v < s)];
-                let from = old.partition_point(|e| e.other < d);
-                let old = old[from..].iter().take_while(|e| e.other == d);
-                list.extend(old.map(|e| (s.get(), e.weight)));
-            }
-            list.extend_from_slice(rest);
-            Arc::make_mut(&mut snap.in_patch).insert(d.get(), list);
-        }
         for (v, row) in &batch.old_out {
             snap.live_edges = snap.live_edges - snap.out_degree(*v) as usize + row.len();
             let cap = pool_region(row.len());
@@ -385,6 +311,7 @@ impl OverlayGraph {
             snap.pool_len += cap;
             Arc::make_mut(&mut snap.out_patch).insert(v.get(), patch);
         }
+        snap.rebuild_in_rows(batch);
     }
 
     /// Folds every patch back into a fresh CSR base and resets the pool.
@@ -447,14 +374,6 @@ impl OverlayGraph {
         }
         b.build()
     }
-
-    fn check_endpoints(&self, src: VertexId, dst: VertexId) {
-        let n = self.snap.num_vertices();
-        assert!(
-            src.index() < n && dst.index() < n,
-            "edge ({src}, {dst}) out of range for {n} vertices"
-        );
-    }
 }
 
 /// `v`'s patched out-list, created from its base row (with a fresh pool
@@ -478,19 +397,6 @@ fn ensure_out_patch<'a>(
             base_addr,
             cap,
         }
-    })
-}
-
-/// The in-list mirror of [`ensure_out_patch`].
-fn ensure_in_patch<'a>(
-    base: &CsrGraph,
-    in_patch: &'a mut Arc<BTreeMap<u32, Vec<(u32, f32)>>>,
-    v: VertexId,
-) -> &'a mut Vec<(u32, f32)> {
-    Arc::make_mut(in_patch).entry(v.get()).or_insert_with(|| {
-        base.in_edges(v)
-            .map(|e| (e.other.get(), e.weight))
-            .collect()
     })
 }
 
@@ -571,6 +477,45 @@ impl GraphSnapshot {
     /// Number of vertices with a patched out-list at freeze time.
     pub fn patched_vertices(&self) -> usize {
         self.out_patch.len()
+    }
+
+    /// Rebuilds the in-row of every destination `batch` changed from the
+    /// current out-rows: the one routine that writes an in-row, run by
+    /// [`OverlayGraph::apply`] and [`OverlayGraph::undo`] once their
+    /// out-rows are final. The in-rows are the transpose of the out-rows,
+    /// order included (the rule [`CsrGraph::check_invariants`] checks), so
+    /// an in-row ascends by source and a parallel run in it keeps its
+    /// out-row order: each changed source's entries, found by binary
+    /// search in that source's row, are spliced in place over its old ones
+    /// at its place in the in-row, and every other source's entries stay,
+    /// with no sort and no copy of the row.
+    fn rebuild_in_rows(&mut self, batch: &AppliedBatch) {
+        // Every changed edge as `(dst, src)`, by destination, then source,
+        // once (a re-weighted edge is in both lists).
+        let mut changed: Vec<(VertexId, VertexId)> = (batch.inserts.iter().chain(&batch.deletes))
+            .map(|&(s, d, _)| (d, s))
+            .collect();
+        changed.sort_unstable();
+        changed.dedup();
+        for edges in changed.chunk_by(|a, b| a.0 == b.0) {
+            let d = edges[0].0;
+            let list = Arc::make_mut(&mut self.in_patch)
+                .entry(d.get())
+                .or_insert_with(|| {
+                    let row = self.base.in_edges(d);
+                    row.map(|e| (e.other.get(), e.weight)).collect()
+                });
+            for &(_, s) in edges {
+                let s = s.get();
+                let below = list.partition_point(|&(v, _)| v < s);
+                let past = list.partition_point(|&(v, _)| v <= s);
+                // A changed source is patched: `apply` and `undo` wrote its row.
+                let out = &self.out_patch[&s].edges;
+                let from = out.partition_point(|&(n, _)| n < d.get());
+                let run = &out[from..from + out[from..].partition_point(|&(n, _)| n == d.get())];
+                list.splice(below..past, run.iter().map(|&(_, w)| (s, w)));
+            }
+        }
     }
 }
 
@@ -688,6 +633,26 @@ mod tests {
         erdos_renyi(40, 200, WeightMode::Uniform(1.0, 9.0), 17)
     }
 
+    fn ins(src: u32, dst: u32, weight: f32) -> EdgeUpdate {
+        EdgeUpdate::Insert {
+            src: v(src),
+            dst: v(dst),
+            weight,
+        }
+    }
+
+    fn del(src: u32, dst: u32) -> EdgeUpdate {
+        EdgeUpdate::Delete {
+            src: v(src),
+            dst: v(dst),
+        }
+    }
+
+    /// A row as `(neighbor, weight)`, in stored order.
+    fn row(it: OutEdges<'_>) -> Vec<(u32, f32)> {
+        it.map(|e| (e.other.get(), e.weight)).collect()
+    }
+
     /// Collects (src, dst, weight-bits) over any view, sorted.
     fn edge_set(g: &dyn GraphView) -> Vec<(u32, u32, u32)> {
         let mut out = Vec::new();
@@ -719,11 +684,10 @@ mod tests {
             .flat_map(|s| (0..40u32).map(move |d| (s, d)))
             .find(|&(s, d)| s != d && !o.contains_edge(v(s), v(d)))
             .expect("sparse graph has absent edges");
-        assert!(o.insert_edge(v(s), v(d), 3.5));
-        assert!(!o.insert_edge(v(s), v(d), 9.9), "duplicate insert");
-        assert_eq!(o.weight_of(v(s), v(d)), Some(3.5));
-        assert_eq!(o.delete_edge(v(s), v(d)), Some(3.5));
-        assert_eq!(o.delete_edge(v(s), v(d)), None, "double delete");
+        assert_eq!(o.apply(&[ins(s, d, 3.5)]).inserts, [(v(s), v(d), 3.5)]);
+        assert!(o.apply(&[ins(s, d, 9.9)]).is_empty(), "duplicate insert");
+        assert_eq!(o.apply(&[del(s, d)]).deletes, [(v(s), v(d), 3.5)]);
+        assert!(o.apply(&[del(s, d)]).is_empty(), "double delete");
         assert_eq!(edge_set(&o), before);
     }
 
@@ -731,7 +695,7 @@ mod tests {
     fn self_loops_are_refused() {
         let mut o = OverlayGraph::new(base());
         let n = GraphView::num_edges(&o);
-        assert!(!o.insert_edge(v(3), v(3), 1.0));
+        assert!(o.apply(&[ins(3, 3, 1.0)]).is_empty());
         assert_eq!(GraphView::num_edges(&o), n);
     }
 
@@ -744,8 +708,12 @@ mod tests {
         }
         b.add_edge(v(2), v(1), 4.0);
         let mut o = OverlayGraph::new(b.build());
-        assert_eq!(o.delete_edge(v(0), v(1)), Some(1.0), "first of the run");
-        let row = |it: OutEdges<'_>| it.map(|e| (e.other.get(), e.weight)).collect::<Vec<_>>();
+        o.apply(&[del(0, 1)]);
+        assert_eq!(
+            row(o.out_edges(v(0))),
+            [(1, 2.0), (1, 3.0)],
+            "first of the run"
+        );
         assert_eq!(row(o.snap.in_edges(v(1))), [(0, 2.0), (0, 3.0), (2, 4.0)]);
         o.compact();
         assert_eq!(o.base(), &o.to_csr());
@@ -757,14 +725,19 @@ mod tests {
         let g = base();
         let mut o = OverlayGraph::new(g);
         let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..300 {
-            let s = rng.gen_range(0..40u32);
-            let d = rng.gen_range(0..40u32);
-            if rng.gen_range(0..3u32) == 0 {
-                o.delete_edge(v(s), v(d));
-            } else {
-                o.insert_edge(v(s), v(d), rng.gen_range(1..10u32) as f32);
-            }
+        let updates: Vec<EdgeUpdate> = (0..300)
+            .map(|_| {
+                let s = rng.gen_range(0..40u32);
+                let d = rng.gen_range(0..40u32);
+                if rng.gen_range(0..3u32) == 0 {
+                    del(s, d)
+                } else {
+                    ins(s, d, rng.gen_range(1..10u32) as f32)
+                }
+            })
+            .collect();
+        for batch in updates.chunks(10) {
+            o.apply(batch);
         }
         let snap = o.to_csr();
         snap.check_invariants().unwrap();
@@ -788,9 +761,8 @@ mod tests {
     #[test]
     fn compaction_preserves_edges_and_resets_pool() {
         let mut o = OverlayGraph::new(base());
-        for i in 0..15u32 {
-            o.insert_edge(v(i), v((i + 20) % 40), 2.0);
-        }
+        let batch: Vec<_> = (0..15u32).map(|i| ins(i, (i + 20) % 40, 2.0)).collect();
+        o.apply(&batch);
         assert!(o.pool_edge_slots() > 0);
         let before = edge_set(&o);
         o.compact();
@@ -803,7 +775,7 @@ mod tests {
     #[test]
     fn maybe_compact_honors_threshold() {
         let mut o = OverlayGraph::new(base());
-        o.insert_edge(v(0), v(39), 1.0);
+        o.apply(&[ins(0, 39, 1.0)]);
         assert!(!o.maybe_compact(10.0), "tiny pool must not compact");
         assert!(o.maybe_compact(0.0), "zero threshold always compacts");
         assert_eq!(o.pool_edge_slots(), 0);
@@ -813,7 +785,7 @@ mod tests {
     fn patched_lists_live_past_the_base_edge_array() {
         let mut o = OverlayGraph::new(base());
         let base_edges = o.base().num_edges();
-        o.insert_edge(v(7), v(31), 1.0);
+        o.apply(&[ins(7, 31, 1.0)]);
         assert!(GraphView::out_edge_base(&o, v(7)) >= base_edges);
         assert!(o.edge_span() > base_edges);
         // Untouched vertices keep their base addresses.
@@ -826,17 +798,15 @@ mod tests {
     #[test]
     fn freeze_mirrors_overlay_and_survives_mutation() {
         let mut o = OverlayGraph::new(base());
-        o.insert_edge(v(1), v(30), 5.0);
         let first = o.out_edges(v(2)).next().expect("vertex 2 has edges");
-        o.delete_edge(v(2), first.other);
+        o.apply(&[ins(1, 30, 5.0), del(2, first.other.get())]);
         let snap = o.freeze();
         let frozen = edge_set(&snap);
         assert_eq!(frozen, edge_set(&o), "snapshot mirrors overlay");
         assert_eq!(GraphView::num_edges(&snap), GraphView::num_edges(&o));
         // Mutating the overlay after freeze must not leak into the
         // snapshot (copy-on-write patch tables).
-        o.insert_edge(v(5), v(25), 7.0);
-        o.delete_edge(v(1), v(30));
+        o.apply(&[ins(5, 25, 7.0), del(1, 30)]);
         assert_eq!(
             edge_set(&snap),
             frozen,
@@ -848,15 +818,14 @@ mod tests {
     #[test]
     fn freeze_survives_compaction() {
         let mut o = OverlayGraph::new(base());
-        for i in 0..10u32 {
-            o.insert_edge(v(i), v((i + 13) % 40), 2.5);
-        }
+        let batch: Vec<_> = (0..10u32).map(|i| ins(i, (i + 13) % 40, 2.5)).collect();
+        o.apply(&batch);
         let snap = o.freeze();
         let frozen = edge_set(&snap);
         assert!(snap.patched_vertices() > 0);
         // Compaction swaps the overlay's base Arc; the snapshot keeps the
         // base it was frozen against and stays bit-identical.
-        o.insert_edge(v(20), v(3), 9.0);
+        o.apply(&[ins(20, 3, 9.0)]);
         o.compact();
         assert_eq!(o.patched_vertices(), 0);
         assert_eq!(
@@ -874,7 +843,7 @@ mod tests {
     #[test]
     fn snapshot_clone_is_shallow_and_identical() {
         let mut o = OverlayGraph::new(base());
-        o.insert_edge(v(4), v(17), 1.5);
+        o.apply(&[ins(4, 17, 1.5)]);
         let a = o.freeze();
         let b = a.clone();
         assert_eq!(edge_set(&a), edge_set(&b));
@@ -919,5 +888,30 @@ mod tests {
         // inserted one.
         assert!(batch.old_out[0].1.iter().any(|e| e.other == existing.other));
         assert!(!batch.old_out[0].1.iter().any(|e| e.other == v(absent)));
+    }
+
+    #[test]
+    fn apply_refuses_an_out_of_range_endpoint_before_any_change() {
+        let g = erdos_renyi(8, 16, WeightMode::Unweighted, 2);
+        let rows = |o: &OverlayGraph| {
+            (0..8)
+                .map(|s| (row(o.out_edges(v(s))), row(o.in_edges(v(s)))))
+                .collect::<Vec<_>>()
+        };
+        let absent = (1..8u32)
+            .find(|&d| !OverlayGraph::new(g.clone()).contains_edge(v(0), v(d)))
+            .expect("absent edge");
+        for bad in [del(0, 8), ins(8, 0, 1.0), ins(0, 8, 1.0)] {
+            let mut o = OverlayGraph::new(g.clone());
+            let before = rows(&o);
+            // A good update ahead of the bad one: nothing may be applied.
+            let updates = [ins(0, absent, 1.0), del(1, 2), bad];
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.apply(&updates)))
+                .expect_err("out-of-range update applied");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(*msg, format!("{bad:?} out of range for 8 vertices"));
+            assert_eq!(rows(&o), before, "{bad:?} changed the overlay");
+            assert_eq!(GraphView::num_edges(&o), g.num_edges());
+        }
     }
 }

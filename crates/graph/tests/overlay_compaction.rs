@@ -36,7 +36,11 @@ fn maybe_compact_boundary_is_inclusive() {
         while o.contains_edge(v(0), v(d)) || d == 0 {
             d += 1;
         }
-        o.insert_edge(v(0), v(d), 2.0);
+        o.apply(&[EdgeUpdate::Insert {
+            src: v(0),
+            dst: v(d),
+            weight: 2.0,
+        }]);
     }
     let pressure = o.pool_fraction();
     // Strictly above the pressure: must NOT compact.

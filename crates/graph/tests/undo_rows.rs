@@ -6,6 +6,11 @@
 //! refuses, and compact the overlay between batches, so the undo crosses
 //! bases; one family of bases keeps self loops and parallel edges.
 //!
+//! After every `apply` the overlay is also compared, row for row, with
+//! `to_csr`'s rebuild through the builder, whose in-rows come from a
+//! counting-sort transpose independent of the routine `apply` and `undo`
+//! share: a splice bug cannot hide behind both deriving rows one way.
+//!
 //! A rebuilt graph's pool layout (`out_edge_base`, `edge_span`) is not
 //! the published one — every restored out-row takes a fresh pool region
 //! — and is not compared: nothing that reads a retained epoch uses it.
@@ -119,8 +124,11 @@ fn undo_rows_restored_newest_first_reproduce_every_earlier_snapshot() {
                     let mut o = OverlayGraph::new(base);
                     let mut frozen: Vec<GraphSnapshot> = vec![o.freeze()];
                     let mut batches: Vec<AppliedBatch> = Vec::new();
-                    for _ in 0..k {
+                    for i in 0..k {
                         batches.push(o.apply(&churn(&o, &mut rng)));
+                        // The builder's counting-sort transpose, independent
+                        // of the in-rows `apply` rebuilt.
+                        assert_same_graph(&o, &o.to_csr(), &format!("{label}: apply {i}"));
                         frozen.push(o.freeze());
                         if rng.gen_range(0..3u32) == 0 {
                             o.compact();

@@ -229,6 +229,11 @@ impl<A: IncrementalAlgorithm> IncrementalEngine<A> {
     /// [`RunError`] from the accelerator backends; the overlay mutation
     /// has already happened when that occurs, so the engine should be
     /// discarded (state and topology may disagree).
+    ///
+    /// # Panics
+    ///
+    /// Panics, before the graph or the values change, if an update names a
+    /// vertex out of range ([`OverlayGraph::apply`]).
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchReport, RunError> {
         let applied = self.graph.apply(updates);
         if applied.is_empty() {

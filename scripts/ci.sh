@@ -25,6 +25,14 @@ if grep -rnE 'fn (out|in)_edge\(' crates/*/src; then
   echo "per-edge accessor reintroduced: read the row with out_edges(v) / in_edges(v)"; exit 1
 fi
 
+echo "== one way to write an in-row (rebuilt once per batch, no point mutator) =="
+# OverlayGraph::apply writes out-rows only, and every in-row a batch
+# touched is rebuilt from them by the routine undo shares; a per-edge
+# mutator that edits an in-row in place may not come back.
+if grep -rnE 'fn (insert_edge|delete_edge|weight_of)\b|fn ensure_in_patch' crates/graph/src; then
+  echo "point mutator reintroduced: write out-rows in OverlayGraph::apply and let GraphSnapshot::rebuild_in_rows derive the in-rows"; exit 1
+fi
+
 echo "== one way to start and tear down a run (no cold/typed twins, no second codec) =="
 # A cold start is the seeded run from initial_state, a parallel report is
 # the shards' reports merged, and GPC1 is the only binary graph format.
