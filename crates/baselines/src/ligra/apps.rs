@@ -1,5 +1,19 @@
 //! The five evaluation applications on the Ligra-style framework, and
 //! [`run`], which picks one by its row of the application table.
+//!
+//! An application is an edge operation, its initial values and its first
+//! frontier, handed to one of two drivers. Both run [`edge_map`] rounds
+//! until the frontier empties or `max_iterations` is reached:
+//!
+//! - `frontier_driver` (BFS, SSSP, CC) keeps the values in atomic cells
+//!   the edge operation writes; the next frontier is what it changed.
+//! - `delta_driver` (PageRank-Delta, Adsorption) pushes each active
+//!   vertex's delta along its out-edges into a cell per destination, then
+//!   a vertex phase adds each received delta to the value and keeps the
+//!   vertex active while `|delta| > eps`.
+//!
+//! Each driver holds the run's one clock. It covers building the cells or
+//! values, the rounds and the read-back, and nothing else.
 
 use std::time::Instant;
 
@@ -8,6 +22,50 @@ use gp_graph::{CsrGraph, VertexId};
 
 use super::atomic::{atomic_vec, snapshot};
 use super::{edge_map, AtomicF64, EdgeOp, LigraConfig, LigraOutput, VertexSubset};
+
+/// Maps `round(frontier, round_number)` from `frontier` until it empties
+/// or `cfg.max_iterations` is reached; returns the rounds run.
+fn rounds(
+    mut frontier: VertexSubset,
+    cfg: &LigraConfig,
+    mut round: impl FnMut(&VertexSubset, u64) -> VertexSubset,
+) -> u64 {
+    let mut iterations = 0;
+    while !frontier.is_empty() && iterations < cfg.max_iterations {
+        iterations += 1;
+        frontier = round(&frontier, iterations);
+    }
+    iterations
+}
+
+/// The frontier driver: one cell per vertex from `init`, and `round(cells,
+/// frontier, round_number)` returns the next frontier.
+fn frontier_driver(
+    init: impl IntoIterator<Item = f64>,
+    frontier: VertexSubset,
+    cfg: &LigraConfig,
+    mut round: impl FnMut(&[AtomicF64], &VertexSubset, u64) -> VertexSubset,
+) -> LigraOutput {
+    let start = Instant::now();
+    let cells = atomic_vec(init);
+    let iterations = rounds(frontier, cfg, |f, r| round(&cells, f, r));
+    LigraOutput {
+        values: snapshot(&cells),
+        iterations,
+        elapsed: start.elapsed(),
+    }
+}
+
+/// The values of a rooted search: 0 at `root`, ∞ elsewhere.
+fn from_root(n: usize, root: VertexId) -> impl Iterator<Item = f64> {
+    (0..n).map(move |i| {
+        if i == root.index() {
+            0.0
+        } else {
+            f64::INFINITY
+        }
+    })
+}
 
 // ---- BFS ----
 
@@ -38,29 +96,11 @@ impl EdgeOp for BfsOp<'_> {
 /// Breadth-first search from `root`; returns levels (∞ when unreached).
 pub fn bfs(graph: &CsrGraph, root: VertexId, cfg: &LigraConfig) -> LigraOutput {
     let n = graph.num_vertices();
-    let start = Instant::now();
-    let levels = atomic_vec((0..n).map(|i| {
-        if i == root.index() {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    }));
-    let mut frontier = VertexSubset::single(n, root);
-    let mut iterations = 0;
-    while !frontier.is_empty() && iterations < cfg.max_iterations {
-        iterations += 1;
-        let op = BfsOp {
-            levels: &levels,
-            next_level: iterations as f64,
-        };
-        frontier = edge_map(graph, &frontier, &op, cfg);
-    }
-    LigraOutput {
-        values: snapshot(&levels),
-        iterations,
-        elapsed: start.elapsed(),
-    }
+    let first = VertexSubset::single(n, root);
+    frontier_driver(from_root(n, root), first, cfg, |levels, f, round| {
+        let next_level = round as f64;
+        edge_map(graph, f, &BfsOp { levels, next_level }, cfg)
+    })
 }
 
 // ---- SSSP (Bellman–Ford with frontiers) ----
@@ -89,25 +129,10 @@ impl EdgeOp for SsspOp<'_> {
 /// Single-source shortest paths from `root` (frontier Bellman–Ford).
 pub fn sssp(graph: &CsrGraph, root: VertexId, cfg: &LigraConfig) -> LigraOutput {
     let n = graph.num_vertices();
-    let start = Instant::now();
-    let dist = atomic_vec((0..n).map(|i| {
-        if i == root.index() {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    }));
-    let mut frontier = VertexSubset::single(n, root);
-    let mut iterations = 0;
-    while !frontier.is_empty() && iterations < cfg.max_iterations {
-        iterations += 1;
-        frontier = edge_map(graph, &frontier, &SsspOp { dist: &dist }, cfg);
-    }
-    LigraOutput {
-        values: snapshot(&dist),
-        iterations,
-        elapsed: start.elapsed(),
-    }
+    let first = VertexSubset::single(n, root);
+    frontier_driver(from_root(n, root), first, cfg, |dist, f, _| {
+        edge_map(graph, f, &SsspOp { dist }, cfg)
+    })
 }
 
 // ---- Connected Components (max-label propagation) ----
@@ -137,71 +162,55 @@ impl EdgeOp for CcOp<'_> {
 /// vertex id; component labels on symmetric graphs).
 pub fn cc(graph: &CsrGraph, cfg: &LigraConfig) -> LigraOutput {
     let n = graph.num_vertices();
-    let start = Instant::now();
-    let labels = atomic_vec((0..n).map(|i| i as f64));
-    let mut frontier = VertexSubset::all(n);
-    let mut iterations = 0;
-    while !frontier.is_empty() && iterations < cfg.max_iterations {
-        iterations += 1;
-        frontier = edge_map(graph, &frontier, &CcOp { labels: &labels }, cfg);
-    }
-    LigraOutput {
-        values: snapshot(&labels),
-        iterations,
-        elapsed: start.elapsed(),
-    }
+    let labels = (0..n).map(|i| i as f64);
+    frontier_driver(labels, VertexSubset::all(n), cfg, |labels, f, _| {
+        edge_map(graph, f, &CcOp { labels }, cfg)
+    })
 }
 
-// ---- PageRank-Delta ----
+// ---- PageRank-Delta and Adsorption ----
 
-struct PrDeltaOp<'a> {
+/// Adds `share(src, weight, delta[src])` to `next[dst]`.
+struct DeltaOp<'a, S> {
     delta: &'a [f64],
     next: &'a [AtomicF64],
-    alpha: f64,
-    graph: &'a CsrGraph,
+    share: S,
 }
 
-impl PrDeltaOp<'_> {
-    fn contribution(&self, src: VertexId) -> f64 {
-        let deg = self.graph.out_degree(src);
-        debug_assert!(deg > 0, "frontier vertices have out-edges");
-        self.alpha * self.delta[src.index()] / f64::from(deg)
-    }
-}
-
-impl EdgeOp for PrDeltaOp<'_> {
-    fn update(&self, src: VertexId, dst: VertexId, _w: f32) -> bool {
-        // Dense direction: single-threaded per dst, but the cell type is
-        // shared with the push direction, so go through the atomic anyway.
-        self.next[dst.index()].fetch_add(self.contribution(src));
-        true
+impl<S: Fn(VertexId, f32, f64) -> f64 + Sync> EdgeOp for DeltaOp<'_, S> {
+    fn update(&self, src: VertexId, dst: VertexId, w: f32) -> bool {
+        // Pull: one thread per dst, but the cell is the push direction's.
+        self.update_atomic(src, dst, w)
     }
 
-    fn update_atomic(&self, src: VertexId, dst: VertexId, _w: f32) -> bool {
-        self.next[dst.index()].fetch_add(self.contribution(src));
+    fn update_atomic(&self, src: VertexId, dst: VertexId, w: f32) -> bool {
+        let share = (self.share)(src, w, self.delta[src.index()]);
+        self.next[dst.index()].fetch_add(share);
         true
     }
 }
 
-/// Contribution-based PageRank (PageRankDelta), the variant the paper uses
-/// for both its software baseline and the accelerator (§VI-A).
-pub fn pagerank_delta(graph: &CsrGraph, alpha: f64, eps: f64, cfg: &LigraConfig) -> LigraOutput {
+/// The delta driver: values and deltas start at `init`, and every vertex
+/// starts active.
+fn delta_driver(
+    graph: &CsrGraph,
+    init: impl IntoIterator<Item = f64>,
+    eps: f64,
+    cfg: &LigraConfig,
+    share: impl Fn(VertexId, f32, f64) -> f64 + Sync + Copy,
+) -> LigraOutput {
     let n = graph.num_vertices();
     let start = Instant::now();
-    let mut p: Vec<f64> = vec![1.0 - alpha; n];
-    let mut delta: Vec<f64> = vec![1.0 - alpha; n];
+    let mut p: Vec<f64> = init.into_iter().collect();
+    let mut delta = p.clone();
     let next = atomic_vec(std::iter::repeat_n(0.0, n));
-    let mut frontier = VertexSubset::all(n);
-    let mut iterations = 0;
-    while !frontier.is_empty() && iterations < cfg.max_iterations {
-        iterations += 1;
-        let op = PrDeltaOp {
+    let iterations = rounds(VertexSubset::all(n), cfg, |frontier, _| {
+        let op = DeltaOp {
             delta: &delta,
             next: &next,
-            alpha,
-            graph,
+            share,
         };
-        let touched = edge_map(graph, &frontier, &op, cfg);
+        let touched = edge_map(graph, frontier, &op, cfg);
         // Vertex phase: apply received deltas, threshold the next frontier.
         let mut active = Vec::new();
         touched.for_each(|v| {
@@ -213,8 +222,8 @@ pub fn pagerank_delta(graph: &CsrGraph, alpha: f64, eps: f64, cfg: &LigraConfig)
                 active.push(v.get());
             }
         });
-        frontier = VertexSubset::from_sparse(n, active);
-    }
+        VertexSubset::from_sparse(n, active)
+    });
     LigraOutput {
         values: p,
         iterations,
@@ -222,30 +231,15 @@ pub fn pagerank_delta(graph: &CsrGraph, alpha: f64, eps: f64, cfg: &LigraConfig)
     }
 }
 
-// ---- Adsorption ----
-
-struct AdsorptionOp<'a> {
-    delta: &'a [f64],
-    next: &'a [AtomicF64],
-    params: &'a AdsorptionParams,
-}
-
-impl AdsorptionOp<'_> {
-    fn contribution(&self, src: VertexId, w: f32) -> f64 {
-        f64::from(self.params.alpha(src)) * f64::from(w) * self.delta[src.index()]
-    }
-}
-
-impl EdgeOp for AdsorptionOp<'_> {
-    fn update(&self, src: VertexId, dst: VertexId, w: f32) -> bool {
-        self.next[dst.index()].fetch_add(self.contribution(src, w));
-        true
-    }
-
-    fn update_atomic(&self, src: VertexId, dst: VertexId, w: f32) -> bool {
-        self.next[dst.index()].fetch_add(self.contribution(src, w));
-        true
-    }
+/// Contribution-based PageRank (PageRankDelta), the variant the paper uses
+/// for both its software baseline and the accelerator (§VI-A).
+pub fn pagerank_delta(graph: &CsrGraph, alpha: f64, eps: f64, cfg: &LigraConfig) -> LigraOutput {
+    let init = std::iter::repeat_n(1.0 - alpha, graph.num_vertices());
+    delta_driver(graph, init, eps, cfg, |src, _, delta| {
+        let deg = graph.out_degree(src);
+        debug_assert!(deg > 0, "frontier vertices have out-edges");
+        alpha * delta / f64::from(deg)
+    })
 }
 
 /// Adsorption label diffusion. Expects a graph whose inbound weights were
@@ -256,43 +250,13 @@ pub fn adsorption(
     eps: f64,
     cfg: &LigraConfig,
 ) -> LigraOutput {
-    let n = graph.num_vertices();
-    let start = Instant::now();
-    let mut p: Vec<f64> = (0..n)
-        .map(|i| {
-            let v = VertexId::from_index(i);
-            f64::from(params.beta(v)) * f64::from(params.injection(v))
-        })
-        .collect();
-    let mut delta: Vec<f64> = p.clone();
-    let next = atomic_vec(std::iter::repeat_n(0.0, n));
-    let mut frontier = VertexSubset::all(n);
-    let mut iterations = 0;
-    while !frontier.is_empty() && iterations < cfg.max_iterations {
-        iterations += 1;
-        let op = AdsorptionOp {
-            delta: &delta,
-            next: &next,
-            params,
-        };
-        let touched = edge_map(graph, &frontier, &op, cfg);
-        let mut active = Vec::new();
-        touched.for_each(|v| {
-            let d = next[v.index()].load();
-            next[v.index()].store(0.0);
-            p[v.index()] += d;
-            delta[v.index()] = d;
-            if d.abs() > eps {
-                active.push(v.get());
-            }
-        });
-        frontier = VertexSubset::from_sparse(n, active);
-    }
-    LigraOutput {
-        values: p,
-        iterations,
-        elapsed: start.elapsed(),
-    }
+    let init = (0..graph.num_vertices()).map(|i| {
+        let v = VertexId::from_index(i);
+        f64::from(params.beta(v)) * f64::from(params.injection(v))
+    });
+    delta_driver(graph, init, eps, cfg, |src, w, delta| {
+        f64::from(params.alpha(src)) * f64::from(w) * delta
+    })
 }
 
 /// The rows of the application table this framework implements: Table II's

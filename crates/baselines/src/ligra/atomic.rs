@@ -31,56 +31,31 @@ impl AtomicF64 {
     /// Atomically lowers the cell to `min(current, v)`; returns `true` if
     /// the cell changed.
     pub fn fetch_min(&self, v: f64) -> bool {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            if f64::from_bits(cur) <= v {
-                return false;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.replace_unless(|cur| cur <= v, v)
     }
 
     /// Atomically raises the cell to `max(current, v)`; returns `true` if
     /// the cell changed.
     pub fn fetch_max(&self, v: f64) -> bool {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            if f64::from_bits(cur) >= v {
-                return false;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.replace_unless(|cur| cur >= v, v)
+    }
+
+    /// Stores `v` unless `keep(current)`; returns `true` if it stored.
+    /// A NaN cell fails every comparison, so it is always replaced.
+    fn replace_unless(&self, keep: impl Fn(f64) -> bool, v: f64) -> bool {
+        self.0
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
+                (!keep(f64::from_bits(cur))).then_some(v.to_bits())
+            })
+            .is_ok()
     }
 
     /// Atomically adds `v`.
     pub fn fetch_add(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        let add = |cur| Some((f64::from_bits(cur) + v).to_bits());
+        let _ = self
+            .0
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, add);
     }
 
     /// Atomically replaces `expected` with `v`; returns `true` on success.

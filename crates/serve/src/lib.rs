@@ -16,9 +16,10 @@
 //!   [`SnapshotStore`]. Readers pin an epoch with one `Arc` clone; no
 //!   epoch ever mutates after publish; compaction swaps the base CSR
 //!   `Arc` without disturbing pinned readers. The retained history keeps
-//!   a graph only for epochs someone holds; every other epoch is an undo
-//!   record (its delta plus its parent's in-rows it touched) that
-//!   [`SnapshotStore::epoch`] rebuilds from, off the read path.
+//!   a graph only for the current epoch; every older retained epoch is
+//!   the [`AppliedBatch`](gp_graph::AppliedBatch) that made it, which
+//!   [`SnapshotStore::epoch`] undoes from the current graph, off the read
+//!   path.
 //! * **Batched query execution** ([`executor`]): a pool of
 //!   [`ServeConfig::executors`] executor threads, one per admission
 //!   *lane*, drains admitted queries in windows and groups them by
@@ -55,8 +56,8 @@
 //!   instead of stalling on recomputes.
 //! * **Constants, not knobs**: [`ServeConfig`] holds the seven values a
 //!   caller in this repository sets. Queue bounds, the batching window,
-//!   the degradation threshold, the path replay limit and the path-column
-//!   bound are documented constants beside it.
+//!   the degradation threshold and the path-column bound are documented
+//!   constants beside it.
 //! * **Front ends**: the in-process [`ServeHandle`] / [`ServeClient`]
 //!   API here, and a line-oriented TCP protocol in [`net`].
 //!

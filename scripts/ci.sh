@@ -329,6 +329,20 @@ if grep -rnE 'fn (failures|render_log)[(]' crates/chaos/src | non_test_lines | g
   echo "second verdict on a bench record: let the producer's Schema::validate judge it"; exit 1
 fi
 
+echo "== one timed region per Ligra driver (two round loops, no hand-written CAS loop) =="
+# BFS, SSSP and CC run through apps.rs's frontier driver, PageRank-Delta
+# and Adsorption through its delta driver, and each driver holds the run's
+# one clock. A clock anywhere else in apps.rs is a round loop of an app's
+# own, timed its own way. AtomicF64's updates are AtomicU64::fetch_update,
+# so a compare_exchange_weak loop in atomic.rs would be a second copy of it.
+clocks=$(grep -o 'Instant::now()' crates/baselines/src/ligra/apps.rs | wc -l)
+if [ "$clocks" -ne 2 ]; then
+  echo "Instant::now() appears $clocks times in ligra/apps.rs, not 2: run the app through the frontier or the delta driver"; exit 1
+fi
+if grep -n 'compare_exchange_weak' crates/baselines/src/ligra/atomic.rs; then
+  echo "hand-written CAS loop reintroduced in AtomicF64: update the cell with AtomicU64::fetch_update"; exit 1
+fi
+
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
